@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism check bench bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism fuzz-smoke check bench bench-suite bench-compare bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
 
 all: check
 
@@ -30,9 +30,20 @@ race-observability:
 # Focused race gate for the transport stack: the mux writer's write
 # token, the per-connection demux read loops, and the pool's shared-
 # connection management are the RPC layer's concurrency hot spots. Runs
-# the framing fuzz (testing/quick) suites under -race as well.
+# the framing fuzz (testing/quick, FuzzMuxReader's seed corpus) suites
+# under -race as well, and — whole packages, no run list — the per-server
+# run tests: TestRuns*, TestReadRunHolePastLocalEnd, TestOneDataRPCPerServer,
+# TestShortReplicaIsNotAHole, TestRandomOpsMatchFlatModel (TCP, byte-for-byte
+# against a flat model), TestMuxWriterHalfSentMessagesBounded and
+# TestInprocCloseHangsUpOnBacklog.
 race-transport:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/pfs/
+
+# Ten seconds of native fuzzing on mux segment reassembly (announced
+# totals, type changes, interleaved streams). The seed corpus alone runs
+# in every plain `go test`.
+fuzz-smoke:
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxReader -fuzztime 10s
 
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,
@@ -68,10 +79,12 @@ race-tsdb:
 # dispatcher binds WDRR elections to slots while cancels withdraw queued
 # tickets, the cancel registry races CancelReqs against registration and
 # both framings' mid-frame zero-fill, and hedged reads race two replica
-# streams (plus server death) over one destination buffer. The latency
-# tracker's EWMA/decay state rides along.
+# streams (plus server death) over one destination buffer — a server's
+# strided run of it, with the hedge's winner scattered out of scratch
+# (TestHedgeWinnerScattersIntoRun) and holes zero-filled per run. The
+# latency tracker's EWMA/decay state rides along.
 race-qos:
-	$(GO) test -race -run 'TestQoS|TestCancel|TestServerCancel|TestHedge|TestPrimary|TestReplicaOrder|TestLatency|TestHedgeDelay|TestSizeClass|TestWDRR|TestMetaStorm|TestNoCredit' ./internal/pfs/ ./internal/ioqueue/
+	$(GO) test -race -run 'TestQoS|TestCancel|TestServerCancel|TestHedge|TestPrimary|TestReplicaOrder|TestReplicatedRead|TestReadRunHole|TestShortReplica|TestRandomOps|TestLatency|TestHedgeDelay|TestSizeClass|TestWDRR|TestMetaStorm|TestNoCredit' ./internal/pfs/ ./internal/ioqueue/
 	$(GO) test -race -run 'TestWaitShare|TestReadReqReqID|TestNamespaceTenant' ./internal/tenant/ ./internal/wire/
 
 # Counterfactual replay must be byte-deterministic: the same decision log
@@ -92,6 +105,16 @@ bench:
 	$(GO) test ./internal/pfs/ -run '^$$' -bench 'ReadPath|WritePath' -benchtime 15x -benchmem
 	$(GO) run ./cmd/dosas-bench -exp readpath
 	$(GO) run ./cmd/dosas-bench -exp noisy-neighbor
+
+# The repository's benchmark (bench/README.md): five workloads over real
+# TCP daemons, end-to-end and per-layer metrics, ~4 min; writes
+# bench/out/BENCH.json. bench-compare diffs that run against the
+# committed baseline and fails on a regression outside the bounds.
+bench-suite:
+	sh bench/run.sh
+
+bench-compare:
+	sh bench/run.sh -compare bench/BENCH.baseline.json bench/out/BENCH.json
 
 # Zero-copy serving A/B: user-space copies per served byte for sendbuf
 # vs writev vs sendfile serving (writes BENCH_readpath_zerocopy.json).

@@ -731,9 +731,9 @@ type ClientOptions struct {
 	// DisableMux pins the client's pool to ordered per-exchange
 	// connections instead of negotiating multiplexing with the servers.
 	DisableMux bool
-	// HedgeAfter enables hedged reads on replicated files: a segment read
-	// still unanswered after this delay is duplicated to the next-best
-	// replica and the loser is cancelled. Used as the fallback trigger
+	// HedgeAfter enables hedged reads on replicated files: one server's
+	// share of a read still unanswered after this delay is duplicated to
+	// the next-best replica and the loser is cancelled. Used as the fallback trigger
 	// until the per-server latency tracker can derive a quantile-based
 	// one. Zero disables hedging.
 	HedgeAfter time.Duration

@@ -379,32 +379,13 @@ type localRange struct {
 	length uint64
 }
 
-// localRanges groups the stripe segments of [off, off+length) by server.
-// Because round-robin striping maps consecutive owned stripes to
-// consecutive local stripes, each server's share of a contiguous file
-// range is itself contiguous in local space.
+// localRanges returns each server's share of [off, off+length): one
+// contiguous local range per server (pfs.Runs).
 func localRanges(f *pfs.File, off, length uint64) []localRange {
-	segs := pfs.Segments(f.Layout(), off, length)
-	byServer := make(map[uint32]*localRange)
-	var order []uint32
-	for _, seg := range segs {
-		lr, ok := byServer[seg.Server]
-		if !ok {
-			byServer[seg.Server] = &localRange{slot: seg.Slot, server: seg.Server, offset: seg.LocalOffset, length: seg.Length}
-			order = append(order, seg.Server)
-			continue
-		}
-		if seg.LocalOffset < lr.offset {
-			lr.length += lr.offset - seg.LocalOffset
-			lr.offset = seg.LocalOffset
-		}
-		if end := seg.LocalOffset + seg.Length; end > lr.offset+lr.length {
-			lr.length = end - lr.offset
-		}
-	}
-	out := make([]localRange, 0, len(order))
-	for _, s := range order {
-		out = append(out, *byServer[s])
+	runs := pfs.Runs(f.Layout(), off, length)
+	out := make([]localRange, len(runs))
+	for i, r := range runs {
+		out[i] = localRange{slot: r.Slot, server: r.Server, offset: r.LocalOffset, length: r.Length}
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dosas/internal/kernels"
-	"dosas/internal/pfs"
 )
 
 func TestLocalRangesContiguityAndCoverage(t *testing.T) {
@@ -33,20 +32,22 @@ func TestLocalRangesContiguityAndCoverage(t *testing.T) {
 			}
 			seen[lr.server] = true
 			total += lr.length
-			// Every byte the range claims must be covered by segments of
-			// the same request on that server: the local range must equal
-			// [min, max) over that server's segments.
+			// The local range must equal [min, max+1) over the local
+			// positions of the request's bytes striped onto that server.
+			layout := f.Layout()
+			ss, w := uint64(layout.StripeSize), uint64(len(layout.Servers))
 			var lo, hi uint64
 			first := true
-			for _, seg := range pfs.Segments(f.Layout(), tc.off, tc.length) {
-				if seg.Server != lr.server {
+			for x := tc.off; x < tc.off+tc.length; x++ {
+				if layout.Servers[x/ss%w] != lr.server {
 					continue
 				}
-				if first || seg.LocalOffset < lo {
-					lo = seg.LocalOffset
+				local := x/ss/w*ss + x%ss
+				if first || local < lo {
+					lo = local
 				}
-				if end := seg.LocalOffset + seg.Length; first || end > hi {
-					hi = end
+				if first || local+1 > hi {
+					hi = local + 1
 				}
 				first = false
 			}

@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -40,7 +41,7 @@ type ClientConfig struct {
 	// byte-identical to pre-tenant clients.
 	Tenant string
 	// HedgeAfter enables hedged reads on replicated files: when the
-	// fastest replica has not finished a segment within the delay, the
+	// fastest replica has not finished a server's run within the delay, the
 	// read is duplicated to the next-best replica and the loser is
 	// cancelled. The configured value is the fallback trigger, used until
 	// the per-server latency tracker has enough samples to derive a
@@ -256,9 +257,36 @@ func (f *File) Size() uint64 {
 	return f.size
 }
 
-// ReadAt fills p from the file at off, fanning segments out to their data
-// servers in parallel. It returns the number of bytes read; reading past
-// the end returns a short count.
+// fanOut runs fn(0) … fn(n-1) — concurrently when n > 1 — and returns the
+// first error.
+func fanOut(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) { errs <- fn(i) }(i)
+	}
+	var first error
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// eachRun applies fn to every server run of the file range [off,
+// off+length), in parallel.
+func (f *File) eachRun(off, length uint64, fn func(Run) error) error {
+	runs := Runs(f.layout, off, length)
+	return fanOut(len(runs), func(i int) error { return fn(runs[i]) })
+}
+
+// ReadAt fills p from the file at off: one windowed read per data server
+// holding part of the range, in parallel, each scattered straight into
+// its stripes of p. It returns the number of bytes read; reading past the
+// end returns a short count.
 func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 	size := f.Size()
 	if off >= size {
@@ -267,51 +295,39 @@ func (f *File) ReadAt(p []byte, off uint64) (int, error) {
 	if max := size - off; uint64(len(p)) > max {
 		p = p[:max]
 	}
-	segs := Segments(f.layout, off, uint64(len(p)))
-	errs := make(chan error, len(segs))
-	for _, seg := range segs {
-		go func(seg Segment) {
-			errs <- f.readSegment(p[seg.FileOffset-off:seg.FileOffset-off+seg.Length], seg)
-		}(seg)
-	}
-	var first error
-	for range segs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return 0, first
+	err := f.eachRun(off, uint64(len(p)), func(run Run) error {
+		return f.readRun(run.view(f.layout, p, off), run)
+	})
+	if err != nil {
+		return 0, err
 	}
 	return len(p), nil
 }
 
-// readSegment pulls one server-local range, chunked under the frame
-// limit. Replicas are tried in expected-latency order (straggler-aware:
-// the pool's tracker scores each candidate server for this request size,
+// readRun pulls one server's run, chunked under the frame limit.
+// Replicas are tried in expected-latency order (straggler-aware: the
+// pool's tracker scores each candidate server for this request size,
 // unknown and long-idle servers scoring best), failing over to the next
 // on error. With hedging enabled, the second-best replica is raced
 // against a primary that blows through its latency budget.
-func (f *File) readSegment(dst []byte, seg Segment) error {
-	order := f.replicaOrder(seg, len(dst))
+func (f *File) readRun(dst strided, run Run) error {
+	// The tracker is fed per chunk request, so replicas are scored — and
+	// the hedge delay derived — for the size the window will ask for.
+	depth, chunk := normWindow(f.c.cfg.WindowDepth, f.c.cfg.TransferChunk)
+	req := min(dst.n, chunk)
+	order := f.replicaOrder(run, req)
 	if f.c.cfg.HedgeAfter > 0 && len(order) > 1 {
-		return f.readSegmentHedged(dst, seg, order)
+		// A run longer than one window gets that budget once per window.
+		windows := (dst.n + depth*chunk - 1) / (depth * chunk)
+		return f.readRunHedged(dst, run, order, req, windows)
 	}
-	var lastErr error
-	for _, r := range order {
-		if err := f.readSegmentReplica(dst, seg, r, nil); err != nil {
-			lastErr = err
-			continue
-		}
-		return nil
-	}
-	return lastErr
+	return f.readFailover(dst, run, order, runFailures{})
 }
 
-// replicaOrder returns the segment's replica indices sorted by the
-// latency tracker's score for this request size (ties keep layout order,
-// so an unmeasured cluster behaves exactly as before).
-func (f *File) replicaOrder(seg Segment, bytes int) []int {
+// replicaOrder returns the run's replica indices sorted by the latency
+// tracker's score for this request size (ties keep layout order, so an
+// unmeasured cluster behaves exactly as before).
+func (f *File) replicaOrder(run Run, bytes int) []int {
 	reps := f.layout.ReplicaCount()
 	order := make([]int, reps)
 	for i := range order {
@@ -323,7 +339,7 @@ func (f *File) replicaOrder(seg Segment, bytes int) []int {
 	lat := f.c.pool.Latency()
 	score := make([]float64, reps)
 	for i := range score {
-		addr, err := f.c.DataAddr(ReplicaServer(f.layout, seg.Slot, i))
+		addr, err := f.c.DataAddr(ReplicaServer(f.layout, run.Slot, i))
 		if err == nil {
 			score[i] = lat.Score(addr, bytes)
 		}
@@ -332,76 +348,118 @@ func (f *File) replicaOrder(seg Segment, bytes int) []int {
 	return order
 }
 
-// readSegmentReplica reads the segment from replica r through the
-// sliding-window path, keeping WindowDepth chunks in flight. Chained
-// placement guarantees the replica's local offsets equal the primary's.
-// ctl, when non-nil, makes the read cancellable (hedging).
-func (f *File) readSegmentReplica(dst []byte, seg Segment, r int, ctl *ReadControl) error {
-	addr, err := f.c.DataAddr(ReplicaServer(f.layout, seg.Slot, r))
-	if err != nil {
-		return err
+// attempt is the outcome of reading a run from one replica: the bytes
+// delivered into the destination, and why it stopped short of all of them.
+type attempt struct {
+	n   int
+	err error
+}
+
+// runFailures folds the failed attempts at one run. The run is already
+// clamped to the file size, so a local stream that ends inside it
+// (errLocalEOF) is either a hole — a stripe never written — or a replica
+// that is behind. It therefore counts as a failure while another replica
+// may still hold the bytes; only when every replica's stream ends short
+// is the rest, past the longest of them, a hole.
+type runFailures struct {
+	held int   // longest short stream: dst[:held] came from replicas holding it
+	hard error // last failure that was not a short stream
+}
+
+func (rf *runFailures) add(a attempt) {
+	if errors.Is(a.err, errLocalEOF) {
+		rf.held = max(rf.held, a.n)
+	} else {
+		rf.hard = a.err
 	}
-	handle := ReplicaHandle(f.handle, r)
-	_, err = f.c.pool.ReadWindowedCtl(addr, handle, dst, seg.LocalOffset,
+}
+
+// readRunReplica reads the run from replica r through the sliding-window
+// path, keeping WindowDepth chunks in flight. Chained placement
+// guarantees the replica's local offsets equal the primary's. ctl, when
+// non-nil, makes the read cancellable (hedging).
+func (f *File) readRunReplica(dst strided, run Run, r int, ctl *ReadControl) attempt {
+	addr, err := f.c.DataAddr(ReplicaServer(f.layout, run.Slot, r))
+	if err != nil {
+		return attempt{0, err}
+	}
+	n, err := f.c.pool.readWindowed(addr, ReplicaHandle(f.handle, r), dst, run.LocalOffset,
 		f.c.cfg.WindowDepth, f.c.cfg.TransferChunk, ctl)
 	if err != nil {
-		return fmt.Errorf("pfs: read replica %d: %w", r, err)
+		err = fmt.Errorf("pfs: read replica %d: %w", r, err)
 	}
+	return attempt{n, err}
+}
+
+// readFailover settles a run whose attempts so far all failed: it tries
+// the replicas in rest until one delivers the whole run. If none does,
+// the run reads as far as the longest stream went and zeros beyond — but
+// only when every replica answered and merely ended short; one that
+// failed outright might hold the missing bytes, so its error stands.
+func (f *File) readFailover(dst strided, run Run, rest []int, failed runFailures) error {
+	for _, r := range rest {
+		a := f.readRunReplica(dst, run, r, nil)
+		if a.err == nil {
+			return nil
+		}
+		failed.add(a)
+	}
+	if failed.hard != nil {
+		return failed.hard
+	}
+	dst.slice(failed.held, dst.n-failed.held).clear()
 	return nil
 }
 
-// readSegmentHedged reads the segment from the best-scored replica, and —
-// if that replica has not delivered within the hedge delay — duplicates
-// the read to the second-best into scratch space, cancelling whichever
-// copy loses. dst is only ever written by the primary read and by the
-// final scratch copy after the primary goroutine has exited, so a losing
-// primary's zero-filled cancelled bytes can never clobber winning data.
-func (f *File) readSegmentHedged(dst []byte, seg Segment, order []int) error {
+// readRunHedged reads the run from the best-scored replica, and — if that
+// replica has not delivered within the hedge delay (the tracker's budget
+// for a req-byte request, once per window of the run) — duplicates the read
+// to the second-best into one local-contiguous scratch buffer, cancelling
+// whichever copy loses. dst is only ever written by the primary read and
+// by the scatter of scratch after the primary goroutine has exited, so a
+// losing primary's zero-filled cancelled bytes can never clobber winning
+// data.
+func (f *File) readRunHedged(dst strided, run Run, order []int, req, windows int) error {
 	pool := f.c.pool
 	prim, hedge := order[0], order[1]
-	primAddr, err := f.c.DataAddr(ReplicaServer(f.layout, seg.Slot, prim))
-	if err != nil {
-		return err
+	primAddr, perr := f.c.DataAddr(ReplicaServer(f.layout, run.Slot, prim))
+	hedgeAddr, herr := f.c.DataAddr(ReplicaServer(f.layout, run.Slot, hedge))
+	if perr != nil || herr != nil {
+		return f.readFailover(dst, run, order, runFailures{}) // nothing to race
 	}
 	primCtl := pool.NewReadControl(primAddr)
-	primDone := make(chan error, 1)
-	go func() { primDone <- f.readSegmentReplica(dst, seg, prim, primCtl) }()
+	primDone := make(chan attempt, 1)
+	go func() { primDone <- f.readRunReplica(dst, run, prim, primCtl) }()
 
-	delay := pool.Latency().HedgeDelay(primAddr, len(dst), f.c.cfg.HedgeAfter)
-	timer := time.NewTimer(delay)
+	delay := pool.Latency().HedgeDelay(primAddr, req, f.c.cfg.HedgeAfter)
+	timer := time.NewTimer(delay * time.Duration(windows))
 	defer timer.Stop()
+	var p, h attempt
+	var failed runFailures
 	select {
-	case err := <-primDone:
-		if err == nil {
+	case p = <-primDone:
+		if p.err == nil {
 			return nil
 		}
-		return f.readFailover(dst, seg, order[1:], err)
+		failed.add(p)
+		return f.readFailover(dst, run, order[1:], failed)
 	case <-timer.C:
 	}
 
 	// Primary is straggling: race the hedge replica into scratch space.
-	hedgeAddr, err := f.c.DataAddr(ReplicaServer(f.layout, seg.Slot, hedge))
-	if err != nil {
-		// Cannot hedge; fall back to waiting for the primary alone.
-		if perr := <-primDone; perr != nil {
-			return f.readFailover(dst, seg, order[1:], perr)
-		}
-		return nil
-	}
 	pool.reg.Counter("pool.hedge.launched").Inc()
-	scratch := wire.GetBuf(len(dst))[:len(dst)]
+	scratch := wire.GetBuf(dst.n)
 	hedgeCtl := pool.NewReadControl(hedgeAddr)
-	hedgeDone := make(chan error, 1)
+	hedgeDone := make(chan attempt, 1)
 	go func() {
-		n, herr := pool.ReadWindowedCtl(hedgeAddr, ReplicaHandle(f.handle, hedge),
-			scratch, seg.LocalOffset, f.c.cfg.WindowDepth, f.c.cfg.TransferChunk, hedgeCtl)
-		pool.reg.Counter("pool.hedge.bytes").Add(int64(n))
-		hedgeDone <- herr
+		a := f.readRunReplica(contig(scratch), run, hedge, hedgeCtl)
+		pool.reg.Counter("pool.hedge.bytes").Add(int64(a.n))
+		hedgeDone <- a
 	}()
 
 	select {
-	case perr := <-primDone:
-		if perr == nil {
+	case p = <-primDone:
+		if p.err == nil {
 			// Primary won after all: reclaim the hedge's bandwidth and
 			// recycle its scratch once its window loop has let go of it.
 			pool.reg.Counter("pool.hedge.cancelled").Inc()
@@ -412,68 +470,49 @@ func (f *File) readSegmentHedged(dst []byte, seg Segment, order []int) error {
 			}()
 			return nil
 		}
-		// Primary failed outright; the hedge is now the only copy running.
-		if herr := <-hedgeDone; herr == nil {
-			copy(dst, scratch)
-			wire.PutBuf(scratch)
-			pool.reg.Counter("pool.hedge.wins").Inc()
-			return nil
-		}
-		wire.PutBuf(scratch)
-		return f.readFailover(dst, seg, order[2:], perr)
-	case herr := <-hedgeDone:
-		if herr == nil {
-			// Hedge won: cancel the primary and wait for its goroutine to
-			// stop touching dst before installing the winning bytes.
+		// Primary failed; the hedge is now the only copy running.
+		h = <-hedgeDone
+	case h = <-hedgeDone:
+		if h.err == nil {
+			// Hedge won: cancel the primary, and wait for its goroutine to
+			// stop touching dst before the winning bytes go in below.
 			primCtl.Cancel()
-			<-primDone
-			copy(dst, scratch)
-			wire.PutBuf(scratch)
-			pool.reg.Counter("pool.hedge.wins").Inc()
-			return nil
 		}
-		// Hedge failed; primary keeps running.
-		wire.PutBuf(scratch)
-		if perr := <-primDone; perr != nil {
-			return f.readFailover(dst, seg, order[2:], perr)
-		}
+		// A failed hedge leaves the primary running.
+		p = <-primDone
+	}
+	// Both goroutines have exited: dst and scratch are ours alone.
+	defer wire.PutBuf(scratch)
+	if h.err == nil {
+		dst.copyFrom(scratch)
+		pool.reg.Counter("pool.hedge.wins").Inc()
 		return nil
 	}
-}
-
-// readFailover walks the remaining replicas in order after a failure.
-func (f *File) readFailover(dst []byte, seg Segment, rest []int, lastErr error) error {
-	for _, r := range rest {
-		if err := f.readSegmentReplica(dst, seg, r, nil); err != nil {
-			lastErr = err
-			continue
-		}
+	if p.err == nil {
 		return nil
 	}
-	return lastErr
+	// Both failed. What a short hedge stream holds beyond the primary's
+	// goes into dst, so dst[:held] stays bytes some replica holds.
+	failed.add(p)
+	if errors.Is(h.err, errLocalEOF) && h.n > failed.held {
+		dst.slice(0, h.n).copyFrom(scratch)
+	}
+	failed.add(h)
+	return f.readFailover(dst, run, order[2:], failed)
 }
 
-// WriteAt stores p at off, fanning segments out in parallel, then records
-// any size extension at the metadata server.
+// WriteAt stores p at off — one windowed write per data server (and
+// replica) holding part of the range, in parallel, each gathered from its
+// stripes of p — then records any size extension at the metadata server.
 func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	segs := Segments(f.layout, off, uint64(len(p)))
-	errs := make(chan error, len(segs))
-	for _, seg := range segs {
-		go func(seg Segment) {
-			errs <- f.writeSegment(p[seg.FileOffset-off:seg.FileOffset-off+seg.Length], seg)
-		}(seg)
-	}
-	var first error
-	for range segs {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	if first != nil {
-		return 0, first
+	err := f.eachRun(off, uint64(len(p)), func(run Run) error {
+		return f.writeRun(run.view(f.layout, p, off), run)
+	})
+	if err != nil {
+		return 0, err
 	}
 	end := off + uint64(len(p))
 	f.mu.Lock()
@@ -498,34 +537,22 @@ func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 	return len(p), nil
 }
 
-// writeSegment stores one segment on every replica. Writes require all
-// replicas reachable; degraded writes would silently diverge the copies.
-func (f *File) writeSegment(src []byte, seg Segment) error {
-	reps := f.layout.ReplicaCount()
-	errs := make(chan error, reps)
-	for r := 0; r < reps; r++ {
-		go func(r int) {
-			errs <- f.writeSegmentReplica(src, seg, r)
-		}(r)
-	}
-	var first error
-	for r := 0; r < reps; r++ {
-		if err := <-errs; err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+// writeRun stores one run on every replica. Writes require all replicas
+// reachable; degraded writes would silently diverge the copies.
+func (f *File) writeRun(src strided, run Run) error {
+	return fanOut(f.layout.ReplicaCount(), func(r int) error {
+		return f.writeRunReplica(src, run, r)
+	})
 }
 
-// writeSegmentReplica stores one segment on replica r through the
-// sliding-window path.
-func (f *File) writeSegmentReplica(src []byte, seg Segment, r int) error {
-	addr, err := f.c.DataAddr(ReplicaServer(f.layout, seg.Slot, r))
+// writeRunReplica stores one run on replica r through the sliding-window
+// path.
+func (f *File) writeRunReplica(src strided, run Run, r int) error {
+	addr, err := f.c.DataAddr(ReplicaServer(f.layout, run.Slot, r))
 	if err != nil {
 		return err
 	}
-	handle := ReplicaHandle(f.handle, r)
-	_, err = f.c.pool.WriteWindowed(addr, handle, src, seg.LocalOffset,
+	_, err = f.c.pool.writeWindowed(addr, ReplicaHandle(f.handle, r), src, run.LocalOffset,
 		f.c.cfg.WindowDepth, f.c.cfg.TransferChunk)
 	if err != nil {
 		return fmt.Errorf("pfs: write replica %d: %w", r, err)

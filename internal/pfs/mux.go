@@ -4,8 +4,9 @@ package pfs
 // format and Server.serveMux for the peer). Per mux-capable address the
 // Pool keeps a small fixed set of shared connections; every Call and
 // Stream to that address multiplexes onto one of them under a unique
-// stream ID, so a 4 MB stripe transfer no longer blocks a Ping — the
-// writer's control lane preempts bulk segments on the wire.
+// stream ID, so a multi-megabyte chunk of one server's run no longer
+// blocks a Ping — the writer's control lane preempts bulk segments on the
+// wire.
 
 import (
 	"errors"

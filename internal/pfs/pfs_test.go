@@ -20,14 +20,32 @@ type testCluster struct {
 	servers []*Server // data servers' RPC servers, for failure injection
 }
 
+// clusterOpts varies what startClusterWith boots; the zero value of each
+// field is startCluster's choice.
+type clusterOpts struct {
+	nData  int
+	tcp    bool                   // TCP loopback instead of the in-process transport
+	store  func(i int) Store      // data server i's store; default MemStore
+	client func(cc *ClientConfig) // last word on the client's configuration
+}
+
 func startCluster(t *testing.T, nData int) *testCluster {
+	return startClusterWith(t, clusterOpts{nData: nData})
+}
+
+func startClusterWith(t *testing.T, o clusterOpts) *testCluster {
 	t.Helper()
-	net := transport.NewInproc()
-	meta, err := NewMetaServer(MetaConfig{NumDataServers: nData})
+	var net transport.Network = transport.NewInproc()
+	listenAddr := func(name string) string { return name }
+	if o.tcp {
+		net = transport.TCP{}
+		listenAddr = func(string) string { return "127.0.0.1:0" }
+	}
+	meta, err := NewMetaServer(MetaConfig{NumDataServers: o.nData})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ml, err := net.Listen("meta")
+	ml, err := net.Listen(listenAddr("meta"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,25 +56,33 @@ func startCluster(t *testing.T, nData int) *testCluster {
 	var dataAddrs []string
 	var datas []*DataServer
 	var servers []*Server
-	for i := 0; i < nData; i++ {
-		ds, err := NewDataServer(DataConfig{Store: NewMemStore()})
+	for i := 0; i < o.nData; i++ {
+		var st Store = NewMemStore()
+		if o.store != nil {
+			st = o.store(i)
+		}
+		ds, err := NewDataServer(DataConfig{Store: st})
 		if err != nil {
 			t.Fatal(err)
 		}
-		addr := fmt.Sprintf("data-%d", i)
-		dl, err := net.Listen(addr)
+		dl, err := net.Listen(listenAddr(fmt.Sprintf("data-%d", i)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv := NewServer(dl, ds)
+		srv.SetFrameStats(ds.WireStats())
 		srv.Start()
 		t.Cleanup(srv.Close)
-		dataAddrs = append(dataAddrs, addr)
+		dataAddrs = append(dataAddrs, dl.Addr())
 		datas = append(datas, ds)
 		servers = append(servers, srv)
 	}
 
-	c, err := NewClient(ClientConfig{Net: net, MetaAddr: "meta", DataAddrs: dataAddrs})
+	cc := ClientConfig{Net: net, MetaAddr: ml.Addr(), DataAddrs: dataAddrs}
+	if o.client != nil {
+		o.client(&cc)
+	}
+	c, err := NewClient(cc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,7 @@ func TestCancelInFlightReadZeroFills(t *testing.T) {
 			ctl := p.NewReadControl("data-0")
 			done := make(chan error, 1)
 			go func() {
-				_, err := p.ReadWindowedCtl("data-0", 1, dst, 0, 4, 256<<10, ctl)
+				_, err := p.readWindowed("data-0", 1, contig(dst), 0, 4, 256<<10, ctl)
 				done <- err
 			}()
 			// All four chunk requests fit one window round, so by now every
@@ -304,49 +304,12 @@ type hedgeCluster struct {
 
 func startHedgeCluster(t *testing.T, hedgeAfter time.Duration) *hedgeCluster {
 	t.Helper()
-	const nData = 2
-	net := transport.NewInproc()
-	meta, err := NewMetaServer(MetaConfig{NumDataServers: nData})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ml, err := net.Listen("meta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := NewServer(ml, meta)
-	ms.Start()
-	t.Cleanup(ms.Close)
-
-	hc := &hedgeCluster{testCluster: &testCluster{meta: meta}}
-	var addrs []string
-	for i := 0; i < nData; i++ {
-		st := &slowStore{Store: NewMemStore()}
-		ds, err := NewDataServer(DataConfig{Store: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := fmt.Sprintf("data-%d", i)
-		dl, err := net.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(dl, ds)
-		srv.Start()
-		t.Cleanup(srv.Close)
-		addrs = append(addrs, addr)
-		hc.stores = append(hc.stores, st)
-		hc.datas = append(hc.datas, ds)
-		hc.servers = append(hc.servers, srv)
-	}
-	c, err := NewClient(ClientConfig{
-		Net: net, MetaAddr: "meta", DataAddrs: addrs, HedgeAfter: hedgeAfter,
+	hc := &hedgeCluster{stores: []*slowStore{{Store: NewMemStore()}, {Store: NewMemStore()}}}
+	hc.testCluster = startClusterWith(t, clusterOpts{
+		nData:  len(hc.stores),
+		store:  func(i int) Store { return hc.stores[i] },
+		client: func(cc *ClientConfig) { cc.HedgeAfter = hedgeAfter },
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	hc.client = c
 	return hc
 }
 

@@ -4,56 +4,50 @@ import (
 	"dosas/internal/wire"
 )
 
-// Segment maps one contiguous piece of a file range onto a single data
-// server's local byte stream. The striping client turns a (offset, length)
-// file range into a list of segments and issues them in parallel.
-type Segment struct {
+// Run is one data server's share of a contiguous file range. Round-robin
+// striping sends every width-th stripe to the same server and packs them
+// back to back in its local stream, so the share is one contiguous local
+// range however many stripes it spans. The striping client issues one
+// windowed transfer per run.
+type Run struct {
 	Slot        int    // index into Layout.Servers
 	Server      uint32 // cluster data-server index (Layout.Servers[Slot])
-	FileOffset  uint64 // where this piece starts in the file
+	FileOffset  uint64 // where the run's first byte sits in the file
 	LocalOffset uint64 // where it starts in the server's local stream
-	Length      uint64
+	Length      uint64 // local bytes
 }
 
-// Segments maps the file range [off, off+length) onto per-server segments
-// under the round-robin striping of layout. Segments are returned in file
-// order; adjacent pieces that land contiguously on the same server (the
-// width-1 case) are coalesced.
-func Segments(layout wire.Layout, off, length uint64) []Segment {
+// Runs maps the file range [off, off+length) onto at most one run per
+// layout slot, in file order of their first bytes.
+func Runs(layout wire.Layout, off, length uint64) []Run {
 	if length == 0 || len(layout.Servers) == 0 || layout.StripeSize == 0 {
 		return nil
 	}
-	ss := uint64(layout.StripeSize)
-	w := uint64(len(layout.Servers))
-	segs := make([]Segment, 0, length/ss+2)
-	for length > 0 {
-		g := off / ss      // global stripe index
-		slot := g % w      // which server owns it
-		local := g / w     // server-local stripe index
-		within := off % ss // offset inside the stripe
-		n := ss - within   // bytes left in this stripe
-		if n > length {
-			n = length
+	w := len(layout.Servers)
+	first := int(off / uint64(layout.StripeSize) % uint64(w))
+	runs := make([]Run, 0, w)
+	for i := 0; i < w; i++ {
+		slot := (first + i) % w
+		// A slot's bytes of the file prefix [0, x) are its local prefix
+		// [0, LocalSize(x)): the range's share lies between the two.
+		lo := LocalSize(layout, off, slot)
+		if n := LocalSize(layout, off+length, slot) - lo; n > 0 {
+			runs = append(runs, Run{
+				Slot: slot, Server: layout.Servers[slot],
+				FileOffset: FileOffsetOf(layout, slot, lo), LocalOffset: lo, Length: n,
+			})
 		}
-		seg := Segment{
-			Slot:        int(slot),
-			Server:      layout.Servers[slot],
-			FileOffset:  off,
-			LocalOffset: local*ss + within,
-			Length:      n,
-		}
-		if k := len(segs); k > 0 &&
-			segs[k-1].Slot == seg.Slot &&
-			segs[k-1].LocalOffset+segs[k-1].Length == seg.LocalOffset &&
-			segs[k-1].FileOffset+segs[k-1].Length == seg.FileOffset {
-			segs[k-1].Length += n
-		} else {
-			segs = append(segs, seg)
-		}
-		off += n
-		length -= n
 	}
-	return segs
+	return runs
+}
+
+// view returns the run's bytes inside p, the caller's buffer for a file
+// range starting at off: stripe-sized pieces, one full stripe row apart.
+func (r Run) view(layout wire.Layout, p []byte, off uint64) strided {
+	ss, w := int(layout.StripeSize), len(layout.Servers)
+	v := strided{buf: p[r.FileOffset-off:], n: int(r.Length), piece: ss, skip: (w - 1) * ss}
+	v.first = min(v.n, ss-int(r.LocalOffset%uint64(ss)))
+	return v
 }
 
 // LocalSize returns how many bytes of a file of fileSize bytes live on the

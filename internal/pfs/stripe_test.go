@@ -1,6 +1,7 @@
 package pfs
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -15,92 +16,156 @@ func layoutFor(stripe uint32, width int) wire.Layout {
 	return wire.Layout{StripeSize: stripe, Servers: servers}
 }
 
-func TestSegmentsSimple(t *testing.T) {
-	l := layoutFor(10, 3)
-	segs := Segments(l, 0, 35)
+func checkRuns(t *testing.T, got, want []Run) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d runs, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("run[%d] = %+v, want %+v", i, got[i], w)
+		}
+	}
+}
+
+func TestRunsSimple(t *testing.T) {
 	// Stripes: s0→srv0 local0, s1→srv1 local0, s2→srv2 local0,
-	// s3→srv0 local10 (i.e. local stripe 1), 5 bytes of it.
-	want := []Segment{
-		{Slot: 0, Server: 0, FileOffset: 0, LocalOffset: 0, Length: 10},
+	// s3→srv0 local10 (i.e. local stripe 1), 5 bytes of it — contiguous
+	// with s0 in srv0's stream, so srv0 gets one 15-byte run.
+	checkRuns(t, Runs(layoutFor(10, 3), 0, 35), []Run{
+		{Slot: 0, Server: 0, FileOffset: 0, LocalOffset: 0, Length: 15},
 		{Slot: 1, Server: 1, FileOffset: 10, LocalOffset: 0, Length: 10},
 		{Slot: 2, Server: 2, FileOffset: 20, LocalOffset: 0, Length: 10},
-		{Slot: 0, Server: 0, FileOffset: 30, LocalOffset: 10, Length: 5},
-	}
-	if len(segs) != len(want) {
-		t.Fatalf("got %d segments, want %d: %+v", len(segs), len(want), segs)
-	}
-	for i, w := range want {
-		if segs[i] != w {
-			t.Errorf("seg[%d] = %+v, want %+v", i, segs[i], w)
-		}
-	}
+	})
 }
 
-func TestSegmentsUnaligned(t *testing.T) {
-	l := layoutFor(10, 2)
-	segs := Segments(l, 15, 10)
+func TestRunsUnaligned(t *testing.T) {
 	// Offset 15 is inside stripe 1 (srv1, local 0..10), 5 bytes left;
 	// then stripe 2 (srv0, local stripe 1 → local 10..20), 5 bytes.
-	want := []Segment{
+	checkRuns(t, Runs(layoutFor(10, 2), 15, 10), []Run{
 		{Slot: 1, Server: 1, FileOffset: 15, LocalOffset: 5, Length: 5},
 		{Slot: 0, Server: 0, FileOffset: 20, LocalOffset: 10, Length: 5},
-	}
-	for i, w := range want {
-		if segs[i] != w {
-			t.Errorf("seg[%d] = %+v, want %+v", i, segs[i], w)
-		}
+	})
+}
+
+// Any range on a one-server layout is a single run whose local offset
+// equals the file offset, mid-stripe starts included.
+func TestRunsWidthOne(t *testing.T) {
+	l := layoutFor(64, 1)
+	for _, tc := range []struct{ off, length uint64 }{
+		{0, 1}, {63, 2}, {37, 1000}, {129, 64}, {1, 12345},
+	} {
+		checkRuns(t, Runs(l, tc.off, tc.length), []Run{
+			{FileOffset: tc.off, LocalOffset: tc.off, Length: tc.length},
+		})
 	}
 }
 
-func TestSegmentsWidthOneCoalesces(t *testing.T) {
-	l := layoutFor(8, 1)
-	segs := Segments(l, 3, 40)
-	if len(segs) != 1 {
-		t.Fatalf("width-1 range should coalesce to 1 segment, got %d: %+v", len(segs), segs)
-	}
-	s := segs[0]
-	if s.LocalOffset != 3 || s.Length != 40 || s.FileOffset != 3 {
-		t.Errorf("coalesced segment wrong: %+v", s)
-	}
-}
-
-func TestSegmentsEmptyInputs(t *testing.T) {
-	if Segments(layoutFor(10, 2), 5, 0) != nil {
+func TestRunsEmptyInputs(t *testing.T) {
+	if Runs(layoutFor(10, 2), 5, 0) != nil {
 		t.Error("zero length should return nil")
 	}
-	if Segments(wire.Layout{}, 0, 10) != nil {
+	if Runs(wire.Layout{}, 0, 10) != nil {
 		t.Error("empty layout should return nil")
 	}
 }
 
-// Property: segments exactly partition the requested file range — in
-// order, contiguous, and with correct per-server inverse mapping.
-func TestSegmentsPartitionProperty(t *testing.T) {
-	f := func(stripePow uint8, width8 uint8, off uint32, length uint16) bool {
-		stripe := uint32(1) << (stripePow%10 + 1) // 2..1024
-		width := int(width8%7) + 1
-		l := layoutFor(stripe, width)
-		segs := Segments(l, uint64(off), uint64(length))
-		if length == 0 {
-			return segs == nil
-		}
-		pos := uint64(off)
-		for _, s := range segs {
-			if s.FileOffset != pos || s.Length == 0 {
-				return false
-			}
-			if s.Server != l.Servers[s.Slot] {
-				return false
-			}
-			// Inverse mapping must agree with the forward mapping.
-			if FileOffsetOf(l, s.Slot, s.LocalOffset) != s.FileOffset {
-				return false
-			}
-			pos += s.Length
-		}
-		return pos == uint64(off)+uint64(length)
+// Mid-stripe starts: the run of the slot the range begins in starts in
+// the stripe interior; every other run starts stripe-aligned, and a slot
+// the range wraps back onto (slot 2 here) takes both visits in one run.
+func TestRunsMidStripeStart(t *testing.T) {
+	// 237 is 37 bytes into global stripe 2; the range ends 37 bytes into
+	// global stripe 6, slot 2 again.
+	checkRuns(t, Runs(layoutFor(100, 4), 237, 400), []Run{
+		{Slot: 2, Server: 2, FileOffset: 237, LocalOffset: 37, Length: 100},
+		{Slot: 3, Server: 3, FileOffset: 300, LocalOffset: 0, Length: 100},
+		{Slot: 0, Server: 0, FileOffset: 400, LocalOffset: 100, Length: 100},
+		{Slot: 1, Server: 1, FileOffset: 500, LocalOffset: 100, Length: 100},
+	})
+}
+
+// Single-byte tails: the last byte of a file whose size is 1 mod stripe
+// lands alone on the next slot in rotation.
+func TestRunsSingleByteTail(t *testing.T) {
+	l := layoutFor(100, 3)
+	tail := Run{Slot: 0, Server: 0, FileOffset: 300, LocalOffset: 100, Length: 1}
+	checkRuns(t, Runs(l, 300, 1), []Run{tail})
+	if whole := Runs(l, 0, 301); whole[0].Length != 101 {
+		t.Fatalf("slot 0 run of the whole file = %+v, want 101 bytes", whole[0])
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+	// LocalSize agrees: slot 0 holds the extra byte.
+	if got := LocalSize(l, 301, 0); got != 101 {
+		t.Fatalf("LocalSize slot 0 = %d, want 101", got)
+	}
+	if got := LocalSize(l, 301, 1); got != 100 {
+		t.Fatalf("LocalSize slot 1 = %d, want 100", got)
+	}
+}
+
+// Property: runs and their strided views map every byte of a range to
+// the (slot, local offset) the stripe arithmetic gives it. The oracle is
+// the definition — global stripe x/ss lives on slot (x/ss)%w as local
+// stripe x/ss/w — cross-checked against FileOffsetOf and LocalSize. Each
+// run scatters a tag of (slot, local offset) through its view; afterwards
+// every buffer byte must carry its own oracle tag, which also proves the
+// views are disjoint and cover the range.
+func TestRunsMapLikeOracleProperty(t *testing.T) {
+	tag := func(slot int, local uint64) byte { return byte(uint64(slot)*131 + local*7 + local>>8) }
+	f := func(stripePow, width8 uint8, off uint16, length uint16) bool {
+		ss := uint64(1) << (stripePow%8 + 1) // 2..256
+		w := uint64(width8%5) + 1
+		l := layoutFor(uint32(ss), int(w))
+		runs := Runs(l, uint64(off), uint64(length))
+		if length == 0 {
+			return runs == nil
+		}
+		if len(runs) > int(w) {
+			return false
+		}
+		buf := make([]byte, length)
+		seen := map[int]bool{}
+		var total uint64
+		for i, r := range runs {
+			if seen[r.Slot] || r.Length == 0 || r.Server != l.Servers[r.Slot] ||
+				r.FileOffset != FileOffsetOf(l, r.Slot, r.LocalOffset) ||
+				(i > 0 && r.FileOffset <= runs[i-1].FileOffset) {
+				return false
+			}
+			seen[r.Slot] = true
+			total += r.Length
+			// The run is the slot's bytes between the two file prefixes.
+			if r.LocalOffset != LocalSize(l, uint64(off), r.Slot) ||
+				r.LocalOffset+r.Length != LocalSize(l, uint64(off)+uint64(length), r.Slot) {
+				return false
+			}
+			src := make([]byte, r.Length)
+			for k := range src {
+				src[k] = tag(r.Slot, r.LocalOffset+uint64(k))
+			}
+			v := r.view(l, buf, uint64(off))
+			v.copyFrom(src)
+			if !bytes.Equal(v.AppendTo(nil), src) {
+				return false
+			}
+			// Sub-views (the window's chunks) gather the same bytes.
+			at := int(r.Length) / 3
+			if n := int(r.Length) - at; n > 0 && !bytes.Equal(v.slice(at, n).AppendTo(nil), src[at:]) {
+				return false
+			}
+		}
+		if total != uint64(length) {
+			return false
+		}
+		for i := range buf {
+			x := uint64(off) + uint64(i)
+			slot, local := int(x/ss%w), x/ss/w*ss+x%ss
+			if FileOffsetOf(l, slot, local) != x || buf[i] != tag(slot, local) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -119,97 +184,6 @@ func TestLocalSizeSumsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: LocalSize agrees with the segment decomposition of the whole
-// file.
-func TestLocalSizeMatchesSegments(t *testing.T) {
-	f := func(stripePow uint8, width8 uint8, size uint16) bool {
-		stripe := uint32(1) << (stripePow%8 + 1)
-		width := int(width8%5) + 1
-		l := layoutFor(stripe, width)
-		perSlot := make(map[int]uint64)
-		for _, s := range Segments(l, 0, uint64(size)) {
-			perSlot[s.Slot] += s.Length
-		}
-		for slot := 0; slot < width; slot++ {
-			if LocalSize(l, uint64(size), slot) != perSlot[slot] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Mid-stripe starts: a range beginning inside a stripe must map the first
-// segment's local offset into the stripe interior, and segment boundaries
-// after it must stay stripe-aligned.
-func TestSegmentsMidStripeStart(t *testing.T) {
-	l := layoutFor(100, 4)
-	segs := Segments(l, 237, 400) // starts 37 bytes into global stripe 2
-	if len(segs) != 5 {
-		t.Fatalf("got %d segments, want 5", len(segs))
-	}
-	first := segs[0]
-	if first.Slot != 2 || first.LocalOffset != 37 || first.Length != 63 || first.FileOffset != 237 {
-		t.Fatalf("first segment = %+v", first)
-	}
-	for i, seg := range segs[1:] {
-		if seg.LocalOffset%100 != 0 {
-			t.Errorf("segment %d not stripe-aligned: %+v", i+1, seg)
-		}
-	}
-	var total uint64
-	for _, seg := range segs {
-		total += seg.Length
-	}
-	if total != 400 {
-		t.Fatalf("segments cover %d bytes, want 400", total)
-	}
-}
-
-// Single-byte tails: the last byte of a file whose size is 1 mod stripe
-// lands alone on the next slot in rotation, as a 1-byte segment.
-func TestSegmentsSingleByteTail(t *testing.T) {
-	l := layoutFor(100, 3)
-	segs := Segments(l, 0, 301)
-	last := segs[len(segs)-1]
-	if last.Length != 1 || last.Slot != 0 || last.LocalOffset != 100 || last.FileOffset != 300 {
-		t.Fatalf("tail segment = %+v", last)
-	}
-	// Reading exactly that one byte produces exactly one 1-byte segment.
-	one := Segments(l, 300, 1)
-	if len(one) != 1 || one[0] != last {
-		t.Fatalf("single-byte range = %+v, want %+v", one, last)
-	}
-	// LocalSize agrees: slot 0 holds the extra byte.
-	if got := LocalSize(l, 301, 0); got != 101 {
-		t.Fatalf("LocalSize slot 0 = %d, want 101", got)
-	}
-	if got := LocalSize(l, 301, 1); got != 100 {
-		t.Fatalf("LocalSize slot 1 = %d, want 100", got)
-	}
-}
-
-// Width-1 coalescing composes with odd starts: any range on a one-server
-// layout is a single segment whose local offset equals the file offset.
-func TestSegmentsWidthOneMidStripeCoalesces(t *testing.T) {
-	l := layoutFor(64, 1)
-	for _, tc := range []struct{ off, length uint64 }{
-		{0, 1}, {63, 2}, {37, 1000}, {129, 64}, {1, 12345},
-	} {
-		segs := Segments(l, tc.off, tc.length)
-		if len(segs) != 1 {
-			t.Fatalf("[%d,%d): %d segments, want 1", tc.off, tc.off+tc.length, len(segs))
-		}
-		s := segs[0]
-		if s.LocalOffset != tc.off || s.Length != tc.length || s.Slot != 0 {
-			t.Fatalf("[%d,%d): segment = %+v", tc.off, tc.off+tc.length, s)
-		}
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 	"dosas/internal/wire"
 )
 
-// DefaultWindowDepth is how many chunk requests the windowed transfer
-// paths keep in flight per connection when the caller does not choose a
-// depth. Depth 1 degenerates to the serial request/response loop.
+// DefaultWindowDepth is how many chunk requests a windowed transfer — one
+// server's run of a ReadAt/WriteAt, or a raw local range — keeps in
+// flight when the caller does not choose a depth. Depth 1 degenerates to
+// the serial request/response loop.
 const DefaultWindowDepth = 4
 
 // normWindow applies defaults and clamps the chunk under the frame budget
@@ -36,16 +37,23 @@ func normWindow(depth, chunk int) (int, int) {
 // dial when a pooled connection turns out to be stale before anything was
 // received. Depth or chunk <= 0 take the defaults.
 func (p *Pool) ReadWindowed(addr string, handle uint64, dst []byte, off uint64, depth, chunk int) (int, error) {
-	return p.ReadWindowedCtl(addr, handle, dst, off, depth, chunk, nil)
+	return p.readWindowed(addr, handle, contig(dst), off, depth, chunk, nil)
 }
 
-// ReadWindowedCtl is ReadWindowed with an attached cancellation control:
-// when ctl is non-nil every chunk request carries a cluster-unique ReqID
-// registered with ctl, and a concurrent ctl.Cancel() both stops issuing
-// new chunks and asks the server to truncate the in-flight ones. Used by
-// hedged reads to reclaim the losing replica's bandwidth.
-func (p *Pool) ReadWindowedCtl(addr string, handle uint64, dst []byte, off uint64, depth, chunk int, ctl *ReadControl) (int, error) {
-	if len(dst) == 0 {
+// errLocalEOF reports that the server's local stream ended inside the
+// requested range. The striping client reads the rest as a hole; raw
+// local-range callers see it as the error it always was.
+var errLocalEOF = errors.New("pfs: local stream ends inside the range")
+
+// readWindowed is ReadWindowed into a strided destination (a run's
+// view of the caller's buffer: response chunks are scattered straight
+// into it) with an optional cancellation control: when ctl is non-nil
+// every chunk request carries a cluster-unique ReqID registered with
+// ctl, and a concurrent ctl.Cancel() both stops issuing new chunks and
+// asks the server to truncate the in-flight ones. Used by hedged reads to
+// reclaim the losing replica's bandwidth.
+func (p *Pool) readWindowed(addr string, handle uint64, dst strided, off uint64, depth, chunk int, ctl *ReadControl) (int, error) {
+	if dst.n == 0 {
 		return 0, nil
 	}
 	depth, chunk = normWindow(depth, chunk)
@@ -59,10 +67,11 @@ func (p *Pool) ReadWindowedCtl(addr string, handle uint64, dst []byte, off uint6
 		if err == nil {
 			return n, nil
 		}
-		if n == 0 && s.Pooled() && !isRemote(err) && !errors.Is(err, ErrCancelled) {
+		settled := isRemote(err) || errors.Is(err, ErrCancelled) || errors.Is(err, errLocalEOF)
+		if n == 0 && s.Pooled() && !settled {
 			continue // stale idle connection: retry on a fresh dial
 		}
-		if isRemote(err) || errors.Is(err, ErrCancelled) {
+		if settled {
 			return n, err
 		}
 		return n, fmt.Errorf("pfs: windowed read %s: %w", addr, err)
@@ -148,7 +157,13 @@ func (rc *ReadControl) Cancel() {
 // stale-connection retry as ReadWindowed. It returns the number of bytes
 // the server acknowledged applying.
 func (p *Pool) WriteWindowed(addr string, handle uint64, src []byte, off uint64, depth, chunk int) (int, error) {
-	if len(src) == 0 {
+	return p.writeWindowed(addr, handle, contig(src), off, depth, chunk)
+}
+
+// writeWindowed is WriteWindowed out of a strided source (a run's view of
+// the caller's buffer).
+func (p *Pool) writeWindowed(addr string, handle uint64, src strided, off uint64, depth, chunk int) (int, error) {
+	if src.n == 0 {
 		return 0, nil
 	}
 	depth, chunk = normWindow(depth, chunk)
@@ -180,18 +195,19 @@ type chunkReq struct {
 }
 
 // readStream runs the sliding read window over one stream. Responses are
-// consumed inside the loop — each chunk is copied into dst before the
+// consumed inside the loop — each chunk is scattered into dst before the
 // next Recv reuses the decode buffer — so no Own copy is ever taken.
 // Every chunk's send→recv time feeds the pool's latency tracker, which is
 // what replica scoring and hedge delays are derived from.
 //
-// A short-but-nonzero response means the stream held fewer bytes at that
-// offset than requested, which invalidates the offsets of every request
-// already in flight: those are drained and the window restarts from the
-// bytes actually received (resync). Short responses always carry at least
-// one byte, so the resync loop makes progress; an empty response is an
-// error, as in the serial path.
-func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst []byte, off uint64, depth, chunk int, ctl *ReadControl) (int, error) {
+// A short response means the stream held fewer bytes at that offset than
+// requested, which invalidates the offsets of every request already in
+// flight: those are drained and, unless the response says the stream
+// ended there (errLocalEOF), the window restarts from the bytes actually
+// received (resync), all in local-offset space. Short responses carry at
+// least one byte, so the resync loop makes progress; an empty response
+// short of the stream's end is an error.
+func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst strided, off uint64, depth, chunk int, ctl *ReadControl) (int, error) {
 	tenant := p.Tenant()
 	sent, recvd := 0, 0
 	pending := make([]chunkReq, 0, depth)
@@ -207,12 +223,12 @@ func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst []byte, off
 		}
 		return recvd, fmt.Errorf("read %s at local offset %d: %w", addr, off+uint64(recvd), ErrCancelled)
 	}
-	for recvd < len(dst) {
-		for len(pending) < depth && sent < len(dst) {
+	for recvd < dst.n {
+		for len(pending) < depth && sent < dst.n {
 			if ctl.aborted() {
 				return abort()
 			}
-			n := min(chunk, len(dst)-sent)
+			n := min(chunk, dst.n-sent)
 			cr := chunkReq{n: n, sentAt: time.Now()}
 			req := &wire.ReadReq{Handle: handle, Offset: off + uint64(sent), Length: uint32(n), Tenant: tenant}
 			if ctl != nil {
@@ -251,15 +267,9 @@ func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst []byte, off
 			return recvd, fmt.Errorf("read: unexpected response %v", resp.Type())
 		}
 		p.lat.Observe(addr, expect, time.Since(head.sentAt))
-		if len(rr.Data) == 0 {
-			drainStream(s, len(pending)) //nolint:errcheck // conn health only
-			for _, cr := range pending {
-				finish(cr.id)
-			}
-			return recvd, fmt.Errorf("read: no data at local offset %d", off+uint64(recvd))
-		}
-		if len(rr.Data) > expect {
-			return recvd, fmt.Errorf("read: got %d bytes for a %d-byte request", len(rr.Data), expect)
+		k := len(rr.Data)
+		if k > expect {
+			return recvd, fmt.Errorf("read: got %d bytes for a %d-byte request", k, expect)
 		}
 		if ctl.aborted() {
 			// Cancelled mid-window: the remaining responses may already be
@@ -267,7 +277,7 @@ func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst []byte, off
 			// buffer. Do not copy possibly-poisoned bytes over real ones.
 			return abort()
 		}
-		k := copy(dst[recvd:], rr.Data)
+		dst.slice(recvd, k).copyFrom(rr.Data)
 		recvd += k
 		if k < expect {
 			if err := drainStream(s, len(pending)); err != nil {
@@ -278,22 +288,29 @@ func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst []byte, off
 			}
 			pending = pending[:0]
 			sent = recvd
+			if rr.EOF {
+				return recvd, fmt.Errorf("read %s at local offset %d: %w", addr, off+uint64(recvd), errLocalEOF)
+			}
+			if k == 0 {
+				return recvd, fmt.Errorf("read: no data at local offset %d", off+uint64(recvd))
+			}
 		}
 	}
 	return recvd, nil
 }
 
-// writeStream runs the sliding write window over one stream. A short
+// writeStream runs the sliding write window over one stream; the frame
+// encoder gathers each chunk out of src (wire.WriteReq.Src). A short
 // write acknowledgement is an error (as in the serial path: degraded
 // partial writes would silently diverge replicas), but the remaining
 // in-flight responses are drained first so the connection stays poolable.
-func writeStream(s *Stream, handle uint64, src []byte, off uint64, depth, chunk int, tenant string) (int, error) {
+func writeStream(s *Stream, handle uint64, src strided, off uint64, depth, chunk int, tenant string) (int, error) {
 	sent, acked := 0, 0
 	pending := make([]int, 0, depth)
-	for acked < len(src) {
-		for len(pending) < depth && sent < len(src) {
-			n := min(chunk, len(src)-sent)
-			req := &wire.WriteReq{Handle: handle, Offset: off + uint64(sent), Data: src[sent : sent+n], Tenant: tenant}
+	for acked < src.n {
+		for len(pending) < depth && sent < src.n {
+			n := min(chunk, src.n-sent)
+			req := &wire.WriteReq{Handle: handle, Offset: off + uint64(sent), Src: src.slice(sent, n), Tenant: tenant}
 			if err := s.Send(req); err != nil {
 				return acked, err
 			}

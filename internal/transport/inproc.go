@@ -58,6 +58,11 @@ func (n *Inproc) Dial(addr string) (net.Conn, error) {
 	client, server := Pipe(addr)
 	select {
 	case l.backlog <- server:
+		select {
+		case <-l.done:
+			l.drain() // lost the race with Close: nobody will accept it
+		default:
+		}
 		return client, nil
 	case <-l.done:
 		return nil, ErrClosed
@@ -91,8 +96,23 @@ func (l *inprocListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
 		l.net.unbind(l.addr)
+		l.drain()
 	})
 	return nil
+}
+
+// drain hangs up on connections queued but never accepted, as a closing
+// TCP listener resets its backlog; their dialers would otherwise wait
+// forever for a peer that does not exist.
+func (l *inprocListener) drain() {
+	for {
+		select {
+		case c := <-l.backlog:
+			c.Close()
+		default:
+			return
+		}
+	}
 }
 
 func (l *inprocListener) Addr() string { return l.addr }

@@ -99,6 +99,35 @@ func TestAcceptAfterCloseFails(t *testing.T) {
 	}
 }
 
+// A connection dialed but never accepted is hung up on when the listener
+// closes — whether it was already queued or is being dialed at that very
+// moment — so its dialer reads EOF instead of waiting for a peer forever.
+func TestInprocCloseHangsUpOnBacklog(t *testing.T) {
+	n := NewInproc()
+	for i := 0; i < 200; i++ {
+		l, _ := n.Listen("z")
+		queued, err := n.Dial("z")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raced := make(chan net.Conn, 1)
+		go func() {
+			c, _ := n.Dial("z") // fails or succeeds, depending on who wins
+			raced <- c
+		}()
+		l.Close()
+		for _, c := range []net.Conn{queued, <-raced} {
+			if c == nil {
+				continue
+			}
+			c.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("round %d: read on a never-accepted connection = %v, want EOF", i, err)
+			}
+		}
+	}
+}
+
 // Property: any byte sequence survives a pipe transfer, under any chunking.
 func TestPipeDataIntegrityProperty(t *testing.T) {
 	f := func(seed int64, n uint16) bool {

@@ -446,6 +446,18 @@ type WriteReq struct {
 	// Tenant attributes this request. Optional trailing field, encoded
 	// only when non-empty (see ReadReq.Tenant).
 	Tenant string
+
+	// Src is not part of the wire format. When set, the encoder gathers
+	// the body from it instead of Data — the sender's one copy from a
+	// buffer that is not contiguous into the frame. Receivers always
+	// decode into Data.
+	Src BodySource
+}
+
+// BodySource supplies a message body held in pieces.
+type BodySource interface {
+	Len() int
+	AppendTo(dst []byte) []byte // appends all Len() bytes
 }
 
 func (*WriteReq) Type() MsgType { return MsgWriteReq }
@@ -453,7 +465,14 @@ func (*WriteReq) Type() MsgType { return MsgWriteReq }
 func (m *WriteReq) Encode(e *Encoder) {
 	e.PutU64(m.Handle)
 	e.PutU64(m.Offset)
-	e.PutBytes(m.Data)
+	if m.Src != nil {
+		e.PutU32(uint32(m.Src.Len()))
+		if e.err == nil {
+			e.buf = m.Src.AppendTo(e.buf)
+		}
+	} else {
+		e.PutBytes(m.Data)
+	}
 	if m.Tenant != "" {
 		e.PutString(m.Tenant)
 	}
@@ -472,7 +491,13 @@ func (m *WriteReq) Decode(d *Decoder) {
 func (m *WriteReq) Own() { m.Data = detach(m.Data) }
 
 // encodedSizeHint sizes the frame buffer for the bulk payload.
-func (m *WriteReq) encodedSizeHint() int { return len(m.Data) + len(m.Tenant) + 28 }
+func (m *WriteReq) encodedSizeHint() int {
+	n := len(m.Data) + len(m.Tenant) + 28
+	if m.Src != nil {
+		n += m.Src.Len()
+	}
+	return n
+}
 
 // WriteResp acknowledges the number of bytes durably applied.
 type WriteResp struct{ N uint32 }

@@ -14,13 +14,19 @@ package wire
 //	type    u16  // MsgType of the (whole, reassembled) message
 //	stream  u32  // correlates segments and matches responses to requests
 //	class   u8   // ClassControl or ClassBulk; receiver-advisory
-//	flags   u8   // FlagMore: another segment of this stream's message follows
+//	flags   u8   // FlagMore, FlagTotal
+//	total   u32  // only with FlagTotal: the whole message's payload length
 //	payload []byte
 //
 // A message is the concatenation of its segments' payloads in arrival
 // order; segments of distinct streams interleave freely, segments of one
 // stream never reorder (single writer per direction). The reassembled
-// payload decodes exactly like a classic frame body.
+// payload decodes exactly like a classic frame body. The first segment
+// of a multi-segment message — and only that one — carries FlagTotal and
+// the total, so the receiver takes one buffer of the final size up front
+// instead of growing (and re-copying) as segments arrive: with per-server
+// runs every bulk message is MiB-sized and multi-segment, and growing by
+// size class cost ~1.6 extra copies per received byte.
 
 import (
 	"encoding/binary"
@@ -32,8 +38,10 @@ import (
 	"sync/atomic"
 )
 
-// MuxVersion is the highest mux protocol version this build speaks.
-const MuxVersion = 1
+// MuxVersion is the mux protocol version this build speaks. Version 2
+// added the announced total; a version-1 peer is declined to ordered
+// framing like any pre-mux peer.
+const MuxVersion = 2
 
 // Segment sizing. DefaultMuxSegment bounds how long a control frame can
 // be stuck behind an already-started bulk write: 256 KiB is ~30 µs on a
@@ -50,12 +58,30 @@ const (
 	ClassBulk    uint8 = 1
 )
 
-// FlagMore marks a non-final segment.
-const FlagMore uint8 = 1 << 0
+// FlagMore marks a non-final segment. FlagTotal marks the first segment
+// of a multi-segment message: a u32 total payload length follows the
+// header.
+const (
+	FlagMore  uint8 = 1 << 0
+	FlagTotal uint8 = 1 << 1
+)
 
 const (
-	muxHdrSize  = 12 // len + type + stream + class + flags
-	muxOverhead = 8  // bytes counted by len besides the payload
+	muxHdrSize   = 12 // len + type + stream + class + flags
+	muxTotalSize = 4  // the announced total after a FlagTotal header
+	muxHdrRoom   = muxHdrSize + muxTotalSize
+	muxOverhead  = 8 // bytes counted by len besides total and payload
+
+	// maxMuxAnnounced bounds the sum of the totals announced by a
+	// connection's half-received streams; exceeding it is fatal to the
+	// connection. It is what MuxWriter can have begun and not finished:
+	// one bulk message plus one control message written whole between
+	// two of its segments (see drainLocked) — a writer that interleaved
+	// more large messages would need this raised with it. A buffer is
+	// committed at its announced size on ~16 wire bytes, so this is also
+	// the most memory a misbehaving peer can pin per connection without
+	// sending it.
+	maxMuxAnnounced = 2 * MaxFrameSize
 
 	// maxMuxAssembling bounds concurrently half-received streams per
 	// connection; beyond it the peer is abusing the protocol.
@@ -78,13 +104,13 @@ func ClassOf(t MsgType) uint8 {
 }
 
 // muxFrame is one fully encoded message queued for writing. The payload
-// lives at buf[muxHdrSize:]; the header of each segment is written in
+// lives at buf[muxHdrRoom:]; the header of each segment is written in
 // place immediately before that segment's payload bytes (clobbering the
 // tail of the previous, already-written segment), so each segment goes
 // out as a single contiguous Write with zero copying.
 //
 // A by-reference frame (p != nil) instead keeps only the encoded head
-// and tail in buf — buf[muxHdrSize:muxHdrSize+pre] precedes the body,
+// and tail in buf — buf[muxHdrRoom:muxHdrRoom+pre] precedes the body,
 // the rest follows it — and streams the body from p segment by segment:
 // each segment's header (+ any head/tail overlap) goes out as one
 // vectored write, then the body range via the payload's sendfile or
@@ -94,7 +120,7 @@ type muxFrame struct {
 	t      MsgType
 	stream uint32
 	class  uint8
-	buf    []byte // pooled: [muxHdrSize header room][payload or head+tail]
+	buf    []byte // pooled: [muxHdrRoom header room][payload or head+tail]
 	off    int    // payload bytes already written
 	done   func(error)
 
@@ -110,12 +136,12 @@ type muxFrame struct {
 }
 
 // payloadLen returns the frame's logical payload length: the bytes that
-// travel inside its segments, after their 12-byte headers.
+// travel inside its segments, after their headers.
 func (f *muxFrame) payloadLen() int {
 	if f.p != nil {
-		return len(f.buf) - muxHdrSize + int(f.body)
+		return len(f.buf) - muxHdrRoom + int(f.body)
 	}
-	return len(f.buf) - muxHdrSize
+	return len(f.buf) - muxHdrRoom
 }
 
 func (f *muxFrame) finish(err error) {
@@ -160,7 +186,7 @@ type MuxWriter struct {
 	// scratch holds the segment header of by-reference frames (their
 	// buf has no room for in-place clobbering); vecs is the reusable
 	// iovec list. Both are touched only by the write-token holder.
-	scratch [muxHdrSize]byte
+	scratch [muxHdrRoom]byte
 	vecs    net.Buffers
 
 	mu       sync.Mutex
@@ -210,13 +236,13 @@ func (mw *MuxWriter) Enqueue(m Message, stream uint32, done func(error)) error {
 	}
 	hint := 64
 	if s, ok := m.(sizeHinter); ok {
-		hint = s.encodedSizeHint() + muxHdrSize
+		hint = s.encodedSizeHint() + muxHdrRoom
 	}
 	var e Encoder
-	e.buf = GetBuf(hint)[:muxHdrSize]
+	e.buf = GetBuf(hint)[:muxHdrRoom]
 	m.Encode(&e)
 	err := e.err
-	if err == nil && len(e.buf)-muxHdrSize+muxOverhead > MaxFrameSize {
+	if err == nil && len(e.buf)-muxHdrRoom+muxOverhead > MaxFrameSize {
 		err = ErrFrameTooLarge
 	}
 	if err != nil {
@@ -248,13 +274,13 @@ func (mw *MuxWriter) Enqueue(m Message, stream uint32, done func(error)) error {
 // fields around them — the stream must stay decodable.
 func (mw *MuxWriter) enqueueData(pc payloadCarrier, data []byte, stream uint32, done func(error)) error {
 	var e Encoder
-	e.buf = GetBuf(64 + len(data))[:muxHdrSize]
+	e.buf = GetBuf(64 + len(data))[:muxHdrRoom]
 	pc.encodePre(&e, len(data))
-	pre := len(e.buf) - muxHdrSize
+	pre := len(e.buf) - muxHdrRoom
 	e.buf = append(e.buf, data...)
 	pc.encodePost(&e)
 	err := e.err
-	if err == nil && len(e.buf)-muxHdrSize+muxOverhead > MaxFrameSize {
+	if err == nil && len(e.buf)-muxHdrRoom+muxOverhead > MaxFrameSize {
 		err = ErrFrameTooLarge
 	}
 	if err != nil {
@@ -276,12 +302,12 @@ func (mw *MuxWriter) enqueueData(pc payloadCarrier, data []byte, stream uint32, 
 func (mw *MuxWriter) enqueueRef(pc payloadCarrier, p Payload, stream uint32, done func(error)) error {
 	body := p.Len()
 	var e Encoder
-	e.buf = GetBuf(64)[:muxHdrSize]
+	e.buf = GetBuf(64)[:muxHdrRoom]
 	pc.encodePre(&e, int(body))
-	pre := len(e.buf) - muxHdrSize
+	pre := len(e.buf) - muxHdrRoom
 	pc.encodePost(&e)
 	err := e.err
-	if err == nil && int64(len(e.buf)-muxHdrSize+muxOverhead)+body > MaxFrameSize {
+	if err == nil && int64(len(e.buf)-muxHdrRoom+muxOverhead)+body > MaxFrameSize {
 		err = ErrFrameTooLarge
 	}
 	if err != nil {
@@ -384,6 +410,13 @@ func (mw *MuxWriter) loop() {
 // control frames plus at most that one bulk frame, so an enqueuer is
 // never drafted into pushing another caller's bulk backlog; leftover
 // bulk is handed to the writer goroutine by the caller's Broadcast.
+//
+// Receivers rely on the order this produces: the next bulk frame starts
+// only once cur is fully written, and a control frame goes out whole, so
+// a peer never sees more than one bulk and one control message begun and
+// unfinished. MuxReader's maxMuxAnnounced is sized to exactly that
+// (TestMuxWriterHalfSentMessagesBounded pins it).
+//
 // Called with mw.mu held and the write token owned; returns with mw.mu
 // held. Returns the write error, if any (also recorded in mw.err).
 func (mw *MuxWriter) drainLocked(inlineFor *muxFrame) error {
@@ -439,6 +472,24 @@ func (mw *MuxWriter) drainLocked(inlineFor *muxFrame) error {
 	return mw.err
 }
 
+// segHeader encodes the header of f's next segment, n payload bytes with
+// the given flags, into the tail of room and returns the encoded bytes.
+// The first segment of a multi-segment message also announces the total.
+func (f *muxFrame) segHeader(room []byte, n int, flags uint8, total int) []byte {
+	hdr := room[len(room)-muxHdrSize:]
+	if f.off == 0 && flags&FlagMore != 0 {
+		flags |= FlagTotal
+		hdr = room[len(room)-muxHdrRoom:]
+		binary.LittleEndian.PutUint32(hdr[muxHdrSize:], uint32(total))
+	}
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(hdr)-4+n))
+	binary.LittleEndian.PutUint16(hdr[4:6], uint16(f.t))
+	binary.LittleEndian.PutUint32(hdr[6:10], f.stream)
+	hdr[10] = f.class
+	hdr[11] = flags
+	return hdr
+}
+
 // writeSegments writes up to maxSegs segments of f (all of them if
 // maxSegs < 0). Reports whether the frame is fully written.
 func (mw *MuxWriter) writeSegments(f *muxFrame, maxSegs int) (bool, error) {
@@ -455,7 +506,7 @@ func (mw *MuxWriter) writeSegments(f *muxFrame, maxSegs int) (bool, error) {
 			flags = FlagMore
 		}
 		if f.p != nil {
-			if err := mw.writeRefSegment(f, n, flags); err != nil {
+			if err := mw.writeRefSegment(f, n, flags, total); err != nil {
 				return false, err
 			}
 			f.off += n
@@ -464,12 +515,7 @@ func (mw *MuxWriter) writeSegments(f *muxFrame, maxSegs int) (bool, error) {
 			}
 			continue
 		}
-		hdr := f.buf[f.off : f.off+muxHdrSize]
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(muxOverhead+n))
-		binary.LittleEndian.PutUint16(hdr[4:6], uint16(f.t))
-		binary.LittleEndian.PutUint32(hdr[6:10], f.stream)
-		hdr[10] = f.class
-		hdr[11] = flags
+		hdr := f.segHeader(f.buf[:muxHdrRoom+f.off], n, flags, total)
 		if cancelled(f.cancel) {
 			// Withdrawn mid-frame: the remaining segments still go out (the
 			// peer expects them) but the body bytes they carry are zeroed,
@@ -477,11 +523,12 @@ func (mw *MuxWriter) writeSegments(f *muxFrame, maxSegs int) (bool, error) {
 			// left intact so the frame still decodes.
 			bs, be := max(f.off, f.pre), min(f.off+n, f.pre+int(f.body))
 			if be > bs {
-				clear(f.buf[muxHdrSize+bs : muxHdrSize+be])
+				clear(f.buf[muxHdrRoom+bs : muxHdrRoom+be])
 				mw.Stats.addCancelled(int64(be - bs))
 			}
 		}
-		if _, err := mw.w.Write(f.buf[f.off : f.off+muxHdrSize+n]); err != nil {
+		at := muxHdrRoom + f.off
+		if _, err := mw.w.Write(f.buf[at-len(hdr) : at+n]); err != nil {
 			return false, err
 		}
 		f.off += n
@@ -498,24 +545,19 @@ func (mw *MuxWriter) writeSegments(f *muxFrame, maxSegs int) (bool, error) {
 // body range streams through the payload (sendfile on TCP, pooled copy
 // elsewhere). The caller holds the write token, so scratch and vecs are
 // exclusively ours.
-func (mw *MuxWriter) writeRefSegment(f *muxFrame, n int, flags uint8) error {
-	hdr := mw.scratch[:]
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(muxOverhead+n))
-	binary.LittleEndian.PutUint16(hdr[4:6], uint16(f.t))
-	binary.LittleEndian.PutUint32(hdr[6:10], f.stream)
-	hdr[10] = f.class
-	hdr[11] = flags
+func (mw *MuxWriter) writeRefSegment(f *muxFrame, n int, flags uint8, total int) error {
+	hdr := f.segHeader(mw.scratch[:], n, flags, total)
 
 	off, end := f.off, f.off+n
 	bodyEnd := f.pre + int(f.body)
 	bufs := append(mw.vecs[:0], hdr)
 	if off < f.pre {
-		bufs = append(bufs, f.buf[muxHdrSize+off:muxHdrSize+min(end, f.pre)])
+		bufs = append(bufs, f.buf[muxHdrRoom+off:muxHdrRoom+min(end, f.pre)])
 	}
 	var tail []byte // segment's slice of the post-body bytes
 	if end > bodyEnd {
 		ts := max(off, bodyEnd) - bodyEnd
-		tail = f.buf[muxHdrSize+f.pre+ts : muxHdrSize+f.pre+(end-bodyEnd)]
+		tail = f.buf[muxHdrRoom+f.pre+ts : muxHdrRoom+f.pre+(end-bodyEnd)]
 	}
 	bs, be := max(off, f.pre)-f.pre, min(end, bodyEnd)-f.pre
 	if be > bs {
@@ -594,14 +636,16 @@ type MuxFrame struct {
 type muxAsm struct {
 	t     MsgType
 	class uint8
-	buf   []byte // pooled
+	buf   []byte // pooled, taken once at the announced total
+	total int
 }
 
 // MuxReader reassembles mux frames from one connection. Not safe for
 // concurrent use (one demux goroutine per connection owns it).
 type MuxReader struct {
-	r   io.Reader
-	asm map[uint32]*muxAsm
+	r         io.Reader
+	asm       map[uint32]*muxAsm
+	announced int // sum of the assembling streams' totals
 }
 
 // NewMuxReader returns a reader decoding mux frames from r.
@@ -610,17 +654,15 @@ func NewMuxReader(r io.Reader) *MuxReader {
 }
 
 // Read returns the next complete message, transparently reassembling
-// segmented streams. See MuxFrame for buffer ownership.
+// segmented streams. See MuxFrame for buffer ownership. Any error is
+// fatal to the connection: the caller stops reading and Closes.
 func (mr *MuxReader) Read() (MuxFrame, error) {
 	for {
-		var hdr [muxHdrSize]byte
-		if _, err := io.ReadFull(mr.r, hdr[:]); err != nil {
+		var hdr [muxHdrRoom]byte
+		if _, err := io.ReadFull(mr.r, hdr[:muxHdrSize]); err != nil {
 			return MuxFrame{}, err
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n < muxOverhead {
-			return MuxFrame{}, ErrShortPayload
-		}
 		if n > MaxFrameSize {
 			return MuxFrame{}, ErrFrameTooLarge
 		}
@@ -628,48 +670,57 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 		stream := binary.LittleEndian.Uint32(hdr[6:10])
 		class := hdr[10]
 		more := hdr[11]&FlagMore != 0
-		plen := int(n - muxOverhead)
+		plen := int(n) - muxOverhead
 
 		a := mr.asm[stream]
-		if a == nil {
-			// When more segments are coming, draw a buffer a class up so
-			// the common two-segment message assembles without a grow-copy.
-			hint := plen
-			if more {
-				hint = 2 * plen
+		first := a == nil
+		if (hdr[11]&FlagTotal != 0) != (first && more) {
+			return MuxFrame{}, errors.New("wire: mux total must be announced on exactly the first of several segments")
+		}
+		total := plen
+		if first && more {
+			if _, err := io.ReadFull(mr.r, hdr[muxHdrSize:]); err != nil {
+				return MuxFrame{}, err
 			}
-			a = &muxAsm{t: t, class: class, buf: GetBuf(hint)[:0]}
+			plen -= muxTotalSize
+			total = int(binary.LittleEndian.Uint32(hdr[muxHdrSize:]))
+			if total > MaxFrameSize || mr.announced+total > maxMuxAnnounced {
+				return MuxFrame{}, ErrFrameTooLarge
+			}
+			if len(mr.asm) >= maxMuxAssembling {
+				return MuxFrame{}, fmt.Errorf("wire: more than %d streams assembling", maxMuxAssembling)
+			}
+		}
+		if plen < 0 {
+			return MuxFrame{}, ErrShortPayload
+		}
+		if first {
+			a = &muxAsm{t: t, class: class, buf: GetBuf(total)[:0], total: total}
+			if more {
+				mr.asm[stream] = a
+				mr.announced += total
+			}
 		} else if a.t != t {
 			return MuxFrame{}, fmt.Errorf("wire: mux segment type changed mid-stream (%v then %v)", a.t, t)
 		}
 		need := len(a.buf) + plen
-		if need > MaxFrameSize {
-			return MuxFrame{}, ErrFrameTooLarge
-		}
-		if cap(a.buf) < need {
-			nb := GetBuf(need)[:len(a.buf)]
-			copy(nb, a.buf)
-			PutBuf(a.buf)
-			a.buf = nb
+		if need > a.total || (!more && need != a.total) {
+			return MuxFrame{}, fmt.Errorf("wire: mux message of %d bytes announced as %d", need, a.total)
 		}
 		if _, err := io.ReadFull(mr.r, a.buf[len(a.buf):need]); err != nil {
-			PutBuf(a.buf)
-			delete(mr.asm, stream)
+			if first && !more {
+				PutBuf(a.buf) // half-assembled streams are released by Close
+			}
 			return MuxFrame{}, err
 		}
 		a.buf = a.buf[:need]
-
 		if more {
-			if _, held := mr.asm[stream]; !held {
-				if len(mr.asm) >= maxMuxAssembling {
-					PutBuf(a.buf)
-					return MuxFrame{}, fmt.Errorf("wire: more than %d streams assembling", maxMuxAssembling)
-				}
-				mr.asm[stream] = a
-			}
 			continue
 		}
-		delete(mr.asm, stream)
+		if !first {
+			delete(mr.asm, stream)
+			mr.announced -= a.total
+		}
 		msg, err := decodeFrame(a.t, a.buf)
 		if err != nil {
 			PutBuf(a.buf)

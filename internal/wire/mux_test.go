@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,7 @@ type segInfo struct {
 	class  uint8
 	more   bool
 	plen   int
+	total  int // announced total, -1 when the segment carries none
 }
 
 func parseSeg(t *testing.T, b []byte) segInfo {
@@ -43,13 +45,41 @@ func parseSeg(t *testing.T, b []byte) segInfo {
 	if int(n)+4 != len(b) {
 		t.Fatalf("segment length field %d does not match %d wire bytes", n, len(b))
 	}
-	return segInfo{
+	si := segInfo{
 		t:      MsgType(binary.LittleEndian.Uint16(b[4:6])),
 		stream: binary.LittleEndian.Uint32(b[6:10]),
 		class:  b[10],
 		more:   b[11]&FlagMore != 0,
 		plen:   len(b) - muxHdrSize,
+		total:  -1,
 	}
+	if b[11]&FlagTotal != 0 {
+		si.total = int(binary.LittleEndian.Uint32(b[muxHdrSize:]))
+		si.plen -= muxTotalSize
+	}
+	return si
+}
+
+// appendSeg hand-builds one mux segment onto b. total >= 0 announces it
+// (FlagTotal), as a writer does on the first of several segments.
+func appendSeg(b []byte, t MsgType, stream uint32, payload []byte, more bool, total int) []byte {
+	var flags uint8
+	if more {
+		flags |= FlagMore
+	}
+	n := muxOverhead + len(payload)
+	if total >= 0 {
+		flags |= FlagTotal
+		n += muxTotalSize
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	b = binary.LittleEndian.AppendUint16(b, uint16(t))
+	b = binary.LittleEndian.AppendUint32(b, stream)
+	b = append(b, ClassBulk, flags)
+	if total >= 0 {
+		b = binary.LittleEndian.AppendUint32(b, uint32(total))
+	}
+	return append(b, payload...)
 }
 
 // A bulk message larger than one segment must be cut into ≤segment
@@ -82,6 +112,9 @@ func TestMuxWriterControlPreemptsBulk(t *testing.T) {
 	if !first.more || first.plen != MinMuxSegment {
 		t.Fatalf("first segment not a full-sized non-final cut: %+v", first)
 	}
+	if want := len(data) + 5; first.total != want { // body + u32 length prefix + EOF byte
+		t.Fatalf("first segment announces %d, want %d", first.total, want)
+	}
 
 	if err := mw.Enqueue(&Ping{Seq: 99}, 8, nil); err != nil {
 		t.Fatalf("enqueue control: %v", err)
@@ -90,6 +123,9 @@ func TestMuxWriterControlPreemptsBulk(t *testing.T) {
 	var order []segInfo
 	for {
 		s := parseSeg(t, <-pw.segs)
+		if s.total != -1 {
+			t.Fatalf("total announced off the first segment: %+v", s)
+		}
 		order = append(order, s)
 		if s.stream == 7 && !s.more {
 			break
@@ -175,6 +211,55 @@ func TestMuxRoundTrip(t *testing.T) {
 	}
 }
 
+// MuxReader's bound on announced bytes (maxMuxAnnounced) leans on the
+// writer: however many messages are enqueued at once, the wire carries at
+// most one half-sent bulk message, and control messages go out whole
+// between its segments — never more than two messages begun and unfinished.
+func TestMuxWriterHalfSentMessagesBounded(t *testing.T) {
+	pw := &pumpWriter{segs: make(chan []byte)}
+	mw := NewMuxWriter(pw, MinMuxSegment)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		for j, m := range []Message{
+			&ReadResp{Data: make([]byte, (3+i)*MinMuxSegment)},
+			&ListResp{Names: []string{strings.Repeat("n", 3*MinMuxSegment)}},
+		} {
+			wg.Add(1)
+			go mw.Enqueue(m, uint32(2*i+j+1), func(error) { wg.Done() })
+		}
+	}
+	written := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(written)
+	}()
+	open := make(map[uint32]uint8) // begun and unfinished: stream → class
+	for multi := 0; ; {
+		select {
+		case b := <-pw.segs:
+			si := parseSeg(t, b)
+			if _, begun := open[si.stream]; !begun && si.more {
+				for s, class := range open {
+					if class == si.class || class == ClassControl {
+						t.Fatalf("stream %d (class %d) begins while stream %d (class %d) is half-sent", si.stream, si.class, s, class)
+					}
+				}
+				open[si.stream] = si.class
+				multi++
+			}
+			if !si.more {
+				delete(open, si.stream)
+			}
+		case <-written:
+			if multi != 16 || len(open) != 0 {
+				t.Fatalf("%d multi-segment messages seen, %d unfinished; want 16, 0", multi, len(open))
+			}
+			mw.Close()
+			return
+		}
+	}
+}
+
 // A dead connection must fail the in-flight and queued frames exactly
 // once each, and fire OnError exactly once.
 type failAfterWriter struct {
@@ -254,16 +339,11 @@ func TestMuxSegmentationQuick(t *testing.T) {
 					more = true
 				}
 			}
-			var hdr [muxHdrSize]byte
-			binary.LittleEndian.PutUint32(hdr[0:4], uint32(muxOverhead+n))
-			binary.LittleEndian.PutUint16(hdr[4:6], uint16(MsgReadResp))
-			binary.LittleEndian.PutUint32(hdr[6:10], 77)
-			hdr[10] = ClassBulk
-			if more {
-				hdr[11] = FlagMore
+			total := -1
+			if off == 0 && more {
+				total = len(payload)
 			}
-			wireBuf.Write(hdr[:])
-			wireBuf.Write(payload[off : off+n])
+			wireBuf.Write(appendSeg(nil, MsgReadResp, 77, payload[off:off+n], more, total))
 			off += n
 			if !more {
 				break
@@ -298,23 +378,11 @@ func TestMuxReaderInterleavedStreams(t *testing.T) {
 	(&ReadResp{Data: a}).Encode(&ea)
 	(&ReadResp{Data: b}).Encode(&eb)
 
-	seg := func(buf *bytes.Buffer, stream uint32, payload []byte, more bool) {
-		var hdr [muxHdrSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(muxOverhead+len(payload)))
-		binary.LittleEndian.PutUint16(hdr[4:6], uint16(MsgReadResp))
-		binary.LittleEndian.PutUint32(hdr[6:10], stream)
-		hdr[10] = ClassBulk
-		if more {
-			hdr[11] = FlagMore
-		}
-		buf.Write(hdr[:])
-		buf.Write(payload)
-	}
 	var wireBuf bytes.Buffer
-	seg(&wireBuf, 1, ea.buf[:100], true)
-	seg(&wireBuf, 2, eb.buf[:200], true)
-	seg(&wireBuf, 1, ea.buf[100:], false)
-	seg(&wireBuf, 2, eb.buf[200:], false)
+	wireBuf.Write(appendSeg(nil, MsgReadResp, 1, ea.buf[:100], true, len(ea.buf)))
+	wireBuf.Write(appendSeg(nil, MsgReadResp, 2, eb.buf[:200], true, len(eb.buf)))
+	wireBuf.Write(appendSeg(nil, MsgReadResp, 1, ea.buf[100:], false, -1))
+	wireBuf.Write(appendSeg(nil, MsgReadResp, 2, eb.buf[200:], false, -1))
 
 	mr := NewMuxReader(&wireBuf)
 	defer mr.Close()
@@ -356,22 +424,159 @@ func TestMuxReaderGarbage(t *testing.T) {
 // Mid-stream type changes are a protocol violation.
 func TestMuxReaderTypeChangeMidStream(t *testing.T) {
 	var wireBuf bytes.Buffer
-	write := func(tp MsgType, more bool) {
-		var hdr [muxHdrSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(muxOverhead+1))
-		binary.LittleEndian.PutUint16(hdr[4:6], uint16(tp))
-		binary.LittleEndian.PutUint32(hdr[6:10], 5)
-		if more {
-			hdr[11] = FlagMore
-		}
-		wireBuf.Write(hdr[:])
-		wireBuf.WriteByte(0)
-	}
-	write(MsgReadResp, true)
-	write(MsgWriteResp, false)
+	wireBuf.Write(appendSeg(nil, MsgReadResp, 5, []byte{0}, true, 2))
+	wireBuf.Write(appendSeg(nil, MsgWriteResp, 5, []byte{0}, false, -1))
 	mr := NewMuxReader(&wireBuf)
 	defer mr.Close()
 	if _, err := mr.Read(); err == nil {
 		t.Fatal("type change mid-stream not rejected")
 	}
+}
+
+// addrReader records where every payload-sized Read lands.
+type addrReader struct {
+	r     io.Reader
+	dests [][]byte
+}
+
+func (a *addrReader) Read(p []byte) (int, error) {
+	if len(p) > muxHdrRoom {
+		a.dests = append(a.dests, p)
+	}
+	return a.r.Read(p)
+}
+
+// A 16-segment 4 MiB message is assembled in one buffer taken at the
+// announced size: every segment is read from the connection straight into
+// the buffer the message is returned in, so nothing was grow-copied.
+func TestMuxReaderAssemblesInOneBuffer(t *testing.T) {
+	data := make([]byte, 4<<20)
+	rand.New(rand.NewSource(3)).Read(data)
+	var conn bytes.Buffer
+	mw := NewMuxWriter(&conn, DefaultMuxSegment)
+	if err := mw.Enqueue(&ReadResp{Data: data}, 9, nil); err != nil {
+		t.Fatal(err)
+	}
+	mw.Close()
+
+	ar := &addrReader{r: &conn}
+	mr := NewMuxReader(ar)
+	defer mr.Close()
+	f, err := mr.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer PutBuf(f.Buf)
+	if got := f.Msg.(*ReadResp).Data; !bytes.Equal(got, data) {
+		t.Fatal("reassembled message corrupted")
+	}
+	if len(ar.dests) != 16 {
+		t.Fatalf("message arrived in %d segments, want 16", len(ar.dests))
+	}
+	if cap(f.Buf) != 8<<20 {
+		t.Fatalf("assembly buffer has capacity %d, want the announced total's size class (8 MiB)", cap(f.Buf))
+	}
+	at := 0
+	for i, d := range ar.dests {
+		if &d[0] != &f.Buf[at] {
+			t.Fatalf("segment %d was read outside the returned buffer (or out of place): a copy moved it", i)
+		}
+		at += len(d)
+	}
+	if at != len(f.Buf) {
+		t.Fatalf("segments cover %d of %d bytes", at, len(f.Buf))
+	}
+}
+
+// segs concatenates hand-built segments of one message type.
+type segSpec struct {
+	t       MsgType
+	stream  uint32
+	payload []byte
+	more    bool
+	total   int // -1: none announced
+}
+
+func segs(specs ...segSpec) []byte {
+	var b []byte
+	for _, s := range specs {
+		b = appendSeg(b, s.t, s.stream, s.payload, s.more, s.total)
+	}
+	return b
+}
+
+// Announcements the reader must refuse, each after a well-formed start.
+func TestMuxReaderRejectsBadTotals(t *testing.T) {
+	p := bytes.Repeat([]byte{7}, 100)
+	const rr = MsgReadResp
+	cases := map[string][]byte{
+		"total too small":          segs(segSpec{rr, 1, p, true, 150}, segSpec{rr, 1, p, false, -1}),
+		"total too large":          segs(segSpec{rr, 1, p, true, 250}, segSpec{rr, 1, p, false, -1}),
+		"first segment over total": segs(segSpec{rr, 1, p, true, 50}),
+		"above MaxFrameSize":       segs(segSpec{rr, 1, p, true, MaxFrameSize + 1}),
+		"no total announced":       segs(segSpec{rr, 1, p, true, -1}),
+		"total on a lone segment":  segs(segSpec{rr, 1, p, false, 100}),
+		"total announced twice":    segs(segSpec{rr, 1, p, true, 300}, segSpec{rr, 1, p, true, 300}),
+		"announced sum over the connection's bound": segs(
+			segSpec{rr, 1, p, true, MaxFrameSize}, segSpec{rr, 2, p, true, MaxFrameSize}, segSpec{rr, 3, p, true, 101}),
+	}
+	for name, stream := range cases {
+		mr := NewMuxReader(bytes.NewReader(stream))
+		if f, err := mr.Read(); err == nil {
+			t.Errorf("%s: accepted (%d-byte message)", name, len(f.Buf))
+		} else if err == io.EOF || err == io.ErrUnexpectedEOF {
+			t.Errorf("%s: ran off the stream (%v) instead of refusing the segment", name, err)
+		}
+		mr.Close()
+	}
+}
+
+// FuzzMuxReader feeds arbitrary segment streams to the reassembler. It
+// must return an error or messages that arrived whole — a multi-segment
+// one exactly as long as its first segment announced — and never panic,
+// hang, or commit more memory than the connection's bound allows.
+func FuzzMuxReader(f *testing.F) {
+	var e Encoder
+	(&ReadResp{Data: bytes.Repeat([]byte{1}, 300), EOF: true}).Encode(&e)
+	b, n := e.buf, len(e.buf)
+	const rr = MsgReadResp
+	whole := segs(segSpec{rr, 1, b[:100], true, n}, segSpec{rr, 1, b[100:], false, -1})
+	f.Add(whole)
+	f.Add(segs(segSpec{rr, 2, b, false, -1}))
+	f.Add(segs(segSpec{rr, 1, b[:100], true, n - 1}, segSpec{rr, 1, b[100:], false, -1})) // announced too small
+	f.Add(segs(segSpec{rr, 1, b[:100], true, n + 1}, segSpec{rr, 1, b[100:], false, -1})) // announced too large
+	f.Add(segs(segSpec{rr, 1, b[:100], true, MaxFrameSize + 1}))
+	f.Add(segs(segSpec{rr, 1, b[:100], true, n}, segSpec{MsgWriteResp, 1, b[100:], false, -1})) // type change
+	f.Add(segs(segSpec{rr, 1, b[:100], true, n}, segSpec{rr, 2, b[:200], true, n},              // interleaved
+		segSpec{rr, 1, b[100:], false, -1}, segSpec{rr, 2, b[200:], false, -1}))
+	f.Add(append(append([]byte(nil), whole...), whole[:20]...)) // torn tail
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		mr := NewMuxReader(bytes.NewReader(stream))
+		defer mr.Close()
+		for {
+			fr, err := mr.Read()
+			if err != nil {
+				break
+			}
+			// Every payload byte was read from the stream, so a message can
+			// never be longer than the input that carried it.
+			if len(fr.Buf) > len(stream) {
+				t.Fatalf("%d-byte message out of a %d-byte stream", len(fr.Buf), len(stream))
+			}
+			PutBuf(fr.Buf)
+		}
+		if mr.announced < 0 || mr.announced > maxMuxAnnounced {
+			t.Fatalf("announced = %d, outside [0, %d]", mr.announced, maxMuxAnnounced)
+		}
+		var held int
+		for _, a := range mr.asm {
+			if len(a.buf) > a.total {
+				t.Fatalf("assembling stream holds %d bytes of an announced %d", len(a.buf), a.total)
+			}
+			held += a.total
+		}
+		if held != mr.announced {
+			t.Fatalf("assembling streams announce %d in total, reader accounts %d", held, mr.announced)
+		}
+	})
 }
