@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos replay-determinism fuzz-smoke check bench bench-suite bench-compare bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke check bench bench-suite bench-compare bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
 
 all: check
 
@@ -39,11 +39,13 @@ race-observability:
 race-transport:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/pfs/
 
-# Ten seconds of native fuzzing on mux segment reassembly (announced
-# totals, type changes, interleaved streams). The seed corpus alone runs
-# in every plain `go test`.
+# Ten seconds of native fuzzing each on mux segment reassembly (announced
+# totals, type changes, interleaved streams) and on metadata-journal
+# replay (arbitrary bytes: only checksummed entries applied, file cut at
+# the intact prefix). The seed corpora alone run in every plain `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxReader -fuzztime 10s
+	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s
 
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,
@@ -87,6 +89,14 @@ race-qos:
 	$(GO) test -race -run 'TestQoS|TestCancel|TestServerCancel|TestHedge|TestPrimary|TestReplicaOrder|TestReplicatedRead|TestReadRunHole|TestShortReplica|TestRandomOps|TestLatency|TestHedgeDelay|TestSizeClass|TestWDRR|TestMetaStorm|TestNoCredit' ./internal/pfs/ ./internal/ioqueue/
 	$(GO) test -race -run 'TestWaitShare|TestReadReqReqID|TestNamespaceTenant' ./internal/tenant/ ./internal/wire/
 
+# Focused race gate for the metadata mutation path: mutations enqueue
+# journal entries under the namespace lock and wait for a group commit
+# outside it, CompactJournal swaps the file under writers, the crash-hook
+# property test kills the device at every write and sync, and the
+# admission gate's inline path races its dispatcher for slots.
+race-meta:
+	$(GO) test -race -run 'TestJournal|FuzzJournalReplay|TestRemoveIsOneMetadataRPC|TestConcurrentCreates|TestQoSGate|TestBypass' ./internal/pfs/ ./internal/ioqueue/
+
 # Counterfactual replay must be byte-deterministic: the same decision log
 # and policy set produce the same report JSON on every run (no map
 # iteration, no wall clock in the scoring path). Replays the committed
@@ -97,7 +107,7 @@ replay-determinism:
 	cmp /tmp/dosas-replay-a.json /tmp/dosas-replay-b.json
 	@echo "replay-determinism: OK (byte-identical reports)"
 
-check: vet race-observability race-transport race-store race-alerts race-tenant race-tsdb race-qos replay-determinism race
+check: vet race-observability race-transport race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 
 # Data-path microbenchmarks (fixed iteration count so runs compare
 # across commits) plus the window-vs-serial matrix (writes BENCH_pr2.json).

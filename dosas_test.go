@@ -323,6 +323,12 @@ func TestPublicDurableCluster(t *testing.T) {
 	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
+	// The create and the size update went through the journal, and its
+	// batch counters are readable where operators look.
+	if st := c1.Stats()["meta"]; st.Counter("meta.journal.records") != 2 || st.Counter("meta.journal.syncs") < 1 || st.Counter("meta.journal.syncs") > 2 {
+		t.Errorf("journal counters = %d records in %d syncs, want 2 in 1 or 2",
+			st.Counter("meta.journal.records"), st.Counter("meta.journal.syncs"))
+	}
 	fs1.Close()
 	c1.Close()
 

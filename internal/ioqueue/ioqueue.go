@@ -218,6 +218,24 @@ func (q *Queue) Push(item Item) error {
 	return nil
 }
 
+// Bypass admits a request of tenantID without queueing it: when nothing is
+// queued and acquire — the caller's non-blocking grab of whatever queued
+// items are popped for — succeeds, tried with the queue locked so no Push
+// slips in between. The tenant is charged a pass with zero wait, which
+// keeps its row and recency in the table as a queued pass would. On
+// false (something queued, nothing acquired, or closed) the caller Pushes
+// as usual, so a queued item is never overtaken and election order is
+// untouched.
+func (q *Queue) Bypass(tenantID string, acquire func() bool) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed || q.lenLocked() > 0 || !acquire() {
+		return false
+	}
+	q.tenants.Account(tenantID, func(*tenant.Stats) {})
+	return true
+}
+
 // class clamps out-of-range class values to Normal, matching the old
 // two-slot behaviour for any constant-abusing caller.
 func (it Item) class() Class {
@@ -339,6 +357,10 @@ func (q *Queue) PendingActive() []Item {
 func (q *Queue) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	return q.lenLocked()
+}
+
+func (q *Queue) lenLocked() int {
 	return q.classes[Normal].len + q.classes[Meta].len + q.classes[Active].len
 }
 

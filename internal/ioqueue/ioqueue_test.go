@@ -471,3 +471,35 @@ func TestRemoveMultiTenant(t *testing.T) {
 		t.Fatalf("ids = %v", ids)
 	}
 }
+
+// Bypass admits only past an empty, open queue and only when acquire says
+// so; with anything queued acquire is not even asked.
+func TestBypass(t *testing.T) {
+	q := New()
+	tab := tenant.NewTable(0)
+	q.SetTenants(tab)
+	if q.Bypass("a", func() bool { return false }) {
+		t.Error("bypassed with nothing acquired")
+	}
+	held := 0
+	acquire := func() bool { held++; return true }
+	if !q.Bypass("a", acquire) || held != 1 {
+		t.Error("empty queue with a slot free did not bypass into it")
+	}
+	if us := tab.Snapshot(); len(us) != 1 || us[0].Tenant != "a" || us[0].Queued != 0 || us[0].QueueWaitNanos != 0 {
+		t.Errorf("bypass charged %+v, want a's row with no wait", us)
+	}
+	for c := Class(0); c < NumClasses; c++ {
+		if err := q.Push(Item{ID: 1, Class: c}); err != nil {
+			t.Fatal(err)
+		}
+		if q.Bypass("a", acquire) || held != 1 {
+			t.Errorf("bypassed a queued %v item", c)
+		}
+		q.TryPop()
+	}
+	q.Close()
+	if q.Bypass("a", acquire) || held != 1 {
+		t.Error("closed queue bypassed")
+	}
+}

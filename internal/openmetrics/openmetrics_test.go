@@ -69,6 +69,9 @@ func buildSources(t *testing.T) []Source {
 
 	metaReg := metrics.NewRegistry()
 	metaReg.Counter("meta.opens").Add(7)
+	metaReg.Counter("meta.journal.records").Add(2048)
+	metaReg.Counter("meta.journal.syncs").Add(512)
+	metaReg.Counter("meta.journal.sync_us").Add(98304)
 
 	// Tenant table with hostile names: label values containing every
 	// character the exposition format escapes, plus enough tenants to

@@ -184,32 +184,37 @@ func (c *Client) Stat(name string) (*wire.StatResp, error) {
 // Remove deletes a file: the name at the metadata server and the stripes
 // at every data server in its layout.
 func (c *Client) Remove(name string) error {
-	st, err := c.Stat(name)
-	if err != nil {
-		return err
-	}
 	resp, err := c.pool.Call(c.cfg.MetaAddr, &wire.RemoveReq{Name: name})
 	if err != nil {
 		return err
 	}
-	if _, ok := resp.(*wire.RemoveResp); !ok {
+	rr, ok := resp.(*wire.RemoveResp)
+	if !ok {
 		return fmt.Errorf("pfs: remove: unexpected response %v", resp.Type())
+	}
+	lay := rr.Layout
+	if len(lay.Servers) == 0 {
+		// An old metadata server: sweep every server, every replica tag.
+		for i := range c.cfg.DataAddrs {
+			lay.Servers = append(lay.Servers, uint32(i))
+		}
+		lay.Replicas = uint8(min(len(lay.Servers), 255))
 	}
 	// Best-effort stripe cleanup (all replicas); the namespace entry is
 	// already gone. Removing an absent stream is a no-op, so every
 	// (server, replica) pair is simply swept.
 	var wg sync.WaitGroup
-	for _, idx := range st.Layout.Servers {
+	for _, idx := range lay.Servers {
 		addr, aerr := c.DataAddr(idx)
 		if aerr != nil {
 			continue
 		}
-		for r := 0; r < st.Layout.ReplicaCount(); r++ {
+		for r := 0; r < lay.ReplicaCount(); r++ {
 			wg.Add(1)
 			go func(addr string, handle uint64) {
 				defer wg.Done()
 				c.pool.Call(addr, &wire.TruncReq{Handle: handle, Remove: true, Tenant: c.cfg.Tenant}) //nolint:errcheck
-			}(addr, ReplicaHandle(st.Handle, r))
+			}(addr, ReplicaHandle(rr.Handle, r))
 		}
 	}
 	wg.Wait()

@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"path/filepath"
+	"sync"
 	"time"
 
+	"dosas/internal/eventlog"
+	"dosas/internal/metrics"
 	"dosas/internal/wire"
 )
 
@@ -19,84 +22,184 @@ const (
 	entrySetSize
 )
 
+// ErrJournal is what every mutation returns once a journal write or sync
+// has failed: memory may be ahead of disk until a restart replays.
+var ErrJournal = errors.New("pfs: metadata journal failed")
+
+// journalFile is the journal's file; the crash tests substitute a disk.
+type journalFile interface {
+	WriteAt(p []byte, off int64) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
+}
+
 // journal is the metadata server's write-ahead log. Each entry is
 //
 //	+---------+--------+-------+------------------+
 //	| len u32 | crc u32| op u8 | payload (len-1) B |
 //	+---------+--------+-------+------------------+
 //
-// where crc covers op+payload. Replay stops cleanly at the first torn or
-// corrupt entry (a crash mid-append), truncating the tail, so a restart
-// after power loss recovers every fully written mutation.
+// where crc covers op+payload. Replay stops cleanly at the first torn,
+// corrupt or zero-length entry (a crash mid-append), truncating the tail,
+// so a restart after power loss recovers every fully written mutation.
+// Appends group-commit (DESIGN.md §16): enqueue only
+// encodes into pending; a commit that finds no leader writes and syncs all
+// of pending in one go.
 type journal struct {
-	f *os.File
+	path   string
+	f      journalFile
+	reg    *metrics.Registry // meta.journal.{records,syncs,sync_us}
+	events *eventlog.Log     // told the first failure
+
+	mu      sync.Mutex
+	cond    *sync.Cond
+	pending []byte // encoded entries no leader has taken yet
+	seq     uint64 // entries enqueued
+	durable uint64 // entries synced
+	leading bool   // a leader is writing, outside mu
+	tail    int64  // end of the last synced entry
+	err     error  // sticky first failure, wrapping ErrJournal
 }
 
-func openJournal(path string) (*journal, error) {
+func openJournal(path string, reg *metrics.Registry, events *eventlog.Log) (*journal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err == nil {
+		err = syncDir(path)
+	}
 	if err != nil {
+		f.Close()
 		return nil, fmt.Errorf("pfs: journal open: %w", err)
 	}
-	return &journal{f: f}, nil
+	j := &journal{path: path, f: f, reg: reg, events: events}
+	j.cond = sync.NewCond(&j.mu)
+	return j, nil
 }
 
-func (j *journal) close() error { return j.f.Close() }
+// syncDir makes the creation or rename of path durable; a variable so that
+// a test can fail it.
+var syncDir = func(path string) error {
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
 
-// append encodes and durably writes one entry.
-func (j *journal) append(op uint8, rec *FileRec) error {
+// flush writes buf at off and syncs.
+func flush(f journalFile, buf []byte, off int64) error {
+	_, err := f.WriteAt(buf, off)
+	if err == nil {
+		err = f.Sync()
+	}
+	return err
+}
+
+// close waits out a write in flight and closes.
+func (j *journal) close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.leading {
+		j.cond.Wait()
+	}
+	return j.f.Close()
+}
+
+// appendEntry appends one encoded entry to buf.
+func appendEntry(buf []byte, op uint8, rec *FileRec) ([]byte, error) {
 	var e wire.Encoder
 	e.PutU8(op)
 	encodeFileRec(&e, rec)
 	body := e.Bytes()
-	if err := e.Err(); err != nil {
-		return err
-	}
-	buf := make([]byte, 8+len(body))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(body))
-	copy(buf[8:], body)
-	if _, err := j.f.Write(buf); err != nil {
-		return fmt.Errorf("pfs: journal append: %w", err)
-	}
-	// The WAL contract: the mutation must be on stable storage before it
-	// is acknowledged.
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("pfs: journal sync: %w", err)
-	}
-	return nil
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
+	return append(buf, body...), e.Err()
 }
 
-// replay feeds every intact entry to apply, then truncates any torn tail.
+// enqueue encodes one entry, without I/O, and returns the sequence number
+// to commit; refused once the journal failed. A nil journal is volatile.
+func (j *journal) enqueue(op uint8, rec *FileRec) (uint64, error) {
+	if j == nil {
+		return 0, nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	buf, err := appendEntry(j.pending, op, rec)
+	if err != nil || j.err != nil {
+		return 0, errors.Join(err, j.err)
+	}
+	j.pending = buf
+	j.seq++
+	return j.seq, nil
+}
+
+// enqueued is the newest entry's sequence number: what a mutation that found
+// its work already done, by an entry that may still be in flight, commits.
+func (j *journal) enqueued() uint64 {
+	if j == nil {
+		return 0
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.seq
+}
+
+// commit returns once entry seq is on stable storage — the WAL contract:
+// durable before acknowledged — or with the error that stopped the journal.
+func (j *journal) commit(seq uint64) error {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for j.durable < seq && j.err == nil {
+		if j.leading { // follow
+			j.cond.Wait()
+			continue
+		}
+		buf, upto, off := j.pending, j.seq, j.tail
+		j.pending, j.leading = nil, true
+		j.mu.Unlock()
+		start := time.Now()
+		err := flush(j.f, buf, off)
+		j.reg.Counter("meta.journal.syncs").Inc()
+		j.reg.Counter("meta.journal.sync_us").Add(time.Since(start).Microseconds())
+		j.mu.Lock()
+		j.leading = false
+		if err == nil {
+			j.reg.Counter("meta.journal.records").Add(int64(upto - j.durable))
+			j.durable, j.tail = upto, off+int64(len(buf))
+		}
+		j.fail(err)
+	}
+	if j.durable >= seq {
+		return nil
+	}
+	return j.err
+}
+
+// fail, with mu held, wakes every waiter and makes a non-nil err sticky.
+func (j *journal) fail(err error) {
+	if err != nil && j.err == nil {
+		j.err = fmt.Errorf("%w: %v", ErrJournal, err)
+		j.events.Error("meta", "journal failed; mutations refused until restart", "err", j.err.Error())
+	}
+	j.cond.Broadcast()
+}
+
+// replay feeds every intact entry to apply, then durably cuts the file.
 func (j *journal) replay(apply func(op uint8, rec *FileRec) error) error {
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
+	data, err := os.ReadFile(j.path)
+	if err != nil {
 		return err
 	}
-	var offset int64
-	hdr := make([]byte, 8)
-	for {
-		if _, err := io.ReadFull(j.f, hdr); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			// Torn header: truncate and stop.
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				break
-			}
-			return err
+	for rest := data; len(rest) >= 8; {
+		n := int(binary.LittleEndian.Uint32(rest))
+		if n == 0 || n > 1<<20 || n > len(rest)-8 || crc32.ChecksumIEEE(rest[8:8+n]) != binary.LittleEndian.Uint32(rest[4:]) {
+			break // a torn or corrupt entry, or zeros where none was written
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		want := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > 1<<20 {
-			break // corrupt length: stop at last good entry
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(j.f, body); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(body) != want {
-			break // corrupt payload
-		}
-		d := wire.NewDecoder(body)
+		d := wire.NewDecoder(rest[8 : 8+n])
 		op := d.U8()
 		rec, err := decodeFileRec(d)
 		if err != nil {
@@ -105,56 +208,56 @@ func (j *journal) replay(apply func(op uint8, rec *FileRec) error) error {
 		if err := apply(op, rec); err != nil {
 			return err
 		}
-		offset += int64(8 + n)
+		rest = rest[8+n:]
+		j.tail = int64(len(data) - len(rest))
 	}
-	// Drop anything after the last intact entry so future appends are
-	// never interleaved with garbage.
-	if err := j.f.Truncate(offset); err != nil {
+	if err := j.f.Truncate(j.tail); err != nil {
 		return err
 	}
-	_, err := j.f.Seek(offset, io.SeekStart)
-	return err
+	return j.f.Sync()
 }
 
 // compact rewrites the journal as one create entry per live record (the
 // current snapshot), dropping the history of removed files and superseded
-// size updates. The rewrite goes through a temp file + rename so a crash
-// mid-compaction leaves the old journal intact.
-func (j *journal) compact(path string, records []*FileRec) error {
-	tmp := path + ".compact"
-	nj, err := openJournal(tmp)
-	if err != nil {
-		return err
-	}
+// size updates: written and synced as one batch to a temp file, renamed
+// over the journal, and the directory synced, so a crash at any point
+// leaves the old journal or the new one. The caller holds the namespace
+// lock: nothing is enqueued meanwhile, and j.seq is stable.
+func (j *journal) compact(records []*FileRec) error {
+	var buf []byte
+	var err error
 	for _, rec := range records {
-		if err := nj.append(entryCreate, rec); err != nil {
-			nj.close()
-			os.Remove(tmp)
+		if buf, err = appendEntry(buf, entryCreate, rec); err != nil {
 			return err
 		}
 	}
-	if err := nj.close(); err != nil {
-		os.Remove(tmp)
+	// What is still pending goes to the old file, releasing its waiters (the
+	// snapshot already contains it); after that no leader is writing.
+	if err := j.commit(j.enqueued()); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Swap the live file descriptor to the new journal, positioned at
-	// its end for subsequent appends.
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	tmp := j.path + ".compact"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if err = flush(f, buf, 0); err == nil {
+		err = os.Rename(tmp, j.path)
+	}
+	if err != nil {
 		f.Close()
+		os.Remove(tmp)
 		return err
 	}
-	old := j.f
-	j.f = f
-	old.Close()
-	return nil
+	// The name now leads to f, so f is the journal; if the rename itself
+	// cannot be made durable, nothing more may be acknowledged.
+	err = syncDir(j.path)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.f.Close()
+	j.f, j.tail = f, int64(len(buf))
+	j.fail(err)
+	return err
 }
 
 func encodeFileRec(e *wire.Encoder, rec *FileRec) {

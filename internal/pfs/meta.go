@@ -76,11 +76,11 @@ type MetaServer struct {
 	reg  *metrics.Registry
 	gate *QoSGate // nil when QoS is disabled
 
+	journal    *journal // nil when volatile; see mutate
 	mu         sync.Mutex
 	byName     map[string]*FileRec
 	byHandle   map[uint64]*FileRec
 	nextHandle uint64
-	journal    *journal
 	now        func() time.Time
 	started    time.Time
 }
@@ -111,7 +111,7 @@ func NewMetaServer(cfg MetaConfig) (*MetaServer, error) {
 		m.gate.SetTenants(cfg.Tenants)
 	}
 	if cfg.JournalPath != "" {
-		j, err := openJournal(cfg.JournalPath)
+		j, err := openJournal(cfg.JournalPath, m.reg, cfg.Events)
 		if err != nil {
 			return nil, err
 		}
@@ -183,8 +183,6 @@ func (m *MetaServer) Metrics() *metrics.Registry { return m.reg }
 func (m *MetaServer) Close() error {
 	m.cfg.Telemetry.Close()
 	m.gate.Close()
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.journal != nil {
 		return m.journal.close()
 	}
@@ -231,20 +229,22 @@ func (m *MetaServer) Handle(msg wire.Message) (wire.Message, error) {
 
 // health answers a HealthReq with namespace readiness: the in-memory
 // tables are always live once construction succeeded, and the journal —
-// when configured — must still be open for mutations to be durable.
+// when configured — must not have failed for mutations to be accepted.
 func (m *MetaServer) health() (wire.Message, error) {
 	m.mu.Lock()
 	files := len(m.byName)
-	journaled := m.journal != nil
 	m.mu.Unlock()
 	checks := []telemetry.Check{
 		{Name: "namespace", OK: true, Detail: fmt.Sprintf("%d files", files)},
 	}
-	if m.cfg.JournalPath != "" {
-		checks = append(checks, telemetry.Check{
-			Name: "journal", OK: journaled,
-			Detail: m.cfg.JournalPath,
-		})
+	if j := m.journal; j != nil {
+		c := telemetry.Check{Name: "journal", OK: true, Detail: m.cfg.JournalPath}
+		j.mu.Lock()
+		if j.err != nil {
+			c.OK, c.Detail = false, j.err.Error()
+		}
+		j.mu.Unlock()
+		checks = append(checks, c)
 	} else {
 		checks = append(checks, telemetry.Check{Name: "journal", OK: true, Detail: "volatile (no journal configured)"})
 	}
@@ -266,58 +266,57 @@ func (m *MetaServer) create(req *wire.CreateReq) (wire.Message, error) {
 	if req.Name == "" {
 		return nil, fmt.Errorf("%w: empty file name", ErrInvalid)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.byName[req.Name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrExists, req.Name)
-	}
-	ss := req.StripeSize
-	if ss == 0 {
-		ss = m.cfg.DefaultStripeSize
-	}
-	var servers []uint32
-	if len(req.Placement) > 0 {
-		// Explicit placement: validate and honour as-is.
-		for _, idx := range req.Placement {
-			if int(idx) >= m.cfg.NumDataServers {
-				return nil, fmt.Errorf("%w: placement index %d out of range", ErrInvalid, idx)
+	return m.mutate(func() (wire.Message, uint64, error) {
+		if _, ok := m.byName[req.Name]; ok {
+			return nil, 0, fmt.Errorf("%w: %s", ErrExists, req.Name)
+		}
+		ss := req.StripeSize
+		if ss == 0 {
+			ss = m.cfg.DefaultStripeSize
+		}
+		var servers []uint32
+		if len(req.Placement) > 0 {
+			// Explicit placement: validate and honour as-is.
+			for _, idx := range req.Placement {
+				if int(idx) >= m.cfg.NumDataServers {
+					return nil, 0, fmt.Errorf("%w: placement index %d out of range", ErrInvalid, idx)
+				}
+			}
+			servers = append([]uint32(nil), req.Placement...)
+		} else {
+			width := int(req.Width)
+			if width <= 0 || width > m.cfg.NumDataServers {
+				width = m.cfg.NumDataServers
+			}
+			// Rotate the starting server with the handle so small files
+			// spread across the cluster instead of hammering server 0.
+			start := int(m.nextHandle) % m.cfg.NumDataServers
+			servers = make([]uint32, width)
+			for i := range servers {
+				servers[i] = uint32((start + i) % m.cfg.NumDataServers)
 			}
 		}
-		servers = append([]uint32(nil), req.Placement...)
-	} else {
-		width := int(req.Width)
-		if width <= 0 || width > m.cfg.NumDataServers {
-			width = m.cfg.NumDataServers
+		reps := int(req.Replicas)
+		if reps < 1 {
+			reps = 1
 		}
-		// Rotate the starting server with the handle so small files
-		// spread across the cluster instead of hammering server 0.
-		start := int(m.nextHandle) % m.cfg.NumDataServers
-		servers = make([]uint32, width)
-		for i := range servers {
-			servers[i] = uint32((start + i) % m.cfg.NumDataServers)
+		if reps > len(servers) {
+			return nil, 0, fmt.Errorf("%w: %d replicas exceed stripe width %d", ErrInvalid, reps, len(servers))
 		}
-	}
-	reps := int(req.Replicas)
-	if reps < 1 {
-		reps = 1
-	}
-	if reps > len(servers) {
-		return nil, fmt.Errorf("%w: %d replicas exceed stripe width %d", ErrInvalid, reps, len(servers))
-	}
-	handle := m.nextHandle
-	m.nextHandle++
-	rec := &FileRec{
-		Handle:  handle,
-		Name:    req.Name,
-		ModTime: m.now(),
-		Layout:  wire.Layout{StripeSize: ss, Servers: servers, Replicas: uint8(reps)},
-	}
-	if err := m.logEntry(entryCreate, rec); err != nil {
-		return nil, err
-	}
-	m.byName[rec.Name] = rec
-	m.byHandle[rec.Handle] = rec
-	return &wire.CreateResp{Handle: rec.Handle, Layout: rec.Layout}, nil
+		rec := &FileRec{
+			Handle:  m.nextHandle,
+			Name:    req.Name,
+			ModTime: m.now(),
+			Layout:  wire.Layout{StripeSize: ss, Servers: servers, Replicas: uint8(reps)},
+		}
+		seq, err := m.journal.enqueue(entryCreate, rec)
+		if err == nil {
+			m.nextHandle++
+			m.byName[rec.Name] = rec
+			m.byHandle[rec.Handle] = rec
+		}
+		return &wire.CreateResp{Handle: rec.Handle, Layout: rec.Layout}, seq, err
+	})
 }
 
 func (m *MetaServer) open(req *wire.OpenReq) (wire.Message, error) {
@@ -359,18 +358,18 @@ func (m *MetaServer) stat(req *wire.StatReq) (wire.Message, error) {
 
 func (m *MetaServer) remove(req *wire.RemoveReq) (wire.Message, error) {
 	m.reg.Counter("meta.remove").Inc()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rec, ok := m.byName[req.Name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, req.Name)
-	}
-	if err := m.logEntry(entryRemove, rec); err != nil {
-		return nil, err
-	}
-	delete(m.byName, rec.Name)
-	delete(m.byHandle, rec.Handle)
-	return &wire.RemoveResp{Handle: rec.Handle}, nil
+	return m.mutate(func() (wire.Message, uint64, error) {
+		rec, ok := m.byName[req.Name]
+		if !ok {
+			return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, req.Name)
+		}
+		seq, err := m.journal.enqueue(entryRemove, rec)
+		if err == nil {
+			delete(m.byName, rec.Name)
+			delete(m.byHandle, rec.Handle)
+		}
+		return &wire.RemoveResp{Handle: rec.Handle, Layout: rec.Layout}, seq, err
+	})
 }
 
 func (m *MetaServer) list(req *wire.ListReq) (wire.Message, error) {
@@ -394,33 +393,40 @@ func (m *MetaServer) list(req *wire.ListReq) (wire.Message, error) {
 
 func (m *MetaServer) setSize(req *wire.SetSizeReq) (wire.Message, error) {
 	m.reg.Counter("meta.setsize").Inc()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rec, ok := m.byHandle[req.Handle]
-	if !ok {
-		return nil, fmt.Errorf("%w: handle %d", ErrNotFound, req.Handle)
-	}
-	// Max semantics: concurrent extending writers converge without
-	// coordination, and a stale smaller update can never shrink the file.
-	if req.Size > rec.Size {
-		prev := rec.Size
-		rec.Size = req.Size
-		rec.ModTime = m.now()
-		if err := m.logEntry(entrySetSize, rec); err != nil {
-			rec.Size = prev
-			return nil, err
+	return m.mutate(func() (_ wire.Message, seq uint64, err error) {
+		rec, ok := m.byHandle[req.Handle]
+		if !ok {
+			return nil, 0, fmt.Errorf("%w: handle %d", ErrNotFound, req.Handle)
 		}
-	}
-	return &wire.SetSizeResp{Size: rec.Size}, nil
+		// Max semantics: concurrent extending writers converge without
+		// coordination, and a stale smaller update can never shrink the file.
+		if req.Size > rec.Size {
+			grown := *rec
+			grown.Size, grown.ModTime = req.Size, m.now()
+			if seq, err = m.journal.enqueue(entrySetSize, &grown); err == nil {
+				*rec = grown
+			}
+		} else {
+			seq = m.journal.enqueued() // the size answered may not be durable yet
+		}
+		return &wire.SetSizeResp{Size: rec.Size}, seq, err
+	})
 }
 
-// logEntry appends a journal entry when a journal is configured. Called
-// with m.mu held.
-func (m *MetaServer) logEntry(op uint8, rec *FileRec) error {
-	if m.journal == nil {
-		return nil
+// mutate runs apply under m.mu — it validates a mutation, enqueues its
+// journal entry and, unless that was refused, applies it — and lets the
+// response out only once, the lock released, that entry is durable.
+func (m *MetaServer) mutate(apply func() (wire.Message, uint64, error)) (wire.Message, error) {
+	m.mu.Lock()
+	resp, seq, err := apply()
+	m.mu.Unlock()
+	if err == nil {
+		err = m.journal.commit(seq)
 	}
-	return m.journal.append(op, rec)
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // applyEntry rebuilds in-memory state from one replayed journal entry.
@@ -460,7 +466,7 @@ func (m *MetaServer) CompactJournal() error {
 		records = append(records, rec)
 	}
 	sort.Slice(records, func(i, j int) bool { return records[i].Handle < records[j].Handle })
-	if err := m.journal.compact(m.cfg.JournalPath, records); err != nil {
+	if err := m.journal.compact(records); err != nil {
 		m.cfg.Events.Error("meta", "journal compaction failed", "err", err.Error())
 		return err
 	}

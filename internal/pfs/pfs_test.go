@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dosas/internal/transport"
@@ -26,6 +27,7 @@ type clusterOpts struct {
 	nData  int
 	tcp    bool                   // TCP loopback instead of the in-process transport
 	store  func(i int) Store      // data server i's store; default MemStore
+	meta   func(Handler) Handler  // wraps the metadata server on the wire
 	client func(cc *ClientConfig) // last word on the client's configuration
 }
 
@@ -49,7 +51,11 @@ func startClusterWith(t *testing.T, o clusterOpts) *testCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := NewServer(ml, meta)
+	var mh Handler = meta
+	if o.meta != nil {
+		mh = o.meta(meta)
+	}
+	ms := NewServer(ml, mh)
 	ms.Start()
 	t.Cleanup(ms.Close)
 
@@ -188,6 +194,47 @@ func TestStatRemoveList(t *testing.T) {
 	for i, ds := range tc.datas {
 		if got := ds.Store().Size(st.Handle); got != 0 {
 			t.Errorf("server %d still holds %d bytes after remove", i, got)
+		}
+	}
+}
+
+// TestRemoveIsOneMetadataRPC: the remove response names the stripes'
+// servers, so the client asks the metadata server nothing else — and when
+// a metadata server predating that field names none, every data server is
+// swept for every replica, which still leaves no stripe behind.
+func TestRemoveIsOneMetadataRPC(t *testing.T) {
+	for _, oldMeta := range []bool{false, true} {
+		var metaCalls atomic.Int64
+		tc := startClusterWith(t, clusterOpts{nData: 3, meta: func(h Handler) Handler {
+			return HandlerFunc(func(m wire.Message) (wire.Message, error) {
+				metaCalls.Add(1)
+				resp, err := h.Handle(m)
+				if rr, ok := resp.(*wire.RemoveResp); ok && oldMeta {
+					resp = &wire.RemoveResp{Handle: rr.Handle}
+				}
+				return resp, err
+			})
+		}})
+		f, err := tc.client.CreateReplicated("doomed", 1024, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(bytes.Repeat([]byte("x"), 8192), 0); err != nil {
+			t.Fatal(err)
+		}
+		before := metaCalls.Load()
+		if err := tc.client.Remove("doomed"); err != nil {
+			t.Fatal(err)
+		}
+		if n := metaCalls.Load() - before; n != 1 {
+			t.Errorf("old meta %v: Remove made %d metadata calls, want 1", oldMeta, n)
+		}
+		for i, ds := range tc.datas {
+			for r := 0; r < 2; r++ {
+				if got := ds.Store().Size(ReplicaHandle(f.Handle(), r)); got != 0 {
+					t.Errorf("old meta %v: server %d still holds %d bytes of replica %d", oldMeta, i, got, r)
+				}
+			}
 		}
 	}
 }

@@ -116,10 +116,16 @@ type Ticket struct {
 // Enqueue files a request with the gate and returns its ticket
 // immediately, so the caller can register cancellation before blocking
 // in Wait. A nil gate (or a closed one) returns an already-admitted
-// ticket that holds no slot.
+// ticket that holds no slot. With nothing queued and a slot free (the idle
+// dispatcher holds one) the ticket is admitted here, without a hand-off.
 func (g *QoSGate) Enqueue(class ioqueue.Class, tenantID string, bytes uint64) *Ticket {
 	t := &Ticket{g: g, ch: make(chan bool, 1)}
 	if g == nil {
+		t.ch <- true
+		return t
+	}
+	if g.q.Bypass(tenantID, g.trySlot) {
+		t.slot = true
 		t.ch <- true
 		return t
 	}
@@ -131,6 +137,16 @@ func (g *QoSGate) Enqueue(class ioqueue.Class, tenantID string, bytes uint64) *T
 		t.ch <- true
 	}
 	return t
+}
+
+// trySlot takes a slot if one is free.
+func (g *QoSGate) trySlot() bool {
+	select {
+	case g.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
 }
 
 // Cancel withdraws a still-queued ticket: its Wait returns false and no

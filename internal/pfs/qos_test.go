@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dosas/internal/ioqueue"
+	"dosas/internal/tenant"
 	"dosas/internal/transport"
 	"dosas/internal/wire"
 )
@@ -108,6 +110,119 @@ func TestQoSGateCancelWhileQueued(t *testing.T) {
 		t.Fatal("ticket after a cancellation never admitted")
 	}
 	next.Release()
+}
+
+// TestQoSGateInlineAdmission pins the fast path's edges: with nothing
+// queued and a slot free a ticket is admitted inside Enqueue (Cancel finds
+// nothing to withdraw), anything else queues, and a closed gate still
+// fails open.
+func TestQoSGateInlineAdmission(t *testing.T) {
+	g := NewQoSGate(QoSConfig{Slots: 3})
+	a, b := g.Enqueue(ioqueue.Normal, "t", 4096), g.Enqueue(ioqueue.Normal, "t", 4096)
+	for _, tk := range []*Ticket{a, b} {
+		select {
+		case ok := <-tk.ch:
+			tk.ch <- ok
+			if !ok || g.Cancel(tk) {
+				t.Fatal("ticket with a slot free was not admitted by Enqueue")
+			}
+		default:
+			t.Fatal("ticket with a slot free had to wait")
+		}
+	}
+	// The idle dispatcher holds the third slot for whoever queues next.
+	c := g.Enqueue(ioqueue.Normal, "t", 4096)
+	if !c.Wait() {
+		t.Fatal("third ticket not admitted")
+	}
+	// All slots taken: the next one queues, and so does everything behind
+	// it, however many slots come free.
+	d := g.Enqueue(ioqueue.Normal, "t", 4096)
+	waitFor(t, "the dispatcher to block on a slot", func() bool { return len(g.slots) == 3 })
+	a.Release()
+	b.Release()
+	if !d.Wait() {
+		t.Fatal("queued ticket not admitted")
+	}
+	for _, tk := range []*Ticket{c, d} {
+		tk.Release()
+	}
+	waitFor(t, "slots to drain", func() bool { return len(g.slots) <= 1 })
+
+	g.Close()
+	e := g.Enqueue(ioqueue.Normal, "t", 4096)
+	if !e.Wait() || e.slot {
+		t.Error("closed gate did not fail open")
+	}
+	e.Release()
+}
+
+// TestQoSGateRace runs 64 goroutines through a 4-slot gate: never more
+// than 4 admitted at once, a ticket admitted inline never overtook one
+// still queued, every ticket is admitted exactly once, and the tenants'
+// queued gauges return to zero.
+func TestQoSGateRace(t *testing.T) {
+	const slots, workers, each = 4, 64, 50
+	g := NewQoSGate(QoSConfig{Slots: slots})
+	defer g.Close()
+	tab := tenant.NewTable(0)
+	g.SetTenants(tab)
+	var inflight, admitted, inline atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var prev *Ticket
+			for i := 0; i < each; i++ {
+				// One class and one tenant per worker keep a worker's tickets
+				// in order, so waiting for the older one first cannot wedge.
+				tk := g.Enqueue(ioqueue.Normal, fmt.Sprintf("t%d", w%5), 4096)
+				if tk.id == 0 {
+					inline.Add(1)
+					// Inline means the queue was empty, so this worker's
+					// previous ticket cannot still be in it.
+					if prev != nil && g.Cancel(prev) {
+						t.Error("an inline admission overtook a queued ticket")
+					}
+				}
+				if prev != nil {
+					finish(t, prev, &inflight, &admitted, slots)
+				}
+				prev = tk
+			}
+			finish(t, prev, &inflight, &admitted, slots)
+		}(w)
+	}
+	wg.Wait()
+	if admitted.Load() != workers*each {
+		t.Errorf("%d tickets admitted, want %d", admitted.Load(), workers*each)
+	}
+	if inline.Load() == 0 {
+		t.Error("no ticket took the inline path")
+	}
+	for _, u := range tab.Snapshot() {
+		if u.Queued != 0 {
+			t.Errorf("tenant %s left with queued = %d", u.Tenant, u.Queued)
+		}
+	}
+	waitFor(t, "slots to drain", func() bool { return len(g.slots) <= 1 })
+}
+
+// finish waits for tk's admission, checks the slot bound while holding
+// the slot, and releases it.
+func finish(t *testing.T, tk *Ticket, inflight, admitted *atomic.Int64, slots int64) {
+	if !tk.Wait() {
+		t.Error("ticket cancelled")
+		return
+	}
+	if n := inflight.Add(1); n > slots {
+		t.Errorf("%d requests admitted at once through %d slots", n, slots)
+	}
+	admitted.Add(1)
+	runtime.Gosched()
+	inflight.Add(-1)
+	tk.Release()
 }
 
 // A nil gate (QoS disabled) admits everything immediately and never

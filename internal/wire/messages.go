@@ -253,13 +253,28 @@ func (*RemoveReq) Type() MsgType       { return MsgRemoveReq }
 func (m *RemoveReq) Encode(e *Encoder) { e.PutString(m.Name) }
 func (m *RemoveReq) Decode(d *Decoder) { m.Name = d.String() }
 
-// RemoveResp acknowledges a Remove. Handle lets storage servers be told to
-// drop the file's stripes.
-type RemoveResp struct{ Handle uint64 }
+// RemoveResp acknowledges a Remove, naming the stripes to drop. Layout is a
+// trailing optional field: old peers, and a layout without servers, omit it.
+type RemoveResp struct {
+	Handle uint64
+	Layout Layout
+}
 
-func (*RemoveResp) Type() MsgType       { return MsgRemoveResp }
-func (m *RemoveResp) Encode(e *Encoder) { e.PutU64(m.Handle) }
-func (m *RemoveResp) Decode(d *Decoder) { m.Handle = d.U64() }
+func (*RemoveResp) Type() MsgType { return MsgRemoveResp }
+
+func (m *RemoveResp) Encode(e *Encoder) {
+	e.PutU64(m.Handle)
+	if len(m.Layout.Servers) > 0 {
+		m.Layout.encode(e)
+	}
+}
+
+func (m *RemoveResp) Decode(d *Decoder) {
+	m.Handle = d.U64()
+	if d.Remaining() > 0 {
+		m.Layout.decode(d)
+	}
+}
 
 // ListReq enumerates files whose names start with Prefix.
 type ListReq struct {

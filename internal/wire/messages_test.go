@@ -471,3 +471,62 @@ func TestRangeQueryRespOldPeerInterop(t *testing.T) {
 		t.Fatalf("decode = %+v, want zero EarliestNano", resp)
 	}
 }
+
+// RemoveResp carries the removed file's Layout as a trailing optional
+// field. In both framings: the frame of a metadata server predating it —
+// the new frame less the layout's bytes — decodes with an empty layout,
+// and a response without a layout is byte-identical to that old frame, so
+// a client predating the field (which rejects trailing bytes) accepts it.
+func TestRemoveRespLayoutOldPeerInterop(t *testing.T) {
+	full := &RemoveResp{Handle: 9, Layout: Layout{StripeSize: 65536, Replicas: 2, Servers: []uint32{1, 2, 3}}}
+	bare := &RemoveResp{Handle: 9}
+	const layoutBytes = 4 + 1 + 4 + 3*4
+
+	ordered := func(m Message) []byte {
+		var buf bytes.Buffer
+		if err := WriteMessage(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	raw := ordered(full)
+	old := append([]byte(nil), raw[:len(raw)-layoutBytes]...)
+	binary.LittleEndian.PutUint32(old[0:4], uint32(len(old)-4))
+	got, err := ReadMessage(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("layout-less frame rejected: %v", err)
+	}
+	if !reflect.DeepEqual(normalise(got), normalise(bare)) {
+		t.Errorf("layout-less frame decoded as %#v", got)
+	}
+	if !bytes.Equal(ordered(bare), old) {
+		t.Error("a response without a layout differs from the old format")
+	}
+	if got := roundTrip(t, full); !reflect.DeepEqual(got, full) {
+		t.Errorf("round trip = %#v, want %#v", got, full)
+	}
+
+	pr, pw := io.Pipe()
+	mw := NewMuxWriter(pw, MinMuxSegment)
+	mr := NewMuxReader(pr)
+	defer mr.Close()
+	go func() {
+		for i, m := range []Message{full, bare} {
+			if err := mw.Enqueue(m, uint32(i+1), nil); err != nil {
+				t.Errorf("enqueue: %v", err)
+			}
+		}
+	}()
+	for _, want := range []*RemoveResp{full, bare} {
+		f, err := mr.Read()
+		if err != nil {
+			t.Fatalf("mux read: %v", err)
+		}
+		if !reflect.DeepEqual(normalise(f.Msg), normalise(want)) {
+			t.Errorf("mux round trip = %#v, want %#v", f.Msg, want)
+		}
+		PutBuf(f.Buf)
+	}
+	mw.Close()
+	pw.Close()
+}
