@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke check bench bench-suite bench-compare bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke check bench bench-suite bench-compare bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
 
 all: check
 
@@ -39,13 +39,27 @@ race-observability:
 race-transport:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/pfs/
 
+# Focused race gate for by-reference writes: a request frame aliases its
+# caller's buffer until it has left the writer, so the lifetime tests
+# scribble over the buffer the moment WriteAt/WriteWindowed returns — after
+# a stalled and killed connection, a short acknowledgement, a remote error
+# behind another caller's bulk, a dead replica of three — and -race
+# reports any writer still reading it. Ten rounds: the windows are narrow.
+race-wire:
+	$(GO) test -race ./internal/wire/
+	$(GO) test -race -count=10 -run 'TestByRef|TestWriteWindowed|TestWindowed|TestStreamOverMux|TestMuxCalls|TestFileRoundTrip|TestReplicatedWrite|FuzzStridedRange' ./internal/pfs/
+
 # Ten seconds of native fuzzing each on mux segment reassembly (announced
-# totals, type changes, interleaved streams) and on metadata-journal
-# replay (arbitrary bytes: only checksummed entries applied, file cut at
-# the intact prefix). The seed corpora alone run in every plain `go test`.
+# totals, type changes, interleaved streams), on metadata-journal replay
+# (arbitrary bytes: only checksummed entries applied, file cut at the
+# intact prefix) and on by-reference write bodies (a random striping view ×
+# a random range of it: the caller's own pieces, concatenating to the
+# contiguous gather, in frames identical to the inline encoding). The seed
+# corpora alone run in every plain `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxReader -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s
+	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzStridedRange -fuzztime 10s
 
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,
@@ -107,7 +121,7 @@ replay-determinism:
 	cmp /tmp/dosas-replay-a.json /tmp/dosas-replay-b.json
 	@echo "replay-determinism: OK (byte-identical reports)"
 
-check: vet race-observability race-transport race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
+check: vet race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 
 # Data-path microbenchmarks (fixed iteration count so runs compare
 # across commits) plus the window-vs-serial matrix (writes BENCH_pr2.json).

@@ -369,15 +369,9 @@ func (ds *DataServer) decisionLog(req *wire.DecisionLogReq) (wire.Message, error
 // registry lookups. The wire StatsReq handler calls it automatically;
 // in-process snapshot consumers (Cluster.Stats) call it directly.
 func (ds *DataServer) SyncWireStats() {
-	set := func(name string, v int64) {
-		c := ds.reg.Counter(name)
-		if d := v - c.Value(); d > 0 {
-			c.Add(d)
-		}
-	}
-	set("wire.sendfile_bytes", ds.wireStats.SendfileBytes.Load())
-	set("wire.writev_calls", ds.wireStats.WritevCalls.Load())
-	set("wire.copied_bytes", ds.wireStats.CopiedBytes.Load())
+	mirrorCounter(ds.reg, "wire.sendfile_bytes", ds.wireStats.SendfileBytes.Load())
+	mirrorCounter(ds.reg, "wire.writev_calls", ds.wireStats.WritevCalls.Load())
+	mirrorCounter(ds.reg, "wire.copied_bytes", ds.wireStats.CopiedBytes.Load())
 }
 
 // PostWrite implements the pfs.PostWriter hook: a read or write stays

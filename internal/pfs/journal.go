@@ -223,12 +223,26 @@ func (j *journal) replay(apply func(op uint8, rec *FileRec) error) error {
 // over the journal, and the directory synced, so a crash at any point
 // leaves the old journal or the new one. The caller holds the namespace
 // lock: nothing is enqueued meanwhile, and j.seq is stable.
-func (j *journal) compact(records []*FileRec) error {
+//
+// issued, when non-zero, is the newest handle issued and belongs to a file
+// since removed. The snapshot ends with that file created and removed
+// again under a name no client can create, so that a replay — by any
+// version: it is two ordinary entries — never issues the handle a second
+// time: data servers key stripes by handle.
+func (j *journal) compact(records []*FileRec, issued uint64) error {
 	var buf []byte
 	var err error
 	for _, rec := range records {
 		if buf, err = appendEntry(buf, entryCreate, rec); err != nil {
 			return err
+		}
+	}
+	if issued != 0 {
+		mark := &FileRec{Handle: issued} // the empty name is refused by create
+		for _, op := range []uint8{entryCreate, entryRemove} {
+			if buf, err = appendEntry(buf, op, mark); err != nil {
+				return err
+			}
 		}
 	}
 	// What is still pending goes to the old file, releasing its waiters (the

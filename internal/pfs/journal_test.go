@@ -729,6 +729,75 @@ func TestJournalCompactRenameNotDurable(t *testing.T) {
 	}
 }
 
+// TestJournalCompactionKeepsIssuedHandles: a snapshot holds live files
+// only, yet a restart from it must not issue the handle of a file removed
+// before it a second time — data servers key stripes by handle. Checked
+// after a clean compaction and at both crash points of one: the snapshot
+// written but not renamed (the old journal and a stale temp file), and
+// renamed but the directory not synced.
+func TestJournalCompactionKeepsIssuedHandles(t *testing.T) {
+	handle := func(m *MetaServer, name string) uint64 {
+		t.Helper()
+		resp, err := m.Handle(&wire.CreateReq{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.(*wire.CreateResp).Handle
+	}
+	for _, crash := range []string{"none", "before rename", "rename not durable"} {
+		t.Run(crash, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "meta.wal")
+			m := newMetaWithJournal(t, path)
+			a, b := handle(m, "a"), handle(m, "b")
+			if _, err := m.Handle(&wire.RemoveReq{Name: "b"}); err != nil {
+				t.Fatal(err)
+			}
+			old, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			realSyncDir := syncDir
+			if crash == "rename not durable" {
+				syncDir = func(string) error { return errors.New("directory sync failed") }
+			}
+			err = m.CompactJournal()
+			syncDir = realSyncDir
+			if (err != nil) != (crash == "rename not durable") {
+				t.Fatalf("CompactJournal = %v", err)
+			}
+			m.Close()
+			if crash == "before rename" {
+				snapshot, err := os.ReadFile(path)
+				if err == nil {
+					err = os.WriteFile(path+".compact", snapshot, 0o644)
+				}
+				if err == nil {
+					err = os.WriteFile(path, old, 0o644)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			m = newMetaWithJournal(t, path)
+			if files := m.Files(); len(files) != 1 || files[0].Handle != a {
+				t.Fatalf("replayed %+v, want only a", files)
+			}
+			if c := handle(m, "c"); c <= b {
+				t.Fatalf("handle %d issued after a restart, but %d went to a file removed before the snapshot", c, b)
+			}
+			// Compacting again, now that the newest handle is live, keeps it too.
+			if err := m.CompactJournal(); err != nil {
+				t.Fatal(err)
+			}
+			m.Close()
+			m = newMetaWithJournal(t, path)
+			if d, files := handle(m, "d"), m.Files(); d <= b+1 || len(files) != 3 {
+				t.Fatalf("after a second compaction: handle %d for d, files %+v", d, files)
+			}
+		})
+	}
+}
+
 // journalBytes is what the server writes for a few mutations.
 func journalBytes(t testing.TB) []byte {
 	path := filepath.Join(t.TempDir(), "seed.wal")

@@ -466,7 +466,11 @@ func (m *MetaServer) CompactJournal() error {
 		records = append(records, rec)
 	}
 	sort.Slice(records, func(i, j int) bool { return records[i].Handle < records[j].Handle })
-	if err := m.journal.compact(records); err != nil {
+	issued := m.nextHandle - 1
+	if _, live := m.byHandle[issued]; live {
+		issued = 0 // its create entry is in the snapshot
+	}
+	if err := m.journal.compact(records, issued); err != nil {
 		m.cfg.Events.Error("meta", "journal compaction failed", "err", err.Error())
 		return err
 	}

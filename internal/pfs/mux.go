@@ -146,7 +146,7 @@ func (mp *muxPeer) call(req wire.Message) (wire.Message, error) {
 			return nil, err
 		}
 		var res muxResult
-		_, ch, err := mc.send(req)
+		_, ch, err := mc.send(req, nil)
 		if err == nil {
 			res = <-ch
 			err = res.err
@@ -208,6 +208,7 @@ type muxConn struct {
 func newMuxConn(p *Pool, c net.Conn, segment int) *muxConn {
 	mc := &muxConn{p: p, c: c, calls: make(map[uint32]chan muxResult)}
 	mw := wire.NewMuxWriter(c, segment)
+	mw.Stats = &p.wireStats
 	ctrl := p.reg.Gauge("pool.mux.queue.control")
 	bulk := p.reg.Gauge("pool.mux.queue.bulk")
 	mw.DepthHook = func(class uint8, delta int) {
@@ -235,8 +236,11 @@ func (mc *muxConn) dead() bool {
 
 // send registers a new stream and enqueues req on it. The response (or
 // the transport failure) is delivered exactly once on the returned
-// channel, which is buffered so no deliverer ever blocks.
-func (mc *muxConn) send(req wire.Message) (uint32, chan muxResult, error) {
+// channel, which is buffered so no deliverer ever blocks. left, when
+// non-nil, is Done once the frame has left the writer, sent or failed —
+// not at all when send itself fails. A nil left is for requests that hold
+// no caller memory by reference.
+func (mc *muxConn) send(req wire.Message, left *sync.WaitGroup) (uint32, chan muxResult, error) {
 	ch := make(chan muxResult, 1)
 	mc.mu.Lock()
 	if mc.err != nil {
@@ -252,6 +256,9 @@ func (mc *muxConn) send(req wire.Message) (uint32, chan muxResult, error) {
 	mc.mw.Enqueue(req, id, func(err error) { //nolint:errcheck // failure delivered via ch
 		if err != nil {
 			mc.resolve(id, muxResult{err: err})
+		}
+		if left != nil {
+			left.Done()
 		}
 	})
 	return id, ch, nil

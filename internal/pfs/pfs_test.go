@@ -25,10 +25,11 @@ type testCluster struct {
 // field is startCluster's choice.
 type clusterOpts struct {
 	nData  int
-	tcp    bool                   // TCP loopback instead of the in-process transport
-	store  func(i int) Store      // data server i's store; default MemStore
-	meta   func(Handler) Handler  // wraps the metadata server on the wire
-	client func(cc *ClientConfig) // last word on the client's configuration
+	tcp    bool                                      // TCP loopback instead of the in-process transport
+	net    func(transport.Network) transport.Network // wraps the transport (fault injection)
+	store  func(i int) Store                         // data server i's store; default MemStore
+	meta   func(Handler) Handler                     // wraps the metadata server on the wire
+	client func(cc *ClientConfig)                    // last word on the client's configuration
 }
 
 func startCluster(t *testing.T, nData int) *testCluster {
@@ -42,6 +43,9 @@ func startClusterWith(t *testing.T, o clusterOpts) *testCluster {
 	if o.tcp {
 		net = transport.TCP{}
 		listenAddr = func(string) string { return "127.0.0.1:0" }
+	}
+	if o.net != nil {
+		net = o.net(net)
 	}
 	meta, err := NewMetaServer(MetaConfig{NumDataServers: o.nData})
 	if err != nil {

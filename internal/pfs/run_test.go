@@ -68,6 +68,8 @@ func TestReadRunHolePastLocalEnd(t *testing.T) {
 // Unaligned reads, writes and overwrites over TCP, checked byte for byte
 // against a flat in-memory file. The chunk sizes cut the windows' requests
 // in the middle of stripes; the extent variant serves chunks by reference.
+// Write chunks of 10 000 bytes are encoded inline, those of 100 000 leave
+// by reference in one segment, and the default chunk's in several.
 func TestRandomOpsMatchFlatModel(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -75,9 +77,11 @@ func TestRandomOpsMatchFlatModel(t *testing.T) {
 		store    func(int) Store
 		chunk    int
 		maxOp    int
+		ops      int
 	}{
-		{"unreplicated-mem", 1, nil, 10_000, 150_000},
-		{"replicated-extent", 2, extentStores(t), 100_000, 600_000},
+		{"unreplicated-mem", 1, nil, 10_000, 150_000, 120},
+		{"replicated-extent", 2, extentStores(t), 100_000, 600_000, 120},
+		{"default-chunk-mem", 1, nil, 0, 2_000_000, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := startClusterWith(t, clusterOpts{nData: 3, tcp: true, store: tc.store,
@@ -88,7 +92,7 @@ func TestRandomOpsMatchFlatModel(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(tc.chunk)))
 			var model []byte
-			for op := 0; op < 120; op++ {
+			for op := 0; op < tc.ops; op++ {
 				off := rng.Intn(len(model) + 20_000)
 				n := 1 + rng.Intn(tc.maxOp)
 				if rng.Intn(3) > 0 { // write or overwrite, possibly leaving a hole

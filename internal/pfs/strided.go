@@ -1,12 +1,20 @@
 package pfs
 
+import (
+	"io"
+	"net"
+
+	"dosas/internal/wire"
+)
+
 // strided is one storage server's share of a caller buffer laid out in
 // file order. Under round-robin striping the bytes a server holds of a
 // contiguous file range are contiguous in its local stream but strided
 // in the caller's buffer: first bytes at buf[0], then piece-byte pieces
 // separated by skip bytes that belong to the other servers. The striping
-// client scatters read responses into, and gathers write requests out
-// of, such a view without an intermediate contiguous copy.
+// client scatters read responses into such a view, and sends write
+// requests out of one by reference, without an intermediate contiguous
+// copy.
 type strided struct {
 	buf   []byte // starts at the view's first byte
 	first int    // bytes in the first piece
@@ -56,11 +64,23 @@ func (v strided) clear() {
 	v.pieces(func(p []byte) { clear(p) })
 }
 
-// Len and AppendTo make a view a wire.BodySource: the WriteReq encoder
-// gathers the view's bytes straight into the frame.
-func (v strided) Len() int { return v.n }
+// Len, AppendRange, WriteRange and Close make a view the by-reference
+// body of a wire.WriteReq: the frame writers put the caller's own pieces
+// beside the frame header in one vectored write (AppendRange); the encoder
+// staging a small body inline has them written in turn (WriteRange).
+func (v strided) Len() int64   { return int64(v.n) }
+func (v strided) Close() error { return nil }
 
-func (v strided) AppendTo(dst []byte) []byte {
-	v.pieces(func(p []byte) { dst = append(dst, p...) })
-	return dst
+func (v strided) AppendRange(vecs net.Buffers, off, n int64) net.Buffers {
+	v.slice(int(off), int(n)).pieces(func(p []byte) { vecs = append(vecs, p) })
+	return vecs
+}
+
+func (v strided) WriteRange(w io.Writer, off, n int64, _ *wire.FrameStats) (err error) {
+	v.slice(int(off), int(n)).pieces(func(p []byte) {
+		if err == nil {
+			_, err = w.Write(p)
+		}
+	})
+	return err
 }

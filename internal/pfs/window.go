@@ -299,9 +299,10 @@ func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst strided, of
 	return recvd, nil
 }
 
-// writeStream runs the sliding write window over one stream; the frame
-// encoder gathers each chunk out of src (wire.WriteReq.Src). A short
-// write acknowledgement is an error (as in the serial path: degraded
+// writeStream runs the sliding write window over one stream; each chunk
+// travels by reference (wire.WriteReq.Payload), so its frame aliases the
+// caller's buffer until it has left the writer — which s.Release waits
+// for. A short write acknowledgement is an error (as in the serial path: degraded
 // partial writes would silently diverge replicas), but the remaining
 // in-flight responses are drained first so the connection stays poolable.
 func writeStream(s *Stream, handle uint64, src strided, off uint64, depth, chunk int, tenant string) (int, error) {
@@ -310,7 +311,7 @@ func writeStream(s *Stream, handle uint64, src strided, off uint64, depth, chunk
 	for acked < src.n {
 		for len(pending) < depth && sent < src.n {
 			n := min(chunk, src.n-sent)
-			req := &wire.WriteReq{Handle: handle, Offset: off + uint64(sent), Src: src.slice(sent, n), Tenant: tenant}
+			req := &wire.WriteReq{Handle: handle, Offset: off + uint64(sent), Payload: src.slice(sent, n), Tenant: tenant}
 			if err := s.Send(req); err != nil {
 				return acked, err
 			}

@@ -31,6 +31,10 @@ const (
 
 var bufPools [maxBufClass + 1]sync.Pool
 
+// boxes recycles the *[]byte headers the class pools hold (a sync.Pool
+// stores pointers), so that PutBuf does not allocate one per call.
+var boxes sync.Pool
+
 // bufClass returns the smallest class whose buffers hold n bytes.
 func bufClass(n int) int {
 	if n <= 1<<minBufClass {
@@ -48,7 +52,10 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := bufPools[c].Get(); v != nil {
-		b := *v.(*[]byte)
+		box := v.(*[]byte)
+		b := *box
+		*box = nil
+		boxes.Put(box)
 		return b[:n]
 	}
 	return make([]byte, n, 1<<c)
@@ -62,8 +69,12 @@ func PutBuf(b []byte) {
 	if c < 0 {
 		return
 	}
-	b = b[:cap(b)]
-	bufPools[c].Put(&b)
+	box, _ := boxes.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:cap(b)]
+	bufPools[c].Put(box)
 }
 
 // capClass returns the largest class a capacity of n fully covers, or -1

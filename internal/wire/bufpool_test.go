@@ -203,3 +203,15 @@ func TestWriteMessagePooledFrameIsCorrect(t *testing.T) {
 		}
 	}
 }
+
+// The pool itself does not allocate: a GetBuf/PutBuf cycle recycles the
+// header box along with the buffer.
+func TestBufPoolCycleDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	PutBuf(GetBuf(4 << 10)) // fill the class and the box pool
+	if n := testing.AllocsPerRun(200, func() { PutBuf(GetBuf(4 << 10)) }); n != 0 {
+		t.Fatalf("GetBuf/PutBuf cycle allocates %.1f times, want 0", n)
+	}
+}

@@ -462,17 +462,12 @@ type WriteReq struct {
 	// only when non-empty (see ReadReq.Tenant).
 	Tenant string
 
-	// Src is not part of the wire format. When set, the encoder gathers
-	// the body from it instead of Data — the sender's one copy from a
-	// buffer that is not contiguous into the frame. Receivers always
-	// decode into Data.
-	Src BodySource
-}
-
-// BodySource supplies a message body held in pieces.
-type BodySource interface {
-	Len() int
-	AppendTo(dst []byte) []byte // appends all Len() bytes
+	// Payload is not part of the wire format: when non-nil the body is
+	// sent from it by reference and Data is nil — the striping client's
+	// view of its caller's buffer, which the frame aliases until it has
+	// left the writer. The wire bytes are identical either way; receivers
+	// always decode into Data.
+	Payload Payload
 }
 
 func (*WriteReq) Type() MsgType { return MsgWriteReq }
@@ -480,17 +475,12 @@ func (*WriteReq) Type() MsgType { return MsgWriteReq }
 func (m *WriteReq) Encode(e *Encoder) {
 	e.PutU64(m.Handle)
 	e.PutU64(m.Offset)
-	if m.Src != nil {
-		e.PutU32(uint32(m.Src.Len()))
-		if e.err == nil {
-			e.buf = m.Src.AppendTo(e.buf)
-		}
+	if m.Payload != nil {
+		e.PutPayload(m.Payload) // inline fallback, as in ReadResp.Encode
 	} else {
 		e.PutBytes(m.Data)
 	}
-	if m.Tenant != "" {
-		e.PutString(m.Tenant)
-	}
+	m.encodePost(e)
 }
 
 func (m *WriteReq) Decode(d *Decoder) {
@@ -508,10 +498,28 @@ func (m *WriteReq) Own() { m.Data = detach(m.Data) }
 // encodedSizeHint sizes the frame buffer for the bulk payload.
 func (m *WriteReq) encodedSizeHint() int {
 	n := len(m.Data) + len(m.Tenant) + 28
-	if m.Src != nil {
-		n += m.Src.Len()
+	if m.Payload != nil {
+		n += int(m.Payload.Len())
 	}
 	return n
+}
+
+// bulkRef implements payloadCarrier: the body is Data or Payload.
+func (m *WriteReq) bulkRef() ([]byte, Payload) { return m.Data, m.Payload }
+
+// encodePre implements payloadCarrier: the address and the body's u32
+// length prefix.
+func (m *WriteReq) encodePre(e *Encoder, bodyLen int) {
+	e.PutU64(m.Handle)
+	e.PutU64(m.Offset)
+	e.PutU32(uint32(bodyLen))
+}
+
+// encodePost implements payloadCarrier: the optional tenant.
+func (m *WriteReq) encodePost(e *Encoder) {
+	if m.Tenant != "" {
+		e.PutString(m.Tenant)
+	}
 }
 
 // WriteResp acknowledges the number of bytes durably applied.

@@ -29,6 +29,7 @@ package wire
 // size class cost ~1.6 extra copies per received byte.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -49,6 +50,12 @@ const MuxVersion = 2
 const (
 	DefaultMuxSegment = 256 << 10
 	MinMuxSegment     = 4 << 10
+
+	// muxReadBuf sizes MuxReader's read buffer for one small frame — a
+	// 4 KiB body, its envelope and header — which so arrives in one read.
+	// Longer reads bypass the buffer: of a bulk segment only what was read
+	// along with its header, and a last read shorter than this, cross it.
+	muxReadBuf = 4<<10 + 128
 )
 
 // Priority classes. Control frames always jump the writer's queue; bulk
@@ -111,11 +118,12 @@ func ClassOf(t MsgType) uint8 {
 //
 // A by-reference frame (p != nil) instead keeps only the encoded head
 // and tail in buf — buf[muxHdrRoom:muxHdrRoom+pre] precedes the body,
-// the rest follows it — and streams the body from p segment by segment:
-// each segment's header (+ any head/tail overlap) goes out as one
-// vectored write, then the body range via the payload's sendfile or
-// staging-copy path. The frame's done callback, not finish, owns the
-// payload's Close (the data server's PostWrite hook).
+// the rest follows it — and moves the body from p segment by segment:
+// each segment's header, any head/tail overlap and a body range in memory
+// (memPayload) go out as one vectored write, a store-backed range after
+// it via the payload's sendfile or staging-copy path. The frame's done
+// callback, not finish, owns the payload (the data server's PostWrite
+// closes it; a client stream may reuse the memory behind it).
 type muxFrame struct {
 	t      MsgType
 	stream uint32
@@ -124,7 +132,7 @@ type muxFrame struct {
 	off    int    // payload bytes already written
 	done   func(error)
 
-	// By-reference body (zero-copy read path).
+	// By-reference body.
 	p    Payload
 	pre  int   // head bytes in buf after the header room
 	body int64 // p's length, snapshotted at enqueue
@@ -185,9 +193,10 @@ type MuxWriter struct {
 
 	// scratch holds the segment header of by-reference frames (their
 	// buf has no room for in-place clobbering); vecs is the reusable
-	// iovec list. Both are touched only by the write-token holder.
-	scratch [muxHdrRoom]byte
-	vecs    net.Buffers
+	// iovec list and out the list being written (see writev). All are
+	// touched only by the write-token holder.
+	scratch   [muxHdrRoom]byte
+	vecs, out net.Buffers
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -225,13 +234,15 @@ func NewMuxWriter(w io.Writer, segment int) *MuxWriter {
 func (mw *MuxWriter) Enqueue(m Message, stream uint32, done func(error)) error {
 	if pc, ok := m.(payloadCarrier); ok && !mw.Plain {
 		data, p := pc.bulkRef()
+		if p == nil && cancelFlagOf(pc) != nil {
+			// A body that may be withdrawn mid-frame goes by reference at
+			// any size: that writer zero-fills exactly the body's bytes.
+			p = memBytes(data)
+		} else if !worthRef(p) {
+			p = nil
+		}
 		if p != nil {
 			return mw.enqueueRef(pc, p, stream, done)
-		}
-		if cancelFlagOf(pc) != nil {
-			// Cancellable memory-backed bulk: record the body's offsets so
-			// a mid-frame cancel can zero exactly the body bytes.
-			return mw.enqueueData(pc, data, stream, done)
 		}
 	}
 	hint := 64
@@ -262,38 +273,7 @@ func (mw *MuxWriter) Enqueue(m Message, stream uint32, done func(error)) error {
 			mw.Stats.addCopied(int64(len(data)))
 		}
 	}
-	f := &muxFrame{t: m.Type(), stream: stream, class: ClassOf(m.Type()), buf: e.buf, done: done,
-		cancel: cancelFlagOf(m)}
-	return mw.submit(f)
-}
-
-// enqueueData queues a memory-backed bulk frame that may be withdrawn
-// mid-write. Unlike the generic path, the body's position inside the
-// buffer is recorded (pre/body), so writeSegments can zero-fill the
-// remaining body bytes on cancellation without clobbering the envelope
-// fields around them — the stream must stay decodable.
-func (mw *MuxWriter) enqueueData(pc payloadCarrier, data []byte, stream uint32, done func(error)) error {
-	var e Encoder
-	e.buf = GetBuf(64 + len(data))[:muxHdrRoom]
-	pc.encodePre(&e, len(data))
-	pre := len(e.buf) - muxHdrRoom
-	e.buf = append(e.buf, data...)
-	pc.encodePost(&e)
-	err := e.err
-	if err == nil && len(e.buf)-muxHdrRoom+muxOverhead > MaxFrameSize {
-		err = ErrFrameTooLarge
-	}
-	if err != nil {
-		PutBuf(e.buf)
-		if done != nil {
-			done(err)
-		}
-		return err
-	}
-	mw.Stats.addCopied(int64(len(data)))
-	f := &muxFrame{t: pc.Type(), stream: stream, class: ClassOf(pc.Type()),
-		buf: e.buf, done: done, pre: pre, body: int64(len(data)),
-		cancel: cancelFlagOf(pc)}
+	f := &muxFrame{t: m.Type(), stream: stream, class: ClassOf(m.Type()), buf: e.buf, done: done}
 	return mw.submit(f)
 }
 
@@ -425,14 +405,12 @@ func (mw *MuxWriter) drainLocked(inlineFor *muxFrame) error {
 		control := false
 		switch {
 		case len(mw.control) > 0:
-			f = mw.control[0]
-			mw.control = mw.control[1:]
+			f = popFrame(&mw.control)
 			control = true
 		case mw.cur != nil:
 			f = mw.cur
 		case len(mw.bulk) > 0 && (inlineFor == nil || mw.bulk[0] == inlineFor):
-			mw.cur = mw.bulk[0]
-			mw.bulk = mw.bulk[1:]
+			mw.cur = popFrame(&mw.bulk)
 			f = mw.cur
 		default:
 			return nil
@@ -470,6 +448,18 @@ func (mw *MuxWriter) drainLocked(inlineFor *muxFrame) error {
 		mw.mu.Lock()
 	}
 	return mw.err
+}
+
+// popFrame takes a lane's first frame, moving the rest down: lanes are a
+// few frames long, and one advanced with lane[1:] creeps along its array
+// and is reallocated every few frames.
+func popFrame(lane *[]*muxFrame) *muxFrame {
+	q := *lane
+	f := q[0]
+	n := copy(q, q[1:])
+	q[n] = nil
+	*lane = q[:n]
+	return f
 }
 
 // segHeader encodes the header of f's next segment, n payload bytes with
@@ -516,17 +506,6 @@ func (mw *MuxWriter) writeSegments(f *muxFrame, maxSegs int) (bool, error) {
 			continue
 		}
 		hdr := f.segHeader(f.buf[:muxHdrRoom+f.off], n, flags, total)
-		if cancelled(f.cancel) {
-			// Withdrawn mid-frame: the remaining segments still go out (the
-			// peer expects them) but the body bytes they carry are zeroed,
-			// segment by segment. The envelope fields around the body are
-			// left intact so the frame still decodes.
-			bs, be := max(f.off, f.pre), min(f.off+n, f.pre+int(f.body))
-			if be > bs {
-				clear(f.buf[muxHdrRoom+bs : muxHdrRoom+be])
-				mw.Stats.addCancelled(int64(be - bs))
-			}
-		}
 		at := muxHdrRoom + f.off
 		if _, err := mw.w.Write(f.buf[at-len(hdr) : at+n]); err != nil {
 			return false, err
@@ -540,11 +519,11 @@ func (mw *MuxWriter) writeSegments(f *muxFrame, maxSegs int) (bool, error) {
 }
 
 // writeRefSegment writes one n-byte segment of a by-reference frame
-// starting at logical payload offset f.off. The segment header and any
-// head/tail bytes it covers are coalesced into one vectored write; the
-// body range streams through the payload (sendfile on TCP, pooled copy
-// elsewhere). The caller holds the write token, so scratch and vecs are
-// exclusively ours.
+// starting at logical payload offset f.off: the segment header, any
+// head/tail bytes it covers and a body range in memory as one vectored
+// write; a store-backed or withdrawn body range after the header, through
+// the payload (sendfile on TCP, pooled copy elsewhere) or as zeros. The
+// caller holds the write token, so scratch and vecs are exclusively ours.
 func (mw *MuxWriter) writeRefSegment(f *muxFrame, n int, flags uint8, total int) error {
 	hdr := f.segHeader(mw.scratch[:], n, flags, total)
 
@@ -559,21 +538,22 @@ func (mw *MuxWriter) writeRefSegment(f *muxFrame, n int, flags uint8, total int)
 		ts := max(off, bodyEnd) - bodyEnd
 		tail = f.buf[muxHdrRoom+f.pre+ts : muxHdrRoom+f.pre+(end-bodyEnd)]
 	}
-	bs, be := max(off, f.pre)-f.pre, min(end, bodyEnd)-f.pre
-	if be > bs {
+	bs, be := int64(max(off, f.pre)-f.pre), int64(min(end, bodyEnd)-f.pre)
+	if mp, mem := f.p.(memPayload); be > bs && mem && !cancelled(f.cancel) {
+		bufs = mp.AppendRange(bufs, bs, be-bs)
+	} else if be > bs {
 		// Flush header (+ head overlap) first, then stream the body.
-		if _, err := bufs.WriteTo(mw.w); err != nil {
+		if err := mw.writev(bufs); err != nil {
 			return err
 		}
-		mw.Stats.addWritev(1)
 		if cancelled(f.cancel) {
 			// Withdrawn mid-frame: the segment's body range goes out as
 			// zeros instead of touching the store.
-			mw.Stats.addCancelled(int64(be - bs))
-			if err := writeZeros(mw.w, int64(be-bs), mw.Stats); err != nil {
+			mw.Stats.addCancelled(be - bs)
+			if err := writeZeros(mw.w, be-bs, mw.Stats); err != nil {
 				return err
 			}
-		} else if err := f.p.WriteRange(mw.w, int64(bs), int64(be-bs), mw.Stats); err != nil {
+		} else if err := f.p.WriteRange(mw.w, bs, be-bs, mw.Stats); err != nil {
 			return err
 		}
 		if len(tail) > 0 {
@@ -586,7 +566,15 @@ func (mw *MuxWriter) writeRefSegment(f *muxFrame, n int, flags uint8, total int)
 	if len(tail) > 0 {
 		bufs = append(bufs, tail)
 	}
-	_, err := bufs.WriteTo(mw.w)
+	return mw.writev(bufs)
+}
+
+// writev writes bufs, a list built on vecs, in one vectored write (one
+// Write per element on a writer that has none): through a field, for a
+// local's address would escape. vecs keeps an array the list outgrew.
+func (mw *MuxWriter) writev(bufs net.Buffers) error {
+	mw.vecs, mw.out = bufs[:0], bufs
+	_, err := mw.out.WriteTo(mw.w)
 	mw.Stats.addWritev(1)
 	return err
 }
@@ -607,6 +595,9 @@ func (mw *MuxWriter) die(err error) {
 		mw.err = err
 	}
 	control, bulk := mw.control, mw.bulk
+	if mw.cur != nil {
+		bulk = append(bulk, mw.cur) // half-written behind the control frame that failed
+	}
 	mw.control, mw.bulk, mw.cur = nil, nil, nil
 	mw.cond.Broadcast()
 	mw.mu.Unlock()
@@ -643,14 +634,14 @@ type muxAsm struct {
 // MuxReader reassembles mux frames from one connection. Not safe for
 // concurrent use (one demux goroutine per connection owns it).
 type MuxReader struct {
-	r         io.Reader
+	r         *bufio.Reader
 	asm       map[uint32]*muxAsm
 	announced int // sum of the assembling streams' totals
 }
 
 // NewMuxReader returns a reader decoding mux frames from r.
 func NewMuxReader(r io.Reader) *MuxReader {
-	return &MuxReader{r: r, asm: make(map[uint32]*muxAsm)}
+	return &MuxReader{r: bufio.NewReaderSize(r, muxReadBuf), asm: make(map[uint32]*muxAsm)}
 }
 
 // Read returns the next complete message, transparently reassembling

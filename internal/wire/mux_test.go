@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 // pumpWriter hands each Write (one mux segment) to the test over an
@@ -80,6 +81,38 @@ func appendSeg(b []byte, t MsgType, stream uint32, payload []byte, more bool, to
 		b = binary.LittleEndian.AppendUint32(b, uint32(total))
 	}
 	return append(b, payload...)
+}
+
+// Writing a small frame on an idle writer costs its encoder and muxFrame and nothing
+// else: the lanes keep their arrays (popping used to advance them until
+// append reallocated) and the encode buffer is pooled.
+func TestMuxWriterIdleEnqueueKeepsLanes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	mw := NewMuxWriter(io.Discard, DefaultMuxSegment)
+	defer mw.Close()
+	enqueue := func() {
+		if err := mw.Enqueue(&Ping{Seq: 1}, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := mw.Enqueue(&ReadReq{Handle: 1, Length: 4 << 10}, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enqueue()
+	lanes := func() [2]int {
+		mw.mu.Lock()
+		defer mw.mu.Unlock()
+		return [2]int{cap(mw.control), cap(mw.bulk)}
+	}
+	before := lanes()
+	if n := testing.AllocsPerRun(200, enqueue); n != 6 {
+		t.Errorf("a control and a bulk frame allocate %.2f times, want 6 (a message, its encoder and a muxFrame each)", n)
+	}
+	if after := lanes(); after != before || before[0] == 0 || before[1] == 0 {
+		t.Errorf("lane capacities went from %v to %v", before, after)
+	}
 }
 
 // A bulk message larger than one segment must be cut into ≤segment
@@ -314,6 +347,50 @@ func TestMuxWriterFailsPendingOnError(t *testing.T) {
 	}
 }
 
+// gatedWriter fails the write after the n-th, which it holds until told.
+type gatedWriter struct {
+	n       int
+	reached chan struct{} // closed when the n-th write arrives
+	release chan struct{}
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	switch w.n--; {
+	case w.n > 0:
+		return len(p), nil
+	case w.n == 0:
+		close(w.reached)
+		<-w.release
+		return len(p), nil
+	}
+	return 0, errors.New("wire gone")
+}
+
+// A control frame that fails between two segments of a bulk frame fails
+// that frame too: its done fires, although it is neither the frame whose
+// write failed nor one still in a lane. A sender that lent the frame its
+// memory waits for exactly that.
+func TestMuxWriterFailsHalfWrittenBulk(t *testing.T) {
+	w := &gatedWriter{n: 2, reached: make(chan struct{}), release: make(chan struct{})}
+	mw := NewMuxWriter(w, MinMuxSegment)
+	bulk, control := make(chan error, 1), make(chan error, 1)
+	go mw.Enqueue(&ReadResp{Data: make([]byte, 8*MinMuxSegment)}, 1, func(err error) { bulk <- err }) //nolint:errcheck // reported to done
+	<-w.reached                                                                                       // in the bulk frame's second segment
+	mw.Enqueue(&Ping{Seq: 1}, 2, func(err error) { control <- err })                                  //nolint:errcheck // reported to done
+	close(w.release)
+	for name, done := range map[string]chan error{"control": control, "half-written bulk": bulk} {
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s frame reported written on a dead writer", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s frame's done never fired", name)
+		}
+	}
+	mw.Close()
+}
+
 // Fuzz the envelope itself: any payload, cut into arbitrary segment sizes
 // (hand-built frames, not MuxWriter, so cuts smaller than MinMuxSegment
 // are covered), must reassemble to the original message.
@@ -433,22 +510,23 @@ func TestMuxReaderTypeChangeMidStream(t *testing.T) {
 	}
 }
 
-// addrReader records where every payload-sized Read lands.
+// addrReader records where every Read landed and how many bytes it got.
 type addrReader struct {
 	r     io.Reader
 	dests [][]byte
 }
 
 func (a *addrReader) Read(p []byte) (int, error) {
-	if len(p) > muxHdrRoom {
-		a.dests = append(a.dests, p)
-	}
-	return a.r.Read(p)
+	n, err := a.r.Read(p)
+	a.dests = append(a.dests, p[:n])
+	return n, err
 }
 
 // A 16-segment 4 MiB message is assembled in one buffer taken at the
-// announced size: every segment is read from the connection straight into
-// the buffer the message is returned in, so nothing was grow-copied.
+// announced size, never grown and re-copied: every read longer than the
+// reader's small-frame buffer lands in the returned buffer, in place and
+// in order, and what came through that buffer — each segment's header and
+// the bytes that arrived with it — is less than a small frame per segment.
 func TestMuxReaderAssemblesInOneBuffer(t *testing.T) {
 	data := make([]byte, 4<<20)
 	rand.New(rand.NewSource(3)).Read(data)
@@ -470,21 +548,70 @@ func TestMuxReaderAssemblesInOneBuffer(t *testing.T) {
 	if got := f.Msg.(*ReadResp).Data; !bytes.Equal(got, data) {
 		t.Fatal("reassembled message corrupted")
 	}
-	if len(ar.dests) != 16 {
-		t.Fatalf("message arrived in %d segments, want 16", len(ar.dests))
-	}
 	if cap(f.Buf) != 8<<20 {
 		t.Fatalf("assembly buffer has capacity %d, want the announced total's size class (8 MiB)", cap(f.Buf))
 	}
-	at := 0
+	const segments = 16
+	at, direct, staged := 0, 0, 0
 	for i, d := range ar.dests {
-		if &d[0] != &f.Buf[at] {
-			t.Fatalf("segment %d was read outside the returned buffer (or out of place): a copy moved it", i)
+		if len(d) <= muxReadBuf {
+			staged += len(d)
+			continue
 		}
-		at += len(d)
+		in := int(uintptr(unsafe.Pointer(&d[0])) - uintptr(unsafe.Pointer(&f.Buf[0])))
+		if in < at || in+len(d) > len(f.Buf) {
+			t.Fatalf("read %d (%d bytes) landed at %d of the returned buffer after %d, or outside it: a copy moved it", i, len(d), in, at)
+		}
+		at = in + len(d)
+		direct += len(d)
 	}
-	if at != len(f.Buf) {
-		t.Fatalf("segments cover %d of %d bytes", at, len(f.Buf))
+	if staged > segments*muxReadBuf || direct < len(f.Buf)-segments*muxReadBuf {
+		t.Fatalf("%d bytes read in place and %d through the read buffer, want at most %d (one small frame a segment) staged",
+			direct, staged, segments*muxReadBuf)
+	}
+}
+
+// A small frame — header, envelope and a 4 KiB body — arrives in one read
+// of the connection, and frames sent back to back take no more reads than
+// there are frames.
+func TestMuxReaderSmallFrameIsOneRead(t *testing.T) {
+	msgs := []Message{
+		&ReadResp{Data: bytes.Repeat([]byte{5}, 4<<10), EOF: true},
+		&WriteReq{Handle: 1, Offset: 2, Data: bytes.Repeat([]byte{6}, 4<<10), Tenant: "a-tenant-of-some-length"},
+		&WriteResp{N: 4 << 10},
+	}
+	var all bytes.Buffer
+	for i, m := range msgs {
+		var one bytes.Buffer
+		mw := NewMuxWriter(io.MultiWriter(&one, &all), DefaultMuxSegment)
+		if err := mw.Enqueue(m, uint32(i+1), nil); err != nil {
+			t.Fatal(err)
+		}
+		mw.Close()
+		ar := &addrReader{r: &one}
+		mr := NewMuxReader(ar)
+		f, err := mr.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutBuf(f.Buf)
+		mr.Close()
+		if len(ar.dests) != 1 {
+			t.Errorf("%v: %d-byte frame took %d reads, want 1", m.Type(), len(ar.dests[0]), len(ar.dests))
+		}
+	}
+	ar := &addrReader{r: &all}
+	mr := NewMuxReader(ar)
+	defer mr.Close()
+	for range msgs {
+		f, err := mr.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutBuf(f.Buf)
+	}
+	if len(ar.dests) > len(msgs) {
+		t.Errorf("%d small frames back to back took %d reads", len(msgs), len(ar.dests))
 	}
 }
 

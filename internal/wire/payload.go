@@ -139,6 +139,42 @@ type payloadCarrier interface {
 // below it the inline encode copy is cheaper than assembling iovecs.
 const vectoredMin = 16 << 10
 
+// memPayload is a Payload whose bytes are already in memory: the
+// client's write buffer seen through a striping view, or a response's
+// Data. The frame writers put the pieces holding a range beside the frame
+// header in one vectored write, so the body leaves the sender without a
+// user-space copy — and aliases its creator's memory until the frame has
+// been written or has failed.
+type memPayload interface {
+	Payload
+	// AppendRange appends the pieces holding payload bytes [off, off+n).
+	AppendRange(vecs net.Buffers, off, n int64) net.Buffers
+}
+
+// worthRef reports whether the frame writers move p by reference: always
+// from a store, from memory only at vectoredMin and above.
+func worthRef(p Payload) bool {
+	if _, mem := p.(memPayload); mem {
+		return p.Len() >= vectoredMin
+	}
+	return p != nil
+}
+
+// memBytes is a message's contiguous Data as a memPayload.
+type memBytes []byte
+
+func (b memBytes) Len() int64   { return int64(len(b)) }
+func (b memBytes) Close() error { return nil }
+
+func (b memBytes) AppendRange(vecs net.Buffers, off, n int64) net.Buffers {
+	return append(vecs, b[off:off+n])
+}
+
+func (b memBytes) WriteRange(w io.Writer, off, n int64, _ *FrameStats) error {
+	_, err := w.Write(b[off : off+n])
+	return err
+}
+
 // errPayloadRange is returned by WriteRange for out-of-bounds requests.
 var errPayloadRange = errors.New("wire: payload range out of bounds")
 

@@ -228,11 +228,12 @@ func WriteMessage(w io.Writer, m Message) error {
 }
 
 // WriteMessageOpts is WriteMessage with a by-reference fast path for
-// bulk bodies (payloadCarrier messages): a by-reference Payload is
+// bulk bodies (payloadCarrier messages): a store-backed Payload is
 // streamed between the encoded frame head and tail — sendfile(2) on TCP,
-// a pooled staging copy elsewhere — and a memory-backed body of at least
-// vectoredMin bytes is coalesced with its head and tail in one vectored
-// write (net.Buffers), skipping the encode copy. Either way the bytes on
+// a pooled staging copy elsewhere — and a body in memory (Data, or a
+// Payload over the caller's buffer) of at least vectoredMin bytes is
+// coalesced with its head and tail in one vectored write (net.Buffers),
+// skipping the encode copy. Either way the bytes on
 // the wire are identical to the classic framing, so the receiving side
 // is unchanged. Errors after the frame head has been written leave the
 // connection mid-frame and must be treated as fatal by the caller (they
@@ -241,8 +242,11 @@ func WriteMessageOpts(w io.Writer, m Message, o WriteOptions) error {
 	var carrier payloadCarrier
 	if pc, ok := m.(payloadCarrier); ok {
 		data, p := pc.bulkRef()
-		if !o.Plain && (p != nil || len(data) >= vectoredMin) {
-			return writeCarrierFrame(w, pc, data, p, o.Stats)
+		if p == nil && !o.Plain && len(data) >= vectoredMin {
+			p = memBytes(data)
+		}
+		if !o.Plain && worthRef(p) {
+			return writeCarrierFrame(w, pc, p, o.Stats)
 		}
 		carrier = pc
 	}
@@ -278,16 +282,11 @@ func WriteMessageOpts(w io.Writer, m Message, o WriteOptions) error {
 	return err
 }
 
-// writeCarrierFrame writes one frame whose bulk body travels by
+// writeCarrierFrame writes one frame whose bulk body p travels by
 // reference. The head (frame header + everything before the body) and
 // tail (everything after) are encoded into one small pooled buffer.
-func writeCarrierFrame(w io.Writer, pc payloadCarrier, data []byte, p Payload, st *FrameStats) error {
-	var body int64
-	if p != nil {
-		body = p.Len()
-	} else {
-		body = int64(len(data))
-	}
+func writeCarrierFrame(w io.Writer, pc payloadCarrier, p Payload, st *FrameStats) error {
+	body := p.Len()
 	var e Encoder
 	e.buf = GetBuf(64)[:6]
 	pc.encodePre(&e, int(body))
@@ -307,43 +306,33 @@ func writeCarrierFrame(w io.Writer, pc payloadCarrier, data []byte, p Payload, s
 	head, tail := e.buf[:pre], e.buf[pre:]
 	flag := cancelFlagOf(pc)
 	var err error
-	if p != nil {
-		if _, err = w.Write(head); err == nil {
-			// Stream the body in bounded slices, polling the cancel flag
-			// between them: a withdrawn read stops hitting the store and
-			// zero-fills the rest of the frame (its length is committed).
-			for off := int64(0); off < body && err == nil; {
-				if cancelled(flag) {
-					st.addCancelled(body - off)
-					err = writeZeros(w, body-off, st)
-					break
-				}
-				k := min(body-off, carrierSegment)
-				err = p.WriteRange(w, off, k, st)
-				off += k
-			}
-		}
-		if err == nil && len(tail) > 0 {
-			_, err = w.Write(tail)
-		}
-	} else if cancelled(flag) {
-		// Memory-backed body already cancelled: the bytes are in hand, but
-		// zero-fill anyway so the receiver can never act on a withdrawn
-		// read's data and accounting sees the cancellation.
-		st.addCancelled(body)
-		if _, err = w.Write(head); err == nil {
-			err = writeZeros(w, body, st)
-		}
-		if err == nil && len(tail) > 0 {
-			_, err = w.Write(tail)
-		}
-	} else {
-		bufs := net.Buffers{head, data}
+	if mp, mem := p.(memPayload); mem && !cancelled(flag) {
+		// In memory: head, the body's pieces and tail in one vectored write.
+		bufs := mp.AppendRange(net.Buffers{head}, 0, body)
 		if len(tail) > 0 {
 			bufs = append(bufs, tail)
 		}
 		_, err = bufs.WriteTo(w)
 		st.addWritev(1)
+	} else if _, err = w.Write(head); err == nil {
+		// Stream the body in bounded slices, polling the cancel flag
+		// between them: a withdrawn read stops hitting the store and
+		// zero-fills the rest of the frame (its length is committed) — a
+		// body in memory too, so the receiver can never act on a
+		// withdrawn read's data and accounting sees the cancellation.
+		for off := int64(0); off < body && err == nil; {
+			if cancelled(flag) {
+				st.addCancelled(body - off)
+				err = writeZeros(w, body-off, st)
+				break
+			}
+			k := min(body-off, carrierSegment)
+			err = p.WriteRange(w, off, k, st)
+			off += k
+		}
+		if err == nil && len(tail) > 0 {
+			_, err = w.Write(tail)
+		}
 	}
 	PutBuf(e.buf)
 	return err

@@ -136,10 +136,14 @@ func TestQueryStepAndAggregate(t *testing.T) {
 		TelemetryTick: 2 * time.Millisecond,
 		ArchiveDir:    t.TempDir(),
 	})
-	waitArchived(t, c, "runtime.goroutines", 20)
+	waitArchived(t, c, "runtime.goroutines", 100) // 200 ms: complete steps behind the one in progress
 
+	// Both sweeps end at the same instant, the start of the last complete
+	// step but one: the newest bucket is still filling, and would hold one
+	// node's sample in one sweep and all three nodes' in the other.
 	step := 50 * time.Millisecond
-	res, err := c.Query(dosas.RangeQuery{Name: "runtime.goroutines", Step: step, Agg: "sum"})
+	until := time.Now().Truncate(step).Add(-step - 1)
+	res, err := c.Query(dosas.RangeQuery{Name: "runtime.goroutines", Until: until, Step: step, Agg: "sum"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,19 +156,36 @@ func TestQueryStepAndAggregate(t *testing.T) {
 		}
 	}
 	// Every node runs at least one goroutine, so the cluster sum must
-	// strictly exceed any single node's value in a shared bucket.
-	maxRes, err := c.Query(dosas.RangeQuery{Name: "runtime.goroutines", Step: step, Agg: "max"})
+	// strictly exceed any single node's value in a bucket every node
+	// reported in.
+	maxRes, err := c.Query(dosas.RangeQuery{Name: "runtime.goroutines", Until: until, Step: step, Agg: "max"})
 	if err != nil {
 		t.Fatal(err)
+	}
+	reporting := map[int64]int{}
+	for _, r := range []dosas.QueryResult{res, maxRes} {
+		for _, n := range r.Nodes {
+			for _, p := range n.Points {
+				reporting[p.UnixNano]++
+			}
+		}
 	}
 	maxAt := map[int64]float64{}
 	for _, p := range maxRes.Aggregated {
 		maxAt[p.UnixNano] = p.Value
 	}
+	compared := 0
 	for _, p := range res.Aggregated {
-		if m, ok := maxAt[p.UnixNano]; ok && p.Value <= m {
-			t.Fatalf("sum %v at %d not above per-node max %v (3 nodes reporting)", p.Value, p.UnixNano, m)
+		if reporting[p.UnixNano] != 2*len(res.Nodes) {
+			continue // a node started later, or pruned earlier, than the others
 		}
+		compared++
+		if m := maxAt[p.UnixNano]; p.Value <= m {
+			t.Fatalf("sum %v at %d not above per-node max %v (%d nodes reporting)", p.Value, p.UnixNano, m, len(res.Nodes))
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no bucket that every node reported in")
 	}
 
 	// Node restriction keeps the sweep to one archive.
