@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke check bench bench-suite bench-compare bench-readpath bench-telemetry bench-mux bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke check bench bench-vet bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper clean
 
 all: check
 
@@ -94,7 +94,7 @@ race-tsdb:
 # Focused race gate for the tail-latency isolation plane: the QoS gate's
 # dispatcher binds WDRR elections to slots while cancels withdraw queued
 # tickets, the cancel registry races CancelReqs against registration and
-# both framings' mid-frame zero-fill, and hedged reads race two replica
+# the mid-frame zero-fill, and hedged reads race two replica
 # streams (plus server death) over one destination buffer — a server's
 # strided run of it, with the hedge's winner scattered out of scratch
 # (TestHedgeWinnerScattersIntoRun) and holes zero-filled per run. The
@@ -121,7 +121,13 @@ replay-determinism:
 	cmp /tmp/dosas-replay-a.json /tmp/dosas-replay-b.json
 	@echo "replay-determinism: OK (byte-identical reports)"
 
-check: vet race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
+# The benchmark is its own module (bench/go.mod), which `go build ./...` and
+# `go vet ./...` at the root do not compile; this does, under run.sh's
+# environment, so that a change to what bench/ imports breaks here first.
+bench-vet:
+	GOWORK=off GOFLAGS=-buildvcs=false $(GO) -C bench vet ./...
+
+check: vet bench-vet race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 
 # Data-path microbenchmarks (fixed iteration count so runs compare
 # across commits) plus the window-vs-serial matrix (writes BENCH_pr2.json).
@@ -140,22 +146,11 @@ bench-suite:
 bench-compare:
 	sh bench/run.sh -compare bench/BENCH.baseline.json bench/out/BENCH.json
 
-# Zero-copy serving A/B: user-space copies per served byte for sendbuf
-# vs writev vs sendfile serving (writes BENCH_readpath_zerocopy.json).
-bench-readpath:
-	$(GO) run ./cmd/dosas-bench -exp readpath-zerocopy
-
 # Telemetry overhead: active read path with samplers off, at the default
 # 100ms tick, and at a pathological 1ms tick. The acceptance bar is <1%
 # delta between Off and On.
 bench-telemetry:
 	$(GO) test . -run '^$$' -bench ReadPathTelemetry -benchtime 50x
-
-# Control-message latency under bulk load, multiplexed vs ordered
-# framing, plus the bulk-throughput no-regression check (writes
-# BENCH_mux.json).
-bench-mux:
-	$(GO) run ./cmd/dosas-bench -exp mux
 
 # Tenant attribution under contention: aggressor/victim queue-wait
 # split, the noisy-neighbor alert, and the attribution plane's A/B
@@ -183,4 +178,4 @@ bench-paper:
 
 clean:
 	$(GO) clean ./...
-	rm -f BENCH_*.json
+	rm -rf .bench_build bench/out

@@ -153,10 +153,6 @@ type Options struct {
 	// top. Zero takes telemetry.DefaultInterval (100 ms); negative
 	// disables node telemetry entirely.
 	TelemetryTick time.Duration
-	// DisableMux makes every server decline the connection-multiplexing
-	// handshake, pinning all RPC to the ordered per-exchange mode
-	// (emulates a pre-mux deployment; used by A/B benchmarks).
-	DisableMux bool
 	// SLORules are the alert rules every node's SLO engine evaluates on
 	// its telemetry tick. Nil takes DefaultSLORules; engines are only
 	// built when node telemetry is enabled (TelemetryTick >= 0).
@@ -407,7 +403,6 @@ func StartCluster(o Options) (*Cluster, error) {
 		return nil, err
 	}
 	ms := pfs.NewServer(ml, meta)
-	ms.SetMux(!o.DisableMux)
 	ms.Start()
 	c.servers = append(c.servers, ms)
 	c.metaAddr = ms.Addr()
@@ -524,7 +519,6 @@ func StartCluster(o Options) (*Cluster, error) {
 			return nil, err
 		}
 		srv := pfs.NewServer(dl, ds)
-		srv.SetMux(!o.DisableMux)
 		srv.SetFrameStats(ds.WireStats())
 		if o.PlainReadPath {
 			ds.SetZeroCopy(false)
@@ -728,9 +722,6 @@ type ClientOptions struct {
 	SlowDirBytes int64
 	// FlightCapacity bounds the slow-request journal (default 16).
 	FlightCapacity int
-	// DisableMux pins the client's pool to ordered per-exchange
-	// connections instead of negotiating multiplexing with the servers.
-	DisableMux bool
 	// HedgeAfter enables hedged reads on replicated files: one server's
 	// share of a read still unanswered after this delay is duplicated to
 	// the next-best replica and the loser is cancelled. Used as the fallback trigger
@@ -747,7 +738,7 @@ func Connect(o ClientOptions) (*FS, error) {
 func connect(net transport.Network, metaAddr string, dataAddrs []string, o ClientOptions) (*FS, error) {
 	pc, err := pfs.NewClient(pfs.ClientConfig{
 		Net: net, MetaAddr: metaAddr, DataAddrs: dataAddrs, WindowDepth: o.WindowDepth, TransferChunk: o.TransferChunk,
-		DisableMux: o.DisableMux, Tenant: o.Tenant, HedgeAfter: o.HedgeAfter,
+		Tenant: o.Tenant, HedgeAfter: o.HedgeAfter,
 	})
 	if err != nil {
 		return nil, err

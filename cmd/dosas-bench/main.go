@@ -25,13 +25,8 @@
 //	trace     trace-driven multi-application mixed stream
 //	live      live-mode TS/AS/DOSAS on a real in-process cluster
 //	ce-period live ablation: Contention Estimator responsiveness
-//	readpath  pipelined read path, window vs serial (writes BENCH_pr2.json),
-//	          then the zero-copy serving matrix (see readpath-zerocopy)
-//	readpath-zerocopy
-//	          user-space copies per served byte: sendbuf vs writev vs
-//	          sendfile (writes BENCH_readpath_zerocopy.json)
+//	readpath  pipelined read path, window vs serial (writes BENCH_pr2.json)
 //	whatif    counterfactual replay of a live decision log (writes BENCH_whatif.json)
-//	mux       control-message latency under bulk load, mux vs ordered (writes BENCH_mux.json)
 //	noisy-neighbor
 //	          per-tenant attribution: an aggressor tenant storms one node
 //	          while a victim trickles; checks the queue-wait attribution,
@@ -117,23 +112,21 @@ func main() {
 		"fig10": func() {
 			executionFigure("Figure 10: DOSAS vs AS vs TS, 1 GB/request", "gaussian2d", 1024*sim.MB, sim.PaperSchemes)
 		},
-		"fig11":             func() { bandwidthFigure("Figure 11: achieved bandwidth, 256 MB/request", 256*sim.MB) },
-		"fig12":             func() { bandwidthFigure("Figure 12: achieved bandwidth, 512 MB/request", 512*sim.MB) },
-		"solvers":           solvers,
-		"migrate":           migrate,
-		"mixed":             mixed,
-		"skew":              skew,
-		"trace":             trace,
-		"live":              live,
-		"ce-period":         cePeriod,
-		"readpath":          readPath,
-		"readpath-zerocopy": readPathZeroCopy,
-		"whatif":            whatif,
-		"mux":               muxExp,
-		"noisy-neighbor":    noisyNeighbor,
-		"archive":           archiveExp,
-		"qos-isolation":     qosIsolation,
-		"straggler":         stragglerExp,
+		"fig11":          func() { bandwidthFigure("Figure 11: achieved bandwidth, 256 MB/request", 256*sim.MB) },
+		"fig12":          func() { bandwidthFigure("Figure 12: achieved bandwidth, 512 MB/request", 512*sim.MB) },
+		"solvers":        solvers,
+		"migrate":        migrate,
+		"mixed":          mixed,
+		"skew":           skew,
+		"trace":          trace,
+		"live":           live,
+		"ce-period":      cePeriod,
+		"readpath":       readPath,
+		"whatif":         whatif,
+		"noisy-neighbor": noisyNeighbor,
+		"archive":        archiveExp,
+		"qos-isolation":  qosIsolation,
+		"straggler":      stragglerExp,
 	}
 	order := []string{"table3", "fig2", "fig5", "fig6", "table4",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
@@ -843,9 +836,4 @@ func readPath() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwrote window-vs-serial matrix to %s\n", out)
-
-	// The companion measurement: with the pipelining settled, how many
-	// user-space copies does each served byte still pay?
-	fmt.Println()
-	readPathZeroCopy()
 }

@@ -120,7 +120,6 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := pfs.NewServer(l, meta)
-	srv.SetMux(!common.NoMux)
 	events.Info("meta", "serving namespace",
 		"addr", srv.Addr(), "data_servers", fmt.Sprint(*nData), "journal", *journal)
 

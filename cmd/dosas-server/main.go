@@ -226,7 +226,6 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := pfs.NewServer(l, ds)
-	srv.SetMux(!common.NoMux)
 	srv.SetFrameStats(ds.WireStats())
 	switch *readPath {
 	case "zerocopy":

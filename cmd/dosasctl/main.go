@@ -72,19 +72,6 @@ import (
 	"dosas/internal/wire"
 )
 
-// ctlNoMux mirrors the -no-mux flag for the subcommands that build their
-// own raw pools (stats, trace, probe) rather than a full client.
-var ctlNoMux bool
-
-// newCtlPool builds a TCP connection pool honouring -no-mux.
-func newCtlPool() *pfs.Pool {
-	pool := pfs.NewPool(transport.TCP{})
-	if ctlNoMux {
-		pool.DisableMux()
-	}
-	return pool
-}
-
 func usageExit() {
 	fmt.Fprintln(os.Stderr, "usage: dosasctl -meta ADDR -data ADDR[,ADDR...] [-scheme dosas|as|ts] COMMAND ...")
 	fmt.Fprintln(os.Stderr, "commands: ls, stat, put, get, rm, readex, fsck, repair, ops, calibrate, probe, stats, trace, health, alerts, events, top, query, report, tenants, slow, explain, whatif, audit")
@@ -105,7 +92,6 @@ func main() {
 	common.RegisterBase(flag.CommandLine)
 	common.RegisterHedge(flag.CommandLine)
 	flag.Parse()
-	ctlNoMux = common.NoMux
 	if _, err := common.ServeDebug(nil); err != nil {
 		log.Fatal(err)
 	}
@@ -172,7 +158,7 @@ func main() {
 			if *data == "" || len(addrs) == 0 {
 				log.Fatal("need -data with at least one storage server address (or -log FILE)")
 			}
-			fs, err := dosas.Connect(dosas.ClientOptions{MetaAddr: *meta, DataAddrs: addrs, Scheme: scheme, Tenant: *tenantID, DisableMux: ctlNoMux})
+			fs, err := dosas.Connect(dosas.ClientOptions{MetaAddr: *meta, DataAddrs: addrs, Scheme: scheme, Tenant: *tenantID})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -192,7 +178,6 @@ func main() {
 		Tenant:        *tenantID,
 		SlowThreshold: *slowThreshold,
 		SlowDir:       *slowDir,
-		DisableMux:    ctlNoMux,
 		HedgeAfter:    common.HedgeAfter,
 	})
 	if err != nil {
@@ -499,7 +484,7 @@ func printReport(rep *dosas.VerifyReport) {
 // statsAll dumps every node's metric snapshot, human-readable or as one
 // JSON object keyed by node name.
 func statsAll(meta string, dataAddrs []string, asJSON bool) {
-	pool := newCtlPool()
+	pool := pfs.NewPool(transport.TCP{})
 	defer pool.Close()
 	type nodeStats struct {
 		Addr  string          `json:"addr"`
@@ -581,7 +566,7 @@ func printSnapshot(s dosas.StatsSnapshot) {
 // prints the stitched cross-node timeline. The ID is tried first as a
 // wire-level request id, then as a distributed trace id.
 func traceOne(dataAddrs []string, id uint64) {
-	pool := newCtlPool()
+	pool := pfs.NewPool(transport.TCP{})
 	defer pool.Close()
 	fetch := func(req *wire.TraceFetchReq) []dosas.TraceEvent {
 		var sets [][]dosas.TraceEvent
@@ -808,7 +793,7 @@ func sparkline(s dosas.Series, width int) string {
 
 // probeAll dumps every storage node's estimator snapshot.
 func probeAll(meta string, dataAddrs []string) {
-	pool := newCtlPool()
+	pool := pfs.NewPool(transport.TCP{})
 	defer pool.Close()
 	if _, err := pool.Call(meta, &wire.Ping{Seq: 1}); err != nil {
 		log.Printf("meta %s: unreachable: %v", meta, err)

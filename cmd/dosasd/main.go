@@ -89,7 +89,6 @@ func main() {
 		StoreSync:       *fsync,
 		PlainReadPath:   *readPath == "copy",
 		TelemetryTick:   common.TelemetryTick,
-		DisableMux:      common.NoMux,
 		SLORules:        rules,
 		EventCapacity:   common.EventCapacity,
 		EventMirror:     os.Stderr,

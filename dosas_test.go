@@ -592,46 +592,41 @@ func TestCalibrateProducesPositiveRate(t *testing.T) {
 	}
 }
 
-// TestPublicZeroCopyReadPath reads a disk-backed file over real TCP under
-// both framings and checks the serving-path accounting: bulk reads go out
-// by reference (sendfile on Linux), not through the staged-copy path.
+// TestPublicZeroCopyReadPath reads a disk-backed file over real TCP and
+// checks the serving-path accounting: bulk reads go out by reference
+// (sendfile on Linux), not through the staged-copy path.
 func TestPublicZeroCopyReadPath(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		mux  bool
-	}{{"mux", true}, {"ordered", false}} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := startCluster(t, dosas.Options{
-				DataServers: 1, DataDir: t.TempDir(),
-				TCP: true, DisableMux: !tc.mux,
-			})
-			fs := connect(t, c, dosas.DOSAS)
-			f, err := fs.Create("zc/x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			data := workload.RandomBytes(1<<20, 11)
-			if _, err := f.WriteAt(data, 0); err != nil {
-				t.Fatal(err)
-			}
-			got := make([]byte, len(data))
-			if _, err := f.ReadAt(got, 0); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, data) {
-				t.Fatal("zero-copy read returned wrong bytes")
-			}
-			st := c.Stats()["data-0"]
-			if copied := st.Counter("data.bytes_copied"); copied != 0 {
-				t.Errorf("data.bytes_copied = %d, want 0 (bulk read should serve by reference)", copied)
-			}
-			if runtime.GOOS == "linux" {
-				if sf := st.Counter("wire.sendfile_bytes"); sf < int64(len(data)) {
-					t.Errorf("wire.sendfile_bytes = %d, want >= %d", sf, len(data))
-				}
-			}
+	t.Run("mux", func(t *testing.T) {
+		c := startCluster(t, dosas.Options{
+			DataServers: 1, DataDir: t.TempDir(),
+			TCP: true,
 		})
-	}
+		fs := connect(t, c, dosas.DOSAS)
+		f, err := fs.Create("zc/x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := workload.RandomBytes(1<<20, 11)
+		if _, err := f.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(data))
+		if _, err := f.ReadAt(got, 0); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("zero-copy read returned wrong bytes")
+		}
+		st := c.Stats()["data-0"]
+		if copied := st.Counter("data.bytes_copied"); copied != 0 {
+			t.Errorf("data.bytes_copied = %d, want 0 (bulk read should serve by reference)", copied)
+		}
+		if runtime.GOOS == "linux" {
+			if sf := st.Counter("wire.sendfile_bytes"); sf < int64(len(data)) {
+				t.Errorf("wire.sendfile_bytes = %d, want >= %d", sf, len(data))
+			}
+		}
+	})
 }
 
 // TestPublicCopyReadPath: the -read-path copy escape hatch serves the

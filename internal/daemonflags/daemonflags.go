@@ -29,8 +29,6 @@ type Common struct {
 	// PprofAddr is -pprof-addr: the loopback debug endpoint carrying
 	// net/http/pprof and /metrics. Empty disables it.
 	PprofAddr string
-	// NoMux is -no-mux: decline connection multiplexing.
-	NoMux bool
 	// TelemetryTick is -telemetry-tick: the sampler interval (0 = the
 	// 100 ms default, negative = telemetry disabled).
 	TelemetryTick time.Duration
@@ -69,13 +67,10 @@ type Common struct {
 	HedgeAfter time.Duration
 }
 
-// RegisterBase installs the flags every binary shares: the debug
-// endpoint and the transport mode.
+// RegisterBase installs the flag every binary shares: the debug endpoint.
 func (c *Common) RegisterBase(fs *flag.FlagSet) {
 	fs.StringVar(&c.PprofAddr, "pprof-addr", "",
 		"serve net/http/pprof and /metrics on this loopback address (e.g. 127.0.0.1:6060; empty = disabled)")
-	fs.BoolVar(&c.NoMux, "no-mux", false,
-		"decline connection multiplexing; use ordered per-exchange RPC only")
 }
 
 // RegisterTelemetry installs -telemetry-tick.

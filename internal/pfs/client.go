@@ -31,10 +31,6 @@ type ClientConfig struct {
 	// TransferChunk bounds a single Read/Write RPC in bytes. 0 takes the
 	// 4 MiB default; values are clamped under the wire frame limit.
 	TransferChunk int
-	// DisableMux pins the pool to the ordered one-exchange-per-connection
-	// mode instead of negotiating multiplexed connections (debugging and
-	// A/B benchmarks).
-	DisableMux bool
 	// Tenant identifies this client's workload on every data-path request
 	// (reads, writes, trunc/remove), so storage nodes attribute bytes and
 	// ops to it. Empty means the default tenant and keeps the wire format
@@ -69,9 +65,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("%w: client needs data server addresses", ErrInvalid)
 	}
 	pool := NewPool(cfg.Net)
-	if cfg.DisableMux {
-		pool.DisableMux()
-	}
 	pool.SetTenant(cfg.Tenant)
 	return &Client{cfg: cfg, pool: pool}, nil
 }

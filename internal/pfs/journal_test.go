@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -582,10 +583,13 @@ func TestJournalGroupCommit(t *testing.T) {
 	}}
 
 	var wg sync.WaitGroup
+	var running atomic.Int64 // writers that may still enqueue
+	running.Store(writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer running.Add(-1)
 			for i := 0; i < rounds; i++ {
 				name := fmt.Sprintf("w%d/f%d", w, i)
 				resp, err := m.Handle(&wire.CreateReq{Name: name})
@@ -602,11 +606,23 @@ func TestJournalGroupCommit(t *testing.T) {
 			}
 		}(w)
 	}
+	// A writer waits in Handle for its one record, so the records enqueued
+	// and not yet durable count the writers that wait on the device. Once
+	// that is every writer still running, pending holds all that the sync in
+	// progress does not, and the next sync carries them together; it is
+	// empty only when nobody is left to fill it.
+	queued := func() bool {
+		j := m.journal
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return int64(j.seq-j.durable) >= running.Load()
+	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	for running := true; running; {
+	for finished := false; !finished; {
 		select {
 		case release := <-inSync:
+			timeout := time.After(10 * time.Second)
 			stat := make(chan error, 1)
 			go func() {
 				_, err := m.Handle(&wire.StatReq{Name: "w0/f0"})
@@ -617,12 +633,23 @@ func TestJournalGroupCommit(t *testing.T) {
 				if err != nil && !IsNotFound(err) {
 					t.Error(err)
 				}
-			case <-time.After(10 * time.Second):
+			case <-timeout:
 				t.Fatal("Stat waited for a journal flush")
+			}
+			// Keep the device busy until the writers it makes wait have
+			// queued up behind it: released any sooner, on a busy scheduler
+			// every sync carries the one record of whoever ran first.
+			for !queued() {
+				select {
+				case <-timeout:
+					t.Fatal("writers did not queue behind a journal flush")
+				default:
+					runtime.Gosched()
+				}
 			}
 			close(release)
 		case <-done:
-			running = false
+			finished = true
 		}
 	}
 	records, syncs := reg.Counter("meta.journal.records").Value(), reg.Counter("meta.journal.syncs").Value()

@@ -1,15 +1,13 @@
 package pfs
 
-// Client side of the mux upgrade (see internal/wire/mux.go for the wire
-// format and Server.serveMux for the peer). Per mux-capable address the
-// Pool keeps a small fixed set of shared connections; every Call and
-// Stream to that address multiplexes onto one of them under a unique
-// stream ID, so a multi-megabyte chunk of one server's run no longer
-// blocks a Ping — the writer's control lane preempts bulk segments on the
-// wire.
+// Client side of the mux connection (see internal/wire/mux.go for the wire
+// format and Server.serveMux for the peer). Per address the Pool keeps a
+// small fixed set of shared connections; every Call and Stream to that
+// address multiplexes onto one of them under a unique stream ID, so a
+// multi-megabyte chunk of one server's run does not block a Ping — the
+// writer's control lane preempts bulk segments on the wire.
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -20,26 +18,31 @@ import (
 )
 
 // MuxConnsPerAddr is how many shared mux connections the pool keeps per
-// mux-capable peer. Two is enough to keep one saturated with bulk while
-// the other stays hot for a dial-free fallback; concurrency comes from
-// multiplexing, not sockets.
+// peer. Two is enough to keep one saturated with bulk while the other
+// stays hot for a dial-free fallback; concurrency comes from multiplexing,
+// not sockets.
 const MuxConnsPerAddr = 2
 
-// errMuxDemoted reports that the peer declined (or flunked) the mux
-// handshake after the pool had assumed it was mux-capable; the caller
-// re-resolves the address, which now routes to ordered mode.
-var errMuxDemoted = errors.New("pfs: peer demoted to ordered mode")
+// VersionError reports a peer that answered the Hello exchange without
+// committing to this build's mux version. It is a property of the peer's
+// binary, not of the connection, so calls are not retried on it.
+type VersionError struct {
+	Addr string
+	Peer uint32 // version the peer answered with; 0 when it sent no HelloResp
+	Want uint32
+}
 
-// muxFor resolves addr to its mux peer, or nil when the address must use
-// ordered mode (mux disabled, or the peer previously declined).
-func (p *Pool) muxFor(addr string) (*muxPeer, error) {
+// Error implements the error interface.
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("pfs: %s speaks mux version %d, need %d", e.Addr, e.Peer, e.Want)
+}
+
+// peer resolves addr to its set of shared connections.
+func (p *Pool) peer(addr string) (*muxPeer, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return nil, transport.ErrClosed
-	}
-	if p.noMux || p.plain[addr] {
-		return nil, nil
 	}
 	mp := p.peers[addr]
 	if mp == nil {
@@ -49,61 +52,47 @@ func (p *Pool) muxFor(addr string) (*muxPeer, error) {
 	return mp, nil
 }
 
-// demote records that addr does not speak mux. reusable, when non-nil, is
-// the handshake connection the peer left in ordered mode — it goes to the
-// idle pool rather than being wasted. Demotion is sticky for the pool's
-// lifetime: a peer upgraded in place starts being multiplexed after the
-// client process (or its Pool) restarts.
-func (p *Pool) demote(addr string, reusable *poolConn) {
+// handshake dials addr and opens a mux connection with the Hello exchange,
+// the only single-frame messages a connection carries. A peer that does not
+// answer with this build's version is a *VersionError; a dial or transport
+// failure is returned as it is and nothing about it is remembered, so the
+// next call dials again.
+func (p *Pool) handshake(addr string) (*muxConn, error) {
 	p.mu.Lock()
-	p.plain[addr] = true
-	delete(p.peers, addr)
+	closed := p.closed
 	p.mu.Unlock()
-	p.reg.Counter("pool.mux.fallbacks").Inc()
-	if reusable != nil {
-		p.put(addr, reusable)
+	if closed {
+		return nil, transport.ErrClosed // a stale-conn retry racing Close must not dial
 	}
-}
-
-// handshake dials addr and offers the mux upgrade. Exactly one of the
-// returns is non-nil on success: a *muxConn when the peer accepted, a
-// reusable ordered *poolConn when it declined with a HelloResp, and
-// neither when it dropped the connection on the unknown frame type (a
-// pre-handshake binary) — the caller demotes the address either way. A
-// dial failure is a real error: the peer is down, not old.
-func (p *Pool) handshake(addr string) (*muxConn, *poolConn, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, nil, transport.ErrClosed
-	}
-	p.mu.Unlock()
 	c, err := p.Net.Dial(addr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p.reg.Counter("pool.dials").Inc()
 	hello := &wire.HelloReq{MaxVersion: wire.MuxVersion, MaxSegment: wire.DefaultMuxSegment}
 	if err := wire.WriteMessage(c, hello); err != nil {
 		c.Close()
-		return nil, nil, err
+		return nil, fmt.Errorf("pfs: hello to %s: %w", addr, err)
 	}
 	resp, err := wire.ReadMessage(c)
 	if err != nil {
-		// Servers that predate the handshake fail to decode the unknown
-		// type and hang up; anything short of a HelloResp means ordered.
 		c.Close()
-		return nil, nil, nil
+		return nil, fmt.Errorf("pfs: hello to %s: %w", addr, err)
 	}
 	hr, ok := resp.(*wire.HelloResp)
 	if !ok || hr.Version < wire.MuxVersion {
-		return nil, &poolConn{c: c, fr: wire.NewFrameReader(c)}, nil
+		c.Close()
+		ve := &VersionError{Addr: addr, Want: wire.MuxVersion}
+		if ok {
+			ve.Peer = hr.Version
+		}
+		return nil, ve
 	}
 	p.reg.Counter("pool.mux.handshakes").Inc()
-	return newMuxConn(p, c, clampSegment(hr.MaxSegment)), nil, nil
+	return newMuxConn(p, c, clampSegment(hr.MaxSegment)), nil
 }
 
-// muxPeer manages the shared connections to one mux-capable address.
+// muxPeer manages the shared connections to one address.
 type muxPeer struct {
 	p    *Pool
 	addr string
@@ -123,13 +112,8 @@ func (mp *muxPeer) conn() (mc *muxConn, fresh bool, err error) {
 	if mc = mp.conns[slot]; mc != nil && !mc.dead() {
 		return mc, false, nil
 	}
-	mc, plain, err := mp.p.handshake(mp.addr)
-	if err != nil {
+	if mc, err = mp.p.handshake(mp.addr); err != nil {
 		return nil, false, err
-	}
-	if mc == nil {
-		mp.p.demote(mp.addr, plain)
-		return nil, false, errMuxDemoted
 	}
 	mp.conns[slot] = mc
 	return mc, true, nil
@@ -137,7 +121,7 @@ func (mp *muxPeer) conn() (mc *muxConn, fresh bool, err error) {
 
 // call runs one request/response exchange over a shared connection,
 // retrying once on a fresh connection when an inherited one turns out to
-// be stale (exactly the ordered pool's stale-idle-conn semantics).
+// be stale.
 func (mp *muxPeer) call(req wire.Message) (wire.Message, error) {
 	p := mp.p
 	for attempt := 0; ; attempt++ {

@@ -1,8 +1,11 @@
 package pfs
 
 import (
+	"errors"
 	"net"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,7 +37,7 @@ func (h *pongHandler) Handle(m wire.Message) (wire.Message, error) {
 
 // startPongServer runs a Server over Inproc and returns the network, the
 // address, and the server (already started, cleaned up with the test).
-func startPongServer(t *testing.T, h Handler, mux bool) (*transport.Inproc, string, *Server) {
+func startPongServer(t *testing.T, h Handler) (*transport.Inproc, string, *Server) {
 	t.Helper()
 	n := transport.NewInproc()
 	l, err := n.Listen("peer")
@@ -42,7 +45,6 @@ func startPongServer(t *testing.T, h Handler, mux bool) (*transport.Inproc, stri
 		t.Fatal(err)
 	}
 	srv := NewServer(l, h)
-	srv.SetMux(mux)
 	srv.Start()
 	t.Cleanup(srv.Close)
 	return n, "peer", srv
@@ -59,7 +61,7 @@ func counter(t *testing.T, p *Pool, name string) int64 {
 // fast request still gets through.
 func TestMuxCallsShareConnectionsAndCompleteOutOfOrder(t *testing.T) {
 	h := &pongHandler{block: make(chan struct{})}
-	n, addr, _ := startPongServer(t, h, true)
+	n, addr, _ := startPongServer(t, h)
 	p := NewPool(n)
 	defer p.Close()
 
@@ -105,40 +107,11 @@ func TestMuxCallsShareConnectionsAndCompleteOutOfOrder(t *testing.T) {
 	}
 }
 
-// A server with the upgrade disabled declines the handshake with a
-// HelloResp v0; the client must fall back to ordered mode and reuse the
-// handshake connection rather than wasting it.
-func TestMuxFallsBackWhenServerDeclines(t *testing.T) {
-	n, addr, _ := startPongServer(t, &pongHandler{}, false)
-	p := NewPool(n)
-	defer p.Close()
-
-	for seq := uint64(1); seq <= 3; seq++ {
-		resp, err := p.Call(addr, &wire.Ping{Seq: seq})
-		if err != nil {
-			t.Fatalf("call %d: %v", seq, err)
-		}
-		if resp.(*wire.Pong).Seq != seq {
-			t.Fatalf("call %d got %v", seq, resp)
-		}
-	}
-	if c := counter(t, p, "pool.mux.fallbacks"); c != 1 {
-		t.Errorf("pool.mux.fallbacks = %d, want 1", c)
-	}
-	if c := counter(t, p, "pool.mux.handshakes"); c != 0 {
-		t.Errorf("pool.mux.handshakes = %d, want 0", c)
-	}
-	if c := counter(t, p, "pool.dials"); c != 1 {
-		t.Errorf("pool.dials = %d, want 1 (declined handshake conn must be reused)", c)
-	}
-}
-
-// A pre-handshake binary does not know MsgHelloReq at all: it drops the
-// connection on the undecodable frame. Emulated with a hand-rolled server
-// that hangs up on anything but Ping.
-func TestMuxFallsBackAgainstPreHandshakeServer(t *testing.T) {
-	n := transport.NewInproc()
-	l, err := n.Listen("old")
+// fakePeer accepts connections on addr, reads the client's Hello and hands
+// the connection to answer, which may reply before it is closed.
+func fakePeer(t *testing.T, n *transport.Inproc, addr string, answer func(net.Conn)) transport.Listener {
+	t.Helper()
+	l, err := n.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,111 +122,176 @@ func TestMuxFallsBackAgainstPreHandshakeServer(t *testing.T) {
 			if err != nil {
 				return
 			}
-			go func(c net.Conn) {
-				defer c.Close()
-				fr := wire.NewFrameReader(c)
-				defer fr.Close()
-				for {
-					m, err := fr.Read()
-					if err != nil {
-						return
-					}
-					ping, ok := m.(*wire.Ping)
-					if !ok {
-						return // old binary: unknown type, hang up
-					}
-					if wire.WriteMessage(c, &wire.Pong{Seq: ping.Seq}) != nil {
-						return
-					}
+			if m, err := wire.ReadMessage(c); err == nil {
+				if _, ok := m.(*wire.HelloReq); !ok {
+					t.Errorf("first frame from the pool is %v, want HelloReq", m.Type())
 				}
-			}(c)
+				answer(c)
+			}
+			c.Close()
 		}
 	}()
+	return l
+}
 
+// A connection that dies during the Hello exchange (a data server caught
+// mid-restart) fails that one call and nothing more: the pool keeps no
+// memory of it, and the next call handshakes with whoever listens now.
+func TestHelloTransportFailureIsNotRemembered(t *testing.T) {
+	n := transport.NewInproc()
+	l := fakePeer(t, n, "peer", func(net.Conn) {}) // read the Hello, hang up
 	p := NewPool(n)
 	defer p.Close()
-	resp, err := p.Call("old", &wire.Ping{Seq: 9})
-	if err != nil {
-		t.Fatalf("call against pre-handshake server: %v", err)
+
+	if _, err := p.Call("peer", &wire.Ping{Seq: 1}); err == nil {
+		t.Fatal("call through a connection reset during Hello succeeded")
 	}
-	if resp.(*wire.Pong).Seq != 9 {
+	l.Close()
+	l2, err := n.Listen("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(l2, &pongHandler{})
+	srv.Start()
+	defer srv.Close()
+
+	resp, err := p.Call("peer", &wire.Ping{Seq: 2})
+	if err != nil {
+		t.Fatalf("call after the peer came back: %v", err)
+	}
+	if resp.(*wire.Pong).Seq != 2 {
 		t.Fatalf("got %v", resp)
 	}
-	if c := counter(t, p, "pool.mux.fallbacks"); c != 1 {
-		t.Errorf("pool.mux.fallbacks = %d, want 1", c)
+	if c := counter(t, p, "pool.mux.handshakes"); c != 1 {
+		t.Errorf("pool.mux.handshakes = %d, want 1", c)
 	}
-	if _, err := p.Call("old", &wire.Ping{Seq: 10}); err != nil {
-		t.Fatalf("second ordered call: %v", err)
+	if c := counter(t, p, "pool.mux.calls"); c != 1 {
+		t.Errorf("pool.mux.calls = %d, want 1", c)
 	}
 }
 
-// An ordered-only client (DisableMux) against a mux-capable server must
-// never attempt the handshake and must work as before.
-func TestOrderedClientAgainstMuxServer(t *testing.T) {
-	n, addr, _ := startPongServer(t, &pongHandler{}, true)
-	p := NewPool(n)
-	p.DisableMux()
-	defer p.Close()
+// A peer that answers the Hello with an older version, or with something
+// that is no HelloResp at all, is refused with a *VersionError naming both
+// versions, at once: the call is not retried on fresh dials.
+func TestOldPeerIsATypedError(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		answer wire.Message
+		peer   uint32
+	}{
+		{"hello v1", &wire.HelloResp{Version: 1}, 1},
+		{"pong", &wire.Pong{Seq: 1}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := transport.NewInproc()
+			fakePeer(t, n, "old", func(c net.Conn) {
+				wire.WriteMessage(c, tc.answer) //nolint:errcheck // the client's error is what is checked
+			})
+			p := NewPool(n)
+			defer p.Close()
 
-	for seq := uint64(1); seq <= 3; seq++ {
-		if _, err := p.Call(addr, &wire.Ping{Seq: seq}); err != nil {
-			t.Fatalf("call %d: %v", seq, err)
-		}
+			_, err := p.Call("old", &wire.Ping{Seq: 1})
+			var ve *VersionError
+			if !errors.As(err, &ve) || ve.Peer != tc.peer || ve.Want != wire.MuxVersion {
+				t.Fatalf("call = %v, want VersionError{Peer: %d, Want: %d}", err, tc.peer, wire.MuxVersion)
+			}
+			if _, err := p.Stream("old"); !errors.As(err, &ve) {
+				t.Errorf("stream = %v, want VersionError", err)
+			}
+			if d := counter(t, p, "pool.dials"); d > 2 {
+				t.Errorf("pool.dials = %d for one call and one stream, want <= 2", d)
+			}
+		})
 	}
-	if c := counter(t, p, "pool.mux.handshakes"); c != 0 {
-		t.Errorf("pool.mux.handshakes = %d, want 0", c)
-	}
-	if c := counter(t, p, "pool.idle.reuse"); c != 2 {
-		t.Errorf("pool.idle.reuse = %d, want 2", c)
+}
+
+// The server serves no request outside mux framing: a connection whose
+// first frame is a request, or a Hello below this build's version, is
+// told so and closed, and the handler never sees it.
+func TestServerRefusesConnectionsWithoutHello(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		first wire.Message
+		check func(t *testing.T, resp wire.Message)
+	}{
+		{"ping", &wire.Ping{Seq: 1}, func(t *testing.T, resp wire.Message) {
+			if em, ok := resp.(*wire.ErrorMsg); !ok || em.Code != wire.StatusUnsupported {
+				t.Errorf("answer to a bare Ping = %v, want ErrorMsg{StatusUnsupported}", resp)
+			}
+		}},
+		{"hello v1", &wire.HelloReq{MaxVersion: 1, MaxSegment: wire.DefaultMuxSegment}, func(t *testing.T, resp wire.Message) {
+			if hr, ok := resp.(*wire.HelloResp); !ok || hr.Version != 0 {
+				t.Errorf("answer to a version-1 Hello = %v, want HelloResp{Version: 0}", resp)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var handled atomic.Int64
+			n, addr, _ := startPongServer(t, HandlerFunc(func(m wire.Message) (wire.Message, error) {
+				handled.Add(1)
+				return (&pongHandler{}).Handle(m)
+			}))
+			c, err := n.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := wire.WriteMessage(c, tc.first); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := wire.ReadMessage(c)
+			if err != nil {
+				t.Fatalf("no answer to the first frame: %v", err)
+			}
+			tc.check(t, resp)
+			// A second request on the refused connection goes nowhere.
+			wire.WriteMessage(c, &wire.Ping{Seq: 2})           //nolint:errcheck // the peer may already have hung up
+			c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			if m, err := wire.ReadMessage(c); err == nil {
+				t.Errorf("refused connection answered a second frame with %v", m)
+			} else if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Error("refused connection was left open")
+			}
+			if got := handled.Load(); got != 0 {
+				t.Errorf("handler saw %d requests, want 0", got)
+			}
+		})
 	}
 }
 
 // A panicking handler must produce a StatusInternal error response and
-// leave the connection serving — in both modes. Before the recover was
-// added, a panic killed the connection goroutine with no response.
+// leave the shared connection serving. Before the recover was added, a
+// panic killed the connection goroutine with no response.
 func TestServerRecoversHandlerPanic(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		mux  bool
-	}{{"mux", true}, {"ordered", false}} {
-		t.Run(mode.name, func(t *testing.T) {
-			n, addr, _ := startPongServer(t, &pongHandler{panicSeq: 666}, mode.mux)
-			p := NewPool(n)
-			if !mode.mux {
-				p.DisableMux()
-			}
-			defer p.Close()
+	t.Run("mux", func(t *testing.T) {
+		n, addr, _ := startPongServer(t, &pongHandler{panicSeq: 666})
+		p := NewPool(n)
+		defer p.Close()
 
-			if _, err := p.Call(addr, &wire.Ping{Seq: 1}); err != nil {
-				t.Fatalf("warmup call: %v", err)
-			}
-			_, err := p.Call(addr, &wire.Ping{Seq: 666})
-			re, ok := err.(*RemoteError)
-			if !ok || re.Code != wire.StatusInternal {
-				t.Fatalf("panic call: err = %v, want StatusInternal RemoteError", err)
-			}
-			if _, err := p.Call(addr, &wire.Ping{Seq: 2}); err != nil {
-				t.Fatalf("call after panic: %v", err)
-			}
-			// The connection must have survived the panic: no redial
-			// beyond the lazily-dialed shared set (mux) or the one
-			// idle conn (ordered).
-			want := int64(MuxConnsPerAddr)
-			if !mode.mux {
-				want = 1
-			}
-			if d := counter(t, p, "pool.dials"); d > want {
-				t.Errorf("pool.dials = %d, want <= %d (conn should survive the panic)", d, want)
-			}
-		})
-	}
+		if _, err := p.Call(addr, &wire.Ping{Seq: 1}); err != nil {
+			t.Fatalf("warmup call: %v", err)
+		}
+		_, err := p.Call(addr, &wire.Ping{Seq: 666})
+		re, ok := err.(*RemoteError)
+		if !ok || re.Code != wire.StatusInternal {
+			t.Fatalf("panic call: err = %v, want StatusInternal RemoteError", err)
+		}
+		if _, err := p.Call(addr, &wire.Ping{Seq: 2}); err != nil {
+			t.Fatalf("call after panic: %v", err)
+		}
+		// The connection must have survived the panic: no redial
+		// beyond the lazily-dialed shared set.
+		if d := counter(t, p, "pool.dials"); d > MuxConnsPerAddr {
+			t.Errorf("pool.dials = %d, want <= %d (conn should survive the panic)", d, MuxConnsPerAddr)
+		}
+	})
 }
 
 // Streams over mux keep the pipelined request-order contract, and
 // Release with responses still pending must not poison the shared
 // connection for subsequent callers.
 func TestStreamOverMux(t *testing.T) {
-	n, addr, _ := startPongServer(t, &pongHandler{}, true)
+	n, addr, _ := startPongServer(t, &pongHandler{})
 	p := NewPool(n)
 	defer p.Close()
 
@@ -329,84 +367,4 @@ func TestMuxSurvivesServerRestart(t *testing.T) {
 	if c := counter(t, p, "pool.mux.handshakes"); c < 2 {
 		t.Errorf("pool.mux.handshakes = %d, want >= 2 (re-handshake after restart)", c)
 	}
-}
-
-// Idle ordered connections past the TTL are reaped instead of reused; a
-// shorter idle age triggers a liveness probe that catches dead servers
-// without burning a round trip on them.
-func TestIdleConnReaping(t *testing.T) {
-	t.Run("ttl", func(t *testing.T) {
-		n, addr, _ := startPongServer(t, &pongHandler{}, false)
-		p := NewPool(n)
-		p.DisableMux()
-		p.SetIdleTTL(time.Millisecond, time.Hour)
-		defer p.Close()
-
-		if _, err := p.Call(addr, &wire.Ping{Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
-		if _, err := p.Call(addr, &wire.Ping{Seq: 2}); err != nil {
-			t.Fatal(err)
-		}
-		if c := counter(t, p, "pool.idle.expired"); c != 1 {
-			t.Errorf("pool.idle.expired = %d, want 1", c)
-		}
-		if c := counter(t, p, "pool.dials"); c != 2 {
-			t.Errorf("pool.dials = %d, want 2", c)
-		}
-	})
-	t.Run("probe", func(t *testing.T) {
-		n := transport.NewInproc()
-		l, err := n.Listen("probe")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewServer(l, &pongHandler{})
-		srv.Start()
-
-		p := NewPool(n)
-		p.DisableMux()
-		p.SetIdleTTL(time.Hour, 0) // probe every idle conn regardless of age
-		defer p.Close()
-
-		if _, err := p.Call("probe", &wire.Ping{Seq: 1}); err != nil {
-			t.Fatal(err)
-		}
-		srv.Close() // the idle conn is now dead
-		l2, err := n.Listen("probe")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv2 := NewServer(l2, &pongHandler{})
-		srv2.Start()
-		defer srv2.Close()
-
-		if _, err := p.Call("probe", &wire.Ping{Seq: 2}); err != nil {
-			t.Fatalf("call after restart: %v", err)
-		}
-		if c := counter(t, p, "pool.idle.expired"); c != 1 {
-			t.Errorf("pool.idle.expired = %d, want 1 (probe should catch the dead conn)", c)
-		}
-		if c := counter(t, p, "pool.stale.retries"); c != 0 {
-			t.Errorf("pool.stale.retries = %d, want 0 (probe should pre-empt the failed round trip)", c)
-		}
-	})
-	t.Run("fresh conn reused untouched", func(t *testing.T) {
-		n, addr, _ := startPongServer(t, &pongHandler{}, false)
-		p := NewPool(n)
-		p.DisableMux()
-		defer p.Close()
-		for seq := uint64(1); seq <= 5; seq++ {
-			if _, err := p.Call(addr, &wire.Ping{Seq: seq}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if c := counter(t, p, "pool.dials"); c != 1 {
-			t.Errorf("pool.dials = %d, want 1", c)
-		}
-		if c := counter(t, p, "pool.idle.reuse"); c != 4 {
-			t.Errorf("pool.idle.reuse = %d, want 4", c)
-		}
-	})
 }

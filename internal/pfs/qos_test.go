@@ -308,80 +308,70 @@ func TestServerCancelBeforeRead(t *testing.T) {
 }
 
 // TestCancelInFlightReadZeroFills cancels a windowed read while chunk
-// requests are pipelined against a slow store, in both framings. The
-// server must stop serving real bytes for the chunks it had already
-// accepted — zero-filling their committed frame space — and the
-// in-flight accounting must drain back to zero. Over mux this exercises
-// the concurrently-dispatched handlers racing the CancelReq; over the
-// ordered framing, the cancel poll at frame-write time.
+// requests are pipelined against a slow store. The server must stop
+// serving real bytes for the chunks it had already accepted — zero-filling
+// their committed frame space — and the in-flight accounting must drain
+// back to zero. This exercises the concurrently-dispatched handlers racing
+// the CancelReq.
 func TestCancelInFlightReadZeroFills(t *testing.T) {
-	for _, mux := range []bool{true, false} {
-		name := "ordered"
-		if mux {
-			name = "mux"
+	t.Run("mux", func(t *testing.T) {
+		net := transport.NewInproc()
+		st := &slowStore{Store: NewMemStore()}
+		st.delay.Store(int64(300 * time.Millisecond))
+		ds, err := NewDataServer(DataConfig{Store: st})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			net := transport.NewInproc()
-			st := &slowStore{Store: NewMemStore()}
-			st.delay.Store(int64(300 * time.Millisecond))
-			ds, err := NewDataServer(DataConfig{Store: st})
-			if err != nil {
-				t.Fatal(err)
-			}
-			l, err := net.Listen("data-0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv := NewServer(l, ds)
-			srv.SetFrameStats(ds.WireStats())
-			srv.Start()
-			defer srv.Close()
+		l, err := net.Listen("data-0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(l, ds)
+		srv.SetFrameStats(ds.WireStats())
+		srv.Start()
+		defer srv.Close()
 
-			data := make([]byte, 1<<20)
-			rand.New(rand.NewSource(7)).Read(data)
-			if _, err := st.WriteAt(1, data, 0); err != nil {
-				t.Fatal(err)
+		data := make([]byte, 1<<20)
+		rand.New(rand.NewSource(7)).Read(data)
+		if _, err := st.WriteAt(1, data, 0); err != nil {
+			t.Fatal(err)
+		}
+
+		p := NewPool(net)
+		defer p.Close()
+
+		dst := make([]byte, len(data))
+		ctl := p.NewReadControl("data-0")
+		done := make(chan error, 1)
+		go func() {
+			_, err := p.readWindowed("data-0", 1, contig(dst), 0, 4, 256<<10, ctl)
+			done <- err
+		}()
+		// All four chunk requests fit one window round, so by now every
+		// one is registered at the server and stuck in the slow store —
+		// the cancel lands squarely on in-flight reads.
+		time.Sleep(100 * time.Millisecond)
+		ctl.Cancel()
+
+		select {
+		case err := <-done:
+			if !IsCancelled(err) {
+				t.Fatalf("cancelled read returned %v, want cancelled", err)
 			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("cancelled read never returned")
+		}
 
-			p := NewPool(net)
-			if !mux {
-				p.DisableMux()
-			}
-			defer p.Close()
-
-			dst := make([]byte, len(data))
-			ctl := p.NewReadControl("data-0")
-			done := make(chan error, 1)
-			go func() {
-				_, err := p.readWindowed("data-0", 1, contig(dst), 0, 4, 256<<10, ctl)
-				done <- err
-			}()
-			// All four chunk requests fit one window round, so by now every
-			// one is registered at the server and stuck in the slow store —
-			// the cancel lands squarely on in-flight reads.
-			time.Sleep(100 * time.Millisecond)
-			ctl.Cancel()
-
-			select {
-			case err := <-done:
-				if !IsCancelled(err) {
-					t.Fatalf("cancelled read returned %v, want cancelled", err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("cancelled read never returned")
-			}
-
-			// The server observed the cancellation while frames were on the
-			// wire: committed bytes were zero-filled, not served.
-			waitFor(t, "cancelled bytes recorded", func() bool {
-				return ds.WireStats().CancelledBytes.Load() > 0
-			})
-			// And the pressure gauge is conserved once everything drains.
-			waitFor(t, "data.inflight back to 0", func() bool {
-				return ds.Metrics().Gauge("data.inflight").Value() == 0
-			})
+		// The server observed the cancellation while frames were on the
+		// wire: committed bytes were zero-filled, not served.
+		waitFor(t, "cancelled bytes recorded", func() bool {
+			return ds.WireStats().CancelledBytes.Load() > 0
 		})
-	}
+		// And the pressure gauge is conserved once everything drains.
+		waitFor(t, "data.inflight back to 0", func() bool {
+			return ds.Metrics().Gauge("data.inflight").Value() == 0
+		})
+	})
 }
 
 func waitFor(t *testing.T, what string, ok func() bool) {

@@ -8,12 +8,10 @@ package pfs
 import (
 	"errors"
 	"fmt"
-	"os"
-	"time"
-
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dosas/internal/metrics"
 	"dosas/internal/transport"
@@ -62,28 +60,20 @@ func IsCancelled(err error) bool {
 	return errors.As(err, &re) && re.Code == wire.StatusCancelled
 }
 
-// Pool is the client-side connection manager. Against mux-capable peers
-// (negotiated per address by a HelloReq/HelloResp handshake, see mux.go)
-// all calls and streams share a small fixed set of multiplexed
-// connections per peer, responses complete out of order, and control
-// messages preempt in-flight bulk transfers on the wire. Against peers
-// that decline — or predate — the handshake, the pool falls back to the
-// classic mode: one strictly ordered exchange per connection, idle
-// connections cached per address.
+// Pool is the client-side connection manager. All calls and streams to an
+// address share a small fixed set of multiplexed connections (opened by a
+// mandatory HelloReq/HelloResp handshake, see mux.go), responses complete
+// out of order, and control messages preempt in-flight bulk transfers on
+// the wire.
 type Pool struct {
 	Net transport.Network
 
 	mu     sync.Mutex
-	idle   map[string][]idleConn
 	peers  map[string]*muxPeer
-	plain  map[string]bool // peers that declined or failed the mux handshake
 	closed bool
-	noMux  bool
 	tenant string // stamped on windowed bulk transfers (read/write chunks)
 
-	reg        *metrics.Registry
-	idleTTL    time.Duration // ordered conns idle longer are dropped
-	probeAfter time.Duration // ordered conns idle longer are liveness-probed
+	reg *metrics.Registry
 
 	// lat scores per-server chunk latency for replica selection and
 	// hedge-delay derivation; reqIDs mints HedgeIDBit-tagged ids for
@@ -94,57 +84,13 @@ type Pool struct {
 	wireStats wire.FrameStats // how request frames moved their bodies: pool.wire.*
 }
 
-// idleConn is an ordered-mode connection cached for reuse.
-type idleConn struct {
-	pc    *poolConn
-	since time.Time
-}
-
-// poolConn pairs a connection with its frame reader, so the reader's
-// pooled decode buffer survives across the calls that reuse the conn.
-type poolConn struct {
-	c  net.Conn
-	fr *wire.FrameReader
-}
-
-func (pc *poolConn) close() {
-	pc.c.Close()
-	pc.fr.Close()
-}
-
-// alive cheaply checks whether an idle ordered connection is still open:
-// a 1 ms read must time out with nothing delivered. Any byte (a stale
-// frame?) or any other outcome (EOF, reset) means the conn is unusable.
-func (pc *poolConn) alive() bool {
-	if err := pc.c.SetReadDeadline(time.Now().Add(time.Millisecond)); err != nil {
-		return false
-	}
-	var b [1]byte
-	n, err := pc.c.Read(b[:])
-	pc.c.SetReadDeadline(time.Time{}) //nolint:errcheck // best effort reset
-	return n == 0 && errors.Is(err, os.ErrDeadlineExceeded)
-}
-
-// Idle-reaping defaults. A connection idle past defaultIdleTTL is assumed
-// dead (servers restart, NATs expire); one idle past defaultProbeAfter is
-// probed before reuse so the first call after a server restart does not
-// eat a failed round trip plus redial.
-const (
-	defaultIdleTTL    = 60 * time.Second
-	defaultProbeAfter = 1 * time.Second
-)
-
 // NewPool returns a pool dialing through n.
 func NewPool(n transport.Network) *Pool {
 	p := &Pool{
-		Net:        n,
-		idle:       make(map[string][]idleConn),
-		peers:      make(map[string]*muxPeer),
-		plain:      make(map[string]bool),
-		reg:        metrics.NewRegistry(),
-		idleTTL:    defaultIdleTTL,
-		probeAfter: defaultProbeAfter,
-		lat:        NewLatencyTracker(),
+		Net:   n,
+		peers: make(map[string]*muxPeer),
+		reg:   metrics.NewRegistry(),
+		lat:   NewLatencyTracker(),
 	}
 	// Seed the read-id counter so ids from distinct client pools hitting
 	// the same server registry are disjoint in practice.
@@ -159,14 +105,6 @@ func (p *Pool) Latency() *LatencyTracker { return p.lat }
 // nextReqID mints a cluster-unique, HedgeIDBit-tagged request id for a
 // cancellable windowed read.
 func (p *Pool) nextReqID() uint64 { return p.reqIDs.Add(1) | HedgeIDBit }
-
-// DisableMux pins the pool to ordered mode: no handshake is attempted and
-// every exchange owns its connection. Call before the first use.
-func (p *Pool) DisableMux() {
-	p.mu.Lock()
-	p.noMux = true
-	p.mu.Unlock()
-}
 
 // SetTenant stamps every subsequent windowed bulk transfer (read and
 // write chunks) with the tenant id, so data servers attribute normal-I/O
@@ -185,8 +123,8 @@ func (p *Pool) Tenant() string {
 	return p.tenant
 }
 
-// Metrics exposes the pool's counters (pool.dials, pool.idle.reuse,
-// pool.stale.retries, pool.mux.*, pool.wire.* — see DESIGN.md §10). The
+// Metrics exposes the pool's counters (pool.dials, pool.stale.retries,
+// pool.mux.*, pool.wire.* — see DESIGN.md §10). The
 // pool.wire counters are mirrored from the framing layer's at each call.
 func (p *Pool) Metrics() *metrics.Registry {
 	mirrorCounter(p.reg, "pool.wire.writev_calls", p.wireStats.WritevCalls.Load())
@@ -203,136 +141,29 @@ func mirrorCounter(reg *metrics.Registry, name string, v int64) {
 	}
 }
 
-// SetIdleTTL overrides the idle-connection reaping knobs (tests).
-func (p *Pool) SetIdleTTL(ttl, probeAfter time.Duration) {
-	p.mu.Lock()
-	p.idleTTL, p.probeAfter = ttl, probeAfter
-	p.mu.Unlock()
-}
-
-// maxIdlePerAddr bounds how many spare ordered connections are kept per
-// peer.
-const maxIdlePerAddr = 8
-
 // Call sends req to addr and waits for the response. A wire.ErrorMsg
-// response is converted into a *RemoteError. When a shared mux connection
-// or a pooled ordered connection turns out to be stale (its server
-// restarted since it was established), the call transparently retries
-// once on a fresh dial; a failure on a fresh connection is reported
-// as-is. The response is detached (wire.Own) from the connection's decode
-// buffer, so callers may retain it freely; bulk transfers that want to
-// avoid that copy use Stream instead.
+// response is converted into a *RemoteError. When the shared connection
+// turns out to be stale (its server restarted since it was established),
+// the call transparently retries once on a fresh dial; a failure on a
+// fresh connection is reported as-is. The response is detached (wire.Own)
+// from the connection's decode buffer, so callers may retain it freely;
+// bulk transfers that want to avoid that copy use Stream instead.
 func (p *Pool) Call(addr string, req wire.Message) (wire.Message, error) {
-	for {
-		mp, err := p.muxFor(addr)
-		if err != nil {
-			return nil, err
-		}
-		if mp == nil {
-			return p.callOrdered(addr, req)
-		}
-		resp, err := mp.call(req)
-		if errors.Is(err, errMuxDemoted) {
-			continue // peer fell back to ordered mode mid-flight
-		}
-		return resp, err
-	}
-}
-
-func (p *Pool) callOrdered(addr string, req wire.Message) (wire.Message, error) {
-	for {
-		pc, pooled, err := p.get(addr)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := p.roundTrip(pc, req)
-		if err != nil {
-			pc.close()
-			if pooled {
-				p.reg.Counter("pool.stale.retries").Inc()
-				continue // stale idle connection: retry on a fresh dial
-			}
-			return nil, fmt.Errorf("pfs: call %s %v: %w", addr, req.Type(), err)
-		}
-		wire.Own(resp) // detach before the conn (and its buffer) is shared
-		p.put(addr, pc)
-		if em, ok := resp.(*wire.ErrorMsg); ok {
-			return nil, &RemoteError{Code: em.Code, Op: em.Op, Detail: em.Detail}
-		}
-		return resp, nil
-	}
-}
-
-func (p *Pool) roundTrip(pc *poolConn, req wire.Message) (wire.Message, error) {
-	if err := wire.WriteMessage(pc.c, req); err != nil {
+	mp, err := p.peer(addr)
+	if err != nil {
 		return nil, err
 	}
-	return pc.fr.Read()
+	return mp.call(req)
 }
 
-func (p *Pool) get(addr string) (*poolConn, bool, error) {
-	for {
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			return nil, false, transport.ErrClosed
-		}
-		ttl, probeAfter := p.idleTTL, p.probeAfter
-		conns := p.idle[addr]
-		n := len(conns)
-		if n == 0 {
-			p.mu.Unlock()
-			break
-		}
-		ic := conns[n-1]
-		p.idle[addr] = conns[:n-1]
-		p.mu.Unlock()
-		// Reap outside the lock: anything idle past the TTL is presumed
-		// dead, anything idle a while is probed before reuse.
-		age := time.Since(ic.since)
-		if age > ttl || (age > probeAfter && !ic.pc.alive()) {
-			p.reg.Counter("pool.idle.expired").Inc()
-			ic.pc.close()
-			continue
-		}
-		p.reg.Counter("pool.idle.reuse").Inc()
-		return ic.pc, true, nil
-	}
-	c, err := p.Net.Dial(addr)
-	if err != nil {
-		return nil, false, err
-	}
-	p.reg.Counter("pool.dials").Inc()
-	return &poolConn{c: c, fr: wire.NewFrameReader(c)}, false, nil
-}
-
-func (p *Pool) put(addr string, pc *poolConn) {
-	p.mu.Lock()
-	if !p.closed && len(p.idle[addr]) < maxIdlePerAddr {
-		p.idle[addr] = append(p.idle[addr], idleConn{pc: pc, since: time.Now()})
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	pc.close()
-}
-
-// Close drops all idle ordered connections and every shared mux
-// connection. In-flight ordered calls are unaffected; in-flight mux calls
-// fail with a transport error.
+// Close drops every shared connection; in-flight calls fail with a
+// transport error.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	p.closed = true
-	idle := p.idle
 	peers := p.peers
-	p.idle = make(map[string][]idleConn)
 	p.peers = make(map[string]*muxPeer)
 	p.mu.Unlock()
-	for _, conns := range idle {
-		for _, ic := range conns {
-			ic.pc.close()
-		}
-	}
 	for _, mp := range peers {
 		mp.closeAll()
 	}
@@ -341,28 +172,16 @@ func (p *Pool) Close() {
 // Stream is a pipelined exchange: the caller may Send several requests
 // before Recving their responses, which arrive in request order. This is
 // how the sliding-window data path keeps multiple chunks in flight per
-// server. Over a mux connection the stream's requests share the wire with
-// every other call to that peer (each request is its own mux stream;
-// Recv restores request order from the demux); in ordered mode the stream
-// owns one pooled connection, as before. A Stream is not safe for
-// concurrent use.
+// server. The stream's requests share the wire with every other call to
+// that peer (each request is its own mux stream; Recv restores request
+// order from the demux). A Stream is not safe for concurrent use.
 //
 // A request sent by reference (wire.WriteReq.Payload) aliases its caller's
-// memory until its frame has left the writer, sent or failed: in ordered
-// mode when Send returns; over mux, where it may queue behind other
-// callers' frames, when Release returns, which waits for every such frame.
+// memory until its frame has left the writer, sent or failed. It may queue
+// there behind other callers' frames; Release waits for every such frame.
 type Stream struct {
-	p      *Pool
-	addr   string
-	pooled bool // conn predates this stream (may be stale)
-	sent   int  // responses still owed by the server
-	broken bool
-
-	// ordered mode
-	pc *poolConn
-
-	// mux mode
 	mc      *muxConn
+	pooled  bool // conn predates this stream (may be stale)
 	pending []pendingCall
 	prev    []byte         // pooled buffer backing the last Recv'd message
 	queued  sync.WaitGroup // frames enqueued and still with the writer
@@ -374,31 +193,18 @@ type pendingCall struct {
 	ch chan muxResult
 }
 
-// Stream opens a pipelined exchange with addr: over the peer's shared mux
-// connection when it speaks mux, otherwise on an (ideally idle pooled)
-// ordered connection. The caller must finish with Release.
+// Stream opens a pipelined exchange with addr over one of the peer's
+// shared connections. The caller must finish with Release.
 func (p *Pool) Stream(addr string) (*Stream, error) {
-	for {
-		mp, err := p.muxFor(addr)
-		if err != nil {
-			return nil, err
-		}
-		if mp == nil {
-			pc, pooled, err := p.get(addr)
-			if err != nil {
-				return nil, err
-			}
-			return &Stream{p: p, addr: addr, pc: pc, pooled: pooled}, nil
-		}
-		mc, fresh, err := mp.conn()
-		if errors.Is(err, errMuxDemoted) {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{p: p, addr: addr, mc: mc, pooled: !fresh}, nil
+	mp, err := p.peer(addr)
+	if err != nil {
+		return nil, err
 	}
+	mc, fresh, err := mp.conn()
+	if err != nil {
+		return nil, err
+	}
+	return &Stream{mc: mc, pooled: !fresh}, nil
 }
 
 // Pooled reports whether the stream rides a connection that predates it —
@@ -406,25 +212,15 @@ func (p *Pool) Stream(addr string) (*Stream, error) {
 // on a fresh dial (the connection may simply have gone stale).
 func (s *Stream) Pooled() bool { return s.pooled }
 
-// Send writes one request frame without waiting for its response.
+// Send enqueues one request frame without waiting for its response.
 func (s *Stream) Send(req wire.Message) error {
-	if s.mc != nil {
-		s.queued.Add(1)
-		id, ch, err := s.mc.send(req, &s.queued)
-		if err != nil {
-			s.queued.Done() // never enqueued
-			s.broken = true
-			return err
-		}
-		s.pending = append(s.pending, pendingCall{id: id, ch: ch})
-		s.sent++
-		return nil
-	}
-	if err := wire.WriteMessageOpts(s.pc.c, req, wire.WriteOptions{Stats: &s.p.wireStats}); err != nil {
-		s.broken = true
+	s.queued.Add(1)
+	id, ch, err := s.mc.send(req, &s.queued)
+	if err != nil {
+		s.queued.Done() // never enqueued
 		return err
 	}
-	s.sent++
+	s.pending = append(s.pending, pendingCall{id: id, ch: ch})
 	return nil
 }
 
@@ -434,76 +230,51 @@ func (s *Stream) Send(req wire.Message) error {
 // message may alias a pooled decode buffer and is valid only until the
 // next Recv or Release; callers that retain it must wire.Own it.
 func (s *Stream) Recv() (wire.Message, error) {
-	if s.mc != nil {
-		if len(s.pending) == 0 {
-			return nil, errors.New("pfs: Recv with no pending Send")
-		}
-		if s.prev != nil {
-			wire.PutBuf(s.prev)
-			s.prev = nil
-		}
-		next := s.pending[0]
-		s.pending = s.pending[1:]
-		res := <-next.ch
-		s.sent--
-		if res.err != nil {
-			s.broken = true
-			return nil, res.err
-		}
-		if em, ok := res.msg.(*wire.ErrorMsg); ok {
-			re := &RemoteError{Code: em.Code, Op: em.Op, Detail: em.Detail}
-			wire.PutBuf(res.buf)
-			return nil, re
-		}
-		s.prev = res.buf
-		return res.msg, nil
+	if len(s.pending) == 0 {
+		return nil, errors.New("pfs: Recv with no pending Send")
 	}
-	resp, err := s.pc.fr.Read()
-	if err != nil {
-		s.broken = true
-		return nil, err
+	if s.prev != nil {
+		wire.PutBuf(s.prev)
+		s.prev = nil
 	}
-	s.sent--
-	if em, ok := resp.(*wire.ErrorMsg); ok {
-		return nil, &RemoteError{Code: em.Code, Op: em.Op, Detail: em.Detail}
+	next := s.pending[0]
+	s.pending = s.pending[1:]
+	res := <-next.ch
+	if res.err != nil {
+		return nil, res.err
 	}
-	return resp, nil
+	if em, ok := res.msg.(*wire.ErrorMsg); ok {
+		re := &RemoteError{Code: em.Code, Op: em.Op, Detail: em.Detail}
+		wire.PutBuf(res.buf)
+		return nil, re
+	}
+	s.prev = res.buf
+	return res.msg, nil
 }
 
-// Release finishes the stream. In mux mode there is nothing to pool —
-// the connection is shared — so Release only waits for the stream's frames
-// to leave the writer, recycles buffers and abandons still-pending
-// responses (the demux drops them on arrival). In
-// ordered mode a healthy, fully drained connection returns to the idle
-// pool; anything else closes it, because the next user could not tell
-// stale responses from its own.
+// Release finishes the stream. There is nothing to pool — the connection
+// is shared — so Release only waits for the stream's frames to leave the
+// writer, recycles buffers and abandons still-pending responses (the demux
+// drops them on arrival).
 func (s *Stream) Release() {
-	if s.mc != nil {
-		s.queued.Wait()
-		if s.prev != nil {
-			wire.PutBuf(s.prev)
-			s.prev = nil
-		}
-		for _, pc := range s.pending {
-			s.mc.forget(pc.id)
-			select {
-			case res := <-pc.ch:
-				// Response landed before the forget; recycle its buffer.
-				wire.PutBuf(res.buf)
-			default:
-				// Not yet arrived (the demux will drop it), or arriving
-				// right now — in that razor-thin window the buffer is
-				// left for the GC, which is safe, just a pool miss.
-			}
-		}
-		s.pending = nil
-		return
+	s.queued.Wait()
+	if s.prev != nil {
+		wire.PutBuf(s.prev)
+		s.prev = nil
 	}
-	if s.broken || s.sent != 0 {
-		s.pc.close()
-		return
+	for _, pc := range s.pending {
+		s.mc.forget(pc.id)
+		select {
+		case res := <-pc.ch:
+			// Response landed before the forget; recycle its buffer.
+			wire.PutBuf(res.buf)
+		default:
+			// Not yet arrived (the demux will drop it), or arriving
+			// right now — in that razor-thin window the buffer is
+			// left for the GC, which is safe, just a pool miss.
+		}
 	}
-	s.p.put(s.addr, s.pc)
+	s.pending = nil
 }
 
 // Handler processes one request message and returns the response. Returning
@@ -560,14 +331,12 @@ var (
 )
 
 // Server accepts connections on a listener and dispatches requests to a
-// Handler. A connection starts in ordered mode (one request at a time,
-// served serially); a client HelloReq may upgrade it to mux mode, where
-// requests on the connection are handled concurrently under a bounded
-// semaphore and responses complete out of order.
+// Handler. Every connection opens with the client's HelloReq and then
+// speaks mux framing: requests on it are handled concurrently under a
+// bounded semaphore and responses complete out of order.
 type Server struct {
 	l       transport.Listener
 	h       Handler
-	noMux   bool
 	stats   *wire.FrameStats
 	plain   bool
 	mu      sync.Mutex
@@ -580,11 +349,6 @@ type Server struct {
 func NewServer(l transport.Listener, h Handler) *Server {
 	return &Server{l: l, h: h, conns: make(map[net.Conn]struct{}), done: make(chan struct{})}
 }
-
-// SetMux enables or disables the mux upgrade (it is enabled by default;
-// disabling makes the server decline every HelloReq, emulating an
-// un-upgraded peer). Call before Start.
-func (s *Server) SetMux(enabled bool) { s.noMux = !enabled }
 
 // SetFrameStats shares st with every connection's framing writer, so
 // sendfile/writev/copy accounting lands in one place (the data server's
@@ -631,8 +395,7 @@ func (s *Server) Run() error {
 func (s *Server) Start() { go s.Run() } //nolint:errcheck // accept-loop errors surface via Close
 
 // safeHandle dispatches one request, converting a handler panic into an
-// error so a bad request cannot take down the connection (ordered mode)
-// or the whole shared connection (mux mode).
+// error so a bad request cannot take down the shared connection.
 func safeHandle(h Handler, req wire.Message) (resp wire.Message, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -642,6 +405,11 @@ func safeHandle(h Handler, req wire.Message) (resp wire.Message, err error) {
 	return h.Handle(req)
 }
 
+// serveConn reads the one single-frame message a connection may open with,
+// the client's HelloReq, and serves mux framing from there. A client that
+// speaks an older mux version is told so with HelloResp{Version: 0}; any
+// other first frame is answered with StatusUnsupported. Either way the
+// connection closes without the handler having seen a request.
 func (s *Server) serveConn(c net.Conn) {
 	defer func() {
 		c.Close()
@@ -649,50 +417,26 @@ func (s *Server) serveConn(c net.Conn) {
 		delete(s.conns, c)
 		s.mu.Unlock()
 	}()
-	pw, _ := s.h.(PostWriter)
-	fr := wire.NewFrameReader(c)
-	defer fr.Close()
-	for {
-		// The request may alias fr's pooled buffer; that is safe because
-		// every handler finishes with the request before returning, and the
-		// next fr.Read happens only after the response is written.
-		req, err := fr.Read()
-		if err != nil {
-			return // EOF or protocol error: drop the connection
-		}
-		if hello, ok := req.(*wire.HelloReq); ok {
-			if s.noMux || hello.MaxVersion < wire.MuxVersion {
-				if wire.WriteMessage(c, &wire.HelloResp{Version: 0}) != nil {
-					return
-				}
-				continue // connection stays ordered
-			}
-			seg := clampSegment(hello.MaxSegment)
-			resp := &wire.HelloResp{Version: wire.MuxVersion, MaxSegment: uint32(seg)}
-			if wire.WriteMessage(c, resp) != nil {
-				return
-			}
-			s.serveMux(c, seg, pw)
-			return
-		}
-		var werr error
-		resp, herr := safeHandle(s.h, req)
-		if herr != nil {
-			resp = ToErrorMsg(req.Type().String(), herr)
-		}
-		if resp != nil {
-			werr = wire.WriteMessageOpts(c, resp, wire.WriteOptions{Stats: s.stats, Plain: s.plain})
-		}
-		if pw != nil {
-			// Always fires once per handled request — even when the handler
-			// returned nil or the write failed — so per-request accounting
-			// (the data.inflight gauge, pooled read buffers) stays balanced.
-			pw.PostWrite(req, resp)
-		}
-		if resp == nil || werr != nil {
-			return
-		}
+	first, err := wire.ReadMessage(c)
+	if err != nil {
+		return // EOF or protocol error: drop the connection
 	}
+	var answer wire.Message
+	seg := 0
+	switch hello, ok := first.(*wire.HelloReq); {
+	case !ok:
+		answer = &wire.ErrorMsg{Code: wire.StatusUnsupported, Op: first.Type().String(),
+			Detail: "connection must open with HelloReq"}
+	case hello.MaxVersion < wire.MuxVersion:
+		answer = &wire.HelloResp{Version: 0}
+	default:
+		seg = clampSegment(hello.MaxSegment)
+		answer = &wire.HelloResp{Version: wire.MuxVersion, MaxSegment: uint32(seg)}
+	}
+	if wire.WriteMessage(c, answer) != nil || seg == 0 {
+		return
+	}
+	s.serveMux(c, seg)
 }
 
 // clampSegment bounds a peer-proposed segment size to sane values.
@@ -711,17 +455,18 @@ func clampSegment(n uint32) int {
 // requests backpressures onto the socket instead of goroutines.
 const muxServerConcurrency = 32
 
-// serveMux serves one upgraded connection: requests dispatch concurrently,
-// each response is enqueued to the priority-aware writer under its
-// request's stream ID. PostWrite accounting matches ordered mode — the
-// callback fires after the response is on the wire (or has failed), once
-// per request.
+// serveMux serves one connection past its handshake: requests dispatch
+// concurrently, each response is enqueued to the priority-aware writer
+// under its request's stream ID. PostWrite fires after the response is on
+// the wire (or has failed), once per request, so per-request accounting
+// (the data.inflight gauge, pooled read buffers) stays balanced.
 //
 // Handler goroutines stay for the connection's life: a fresh goroutine
 // per request grows its stack anew on the way into the handler, which
 // was 8% of the CPU of a 4 KiB read. A frame goes to an idle handler over
 // the unbuffered work channel; one is started only when none is idle.
-func (s *Server) serveMux(c net.Conn, segment int, pw PostWriter) {
+func (s *Server) serveMux(c net.Conn, segment int) {
+	pw, _ := s.h.(PostWriter)
 	mw := wire.NewMuxWriter(c, segment)
 	mw.Stats = s.stats
 	mw.Plain = s.plain
@@ -754,9 +499,8 @@ func (s *Server) serveMux(c net.Conn, segment int, pw PostWriter) {
 					resp = ToErrorMsg(req.Type().String(), herr)
 				}
 				if resp == nil {
-					// Ordered mode hangs up on nil responses; a mux conn is
-					// shared with other callers, so answer with an error
-					// instead of tearing everyone down.
+					// The conn is shared with other callers, so answer with
+					// an error instead of tearing everyone down.
 					resp = &wire.ErrorMsg{Code: wire.StatusInternal,
 						Op: req.Type().String(), Detail: "handler returned no response"}
 				}

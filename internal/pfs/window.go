@@ -69,7 +69,7 @@ func (p *Pool) readWindowed(addr string, handle uint64, dst strided, off uint64,
 		}
 		settled := isRemote(err) || errors.Is(err, ErrCancelled) || errors.Is(err, errLocalEOF)
 		if n == 0 && s.Pooled() && !settled {
-			continue // stale idle connection: retry on a fresh dial
+			continue // stale shared connection: retry on a fresh dial
 		}
 		if settled {
 			return n, err
@@ -178,7 +178,7 @@ func (p *Pool) writeWindowed(addr string, handle uint64, src strided, off uint64
 			return n, nil
 		}
 		if n == 0 && s.Pooled() && !isRemote(err) {
-			continue // stale idle connection: retry on a fresh dial
+			continue // stale shared connection: retry on a fresh dial
 		}
 		if isRemote(err) {
 			return n, err

@@ -1100,13 +1100,11 @@ func (m *DecisionLogResp) Own() { m.Records = detach(m.Records) }
 // encodedSizeHint sizes the frame buffer for the log payload.
 func (m *DecisionLogResp) encodedSizeHint() int { return len(m.Records) + len(m.Node) + 24 }
 
-// HelloReq is the first message a mux-capable client sends on a fresh
-// connection: an offer to upgrade from the ordered one-exchange-at-a-time
-// framing to the multiplexed framing in mux.go. MaxVersion is the highest
-// mux protocol version the client speaks; MaxSegment is the largest
-// sub-frame payload, in bytes, it wants the server to emit. Servers that
-// predate the handshake fail to decode the unknown type and drop the
-// connection; the client then falls back to ordered mode for that peer.
+// HelloReq is the first message a client sends on a fresh connection, as
+// a single frame: it opens the multiplexed framing in mux.go. MaxVersion is
+// the highest mux protocol version the client speaks; MaxSegment is the
+// largest sub-frame payload, in bytes, it wants the server to emit. A server
+// answers any other first frame with StatusUnsupported and hangs up.
 type HelloReq struct {
 	MaxVersion uint32
 	MaxSegment uint32
@@ -1124,10 +1122,10 @@ func (m *HelloReq) Decode(d *Decoder) {
 	m.MaxSegment = d.U32()
 }
 
-// HelloResp answers a HelloReq. Version 0 declines the upgrade (the
-// connection stays in ordered mode); Version >= 1 commits both sides to
+// HelloResp answers a HelloReq. Version MuxVersion commits both sides to
 // mux framing for every subsequent byte on this connection, with bulk
-// frames segmented at MaxSegment.
+// frames segmented at MaxSegment. Version 0 refuses a client that speaks
+// nothing as new, and the connection closes.
 type HelloResp struct {
 	Version    uint32
 	MaxSegment uint32

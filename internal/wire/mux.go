@@ -1,7 +1,7 @@
 package wire
 
-// Multiplexed framing: the post-handshake connection mode negotiated by
-// HelloReq/HelloResp (messages.go). The classic framing in wire.go is one
+// Multiplexed framing: what a connection speaks after its HelloReq/
+// HelloResp exchange (messages.go). Single frames (wire.go) allow one
 // strictly ordered exchange at a time, so a 4 MB ReadResp stalls every
 // control message queued behind it. Mux framing tags every frame with a
 // stream ID and a priority class, segments bulk payloads into small
@@ -40,8 +40,7 @@ import (
 )
 
 // MuxVersion is the mux protocol version this build speaks. Version 2
-// added the announced total; a version-1 peer is declined to ordered
-// framing like any pre-mux peer.
+// added the announced total; the handshake refuses a version-1 peer.
 const MuxVersion = 2
 
 // Segment sizing. DefaultMuxSegment bounds how long a control frame can
