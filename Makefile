@@ -54,12 +54,15 @@ race-wire:
 # (arbitrary bytes: only checksummed entries applied, file cut at the
 # intact prefix) and on by-reference write bodies (a random striping view ×
 # a random range of it: the caller's own pieces, concatenating to the
-# contiguous gather, in frames identical to the inline encoding). The seed
-# corpora alone run in every plain `go test`.
+# contiguous gather, in frames identical to the inline encoding) and on
+# kernel chunking (every registered kernel: any split of the stream, and a
+# Checkpoint→Restore in the middle of it, ends in the unsplit run's result).
+# The seed corpora alone run in every plain `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxReader -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzStridedRange -fuzztime 10s
+	$(GO) test ./internal/kernels/ -run '^$$' -fuzz FuzzKernelChunking -fuzztime 10s
 
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,
@@ -129,10 +132,14 @@ bench-vet:
 
 check: vet bench-vet race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 
-# Data-path microbenchmarks (fixed iteration count so runs compare
-# across commits) plus the window-vs-serial matrix (writes BENCH_pr2.json).
+# Data-path and kernel microbenchmarks (fixed iteration counts so runs
+# compare across commits): every registered kernel over a 1 MiB chunk, an
+# 8 MiB sum8 through Runtime.HandleActive over an extent store; plus the
+# window-vs-serial matrix (writes BENCH_pr2.json).
 bench:
 	$(GO) test ./internal/pfs/ -run '^$$' -bench 'ReadPath|WritePath' -benchtime 15x -benchmem
+	$(GO) test ./internal/kernels/ -run '^$$' -bench 'Kernel' -benchtime 200x
+	$(GO) test ./internal/core/ -run '^$$' -bench 'RuntimeExecute' -benchtime 50x
 	$(GO) run ./cmd/dosas-bench -exp readpath
 	$(GO) run ./cmd/dosas-bench -exp noisy-neighbor
 

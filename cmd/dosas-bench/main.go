@@ -156,9 +156,10 @@ func header(title string) {
 	fmt.Println(strings.Repeat("-", len(title)))
 }
 
-// table3 regenerates Table III: computation complexity is fixed by the
-// kernel implementations; the processing rate is measured live on this
-// host and shown beside the paper's Discfarm measurement.
+// table3 regenerates Table III: computation complexity is the paper's
+// description of each operation (the kernels compute the same values, not
+// necessarily by that many instructions); the processing rate is measured
+// live on this host and shown beside the paper's Discfarm measurement.
 func table3() {
 	header("Table III: benchmark kernels and processing rates")
 	paper := map[string]float64{"sum8": 860e6, "gaussian2d": 80e6}

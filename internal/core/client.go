@@ -517,17 +517,9 @@ func dispositionName(d uint8) string {
 // buffer, then process. The crossover behaviour the scheduler reasons
 // about depends on these phases being serial.
 func (c *Client) computeLocally(addr string, handle, offset, length uint64, op string, params, resumeState []byte, traceID, reqID uint64) ([]byte, uint64, error) {
-	k, err := kernels.New(op)
+	k, err := kernels.Start(op, params, resumeState)
 	if err != nil {
 		return nil, 0, err
-	}
-	if err := k.Configure(params); err != nil {
-		return nil, 0, err
-	}
-	if len(resumeState) > 0 {
-		if err := k.Restore(resumeState); err != nil {
-			return nil, 0, err
-		}
 	}
 	// Phase 1: data movement, pipelined inside the phase: up to
 	// WindowDepth chunk reads ride the wire concurrently, but the kernel
@@ -626,11 +618,8 @@ type TransformResult struct {
 // the output ever crosses the network. Only operations with
 // h(x) = x (e.g. full-image gaussian2d) qualify; others return an error.
 func (c *Client) Transform(src *pfs.File, dstName, op string, params []byte) (*pfs.File, *TransformResult, error) {
-	k, err := kernels.New(op)
+	k, err := kernels.Start(op, params, nil)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := k.Configure(params); err != nil {
 		return nil, nil, err
 	}
 	for _, probe := range []uint64{1 << 12, 1 << 20, 3 << 19} {

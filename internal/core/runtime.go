@@ -166,6 +166,14 @@ func (t *task) length() uint64 {
 	return t.req.Length
 }
 
+// source returns the local stream and offset the task's kernel reads from.
+func (t *task) source() (handle, offset uint64) {
+	if t.xform != nil {
+		return t.xform.SrcHandle, t.xform.Offset
+	}
+	return t.req.Handle, t.req.Offset
+}
+
 // clientReqID returns the task's client-visible request id.
 func (t *task) clientReqID() uint64 {
 	if t.xform != nil {
@@ -416,8 +424,8 @@ func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, 
 		Kind: trace.KindArrive, TraceID: req.TraceID,
 		ReqID: req.RequestID, Op: req.Op, Bytes: req.Length, Tenant: req.Tenant,
 	})
-	if _, err := kernels.New(req.Op); err != nil {
-		return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
+	if !kernels.Registered(req.Op) {
+		return nil, fmt.Errorf("%w: %v: %q", pfs.ErrInvalid, kernels.ErrUnknown, req.Op)
 	}
 	reject := func(counter, note string, decided time.Duration) *wire.ActiveReadResp {
 		rt.reg.Counter(counter).Inc()
@@ -452,11 +460,12 @@ func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, 
 			return reject("active.rejected", note, time.Since(decisionStart)), nil
 		}
 	}
+	predicted := rt.predictKernel(req.Op, req.Length)
 	rt.cfg.Trace.RecordEvent(trace.Event{
 		Kind: trace.KindAdmit, TraceID: req.TraceID,
 		ReqID: req.RequestID, Op: req.Op, Bytes: req.Length, Tenant: req.Tenant,
 		Phase: trace.PhaseDecision, Dur: time.Since(decisionStart),
-		Predicted: rt.predictKernel(req.Op, req.Length), Note: admitNote,
+		Predicted: predicted, Note: admitNote,
 	})
 	t := &task{
 		id:        rt.nextID.Add(1),
@@ -466,7 +475,7 @@ func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, 
 		tenant:    req.Tenant,
 		traceID:   req.TraceID,
 		arrived:   time.Now(),
-		predicted: rt.predictKernel(req.Op, req.Length),
+		predicted: predicted,
 		auditSeq:  auditSeq,
 	}
 	rt.mu.Lock()
@@ -507,8 +516,8 @@ func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, 
 func (rt *Runtime) HandleTransform(req *wire.TransformReq) (*wire.TransformResp, error) {
 	rt.reg.Counter("transform.arrivals").Inc()
 	rt.cfg.Tenants.Account(req.Tenant, func(s *tenant.Stats) { s.TransformOps++ })
-	if _, err := kernels.New(req.Op); err != nil {
-		return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
+	if !kernels.Registered(req.Op) {
+		return nil, fmt.Errorf("%w: %v: %q", pfs.ErrInvalid, kernels.ErrUnknown, req.Op)
 	}
 	t := &task{
 		id:      rt.nextID.Add(1),
@@ -556,41 +565,14 @@ func (rt *Runtime) executeTransform(t *task) (wire.Message, error) {
 	rt.est.MemReserve(req.Length) // output is buffered until Result
 	defer rt.est.MemRelease(req.Length)
 
-	k, err := kernels.New(req.Op)
+	k, err := kernels.Start(req.Op, req.Params, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
 	}
-	if err := k.Configure(req.Params); err != nil {
-		return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
-	}
-	buf := wire.GetBuf(rt.cfg.ChunkSize) // pooled; kernels must not retain chunk slices
-	defer wire.PutBuf(buf)
-	var done uint64
-	for done < req.Length {
-		chunkStart := time.Now()
-		if t.interrupt.Load() {
-			return nil, fmt.Errorf("%w: transform cancelled", pfs.ErrInvalid)
-		}
-		n := uint64(len(buf))
-		if req.Length-done < n {
-			n = req.Length - done
-		}
-		read, rerr := rt.cfg.Store.ReadAt(req.SrcHandle, buf[:n], req.Offset+done)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if read == 0 {
-			return nil, fmt.Errorf("%w: transform beyond local data (handle %d offset %d)",
-				pfs.ErrInvalid, req.SrcHandle, req.Offset+done)
-		}
-		if err := k.Process(buf[:read]); err != nil {
-			return nil, err
-		}
-		done += uint64(read)
-		t.processed.Store(done)
-		if rt.cfg.Pace {
-			rt.paceChunk(req.Op, read, chunkStart)
-		}
+	if _, interrupted, err := rt.feed(t, k); err != nil {
+		return nil, err
+	} else if interrupted {
+		return nil, fmt.Errorf("%w: transform cancelled", pfs.ErrInvalid)
 	}
 	out, err := k.Result()
 	if err != nil {
@@ -915,6 +897,45 @@ func (rt *Runtime) respond(t *task, resp wire.Message, err error) {
 	}
 }
 
+// feed streams the task's local input range through k, one ChunkSize read
+// at a time: read, Process, publish progress, pace. It looks at the
+// interrupt flag before every chunk and stops there when it is raised; what
+// an interrupt means — checkpoint and migrate, or fail — is the caller's.
+// done is the number of bytes k has consumed.
+func (rt *Runtime) feed(t *task, k kernels.Kernel) (done uint64, interrupted bool, err error) {
+	handle, offset := t.source()
+	length := t.length()
+	buf := wire.GetBuf(rt.cfg.ChunkSize) // pooled; kernels must not retain chunk slices
+	defer wire.PutBuf(buf)
+	for done < length {
+		chunkStart := time.Now()
+		if t.interrupt.Load() {
+			return done, true, nil
+		}
+		n := min(uint64(len(buf)), length-done)
+		read, err := rt.cfg.Store.ReadAt(handle, buf[:n], offset+done)
+		if err != nil {
+			return done, false, err
+		}
+		if read == 0 {
+			return done, false, fmt.Errorf("%w: active input beyond local data (handle %d offset %d)",
+				pfs.ErrInvalid, handle, offset+done)
+		}
+		if err := k.Process(buf[:read]); err != nil {
+			return done, false, err
+		}
+		done += uint64(read)
+		t.processed.Store(done)
+		if t.xform == nil {
+			rt.reg.Counter("active.bytes_processed").Add(int64(read))
+		}
+		if rt.cfg.Pace {
+			rt.paceChunk(t.op, read, chunkStart)
+		}
+	}
+	return done, false, nil
+}
+
 // execute streams local stripe data through the request's kernel,
 // checkpointing out if the interrupt flag is raised between chunks.
 func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
@@ -935,74 +956,42 @@ func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
 	rt.est.MemReserve(uint64(rt.cfg.ChunkSize))
 	defer rt.est.MemRelease(uint64(rt.cfg.ChunkSize))
 
-	k, err := kernels.New(req.Op)
+	k, err := kernels.Start(req.Op, req.Params, req.ResumeState)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
 	}
-	if err := k.Configure(req.Params); err != nil {
-		return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
+	done, interrupted, err := rt.feed(t, k)
+	if err != nil {
+		return nil, err
 	}
-	if len(req.ResumeState) > 0 {
-		if err := k.Restore(req.ResumeState); err != nil {
-			return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
+	if interrupted {
+		state, cerr := k.Checkpoint()
+		if cerr != nil {
+			return nil, cerr
 		}
-	}
-
-	buf := wire.GetBuf(rt.cfg.ChunkSize) // pooled; kernels must not retain chunk slices
-	defer wire.PutBuf(buf)
-	var done uint64
-	for done < req.Length {
-		chunkStart := time.Now()
-		if t.interrupt.Load() {
-			state, cerr := k.Checkpoint()
-			if cerr != nil {
-				return nil, cerr
-			}
-			rt.reg.Counter("active.migrated").Inc()
-			rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) { s.Interrupts++ })
-			rt.cfg.Trace.RecordEvent(trace.Event{
-				Kind: trace.KindMigrate, TraceID: t.traceID,
-				ReqID: req.RequestID, Op: req.Op, Bytes: req.Length - done, Tenant: t.tenant,
-				Phase: trace.PhaseKernel, Dur: time.Since(execStart), Predicted: t.predicted,
-				Note: fmt.Sprintf("checkpointed after %d bytes", done),
-			})
-			// The realized disposition of an accepted-then-interrupted
-			// request: it bounced after partial kernel work here.
-			rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{
-				Disposition: audit.DispInterrupted,
-				KernelNS:    time.Since(execStart).Nanoseconds(),
-				QueueWaitNS: queueWait.Nanoseconds(),
-				Processed:   done,
-			})
-			return &wire.ActiveReadResp{
-				RequestID:   req.RequestID,
-				Disposition: wire.ActiveInterrupted,
-				State:       state,
-				Processed:   done,
-				TraceID:     t.traceID,
-			}, nil
-		}
-		n := uint64(len(buf))
-		if req.Length-done < n {
-			n = req.Length - done
-		}
-		read, rerr := rt.cfg.Store.ReadAt(req.Handle, buf[:n], req.Offset+done)
-		if rerr != nil {
-			return nil, rerr
-		}
-		if read == 0 {
-			return nil, fmt.Errorf("%w: active read beyond local data (handle %d offset %d)",
-				pfs.ErrInvalid, req.Handle, req.Offset+done)
-		}
-		if err := k.Process(buf[:read]); err != nil {
-			return nil, err
-		}
-		done += uint64(read)
-		t.processed.Store(done)
-		rt.reg.Counter("active.bytes_processed").Add(int64(read))
-		if rt.cfg.Pace {
-			rt.paceChunk(req.Op, read, chunkStart)
-		}
+		rt.reg.Counter("active.migrated").Inc()
+		rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) { s.Interrupts++ })
+		rt.cfg.Trace.RecordEvent(trace.Event{
+			Kind: trace.KindMigrate, TraceID: t.traceID,
+			ReqID: req.RequestID, Op: req.Op, Bytes: req.Length - done, Tenant: t.tenant,
+			Phase: trace.PhaseKernel, Dur: time.Since(execStart), Predicted: t.predicted,
+			Note: fmt.Sprintf("checkpointed after %d bytes", done),
+		})
+		// The realized disposition of an accepted-then-interrupted
+		// request: it bounced after partial kernel work here.
+		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{
+			Disposition: audit.DispInterrupted,
+			KernelNS:    time.Since(execStart).Nanoseconds(),
+			QueueWaitNS: queueWait.Nanoseconds(),
+			Processed:   done,
+		})
+		return &wire.ActiveReadResp{
+			RequestID:   req.RequestID,
+			Disposition: wire.ActiveInterrupted,
+			State:       state,
+			Processed:   done,
+			TraceID:     t.traceID,
+		}, nil
 	}
 	out, err := k.Result()
 	if err != nil {

@@ -36,28 +36,38 @@ func (k *patternCount) Process(chunk []byte) error {
 	if len(k.pattern) == 0 {
 		return fmt.Errorf("kernels: count not configured")
 	}
-	buf := chunk
-	if len(k.tail) > 0 {
-		buf = append(append([]byte(nil), k.tail...), chunk...)
+	// A match either starts in the carried tail or in the chunk. The first
+	// kind lies inside the seam — the tail plus the chunk's first
+	// len(pattern)-1 bytes, built in the tail's own buffer — and the seam's
+	// chunk part is too short to hold a match of the second kind, so the
+	// two searches count every match once and the chunk is never copied.
+	keep := len(k.pattern) - 1
+	k.tail = append(k.tail, chunk[:min(keep, len(chunk))]...)
+	k.count += countOverlapping(k.tail, k.pattern)
+	k.count += countOverlapping(chunk, k.pattern)
+	// Carry the stream's last len(pattern)-1 bytes for boundary matches.
+	if len(chunk) >= keep {
+		k.tail = append(k.tail[:0], chunk[len(chunk)-keep:]...)
+	} else if n := len(k.tail) - keep; n > 0 {
+		// A chunk shorter than the carry: the seam is the old tail plus
+		// the whole chunk.
+		k.tail = k.tail[:copy(k.tail, k.tail[n:])]
 	}
-	// Count overlapping matches that END inside the new bytes. Matches
-	// fully contained in the carried tail were counted in a prior call
-	// (the tail is shorter than the pattern, so none can be).
+	return nil
+}
+
+// countOverlapping counts the occurrences of pattern in buf, overlapping
+// ones included.
+func countOverlapping(buf, pattern []byte) uint64 {
+	var n uint64
 	for i := 0; ; {
-		j := bytes.Index(buf[i:], k.pattern)
+		j := bytes.Index(buf[i:], pattern)
 		if j < 0 {
-			break
+			return n
 		}
-		k.count++
+		n++
 		i += j + 1
 	}
-	// Carry the last len(pattern)-1 bytes for boundary matches.
-	keep := len(k.pattern) - 1
-	if keep > len(buf) {
-		keep = len(buf)
-	}
-	k.tail = append(k.tail[:0], buf[len(buf)-keep:]...)
-	return nil
 }
 
 func (k *patternCount) Checkpoint() ([]byte, error) {

@@ -41,8 +41,10 @@ func GaussianParamsHalo(width uint32, emitFull bool, top, bottom []byte) []byte 
 
 // gaussian2d applies the paper's 2-D Gaussian filter benchmark: a 3×3
 // convolution with kernel [[1,2,1],[2,4,2],[1,2,1]]/16 over an 8-bit
-// grayscale image — 9 multiplications, 9 additions and 1 division per
-// pixel, the computation complexity of paper Table III.
+// grayscale image. The paper's Table III counts 9 multiplications, 9
+// additions and 1 division per pixel; this code does not imitate that
+// count (reproducing Table III's timing is RuntimeConfig.Pace's job) but
+// computes the same integer by the filter's separable form, see filterRow.
 //
 // The stream is rows of width pixels, one byte each. Border pixels are
 // handled by edge replication. In digest mode the result is
@@ -55,8 +57,14 @@ type gaussian2d struct {
 	botHalo  []byte // optional explicit neighbour below the last row
 
 	rowPartial []byte // bytes of the row currently being assembled
-	prev, cur  []byte // last two complete rows
+	prev, cur  []byte // last two complete rows; nil until seen
 	rows       uint64 // complete rows consumed
+
+	// Scratch reused from row to row, so a steady-state Process allocates
+	// nothing; none of it is checkpointed.
+	spare []byte   // the row buffer the next complete row is copied into
+	vsum  []uint16 // filterRow's vertical pass
+	out   []byte   // filterRow's filtered row
 
 	// Digest accumulators over filtered pixels.
 	fSum    uint64
@@ -119,25 +127,33 @@ func (k *gaussian2d) Process(chunk []byte) error {
 		return fmt.Errorf("kernels: gaussian2d not configured")
 	}
 	for len(chunk) > 0 {
+		if len(k.rowPartial) == 0 && len(chunk) >= k.width {
+			k.pushRow(chunk[:k.width]) // a whole row inside the chunk: no assembly
+			chunk = chunk[k.width:]
+			continue
+		}
 		need := k.width - len(k.rowPartial)
 		if need > len(chunk) {
 			k.rowPartial = append(k.rowPartial, chunk...)
 			return nil
 		}
-		row := append(k.rowPartial, chunk[:need]...)
+		k.rowPartial = append(k.rowPartial, chunk[:need]...)
 		chunk = chunk[need:]
+		k.pushRow(k.rowPartial)
 		k.rowPartial = k.rowPartial[:0]
-		k.pushRow(row)
 	}
 	return nil
 }
 
 // pushRow advances the 3-row window: arrival of row N lets row N-1 be
 // filtered (above = row N-2, replicated at the top edge). The final row is
-// flushed by Result with a replicated row below.
+// flushed by Result with a replicated row below. row is copied (the caller's
+// chunk must not be retained) into whichever of the three row buffers holds
+// neither of the two rows still needed.
 func (k *gaussian2d) pushRow(row []byte) {
 	k.rows++
-	r := append([]byte(nil), row...)
+	r := append(k.spare[:0], row...)
+	k.spare = nil // r owns that buffer now
 	if k.cur == nil {
 		k.cur = r
 		return
@@ -150,45 +166,58 @@ func (k *gaussian2d) pushRow(row []byte) {
 		}
 	}
 	k.filterRow(above, k.cur, r)
+	k.spare = k.prev
 	k.prev = k.cur
 	k.cur = r
 }
 
 // filterRow convolves the middle row using rows above and below, with
-// column edge replication, and feeds the filtered pixels to the digest.
+// column edge replication, and folds the filtered pixels into the digest.
+//
+// The 3×3 kernel is the outer product [1,2,1]ᵀ·[1,2,1], so the nine-term
+// sum is computed in two passes: v[x] = above[x] + 2·mid[x] + below[x]
+// (≤ 4·255 = 1020), then v[x-1] + 2·v[x] + v[x+1] (≤ 4080, well inside a
+// uint16). That is the same nine products added in another order — integer
+// addition is exact, so the sum and its quotient by 16 are identical to the
+// direct form's. Edge replication makes the missing neighbour of the first
+// and last pixel the pixel's own column, hence 3·v[0] + v[1] and
+// v[w-2] + 3·v[w-1]; they are done apart so the interior loop has no clamp.
 func (k *gaussian2d) filterRow(above, mid, below []byte) {
 	w := k.width
-	out := make([]byte, w)
-	for x := 0; x < w; x++ {
-		xl, xr := x-1, x+1
-		if xl < 0 {
-			xl = 0
-		}
-		if xr >= w {
-			xr = w - 1
-		}
-		// Written as explicit multiplies so the per-pixel cost matches the
-		// paper's "9 multiplications, 9 additions, 1 division" accounting.
-		acc := 1*uint32(above[xl]) + 2*uint32(above[x]) + 1*uint32(above[xr]) +
-			2*uint32(mid[xl]) + 4*uint32(mid[x]) + 2*uint32(mid[xr]) +
-			1*uint32(below[xl]) + 2*uint32(below[x]) + 1*uint32(below[xr])
-		out[x] = uint8(acc / 16)
+	if len(k.vsum) != w {
+		k.vsum = make([]uint16, w)
+		k.out = make([]byte, w)
 	}
-	k.absorb(out)
-}
+	v, out := k.vsum[:w], k.out[:w]
+	above, mid, below = above[:w], mid[:w], below[:w]
+	for x := range v {
+		v[x] = uint16(above[x]) + 2*uint16(mid[x]) + uint16(below[x])
+	}
 
-func (k *gaussian2d) absorb(out []byte) {
-	for _, p := range out {
-		k.fSum += uint64(p)
-		if !k.haveMin || p < k.fMin {
-			k.fMin = p
-			k.haveMin = true
-		}
-		if p > k.fMax {
-			k.fMax = p
-		}
+	first := uint8((3*v[0] + v[1]) / 16)
+	last := uint8((v[w-2] + 3*v[w-1]) / 16)
+	out[0], out[w-1] = first, last
+	sum := uint64(first) + uint64(last)
+	lo, hi := min(first, last), max(first, last)
+	// Three equal-length views: v[x-1], v[x], v[x+1] for interior x.
+	vl, vm, vr, in := v[:w-2], v[1:w-1], v[2:], out[1:w-1]
+	vm, vr, in = vm[:len(vl)], vr[:len(vl)], in[:len(vl)]
+	for i := range vl {
+		p := uint8((vl[i] + 2*vm[i] + vr[i]) / 16)
+		in[i] = p
+		sum += uint64(p)
+		lo, hi = min(lo, p), max(hi, p)
 	}
-	k.fPixels += uint64(len(out))
+
+	k.fSum += sum
+	if !k.haveMin || lo < k.fMin {
+		k.fMin = lo
+		k.haveMin = true
+	}
+	if hi > k.fMax {
+		k.fMax = hi
+	}
+	k.fPixels += uint64(w)
 	k.fCRC = crc32.Update(k.fCRC, crc32.IEEETable, out)
 	if k.emitFull {
 		k.full = append(k.full, out...)
@@ -261,6 +290,13 @@ func (k *gaussian2d) Restore(state []byte) error {
 	k.full = getb("full")
 	if err != nil {
 		return err
+	}
+	// A checkpoint arrives in a client's request: filterRow indexes rows by
+	// width, so a row of any other length must stop here.
+	rowOK := func(r []byte) bool { return len(r) == 0 || len(r) == k.width }
+	if k.width < 3 || len(k.rowPartial) >= k.width ||
+		!rowOK(prev) || !rowOK(cur) || !rowOK(topHalo) || !rowOK(botHalo) {
+		return fmt.Errorf("%w: gaussian2d row geometry", ErrStateCorrupt)
 	}
 	// Empty slices round-trip as nil rows.
 	if len(prev) == 0 {

@@ -80,6 +80,33 @@ func New(name string) (Kernel, error) {
 	return f(), nil
 }
 
+// Registered reports whether name has a kernel, without building one.
+func Registered(name string) bool {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	_, ok := registry[name]
+	return ok
+}
+
+// Start runs the opening steps of the usage protocol in one call: a fresh
+// kernel for op, configured with params and, when resumeState is not empty,
+// restored from that checkpoint.
+func Start(op string, params, resumeState []byte) (Kernel, error) {
+	k, err := New(op)
+	if err != nil {
+		return nil, err
+	}
+	if err := k.Configure(params); err != nil {
+		return nil, err
+	}
+	if len(resumeState) > 0 {
+		if err := k.Restore(resumeState); err != nil {
+			return nil, err
+		}
+	}
+	return k, nil
+}
+
 // Names returns all registered operation names in sorted order.
 func Names() []string {
 	regMu.RLock()

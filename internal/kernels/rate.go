@@ -61,16 +61,18 @@ func ResetRates() {
 	}
 }
 
+// calibrateWidth is the gaussian2d row width Calibrate measures at: an
+// image-like row, whose three-row window stays in cache as real images'
+// rows do — not a function of the sample size, which at 32 MiB would make
+// rows no image has.
+const calibrateWidth = 4096
+
 // defaultParamsFor returns parameters that make the named kernel runnable
 // over an arbitrary byte stream, for calibration.
-func defaultParamsFor(op string, sample int) []byte {
+func defaultParamsFor(op string) []byte {
 	switch op {
 	case "gaussian2d":
-		w := sample / 64
-		if w < 3 {
-			w = 3
-		}
-		return GaussianParams(uint32(w), false)
+		return GaussianParams(calibrateWidth, false)
 	case "count":
 		return []byte("needle")
 	case "downsample":
@@ -91,11 +93,8 @@ func Calibrate(op string, sampleBytes int, store bool) (float64, error) {
 	if sampleBytes <= 0 {
 		sampleBytes = 32 << 20
 	}
-	k, err := New(op)
+	k, err := Start(op, defaultParamsFor(op), nil)
 	if err != nil {
-		return 0, err
-	}
-	if err := k.Configure(defaultParamsFor(op, sampleBytes)); err != nil {
 		return 0, err
 	}
 	const chunk = 1 << 20

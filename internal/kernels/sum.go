@@ -20,14 +20,51 @@ func (*sum8) Name() string             { return "sum8" }
 func (*sum8) Configure([]byte) error   { return nil }
 func (*sum8) ResultSize(uint64) uint64 { return 8 }
 
+// sum8 reads eight bytes per load and adds them in the four 16-bit lanes of
+// an accumulator word: the even and the odd bytes of v, each masked to
+// 0x00FF per lane, so one word adds at most 2·255 = 510 to a lane.
+// sum8LaneWords words add at most 128·510 = 65 280 < 2¹⁶ = 65 536, so no
+// lane can carry into its neighbour before the lanes are folded into the
+// 64-bit total. Two accumulators take alternate words (the adds of one do
+// not wait for the other's), which makes a block between folds
+// 2·sum8LaneWords words.
+const (
+	sum8LaneMask  = 0x00FF00FF00FF00FF
+	sum8LaneWords = 128
+	sum8Block     = 2 * 8 * sum8LaneWords // bytes
+)
+
 func (k *sum8) Process(chunk []byte) error {
+	k.processed += uint64(len(chunk))
 	var t uint64
-	for _, b := range chunk {
+	for len(chunk) >= 32 {
+		blk := chunk[:min(len(chunk), sum8Block)&^31]
+		chunk = chunk[len(blk):]
+		var a0, a1 uint64
+		for len(blk) >= 32 {
+			v0 := binary.LittleEndian.Uint64(blk)
+			v1 := binary.LittleEndian.Uint64(blk[8:])
+			v2 := binary.LittleEndian.Uint64(blk[16:])
+			v3 := binary.LittleEndian.Uint64(blk[24:])
+			a0 += v0&sum8LaneMask + (v0>>8)&sum8LaneMask
+			a1 += v1&sum8LaneMask + (v1>>8)&sum8LaneMask
+			a0 += v2&sum8LaneMask + (v2>>8)&sum8LaneMask
+			a1 += v3&sum8LaneMask + (v3>>8)&sum8LaneMask
+			blk = blk[32:]
+		}
+		t += foldLanes16(a0) + foldLanes16(a1)
+	}
+	for _, b := range chunk { // fewer than 32 bytes
 		t += uint64(b)
 	}
 	k.total += t
-	k.processed += uint64(len(chunk))
 	return nil
+}
+
+// foldLanes16 adds the four 16-bit lanes of a.
+func foldLanes16(a uint64) uint64 {
+	a = a&0x0000FFFF0000FFFF + (a>>16)&0x0000FFFF0000FFFF // two 32-bit lanes, each < 2¹⁷
+	return a&0xFFFFFFFF + a>>32
 }
 
 func (k *sum8) Checkpoint() ([]byte, error) {
