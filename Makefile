@@ -56,18 +56,22 @@ race-wire:
 # a random range of it: the caller's own pieces, concatenating to the
 # contiguous gather, in frames identical to the inline encoding) and on
 # kernel chunking (every registered kernel: any split of the stream, and a
-# Checkpoint→Restore in the middle of it, ends in the unsplit run's result).
+# Checkpoint→Restore in the middle of it, ends in the unsplit run's result)
+# and on the kernels' mapped input (writes, truncates and removes over 4–64
+# KiB extents: every view of a range byte-identical to ReadAt of it).
 # The seed corpora alone run in every plain `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxReader -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzStridedRange -fuzztime 10s
+	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzExtentView -fuzztime 10s
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz FuzzKernelChunking -fuzztime 10s
 
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,
-# truncates, and in-flight zero-copy payloads pinning descriptors; the
-# cross-validation suite churns all of them under -race.
+# truncates, in-flight zero-copy payloads and kernel views pinning
+# descriptors and their mappings; the cross-validation suite and the
+# view-vs-ReadAt equivalence tests churn all of them under -race.
 race-store:
 	$(GO) test -race -run 'TestExtent|TestFDCache|TestFileStore|TestStore' ./internal/pfs/
 
@@ -134,8 +138,9 @@ check: vet bench-vet race-observability race-transport race-wire race-store race
 
 # Data-path and kernel microbenchmarks (fixed iteration counts so runs
 # compare across commits): every registered kernel over a 1 MiB chunk, an
-# 8 MiB sum8 through Runtime.HandleActive over an extent store; plus the
-# window-vs-serial matrix (writes BENCH_pr2.json).
+# 8 MiB sum8 through Runtime.HandleActive over a MemStore, over an extent
+# store, and on two runtimes at once; plus the window-vs-serial matrix
+# (writes BENCH_pr2.json).
 bench:
 	$(GO) test ./internal/pfs/ -run '^$$' -bench 'ReadPath|WritePath' -benchtime 15x -benchmem
 	$(GO) test ./internal/kernels/ -run '^$$' -bench 'Kernel' -benchtime 200x

@@ -232,21 +232,31 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 
 	// The debug endpoint serves the node's OpenMetrics exposition: typed,
-	// node-labeled families with the OpenMetrics terminator.
+	// node-labeled families with the OpenMetrics terminator. The telemetry
+	// family lists only series that hold a sample, so the scrape waits for
+	// the sampler's first tick (100 ms after start by default); the CLI
+	// steps above can finish sooner than that.
 	waitDialable(t, pprofAddr)
-	resp, err := http.Get("http://" + pprofAddr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	var om string
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		resp, err := http.Get("http://" + pprofAddr + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "openmetrics-text") {
+			t.Fatalf("metrics content-type = %q", ct)
+		}
+		om = string(body)
+		if strings.Contains(om, "# TYPE dosas_telemetry gauge") || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "openmetrics-text") {
-		t.Fatalf("metrics content-type = %q", ct)
-	}
-	om := string(body)
 	for _, want := range []string{
 		"# TYPE dosas_telemetry gauge",
 		"# TYPE dosas_slo_alert gauge",

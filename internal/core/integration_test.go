@@ -24,6 +24,7 @@ type activeCluster struct {
 	asc      *Client
 	runtimes []*Runtime
 	servers  []*pfs.Server
+	stores   []pfs.Store
 }
 
 type clusterOpts struct {
@@ -34,6 +35,7 @@ type clusterOpts struct {
 	pace   bool
 	bw     float64
 	period time.Duration
+	extent bool // extent stores on disk instead of MemStores
 }
 
 func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
@@ -62,9 +64,19 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 	var dataAddrs []string
 	var runtimes []*Runtime
 	var servers []*pfs.Server
+	var stores []pfs.Store
 	for i := 0; i < o.nData; i++ {
 		reg := metrics.NewRegistry()
-		store := pfs.NewMemStore()
+		var store pfs.Store = pfs.NewMemStore()
+		if o.extent {
+			es, err := pfs.NewExtentStore(pfs.ExtentConfig{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { es.Close() })
+			store = es
+		}
+		stores = append(stores, store)
 		ds, err := pfs.NewDataServer(pfs.DataConfig{Store: store, Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +117,7 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &activeCluster{fs: fs, asc: asc, runtimes: runtimes, servers: servers}
+	return &activeCluster{fs: fs, asc: asc, runtimes: runtimes, servers: servers, stores: stores}
 }
 
 // writeFile creates a striped file with deterministic pseudo-random bytes.

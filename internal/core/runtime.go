@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -897,31 +899,71 @@ func (rt *Runtime) respond(t *task, resp wire.Message, err error) {
 	}
 }
 
-// feed streams the task's local input range through k, one ChunkSize read
-// at a time: read, Process, publish progress, pace. It looks at the
-// interrupt flag before every chunk and stops there when it is raised; what
-// an interrupt means — checkpoint and migrate, or fail — is the caller's.
-// done is the number of bytes k has consumed.
+// ErrInputTruncated reports that a kernel's input was cut while the kernel
+// read it in place: the extent file behind its chunk shrank (a concurrent
+// Truncate) and the read faulted. It travels as StatusInvalid.
+var ErrInputTruncated = fmt.Errorf("%w: active input truncated under the kernel", pfs.ErrInvalid)
+
+// kernelSlots bounds how many kernels are inside Process at once, across
+// every Runtime in the process, at GOMAXPROCS−1 (at least one): the model's
+// reserved I/O core (EstimatorConfig.IOReservedCores), enforced on the CPUs
+// the process has. A dosas-server holds it per node; dosasd and in-process
+// clusters share it across their nodes. A kernel holds a slot only while it
+// computes a chunk — never across pacing sleeps, checkpoints, output
+// writes or queue waits — so normal I/O always finds a P free.
+var kernelSlots = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
+
+// process runs one chunk through k on a kernel slot. A fault while k reads
+// the chunk — its mapped extent was cut under it — becomes
+// ErrInputTruncated; any other panic is re-raised.
+func process(k kernels.Kernel, chunk []byte) (err error) {
+	kernelSlots <- struct{}{}
+	defer func() {
+		<-kernelSlots
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("%w (fault at %#x)", ErrInputTruncated, fault.Addr())
+		}
+	}()
+	return k.Process(chunk)
+}
+
+// feed streams the task's local input range through k, one chunk at a time:
+// view, Process, publish progress, pace. A chunk is at most ChunkSize and
+// ends at an extent boundary; on an extent store it is the page cache in
+// place (pfs.ReadView), elsewhere a pooled copy. It looks at the interrupt
+// flag before every chunk and stops there when it is raised; what an
+// interrupt means — checkpoint and migrate, or fail — is the caller's. done
+// is the number of bytes k has consumed.
 func (rt *Runtime) feed(t *task, k kernels.Kernel) (done uint64, interrupted bool, err error) {
 	handle, offset := t.source()
 	length := t.length()
 	buf := wire.GetBuf(rt.cfg.ChunkSize) // pooled; kernels must not retain chunk slices
 	defer wire.PutBuf(buf)
+	// A mapped chunk faults instead of reading short if its file is cut
+	// under the kernel; process turns that fault into an error.
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	for done < length {
 		chunkStart := time.Now()
 		if t.interrupt.Load() {
 			return done, true, nil
 		}
 		n := min(uint64(len(buf)), length-done)
-		read, err := rt.cfg.Store.ReadAt(handle, buf[:n], offset+done)
+		v, err := pfs.ReadView(rt.cfg.Store, handle, buf[:n], offset+done)
 		if err != nil {
 			return done, false, err
 		}
+		read := len(v.Bytes())
 		if read == 0 {
 			return done, false, fmt.Errorf("%w: active input beyond local data (handle %d offset %d)",
 				pfs.ErrInvalid, handle, offset+done)
 		}
-		if err := k.Process(buf[:read]); err != nil {
+		err = process(k, v.Bytes())
+		v.Release()
+		if err != nil {
 			return done, false, err
 		}
 		done += uint64(read)

@@ -33,7 +33,9 @@ type Kernel interface {
 	Configure(params []byte) error
 	// Process consumes the next chunk of the input stream. Chunks may be
 	// any size, including sizes that split logical elements; kernels
-	// carry partial elements across calls.
+	// carry partial elements across calls. A chunk is read-only and valid
+	// only during the call: on a storage node it is the page cache itself,
+	// mapped read-only, so a kernel copies what it carries over.
 	Process(chunk []byte) error
 	// Checkpoint serialises the kernel's full internal state.
 	Checkpoint() ([]byte, error)

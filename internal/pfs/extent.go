@@ -66,7 +66,7 @@ type ExtentConfig struct {
 }
 
 // ExtentStore implements Store and RangeReader over a directory of
-// extent files.
+// extent files, and lends mapped extent bytes through ReadView.
 type ExtentStore struct {
 	dir  string
 	ext  int64
@@ -243,6 +243,33 @@ func (s *ExtentStore) ReadAt(handle uint64, p []byte, off uint64) (int, error) {
 	return n, nil
 }
 
+// readView implements ReadView: [off, off+n) clipped to the stream and to
+// off's extent, lent from the extent file's mapping when the file holds all
+// of it, else read into buf.
+func (s *ExtentStore) readView(handle uint64, buf []byte, off uint64) (View, error) {
+	size, err := s.sizeLoad(handle)
+	if err != nil {
+		return View{}, err
+	}
+	if int64(off) >= size || len(buf) == 0 {
+		return View{}, nil
+	}
+	idx, local := int64(off)/s.ext, int64(off)%s.ext
+	n := min(int64(len(buf)), size-int64(off), s.ext-local)
+	if e, err := s.extent(handle, idx, false); err == nil {
+		if m := s.fds.mapping(e, s.ext, local+n); m != nil {
+			return View{b: m[local : local+n : local+n], e: e, c: s.fds}, nil
+		}
+		s.fds.release(e)
+	}
+	k, err := s.ReadAt(handle, buf[:n], off)
+	return View{b: buf[:k]}, err
+}
+
+// MappedExtents reports how many extent files are mapped for views,
+// counting those that close when their last view is released (tests).
+func (s *ExtentStore) MappedExtents() int { return int(s.fds.mapped.Load()) }
+
 // WriteAt implements Store.
 func (s *ExtentStore) WriteAt(handle uint64, p []byte, off uint64) (int, error) {
 	if len(p) == 0 {
@@ -323,6 +350,7 @@ func (s *ExtentStore) Truncate(handle uint64, size uint64) error {
 		if err != nil {
 			return err
 		}
+		s.fds.shrink(e, local) // views taken from here on stay inside the cut
 		terr := e.f.Truncate(local)
 		if terr == nil && s.sync {
 			terr = e.f.Sync()

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultFDCacheSize caps how many file descriptors a disk-backed store
@@ -19,16 +20,25 @@ type fdKey struct {
 }
 
 // fdEntry is one cached descriptor with a reference count. The cache
-// holds an implicit reference while the entry is live; payloads in
-// flight hold explicit ones, so eviction can never close a descriptor
-// out from under a sendfile in progress — a dead entry closes when its
-// last reference drops.
+// holds an implicit reference while the entry is live; payloads and views
+// in flight hold explicit ones, so eviction can never close a descriptor
+// or unmap its file out from under a sendfile or a kernel in progress — a
+// dead entry closes when its last reference drops.
 type fdEntry struct {
 	key  fdKey
 	f    *os.File
 	refs int
 	dead bool // evicted or invalidated; close once refs == 0
 	elem *list.Element
+	// next and prev link the live entries of one handle (fdCache.handles).
+	next, prev *fdEntry
+
+	// m is a read-only shared mapping of the file, made on the first view
+	// (ExtentStore.readView) and unmapped only by closeEntry. valid is the
+	// file length fstat reported last: views never reach past it, so they
+	// never touch a page beyond the file's end.
+	m     []byte
+	valid int64
 }
 
 // fdCache is a capped, refcounted LRU of open descriptors, shared by the
@@ -39,15 +49,17 @@ type fdCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[fdKey]*fdEntry
-	lru     *list.List // front = most recently used; holds *fdEntry
+	handles map[uint64]*fdEntry // first of each handle's live entries
+	lru     *list.List          // front = most recently used; holds *fdEntry
 	closed  bool
+	mapped  atomic.Int64 // entries holding a mapping, live or awaiting their last release
 }
 
 func newFDCache(capacity int) *fdCache {
 	if capacity <= 0 {
 		capacity = DefaultFDCacheSize
 	}
-	return &fdCache{cap: capacity, entries: make(map[fdKey]*fdEntry), lru: list.New()}
+	return &fdCache{cap: capacity, entries: make(map[fdKey]*fdEntry), handles: make(map[uint64]*fdEntry), lru: list.New()}
 }
 
 // acquire returns the cached descriptor for key, opening it with open on
@@ -56,51 +68,87 @@ func newFDCache(capacity int) *fdCache {
 // in-flight payloads are skipped (the cache may transiently exceed cap).
 func (c *fdCache) acquire(key fdKey, open func() (*os.File, error)) (*fdEntry, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return nil, os.ErrClosed
 	}
 	if e, ok := c.entries[key]; ok {
 		e.refs++
 		c.lru.MoveToFront(e.elem)
+		c.mu.Unlock()
 		return e, nil
 	}
 	f, err := open()
 	if err != nil {
+		c.mu.Unlock()
 		return nil, err
 	}
 	e := &fdEntry{key: key, f: f, refs: 1}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
+	if first := c.handles[key.handle]; first != nil {
+		e.next, first.prev = first, e
+	}
+	c.handles[key.handle] = e
+	evicted := make([]*fdEntry, 0, 2) // usually one: the cache was at cap before this open
 	for c.lru.Len() > c.cap {
-		if !c.evictLRULocked() {
+		v := c.evictLRULocked()
+		if v == nil {
 			break
 		}
+		evicted = append(evicted, v)
+	}
+	c.mu.Unlock()
+	for _, v := range evicted {
+		c.closeEntry(v)
 	}
 	return e, nil
 }
 
-// evictLRULocked drops the least-recently-used unreferenced entry.
-// Reports whether anything was evicted.
-func (c *fdCache) evictLRULocked() bool {
+// evictLRULocked unlinks the least-recently-used unreferenced entry and
+// returns it for the caller to close, or nil when every entry is pinned.
+func (c *fdCache) evictLRULocked() *fdEntry {
 	for el := c.lru.Back(); el != nil; el = el.Prev() {
 		e := el.Value.(*fdEntry)
 		if e.refs > 0 {
 			continue
 		}
 		c.removeLocked(e)
-		e.f.Close()
-		return true
+		return e
 	}
-	return false
+	return nil
 }
 
-// removeLocked unlinks e from the map and LRU and marks it dead. The
-// caller closes e.f if no references remain.
+// removeLocked unlinks e from the maps, its handle's list and the LRU
+// and marks it dead. The caller closes e if no references remain.
 func (c *fdCache) removeLocked(e *fdEntry) {
 	delete(c.entries, e.key)
+	switch {
+	case e.prev != nil:
+		e.prev.next = e.next
+	case e.next != nil:
+		c.handles[e.key.handle] = e.next
+	default:
+		delete(c.handles, e.key.handle)
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	}
 	c.lru.Remove(e.elem)
 	e.dead = true
+}
+
+// closeEntry is the one place an entry ends — eviction, invalidation, the
+// last release of a dead entry, closeAll: its mapping, if any, is unmapped,
+// then its descriptor closed. e is dead and unreferenced, so no payload or
+// view can still be reading either; both run outside the cache lock.
+func (c *fdCache) closeEntry(e *fdEntry) error {
+	if e.m != nil {
+		unmapFile(e.m)
+		e.m = nil
+		c.mapped.Add(-1)
+	}
+	return e.f.Close()
 }
 
 // release drops one reference taken by acquire.
@@ -110,7 +158,7 @@ func (c *fdCache) release(e *fdEntry) {
 	closeNow := e.dead && e.refs == 0
 	c.mu.Unlock()
 	if closeNow {
-		e.f.Close()
+		c.closeEntry(e)
 	}
 }
 
@@ -126,18 +174,17 @@ func (c *fdCache) invalidate(key fdKey) {
 	closeNow := ok && e.refs == 0
 	c.mu.Unlock()
 	if closeNow {
-		e.f.Close()
+		c.closeEntry(e)
 	}
 }
 
-// invalidateHandle removes every cached descriptor of handle.
+// invalidateHandle removes every cached descriptor of handle. It walks
+// only that handle's entries, not the whole cache.
 func (c *fdCache) invalidateHandle(handle uint64) {
 	c.mu.Lock()
 	var toClose []*fdEntry
-	for key, e := range c.entries {
-		if key.handle != handle {
-			continue
-		}
+	for e, next := c.handles[handle], (*fdEntry)(nil); e != nil; e = next {
+		next = e.next
 		c.removeLocked(e)
 		if e.refs == 0 {
 			toClose = append(toClose, e)
@@ -145,8 +192,45 @@ func (c *fdCache) invalidateHandle(handle uint64) {
 	}
 	c.mu.Unlock()
 	for _, e := range toClose {
-		e.f.Close()
+		c.closeEntry(e)
 	}
+}
+
+// mapping returns e's mapping of its file when the file's first need bytes
+// exist, mapping size bytes on first use; nil when the file is shorter
+// than need or cannot be mapped. The length is taken again with fstat only
+// when need passes the one seen last, so a file that grew since is seen
+// without a remap. The caller holds a reference on e.
+func (c *fdCache) mapping(e *fdEntry, size, need int64) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.m == nil {
+		m, err := mapFile(e.f, size)
+		if err != nil {
+			return nil
+		}
+		e.m, e.valid = m, -1 // stat below
+		c.mapped.Add(1)
+	}
+	if need > e.valid {
+		fi, err := e.f.Stat()
+		if err != nil {
+			return nil
+		}
+		e.valid = min(fi.Size(), size)
+		if need > e.valid {
+			return nil
+		}
+	}
+	return e.m
+}
+
+// shrink lowers the length views of e may reach to n. Called before the
+// file is cut to n bytes, so no view taken after the cut reads past it.
+func (c *fdCache) shrink(e *fdEntry, n int64) {
+	c.mu.Lock()
+	e.valid = min(e.valid, n)
+	c.mu.Unlock()
 }
 
 // len reports the number of live cached descriptors (tests).
@@ -169,11 +253,12 @@ func (c *fdCache) closeAll() error {
 		}
 	}
 	c.entries = make(map[fdKey]*fdEntry)
+	c.handles = make(map[uint64]*fdEntry)
 	c.lru.Init()
 	c.mu.Unlock()
 	var first error
 	for _, e := range toClose {
-		if err := e.f.Close(); err != nil && first == nil {
+		if err := c.closeEntry(e); err != nil && first == nil {
 			first = err
 		}
 	}

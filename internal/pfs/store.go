@@ -47,6 +47,45 @@ type RangeReader interface {
 	ReadRange(handle uint64, off, n uint64) (wire.Payload, error)
 }
 
+// View is a range of a stream lent to a reader by ReadView: either bytes of
+// a mapped extent file in place, or the bytes ReadAt copied into the
+// reader's buffer. The bytes are read-only and valid until Release.
+type View struct {
+	b []byte
+	e *fdEntry // pinned extent entry of an in-place view; nil for a copy
+	c *fdCache
+}
+
+// Bytes returns the view's bytes; empty at or past the stream end.
+func (v View) Bytes() []byte { return v.b }
+
+// Release unpins an in-place view's extent file; a no-op for a copy.
+func (v View) Release() {
+	if v.e != nil {
+		v.c.release(v.e)
+	}
+}
+
+// ReadView returns the bytes of handle's stream from off on: at most
+// len(buf) of them, fewer at the stream end or — on an ExtentStore — at the
+// end of off's extent, so a loop over a range cuts it at extent
+// boundaries. When the range lies inside one extent file that can be
+// mapped and is long enough, the view is that file's page cache in place
+// and nothing is copied; in every other case (holes, a missing or short
+// extent file, other stores, builds without mmap) it is ReadAt into buf.
+// The bytes are identical either way.
+//
+// An in-place view can fault if the extent file is cut under it (a
+// concurrent Truncate); readers that touch one run under
+// debug.SetPanicOnFault and treat the fault as truncated input.
+func ReadView(s Store, handle uint64, buf []byte, off uint64) (View, error) {
+	if es, ok := s.(*ExtentStore); ok {
+		return es.readView(handle, buf, off)
+	}
+	n, err := s.ReadAt(handle, buf, off)
+	return View{b: buf[:n]}, err
+}
+
 // MemStore keeps streams in memory. It is the default for tests, examples,
 // and benchmarks where durability is irrelevant.
 type MemStore struct {
