@@ -39,15 +39,19 @@ race-observability:
 race-transport:
 	$(GO) test -race ./internal/wire/ ./internal/transport/ ./internal/pfs/
 
-# Focused race gate for by-reference writes: a request frame aliases its
-# caller's buffer until it has left the writer, so the lifetime tests
-# scribble over the buffer the moment WriteAt/WriteWindowed returns — after
-# a stalled and killed connection, a short acknowledgement, a remote error
-# behind another caller's bulk, a dead replica of three — and -race
-# reports any writer still reading it. Ten rounds: the windows are narrow.
+# Focused race gate for the client's buffer lifetimes. By-reference writes:
+# a request frame aliases its caller's buffer until it has left the writer,
+# so the lifetime tests scribble over the buffer the moment
+# WriteAt/WriteWindowed returns — after a stalled and killed connection, a
+# short acknowledgement, a remote error behind another caller's bulk, a dead
+# replica of three — and -race reports any writer still reading it. Landed
+# reads: the read loop writes response bodies into the caller's buffer, so
+# TestLandingReleaseMidBody scribbles over it once Release has abandoned a
+# body mid-landing, and -race reports a landing still writing.
+# Ten rounds: the windows are narrow.
 race-wire:
 	$(GO) test -race ./internal/wire/
-	$(GO) test -race -count=10 -run 'TestByRef|TestWriteWindowed|TestWindowed|TestStreamOverMux|TestMuxCalls|TestFileRoundTrip|TestReplicatedWrite|FuzzStridedRange' ./internal/pfs/
+	$(GO) test -race -count=10 -run 'TestByRef|TestWriteWindowed|TestWindowed|TestStreamOverMux|TestMuxCalls|TestFileRoundTrip|TestReplicatedWrite|FuzzStridedRange|TestLanding|FuzzMuxLanding' ./internal/pfs/
 
 # Ten seconds of native fuzzing each on mux segment reassembly (announced
 # totals, type changes, interleaved streams), on metadata-journal replay
@@ -55,6 +59,9 @@ race-wire:
 # intact prefix) and on by-reference write bodies (a random striping view ×
 # a random range of it: the caller's own pieces, concatenating to the
 # contiguous gather, in frames identical to the inline encoding) and on
+# landed read bodies (one ReadResp in random segments, into a random
+# striping view: the bytes and EOF of the assembled decode, nothing written
+# outside the view, bad prefixes and torn tails refused) and on
 # kernel chunking (every registered kernel: any split of the stream, and a
 # Checkpoint→Restore in the middle of it, ends in the unsplit run's result)
 # and on the kernels' mapped input (writes, truncates and removes over 4–64
@@ -64,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxReader -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzStridedRange -fuzztime 10s
+	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzMuxLanding -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzExtentView -fuzztime 10s
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz FuzzKernelChunking -fuzztime 10s
 

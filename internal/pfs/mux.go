@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"dosas/internal/metrics"
 	"dosas/internal/transport"
 	"dosas/internal/wire"
 )
@@ -130,7 +131,7 @@ func (mp *muxPeer) call(req wire.Message) (wire.Message, error) {
 			return nil, err
 		}
 		var res muxResult
-		_, ch, err := mc.send(req, nil)
+		_, ch, err := mc.send(req, nil, nil)
 		if err == nil {
 			res = <-ch
 			err = res.err
@@ -174,23 +175,31 @@ type muxResult struct {
 	err error
 }
 
+// muxCall is one in-flight call: where its result goes and, for a read
+// chunk, where its ReadResp body lands.
+type muxCall struct {
+	ch   chan muxResult
+	land *landing // nil: the response is assembled in a frame buffer
+}
+
 // muxConn is one shared multiplexed connection: a priority-aware writer,
 // a demux read loop, and the table of in-flight calls keyed by stream ID.
 // Exactly one of {read loop, write-failure callback, forget, fail} removes
 // a call from the table and owns delivering its result.
 type muxConn struct {
-	p  *Pool
-	c  net.Conn
-	mw *wire.MuxWriter
+	p       *Pool
+	c       net.Conn
+	mw      *wire.MuxWriter
+	streams *metrics.Gauge // pool.mux.streams
 
 	mu    sync.Mutex
-	calls map[uint32]chan muxResult
+	calls map[uint32]muxCall
 	next  uint32
 	err   error
 }
 
 func newMuxConn(p *Pool, c net.Conn, segment int) *muxConn {
-	mc := &muxConn{p: p, c: c, calls: make(map[uint32]chan muxResult)}
+	mc := &muxConn{p: p, c: c, calls: make(map[uint32]muxCall), streams: p.reg.Gauge("pool.mux.streams")}
 	mw := wire.NewMuxWriter(c, segment)
 	mw.Stats = &p.wireStats
 	ctrl := p.reg.Gauge("pool.mux.queue.control")
@@ -223,8 +232,9 @@ func (mc *muxConn) dead() bool {
 // channel, which is buffered so no deliverer ever blocks. left, when
 // non-nil, is Done once the frame has left the writer, sent or failed —
 // not at all when send itself fails. A nil left is for requests that hold
-// no caller memory by reference.
-func (mc *muxConn) send(req wire.Message, left *sync.WaitGroup) (uint32, chan muxResult, error) {
+// no caller memory by reference. land, when non-nil, is where the body of
+// a ReadResp answering req lands.
+func (mc *muxConn) send(req wire.Message, left *sync.WaitGroup, land *landing) (uint32, chan muxResult, error) {
 	ch := make(chan muxResult, 1)
 	mc.mu.Lock()
 	if mc.err != nil {
@@ -234,9 +244,9 @@ func (mc *muxConn) send(req wire.Message, left *sync.WaitGroup) (uint32, chan mu
 	}
 	mc.next++
 	id := mc.next
-	mc.calls[id] = ch
+	mc.calls[id] = muxCall{ch: ch, land: land}
 	mc.mu.Unlock()
-	mc.p.reg.Gauge("pool.mux.streams").Add(1)
+	mc.streams.Add(1)
 	mc.mw.Enqueue(req, id, func(err error) { //nolint:errcheck // failure delivered via ch
 		if err != nil {
 			mc.resolve(id, muxResult{err: err})
@@ -253,7 +263,7 @@ func (mc *muxConn) send(req wire.Message, left *sync.WaitGroup) (uint32, chan mu
 // forgot the stream) is fine — exactly one delivery happens.
 func (mc *muxConn) resolve(id uint32, res muxResult) {
 	mc.mu.Lock()
-	ch, ok := mc.calls[id]
+	call, ok := mc.calls[id]
 	if ok {
 		delete(mc.calls, id)
 	}
@@ -261,8 +271,8 @@ func (mc *muxConn) resolve(id uint32, res muxResult) {
 	if !ok {
 		return
 	}
-	mc.p.reg.Gauge("pool.mux.streams").Add(-1)
-	ch <- res
+	mc.streams.Add(-1)
+	call.ch <- res
 }
 
 // forget abandons stream id (Stream.Release with responses still in
@@ -275,14 +285,31 @@ func (mc *muxConn) forget(id uint32) {
 	}
 	mc.mu.Unlock()
 	if ok {
-		mc.p.reg.Gauge("pool.mux.streams").Add(-1)
+		mc.streams.Add(-1)
 	}
+}
+
+// dest is the read loop's wire.MuxReader.Dest: the landing registered with
+// the stream's call, the discard sink for a stream nobody waits for any
+// more, or nil (a frame buffer) for a call that registered none.
+func (mc *muxConn) dest(stream uint32) wire.Landing {
+	mc.mu.Lock()
+	call, ok := mc.calls[stream]
+	mc.mu.Unlock()
+	switch {
+	case !ok:
+		return sink{}
+	case call.land == nil:
+		return nil
+	}
+	return call.land
 }
 
 // readLoop demultiplexes responses to their callers until the connection
 // dies, then fails everything still in flight.
 func (mc *muxConn) readLoop() {
 	mr := wire.NewMuxReader(mc.c)
+	mr.Dest, mr.Stats = mc.dest, &mc.p.wireStats
 	defer mr.Close()
 	for {
 		f, err := mr.Read()
@@ -291,7 +318,7 @@ func (mc *muxConn) readLoop() {
 			return
 		}
 		mc.mu.Lock()
-		ch, ok := mc.calls[f.Stream]
+		call, ok := mc.calls[f.Stream]
 		if ok {
 			delete(mc.calls, f.Stream)
 		}
@@ -300,8 +327,8 @@ func (mc *muxConn) readLoop() {
 			wire.PutBuf(f.Buf) // abandoned stream (Released before Recv)
 			continue
 		}
-		mc.p.reg.Gauge("pool.mux.streams").Add(-1)
-		ch <- muxResult{msg: f.Msg, buf: f.Buf}
+		mc.streams.Add(-1)
+		call.ch <- muxResult{msg: f.Msg, buf: f.Buf}
 	}
 }
 
@@ -313,12 +340,12 @@ func (mc *muxConn) fail(err error) {
 		mc.err = err
 	}
 	calls := mc.calls
-	mc.calls = make(map[uint32]chan muxResult)
+	mc.calls = make(map[uint32]muxCall)
 	mc.mu.Unlock()
 	mc.c.Close()
-	for _, ch := range calls {
-		mc.p.reg.Gauge("pool.mux.streams").Add(-1)
-		ch <- muxResult{err: err}
+	for _, call := range calls {
+		mc.streams.Add(-1)
+		call.ch <- muxResult{err: err}
 	}
 	mc.mw.Close() //nolint:errcheck // conn already dead
 }

@@ -312,7 +312,10 @@ func TestServerCancelBeforeRead(t *testing.T) {
 // serving real bytes for the chunks it had already accepted — zero-filling
 // their committed frame space — and the in-flight accounting must drain
 // back to zero. This exercises the concurrently-dispatched handlers racing
-// the CancelReq.
+// the CancelReq. None of the zero-filled bytes reaches the caller's
+// buffer: Cancel detaches the chunks' landings before it asks, so the
+// buffer holds only its own bytes and the file's, and is exactly as
+// readWindowed left it when it returned.
 func TestCancelInFlightReadZeroFills(t *testing.T) {
 	t.Run("mux", func(t *testing.T) {
 		net := transport.NewInproc()
@@ -340,11 +343,13 @@ func TestCancelInFlightReadZeroFills(t *testing.T) {
 		p := NewPool(net)
 		defer p.Close()
 
-		dst := make([]byte, len(data))
+		dst := bytes.Repeat([]byte{0xFF}, len(data))
 		ctl := p.NewReadControl("data-0")
 		done := make(chan error, 1)
+		var atReturn []byte
 		go func() {
 			_, err := p.readWindowed("data-0", 1, contig(dst), 0, 4, 256<<10, ctl)
+			atReturn = bytes.Clone(dst)
 			done <- err
 		}()
 		// All four chunk requests fit one window round, so by now every
@@ -371,6 +376,14 @@ func TestCancelInFlightReadZeroFills(t *testing.T) {
 		waitFor(t, "data.inflight back to 0", func() bool {
 			return ds.Metrics().Gauge("data.inflight").Value() == 0
 		})
+		if !bytes.Equal(dst, atReturn) {
+			t.Fatalf("the caller's buffer changed after the cancelled read returned (first at %d)", firstDiff(dst, atReturn))
+		}
+		for i, b := range dst {
+			if b != 0xFF && b != data[i] {
+				t.Fatalf("byte %d of the caller's buffer is %#x: neither its own nor the file's", i, b)
+			}
+		}
 	})
 }
 
@@ -391,10 +404,11 @@ func waitFor(t *testing.T, what string, ok func() bool) {
 type slowStore struct {
 	Store
 	delay atomic.Int64 // nanoseconds per ReadAt
+	fast  atomic.Int64 // reads served without the delay before it applies
 }
 
 func (s *slowStore) ReadAt(handle uint64, p []byte, off uint64) (int, error) {
-	if d := s.delay.Load(); d > 0 {
+	if d := s.delay.Load(); d > 0 && s.fast.Add(-1) < 0 {
 		time.Sleep(time.Duration(d))
 	}
 	return s.Store.ReadAt(handle, p, off)

@@ -81,7 +81,7 @@ type Pool struct {
 	lat    *LatencyTracker
 	reqIDs atomic.Uint64
 
-	wireStats wire.FrameStats // how request frames moved their bodies: pool.wire.*
+	wireStats wire.FrameStats // how frames moved their bodies, both ways: pool.wire.*
 }
 
 // NewPool returns a pool dialing through n.
@@ -129,6 +129,8 @@ func (p *Pool) Tenant() string {
 func (p *Pool) Metrics() *metrics.Registry {
 	mirrorCounter(p.reg, "pool.wire.writev_calls", p.wireStats.WritevCalls.Load())
 	mirrorCounter(p.reg, "pool.wire.copied_bytes", p.wireStats.CopiedBytes.Load())
+	mirrorCounter(p.reg, "pool.wire.landed_bytes", p.wireStats.LandedBytes.Load())
+	mirrorCounter(p.reg, "pool.wire.recv_copied_bytes", p.wireStats.RecvCopiedBytes.Load())
 	return p.reg
 }
 
@@ -179,6 +181,9 @@ func (p *Pool) Close() {
 // A request sent by reference (wire.WriteReq.Payload) aliases its caller's
 // memory until its frame has left the writer, sent or failed. It may queue
 // there behind other callers' frames; Release waits for every such frame.
+// A read chunk sent with a landing has its response body written into the
+// caller's memory by the connection's read loop; Recv and Release detach
+// the landing, so neither returns while the read loop can still write there.
 type Stream struct {
 	mc      *muxConn
 	pooled  bool // conn predates this stream (may be stale)
@@ -189,8 +194,9 @@ type Stream struct {
 
 // pendingCall is one in-flight mux request of a Stream.
 type pendingCall struct {
-	id uint32
-	ch chan muxResult
+	id   uint32
+	ch   chan muxResult
+	land *landing
 }
 
 // Stream opens a pipelined exchange with addr over one of the peer's
@@ -213,14 +219,17 @@ func (p *Pool) Stream(addr string) (*Stream, error) {
 func (s *Stream) Pooled() bool { return s.pooled }
 
 // Send enqueues one request frame without waiting for its response.
-func (s *Stream) Send(req wire.Message) error {
+func (s *Stream) Send(req wire.Message) error { return s.send(req, nil) }
+
+// send is Send with the landing, if any, of a read chunk's response body.
+func (s *Stream) send(req wire.Message, l *landing) error {
 	s.queued.Add(1)
-	id, ch, err := s.mc.send(req, &s.queued)
+	id, ch, err := s.mc.send(req, &s.queued, l)
 	if err != nil {
 		s.queued.Done() // never enqueued
 		return err
 	}
-	s.pending = append(s.pending, pendingCall{id: id, ch: ch})
+	s.pending = append(s.pending, pendingCall{id: id, ch: ch, land: l})
 	return nil
 }
 
@@ -240,6 +249,7 @@ func (s *Stream) Recv() (wire.Message, error) {
 	next := s.pending[0]
 	s.pending = s.pending[1:]
 	res := <-next.ch
+	next.land.detach() // complete unless res is a failure
 	if res.err != nil {
 		return nil, res.err
 	}
@@ -255,7 +265,7 @@ func (s *Stream) Recv() (wire.Message, error) {
 // Release finishes the stream. There is nothing to pool — the connection
 // is shared — so Release only waits for the stream's frames to leave the
 // writer, recycles buffers and abandons still-pending responses (the demux
-// drops them on arrival).
+// drops them on arrival, landing bodies in the discard sink).
 func (s *Stream) Release() {
 	s.queued.Wait()
 	if s.prev != nil {
@@ -263,6 +273,7 @@ func (s *Stream) Release() {
 		s.prev = nil
 	}
 	for _, pc := range s.pending {
+		pc.land.detach()
 		s.mc.forget(pc.id)
 		select {
 		case res := <-pc.ch:

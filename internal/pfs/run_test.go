@@ -161,9 +161,19 @@ func TestOneDataRPCPerServer(t *testing.T) {
 // A hedge on a multi-stripe run: the winner's bytes arrive in one
 // local-contiguous scratch buffer and must be scattered to the run's
 // stripes of the caller's buffer, beside the other server's run, which
-// reads unhedged into the stripes between them.
+// reads unhedged into the stripes between them. The primary holds other
+// bytes than the hedge replica and lands two of its 16 KiB chunks in the
+// caller's buffer before it straggles: once it loses, no byte of its own —
+// real or zero-filled after the cancel — is left there.
 func TestHedgeWinnerScattersIntoRun(t *testing.T) {
-	hc := startHedgeCluster(t, 15*time.Millisecond)
+	hc := &hedgeCluster{stores: []*slowStore{{Store: NewMemStore()}, {Store: NewMemStore()}}}
+	hc.testCluster = startClusterWith(t, clusterOpts{
+		nData: len(hc.stores),
+		store: func(i int) Store { return hc.stores[i] },
+		client: func(cc *ClientConfig) {
+			cc.HedgeAfter, cc.TransferChunk = 15*time.Millisecond, 16<<10
+		},
+	})
 	f, err := hc.client.CreateReplicated("hedge/run", 8<<10, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -173,18 +183,38 @@ func TestHedgeWinnerScattersIntoRun(t *testing.T) {
 	if _, err := f.WriteAt(data, 0); err != nil {
 		t.Fatal(err)
 	}
-	// Unmeasured replicas keep layout order: slot 0's primary straggles.
-	hc.stores[f.Layout().Servers[0]].delay.Store(int64(250 * time.Millisecond))
+	// Unmeasured replicas keep layout order: slot 0's primary straggles,
+	// after serving two chunks of bytes that differ from the real ones.
+	l := f.Layout()
+	prim := hc.stores[ReplicaServer(l, 0, 0)]
+	local := make([]byte, LocalSize(l, uint64(len(data)), 0))
+	if _, err := prim.ReadAt(ReplicaHandle(f.Handle(), 0), local, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i := range local {
+		local[i] = ^local[i]
+	}
+	if _, err := prim.WriteAt(ReplicaHandle(f.Handle(), 0), local, 0); err != nil {
+		t.Fatal(err)
+	}
+	prim.fast.Store(2)
+	prim.delay.Store(int64(250 * time.Millisecond))
 
 	got := bytes.Repeat([]byte{0xFF}, len(data)-777)
 	if _, err := f.ReadAt(got, 777); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data[777:]) {
-		t.Fatal("hedged run read corrupted data")
+		t.Fatalf("hedged run read left bytes that are not the file's (first at %d)", firstDiff(got, data[777:]))
 	}
-	if v := hc.client.Pool().Metrics().Counter("pool.hedge.wins").Value(); v < 1 {
+	reg := hc.client.Pool().Metrics()
+	if v := reg.Counter("pool.hedge.wins").Value(); v < 1 {
 		t.Errorf("pool.hedge.wins = %d, want >= 1", v)
+	}
+	// Each run landed once, slot 0's in the hedge's scratch: anything more
+	// is what the primary landed in the caller's buffer before it lost.
+	if v := reg.Counter("pool.wire.landed_bytes").Value(); v <= int64(len(got)) {
+		t.Errorf("pool.wire.landed_bytes = %d for a %d-byte read: the primary landed nothing before losing", v, len(got))
 	}
 }
 

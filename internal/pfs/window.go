@@ -46,12 +46,12 @@ func (p *Pool) ReadWindowed(addr string, handle uint64, dst []byte, off uint64, 
 var errLocalEOF = errors.New("pfs: local stream ends inside the range")
 
 // readWindowed is ReadWindowed into a strided destination (a run's
-// view of the caller's buffer: response chunks are scattered straight
-// into it) with an optional cancellation control: when ctl is non-nil
-// every chunk request carries a cluster-unique ReqID registered with
-// ctl, and a concurrent ctl.Cancel() both stops issuing new chunks and
-// asks the server to truncate the in-flight ones. Used by hedged reads to
-// reclaim the losing replica's bandwidth.
+// view of the caller's buffer: response bodies land straight in it) with
+// an optional cancellation control: when ctl is non-nil every chunk
+// request carries a cluster-unique ReqID registered with ctl, and a
+// concurrent ctl.Cancel() both stops issuing new chunks and asks the
+// server to truncate the in-flight ones. Used by hedged reads to reclaim
+// the losing replica's bandwidth.
 func (p *Pool) readWindowed(addr string, handle uint64, dst strided, off uint64, depth, chunk int, ctl *ReadControl) (int, error) {
 	if dst.n == 0 {
 		return 0, nil
@@ -79,33 +79,35 @@ func (p *Pool) readWindowed(addr string, handle uint64, dst strided, off uint64,
 }
 
 // ReadControl lets one windowed read be cancelled from another goroutine.
-// It tracks the ReqIDs currently in flight on the wire; Cancel marks the
-// control stopped (the window loop checks between chunks) and fires a
-// CancelReq per in-flight id so the server stops moving bytes the caller
-// has already decided to discard.
+// It tracks the ReqIDs currently in flight on the wire with their
+// landings; Cancel marks the control stopped (the window loop checks
+// between chunks), detaches the landings and fires a CancelReq per
+// in-flight id so the server stops moving bytes the caller has already
+// decided to discard.
 type ReadControl struct {
 	p    *Pool
 	addr string
 
 	mu       sync.Mutex
-	inflight map[uint64]struct{}
+	inflight map[uint64]*landing
 	stopped  bool
 }
 
 // NewReadControl returns a control for windowed reads against addr.
 func (p *Pool) NewReadControl(addr string) *ReadControl {
-	return &ReadControl{p: p, addr: addr, inflight: make(map[uint64]struct{})}
+	return &ReadControl{p: p, addr: addr, inflight: make(map[uint64]*landing)}
 }
 
-// add registers an in-flight ReqID. Reports false when the control is
-// already stopped — the caller must not send the request.
-func (rc *ReadControl) add(id uint64) bool {
+// add registers an in-flight ReqID and the landing of its response.
+// Reports false when the control is already stopped — the caller must not
+// send the request.
+func (rc *ReadControl) add(id uint64, l *landing) bool {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.stopped {
 		return false
 	}
-	rc.inflight[id] = struct{}{}
+	rc.inflight[id] = l
 	return true
 }
 
@@ -128,8 +130,10 @@ func (rc *ReadControl) aborted() bool {
 
 // Cancel stops the read: no further chunks are issued, and every chunk
 // currently on the wire gets a best-effort CancelReq (asynchronous — the
-// server zero-fills whatever it had not yet sent, and the reader discards
-// the response). Idempotent.
+// server zero-fills whatever it had not yet sent). Before it asks, Cancel
+// detaches those chunks' landings: the zeros, and whatever else is left of
+// their bodies, go to the discard sink and never reach the caller's
+// buffer. Idempotent.
 func (rc *ReadControl) Cancel() {
 	if rc == nil {
 		return
@@ -141,10 +145,15 @@ func (rc *ReadControl) Cancel() {
 	}
 	rc.stopped = true
 	ids := make([]uint64, 0, len(rc.inflight))
-	for id := range rc.inflight {
+	lands := make([]*landing, 0, len(rc.inflight))
+	for id, l := range rc.inflight {
 		ids = append(ids, id)
+		lands = append(lands, l)
 	}
 	rc.mu.Unlock()
+	for _, l := range lands {
+		l.detach()
+	}
 	for _, id := range ids {
 		go func(id uint64) {
 			rc.p.Call(rc.addr, &wire.CancelReq{RequestID: id}) //nolint:errcheck // best effort
@@ -194,11 +203,14 @@ type chunkReq struct {
 	sentAt time.Time
 }
 
-// readStream runs the sliding read window over one stream. Responses are
-// consumed inside the loop — each chunk is scattered into dst before the
-// next Recv reuses the decode buffer — so no Own copy is ever taken.
-// Every chunk's send→recv time feeds the pool's latency tracker, which is
-// what replica scoring and hedge delays are derived from.
+// readStream runs the sliding read window over one stream. Each chunk
+// request is sent with a landing on its slice of dst, so its response body
+// is written there by the connection's read loop as it arrives and Recv
+// returns only its length (ReadResp.Landed): no byte is copied after it
+// left the socket. A body longer than its request is discarded past the
+// slice, and the read fails. Every chunk's send→recv time feeds the pool's
+// latency tracker, which is what replica scoring and hedge delays are
+// derived from.
 //
 // A short response means the stream held fewer bytes at that offset than
 // requested, which invalidates the offsets of every request already in
@@ -231,14 +243,15 @@ func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst strided, of
 			n := min(chunk, dst.n-sent)
 			cr := chunkReq{n: n, sentAt: time.Now()}
 			req := &wire.ReadReq{Handle: handle, Offset: off + uint64(sent), Length: uint32(n), Tenant: tenant}
+			l := &landing{dst: dst.slice(sent, n)}
 			if ctl != nil {
 				cr.id = p.nextReqID()
 				req.ReqID = cr.id
-				if !ctl.add(cr.id) {
+				if !ctl.add(cr.id, l) {
 					return abort()
 				}
 			}
-			if err := s.Send(req); err != nil {
+			if err := s.send(req, l); err != nil {
 				finish(cr.id)
 				return recvd, err
 			}
@@ -267,17 +280,15 @@ func (p *Pool) readStream(s *Stream, addr string, handle uint64, dst strided, of
 			return recvd, fmt.Errorf("read: unexpected response %v", resp.Type())
 		}
 		p.lat.Observe(addr, expect, time.Since(head.sentAt))
-		k := len(rr.Data)
+		k := rr.Landed
 		if k > expect {
 			return recvd, fmt.Errorf("read: got %d bytes for a %d-byte request", k, expect)
 		}
 		if ctl.aborted() {
-			// Cancelled mid-window: the remaining responses may already be
-			// server-side zero-filled, and the caller is discarding this
-			// buffer. Do not copy possibly-poisoned bytes over real ones.
+			// Cancelled mid-window: the caller is discarding this buffer,
+			// and the remaining responses' landings are detached.
 			return abort()
 		}
-		dst.slice(recvd, k).copyFrom(rr.Data)
 		recvd += k
 		if k < expect {
 			if err := drainStream(s, len(pending)); err != nil {

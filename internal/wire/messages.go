@@ -408,6 +408,11 @@ type ReadResp struct {
 	// while the frame stays protocol-complete (its length was already
 	// committed). Receivers never see it.
 	Cancelled *atomic.Bool
+
+	// Landed is not part of the wire format. A MuxReader that delivered the
+	// body to a Landing (MuxReader.Dest) sets it to the body's length and
+	// leaves Data nil.
+	Landed int
 }
 
 func (*ReadResp) Type() MsgType { return MsgReadResp }

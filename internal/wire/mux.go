@@ -27,6 +27,11 @@ package wire
 // instead of growing (and re-copying) as segments arrive: with per-server
 // runs every bulk message is MiB-sized and multi-segment, and growing by
 // size class cost ~1.6 extra copies per received byte.
+//
+// A ReadResp need not be assembled at all: when the reader's Dest hook
+// names a Landing for its stream, the body moves from the connection into
+// the requester's memory segment by segment, and only the length prefix
+// and the EOF flag around it are kept. The wire bytes are the same.
 
 import (
 	"bufio"
@@ -614,7 +619,7 @@ func (mw *MuxWriter) die(err error) {
 // MuxFrame is one reassembled message delivered by MuxReader.Read. Msg
 // may alias Buf (a pooled buffer): the receiver owns Buf and must
 // wire.PutBuf it once Msg — or any byte field of it not detached via
-// Own — is no longer needed.
+// Own — is no longer needed. A landed ReadResp has no Buf.
 type MuxFrame struct {
 	Stream uint32
 	Class  uint8
@@ -622,12 +627,35 @@ type MuxFrame struct {
 	Buf    []byte
 }
 
+// Landing is memory a requester registered for the body of the ReadResp
+// that answers it (MuxReader.Dest): the reader moves the body from the
+// connection into it, with no frame buffer in between.
+type Landing interface {
+	// Land reads the n body bytes at body offset off from r and reports
+	// how many of them reached its memory. It must consume all n, reading
+	// those it has no room for (or no longer wants) into a discard sink.
+	// Segments land in body order, one call at a time. An error is fatal
+	// to the connection.
+	Land(r io.Reader, off, n int) (int, error)
+}
+
+// readRespHead is a ReadResp's payload around its body: the u32 body
+// length before it and the EOF flag after it.
+const readRespHead = 5
+
 // muxAsm is a stream's partially received message.
 type muxAsm struct {
 	t     MsgType
 	class uint8
-	buf   []byte // pooled, taken once at the announced total
+	buf   []byte // pooled, taken once at the announced total; nil when landed
 	total int
+	got   int // payload bytes received
+
+	// A landed ReadResp: head holds its length prefix and EOF flag, the
+	// body goes to land.
+	land Landing
+	head [readRespHead]byte
+	body int // the body's length, once the prefix is in
 }
 
 // MuxReader reassembles mux frames from one connection. Not safe for
@@ -636,6 +664,13 @@ type MuxReader struct {
 	r         *bufio.Reader
 	asm       map[uint32]*muxAsm
 	announced int // sum of the assembling streams' totals
+
+	// Dest, if set, is asked at the first segment of every ReadResp for
+	// the Landing of its stream; nil keeps that response in a frame buffer.
+	// Stats, if set, counts how ReadResp bodies arrived. Both must be set
+	// before the first Read.
+	Dest  func(stream uint32) Landing
+	Stats *FrameStats
 }
 
 // NewMuxReader returns a reader decoding mux frames from r.
@@ -685,7 +720,13 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 			return MuxFrame{}, ErrShortPayload
 		}
 		if first {
-			a = &muxAsm{t: t, class: class, buf: GetBuf(total)[:0], total: total}
+			a = &muxAsm{t: t, class: class, total: total}
+			if t == MsgReadResp && mr.Dest != nil {
+				a.land = mr.Dest(stream)
+			}
+			if a.land == nil {
+				a.buf = GetBuf(total)[:0]
+			}
 			if more {
 				mr.asm[stream] = a
 				mr.announced += total
@@ -693,17 +734,24 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 		} else if a.t != t {
 			return MuxFrame{}, fmt.Errorf("wire: mux segment type changed mid-stream (%v then %v)", a.t, t)
 		}
-		need := len(a.buf) + plen
+		need := a.got + plen
 		if need > a.total || (!more && need != a.total) {
 			return MuxFrame{}, fmt.Errorf("wire: mux message of %d bytes announced as %d", need, a.total)
 		}
-		if _, err := io.ReadFull(mr.r, a.buf[len(a.buf):need]); err != nil {
+		var err error
+		if a.land != nil {
+			err = mr.landSegment(a, plen)
+		} else {
+			_, err = io.ReadFull(mr.r, a.buf[a.got:need])
+			a.buf = a.buf[:need]
+		}
+		a.got = need
+		if err != nil {
 			if first && !more {
 				PutBuf(a.buf) // half-assembled streams are released by Close
 			}
 			return MuxFrame{}, err
 		}
-		a.buf = a.buf[:need]
 		if more {
 			continue
 		}
@@ -711,13 +759,64 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 			delete(mr.asm, stream)
 			mr.announced -= a.total
 		}
+		if a.land != nil {
+			if a.got < readRespHead {
+				return MuxFrame{}, ErrShortPayload
+			}
+			msg := &ReadResp{EOF: a.head[4] != 0, Landed: a.body}
+			return MuxFrame{Stream: stream, Class: a.class, Msg: msg}, nil
+		}
 		msg, err := decodeFrame(a.t, a.buf)
 		if err != nil {
 			PutBuf(a.buf)
 			return MuxFrame{}, err
 		}
+		if rr, ok := msg.(*ReadResp); ok {
+			mr.Stats.addRecvCopied(int64(len(rr.Data)))
+		}
 		return MuxFrame{Stream: stream, Class: a.class, Msg: msg, Buf: a.buf}, nil
 	}
+}
+
+// landSegment reads plen payload bytes of a landed ReadResp: those of its
+// length prefix and EOF flag into a.head, those of its body into a.land.
+// Once the prefix is in, the body length must account for the whole
+// announced payload; otherwise the message is refused with the error its
+// buffered decode would give.
+func (mr *MuxReader) landSegment(a *muxAsm, plen int) error {
+	for at := a.got; plen > 0; {
+		var k int
+		switch {
+		case at < 4:
+			k = min(plen, 4-at)
+			if _, err := io.ReadFull(mr.r, a.head[at:at+k]); err != nil {
+				return err
+			}
+			if at+k == 4 {
+				a.body = int(binary.LittleEndian.Uint32(a.head[:4]))
+				if need := readRespHead + a.body; need > a.total {
+					return ErrShortPayload
+				} else if need < a.total {
+					return ErrTrailingBytes
+				}
+			}
+		case at < 4+a.body:
+			k = min(plen, 4+a.body-at)
+			landed, err := a.land.Land(mr.r, at-4, k)
+			mr.Stats.addLanded(int64(landed))
+			if err != nil {
+				return err
+			}
+		default: // the EOF flag, the payload's last byte
+			k = 1
+			if _, err := io.ReadFull(mr.r, a.head[4:]); err != nil {
+				return err
+			}
+		}
+		at += k
+		plen -= k
+	}
+	return nil
 }
 
 // Close releases the pooled buffers of any half-assembled streams.

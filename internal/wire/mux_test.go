@@ -661,7 +661,11 @@ func TestMuxReaderRejectsBadTotals(t *testing.T) {
 // FuzzMuxReader feeds arbitrary segment streams to the reassembler. It
 // must return an error or messages that arrived whole — a multi-segment
 // one exactly as long as its first segment announced — and never panic,
-// hang, or commit more memory than the connection's bound allows.
+// hang, or commit more memory than the connection's bound allows. Decoded
+// a second time with every ReadResp body landed, the stream gives the same
+// messages, bodies and EOF flags, up to where one of them is refused: a
+// landed reader may refuse a bad length prefix as soon as it arrives, but
+// never runs out of stream before the assembling reader does.
 func FuzzMuxReader(f *testing.F) {
 	var e Encoder
 	(&ReadResp{Data: bytes.Repeat([]byte{1}, 300), EOF: true}).Encode(&e)
@@ -705,5 +709,194 @@ func FuzzMuxReader(f *testing.F) {
 		if held != mr.announced {
 			t.Fatalf("assembling streams announce %d in total, reader accounts %d", held, mr.announced)
 		}
+
+		want, _ := readAllMux(stream, false)
+		got, err := readAllMux(stream, true)
+		if len(got) > len(want) || (len(got) < len(want) && (err == io.EOF || err == io.ErrUnexpectedEOF)) {
+			t.Fatalf("landed decode gave %d messages (%v), assembled %d", len(got), err, len(want))
+		}
+		for i, g := range got {
+			w := want[i]
+			if g.stream != w.stream || g.t != w.t || g.eof != w.eof || !bytes.Equal(g.body, w.body) {
+				t.Fatalf("message %d: landed %v on stream %d (%d bytes, eof %v), assembled %v on %d (%d bytes, eof %v)",
+					i, g.t, g.stream, len(g.body), g.eof, w.t, w.stream, len(w.body), w.eof)
+			}
+		}
 	})
+}
+
+// sliceLanding lands a ReadResp body in buf, discarding what does not fit.
+type sliceLanding struct{ buf []byte }
+
+func (l *sliceLanding) Land(r io.Reader, off, n int) (int, error) {
+	fit := 0
+	if off < len(l.buf) {
+		fit = min(n, len(l.buf)-off)
+		if _, err := io.ReadFull(r, l.buf[off:off+fit]); err != nil {
+			return 0, err
+		}
+	}
+	_, err := io.CopyN(io.Discard, r, int64(n-fit))
+	return fit, err
+}
+
+// decoded is what a MuxReader delivered of one message.
+type decoded struct {
+	stream uint32
+	t      MsgType
+	body   []byte // a ReadResp's body, assembled or landed
+	eof    bool
+}
+
+// readAllMux decodes stream up to its first error. With land set, every
+// ReadResp body lands in a sliceLanding with room for any body the stream
+// can carry.
+func readAllMux(stream []byte, land bool) ([]decoded, error) {
+	mr := NewMuxReader(bytes.NewReader(stream))
+	defer mr.Close()
+	lands := map[uint32]*sliceLanding{}
+	if land {
+		mr.Dest = func(s uint32) Landing {
+			lands[s] = &sliceLanding{buf: make([]byte, len(stream))}
+			return lands[s]
+		}
+	}
+	var out []decoded
+	for {
+		fr, err := mr.Read()
+		if err != nil {
+			return out, err
+		}
+		d := decoded{stream: fr.Stream, t: fr.Msg.Type()}
+		if rr, ok := fr.Msg.(*ReadResp); ok {
+			d.eof, d.body = rr.EOF, bytes.Clone(rr.Data)
+			if land {
+				if rr.Data != nil || fr.Buf != nil {
+					return out, errors.New("landed ReadResp delivered with a frame buffer")
+				}
+				d.body = lands[fr.Stream].buf[:rr.Landed]
+			}
+		}
+		PutBuf(fr.Buf)
+		out = append(out, d)
+	}
+}
+
+// A ReadResp whose stream has a Landing moves its body from the connection
+// into it, several segments or one: the reads longer than the reader's
+// small-frame buffer go straight into the landing's memory, and the message
+// arrives with Landed set and neither Data nor Buf. Other messages, and a
+// ReadResp the Dest hook gives no landing, are assembled as before; the
+// stats tell the two kinds of body apart.
+func TestMuxReaderLandsReadResp(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	big, small, assembled := make([]byte, 1<<20), make([]byte, 4<<10), make([]byte, 8<<10)
+	for _, b := range [][]byte{big, small, assembled} {
+		rng.Read(b)
+	}
+	var conn bytes.Buffer
+	mw := NewMuxWriter(&conn, DefaultMuxSegment)
+	for _, m := range []struct {
+		msg    Message
+		stream uint32
+	}{
+		{&ReadResp{Data: big}, 1}, {&ReadResp{Data: small, EOF: true}, 2},
+		{&WriteResp{N: 5}, 3}, {&ReadResp{Data: assembled}, 4},
+	} {
+		if err := mw.Enqueue(m.msg, m.stream, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mw.Close()
+
+	lands := map[uint32]*sliceLanding{1: {buf: make([]byte, len(big))}, 2: {buf: make([]byte, len(small))}}
+	var st FrameStats
+	ar := &addrReader{r: &conn}
+	mr := NewMuxReader(ar)
+	defer mr.Close()
+	mr.Dest = func(s uint32) Landing {
+		if l := lands[s]; l != nil {
+			return l
+		}
+		return nil
+	}
+	mr.Stats = &st
+	for i := 0; i < 4; i++ {
+		f, err := mr.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, _ := f.Msg.(*ReadResp)
+		switch f.Stream {
+		case 1, 2:
+			want := map[uint32][]byte{1: big, 2: small}[f.Stream]
+			if rr == nil || rr.Data != nil || f.Buf != nil || rr.Landed != len(want) || rr.EOF != (f.Stream == 2) {
+				t.Fatalf("stream %d: landed response delivered as %+v with a %d-byte buffer", f.Stream, f.Msg, len(f.Buf))
+			}
+			if !bytes.Equal(lands[f.Stream].buf, want) {
+				t.Fatalf("stream %d: landed body differs from the one sent", f.Stream)
+			}
+		case 3:
+			if _, ok := f.Msg.(*WriteResp); !ok {
+				t.Fatalf("stream 3 delivered %v", f.Msg.Type())
+			}
+		case 4:
+			if rr == nil || !bytes.Equal(rr.Data, assembled) || rr.Landed != 0 {
+				t.Fatal("unlanded ReadResp not assembled in its frame buffer")
+			}
+		}
+		PutBuf(f.Buf)
+	}
+	const segments = 4
+	in := lands[1].buf
+	direct := 0
+	for _, d := range ar.dests {
+		at := uintptr(unsafe.Pointer(unsafe.SliceData(d)))
+		if lo := uintptr(unsafe.Pointer(&in[0])); len(d) > muxReadBuf && at >= lo && at < lo+uintptr(len(in)) {
+			direct += len(d)
+		}
+	}
+	if direct < len(big)-segments*muxReadBuf {
+		t.Errorf("%d bytes of the 1 MiB body were read straight into the landing, want all but a small frame a segment", direct)
+	}
+	if l, c := st.LandedBytes.Load(), st.RecvCopiedBytes.Load(); l != int64(len(big)+len(small)) || c != int64(len(assembled)) {
+		t.Errorf("landed_bytes = %d, recv_copied_bytes = %d; want %d and %d", l, c, len(big)+len(small), len(assembled))
+	}
+}
+
+// A landed ReadResp whose length prefix does not account for its announced
+// payload is refused with the error its buffered decode gives, in one
+// segment or several, and no byte reaches the landing.
+func TestMuxReaderLandingRefusesBadPrefix(t *testing.T) {
+	body := bytes.Repeat([]byte{3}, 300)
+	var e Encoder
+	(&ReadResp{Data: body, EOF: true}).Encode(&e)
+	for name, c := range map[string]struct {
+		prefix int
+		want   error
+	}{
+		"prefix over the payload":  {len(body) + 1, ErrShortPayload},
+		"prefix under the payload": {len(body) - 1, ErrTrailingBytes},
+	} {
+		p := bytes.Clone(e.buf)
+		binary.LittleEndian.PutUint32(p, uint32(c.prefix))
+		for _, stream := range [][]byte{
+			segs(segSpec{MsgReadResp, 1, p, false, -1}),
+			segs(segSpec{MsgReadResp, 1, p[:2], true, len(p)}, segSpec{MsgReadResp, 1, p[2:], false, -1}),
+		} {
+			l := &sliceLanding{buf: make([]byte, 1024)}
+			mr := NewMuxReader(bytes.NewReader(stream))
+			mr.Dest = func(uint32) Landing { return l }
+			if _, err := mr.Read(); !errors.Is(err, c.want) {
+				t.Errorf("%s: Read = %v, want %v", name, err, c.want)
+			}
+			if _, err := decodeFrame(MsgReadResp, p); !errors.Is(err, c.want) {
+				t.Errorf("%s: buffered decode = %v, want %v", name, err, c.want)
+			}
+			if !bytes.Equal(l.buf, make([]byte, len(l.buf))) {
+				t.Errorf("%s: refused body reached the landing", name)
+			}
+			mr.Close()
+		}
+	}
 }

@@ -66,6 +66,13 @@ type FrameStats struct {
 	// was cancelled mid-frame (hedged-read loser withdrawal): bandwidth
 	// the frame still owed the wire but the backing store never served.
 	CancelledBytes atomic.Int64
+
+	// The receive side (MuxReader.Stats). LandedBytes counts ReadResp body
+	// bytes read from the connection straight into a Landing's memory.
+	// RecvCopiedBytes counts ReadResp body bytes reassembled in a frame
+	// buffer instead, which a caller must copy once more to place them.
+	LandedBytes     atomic.Int64
+	RecvCopiedBytes atomic.Int64
 }
 
 // The add helpers are nil-safe so framing code needs no stats plumbing
@@ -92,6 +99,18 @@ func (s *FrameStats) addCopied(n int64) {
 func (s *FrameStats) addCancelled(n int64) {
 	if s != nil && n > 0 {
 		s.CancelledBytes.Add(n)
+	}
+}
+
+func (s *FrameStats) addLanded(n int64) {
+	if s != nil && n > 0 {
+		s.LandedBytes.Add(n)
+	}
+}
+
+func (s *FrameStats) addRecvCopied(n int64) {
+	if s != nil && n > 0 {
+		s.RecvCopiedBytes.Add(n)
 	}
 }
 
