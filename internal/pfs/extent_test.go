@@ -169,6 +169,52 @@ func TestExtentStoreRestartDurability(t *testing.T) {
 	}
 }
 
+// WriteAt makes a stream's directory only while the size cache holds no
+// bytes for it: a removed handle is written again into a new directory, an
+// emptied one into its old one, and a live one with no mkdir at all.
+func TestExtentStoreRewriteAfterRemove(t *testing.T) {
+	es, err := NewExtentStore(ExtentConfig{Dir: t.TempDir(), ExtentSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer es.Close()
+	check := func(what string, want []byte) {
+		t.Helper()
+		got := make([]byte, len(want)+10)
+		n, err := es.ReadAt(3, got, 0)
+		if err != nil || n != len(want) || !bytes.Equal(got[:n], want) || es.Size(3) != uint64(len(want)) {
+			t.Fatalf("%s: read %d bytes (%v) of a %d-byte stream, want %d identical", what, n, err, es.Size(3), len(want))
+		}
+	}
+	first := seeded(3000, 1)
+	if _, err := es.WriteAt(3, first, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := es.WriteAt(3, first[:100], 0); err != nil { // a live stream: no mkdir needed
+		t.Fatal(err)
+	}
+	check("first write", first)
+	if err := es.Remove(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(es.handleDir(3)); !os.IsNotExist(err) {
+		t.Fatalf("handle directory after Remove: %v", err)
+	}
+	second := seeded(2500, 2)
+	if _, err := es.WriteAt(3, second, 0); err != nil {
+		t.Fatalf("write after Remove: %v", err)
+	}
+	check("after Remove", second)
+	if err := es.Truncate(3, 0); err != nil {
+		t.Fatal(err)
+	}
+	third := seeded(700, 3)
+	if _, err := es.WriteAt(3, third, 0); err != nil {
+		t.Fatalf("write after a truncate to 0: %v", err)
+	}
+	check("after a truncate to 0", third)
+}
+
 // TestExtentStorePinnedExtentSize: extent.conf pins the geometry; a
 // reopen asking for a different size keeps the on-disk one.
 func TestExtentStorePinnedExtentSize(t *testing.T) {

@@ -3,6 +3,8 @@ package pfs
 // Landed reads: a ReadResp body goes from the connection into the view it
 // was requested for and nowhere else, whatever the segmentation; and no
 // landing writes into a caller's buffer once the call holding it returned.
+// Landed writes decode as the buffered ones do (FuzzWriteLanding; the data
+// server's side is in write_landing_test.go).
 
 import (
 	"bytes"
@@ -16,9 +18,32 @@ import (
 	"dosas/internal/wire"
 )
 
-// muxSegments cuts payload, the payload of one ReadResp on stream 1, into
-// mux segments of random sizes.
-func muxSegments(payload []byte, rng *rand.Rand) []byte {
+// appendSegment appends one hand-built mux segment of a message of type mt
+// on stream to out: part of its payload, with FlagMore if more follows,
+// announcing total (FlagTotal) when total >= 0.
+func appendSegment(out []byte, mt wire.MsgType, stream uint32, part []byte, more bool, total int) []byte {
+	var flags uint8
+	size := 8 + len(part) // type, stream, class and flags, then the bytes
+	if more {
+		flags = wire.FlagMore
+	}
+	if total >= 0 {
+		flags |= wire.FlagTotal
+		size += 4
+	}
+	out = binary.LittleEndian.AppendUint32(out, uint32(size))
+	out = binary.LittleEndian.AppendUint16(out, uint16(mt))
+	out = binary.LittleEndian.AppendUint32(out, stream)
+	out = append(out, wire.ClassBulk, flags)
+	if total >= 0 {
+		out = binary.LittleEndian.AppendUint32(out, uint32(total))
+	}
+	return append(out, part...)
+}
+
+// muxSegments cuts payload, the payload of one message of type mt on
+// stream 1, into mux segments of random sizes.
+func muxSegments(mt wire.MsgType, payload []byte, rng *rand.Rand) []byte {
 	var out []byte
 	for off := 0; ; {
 		n := len(payload) - off
@@ -26,23 +51,11 @@ func muxSegments(payload []byte, rng *rand.Rand) []byte {
 			n = 1 + rng.Intn(n)
 		}
 		more := off+n < len(payload)
-		var flags uint8
-		size := 8 + n // type, stream, class and flags, then the bytes
-		if more {
-			flags = wire.FlagMore
-			if off == 0 {
-				flags |= wire.FlagTotal
-				size += 4
-			}
+		total := -1
+		if more && off == 0 {
+			total = len(payload)
 		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(size))
-		out = binary.LittleEndian.AppendUint16(out, uint16(wire.MsgReadResp))
-		out = binary.LittleEndian.AppendUint32(out, 1)
-		out = append(out, wire.ClassBulk, flags)
-		if flags&wire.FlagTotal != 0 {
-			out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-		}
-		out = append(out, payload[off:off+n]...)
+		out = appendSegment(out, mt, 1, payload[off:off+n], more, total)
 		if off += n; !more {
 			return out
 		}
@@ -79,7 +92,7 @@ func FuzzMuxLanding(f *testing.F) {
 		if fault%3 == 1 {
 			binary.LittleEndian.PutUint32(payload, uint32(len(body)+1+rng.Intn(1000)))
 		}
-		stream := muxSegments(payload, rng)
+		stream := muxSegments(wire.MsgReadResp, payload, rng)
 		if fault%3 == 2 {
 			stream = stream[:rng.Intn(len(stream))]
 		}
@@ -120,6 +133,127 @@ func FuzzMuxLanding(f *testing.F) {
 		}
 		k := min(g.n, len(ra.Data))
 		if !bytes.Equal(got[:k], ra.Data[:k]) || !bytes.Equal(got[k:], was[k:]) {
+			t.Fatalf("view %+v does not hold the body's first %d bytes and its own bytes after them", g, k)
+		}
+	})
+}
+
+// viewLanding is a landing in a striping view granted to a WriteReq body;
+// it counts its aborts.
+type viewLanding struct {
+	landing
+	aborts int
+}
+
+func (l *viewLanding) Abort() { l.aborts++ }
+
+// FuzzWriteLanding decodes one WriteReq, with or without a tenant and cut
+// into random segments, twice: assembled in a frame buffer, and with
+// WriteDest granting or declining at random a landing in a random striping
+// view. Both accept it or both refuse it; accepted, they give the same
+// handle, offset, tenant and bytes, the landed ones in the view as far as
+// it has room. A bad length prefix, an oversize body and a torn tenant are
+// refused. Whatever the input, no byte outside the view changes, WriteDest
+// is asked at most once and with the request's address, and a granted
+// landing is either delivered or aborted exactly once.
+func FuzzWriteLanding(f *testing.F) {
+	f.Add([]byte("a body of some bytes"), "", uint64(1), uint64(2), int64(1), uint16(3), uint16(4), uint8(2), int16(0), true, uint8(0))
+	f.Add(bytes.Repeat([]byte{7}, 5000), "tenant", uint64(3), uint64(1<<40), int64(2), uint16(1000), uint16(4096), uint8(1), int16(0), true, uint8(0))
+	f.Add(bytes.Repeat([]byte{8}, 3000), "t", uint64(4), uint64(0), int64(3), uint16(100), uint16(512), uint8(3), int16(-700), true, uint8(0)) // over capacity
+	f.Add(bytes.Repeat([]byte{9}, 3000), "victim", uint64(5), uint64(9), int64(4), uint16(100), uint16(512), uint8(3), int16(0), false, uint8(0))
+	f.Add(bytes.Repeat([]byte{10}, 2000), "", uint64(6), uint64(0), int64(5), uint16(9), uint16(64), uint8(2), int16(0), true, uint8(1))   // bad prefix
+	f.Add(bytes.Repeat([]byte{11}, 2000), "", uint64(7), uint64(0), int64(6), uint16(9), uint16(64), uint8(2), int16(0), true, uint8(2))   // oversize body
+	f.Add(bytes.Repeat([]byte{12}, 2000), "ab", uint64(8), uint64(0), int64(7), uint16(9), uint16(64), uint8(2), int16(0), true, uint8(3)) // torn tenant
+	f.Add([]byte{}, "", uint64(0), uint64(0), int64(8), uint16(1), uint16(1), uint8(0), int16(3), true, uint8(3))
+	f.Fuzz(func(t *testing.T, body []byte, tenant string, handle, off uint64, seed int64, first, piece uint16, width uint8, slack int16, grant bool, fault uint8) {
+		if len(tenant) > wire.MaxStringLen {
+			return // not encodable
+		}
+		g := geom{piece: 1 + int(piece)%4096, n: max(1, len(body)+int(slack))}
+		g.skip = int(width) % 4 * g.piece
+		g.first = min(1+int(first)%g.piece, g.n)
+		v := g.view(seed)
+		before := bytes.Clone(v.buf)
+
+		rng := rand.New(rand.NewSource(seed))
+		payload := writePayload(&wire.WriteReq{Handle: handle, Offset: off, Data: body, Tenant: tenant})
+		switch fault % 4 {
+		case 1: // the length prefix claims more than the payload holds
+			binary.LittleEndian.PutUint32(payload[16:], uint32(len(payload)-20+1+rng.Intn(1000)))
+		case 2: // a body larger than any frame
+			binary.LittleEndian.PutUint32(payload[16:], uint32(wire.MaxFrameSize+rng.Intn(1000)))
+		case 3: // the tenant torn: cut short, or stray bytes where none is
+			if tenant == "" {
+				payload = append(payload, make([]byte, 1+rng.Intn(3))...)
+			} else {
+				payload = payload[:len(payload)-1-rng.Intn(len(tenant)+3)]
+			}
+		}
+		stream := muxSegments(wire.MsgWriteReq, payload, rng)
+
+		ma := wire.NewMuxReader(bytes.NewReader(stream))
+		fa, errA := ma.Read()
+		ma.Close()
+		defer wire.PutBuf(fa.Buf)
+		var l *viewLanding
+		asked := 0
+		ml := wire.NewMuxReader(bytes.NewReader(stream))
+		ml.WriteDest = func(h, o uint64, n int) wire.WriteLanding {
+			if asked++; h != handle || o != off || n != len(body) {
+				t.Fatalf("WriteDest asked for %d bytes at %d:%d, want %d at %d:%d", n, h, o, len(body), handle, off)
+			}
+			if !grant {
+				return nil
+			}
+			l = &viewLanding{landing: landing{dst: v}}
+			return l
+		}
+		fl, errL := ml.Read()
+		ml.Close()
+
+		inView := make([]bool, len(v.buf))
+		for i := 0; i < g.n; i++ {
+			inView[g.at(i)] = true
+		}
+		for i := range v.buf {
+			if !inView[i] && v.buf[i] != before[i] {
+				t.Fatalf("byte %d outside the view %+v was written", i, g)
+			}
+		}
+		if asked > 1 {
+			t.Fatalf("WriteDest asked %d times", asked)
+		}
+		if (errA == nil) != (errL == nil) {
+			t.Fatalf("assembled decode: %v, landed decode: %v", errA, errL)
+		}
+		if errL == nil && fault%4 != 0 {
+			t.Fatalf("fault %d accepted", fault%4)
+		}
+		if l != nil {
+			if want := map[bool]int{true: 1, false: 0}[errL != nil]; l.aborts != want {
+				t.Fatalf("landing aborted %d times (decode error %v), want %d", l.aborts, errL, want)
+			}
+		}
+		if errL != nil {
+			return
+		}
+		wa, wl := fa.Msg.(*wire.WriteReq), fl.Msg.(*wire.WriteReq)
+		if wl.Handle != wa.Handle || wl.Offset != wa.Offset || wl.Tenant != wa.Tenant {
+			t.Fatalf("landed decode %d:%d %q, assembled %d:%d %q", wl.Handle, wl.Offset, wl.Tenant, wa.Handle, wa.Offset, wa.Tenant)
+		}
+		if l == nil {
+			if wl.Lander != nil || !bytes.Equal(wl.Data, wa.Data) {
+				t.Fatal("declined body not assembled as the buffered decode's")
+			}
+			return
+		}
+		if wl.Data != nil || wl.Lander != l || wl.Landed != len(wa.Data) {
+			t.Fatalf("landed request delivered with %d bytes of Data, lander %v, Landed %d of %d", len(wl.Data), wl.Lander, wl.Landed, len(wa.Data))
+		}
+		was := gather(strided{buf: before, first: g.first, piece: g.piece, skip: g.skip, n: g.n})
+		got := gather(v)
+		k := min(g.n, len(wa.Data))
+		if !bytes.Equal(got[:k], wa.Data[:k]) || !bytes.Equal(got[k:], was[k:]) {
 			t.Fatalf("view %+v does not hold the body's first %d bytes and its own bytes after them", g, k)
 		}
 	})

@@ -7,7 +7,10 @@ import (
 	"os"
 )
 
-// mapFile is unavailable off Linux; ReadView copies through ReadAt instead.
-func mapFile(*os.File, int64) ([]byte, error) { return nil, errors.ErrUnsupported }
+// mapFile is unavailable off Linux: ReadView copies through ReadAt instead,
+// and write bodies are never landed.
+func mapFile(*os.File, int64, bool) ([]byte, error) { return nil, errors.ErrUnsupported }
 
 func unmapFile([]byte) error { return nil }
+
+func resident([]byte) bool { return false }

@@ -470,9 +470,15 @@ type WriteReq struct {
 	// Payload is not part of the wire format: when non-nil the body is
 	// sent from it by reference and Data is nil — the striping client's
 	// view of its caller's buffer, which the frame aliases until it has
-	// left the writer. The wire bytes are identical either way; receivers
-	// always decode into Data.
+	// left the writer. The wire bytes are identical either way.
 	Payload Payload
+
+	// Landed and Lander are not part of the wire format. A MuxReader that
+	// delivered the body to a WriteLanding (MuxReader.WriteDest) sets
+	// Landed to the body's length and Lander to the landing, and leaves
+	// Data nil; the receiver owns the landing from then on.
+	Landed int
+	Lander WriteLanding
 }
 
 func (*WriteReq) Type() MsgType { return MsgWriteReq }
@@ -492,6 +498,11 @@ func (m *WriteReq) Decode(d *Decoder) {
 	m.Handle = d.U64()
 	m.Offset = d.U64()
 	m.Data = d.Bytes()
+	m.decodePost(d)
+}
+
+// decodePost decodes what follows the body: the optional tenant.
+func (m *WriteReq) decodePost(d *Decoder) {
 	if d.Remaining() > 0 {
 		m.Tenant = d.String()
 	}

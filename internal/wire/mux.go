@@ -28,10 +28,11 @@ package wire
 // runs every bulk message is MiB-sized and multi-segment, and growing by
 // size class cost ~1.6 extra copies per received byte.
 //
-// A ReadResp need not be assembled at all: when the reader's Dest hook
-// names a Landing for its stream, the body moves from the connection into
-// the requester's memory segment by segment, and only the length prefix
-// and the EOF flag around it are kept. The wire bytes are the same.
+// A bulk body need not be assembled at all. When the reader's Dest hook
+// names a Landing for a ReadResp's stream, or its WriteDest hook one for a
+// WriteReq's address, the body moves from the connection into that memory
+// segment by segment, and only the few bytes around it are kept. The wire
+// bytes are the same.
 
 import (
 	"bufio"
@@ -619,7 +620,7 @@ func (mw *MuxWriter) die(err error) {
 // MuxFrame is one reassembled message delivered by MuxReader.Read. Msg
 // may alias Buf (a pooled buffer): the receiver owns Buf and must
 // wire.PutBuf it once Msg — or any byte field of it not detached via
-// Own — is no longer needed. A landed ReadResp has no Buf.
+// Own — is no longer needed. A landed message has no Buf.
 type MuxFrame struct {
 	Stream uint32
 	Class  uint8
@@ -628,8 +629,9 @@ type MuxFrame struct {
 }
 
 // Landing is memory a requester registered for the body of the ReadResp
-// that answers it (MuxReader.Dest): the reader moves the body from the
-// connection into it, with no frame buffer in between.
+// that answers it (MuxReader.Dest), or the receiver of a WriteReq granted
+// its body (WriteLanding): the reader moves the body from the connection
+// into it, with no frame buffer in between.
 type Landing interface {
 	// Land reads the n body bytes at body offset off from r and reports
 	// how many of them reached its memory. It must consume all n, reading
@@ -639,23 +641,50 @@ type Landing interface {
 	Land(r io.Reader, off, n int) (int, error)
 }
 
-// readRespHead is a ReadResp's payload around its body: the u32 body
-// length before it and the EOF flag after it.
-const readRespHead = 5
+// WriteLanding is memory a receiver grants the body of a WriteReq once it
+// knows where the body goes (MuxReader.WriteDest). A delivered request
+// hands the landing to the receiver (WriteReq.Lander), which owns it from
+// then on. A request that is never delivered — its connection dies
+// mid-body, or the message is refused — is aborted by the reader: Abort is
+// called exactly once.
+type WriteLanding interface {
+	Landing
+	Abort()
+}
+
+// The bytes of a landed message before its body: a ReadResp's u32 body
+// length; a WriteReq's handle, offset and u32 body length. After the body
+// come its tail: a ReadResp's EOF flag, a WriteReq's optional tenant.
+const (
+	readRespHead = 4
+	writeReqHead = 20
+
+	// maxWriteReqTail is the longest tail a WriteReq can decode: a tenant
+	// of MaxStringLen bytes behind its length prefix. A WriteReq with a
+	// longer one is not offered to WriteDest; its buffered decode refuses
+	// it.
+	maxWriteReqTail = 4 + MaxStringLen
+)
 
 // muxAsm is a stream's partially received message.
 type muxAsm struct {
 	t     MsgType
 	class uint8
-	buf   []byte // pooled, taken once at the announced total; nil when landed
+	buf   []byte // pooled, taken at the announced total; nil while landing
 	total int
 	got   int // payload bytes received
 
-	// A landed ReadResp: head holds its length prefix and EOF flag, the
-	// body goes to land.
-	land Landing
-	head [readRespHead]byte
-	body int // the body's length, once the prefix is in
+	// A landing message keeps its head and tail and hands its body to
+	// land. A WriteReq starts out landing whether or not it will land:
+	// once its head is in, WriteDest decides, and if it declines, the rest
+	// of the message goes to buf after the head.
+	land  Landing
+	wl    WriteLanding // land of a WriteReq, until the request is delivered
+	head  [writeReqHead]byte
+	hl    int // the head's length
+	body  int // the body's length, once the head is in
+	tail  []byte
+	small [32]byte // backs a tail that fits: an EOF flag, a short tenant
 }
 
 // MuxReader reassembles mux frames from one connection. Not safe for
@@ -667,10 +696,14 @@ type MuxReader struct {
 
 	// Dest, if set, is asked at the first segment of every ReadResp for
 	// the Landing of its stream; nil keeps that response in a frame buffer.
-	// Stats, if set, counts how ReadResp bodies arrived. Both must be set
-	// before the first Read.
-	Dest  func(stream uint32) Landing
-	Stats *FrameStats
+	// WriteDest, if set, is asked once a WriteReq's handle, offset and body
+	// length are in for the landing of its n body bytes; nil keeps that
+	// request in a frame buffer. It is not asked about a body the message
+	// cannot hold. Stats, if set, counts how ReadResp and WriteReq bodies
+	// arrived. All must be set before the first Read.
+	Dest      func(stream uint32) Landing
+	WriteDest func(handle, off uint64, n int) WriteLanding
+	Stats     *FrameStats
 }
 
 // NewMuxReader returns a reader decoding mux frames from r.
@@ -721,10 +754,15 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 		}
 		if first {
 			a = &muxAsm{t: t, class: class, total: total}
-			if t == MsgReadResp && mr.Dest != nil {
-				a.land = mr.Dest(stream)
+			switch {
+			case t == MsgReadResp && mr.Dest != nil:
+				if a.land = mr.Dest(stream); a.land != nil {
+					a.hl = readRespHead
+				}
+			case t == MsgWriteReq && mr.WriteDest != nil:
+				a.hl = writeReqHead // whether it lands is decided at the head's end
 			}
-			if a.land == nil {
+			if a.hl == 0 {
 				a.buf = GetBuf(total)[:0]
 			}
 			if more {
@@ -734,21 +772,12 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 		} else if a.t != t {
 			return MuxFrame{}, fmt.Errorf("wire: mux segment type changed mid-stream (%v then %v)", a.t, t)
 		}
-		need := a.got + plen
-		if need > a.total || (!more && need != a.total) {
+		if need := a.got + plen; need > a.total || (!more && need != a.total) {
 			return MuxFrame{}, fmt.Errorf("wire: mux message of %d bytes announced as %d", need, a.total)
 		}
-		var err error
-		if a.land != nil {
-			err = mr.landSegment(a, plen)
-		} else {
-			_, err = io.ReadFull(mr.r, a.buf[a.got:need])
-			a.buf = a.buf[:need]
-		}
-		a.got = need
-		if err != nil {
+		if err := mr.segment(a, plen); err != nil {
 			if first && !more {
-				PutBuf(a.buf) // half-assembled streams are released by Close
+				a.release() // half-assembled streams are released by Close
 			}
 			return MuxFrame{}, err
 		}
@@ -759,70 +788,149 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 			delete(mr.asm, stream)
 			mr.announced -= a.total
 		}
-		if a.land != nil {
-			if a.got < readRespHead {
-				return MuxFrame{}, ErrShortPayload
+		var msg Message
+		var err error
+		if a.buf == nil {
+			msg, err = a.landed()
+		} else if msg, err = decodeFrame(a.t, a.buf); err == nil {
+			if pc, ok := msg.(payloadCarrier); ok {
+				data, _ := pc.bulkRef()
+				mr.Stats.addRecvCopied(int64(len(data)))
 			}
-			msg := &ReadResp{EOF: a.head[4] != 0, Landed: a.body}
-			return MuxFrame{Stream: stream, Class: a.class, Msg: msg}, nil
 		}
-		msg, err := decodeFrame(a.t, a.buf)
 		if err != nil {
-			PutBuf(a.buf)
+			a.release()
 			return MuxFrame{}, err
-		}
-		if rr, ok := msg.(*ReadResp); ok {
-			mr.Stats.addRecvCopied(int64(len(rr.Data)))
 		}
 		return MuxFrame{Stream: stream, Class: a.class, Msg: msg, Buf: a.buf}, nil
 	}
 }
 
-// landSegment reads plen payload bytes of a landed ReadResp: those of its
-// length prefix and EOF flag into a.head, those of its body into a.land.
-// Once the prefix is in, the body length must account for the whole
-// announced payload; otherwise the message is refused with the error its
-// buffered decode would give.
-func (mr *MuxReader) landSegment(a *muxAsm, plen int) error {
-	for at := a.got; plen > 0; {
-		var k int
-		switch {
-		case at < 4:
-			k = min(plen, 4-at)
-			if _, err := io.ReadFull(mr.r, a.head[at:at+k]); err != nil {
-				return err
-			}
-			if at+k == 4 {
-				a.body = int(binary.LittleEndian.Uint32(a.head[:4]))
-				if need := readRespHead + a.body; need > a.total {
-					return ErrShortPayload
-				} else if need < a.total {
-					return ErrTrailingBytes
-				}
-			}
-		case at < 4+a.body:
-			k = min(plen, 4+a.body-at)
-			landed, err := a.land.Land(mr.r, at-4, k)
-			mr.Stats.addLanded(int64(landed))
-			if err != nil {
-				return err
-			}
-		default: // the EOF flag, the payload's last byte
-			k = 1
-			if _, err := io.ReadFull(mr.r, a.head[4:]); err != nil {
-				return err
-			}
+// segment reads plen payload bytes of a's message: into its frame buffer,
+// or, while it lands, part by part through landPart.
+func (mr *MuxReader) segment(a *muxAsm, plen int) error {
+	for plen > 0 {
+		k := plen
+		var err error
+		if a.buf != nil {
+			_, err = io.ReadFull(mr.r, a.buf[a.got:a.got+k])
+			a.buf = a.buf[:a.got+k]
+		} else {
+			k, err = mr.landPart(a, plen)
 		}
-		at += k
+		if err != nil {
+			return err
+		}
+		a.got += k
 		plen -= k
 	}
 	return nil
 }
 
-// Close releases the pooled buffers of any half-assembled streams.
+// landPart reads what is left of a landing message's segment, up to plen
+// bytes, from the part a.got is in — head, body or tail — and reports how
+// many it read.
+func (mr *MuxReader) landPart(a *muxAsm, plen int) (int, error) {
+	at := a.got
+	switch {
+	case at < a.hl:
+		k := min(plen, a.hl-at)
+		if _, err := io.ReadFull(mr.r, a.head[at:at+k]); err != nil {
+			return 0, err
+		}
+		if at+k == a.hl {
+			return k, mr.headIn(a)
+		}
+		return k, nil
+	case at < a.hl+a.body:
+		k := min(plen, a.hl+a.body-at)
+		landed, err := a.land.Land(mr.r, at-a.hl, k)
+		mr.Stats.addLanded(int64(landed))
+		return k, err
+	default: // the tail, sized by headIn to what the total leaves
+		n := len(a.tail)
+		a.tail = a.tail[:n+plen]
+		_, err := io.ReadFull(mr.r, a.tail[n:])
+		return plen, err
+	}
+}
+
+// headIn settles, once a landing message's head is in, where the rest of
+// it goes. A ReadResp's body length must account for its payload exactly,
+// or the message is refused with the error its buffered decode would give.
+// A WriteReq whose body and tail fit its payload is offered to WriteDest;
+// one that does not fit, or that WriteDest declines, goes on in a frame
+// buffer, whose decode treats it as if it had never been offered.
+func (mr *MuxReader) headIn(a *muxAsm) error {
+	a.body = int(binary.LittleEndian.Uint32(a.head[a.hl-4 : a.hl]))
+	tail := a.total - a.hl - a.body
+	if a.t == MsgReadResp {
+		if tail < 1 {
+			return ErrShortPayload
+		} else if tail > 1 {
+			return ErrTrailingBytes
+		}
+	} else if tail >= 0 && tail <= maxWriteReqTail {
+		handle := binary.LittleEndian.Uint64(a.head[0:8])
+		off := binary.LittleEndian.Uint64(a.head[8:16])
+		if wl := mr.WriteDest(handle, off, a.body); wl != nil {
+			a.land, a.wl = wl, wl
+		}
+	}
+	switch {
+	case a.land == nil:
+		a.buf = append(GetBuf(a.total)[:0], a.head[:a.hl]...)
+	case tail <= len(a.small):
+		a.tail = a.small[:0:tail]
+	default:
+		a.tail = make([]byte, 0, tail)
+	}
+	return nil
+}
+
+// landed decodes a landing message once all of it is in: its head and tail
+// as the buffered decode would, with the body's length in Landed. A
+// delivered WriteReq hands its landing over in Lander.
+func (a *muxAsm) landed() (Message, error) {
+	if a.got < a.hl {
+		return nil, ErrShortPayload // the message ended inside its head
+	}
+	if a.t == MsgReadResp {
+		return &ReadResp{EOF: a.tail[0] != 0, Landed: a.body}, nil
+	}
+	m := &WriteReq{
+		Handle: binary.LittleEndian.Uint64(a.head[0:8]),
+		Offset: binary.LittleEndian.Uint64(a.head[8:16]),
+		Landed: a.body,
+		Lander: a.wl,
+	}
+	d := Decoder{buf: a.tail}
+	m.decodePost(&d)
+	if d.err != nil {
+		return nil, d.err
+	}
+	if d.off != len(d.buf) {
+		return nil, ErrTrailingBytes
+	}
+	a.wl = nil
+	return m, nil
+}
+
+// release frees what a message that will not be delivered holds: its frame
+// buffer, and the landing of a WriteReq's body, which it aborts.
+func (a *muxAsm) release() {
+	PutBuf(a.buf)
+	if a.wl != nil {
+		a.wl.Abort()
+		a.wl = nil
+	}
+}
+
+// Close releases the half-assembled streams: their frame buffers, and the
+// landings of WriteReq bodies that now will never be delivered.
 func (mr *MuxReader) Close() {
 	for s, a := range mr.asm {
-		PutBuf(a.buf)
+		a.release()
 		delete(mr.asm, s)
 	}
 }

@@ -662,10 +662,11 @@ func TestMuxReaderRejectsBadTotals(t *testing.T) {
 // must return an error or messages that arrived whole — a multi-segment
 // one exactly as long as its first segment announced — and never panic,
 // hang, or commit more memory than the connection's bound allows. Decoded
-// a second time with every ReadResp body landed, the stream gives the same
-// messages, bodies and EOF flags, up to where one of them is refused: a
-// landed reader may refuse a bad length prefix as soon as it arrives, but
-// never runs out of stream before the assembling reader does.
+// a second time with every ReadResp and WriteReq body landed, the stream
+// gives the same messages, bodies, EOF flags, addresses and tenants, up to
+// where one of them is refused: a landed reader may refuse a bad length
+// prefix as soon as it arrives, but never runs out of stream before the
+// assembling reader does. Every WriteReq landing is delivered or aborted.
 func FuzzMuxReader(f *testing.F) {
 	var e Encoder
 	(&ReadResp{Data: bytes.Repeat([]byte{1}, 300), EOF: true}).Encode(&e)
@@ -681,6 +682,12 @@ func FuzzMuxReader(f *testing.F) {
 	f.Add(segs(segSpec{rr, 1, b[:100], true, n}, segSpec{rr, 2, b[:200], true, n},              // interleaved
 		segSpec{rr, 1, b[100:], false, -1}, segSpec{rr, 2, b[200:], false, -1}))
 	f.Add(append(append([]byte(nil), whole...), whole[:20]...)) // torn tail
+	const wr = MsgWriteReq
+	w := writeReqPayload(&WriteReq{Handle: 3, Offset: 4096, Data: bytes.Repeat([]byte{2}, 300), Tenant: "tenant"})
+	f.Add(segs(segSpec{wr, 1, w[:11], true, len(w)}, segSpec{wr, 1, w[11:], false, -1})) // head split
+	f.Add(segs(segSpec{wr, 1, w[:200], true, len(w)}, segSpec{rr, 2, b, false, -1}, segSpec{wr, 1, w[200:], false, -1}))
+	f.Add(segs(segSpec{wr, 1, w[:len(w)-3], false, -1}))                                            // torn tenant
+	f.Add(segs(segSpec{wr, 1, writeReqPayload(&WriteReq{Data: make([]byte, 40)})[:30], false, -1})) // short body
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		mr := NewMuxReader(bytes.NewReader(stream))
 		defer mr.Close()
@@ -710,22 +717,32 @@ func FuzzMuxReader(f *testing.F) {
 			t.Fatalf("assembling streams announce %d in total, reader accounts %d", held, mr.announced)
 		}
 
-		want, _ := readAllMux(stream, false)
-		got, err := readAllMux(stream, true)
+		want, _ := readAllMux(t, stream, false)
+		got, err := readAllMux(t, stream, true)
 		if len(got) > len(want) || (len(got) < len(want) && (err == io.EOF || err == io.ErrUnexpectedEOF)) {
 			t.Fatalf("landed decode gave %d messages (%v), assembled %d", len(got), err, len(want))
 		}
 		for i, g := range got {
 			w := want[i]
-			if g.stream != w.stream || g.t != w.t || g.eof != w.eof || !bytes.Equal(g.body, w.body) {
-				t.Fatalf("message %d: landed %v on stream %d (%d bytes, eof %v), assembled %v on %d (%d bytes, eof %v)",
-					i, g.t, g.stream, len(g.body), g.eof, w.t, w.stream, len(w.body), w.eof)
+			if g.stream != w.stream || g.t != w.t || g.eof != w.eof || !bytes.Equal(g.body, w.body) ||
+				g.handle != w.handle || g.off != w.off || g.tenant != w.tenant {
+				t.Fatalf("message %d: landed %v on stream %d (%d bytes, eof %v, at %d:%d, tenant %q), "+
+					"assembled %v on %d (%d bytes, eof %v, at %d:%d, tenant %q)",
+					i, g.t, g.stream, len(g.body), g.eof, g.handle, g.off, g.tenant,
+					w.t, w.stream, len(w.body), w.eof, w.handle, w.off, w.tenant)
 			}
 		}
 	})
 }
 
-// sliceLanding lands a ReadResp body in buf, discarding what does not fit.
+// writeReqPayload encodes a WriteReq's payload.
+func writeReqPayload(m *WriteReq) []byte {
+	var e Encoder
+	m.Encode(&e)
+	return e.buf
+}
+
+// sliceLanding lands a body in buf, discarding what does not fit.
 type sliceLanding struct{ buf []byte }
 
 func (l *sliceLanding) Land(r io.Reader, off, n int) (int, error) {
@@ -740,41 +757,78 @@ func (l *sliceLanding) Land(r io.Reader, off, n int) (int, error) {
 	return fit, err
 }
 
+// sliceWriteLanding is a sliceLanding granted to a WriteReq body; it
+// counts its aborts.
+type sliceWriteLanding struct {
+	sliceLanding
+	aborts int
+}
+
+func (l *sliceWriteLanding) Abort() { l.aborts++ }
+
 // decoded is what a MuxReader delivered of one message.
 type decoded struct {
 	stream uint32
 	t      MsgType
-	body   []byte // a ReadResp's body, assembled or landed
+	body   []byte // a ReadResp's or WriteReq's body, assembled or landed
 	eof    bool
+	handle uint64 // a WriteReq's address and tenant
+	off    uint64
+	tenant string
 }
 
 // readAllMux decodes stream up to its first error. With land set, every
-// ReadResp body lands in a sliceLanding with room for any body the stream
-// can carry.
-func readAllMux(stream []byte, land bool) ([]decoded, error) {
+// ReadResp and WriteReq body lands in a sliceLanding with room for any body
+// the stream can carry. Once the reader is closed, every WriteReq landing
+// must have been either delivered or aborted, exactly once.
+func readAllMux(t *testing.T, stream []byte, land bool) (out []decoded, err error) {
 	mr := NewMuxReader(bytes.NewReader(stream))
-	defer mr.Close()
 	lands := map[uint32]*sliceLanding{}
+	var granted []*sliceWriteLanding
+	delivered := map[*sliceWriteLanding]bool{}
+	defer func() {
+		mr.Close()
+		for i, l := range granted {
+			if want := map[bool]int{false: 1, true: 0}[delivered[l]]; l.aborts != want {
+				t.Fatalf("WriteReq landing %d (delivered %v) aborted %d times, want %d", i, delivered[l], l.aborts, want)
+			}
+		}
+	}()
 	if land {
 		mr.Dest = func(s uint32) Landing {
 			lands[s] = &sliceLanding{buf: make([]byte, len(stream))}
 			return lands[s]
 		}
+		mr.WriteDest = func(_, _ uint64, n int) WriteLanding {
+			l := &sliceWriteLanding{sliceLanding: sliceLanding{buf: make([]byte, min(n, len(stream)))}}
+			granted = append(granted, l)
+			return l
+		}
 	}
-	var out []decoded
 	for {
 		fr, err := mr.Read()
 		if err != nil {
 			return out, err
 		}
 		d := decoded{stream: fr.Stream, t: fr.Msg.Type()}
-		if rr, ok := fr.Msg.(*ReadResp); ok {
-			d.eof, d.body = rr.EOF, bytes.Clone(rr.Data)
+		switch m := fr.Msg.(type) {
+		case *ReadResp:
+			d.eof, d.body = m.EOF, bytes.Clone(m.Data)
 			if land {
-				if rr.Data != nil || fr.Buf != nil {
+				if m.Data != nil || fr.Buf != nil {
 					return out, errors.New("landed ReadResp delivered with a frame buffer")
 				}
-				d.body = lands[fr.Stream].buf[:rr.Landed]
+				d.body = lands[fr.Stream].buf[:m.Landed]
+			}
+		case *WriteReq:
+			d.handle, d.off, d.tenant, d.body = m.Handle, m.Offset, m.Tenant, bytes.Clone(m.Data)
+			if land {
+				l, ok := m.Lander.(*sliceWriteLanding)
+				if !ok || m.Data != nil || fr.Buf != nil {
+					return out, errors.New("landed WriteReq delivered without its landing, or with a frame buffer")
+				}
+				delivered[l] = true
+				d.body = l.buf[:m.Landed]
 			}
 		}
 		PutBuf(fr.Buf)
@@ -897,6 +951,140 @@ func TestMuxReaderLandingRefusesBadPrefix(t *testing.T) {
 				t.Errorf("%s: refused body reached the landing", name)
 			}
 			mr.Close()
+		}
+	}
+}
+
+// A WriteReq whose address WriteDest grants a landing moves its body from
+// the connection into it, its tenant into a small buffer, and arrives with
+// Landed and Lander set and neither Data nor Buf; WriteDest is asked once,
+// with the handle, offset and body length, even when the head is cut
+// across segments. A request WriteDest declines is assembled as before,
+// and the stats tell the two kinds of body apart.
+func TestMuxReaderLandsWriteReq(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	big, declined, longTenant := make([]byte, 1<<20), make([]byte, 4<<10), make([]byte, 300<<10)
+	for _, b := range [][]byte{big, declined, longTenant} {
+		rng.Read(b)
+	}
+	reqs := map[uint32]*WriteReq{
+		1: {Handle: 7, Offset: 1 << 40, Data: big, Tenant: "victim"},
+		2: {Handle: 8, Offset: 12, Data: declined},
+		3: {Handle: 9, Offset: 4096, Data: longTenant, Tenant: strings.Repeat("t", 100)},
+	}
+	var conn bytes.Buffer
+	mw := NewMuxWriter(&conn, DefaultMuxSegment)
+	for s := uint32(1); s <= 3; s++ {
+		if err := mw.Enqueue(reqs[s], s, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mw.Close()
+	// The first request again, its head split across three segments.
+	w := writeReqPayload(reqs[1])
+	conn.Write(segs(segSpec{MsgWriteReq, 4, w[:3], true, len(w)}, segSpec{MsgWriteReq, 4, w[3:17], true, -1},
+		segSpec{MsgWriteReq, 4, w[17:], false, -1}))
+	reqs[4] = reqs[1]
+
+	type ask struct {
+		handle, off uint64
+		n           int
+	}
+	var asked []ask
+	var st FrameStats
+	mr := NewMuxReader(&conn)
+	defer mr.Close()
+	mr.WriteDest = func(handle, off uint64, n int) WriteLanding {
+		asked = append(asked, ask{handle, off, n})
+		if handle == 8 {
+			return nil
+		}
+		return &sliceWriteLanding{sliceLanding: sliceLanding{buf: make([]byte, n)}}
+	}
+	mr.Stats = &st
+	for i := 0; i < 4; i++ {
+		f, err := mr.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, want := f.Msg.(*WriteReq), reqs[f.Stream]
+		if m == nil || m.Handle != want.Handle || m.Offset != want.Offset || m.Tenant != want.Tenant {
+			t.Fatalf("stream %d: delivered %+v, want the address and tenant of %d:%d %q", f.Stream, f.Msg, want.Handle, want.Offset, want.Tenant)
+		}
+		if f.Stream == 2 {
+			if m.Lander != nil || m.Landed != 0 || !bytes.Equal(m.Data, declined) {
+				t.Fatal("declined WriteReq not assembled in its frame buffer")
+			}
+		} else {
+			l, ok := m.Lander.(*sliceWriteLanding)
+			if !ok || m.Data != nil || f.Buf != nil || m.Landed != len(want.Data) {
+				t.Fatalf("stream %d: landed request delivered as %+v with a %d-byte buffer", f.Stream, m, len(f.Buf))
+			}
+			if !bytes.Equal(l.buf, want.Data) || l.aborts != 0 {
+				t.Fatalf("stream %d: landed body differs from the one sent, or its landing was aborted", f.Stream)
+			}
+		}
+		PutBuf(f.Buf)
+	}
+	wantAsked := []ask{{7, 1 << 40, len(big)}, {8, 12, len(declined)}, {9, 4096, len(longTenant)}, {7, 1 << 40, len(big)}}
+	if len(asked) != len(wantAsked) {
+		t.Fatalf("WriteDest asked %v, want %v", asked, wantAsked)
+	}
+	for i := range asked {
+		if asked[i] != wantAsked[i] {
+			t.Fatalf("WriteDest asked %v, want %v", asked, wantAsked)
+		}
+	}
+	if l, c := st.LandedBytes.Load(), st.RecvCopiedBytes.Load(); l != int64(2*len(big)+len(longTenant)) || c != int64(len(declined)) {
+		t.Errorf("landed_bytes = %d, recv_copied_bytes = %d; want %d and %d", l, c, 2*len(big)+len(longTenant), len(declined))
+	}
+}
+
+// A granted WriteReq that is never delivered is aborted exactly once: when
+// its connection ends mid-body (by Close for a message of several
+// segments, at once for a message of one), and when its tenant does not
+// decode; the refusal is the buffered decode's. A WriteReq whose body
+// length does not fit its payload is never offered to WriteDest.
+func TestMuxReaderAbortsWriteLanding(t *testing.T) {
+	w := writeReqPayload(&WriteReq{Handle: 1, Offset: 2, Data: bytes.Repeat([]byte{5}, 1000), Tenant: "ab"})
+	torn := bytes.Clone(w[:len(w)-1])
+	binary.LittleEndian.PutUint32(torn[len(torn)-6:], 1) // a 1-byte tenant, then a stray byte
+	long := bytes.Clone(w)
+	binary.LittleEndian.PutUint32(long[16:], 5000)
+	const wr = MsgWriteReq
+	for name, c := range map[string]struct {
+		stream []byte
+		want   error // nil: any error
+		asked  bool
+	}{
+		"cut mid-body, several segments": {segs(segSpec{wr, 1, w[:500], true, len(w)}), nil, true},
+		"cut mid-body, one segment":      {segs(segSpec{wr, 1, w, false, -1})[:600], nil, true},
+		"tenant cut short":               {segs(segSpec{wr, 1, w[:len(w)-1], false, -1}), ErrShortPayload, true},
+		"tenant with a stray byte":       {segs(segSpec{wr, 1, torn, false, -1}), ErrTrailingBytes, true},
+		"body longer than the payload":   {segs(segSpec{wr, 1, long, false, -1}), ErrShortPayload, false},
+	} {
+		var l *sliceWriteLanding
+		mr := NewMuxReader(bytes.NewReader(c.stream))
+		mr.WriteDest = func(_, _ uint64, n int) WriteLanding {
+			l = &sliceWriteLanding{sliceLanding: sliceLanding{buf: make([]byte, n)}}
+			return l
+		}
+		_, err := mr.Read()
+		if err == nil || (c.want != nil && !errors.Is(err, c.want)) {
+			t.Errorf("%s: Read = %v, want %v", name, err, c.want)
+		}
+		if c.want != nil {
+			if _, berr := decodeFrame(wr, c.stream[muxHdrSize:]); !errors.Is(berr, c.want) {
+				t.Errorf("%s: buffered decode = %v, want %v", name, berr, c.want)
+			}
+		}
+		mr.Close()
+		mr.Close()
+		switch {
+		case (l != nil) != c.asked:
+			t.Errorf("%s: WriteDest asked: %v, want %v", name, l != nil, c.asked)
+		case l != nil && l.aborts != 1:
+			t.Errorf("%s: landing aborted %d times, want once", name, l.aborts)
 		}
 	}
 }

@@ -67,10 +67,11 @@ type FrameStats struct {
 	// the frame still owed the wire but the backing store never served.
 	CancelledBytes atomic.Int64
 
-	// The receive side (MuxReader.Stats). LandedBytes counts ReadResp body
-	// bytes read from the connection straight into a Landing's memory.
-	// RecvCopiedBytes counts ReadResp body bytes reassembled in a frame
-	// buffer instead, which a caller must copy once more to place them.
+	// The receive side (MuxReader.Stats). LandedBytes counts ReadResp and
+	// WriteReq body bytes read from the connection straight into a
+	// landing's memory. RecvCopiedBytes counts those bodies' bytes
+	// reassembled in a frame buffer instead, which the receiver must copy
+	// once more to place them (into the caller's view, or with pwrite).
 	LandedBytes     atomic.Int64
 	RecvCopiedBytes atomic.Int64
 }
