@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke check bench bench-vet bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper clean
 
 all: check
 
@@ -152,10 +152,21 @@ replay-determinism:
 bench-vet:
 	GOWORK=off GOFLAGS=-buildvcs=false $(GO) -C bench vet ./...
 
-check: vet bench-vet race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
+# Builds the tree never runs here: darwin/arm64 and linux/arm64 vet every
+# package, including the off-Linux mmap and sendfile files and the tests'
+# build constraints, and a 386 run of the kernels' tests exercises sum8's
+# portable word loop as the whole kernel (amd64 runs the SSE2 block loop).
+cross:
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/kernels/
+
+check: vet bench-vet cross race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 
 # Data-path and kernel microbenchmarks (fixed iteration counts so runs
-# compare across commits): every registered kernel over a 1 MiB chunk, an
+# compare across commits): every registered kernel over a 1 MiB chunk that
+# stays in cache, sum8 and its portable loop striding a 256 MiB buffer 1 MiB
+# at a time (the out-of-cache rate a page-cache scan sees), an
 # 8 MiB sum8 through Runtime.HandleActive over a MemStore, over an extent
 # store, and on two runtimes at once; plus the window-vs-serial matrix
 # (writes BENCH_pr2.json).

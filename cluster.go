@@ -499,10 +499,10 @@ func StartCluster(o Options) (*Cluster, error) {
 				IOReservedCores: o.IOReservedCores,
 				Period:          o.EstimatorPeriod,
 			},
-			Pace:      o.Pace,
-			Metrics:   reg,
-			Trace:     tr,
-			Node:      node,
+			Pace:          o.Pace,
+			Metrics:       reg,
+			Trace:         tr,
+			Node:          node,
 			Telemetry:     tele,
 			Events:        ev,
 			Tenants:       tab,

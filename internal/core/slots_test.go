@@ -2,12 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dosas/internal/kernels"
 	"dosas/internal/pfs"
@@ -27,8 +30,9 @@ func init() {
 }
 
 // truncateInput is what a test.truncating kernel does to its own input
-// before its first chunk: cut the extent file the chunk is mapped from.
-var truncateInput atomic.Value // func()
+// before its first chunk, which it is handed: cut the extent file the chunk
+// is mapped from.
+var truncateInput atomic.Value // func(chunk []byte)
 
 type truncatingKernel struct {
 	kernels.Kernel
@@ -38,7 +42,7 @@ type truncatingKernel struct {
 func (k *truncatingKernel) Process(chunk []byte) error {
 	if !k.started {
 		k.started = true
-		truncateInput.Load().(func())()
+		truncateInput.Load().(func([]byte))(chunk)
 	}
 	return k.Kernel.Process(chunk)
 }
@@ -71,23 +75,41 @@ func sumOf(n int) uint64 {
 // under it (here by the kernel itself, through the store, before it reads
 // its first chunk) fails its request with ErrInputTruncated instead of
 // taking the node down; the node serves the next request from a mapping;
-// closing the store unmaps everything.
+// closing the store unmaps everything. Each cut leaves the chunk's first
+// page or pages and faults at the next one, which lies in the chunk's whole
+// 64-byte blocks: on amd64, inside sum8's assembly loop.
 func TestRuntimeInputTruncatedUnderKernel(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("kernels read copies, not mappings, off Linux")
 	}
 	c := startActiveCluster(t, clusterOpts{nData: 1, mode: ModeAlwaysAccept, scheme: SchemeAS, extent: true})
 	es := c.stores[0].(*pfs.ExtentStore)
-	f, _ := writeFile(t, c.fs, "fault/input", 256<<10, 1)
-	truncateInput.Store(func() {
-		if err := es.Truncate(f.Handle(), 1); err != nil {
-			t.Error(err)
+	page := uintptr(os.Getpagesize())
+	for i, cut := range []uint64{1, 32<<10 + 1} {
+		f, _ := writeFile(t, c.fs, fmt.Sprintf("fault/input%d", i), 256<<10, 1)
+		var base, blocks uintptr // the first chunk's address and whole 64-byte blocks
+		truncateInput.Store(func(chunk []byte) {
+			base, blocks = uintptr(unsafe.Pointer(unsafe.SliceData(chunk))), uintptr(len(chunk)&^63)
+			if err := es.Truncate(f.Handle(), cut); err != nil {
+				t.Error(err)
+			}
+		})
+		_, err := c.asc.ActiveRead(f, 0, f.Size(), "test.truncating", nil)
+		var re *pfs.RemoteError
+		if !errors.As(err, &re) || re.Code != wire.StatusInvalid || !strings.Contains(re.Detail, ErrInputTruncated.Error()) {
+			t.Fatalf("ActiveRead over an input cut at %d under the kernel: err = %v, want %v as StatusInvalid", cut, err, ErrInputTruncated)
 		}
-	})
-	_, err := c.asc.ActiveRead(f, 0, f.Size(), "test.truncating", nil)
-	var re *pfs.RemoteError
-	if !errors.As(err, &re) || re.Code != wire.StatusInvalid || !strings.Contains(re.Detail, ErrInputTruncated.Error()) {
-		t.Fatalf("ActiveRead over an input cut under the kernel: err = %v, want %v as StatusInvalid", err, ErrInputTruncated)
+		var addr uintptr
+		_, at, ok := strings.Cut(re.Detail, "fault at ")
+		if _, err := fmt.Sscanf(at, "%v", &addr); !ok || err != nil {
+			t.Fatalf("no fault address in %q: %v", re.Detail, err)
+		}
+		// The mapping starts on a page, so the first page past the cut is the
+		// first one the kernel cannot read.
+		if first := base + (uintptr(cut)+page-1)/page*page; addr != first || addr >= base+blocks {
+			t.Fatalf("cut at %d faulted at chunk offset %d, want %d inside the chunk's whole blocks [0, %d)",
+				cut, addr-base, first-base, blocks)
+		}
 	}
 
 	g, data := writeFile(t, c.fs, "fault/next", 256<<10, 1)

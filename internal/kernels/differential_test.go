@@ -214,6 +214,58 @@ func TestSum8MatchesScalarReference(t *testing.T) {
 	}
 }
 
+// sum8Path is one of sum8's summing loops, called directly; it adds the
+// first covered(len(p)) bytes of p and reads no further.
+type sum8Path struct {
+	name    string
+	sum     func(p []byte) uint64
+	covered func(n int) int
+}
+
+// sum8Paths are the portable word loop, which every GOARCH compiles, and
+// the GOARCH's block loop where it has one (sum8ArchPaths).
+var sum8Paths = append([]sum8Path{{"words", sum8Words, func(n int) int { return n }}}, sum8ArchPaths...)
+
+// Each of sum8's loops on its own against the scalar reference: every length
+// to 256, each side of every 64-byte block up to the word loop's fourth lane
+// fold and of each of those folds, at every start alignment within a cache
+// line, on all-0xFF bytes (the word loop's lanes at their bound) and noise.
+func TestSum8PathsMatchScalarReference(t *testing.T) {
+	random := make([]byte, 4*sum8Block+2*64)
+	rand.New(rand.NewSource(29)).Read(random)
+	ones := bytes.Repeat([]byte{0xFF}, len(random))
+
+	var lengths []int
+	for n := 0; n <= 256; n++ {
+		lengths = append(lengths, n)
+	}
+	for b := 5 * 64; b <= 4*sum8Block; b += 64 {
+		lengths = append(lengths, b-1, b, b+1)
+	}
+	for f := sum8Block; f <= 4*sum8Block; f += sum8Block {
+		lengths = append(lengths, f-33, f-32, f-31, f+31, f+32, f+33)
+	}
+	for name, src := range map[string][]byte{"ones": ones, "random": random} {
+		// upTo[i] is the reference's total over src[:i].
+		upTo := make([]uint64, len(src)+1)
+		ref := &refSum8{}
+		for i := range src {
+			ref.Process(src[i : i+1])
+			upTo[i+1] = ref.total
+		}
+		for _, path := range sum8Paths {
+			for off := 0; off < 64; off++ {
+				for _, n := range lengths {
+					want := upTo[off+path.covered(n)] - upTo[off]
+					if got := path.sum(src[off : off+n]); got != want {
+						t.Fatalf("%s over %d %s bytes at offset %d: %d, want %d", path.name, n, name, off, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // gaussianInputs are images of h rows chosen to reach the arithmetic's
 // corners: saturated (every nine-term sum is 16·255), empty, a checkerboard
 // (the largest neighbour differences) and noise.

@@ -20,26 +20,32 @@ func (*sum8) Name() string             { return "sum8" }
 func (*sum8) Configure([]byte) error   { return nil }
 func (*sum8) ResultSize(uint64) uint64 { return 8 }
 
-// sum8 reads eight bytes per load and adds them in the four 16-bit lanes of
-// an accumulator word: the even and the odd bytes of v, each masked to
-// 0x00FF per lane, so one word adds at most 2·255 = 510 to a lane.
-// sum8LaneWords words add at most 128·510 = 65 280 < 2¹⁶ = 65 536, so no
-// lane can carry into its neighbour before the lanes are folded into the
-// 64-bit total. Two accumulators take alternate words (the adds of one do
-// not wait for the other's), which makes a block between folds
-// 2·sum8LaneWords words.
+func (k *sum8) Process(chunk []byte) error {
+	k.processed += uint64(len(chunk))
+	k.total += sum8Bytes(chunk)
+	return nil
+}
+
+// sum8Words is sum8's portable loop, which every GOARCH compiles and any
+// GOARCH without a block loop (sum_amd64.s) runs on its own. It reads eight
+// bytes per load and adds them in the four 16-bit lanes of an accumulator
+// word: the even and the odd bytes of v, each masked to 0x00FF per lane, so
+// one word adds at most 2·255 = 510 to a lane. sum8LaneWords words add at
+// most 128·510 = 65 280 < 2¹⁶ = 65 536, so no lane can carry into its
+// neighbour before the lanes are folded into the 64-bit total. Two
+// accumulators take alternate words (the adds of one do not wait for the
+// other's), which makes a block between folds 2·sum8LaneWords words.
 const (
 	sum8LaneMask  = 0x00FF00FF00FF00FF
 	sum8LaneWords = 128
 	sum8Block     = 2 * 8 * sum8LaneWords // bytes
 )
 
-func (k *sum8) Process(chunk []byte) error {
-	k.processed += uint64(len(chunk))
+func sum8Words(p []byte) uint64 {
 	var t uint64
-	for len(chunk) >= 32 {
-		blk := chunk[:min(len(chunk), sum8Block)&^31]
-		chunk = chunk[len(blk):]
+	for len(p) >= 32 {
+		blk := p[:min(len(p), sum8Block)&^31]
+		p = p[len(blk):]
 		var a0, a1 uint64
 		for len(blk) >= 32 {
 			v0 := binary.LittleEndian.Uint64(blk)
@@ -54,11 +60,10 @@ func (k *sum8) Process(chunk []byte) error {
 		}
 		t += foldLanes16(a0) + foldLanes16(a1)
 	}
-	for _, b := range chunk { // fewer than 32 bytes
+	for _, b := range p { // fewer than 32 bytes
 		t += uint64(b)
 	}
-	k.total += t
-	return nil
+	return t
 }
 
 // foldLanes16 adds the four 16-bit lanes of a.

@@ -389,17 +389,31 @@ func (ds *DataServer) decisionLog(req *wire.DecisionLogReq) (wire.Message, error
 
 // SyncWireStats mirrors the frame-transport counters into the metrics
 // registry (wire.sendfile_bytes, wire.writev_calls, wire.copied_bytes, and
-// on the receive side wire.landed_bytes and wire.recv_copied_bytes).
-// The counters are atomics written on the framing hot path; mirroring
-// happens only when a snapshot is taken, keeping the hot path free of
-// registry lookups. The wire StatsReq handler calls it automatically;
-// in-process snapshot consumers (Cluster.Stats) call it directly.
+// on the receive side wire.landed_bytes and wire.recv_copied_bytes), and
+// with them the store's and the gate's: an extent store's fd-cache hits
+// and misses (store.fd_hits, store.fd_misses) and its mapped extent files
+// (the store.mapped_extents gauge), and the admission gate's
+// deferrals of a tenant short of credit (gate.throttled). Those counters
+// are atomics written on the framing hot path, or fields kept under the
+// cache's and the gate queue's own locks; mirroring happens only when a
+// snapshot is taken, keeping the hot path free of registry lookups. The
+// wire StatsReq handler calls it automatically; in-process snapshot
+// consumers (Cluster.Stats) call it directly.
 func (ds *DataServer) SyncWireStats() {
 	mirrorCounter(ds.reg, "wire.sendfile_bytes", ds.wireStats.SendfileBytes.Load())
 	mirrorCounter(ds.reg, "wire.writev_calls", ds.wireStats.WritevCalls.Load())
 	mirrorCounter(ds.reg, "wire.copied_bytes", ds.wireStats.CopiedBytes.Load())
 	mirrorCounter(ds.reg, "wire.landed_bytes", ds.wireStats.LandedBytes.Load())
 	mirrorCounter(ds.reg, "wire.recv_copied_bytes", ds.wireStats.RecvCopiedBytes.Load())
+	if ds.extents != nil {
+		hits, misses, mapped := ds.extents.fds.counts()
+		mirrorCounter(ds.reg, "store.fd_hits", hits)
+		mirrorCounter(ds.reg, "store.fd_misses", misses)
+		ds.reg.Gauge("store.mapped_extents").Set(mapped)
+	}
+	if ds.gate != nil {
+		mirrorCounter(ds.reg, "gate.throttled", int64(ds.gate.Stats().Throttled))
+	}
 }
 
 // PostWrite implements the pfs.PostWriter hook: a read or write stays

@@ -56,6 +56,8 @@ type fdCache struct {
 	lru     *list.List          // front = most recently used; holds *fdEntry
 	closed  bool
 	mapped  atomic.Int64 // mappings of entries, live or awaiting their last release
+
+	hits, misses int64 // acquires that found their key cached, and that did not
 }
 
 func newFDCache(capacity int) *fdCache {
@@ -76,11 +78,13 @@ func (c *fdCache) acquire(key fdKey, open func() (*os.File, error)) (*fdEntry, e
 		return nil, os.ErrClosed
 	}
 	if e, ok := c.entries[key]; ok {
+		c.hits++
 		e.refs++
 		c.lru.MoveToFront(e.elem)
 		c.mu.Unlock()
 		return e, nil
 	}
+	c.misses++
 	f, err := open()
 	if err != nil {
 		c.mu.Unlock()
@@ -259,6 +263,13 @@ func (c *fdCache) landInto(e *fdEntry, end int64, r io.Reader, p []byte) (int, e
 		return 0, ErrWriteCut
 	}
 	return readMapped(r, p)
+}
+
+// counts reports the cache's hits and misses so far and its mappings now.
+func (c *fdCache) counts() (hits, misses, mapped int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.mapped.Load()
 }
 
 // len reports the number of live cached descriptors (tests).
