@@ -74,7 +74,10 @@ race-wire:
 # kernel chunking (every registered kernel: any split of the stream, and a
 # Checkpoint→Restore in the middle of it, ends in the unsplit run's result)
 # and on the kernels' mapped input (writes, truncates and removes over 4–64
-# KiB extents: every view of a range byte-identical to ReadAt of it).
+# KiB extents: every view of a range byte-identical to ReadAt of it) and on
+# introspection (any kind, any params, against a data server with every
+# plane attached: a reply, or StatusUnsupported or StatusInvalid, never a
+# panic).
 # The seed corpora alone run in every plain `go test`.
 fuzz-smoke:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz FuzzMuxReader -fuzztime 10s
@@ -83,6 +86,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzMuxLanding -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzWriteLanding -fuzztime 10s
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzExtentView -fuzztime 10s
+	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzIntrospect -fuzztime 10s
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz FuzzKernelChunking -fuzztime 10s
 
 # Focused race gate for the storage layer: the extent store's size cache
@@ -110,10 +114,12 @@ race-tenant:
 # Focused race gate for the telemetry archive: chunk files are appended
 # from the sampler tick while queries, pruning, and downsample sealing
 # walk the same state; the crash-reopen property tests churn it all
-# under -race. The range-query plane (wire codec fuzz, cluster sweep)
-# rides along.
+# under -race. The query introspection rides along: TestIntrospect asks
+# every kind of a data and a metadata server, planes nil and attached, and
+# the root tests sweep a cluster.
 race-tsdb:
-	$(GO) test -race ./internal/tsdb/ ./internal/telemetry/ ./internal/wire/
+	$(GO) test -race ./internal/tsdb/ ./internal/telemetry/
+	$(GO) test -race -run 'TestIntrospect' ./internal/pfs/
 	$(GO) test -race -run 'TestQuery|TestFSQuery|TestIncidentReport|TestClusterReport|TestAggregateNodes' .
 
 # Focused race gate for the tail-latency isolation plane: the QoS gate's

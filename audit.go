@@ -6,7 +6,7 @@ import (
 
 	"dosas/internal/audit"
 	"dosas/internal/core"
-	"dosas/internal/wire"
+	"dosas/internal/pfs"
 )
 
 // DecisionRecord is one recorded scheduler invocation on a storage node:
@@ -119,27 +119,14 @@ func (c *Cluster) DecisionLogAll() []DecisionRecord {
 // non-zero means the merged log is a suffix of the cluster's true
 // decision history.
 func (fs *FS) DecisionLog(limit uint64, traceID uint64) (records []DecisionRecord, dropped uint64, err error) {
-	for _, n := range fs.nodeAddrs() {
-		if n.role != "data" {
-			continue
-		}
-		resp, callErr := fs.pc.Pool().Call(n.addr, &wire.DecisionLogReq{Limit: limit, TraceID: traceID})
-		if callErr != nil {
-			continue
-		}
-		dl, ok := resp.(*wire.DecisionLogResp)
-		if !ok {
-			return records, dropped, fmt.Errorf("dosas: unexpected decision-log response %v", resp.Type())
-		}
-		recs, decErr := audit.DecodeRecords(dl.Records)
-		if decErr != nil {
-			return records, dropped, fmt.Errorf("dosas: %s: %w", n.name, decErr)
-		}
-		records = append(records, recs...)
-		dropped += dl.Dropped
-	}
+	params := pfs.DecisionParams{Limit: limit, TraceID: traceID}
+	err = sweep(fs, pfs.KindDecisions, true, func(string) any { return params },
+		func(_, _ string, r pfs.DecisionReply) {
+			records = append(records, r.Records...)
+			dropped += r.Dropped
+		})
 	sortDecisions(records)
-	return records, dropped, nil
+	return records, dropped, err
 }
 
 // sortDecisions orders a multi-node record set by wall-clock time, with

@@ -135,11 +135,6 @@ type Options struct {
 	// FDCacheSize caps each disk-backed store's open descriptors
 	// (default pfs.DefaultFDCacheSize).
 	FDCacheSize int
-	// PlainReadPath disables the zero-copy serving path on every
-	// storage node: bulk reads stage through pooled buffers and frames
-	// are written contiguously, as before this path existed. Used by
-	// the sendbuf-vs-sendfile A/B benchmarks.
-	PlainReadPath bool
 	// WindowDepth is how many chunk requests clients connected through
 	// this Cluster keep in flight per server connection during bulk
 	// transfers (default pfs.DefaultWindowDepth; 1 disables pipelining).
@@ -174,8 +169,8 @@ type Options struct {
 	EventsMaxBytes int64
 	// ArchiveDir, when set, gives every node a durable telemetry
 	// archive under ArchiveDir/<node>: each sampler tick is persisted
-	// to CRC-framed chunk files with downsampling tiers, served over
-	// RangeQueryReq and queried via Cluster.Query / dosasctl query.
+	// to CRC-framed chunk files with downsampling tiers, served as the
+	// query introspection and queried via Cluster.Query / dosasctl query.
 	// Requires telemetry (TelemetryTick >= 0).
 	ArchiveDir string
 	// ArchiveMaxBytes is each node archive's retention budget across
@@ -183,8 +178,8 @@ type Options struct {
 	// unbounded.
 	ArchiveMaxBytes int64
 	// DisableTenants turns per-tenant resource attribution off on every
-	// storage node: no usage table, no tenant.wait.share probe, and
-	// TenantStatsReq answers with an empty report. Used by the
+	// storage node: no usage table, no tenant.wait.share probe, and the
+	// tenants introspection answers with an empty report. Used by the
 	// attribution-overhead A/B benchmark.
 	DisableTenants bool
 	// TenantLimit caps each storage node's tenant table; past it the
@@ -448,20 +443,20 @@ func StartCluster(o Options) (*Cluster, error) {
 		// the history over the wire.
 		tele := newSampler(o.TelemetryTick)
 		// Likewise the decision audit ring: the runtime appends and
-		// resolves records, the server answers DecisionLogReq from it.
+		// resolves records, the server serves it as the decisions kind.
 		alog := audit.NewLog(4096)
 		alog.SetNode(node)
 		// Events and the alert engine are shared the same way: the runtime
 		// emits lifecycle events and the sampler tick drives evaluation,
-		// while the server answers EventFetchReq/AlertFetchReq from them.
+		// while the server serves them as the events and alerts kinds.
 		ev, err := o.newEventLog(node)
 		if err != nil {
 			return nil, err
 		}
 		c.events = append(c.events, ev)
 		// The tenant table is shared the same way: the data server and
-		// runtime account usage into it, the server answers TenantStatsReq
-		// and the SLO annotation hook reads the dominant waiter from it.
+		// runtime account usage into it, the server serves it as the tenants
+		// kind and the SLO annotation hook reads the dominant waiter from it.
 		var tab *tenant.Table
 		if !o.DisableTenants {
 			limit := o.TenantLimit
@@ -520,10 +515,6 @@ func StartCluster(o Options) (*Cluster, error) {
 		}
 		srv := pfs.NewServer(dl, ds)
 		srv.SetFrameStats(ds.WireStats())
-		if o.PlainReadPath {
-			ds.SetZeroCopy(false)
-			srv.SetPlainWrites(true)
-		}
 		srv.Start()
 		c.servers = append(c.servers, srv)
 		c.dataAddrs = append(c.dataAddrs, srv.Addr())

@@ -45,7 +45,6 @@ func main() {
 	backend := flag.String("store-backend", "extent", "on-disk store format: extent or file (v0 one-file-per-handle)")
 	fsync := flag.Bool("fsync", false, "fsync the store after every write and truncate (default off: page cache absorbs bursts)")
 	fdCache := flag.Int("fd-cache", pfs.DefaultFDCacheSize, "max open descriptors cached by the store")
-	readPath := flag.String("read-path", "zerocopy", "bulk read serving path: zerocopy (sendfile/writev) or copy (staged through pooled buffers)")
 	policy := flag.String("policy", "dosas", "scheduling policy: dosas, as, or ts")
 	solverName := flag.String("solver", "", "dynamic-mode scheduling algorithm: exhaustive, maxgain (default), all-active, all-normal")
 	bw := flag.Float64("bw", 118e6, "network bandwidth the estimator assumes, bytes/second")
@@ -227,14 +226,6 @@ func main() {
 	}
 	srv := pfs.NewServer(l, ds)
 	srv.SetFrameStats(ds.WireStats())
-	switch *readPath {
-	case "zerocopy":
-	case "copy":
-		ds.SetZeroCopy(false)
-		srv.SetPlainWrites(true)
-	default:
-		log.Fatalf("unknown -read-path %q (want zerocopy or copy)", *readPath)
-	}
 	events.Info("server", "serving stripes",
 		"addr", srv.Addr(), "policy", mode.String(),
 		"cores", fmt.Sprint(*cores), "reserved", fmt.Sprint(*reserved),

@@ -67,7 +67,6 @@ import (
 	"dosas"
 	"dosas/internal/daemonflags"
 	"dosas/internal/pfs"
-	"dosas/internal/trace"
 	"dosas/internal/transport"
 	"dosas/internal/wire"
 )
@@ -487,25 +486,20 @@ func statsAll(meta string, dataAddrs []string, asJSON bool) {
 	pool := pfs.NewPool(transport.TCP{})
 	defer pool.Close()
 	type nodeStats struct {
-		Addr  string          `json:"addr"`
-		Role  string          `json:"role"`
-		Mode  string          `json:"mode,omitempty"`
-		Stats json.RawMessage `json:"stats"`
+		Addr  string              `json:"addr"`
+		Role  string              `json:"role"`
+		Mode  string              `json:"mode,omitempty"`
+		Stats dosas.StatsSnapshot `json:"stats"`
 	}
 	collected := make(map[string]nodeStats)
 	var order []string
 	fetch := func(fallbackName, addr string) {
-		resp, err := pool.Call(addr, &wire.StatsReq{})
+		var sr pfs.StatsReply
+		name, err := pfs.Introspect(pool, addr, pfs.KindStats, nil, &sr)
 		if err != nil {
 			log.Printf("%s %s: unreachable: %v", fallbackName, addr, err)
 			return
 		}
-		sr, ok := resp.(*wire.StatsResp)
-		if !ok {
-			log.Printf("%s %s: unexpected response %v", fallbackName, addr, resp.Type())
-			return
-		}
-		name := sr.Node
 		if name == "" {
 			name = fallbackName
 		}
@@ -531,12 +525,7 @@ func statsAll(meta string, dataAddrs []string, asJSON bool) {
 			head += ", mode " + ns.Mode
 		}
 		fmt.Printf("%s) @ %s\n", head, ns.Addr)
-		var snap dosas.StatsSnapshot
-		if err := json.Unmarshal(ns.Stats, &snap); err != nil {
-			log.Printf("  bad stats payload: %v", err)
-			continue
-		}
-		printSnapshot(snap)
+		printSnapshot(ns.Stats)
 	}
 }
 
@@ -568,31 +557,21 @@ func printSnapshot(s dosas.StatsSnapshot) {
 func traceOne(dataAddrs []string, id uint64) {
 	pool := pfs.NewPool(transport.TCP{})
 	defer pool.Close()
-	fetch := func(req *wire.TraceFetchReq) []dosas.TraceEvent {
+	fetch := func(params pfs.TraceParams) []dosas.TraceEvent {
 		var sets [][]dosas.TraceEvent
 		for i, addr := range dataAddrs {
-			resp, err := pool.Call(addr, req)
-			if err != nil {
+			var tr pfs.TraceReply
+			if _, err := pfs.Introspect(pool, addr, pfs.KindTrace, params, &tr); err != nil {
 				log.Printf("data[%d] %s: unreachable: %v", i, addr, err)
 				continue
 			}
-			tr, ok := resp.(*wire.TraceFetchResp)
-			if !ok {
-				log.Printf("data[%d] %s: unexpected response %v", i, addr, resp.Type())
-				continue
-			}
-			evs, err := trace.DecodeEvents(tr.Events)
-			if err != nil {
-				log.Printf("data[%d] %s: bad trace payload: %v", i, addr, err)
-				continue
-			}
-			sets = append(sets, evs)
+			sets = append(sets, tr.Events)
 		}
 		return dosas.StitchTimeline(sets...)
 	}
-	evs := fetch(&wire.TraceFetchReq{ReqID: id})
+	evs := fetch(pfs.TraceParams{ReqID: id})
 	if len(evs) == 0 {
-		evs = fetch(&wire.TraceFetchReq{TraceID: id})
+		evs = fetch(pfs.TraceParams{TraceID: id})
 	}
 	if len(evs) == 0 {
 		log.Fatalf("no events recorded for id %d on any storage node", id)

@@ -40,7 +40,6 @@ func main() {
 	solverName := flag.String("solver", "", "dynamic-mode scheduling algorithm: exhaustive, maxgain (default), all-active, all-normal")
 	dataDir := flag.String("data", "", "durable data directory (empty = in-memory)")
 	fsync := flag.Bool("fsync", false, "fsync stores after every write and truncate (default off: page cache absorbs bursts)")
-	readPath := flag.String("read-path", "zerocopy", "bulk read serving path: zerocopy (sendfile/writev) or copy (staged through pooled buffers)")
 	linkRate := flag.Float64("link-rate", 0, "per-node link shaping in bytes/second (0 = unshaped)")
 	pace := flag.Bool("pace", false, "pace kernels at calibrated per-core rates")
 	var common daemonflags.Common
@@ -71,12 +70,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch *readPath {
-	case "zerocopy", "copy":
-	default:
-		log.Fatalf("unknown -read-path %q (want zerocopy or copy)", *readPath)
-	}
-
 	cluster, err := dosas.StartCluster(dosas.Options{
 		DataServers:     *servers,
 		Policy:          policy,
@@ -87,7 +80,6 @@ func main() {
 		Pace:            *pace,
 		DataDir:         *dataDir,
 		StoreSync:       *fsync,
-		PlainReadPath:   *readPath == "copy",
 		TelemetryTick:   common.TelemetryTick,
 		SLORules:        rules,
 		EventCapacity:   common.EventCapacity,

@@ -628,36 +628,3 @@ func TestPublicZeroCopyReadPath(t *testing.T) {
 		}
 	})
 }
-
-// TestPublicCopyReadPath: the -read-path copy escape hatch serves the
-// same bytes through staged buffers, and the copies are visible in the
-// counters — the A/B the readpath benchmark relies on.
-func TestPublicCopyReadPath(t *testing.T) {
-	c := startCluster(t, dosas.Options{
-		DataServers: 1, DataDir: t.TempDir(),
-		TCP: true, PlainReadPath: true,
-	})
-	fs := connect(t, c, dosas.DOSAS)
-	f, err := fs.Create("cp/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := workload.RandomBytes(1<<20, 12)
-	if _, err := f.WriteAt(data, 0); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(data))
-	if _, err := f.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("copy-path read returned wrong bytes")
-	}
-	st := c.Stats()["data-0"]
-	if copied := st.Counter("data.bytes_copied"); copied < int64(len(data)) {
-		t.Errorf("data.bytes_copied = %d, want >= %d", copied, len(data))
-	}
-	if sf := st.Counter("wire.sendfile_bytes"); sf != 0 {
-		t.Errorf("wire.sendfile_bytes = %d, want 0 on the copy path", sf)
-	}
-}

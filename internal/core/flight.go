@@ -4,9 +4,9 @@ import (
 	"sort"
 	"time"
 
+	"dosas/internal/pfs"
 	"dosas/internal/telemetry"
 	"dosas/internal/trace"
-	"dosas/internal/wire"
 )
 
 // registerProbes wires the client's sampler probes. Runs once from
@@ -109,19 +109,11 @@ func (c *Client) stitchTimeline(traceID uint64) []trace.Event {
 		if err != nil {
 			continue
 		}
-		resp, err := c.cfg.FS.Pool().Call(addr, &wire.TraceFetchReq{TraceID: traceID})
-		if err != nil {
+		var remote pfs.TraceReply
+		if _, err := pfs.Introspect(c.cfg.FS.Pool(), addr, pfs.KindTrace, pfs.TraceParams{TraceID: traceID}, &remote); err != nil {
 			continue
 		}
-		tf, ok := resp.(*wire.TraceFetchResp)
-		if !ok {
-			continue
-		}
-		remote, err := trace.DecodeEvents(tf.Events)
-		if err != nil {
-			continue
-		}
-		evs = append(evs, remote...)
+		evs = append(evs, remote.Events...)
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Time.Before(evs[j].Time) })
 	return evs

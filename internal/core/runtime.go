@@ -110,7 +110,7 @@ type RuntimeConfig struct {
 	// runtime attributes kernel CPU time, bounces, interrupts, and queue
 	// wait to the requesting tenant, and registers the tenant.wait.share
 	// probe on the sampler. Usually shared with the pfs data server,
-	// which serves it via TenantStatsReq. Optional — nil disables
+	// which serves it as the tenants introspection. Optional — nil disables
 	// attribution.
 	Tenants *tenant.Table
 	// TenantWeights are the active queue's weighted-fair scheduling
@@ -273,8 +273,8 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 }
 
 // registerProbes wires the runtime's load signals into its telemetry
-// sampler: the continuous histories behind SeriesFetchReq and the
-// readiness margins behind HealthReq. No-op when no sampler is attached.
+// sampler: the continuous histories behind the series introspection and
+// the readiness margins behind health. No-op when no sampler is attached.
 func (rt *Runtime) registerProbes() {
 	s := rt.cfg.Telemetry
 	if s == nil {
@@ -319,7 +319,7 @@ func (rt *Runtime) registerProbes() {
 		// The dominant tenant's share of this tick's queue-wait delta:
 		// 0 unless at least two tenants contended. One fixed series —
 		// per-tenant granularity lives in the tenant table itself
-		// (TenantStatsReq, /metrics), not in the ring, so a cardinality
+		// (the tenants introspection, /metrics), not in the ring, so a cardinality
 		// bomb cannot grow the sampler.
 		s.Register("tenant.wait.share", func() float64 {
 			share, _ := tab.WaitShare()

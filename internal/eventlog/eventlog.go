@@ -333,27 +333,6 @@ func (l *Log) Dropped() uint64 {
 	return l.dropped
 }
 
-// EncodeEvents marshals events as the canonical JSON array carried by
-// EventFetchResp.
-func EncodeEvents(events []Event) ([]byte, error) {
-	if len(events) == 0 {
-		return []byte("[]"), nil
-	}
-	return json.Marshal(events)
-}
-
-// DecodeEvents is the inverse of EncodeEvents.
-func DecodeEvents(data []byte) ([]Event, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var out []Event
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("eventlog: decode events: %w", err)
-	}
-	return out, nil
-}
-
 // FormatEvent renders one event as the human-readable line dosasctl
 // events prints and Mirror writers receive:
 //

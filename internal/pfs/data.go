@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -45,32 +44,32 @@ type DataConfig struct {
 	// Node is this server's identity in stats and trace exports (e.g.
 	// "data-0"). Optional.
 	Node string
-	// Trace is the node's lifecycle-event ring, served to operators via
-	// TraceFetchReq. Usually shared with the attached active runtime.
-	// Optional.
+	// Trace is the node's lifecycle-event ring, served to operators as
+	// the trace introspection. Usually shared with the attached active
+	// runtime. Optional.
 	Trace *trace.Recorder
 	// Telemetry is the node's time-series sampler, served to operators
-	// via SeriesFetchReq. Usually shared with (and owned by) the attached
-	// active runtime. Optional.
+	// as the series introspection. Usually shared with (and owned by) the
+	// attached active runtime. Optional.
 	Telemetry *telemetry.Sampler
 	// Audit is the node's scheduling-decision ring, served to operators
-	// via DecisionLogReq. Usually shared with (and written by) the
-	// attached active runtime. Optional.
+	// as the decisions introspection. Usually shared with (and written by)
+	// the attached active runtime. Optional.
 	Audit *audit.Log
-	// Events is the node's structured event log, served to operators via
-	// EventFetchReq. Usually shared with the attached active runtime.
-	// Optional.
+	// Events is the node's structured event log, served to operators as
+	// the events introspection. Usually shared with the attached active
+	// runtime. Optional.
 	Events *eventlog.Log
-	// SLO is the node's alert engine, served via AlertFetchReq and
-	// contributing readiness checks to HealthReq. Optional.
+	// SLO is the node's alert engine, served as the alerts introspection
+	// and contributing readiness checks to health. Optional.
 	SLO *slo.Engine
 	// Tenants is the node's per-tenant usage table, fed by the normal
-	// I/O handlers and served via TenantStatsReq. Usually shared with the
-	// attached active runtime. Optional: nil disables attribution.
+	// I/O handlers and served as the tenants introspection. Usually shared
+	// with the attached active runtime. Optional: nil disables attribution.
 	Tenants *tenant.Table
-	// Archive is the node's durable telemetry archive, served via
-	// RangeQueryReq. Owned by the daemon wiring (it hooks the sampler
-	// and closes it); nil when the node runs without -archive-dir.
+	// Archive is the node's durable telemetry archive, served as the
+	// query introspection. Owned by the daemon wiring (it hooks the
+	// sampler and closes it); nil when the node runs without -archive-dir.
 	Archive *tsdb.Archive
 	// QoS, when non-nil, gates every read and write through a
 	// weighted-fair admission queue (see QoSGate). Nil disables
@@ -82,17 +81,8 @@ type DataConfig struct {
 // byte streams of striped files and forwards active-storage requests to an
 // attached ActiveHandler.
 type DataServer struct {
-	store   Store
-	reg     *metrics.Registry
-	node    string
-	trace   *trace.Recorder
-	tele    *telemetry.Sampler
-	audit   *audit.Log
-	events  *eventlog.Log
-	slo     *slo.Engine
-	tenants *tenant.Table
-	archive *tsdb.Archive
-	started time.Time
+	store Store
+	planes
 	// active is the attached runtime (an ActiveHandler), behind an
 	// atomic: the telemetry sampler's qos.* probes read it from their
 	// own goroutine, and cluster wiring attaches the runtime after the
@@ -101,12 +91,10 @@ type DataServer struct {
 
 	// Zero-copy state: ranger is the store's RangeReader side (nil for
 	// MemStore), extents the store when it is an ExtentStore (write
-	// landings), zeroCopy gates both fast paths (on by default, off for
-	// A/B benchmarking), wireStats is shared with every framing writer and
-	// reader of this server and mirrored into reg by stats().
+	// landings), wireStats is shared with every framing writer and reader
+	// of this server and mirrored into reg by SyncWireStats.
 	ranger    RangeReader
 	extents   *ExtentStore
-	zeroCopy  bool
 	wireStats wire.FrameStats
 
 	m dataMetrics
@@ -151,14 +139,15 @@ func NewDataServer(cfg DataConfig) (*DataServer, error) {
 		cfg.Metrics = metrics.NewRegistry()
 	}
 	ds := &DataServer{
-		store: cfg.Store, reg: cfg.Metrics, node: cfg.Node,
-		trace: cfg.Trace, tele: cfg.Telemetry, audit: cfg.Audit,
-		events: cfg.Events, slo: cfg.SLO, tenants: cfg.Tenants,
-		archive: cfg.Archive, started: time.Now(), m: newDataMetrics(cfg.Metrics),
+		store: cfg.Store, m: newDataMetrics(cfg.Metrics),
+		planes: planes{
+			node: cfg.Node, role: "data", started: time.Now(), reg: cfg.Metrics,
+			trace: cfg.Trace, tele: cfg.Telemetry, audit: cfg.Audit, events: cfg.Events,
+			slo: cfg.SLO, tenants: cfg.Tenants, archive: cfg.Archive,
+		},
 	}
 	ds.ranger, _ = cfg.Store.(RangeReader)
 	ds.extents, _ = cfg.Store.(*ExtentStore)
-	ds.zeroCopy = true
 	if cfg.QoS != nil {
 		ds.gate = NewQoSGate(*cfg.QoS)
 		ds.gate.SetTenants(cfg.Tenants)
@@ -218,13 +207,6 @@ func (ds *DataServer) Close() { ds.gate.Close() }
 // server shares this struct across every connection's framing writer.
 func (ds *DataServer) WireStats() *wire.FrameStats { return &ds.wireStats }
 
-// SetZeroCopy gates the by-reference read path and the write landing (on
-// by default). With it off, bulk reads stage through pooled buffers and
-// write bodies through frame buffers and pwrite, as before — for
-// copy-vs-zero-copy comparisons. Call before the server starts handling
-// requests.
-func (ds *DataServer) SetZeroCopy(on bool) { ds.zeroCopy = on }
-
 // SetActiveHandler attaches the active-storage runtime. Must be called
 // before the server starts handling requests.
 func (ds *DataServer) SetActiveHandler(h ActiveHandler) { ds.active.Store(h) }
@@ -272,35 +254,19 @@ func (ds *DataServer) Handle(msg wire.Message) (wire.Message, error) {
 		return nil, fmt.Errorf("%w: no active runtime attached", ErrUnsupported)
 	case *wire.LocalSizeReq:
 		return &wire.LocalSizeResp{Size: ds.store.Size(req.Handle)}, nil
-	case *wire.StatsReq:
-		return ds.stats()
-	case *wire.TraceFetchReq:
-		return ds.traceFetch(req)
-	case *wire.HealthReq:
-		return ds.health()
-	case *wire.SeriesFetchReq:
-		return serveSeries(ds.node, ds.tele, req)
-	case *wire.DecisionLogReq:
-		return ds.decisionLog(req)
-	case *wire.EventFetchReq:
-		return serveEvents(ds.node, ds.events, req)
-	case *wire.AlertFetchReq:
-		return serveAlerts(ds.node, ds.slo)
-	case *wire.TenantStatsReq:
-		return ds.tenantStats()
-	case *wire.RangeQueryReq:
-		return serveRangeQuery(ds.node, ds.archive, req)
+	case *wire.IntrospectReq:
+		return ds.introspect(req, ds)
 	default:
 		return nil, fmt.Errorf("%w: data server got %v", ErrUnsupported, msg.Type())
 	}
 }
 
-// health answers a HealthReq: the store is always checked, and an
-// attached active runtime contributes its per-resource checks (queue
-// saturation, estimator, memory). A plain data server — no runtime —
-// stays Ready: it serves normal I/O fine and clients already degrade
-// active requests to bounce.
-func (ds *DataServer) health() (wire.Message, error) {
+// healthChecks implements introspectHook: the store is always checked, and
+// an attached active runtime contributes its per-resource checks (queue
+// saturation, estimator, memory). A plain data server — no runtime — stays
+// ready: it serves normal I/O fine and clients already degrade active
+// requests to bounce.
+func (ds *DataServer) healthChecks() []telemetry.Check {
 	checks := []telemetry.Check{{Name: "store", OK: true, Detail: "attached"}}
 	if hc, ok := ds.activeHandler().(healthChecker); ok {
 		checks = append(checks, hc.HealthChecks()...)
@@ -316,75 +282,24 @@ func (ds *DataServer) health() (wire.Message, error) {
 			Detail: fmt.Sprintf("%d ring samples overwritten", dropped),
 		})
 	}
-	return encodeHealth(telemetry.HealthReport{Node: ds.node, Role: "data", Checks: checks}, ds.started)
+	return checks
 }
 
-// stats answers a StatsReq with the node's full metric snapshot. The
-// scheduling mode is discovered from the active handler without importing
-// core (which imports pfs): any handler naming its mode qualifies.
-func (ds *DataServer) stats() (wire.Message, error) {
+// healthChecker is how a data server discovers per-resource readiness from
+// its attached active runtime without importing core (which imports pfs).
+type healthChecker interface {
+	HealthChecks() []telemetry.Check
+}
+
+// statsMode implements introspectHook: the wire counters are mirrored into
+// the registry, and the scheduling mode is discovered from the active
+// handler without importing core — any handler naming its mode qualifies.
+func (ds *DataServer) statsMode() string {
 	ds.SyncWireStats()
-	js, err := json.Marshal(ds.reg.Snapshot())
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding stats: %v", ErrInvalid, err)
-	}
-	mode := ""
 	if m, ok := ds.activeHandler().(interface{ ModeName() string }); ok {
-		mode = m.ModeName()
+		return m.ModeName()
 	}
-	return &wire.StatsResp{Node: ds.node, Role: "data", Mode: mode, Stats: js}, nil
-}
-
-// traceFetch answers a TraceFetchReq with the node's retained trace
-// events, optionally filtered to one request id or one distributed trace.
-func (ds *DataServer) traceFetch(req *wire.TraceFetchReq) (wire.Message, error) {
-	var evs []trace.Event
-	switch {
-	case ds.trace == nil:
-		// No recorder attached: answer with an empty set rather than an
-		// error, so operators can sweep a mixed cluster.
-	case req.TraceID != 0:
-		evs = ds.trace.HistoryTrace(req.TraceID)
-	case req.ReqID != 0:
-		evs = ds.trace.History(req.ReqID)
-	default:
-		evs = ds.trace.Snapshot()
-	}
-	js, err := trace.EncodeEvents(evs)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding trace: %v", ErrInvalid, err)
-	}
-	return &wire.TraceFetchResp{Node: ds.node, Events: js, Dropped: ds.trace.Dropped()}, nil
-}
-
-// tenantStats answers a TenantStatsReq with the node's per-tenant usage
-// table. A node with no table attached answers with an empty set rather
-// than an error, so operators can sweep a mixed cluster.
-func (ds *DataServer) tenantStats() (wire.Message, error) {
-	js, err := tenant.EncodeUsage(ds.tenants.Snapshot())
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding tenant stats: %v", ErrInvalid, err)
-	}
-	return &wire.TenantStatsResp{Node: ds.node, Evicted: ds.tenants.Evictions(), Usage: js}, nil
-}
-
-// decisionLog answers a DecisionLogReq with the node's retained
-// scheduling decisions. A node with no audit ring attached (plain data
-// server, static modes with recording disabled) answers with an empty
-// set rather than an error, so operators can sweep a mixed cluster.
-func (ds *DataServer) decisionLog(req *wire.DecisionLogReq) (wire.Message, error) {
-	records := ds.audit.Snapshot()
-	if req.TraceID != 0 {
-		records = audit.FilterTrace(records, req.TraceID)
-	}
-	if req.Limit > 0 {
-		records = audit.Last(records, int(req.Limit))
-	}
-	js, err := audit.EncodeRecords(records)
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding decision log: %v", ErrInvalid, err)
-	}
-	return &wire.DecisionLogResp{Node: ds.node, Records: js, Dropped: ds.audit.Dropped()}, nil
+	return ""
 }
 
 // SyncWireStats mirrors the frame-transport counters into the metrics
@@ -397,7 +312,7 @@ func (ds *DataServer) decisionLog(req *wire.DecisionLogReq) (wire.Message, error
 // are atomics written on the framing hot path, or fields kept under the
 // cache's and the gate queue's own locks; mirroring happens only when a
 // snapshot is taken, keeping the hot path free of registry lookups. The
-// wire StatsReq handler calls it automatically; in-process snapshot
+// stats introspection calls it automatically; in-process snapshot
 // consumers (Cluster.Stats) call it directly.
 func (ds *DataServer) SyncWireStats() {
 	mirrorCounter(ds.reg, "wire.sendfile_bytes", ds.wireStats.SendfileBytes.Load())
@@ -503,7 +418,7 @@ func (ds *DataServer) read(req *wire.ReadReq) (wire.Message, error) {
 		return nil, fmt.Errorf("%w: read of %d bytes exceeds frame budget", ErrInvalid, req.Length)
 	}
 	size := ds.store.Size(req.Handle)
-	if ds.zeroCopy && ds.ranger != nil && req.Length >= zeroCopyMin && req.Offset < size {
+	if ds.ranger != nil && req.Length >= zeroCopyMin && req.Offset < size {
 		n := min(uint64(req.Length), size-req.Offset)
 		p, err := ds.ranger.ReadRange(req.Handle, req.Offset, n)
 		if err == nil {
@@ -544,9 +459,9 @@ func (ds *DataServer) read(req *wire.ReadReq) (wire.Message, error) {
 // landing only when all of these hold, and nil keeps the buffered path:
 //   - size: the body is at least zeroCopyMin (smaller ones cost more in
 //     mincore and mapping than the copy they save);
-//   - range: the server is zero-copy, its store an ExtentStore, and the
-//     range lies inside the stream and inside existing extent files — an
-//     extending write keeps pwrite (checked first, from the size cache);
+//   - range: the store is an ExtentStore, and the range lies inside the
+//     stream and inside existing extent files — an extending write keeps
+//     pwrite (checked first, from the size cache);
 //   - residency: every page of the range is in the page cache, since a
 //     write into a mapped page that is not reads it from the disk first;
 //   - gate: the gate is idle (Idle); a busy gate queues the write in WDRR
@@ -557,7 +472,7 @@ func (ds *DataServer) read(req *wire.ReadReq) (wire.Message, error) {
 // gate in write, as a buffered one does, once its body is in. A grant
 // raises data.inflight, so the estimator sees the write while it lands.
 func (ds *DataServer) WriteDest(handle, off uint64, n int) wire.WriteLanding {
-	if n < zeroCopyMin || !ds.zeroCopy || ds.extents == nil {
+	if n < zeroCopyMin || ds.extents == nil {
 		return nil
 	}
 	parts, ok := ds.extents.landing(handle, off, n)

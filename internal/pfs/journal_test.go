@@ -519,15 +519,11 @@ func TestJournalFailureIsSticky(t *testing.T) {
 	}
 	journalCheck := func() telemetry.Check {
 		t.Helper()
-		resp, err := m.Handle(&wire.HealthReq{})
-		if err != nil {
+		var rep telemetry.HealthReport
+		if _, err := IntrospectLocal(m, KindHealth, nil, &rep); err != nil {
 			t.Fatal(err)
 		}
-		checks, err := telemetry.DecodeChecks(resp.(*wire.HealthResp).Checks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range checks {
+		for _, c := range rep.Checks {
 			if c.Name == "journal" {
 				return c
 			}

@@ -1,7 +1,6 @@
 package pfs
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -42,19 +41,20 @@ type MetaConfig struct {
 	// Metrics receives operation counters; optional.
 	Metrics *metrics.Registry
 	// Telemetry is the node's time-series sampler, served to operators
-	// via SeriesFetchReq. The metadata server registers its op-rate
-	// probes on it, starts it, and owns it: Close stops it. Optional.
-	Telemetry *telemetry.Sampler
-	// Events is the node's structured event log, served to operators via
-	// EventFetchReq. Startup and journal lifecycle are recorded on it.
+	// as the series introspection. The metadata server registers its
+	// op-rate probes on it, starts it, and owns it: Close stops it.
 	// Optional.
+	Telemetry *telemetry.Sampler
+	// Events is the node's structured event log, served to operators as
+	// the events introspection. Startup and journal lifecycle are
+	// recorded on it. Optional.
 	Events *eventlog.Log
-	// SLO is the node's alert engine, served via AlertFetchReq and
-	// contributing readiness checks to HealthReq. Optional.
+	// SLO is the node's alert engine, served as the alerts introspection
+	// and contributing readiness checks to health. Optional.
 	SLO *slo.Engine
-	// Archive is the node's durable telemetry archive, served via
-	// RangeQueryReq. Owned by the daemon wiring; nil when the node runs
-	// without -archive-dir.
+	// Archive is the node's durable telemetry archive, served as the
+	// query introspection. Owned by the daemon wiring; nil when the node
+	// runs without -archive-dir.
 	Archive *tsdb.Archive
 	// QoS, when non-nil, admits namespace lookups (open/stat/list)
 	// through a weighted-fair gate on the metadata class, so one
@@ -73,8 +73,8 @@ const DefaultStripeSize = 64 << 10
 // assignment over the cluster's data servers.
 type MetaServer struct {
 	cfg  MetaConfig
-	reg  *metrics.Registry
 	gate *QoSGate // nil when QoS is disabled
+	planes
 
 	journal    *journal // nil when volatile; see mutate
 	mu         sync.Mutex
@@ -82,7 +82,6 @@ type MetaServer struct {
 	byHandle   map[uint64]*FileRec
 	nextHandle uint64
 	now        func() time.Time
-	started    time.Time
 }
 
 // NewMetaServer builds a metadata server, replaying the journal when one is
@@ -99,12 +98,14 @@ func NewMetaServer(cfg MetaConfig) (*MetaServer, error) {
 	}
 	m := &MetaServer{
 		cfg:        cfg,
-		reg:        cfg.Metrics,
 		byName:     make(map[string]*FileRec),
 		byHandle:   make(map[uint64]*FileRec),
 		nextHandle: 1,
 		now:        time.Now,
-		started:    time.Now(),
+		planes: planes{
+			node: "meta", role: "meta", started: time.Now(), reg: cfg.Metrics,
+			tele: cfg.Telemetry, events: cfg.Events, slo: cfg.SLO, archive: cfg.Archive,
+		},
 	}
 	if cfg.QoS != nil {
 		m.gate = NewQoSGate(*cfg.QoS)
@@ -206,31 +207,18 @@ func (m *MetaServer) Handle(msg wire.Message) (wire.Message, error) {
 		return m.list(req)
 	case *wire.SetSizeReq:
 		return m.setSize(req)
-	case *wire.StatsReq:
-		return m.stats()
-	case *wire.TraceFetchReq:
-		// The metadata server keeps no per-request trace ring; answer
-		// with an empty set so cluster-wide sweeps need no special case.
-		return &wire.TraceFetchResp{Node: "meta", Events: []byte("[]")}, nil
-	case *wire.HealthReq:
-		return m.health()
-	case *wire.SeriesFetchReq:
-		return serveSeries("meta", m.cfg.Telemetry, req)
-	case *wire.EventFetchReq:
-		return serveEvents("meta", m.cfg.Events, req)
-	case *wire.AlertFetchReq:
-		return serveAlerts("meta", m.cfg.SLO)
-	case *wire.RangeQueryReq:
-		return serveRangeQuery("meta", m.cfg.Archive, req)
+	case *wire.IntrospectReq:
+		return m.introspect(req, m)
 	default:
 		return nil, fmt.Errorf("%w: metadata server got %v", ErrUnsupported, msg.Type())
 	}
 }
 
-// health answers a HealthReq with namespace readiness: the in-memory
-// tables are always live once construction succeeded, and the journal —
-// when configured — must not have failed for mutations to be accepted.
-func (m *MetaServer) health() (wire.Message, error) {
+// healthChecks implements introspectHook with namespace readiness: the
+// in-memory tables are always live once construction succeeded, and the
+// journal — when configured — must not have failed for mutations to be
+// accepted.
+func (m *MetaServer) healthChecks() []telemetry.Check {
 	m.mu.Lock()
 	files := len(m.byName)
 	m.mu.Unlock()
@@ -248,18 +236,12 @@ func (m *MetaServer) health() (wire.Message, error) {
 	} else {
 		checks = append(checks, telemetry.Check{Name: "journal", OK: true, Detail: "volatile (no journal configured)"})
 	}
-	checks = append(checks, m.cfg.SLO.Checks()...)
-	return encodeHealth(telemetry.HealthReport{Node: "meta", Role: "meta", Checks: checks}, m.started)
+	return append(checks, m.cfg.SLO.Checks()...)
 }
 
-// stats answers a StatsReq with the namespace server's metric snapshot.
-func (m *MetaServer) stats() (wire.Message, error) {
-	js, err := json.Marshal(m.reg.Snapshot())
-	if err != nil {
-		return nil, fmt.Errorf("%w: encoding stats: %v", ErrInvalid, err)
-	}
-	return &wire.StatsResp{Node: "meta", Role: "meta", Stats: js}, nil
-}
+// statsMode implements introspectHook: a metadata server has no
+// scheduling mode and mirrors no counters.
+func (m *MetaServer) statsMode() string { return "" }
 
 func (m *MetaServer) create(req *wire.CreateReq) (wire.Message, error) {
 	m.reg.Counter("meta.create").Inc()

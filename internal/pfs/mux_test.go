@@ -180,6 +180,7 @@ func TestOldPeerIsATypedError(t *testing.T) {
 		peer   uint32
 	}{
 		{"hello v1", &wire.HelloResp{Version: 1}, 1},
+		{"hello v2", &wire.HelloResp{Version: 2}, 2}, // may still send the retired introspection pairs
 		{"pong", &wire.Pong{Seq: 1}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

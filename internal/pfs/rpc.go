@@ -358,7 +358,6 @@ type Server struct {
 	l       transport.Listener
 	h       Handler
 	stats   *wire.FrameStats
-	plain   bool
 	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	closing bool
@@ -374,12 +373,6 @@ func NewServer(l transport.Listener, h Handler) *Server {
 // sendfile/writev/copy accounting lands in one place (the data server's
 // WireStats). Call before Start.
 func (s *Server) SetFrameStats(st *wire.FrameStats) { s.stats = st }
-
-// SetPlainWrites disables the by-reference frame fast paths on every
-// connection: responses are materialized and written contiguously, as
-// before the zero-copy path existed (A/B benchmarking). Call before
-// Start.
-func (s *Server) SetPlainWrites(on bool) { s.plain = on }
 
 // Addr returns the listener's bound address.
 func (s *Server) Addr() string { return s.l.Addr() }
@@ -489,7 +482,6 @@ func (s *Server) serveMux(c net.Conn, segment int) {
 	pw, _ := s.h.(PostWriter)
 	mw := wire.NewMuxWriter(c, segment)
 	mw.Stats = s.stats
-	mw.Plain = s.plain
 	mr := wire.NewMuxReader(c)
 	defer mr.Close()
 	mr.Stats = s.stats

@@ -562,8 +562,8 @@ func TestWriteLandingReplicatedOverwrite(t *testing.T) {
 }
 
 // The landing decision itself: below zeroCopyMin, past the stream's end,
-// into a hole, behind a busy gate, or with zero-copy off, WriteDest
-// declines without taking anything; a grant raises data.inflight until
+// into a hole, or behind a busy gate, WriteDest declines without taking
+// anything; a grant raises data.inflight until
 // aborted and takes no gate slot.
 func TestWriteDestDeclines(t *testing.T) {
 	n := startLandNode(t, false, ExtentConfig{ExtentSize: 1 << 20}, QoSConfig{Slots: 2})
@@ -613,10 +613,6 @@ func TestWriteDestDeclines(t *testing.T) {
 	}
 	hold.Release()
 	quiescent(t, n.ds)
-	n.ds.SetZeroCopy(false)
-	if wl := n.ds.WriteDest(1, 4096, zeroCopyMin); wl != nil {
-		t.Error("WriteDest granted a landing with zero-copy off")
-	}
 }
 
 // A write that lands and one that does not store the same bytes, in

@@ -255,7 +255,7 @@ const (
 )
 
 // Alert is one rule's current status — the unit dosasctl alerts
-// displays and AlertFetchResp carries.
+// displays and the alerts introspection carries.
 type Alert struct {
 	Rule     string `json:"rule"`
 	Series   string `json:"series"`
@@ -627,27 +627,6 @@ func compare(v float64, op string, threshold float64) bool {
 // events, details, and the alerts table.
 func FormatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', 4, 64)
-}
-
-// EncodeAlerts marshals alerts as the canonical JSON array carried by
-// AlertFetchResp.
-func EncodeAlerts(alerts []Alert) ([]byte, error) {
-	if len(alerts) == 0 {
-		return []byte("[]"), nil
-	}
-	return json.Marshal(alerts)
-}
-
-// DecodeAlerts is the inverse of EncodeAlerts.
-func DecodeAlerts(data []byte) ([]Alert, error) {
-	if len(data) == 0 {
-		return nil, nil
-	}
-	var out []Alert
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("slo: decode alerts: %w", err)
-	}
-	return out, nil
 }
 
 // FormatAlerts renders the table dosasctl alerts prints: one row per

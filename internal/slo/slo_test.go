@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -417,25 +418,19 @@ func TestAlertsCodec(t *testing.T) {
 		Severity: "page", Node: "data-0", Value: 12.5, Detail: "avg over",
 		SinceUnixNano: 5, FiredUnixNano: 5,
 	}}
-	enc, err := EncodeAlerts(in)
+	enc, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeAlerts(enc)
-	if err != nil {
+	var out []Alert
+	if err := json.Unmarshal(enc, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0] != in[0] {
 		t.Fatalf("round trip = %+v", out)
 	}
-	if b, _ := EncodeAlerts(nil); string(b) != "[]" {
-		t.Errorf("empty encode = %s", b)
-	}
-	if a, err := DecodeAlerts(nil); err != nil || a != nil {
-		t.Errorf("empty decode = %v, %v", a, err)
-	}
-	if _, err := DecodeAlerts([]byte(`{`)); err == nil {
-		t.Error("bad JSON should fail")
+	if !strings.Contains(string(enc), `"state":"firing"`) {
+		t.Errorf("state not encoded by name: %s", enc)
 	}
 }
 

@@ -1,7 +1,5 @@
 package telemetry
 
-import "encoding/json"
-
 // Check is one named readiness probe inside a HealthReport. OK=false
 // marks the resource degraded; Detail says why (or gives the healthy
 // reading, so operators see the margin as well as the verdict).
@@ -12,7 +10,7 @@ type Check struct {
 }
 
 // HealthReport is a node's liveness plus per-resource readiness — the
-// decoded form of wire.HealthResp. Ready is the conjunction of all
+// body of the health introspection. Ready is the conjunction of all
 // checks: a node that answers at all is live, but a saturated queue or
 // missing Contention Estimator degrades it.
 type HealthReport struct {
@@ -45,26 +43,4 @@ func (h HealthReport) Failing() []string {
 		}
 	}
 	return out
-}
-
-// EncodeChecks marshals checks to the JSON payload carried in
-// wire.HealthResp.Checks.
-func EncodeChecks(checks []Check) ([]byte, error) {
-	if checks == nil {
-		checks = []Check{}
-	}
-	return json.Marshal(checks)
-}
-
-// DecodeChecks parses the payload produced by EncodeChecks. An empty
-// payload decodes to no checks.
-func DecodeChecks(b []byte) ([]Check, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var checks []Check
-	if err := json.Unmarshal(b, &checks); err != nil {
-		return nil, err
-	}
-	return checks, nil
 }

@@ -11,7 +11,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"sort"
 	"sync"
 	"time"
@@ -45,7 +44,7 @@ type Sample struct {
 }
 
 // Series is the retained history of one metric, oldest point first. It is
-// the JSON payload unit of wire.SeriesFetchResp.
+// the row unit of the series introspection.
 type Series struct {
 	Name   string  `json:"name"`
 	Points []Point `json:"points"`
@@ -68,27 +67,6 @@ func (s Series) Max() float64 {
 		}
 	}
 	return max
-}
-
-// EncodeSeries marshals series to the JSON array format used on the wire.
-func EncodeSeries(series []Series) ([]byte, error) {
-	if series == nil {
-		series = []Series{}
-	}
-	return json.Marshal(series)
-}
-
-// DecodeSeries parses the JSON array format produced by EncodeSeries. An
-// empty payload decodes to no series.
-func DecodeSeries(b []byte) ([]Series, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var series []Series
-	if err := json.Unmarshal(b, &series); err != nil {
-		return nil, err
-	}
-	return series, nil
 }
 
 // Downsample reduces points to one mean point per step bucket, stamped

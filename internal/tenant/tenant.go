@@ -17,7 +17,6 @@ package tenant
 
 import (
 	"container/list"
-	"encoding/json"
 	"sort"
 	"sync"
 )
@@ -75,8 +74,8 @@ type Stats struct {
 	lastWait uint64
 }
 
-// Usage is the JSON snapshot row served by TenantStatsResp and rendered
-// by dosasctl tenants.
+// Usage is the JSON snapshot row served by the tenants introspection and
+// rendered by dosasctl tenants.
 type Usage struct {
 	Tenant         string `json:"tenant"`
 	BytesRead      uint64 `json:"bytes_read,omitempty"`
@@ -144,28 +143,6 @@ func Merge(sets ...[]Usage) []Usage {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out
-}
-
-// EncodeUsage marshals a usage snapshot to the JSON array carried by
-// wire.TenantStatsResp.
-func EncodeUsage(rows []Usage) ([]byte, error) {
-	if rows == nil {
-		rows = []Usage{}
-	}
-	return json.Marshal(rows)
-}
-
-// DecodeUsage parses the JSON array produced by EncodeUsage. An empty
-// payload decodes to no rows.
-func DecodeUsage(b []byte) ([]Usage, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var rows []Usage
-	if err := json.Unmarshal(b, &rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 type entry struct {

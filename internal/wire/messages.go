@@ -870,252 +870,6 @@ func (m *TransformResp) Decode(d *Decoder) {
 	m.Written = d.U64()
 }
 
-// StatsReq asks a server (metadata or storage) for a structured snapshot
-// of its metrics registry — the machine-readable replacement for scraping
-// the free-text Dump.
-type StatsReq struct{}
-
-func (*StatsReq) Type() MsgType   { return MsgStatsReq }
-func (*StatsReq) Encode(*Encoder) {}
-func (*StatsReq) Decode(*Decoder) {}
-
-// StatsResp carries one node's metrics snapshot. Stats is the JSON
-// encoding of a metrics.Snapshot; keeping it opaque here lets the metrics
-// schema evolve without touching the wire format.
-type StatsResp struct {
-	Node  string // node identity, e.g. "data-0" or "meta"
-	Role  string // "data" or "meta"
-	Mode  string // scheduling mode for data nodes ("dosas", "as", "ts")
-	Stats []byte // JSON-encoded metrics.Snapshot
-}
-
-func (*StatsResp) Type() MsgType { return MsgStatsResp }
-
-func (m *StatsResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutString(m.Role)
-	e.PutString(m.Mode)
-	e.PutBytes(m.Stats)
-}
-
-func (m *StatsResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Role = d.String()
-	m.Mode = d.String()
-	m.Stats = d.Bytes()
-}
-
-// Own implements Owner: Stats may alias a pooled frame buffer.
-func (m *StatsResp) Own() { m.Stats = detach(m.Stats) }
-
-// TraceFetchReq asks a server for its retained trace events, optionally
-// filtered to one request id or one trace context (0 means no filter).
-type TraceFetchReq struct {
-	ReqID   uint64
-	TraceID uint64
-}
-
-func (*TraceFetchReq) Type() MsgType { return MsgTraceFetchReq }
-
-func (m *TraceFetchReq) Encode(e *Encoder) {
-	e.PutU64(m.ReqID)
-	e.PutU64(m.TraceID)
-}
-
-func (m *TraceFetchReq) Decode(d *Decoder) {
-	m.ReqID = d.U64()
-	m.TraceID = d.U64()
-}
-
-// TraceFetchResp returns the matching events as a JSON array of
-// trace.Event, stamped with the serving node's identity.
-type TraceFetchResp struct {
-	Node   string
-	Events []byte // JSON-encoded []trace.Event
-	// Dropped counts events the serving node's trace ring overwrote
-	// before this fetch — non-zero means the timeline may be incomplete.
-	// Optional trailing field: old-format frames omit it.
-	Dropped uint64
-}
-
-func (*TraceFetchResp) Type() MsgType { return MsgTraceFetchResp }
-
-func (m *TraceFetchResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutBytes(m.Events)
-	e.PutU64(m.Dropped)
-}
-
-func (m *TraceFetchResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Events = d.Bytes()
-	if d.Remaining() > 0 {
-		m.Dropped = d.U64()
-	}
-}
-
-// Own implements Owner: Events may alias a pooled frame buffer.
-func (m *TraceFetchResp) Own() { m.Events = detach(m.Events) }
-
-// HealthReq asks a server for liveness plus per-resource readiness. Any
-// well-formed response means the node is live; the checks inside say
-// whether it is also ready (queue not saturated, estimator attached,
-// memory below the high-water mark).
-type HealthReq struct{}
-
-func (*HealthReq) Type() MsgType   { return MsgHealthReq }
-func (*HealthReq) Encode(*Encoder) {}
-func (*HealthReq) Decode(*Decoder) {}
-
-// HealthResp carries one node's health report. Checks is the JSON
-// encoding of []telemetry.Check; keeping it opaque here lets the check
-// set evolve without touching the wire format (the StatsResp pattern).
-type HealthResp struct {
-	Node   string // node identity, e.g. "data-0" or "meta"
-	Role   string // "data" or "meta"
-	Ready  bool   // conjunction of all checks
-	Checks []byte // JSON-encoded []telemetry.Check
-	// UptimeNano is how long the serving process has been up. Optional
-	// trailing field: old-format frames omit it and still decode.
-	UptimeNano int64
-}
-
-func (*HealthResp) Type() MsgType { return MsgHealthResp }
-
-func (m *HealthResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutString(m.Role)
-	e.PutBool(m.Ready)
-	e.PutBytes(m.Checks)
-	e.PutI64(m.UptimeNano)
-}
-
-func (m *HealthResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Role = d.String()
-	m.Ready = d.Bool()
-	m.Checks = d.Bytes()
-	if d.Remaining() > 0 {
-		m.UptimeNano = d.I64()
-	}
-}
-
-// Own implements Owner: Checks may alias a pooled frame buffer.
-func (m *HealthResp) Own() { m.Checks = detach(m.Checks) }
-
-// SeriesFetchReq asks a server for its telemetry sampler's retained
-// history, restricted to the trailing window (WindowNano <= 0 means
-// everything retained) and optionally to named series (empty means all).
-type SeriesFetchReq struct {
-	WindowNano int64
-	Names      []string
-}
-
-func (*SeriesFetchReq) Type() MsgType { return MsgSeriesFetchReq }
-
-func (m *SeriesFetchReq) Encode(e *Encoder) {
-	e.PutI64(m.WindowNano)
-	e.PutStrings(m.Names)
-}
-
-func (m *SeriesFetchReq) Decode(d *Decoder) {
-	m.WindowNano = d.I64()
-	m.Names = d.Strings()
-}
-
-// SeriesFetchResp returns the matching series as a JSON array of
-// telemetry.Series, stamped with the serving node's identity.
-type SeriesFetchResp struct {
-	Node   string
-	Series []byte // JSON-encoded []telemetry.Series
-	// TickNano is the serving sampler's tick interval, so consumers can
-	// turn point counts into durations. Optional trailing field.
-	TickNano int64
-	// Dropped is how many samples the node's telemetry rings have
-	// overwritten since boot: non-zero means the fetched series are a
-	// suffix of the node's true history (the trace ring convention).
-	// Optional trailing field added after TickNano.
-	Dropped uint64
-}
-
-func (*SeriesFetchResp) Type() MsgType { return MsgSeriesFetchResp }
-
-func (m *SeriesFetchResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutBytes(m.Series)
-	e.PutI64(m.TickNano)
-	e.PutU64(m.Dropped)
-}
-
-func (m *SeriesFetchResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Series = d.Bytes()
-	if d.Remaining() > 0 {
-		m.TickNano = d.I64()
-	}
-	if d.Remaining() > 0 {
-		m.Dropped = d.U64()
-	}
-}
-
-// Own implements Owner: Series may alias a pooled frame buffer.
-func (m *SeriesFetchResp) Own() { m.Series = detach(m.Series) }
-
-// encodedSizeHint sizes the frame buffer for the history payload.
-func (m *SeriesFetchResp) encodedSizeHint() int { return len(m.Series) + len(m.Node) + 32 }
-
-// DecisionLogReq asks a storage node for its scheduler's decision audit
-// log. Limit keeps only the trailing N records (0 means all retained);
-// TraceID restricts to decisions whose batch involved that trace (0 means
-// no filter). Filters compose: trace filter first, then the tail.
-type DecisionLogReq struct {
-	Limit   uint64
-	TraceID uint64
-}
-
-func (*DecisionLogReq) Type() MsgType { return MsgDecisionLogReq }
-
-func (m *DecisionLogReq) Encode(e *Encoder) {
-	e.PutU64(m.Limit)
-	e.PutU64(m.TraceID)
-}
-
-func (m *DecisionLogReq) Decode(d *Decoder) {
-	m.Limit = d.U64()
-	m.TraceID = d.U64()
-}
-
-// DecisionLogResp returns the matching records as a JSON array of
-// audit.Record — opaque here so the record schema can grow without
-// touching the wire format (the HealthResp.Checks pattern). Dropped is
-// how many records the node's ring has overwritten since boot: non-zero
-// means the log is a suffix of the node's true decision history.
-type DecisionLogResp struct {
-	Node    string
-	Records []byte // JSON-encoded []audit.Record
-	Dropped uint64
-}
-
-func (*DecisionLogResp) Type() MsgType { return MsgDecisionLogResp }
-
-func (m *DecisionLogResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutBytes(m.Records)
-	e.PutU64(m.Dropped)
-}
-
-func (m *DecisionLogResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Records = d.Bytes()
-	m.Dropped = d.U64()
-}
-
-// Own implements Owner: Records may alias a pooled frame buffer.
-func (m *DecisionLogResp) Own() { m.Records = detach(m.Records) }
-
-// encodedSizeHint sizes the frame buffer for the log payload.
-func (m *DecisionLogResp) encodedSizeHint() int { return len(m.Records) + len(m.Node) + 24 }
-
 // HelloReq is the first message a client sends on a fresh connection, as
 // a single frame: it opens the multiplexed framing in mux.go. MaxVersion is
 // the highest mux protocol version the client speaks; MaxSegment is the
@@ -1159,200 +913,53 @@ func (m *HelloResp) Decode(d *Decoder) {
 	m.MaxSegment = d.U32()
 }
 
-// EventFetchReq tails a node's structured event ring: events with
-// sequence numbers above SinceSeq (0 means from the oldest retained),
-// at or above MinLevel (eventlog severity ordinal; 0 keeps all), at
-// most Limit newest events (0 means all matching). dosasctl events
-// resumes follow-mode tails by feeding back the previous NextSeq-1.
-type EventFetchReq struct {
-	SinceSeq uint64
-	Limit    uint64
-	MinLevel uint8
+// IntrospectReq asks a server for one kind of introspection: its metrics,
+// trace ring, health, telemetry history, decision log, events, alerts,
+// tenant table or telemetry archive. Kind names it; Params is the JSON of
+// the kind's parameters, empty for none. Both are opaque here, so the kinds
+// and their schemas (pfs/introspect.go) grow without touching the wire
+// format.
+type IntrospectReq struct {
+	Kind   string
+	Params []byte
 }
 
-func (*EventFetchReq) Type() MsgType { return MsgEventFetchReq }
+func (*IntrospectReq) Type() MsgType { return MsgIntrospectReq }
 
-func (m *EventFetchReq) Encode(e *Encoder) {
-	e.PutU64(m.SinceSeq)
-	e.PutU64(m.Limit)
-	e.PutU8(m.MinLevel)
+func (m *IntrospectReq) Encode(e *Encoder) {
+	e.PutString(m.Kind)
+	e.PutBytes(m.Params)
 }
 
-func (m *EventFetchReq) Decode(d *Decoder) {
-	m.SinceSeq = d.U64()
-	m.Limit = d.U64()
-	m.MinLevel = d.U8()
+func (m *IntrospectReq) Decode(d *Decoder) {
+	m.Kind = d.String()
+	m.Params = d.Bytes()
 }
 
-// EventFetchResp returns the matching events as a JSON array of
-// eventlog.Event — opaque here so the event schema can grow without
-// touching the wire format (the HealthResp.Checks pattern). NextSeq is
-// the node's next event sequence number (feed NextSeq-1 back as
-// SinceSeq to resume); Dropped is how many events the node's ring has
-// overwritten since boot.
-type EventFetchResp struct {
-	Node    string
-	Events  []byte // JSON-encoded []eventlog.Event
-	NextSeq uint64
-	Dropped uint64
+// Own implements Owner: Params may alias a pooled frame buffer.
+func (m *IntrospectReq) Own() { m.Params = detach(m.Params) }
+
+// IntrospectResp answers an IntrospectReq with the serving node's identity
+// and Body, the JSON of the kind's reply.
+type IntrospectResp struct {
+	Node string
+	Body []byte
 }
 
-func (*EventFetchResp) Type() MsgType { return MsgEventFetchResp }
+func (*IntrospectResp) Type() MsgType { return MsgIntrospectResp }
 
-func (m *EventFetchResp) Encode(e *Encoder) {
+func (m *IntrospectResp) Encode(e *Encoder) {
 	e.PutString(m.Node)
-	e.PutBytes(m.Events)
-	e.PutU64(m.NextSeq)
-	e.PutU64(m.Dropped)
+	e.PutBytes(m.Body)
 }
 
-func (m *EventFetchResp) Decode(d *Decoder) {
+func (m *IntrospectResp) Decode(d *Decoder) {
 	m.Node = d.String()
-	m.Events = d.Bytes()
-	m.NextSeq = d.U64()
-	m.Dropped = d.U64()
+	m.Body = d.Bytes()
 }
 
-// Own implements Owner: Events may alias a pooled frame buffer.
-func (m *EventFetchResp) Own() { m.Events = detach(m.Events) }
+// Own implements Owner: Body may alias a pooled frame buffer.
+func (m *IntrospectResp) Own() { m.Body = detach(m.Body) }
 
-// encodedSizeHint sizes the frame buffer for the event payload.
-func (m *EventFetchResp) encodedSizeHint() int { return len(m.Events) + len(m.Node) + 32 }
-
-// AlertFetchReq asks a node for its SLO engine's current alert table —
-// every rule's state, not just firing ones, so operators see what is
-// being watched.
-type AlertFetchReq struct{}
-
-func (*AlertFetchReq) Type() MsgType { return MsgAlertFetchReq }
-
-func (m *AlertFetchReq) Encode(e *Encoder) {}
-
-func (m *AlertFetchReq) Decode(d *Decoder) {}
-
-// AlertFetchResp returns the node's alerts as a JSON array of
-// slo.Alert, opaque for the same schema-growth reason as events.
-type AlertFetchResp struct {
-	Node   string
-	Alerts []byte // JSON-encoded []slo.Alert
-}
-
-func (*AlertFetchResp) Type() MsgType { return MsgAlertFetchResp }
-
-func (m *AlertFetchResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutBytes(m.Alerts)
-}
-
-func (m *AlertFetchResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Alerts = d.Bytes()
-}
-
-// Own implements Owner: Alerts may alias a pooled frame buffer.
-func (m *AlertFetchResp) Own() { m.Alerts = detach(m.Alerts) }
-
-// encodedSizeHint sizes the frame buffer for the alert payload.
-func (m *AlertFetchResp) encodedSizeHint() int { return len(m.Alerts) + len(m.Node) + 16 }
-
-// TenantStatsReq asks a node for its per-tenant resource attribution
-// table — who consumed what since the node started.
-type TenantStatsReq struct{}
-
-func (*TenantStatsReq) Type() MsgType   { return MsgTenantStatsReq }
-func (*TenantStatsReq) Encode(*Encoder) {}
-func (*TenantStatsReq) Decode(*Decoder) {}
-
-// TenantStatsResp returns the node's tenant table as a JSON array of
-// tenant.Usage, opaque here so the accounting schema can grow without
-// touching the wire format. Evicted counts tenants folded out of the
-// bounded table since the node started — non-zero means the per-tenant
-// rows are a subset and the "(evicted)" aggregate row holds the rest.
-type TenantStatsResp struct {
-	Node    string
-	Evicted uint64
-	Usage   []byte // JSON-encoded []tenant.Usage
-}
-
-func (*TenantStatsResp) Type() MsgType { return MsgTenantStatsResp }
-
-func (m *TenantStatsResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutU64(m.Evicted)
-	e.PutBytes(m.Usage)
-}
-
-func (m *TenantStatsResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Evicted = d.U64()
-	m.Usage = d.Bytes()
-}
-
-// Own implements Owner: Usage may alias a pooled frame buffer.
-func (m *TenantStatsResp) Own() { m.Usage = detach(m.Usage) }
-
-// encodedSizeHint sizes the frame buffer for the usage payload.
-func (m *TenantStatsResp) encodedSizeHint() int { return len(m.Usage) + len(m.Node) + 24 }
-
-// RangeQueryReq asks a node's durable telemetry archive for one series'
-// history over a wall-clock window. StepNano, when non-zero, asks the
-// node to reduce its answer to per-step bucket means before replying —
-// the cheap half of range queries runs next to the data, the cross-node
-// aggregation happens at the client.
-type RangeQueryReq struct {
-	Name     string
-	FromNano int64
-	ToNano   int64
-	StepNano int64
-}
-
-func (*RangeQueryReq) Type() MsgType { return MsgRangeQueryReq }
-
-func (m *RangeQueryReq) Encode(e *Encoder) {
-	e.PutString(m.Name)
-	e.PutI64(m.FromNano)
-	e.PutI64(m.ToNano)
-	e.PutI64(m.StepNano)
-}
-
-func (m *RangeQueryReq) Decode(d *Decoder) {
-	m.Name = d.String()
-	m.FromNano = d.I64()
-	m.ToNano = d.I64()
-	m.StepNano = d.I64()
-}
-
-// RangeQueryResp returns the archived points as a JSON-encoded
-// one-element []telemetry.Series, opaque here like every other
-// telemetry payload so the point schema can grow without touching the
-// wire format. EarliestNano is the oldest instant the node's archive
-// still retains (0 when the node has no archive), so a client can tell
-// "no data in window" from "window predates retention". It is a
-// trailing optional field: frames from peers predating it still decode.
-type RangeQueryResp struct {
-	Node         string
-	Series       []byte // JSON-encoded []telemetry.Series
-	EarliestNano int64
-}
-
-func (*RangeQueryResp) Type() MsgType { return MsgRangeQueryResp }
-
-func (m *RangeQueryResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutBytes(m.Series)
-	e.PutI64(m.EarliestNano)
-}
-
-func (m *RangeQueryResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Series = d.Bytes()
-	if d.Remaining() > 0 {
-		m.EarliestNano = d.I64()
-	}
-}
-
-// Own implements Owner: Series may alias a pooled frame buffer.
-func (m *RangeQueryResp) Own() { m.Series = detach(m.Series) }
-
-// encodedSizeHint sizes the frame buffer for the series payload.
-func (m *RangeQueryResp) encodedSizeHint() int { return len(m.Series) + len(m.Node) + 24 }
+// encodedSizeHint sizes the frame buffer for the reply body.
+func (m *IntrospectResp) encodedSizeHint() int { return len(m.Body) + len(m.Node) + 16 }

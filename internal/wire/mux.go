@@ -46,8 +46,11 @@ import (
 )
 
 // MuxVersion is the mux protocol version this build speaks. Version 2
-// added the announced total; the handshake refuses a version-1 peer.
-const MuxVersion = 2
+// added the announced total; version 3 retired the nine introspection
+// pairs for IntrospectReq, so the handshake refuses a peer that may still
+// send one, rather than failing its first such frame as an unknown type
+// on a connection every caller shares.
+const MuxVersion = 3
 
 // Segment sizing. DefaultMuxSegment bounds how long a control frame can
 // be stuck behind an already-started bulk write: 256 KiB is ~30 µs on a
@@ -104,7 +107,7 @@ const (
 var ErrMuxClosed = errors.New("wire: mux writer closed")
 
 // ClassOf maps a message type to its wire priority class: stripe-transfer
-// carriers are bulk, everything else (Ping, Probe, Cancel, Stats, Health,
+// carriers are bulk, everything else (Ping, Probe, Cancel, Introspect,
 // errors, metadata ops, ...) is control.
 func ClassOf(t MsgType) uint8 {
 	switch t {

@@ -74,97 +74,79 @@ const (
 	MsgLocalSizeReq
 	MsgLocalSizeResp
 
-	// Observability: structured metrics and trace export.
-	MsgStatsReq
-	MsgStatsResp
-	MsgTraceFetchReq
-	MsgTraceFetchResp
+	// Codes 32–41 belonged to the retired introspection pairs (stats,
+	// trace fetch, health, series fetch, decision log). Reserved: a peer
+	// still sending one gets ErrUnknownType.
+	_
+	_
+	_
+	_
+	_
+	_
+	_
+	_
+	_
+	_
 
-	// Telemetry: health probes and time-series history fetch.
-	MsgHealthReq
-	MsgHealthResp
-	MsgSeriesFetchReq
-	MsgSeriesFetchResp
-
-	// Decision audit: fetch the scheduler's decision log for offline
-	// explanation and counterfactual replay.
-	MsgDecisionLogReq
-	MsgDecisionLogResp
-
-	// Connection-mode negotiation: upgrade to multiplexed framing (mux.go).
+	// Connection-mode negotiation: open multiplexed framing (mux.go).
 	MsgHelloReq
 	MsgHelloResp
 
-	// Operational plane: structured event tail and SLO alert fetch.
-	MsgEventFetchReq
-	MsgEventFetchResp
-	MsgAlertFetchReq
-	MsgAlertFetchResp
+	// Codes 44–51: retired introspection pairs (event fetch, alert fetch,
+	// tenant stats, range query), reserved like 32–41.
+	_
+	_
+	_
+	_
+	_
+	_
+	_
+	_
 
-	// Tenant attribution plane: per-tenant usage fetch.
-	MsgTenantStatsReq
-	MsgTenantStatsResp
-
-	// Telemetry archive plane: durable range queries.
-	MsgRangeQueryReq
-	MsgRangeQueryResp
+	// Introspection: one request for every observability plane.
+	MsgIntrospectReq
+	MsgIntrospectResp
 
 	msgSentinel // keep last
 )
 
 var msgNames = map[MsgType]string{
-	MsgInvalid:         "invalid",
-	MsgError:           "error",
-	MsgPing:            "ping",
-	MsgPong:            "pong",
-	MsgCreateReq:       "create.req",
-	MsgCreateResp:      "create.resp",
-	MsgOpenReq:         "open.req",
-	MsgOpenResp:        "open.resp",
-	MsgStatReq:         "stat.req",
-	MsgStatResp:        "stat.resp",
-	MsgRemoveReq:       "remove.req",
-	MsgRemoveResp:      "remove.resp",
-	MsgListReq:         "list.req",
-	MsgListResp:        "list.resp",
-	MsgSetSizeReq:      "setsize.req",
-	MsgSetSizeResp:     "setsize.resp",
-	MsgReadReq:         "read.req",
-	MsgReadResp:        "read.resp",
-	MsgWriteReq:        "write.req",
-	MsgWriteResp:       "write.resp",
-	MsgTruncReq:        "trunc.req",
-	MsgTruncResp:       "trunc.resp",
-	MsgActiveReadReq:   "activeread.req",
-	MsgActiveReadResp:  "activeread.resp",
-	MsgProbeReq:        "probe.req",
-	MsgProbeResp:       "probe.resp",
-	MsgCancelReq:       "cancel.req",
-	MsgCancelResp:      "cancel.resp",
-	MsgTransformReq:    "transform.req",
-	MsgTransformResp:   "transform.resp",
-	MsgLocalSizeReq:    "localsize.req",
-	MsgLocalSizeResp:   "localsize.resp",
-	MsgStatsReq:        "stats.req",
-	MsgStatsResp:       "stats.resp",
-	MsgTraceFetchReq:   "tracefetch.req",
-	MsgTraceFetchResp:  "tracefetch.resp",
-	MsgHealthReq:       "health.req",
-	MsgHealthResp:      "health.resp",
-	MsgSeriesFetchReq:  "seriesfetch.req",
-	MsgSeriesFetchResp: "seriesfetch.resp",
-	MsgDecisionLogReq:  "decisionlog.req",
-	MsgDecisionLogResp: "decisionlog.resp",
-	MsgHelloReq:        "hello.req",
-	MsgHelloResp:       "hello.resp",
-	MsgEventFetchReq:   "eventfetch.req",
-	MsgEventFetchResp:  "eventfetch.resp",
-	MsgAlertFetchReq:   "alertfetch.req",
-	MsgAlertFetchResp:  "alertfetch.resp",
-	MsgTenantStatsReq:  "tenantstats.req",
-	MsgTenantStatsResp: "tenantstats.resp",
-	MsgRangeQueryReq:   "rangequery.req",
-	MsgRangeQueryResp:  "rangequery.resp",
+	MsgInvalid:        "invalid",
+	MsgError:          "error",
+	MsgPing:           "ping",
+	MsgPong:           "pong",
+	MsgCreateReq:      "create.req",
+	MsgCreateResp:     "create.resp",
+	MsgOpenReq:        "open.req",
+	MsgOpenResp:       "open.resp",
+	MsgStatReq:        "stat.req",
+	MsgStatResp:       "stat.resp",
+	MsgRemoveReq:      "remove.req",
+	MsgRemoveResp:     "remove.resp",
+	MsgListReq:        "list.req",
+	MsgListResp:       "list.resp",
+	MsgSetSizeReq:     "setsize.req",
+	MsgSetSizeResp:    "setsize.resp",
+	MsgReadReq:        "read.req",
+	MsgReadResp:       "read.resp",
+	MsgWriteReq:       "write.req",
+	MsgWriteResp:      "write.resp",
+	MsgTruncReq:       "trunc.req",
+	MsgTruncResp:      "trunc.resp",
+	MsgActiveReadReq:  "activeread.req",
+	MsgActiveReadResp: "activeread.resp",
+	MsgProbeReq:       "probe.req",
+	MsgProbeResp:      "probe.resp",
+	MsgCancelReq:      "cancel.req",
+	MsgCancelResp:     "cancel.resp",
+	MsgTransformReq:   "transform.req",
+	MsgTransformResp:  "transform.resp",
+	MsgLocalSizeReq:   "localsize.req",
+	MsgLocalSizeResp:  "localsize.resp",
+	MsgHelloReq:       "hello.req",
+	MsgHelloResp:      "hello.resp",
+	MsgIntrospectReq:  "introspect.req",
+	MsgIntrospectResp: "introspect.resp",
 }
 
 // String returns a human-readable name for the message type.
@@ -175,8 +157,9 @@ func (t MsgType) String() string {
 	return fmt.Sprintf("msgtype(%d)", uint16(t))
 }
 
-// Valid reports whether t is a known message type.
-func (t MsgType) Valid() bool { return t > MsgInvalid && t < msgSentinel }
+// Valid reports whether t is a live message type: not MsgInvalid, and
+// neither past the table nor a retired code.
+func (t MsgType) Valid() bool { _, ok := msgNames[t]; return ok && t != MsgInvalid }
 
 // Message is implemented by every protocol message.
 type Message interface {
@@ -527,46 +510,14 @@ func New(t MsgType) Message {
 		return new(LocalSizeReq)
 	case MsgLocalSizeResp:
 		return new(LocalSizeResp)
-	case MsgStatsReq:
-		return new(StatsReq)
-	case MsgStatsResp:
-		return new(StatsResp)
-	case MsgTraceFetchReq:
-		return new(TraceFetchReq)
-	case MsgTraceFetchResp:
-		return new(TraceFetchResp)
-	case MsgHealthReq:
-		return new(HealthReq)
-	case MsgHealthResp:
-		return new(HealthResp)
-	case MsgSeriesFetchReq:
-		return new(SeriesFetchReq)
-	case MsgSeriesFetchResp:
-		return new(SeriesFetchResp)
-	case MsgDecisionLogReq:
-		return new(DecisionLogReq)
-	case MsgDecisionLogResp:
-		return new(DecisionLogResp)
 	case MsgHelloReq:
 		return new(HelloReq)
 	case MsgHelloResp:
 		return new(HelloResp)
-	case MsgEventFetchReq:
-		return new(EventFetchReq)
-	case MsgEventFetchResp:
-		return new(EventFetchResp)
-	case MsgAlertFetchReq:
-		return new(AlertFetchReq)
-	case MsgAlertFetchResp:
-		return new(AlertFetchResp)
-	case MsgTenantStatsReq:
-		return new(TenantStatsReq)
-	case MsgTenantStatsResp:
-		return new(TenantStatsResp)
-	case MsgRangeQueryReq:
-		return new(RangeQueryReq)
-	case MsgRangeQueryResp:
-		return new(RangeQueryResp)
+	case MsgIntrospectReq:
+		return new(IntrospectReq)
+	case MsgIntrospectResp:
+		return new(IntrospectResp)
 	default:
 		return nil
 	}

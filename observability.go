@@ -1,6 +1,7 @@
 package dosas
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,10 +9,10 @@ import (
 
 	"dosas/internal/eventlog"
 	"dosas/internal/metrics"
+	"dosas/internal/pfs"
 	"dosas/internal/slo"
 	"dosas/internal/telemetry"
 	"dosas/internal/trace"
-	"dosas/internal/wire"
 )
 
 // TraceEvent is one recorded lifecycle event: a span of a distributed
@@ -22,7 +23,7 @@ import (
 type TraceEvent = trace.Event
 
 // StatsSnapshot is a consistent, JSON-encodable copy of one node's
-// metric registry, as served by the StatsReq wire message.
+// metric registry, as served by the stats introspection.
 type StatsSnapshot = metrics.Snapshot
 
 // TraceEvents returns storage node i's retained lifecycle events in
@@ -166,7 +167,7 @@ func (c *Cluster) DecisionMetrics() DecisionMetrics {
 type HealthCheck = telemetry.Check
 
 // HealthReport is one node's liveness and per-resource readiness, as
-// served by the HealthReq wire message. Ready is the conjunction of its
+// served by the health introspection. Ready is the conjunction of its
 // checks.
 type HealthReport = telemetry.HealthReport
 
@@ -191,19 +192,6 @@ func FormatSlowBundle(b SlowBundle) string { return telemetry.FormatBundle(b) }
 // another process's flight journal.
 func ReadSlowBundles(dir string) ([]SlowBundle, error) { return telemetry.ReadBundles(dir) }
 
-// decodeHealthResp unpacks a wire health response into the public
-// report form.
-func decodeHealthResp(hr *wire.HealthResp) (HealthReport, error) {
-	checks, err := telemetry.DecodeChecks(hr.Checks)
-	if err != nil {
-		return HealthReport{}, err
-	}
-	return HealthReport{
-		Node: hr.Node, Role: hr.Role, Ready: hr.Ready,
-		Checks: checks, UptimeNano: hr.UptimeNano,
-	}, nil
-}
-
 // unreachableReport is the synthetic not-ready report a health sweep
 // records for a node that could not be asked.
 func unreachableReport(node, role string, err error) HealthReport {
@@ -215,8 +203,9 @@ func unreachableReport(node, role string, err error) HealthReport {
 
 // Health reports every node's liveness and per-resource readiness —
 // metadata server first, then storage nodes in layout order. It runs
-// in-process through the same handlers that serve HealthReq on the
-// wire, so the answer matches what dosasctl health sees.
+// in-process through the same handlers that serve the health
+// introspection on the wire, so the answer matches what dosasctl health
+// sees.
 func (c *Cluster) Health() []HealthReport {
 	reports := make([]HealthReport, 0, len(c.dataServers)+1)
 	if c.meta != nil {
@@ -229,19 +218,9 @@ func (c *Cluster) Health() []HealthReport {
 }
 
 // handlerHealth asks one in-process server for its health report.
-func handlerHealth(h interface {
-	Handle(wire.Message) (wire.Message, error)
-}, node, role string) HealthReport {
-	resp, err := h.Handle(&wire.HealthReq{})
-	if err != nil {
-		return unreachableReport(node, role, err)
-	}
-	hr, ok := resp.(*wire.HealthResp)
-	if !ok {
-		return unreachableReport(node, role, fmt.Errorf("dosas: unexpected health response %v", resp.Type()))
-	}
-	rep, err := decodeHealthResp(hr)
-	if err != nil {
+func handlerHealth(h pfs.Handler, node, role string) HealthReport {
+	var rep HealthReport
+	if _, err := pfs.IntrospectLocal(h, pfs.KindHealth, nil, &rep); err != nil {
 		return unreachableReport(node, role, err)
 	}
 	return rep
@@ -278,6 +257,38 @@ func (fs *FS) nodeAddrs() []struct{ name, role, addr string } {
 	return out
 }
 
+// sweep asks every node of the connected cluster — only the storage
+// nodes when dataOnly — for one introspection kind, in sweep order, and
+// hands keep each reply with the node's layout name and the name it
+// answered with (the layout name when it gave none). params gives a
+// node's params by layout name; nil asks with none. A node that cannot
+// be asked, or does not serve the kind, is skipped (it surfaces in
+// Health); a reply that does not decode ends the sweep with its error.
+func sweep[R any](fs *FS, kind string, dataOnly bool, params func(name string) any, keep func(name, node string, reply R)) error {
+	for _, n := range fs.nodeAddrs() {
+		if dataOnly && n.role != "data" {
+			continue
+		}
+		var p any
+		if params != nil {
+			p = params(n.name)
+		}
+		var reply R
+		node, err := pfs.Introspect(fs.pc.Pool(), n.addr, kind, p, &reply)
+		if errors.Is(err, pfs.ErrInvalid) {
+			return fmt.Errorf("dosas: %s: %w", n.name, err)
+		}
+		if err != nil {
+			continue
+		}
+		if node == "" {
+			node = n.name
+		}
+		keep(n.name, node, reply)
+	}
+	return nil
+}
+
 // Health sweeps every node of the connected cluster over the wire and
 // reports liveness plus per-resource readiness. Unreachable nodes come
 // back as not-ready reports with a failing "reachable" check rather
@@ -286,20 +297,9 @@ func (fs *FS) nodeAddrs() []struct{ name, role, addr string } {
 func (fs *FS) Health() []HealthReport {
 	var out []HealthReport
 	for _, n := range fs.nodeAddrs() {
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.HealthReq{})
-		if err != nil {
-			out = append(out, unreachableReport(n.name, n.role, err))
-			continue
-		}
-		hr, ok := resp.(*wire.HealthResp)
-		if !ok {
-			out = append(out, unreachableReport(n.name, n.role, fmt.Errorf("dosas: unexpected health response %v", resp.Type())))
-			continue
-		}
-		rep, err := decodeHealthResp(hr)
-		if err != nil {
-			out = append(out, unreachableReport(n.name, n.role, err))
-			continue
+		var rep HealthReport
+		if _, err := pfs.Introspect(fs.pc.Pool(), n.addr, pfs.KindHealth, nil, &rep); err != nil {
+			rep = unreachableReport(n.name, n.role, err)
 		}
 		out = append(out, rep)
 	}
@@ -312,26 +312,10 @@ func (fs *FS) Health() []HealthReport {
 // Health); decode failures are reported.
 func (fs *FS) Series(window time.Duration, names ...string) (map[string][]Series, error) {
 	out := make(map[string][]Series)
-	for _, n := range fs.nodeAddrs() {
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.SeriesFetchReq{WindowNano: int64(window), Names: names})
-		if err != nil {
-			continue
-		}
-		sf, ok := resp.(*wire.SeriesFetchResp)
-		if !ok {
-			return out, fmt.Errorf("dosas: unexpected series response %v", resp.Type())
-		}
-		series, err := telemetry.DecodeSeries(sf.Series)
-		if err != nil {
-			return out, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
-		name := sf.Node
-		if name == "" {
-			name = n.name
-		}
-		out[name] = series
-	}
-	return out, nil
+	params := pfs.SeriesParams{WindowNano: int64(window), Names: names}
+	err := sweep(fs, pfs.KindSeries, false, func(string) any { return params },
+		func(_, node string, r pfs.SeriesReply) { out[node] = r.Series })
+	return out, err
 }
 
 // ClientSeries returns the trailing window of this client's own
@@ -467,30 +451,16 @@ type EventsPage struct {
 // (they surface in Health); decode failures are reported.
 func (fs *FS) Events(since map[string]uint64, min EventLevel, limit int) ([]EventsPage, error) {
 	var out []EventsPage
-	for _, n := range fs.nodeAddrs() {
-		req := &wire.EventFetchReq{MinLevel: uint8(min), Limit: uint64(limit)}
-		if since != nil {
-			req.SinceSeq = since[n.name]
-		}
-		resp, err := fs.pc.Pool().Call(n.addr, req)
-		if err != nil {
-			continue
-		}
-		ef, ok := resp.(*wire.EventFetchResp)
-		if !ok {
-			return out, fmt.Errorf("dosas: unexpected event response %v", resp.Type())
-		}
-		events, err := eventlog.DecodeEvents(ef.Events)
-		if err != nil {
-			return out, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
+	err := sweep(fs, pfs.KindEvents, false, func(name string) any {
+		return pfs.EventParams{SinceSeq: since[name], MinLevel: min, Limit: uint64(limit)}
+	}, func(name, _ string, r pfs.EventReply) {
 		// Key the page by the client layout name — the same key a
 		// caller's since map uses — so resume cursors always match even
 		// if the daemon was configured with a different node name. The
 		// events themselves carry the server-reported name for display.
-		out = append(out, EventsPage{Node: n.name, Events: events, NextSeq: ef.NextSeq, Dropped: ef.Dropped})
-	}
-	return out, nil
+		out = append(out, EventsPage{Node: name, Events: r.Events, NextSeq: r.NextSeq, Dropped: r.Dropped})
+	})
+	return out, err
 }
 
 // Alerts fetches every node's current alert table over the wire, in
@@ -498,31 +468,19 @@ func (fs *FS) Events(since map[string]uint64, min EventLevel, limit int) ([]Even
 // are skipped (they surface in Health); decode failures are reported.
 func (fs *FS) Alerts() ([]Alert, error) {
 	var out []Alert
-	for _, n := range fs.nodeAddrs() {
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.AlertFetchReq{})
-		if err != nil {
-			continue
-		}
-		af, ok := resp.(*wire.AlertFetchResp)
-		if !ok {
-			return out, fmt.Errorf("dosas: unexpected alert response %v", resp.Type())
-		}
-		alerts, err := slo.DecodeAlerts(af.Alerts)
-		if err != nil {
-			return out, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
+	err := sweep(fs, pfs.KindAlerts, false, nil, func(name, _ string, alerts []Alert) {
 		for i := range alerts {
 			if alerts[i].Node == "" {
-				alerts[i].Node = n.name
+				alerts[i].Node = name
 			}
 		}
 		out = append(out, alerts...)
-	}
-	return out, nil
+	})
+	return out, err
 }
 
 // AggregateDecisions computes cluster-wide decision metrics from
-// per-node snapshots (local registries or StatsResp payloads alike).
+// per-node snapshots (local registries or stats introspection replies alike).
 func AggregateDecisions(snaps []StatsSnapshot) DecisionMetrics {
 	var m DecisionMetrics
 	var errSum float64

@@ -5,9 +5,9 @@ import (
 	"sort"
 	"time"
 
+	"dosas/internal/pfs"
 	"dosas/internal/telemetry"
 	"dosas/internal/tsdb"
-	"dosas/internal/wire"
 )
 
 // RangeQuery parameterises a durable telemetry range query against the
@@ -192,39 +192,17 @@ func (fs *FS) Query(q RangeQuery) (QueryResult, error) {
 	}
 	fromNano, untilNano := q.window(time.Now())
 	res := QueryResult{Name: q.Name, Agg: q.Agg}
-	for _, n := range fs.nodeAddrs() {
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.RangeQueryReq{
-			Name: q.Name, FromNano: fromNano, ToNano: untilNano, StepNano: q.stepNano(),
-		})
-		if err != nil {
-			continue
-		}
-		rq, ok := resp.(*wire.RangeQueryResp)
-		if !ok {
-			return res, fmt.Errorf("dosas: unexpected range-query response %v", resp.Type())
-		}
-		series, err := telemetry.DecodeSeries(rq.Series)
-		if err != nil {
-			return res, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
-		name := rq.Node
-		if name == "" {
-			name = n.name
-		}
-		// The filter accepts either the client-side layout name or the
-		// name the node answered with — daemons report their configured
-		// identity ("data@host:port"), which is what query output shows.
-		if q.Node != "" && q.Node != n.name && q.Node != name {
-			continue
-		}
-		ns := NodeSeries{Node: name, EarliestNano: rq.EarliestNano}
-		for _, s := range series {
-			if s.Name == q.Name {
-				ns.Points = s.Points
+	params := pfs.QueryParams{Name: q.Name, FromNano: fromNano, ToNano: untilNano, StepNano: q.stepNano()}
+	err := sweep(fs, pfs.KindQuery, false, func(string) any { return params },
+		func(name, node string, r pfs.QueryReply) {
+			// The filter accepts either the client-side layout name or the
+			// name the node answered with — daemons report their configured
+			// identity ("data@host:port"), which is what query output shows.
+			if q.Node != "" && q.Node != name && q.Node != node {
+				return
 			}
-		}
-		res.Nodes = append(res.Nodes, ns)
-	}
+			res.Nodes = append(res.Nodes, NodeSeries{Node: node, Points: r.Points, EarliestNano: r.EarliestNano})
+		})
 	res.Aggregated = aggregateNodes(res.Nodes, q.Agg)
-	return res, nil
+	return res, err
 }

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"dosas/internal/pfs"
 	"dosas/internal/tenant"
-	"dosas/internal/wire"
 )
 
 // TenantUsage is one tenant's cumulative resource consumption on one
@@ -52,29 +52,10 @@ func (c *Cluster) Tenants() []TenantReport {
 // are reported.
 func (fs *FS) Tenants() ([]TenantReport, error) {
 	var out []TenantReport
-	for _, n := range fs.nodeAddrs() {
-		if n.role != "data" {
-			continue // only storage nodes account tenants
-		}
-		resp, err := fs.pc.Pool().Call(n.addr, &wire.TenantStatsReq{})
-		if err != nil {
-			continue
-		}
-		ts, ok := resp.(*wire.TenantStatsResp)
-		if !ok {
-			return out, fmt.Errorf("dosas: unexpected tenant response %v", resp.Type())
-		}
-		usage, err := tenant.DecodeUsage(ts.Usage)
-		if err != nil {
-			return out, fmt.Errorf("dosas: %s: %w", n.name, err)
-		}
-		node := ts.Node
-		if node == "" {
-			node = n.name
-		}
-		out = append(out, TenantReport{Node: node, Evicted: ts.Evicted, Usage: usage})
-	}
-	return out, nil
+	err := sweep(fs, pfs.KindTenants, true, nil, func(_, node string, r pfs.TenantReply) {
+		out = append(out, TenantReport{Node: node, Evicted: r.Evicted, Usage: r.Usage})
+	})
+	return out, err
 }
 
 // MergeTenantUsage folds per-node reports into one cluster-wide row per
