@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper clean
+.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper loc clean
 
 all: check
 
@@ -222,6 +222,17 @@ bench-qos:
 # live per-scheme decision metrics (BENCH_live.json).
 bench-paper:
 	$(GO) run ./cmd/dosas-bench
+
+# Non-test Go line counts, the figures ROADMAP and CHANGES.md quote: the
+# program outside bench/ and examples/, the RPC stack (internal/pfs and
+# internal/wire), the scheduler (internal/core) and the binaries (cmd/).
+# Not part of check: it measures, it does not gate.
+LOC = find $(1) -name '*.go' ! -name '*_test.go' $(2) | xargs cat | wc -l
+loc:
+	@echo "outside bench/ examples/: $$($(call LOC,.,! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*'))"
+	@echo "internal/pfs+wire:        $$($(call LOC,internal/pfs internal/wire))"
+	@echo "internal/core:            $$($(call LOC,internal/core))"
+	@echo "cmd/:                     $$($(call LOC,cmd))"
 
 clean:
 	$(GO) clean ./...

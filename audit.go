@@ -1,7 +1,6 @@
 package dosas
 
 import (
-	"fmt"
 	"sort"
 
 	"dosas/internal/audit"
@@ -93,21 +92,20 @@ func EncodeReplayReports(reports []ReplayReport) ([]byte, error) {
 // DecisionLog returns storage node i's retained decision records in
 // chronological order.
 func (c *Cluster) DecisionLog(node int) ([]DecisionRecord, error) {
-	if node < 0 || node >= len(c.runtimes) {
-		return nil, fmt.Errorf("dosas: no storage node %d", node)
+	n, err := c.storageNode(node)
+	if err != nil {
+		return nil, err
 	}
-	return c.runtimes[node].Audit().Snapshot(), nil
+	var r pfs.DecisionReply
+	_, err = n.ask(pfs.KindDecisions, nil, &r)
+	return r.Records, err
 }
 
 // DecisionLogAll merges every storage node's decision log into one
 // chronological timeline (ties broken by node, then per-node sequence).
 func (c *Cluster) DecisionLogAll() []DecisionRecord {
-	var out []DecisionRecord
-	for _, rt := range c.runtimes {
-		out = append(out, rt.Audit().Snapshot()...)
-	}
-	sortDecisions(out)
-	return out
+	records, _, _ := c.peers().decisionLog(0, 0)
+	return records
 }
 
 // DecisionLog sweeps every storage node of the connected cluster over
@@ -119,8 +117,12 @@ func (c *Cluster) DecisionLogAll() []DecisionRecord {
 // non-zero means the merged log is a suffix of the cluster's true
 // decision history.
 func (fs *FS) DecisionLog(limit uint64, traceID uint64) (records []DecisionRecord, dropped uint64, err error) {
+	return fs.peers().decisionLog(limit, traceID)
+}
+
+func (ps peers) decisionLog(limit uint64, traceID uint64) (records []DecisionRecord, dropped uint64, err error) {
 	params := pfs.DecisionParams{Limit: limit, TraceID: traceID}
-	err = sweep(fs, pfs.KindDecisions, true, func(string) any { return params },
+	err = sweep(ps, pfs.KindDecisions, true, func(string) any { return params },
 		func(_, _ string, r pfs.DecisionReply) {
 			records = append(records, r.Records...)
 			dropped += r.Dropped

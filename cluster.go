@@ -3,23 +3,15 @@ package dosas
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
-	"dosas/internal/audit"
 	"dosas/internal/core"
-	"dosas/internal/eventlog"
-	"dosas/internal/metrics"
 	"dosas/internal/openmetrics"
 	"dosas/internal/pfs"
-	"dosas/internal/slo"
-	"dosas/internal/telemetry"
-	"dosas/internal/tenant"
 	"dosas/internal/trace"
 	"dosas/internal/transport"
-	"dosas/internal/tsdb"
 )
 
 // Scheme selects how clients issue analysis reads — the paper's three
@@ -205,331 +197,38 @@ type Options struct {
 // DataServers storage nodes, each running the pfs data service with an
 // Active I/O Runtime attached.
 type Cluster struct {
-	net           transport.Network
-	metaAddr      string
-	dataAddrs     []string
-	servers       []*pfs.Server
-	runtimes      []*core.Runtime
-	meta          *pfs.MetaServer
-	metaTele      *telemetry.Sampler
-	metaEvents    *eventlog.Log
-	metaSLO       *slo.Engine
-	dataServers   []*pfs.DataServer
-	stores        []pfs.Store
-	events        []*eventlog.Log
-	engines       []*slo.Engine
-	tenantTables  []*tenant.Table
-	archives      []*tsdb.Archive
-	metaArchive   *tsdb.Archive
-	windowDepth   int
-	transferChunk int
-	telemetryTick time.Duration
-}
-
-// newSampler builds one node's telemetry sampler per the cluster's tick
-// convention: zero means the default interval, negative disables.
-func newSampler(tick time.Duration) *telemetry.Sampler {
-	if tick < 0 {
-		return nil
-	}
-	s := telemetry.NewSampler(telemetry.Config{Interval: tick})
-	// Every sampler carries the Go runtime health series (goroutines,
-	// heap in use, GC pause p99) alongside the node's own probes.
-	telemetry.RegisterRuntimeProbes(s)
-	return s
-}
-
-// newEventLog builds one node's structured event log per the cluster's
-// event options.
-func (o Options) newEventLog(node string) (*eventlog.Log, error) {
-	cfg := eventlog.Config{Node: node, Capacity: o.EventCapacity, Mirror: o.EventMirror, MaxBytes: o.EventsMaxBytes}
-	if o.EventDir != "" {
-		if err := os.MkdirAll(o.EventDir, 0o755); err != nil {
-			return nil, err
-		}
-		cfg.Path = filepath.Join(o.EventDir, node+".events.jsonl")
-	}
-	return eventlog.New(cfg)
-}
-
-// newArchive builds one node's durable telemetry archive under
-// ArchiveDir/<node> and hooks its appender to the sampler's tick. Nil
-// (archive disabled) when ArchiveDir is unset or telemetry is off.
-// Append failures are reported once to the node's event log rather
-// than per tick — a full disk would otherwise flood it.
-func (o Options) newArchive(node string, tele *telemetry.Sampler, ev *eventlog.Log) (*tsdb.Archive, error) {
-	if o.ArchiveDir == "" || tele == nil {
-		return nil, nil
-	}
-	a, err := tsdb.Open(tsdb.Config{
-		Dir:      filepath.Join(o.ArchiveDir, node),
-		MaxBytes: o.ArchiveMaxBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var failed bool
-	tele.OnSamples(func(wallNano, monoNano int64, samples []telemetry.Sample) {
-		if err := a.Append(wallNano, monoNano, samples); err != nil && !failed {
-			failed = true
-			ev.Warn("tsdb", "archive append failed", "err", err.Error())
-		}
-	})
-	return a, nil
-}
-
-// newEngine builds one node's SLO engine over its sampler and hooks
-// evaluation to the sampler's tick, so alert rules are re-judged exactly
-// once per fresh telemetry sample. Nil when telemetry or alerting is
-// disabled. A non-nil tenant table wires the annotation hook so
-// noisy-neighbor transitions name the dominant tenant in the event log.
-func (o Options) newEngine(node string, tele *telemetry.Sampler, ev *eventlog.Log, reg *metrics.Registry, tab *tenant.Table) (*slo.Engine, error) {
-	if tele == nil || o.DisableSLO {
-		return nil, nil
-	}
-	rules := o.SLORules
-	if rules == nil {
-		rules = slo.DefaultRules()
-	}
-	cfg := slo.Config{
-		Rules: rules, Sampler: tele, Events: ev, Metrics: reg, Node: node,
-	}
-	if tab != nil {
-		cfg.Annotate = func(rule string) []string {
-			if rule != "noisy-neighbor" {
-				return nil
-			}
-			top, share := tab.TopWait()
-			if top == "" {
-				return nil
-			}
-			return []string{"tenant", top, "share", fmt.Sprintf("%.2f", share)}
-		}
-	}
-	eng, err := slo.NewEngine(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tele.OnTick(eng.Eval)
-	return eng, nil
+	net   transport.Network
+	o     Options
+	nodes []*Node // the metadata node, then the storage nodes in layout order
 }
 
 // StartCluster boots an in-process (or TCP-loopback) cluster and returns
 // once every server is accepting connections.
 func StartCluster(o Options) (*Cluster, error) {
-	if o.DataServers <= 0 {
-		o.DataServers = 4
-	}
-	if o.NetworkBandwidth == 0 {
-		if o.LinkRate > 0 {
-			o.NetworkBandwidth = o.LinkRate
-		} else {
-			o.NetworkBandwidth = 118e6
-		}
-	}
-
-	var solver core.Solver
-	if o.Solver != "" {
-		s, err := core.SolverByName(o.Solver)
-		if err != nil {
-			return nil, err
-		}
-		solver = s
-	}
-
-	var net transport.Network
-	if o.TCP {
-		net = transport.TCP{}
-	} else {
-		net = transport.NewInproc()
-	}
-	if o.LinkRate > 0 {
-		net = transport.NewShaped(net, o.LinkRate)
-	}
-	if o.LinkDelay > 0 {
-		net = transport.NewDelayed(net, o.LinkDelay)
-	}
-
-	c := &Cluster{net: net, windowDepth: o.WindowDepth, transferChunk: o.TransferChunk, telemetryTick: o.TelemetryTick}
-	ok := false
-	defer func() {
-		if !ok {
-			c.Close()
-		}
-	}()
-
-	c.metaTele = newSampler(o.TelemetryTick)
-	metaEvents, err := o.newEventLog("meta")
-	if err != nil {
-		return nil, err
-	}
-	c.metaEvents = metaEvents
-	metaReg := metrics.NewRegistry()
-	metaSLO, err := o.newEngine("meta", c.metaTele, metaEvents, metaReg, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.metaSLO = metaSLO
-	metaArchive, err := o.newArchive("meta", c.metaTele, metaEvents)
-	if err != nil {
-		return nil, err
-	}
-	c.metaArchive = metaArchive
-	metaCfg := pfs.MetaConfig{
-		NumDataServers:    o.DataServers,
-		DefaultStripeSize: o.StripeSize,
-		Metrics:           metaReg,
-		Telemetry:         c.metaTele,
-		Events:            metaEvents,
-		SLO:               metaSLO,
-		Archive:           metaArchive,
-		QoS:               o.qosConfig(),
-	}
+	o = o.withDefaults()
+	c := &Cluster{net: o.network(), o: o}
+	var journal string
 	if o.DataDir != "" {
-		metaCfg.JournalPath = filepath.Join(o.DataDir, "meta.wal")
+		journal = filepath.Join(o.DataDir, "meta.wal")
 	}
-	meta, err := pfs.NewMetaServer(metaCfg)
+	n, err := startMeta(o, c.net, o.listenAddr("meta", 0), journal)
 	if err != nil {
 		return nil, err
 	}
-	c.meta = meta
-	ml, err := net.Listen(o.listenAddr("meta", 0))
-	if err != nil {
-		return nil, err
-	}
-	ms := pfs.NewServer(ml, meta)
-	ms.Start()
-	c.servers = append(c.servers, ms)
-	c.metaAddr = ms.Addr()
-
+	c.nodes = append(c.nodes, n)
 	for i := 0; i < o.DataServers; i++ {
-		var store pfs.Store
+		name, dir := fmt.Sprintf("data-%d", i), ""
 		if o.DataDir != "" {
-			dir := filepath.Join(o.DataDir, fmt.Sprintf("data-%d", i))
-			switch o.StoreBackend {
-			case "", "extent":
-				es, err := pfs.NewExtentStore(pfs.ExtentConfig{
-					Dir:         dir,
-					Sync:        o.StoreSync,
-					FDCacheSize: o.FDCacheSize,
-				})
-				if err != nil {
-					return nil, err
-				}
-				store = es
-			case "file":
-				fs, err := pfs.NewFileStoreConfig(pfs.FileStoreConfig{
-					Dir:         dir,
-					Sync:        o.StoreSync,
-					FDCacheSize: o.FDCacheSize,
-				})
-				if err != nil {
-					return nil, err
-				}
-				store = fs
-			default:
-				return nil, fmt.Errorf("dosas: unknown store backend %q", o.StoreBackend)
-			}
-		} else {
-			store = pfs.NewMemStore()
+			dir = filepath.Join(o.DataDir, name)
 		}
-		c.stores = append(c.stores, store)
-		node := fmt.Sprintf("data-%d", i)
-		reg := metrics.NewRegistry()
-		tr := trace.NewRecorder(4096)
-		tr.SetNode(node)
-		// The data server and its runtime share one sampler: the runtime
-		// registers the probes and owns the lifecycle, the server serves
-		// the history over the wire.
-		tele := newSampler(o.TelemetryTick)
-		// Likewise the decision audit ring: the runtime appends and
-		// resolves records, the server serves it as the decisions kind.
-		alog := audit.NewLog(4096)
-		alog.SetNode(node)
-		// Events and the alert engine are shared the same way: the runtime
-		// emits lifecycle events and the sampler tick drives evaluation,
-		// while the server serves them as the events and alerts kinds.
-		ev, err := o.newEventLog(node)
+		n, err := startStorage(o, c.net, name, o.listenAddr(name, i+1), dir)
 		if err != nil {
+			c.Close()
 			return nil, err
 		}
-		c.events = append(c.events, ev)
-		// The tenant table is shared the same way: the data server and
-		// runtime account usage into it, the server serves it as the tenants
-		// kind and the SLO annotation hook reads the dominant waiter from it.
-		var tab *tenant.Table
-		if !o.DisableTenants {
-			limit := o.TenantLimit
-			if limit <= 0 {
-				limit = tenant.DefaultLimit
-			}
-			tab = tenant.NewTable(limit)
-		}
-		c.tenantTables = append(c.tenantTables, tab)
-		eng, err := o.newEngine(node, tele, ev, reg, tab)
-		if err != nil {
-			return nil, err
-		}
-		c.engines = append(c.engines, eng)
-		// The archive hooks the shared sampler: every tick the runtime's
-		// probes record is also persisted, so post-restart queries see
-		// the node's pre-crash history.
-		arch, err := o.newArchive(node, tele, ev)
-		if err != nil {
-			return nil, err
-		}
-		c.archives = append(c.archives, arch)
-		ds, err := pfs.NewDataServer(pfs.DataConfig{Store: store, Metrics: reg, Node: node, Trace: tr, Telemetry: tele, Audit: alog, Events: ev, SLO: eng, Tenants: tab, Archive: arch, QoS: o.qosConfig()})
-		if err != nil {
-			return nil, err
-		}
-		rt, err := core.NewRuntime(core.RuntimeConfig{
-			Store:  store,
-			Mode:   o.Policy.mode(),
-			Solver: solver,
-			Audit:  alog,
-			Estimator: core.EstimatorConfig{
-				BW:              o.NetworkBandwidth,
-				TotalCores:      o.TotalCores,
-				IOReservedCores: o.IOReservedCores,
-				Period:          o.EstimatorPeriod,
-			},
-			Pace:          o.Pace,
-			Metrics:       reg,
-			Trace:         tr,
-			Node:          node,
-			Telemetry:     tele,
-			Events:        ev,
-			Tenants:       tab,
-			TenantWeights: o.TenantWeights,
-		})
-		if err != nil {
-			return nil, err
-		}
-		c.runtimes = append(c.runtimes, rt)
-		c.dataServers = append(c.dataServers, ds)
-		ds.SetActiveHandler(rt)
-		dl, err := net.Listen(o.listenAddr(fmt.Sprintf("data-%d", i), i+1))
-		if err != nil {
-			return nil, err
-		}
-		srv := pfs.NewServer(dl, ds)
-		srv.SetFrameStats(ds.WireStats())
-		srv.Start()
-		c.servers = append(c.servers, srv)
-		c.dataAddrs = append(c.dataAddrs, srv.Addr())
+		c.nodes = append(c.nodes, n)
 	}
-	ok = true
 	return c, nil
-}
-
-// qosConfig builds the per-node admission gate config, or nil when QoS
-// is disabled.
-func (o Options) qosConfig() *pfs.QoSConfig {
-	if o.DisableQoS {
-		return nil
-	}
-	return &pfs.QoSConfig{Slots: o.QoSSlots, Weights: o.TenantWeights}
 }
 
 // listenAddr picks the bind address for a server under either transport.
@@ -545,10 +244,16 @@ func (o Options) listenAddr(name string, slot int) string {
 }
 
 // MetaAddr returns the metadata server's address.
-func (c *Cluster) MetaAddr() string { return c.metaAddr }
+func (c *Cluster) MetaAddr() string { return c.nodes[0].Addr() }
 
 // DataAddrs returns the storage nodes' addresses in layout order.
-func (c *Cluster) DataAddrs() []string { return append([]string(nil), c.dataAddrs...) }
+func (c *Cluster) DataAddrs() []string {
+	out := make([]string, 0, len(c.nodes)-1)
+	for _, n := range c.nodes[1:] {
+		out = append(out, n.Addr())
+	}
+	return out
+}
 
 // Connect returns a client file system bound to this cluster using the
 // given scheme.
@@ -568,100 +273,94 @@ func (c *Cluster) ConnectPaced(scheme Scheme) (*FS, error) {
 // Unset window, chunk, and telemetry options inherit the cluster's.
 func (c *Cluster) ConnectClient(o ClientOptions) (*FS, error) {
 	if o.WindowDepth == 0 {
-		o.WindowDepth = c.windowDepth
+		o.WindowDepth = c.o.WindowDepth
 	}
 	if o.TransferChunk == 0 {
-		o.TransferChunk = c.transferChunk
+		o.TransferChunk = c.o.TransferChunk
 	}
 	if o.TelemetryTick == 0 {
-		o.TelemetryTick = c.telemetryTick
+		o.TelemetryTick = c.o.TelemetryTick
 	}
-	return connect(c.net, c.metaAddr, c.dataAddrs, o)
+	return connect(c.net, c.MetaAddr(), c.DataAddrs(), o)
 }
 
 // TraceDump renders storage node i's request-lifecycle trace: one line
 // per arrival, scheduling decision, kernel start, interruption,
 // migration, and completion — why the node did what it did.
 func (c *Cluster) TraceDump(node int) (string, error) {
-	if node < 0 || node >= len(c.runtimes) {
-		return "", fmt.Errorf("dosas: no storage node %d", node)
-	}
-	var sb strings.Builder
-	if _, err := c.runtimes[node].Trace().WriteTo(&sb); err != nil {
+	n, err := c.storageNode(node)
+	if err != nil {
 		return "", err
 	}
-	return sb.String(), nil
+	var r pfs.TraceReply
+	if _, err := n.ask(pfs.KindTrace, nil, &r); err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	_, err = trace.WriteEvents(&sb, r.Events, r.Dropped)
+	return sb.String(), err
 }
 
-// Close stops every server and releases stores. Safe to call more than
-// once.
+// storageNode returns storage node i.
+func (c *Cluster) storageNode(i int) (*Node, error) {
+	if i < 0 || i >= len(c.nodes)-1 {
+		return nil, fmt.Errorf("dosas: no storage node %d", i)
+	}
+	return c.nodes[1+i], nil
+}
+
+// peers asks the cluster's nodes in process. Every node answers, and
+// each reply decodes as its own handler encoded it, so the accessors
+// without an error result drop the sweep's: only a range query can fail
+// in process, on its archive, and Query returns that.
+func (c *Cluster) peers() peers {
+	out := make(peers, 0, len(c.nodes))
+	for _, n := range c.nodes {
+		out = append(out, peer{n.name, n.role, n.ask})
+	}
+	return out
+}
+
+// Close stops every node, storage nodes first, and releases their stores.
+// Errors from closing are dropped (Node.Close reports them). Safe to call
+// more than once.
 func (c *Cluster) Close() {
-	for _, rt := range c.runtimes {
-		rt.Close()
-	}
-	c.runtimes = nil
-	for _, s := range c.servers {
-		s.Close()
-	}
-	c.servers = nil
-	for _, ds := range c.dataServers {
-		ds.Close()
-	}
-	c.dataServers = nil
-	for _, st := range c.stores {
-		st.Close()
-	}
-	c.stores = nil
-	if c.meta != nil {
-		c.meta.Close()
-		c.meta = nil
-	}
-	for _, ev := range c.events {
-		ev.Close()
-	}
-	c.events = nil
-	if c.metaEvents != nil {
-		c.metaEvents.Close()
-		c.metaEvents = nil
-	}
-	// Archives close last: the samplers feeding them stopped when the
-	// runtimes and the meta server shut down above, so the final flush
-	// seals every open downsample bucket.
-	for _, a := range c.archives {
-		a.Close()
-	}
-	c.archives = nil
-	if c.metaArchive != nil {
-		c.metaArchive.Close()
-		c.metaArchive = nil
+	for i := len(c.nodes) - 1; i >= 0; i-- {
+		_ = c.nodes[i].Close()
 	}
 }
 
-// MetricsSources enumerates every node's exposition inputs for the
+// MetricsSources gathers every node's exposition inputs for the
 // OpenMetrics endpoint (openmetrics.Render / openmetrics.Handler),
 // metadata server first, then storage nodes in layout order.
-func (c *Cluster) MetricsSources() []openmetrics.Source {
-	var out []openmetrics.Source
-	if c.meta != nil {
-		out = append(out, openmetrics.Source{
-			Node: "meta", Role: "meta",
-			Metrics: c.meta.Metrics(), Telemetry: c.metaTele,
-			SLO: c.metaSLO, Events: c.metaEvents,
-		})
-	}
-	for i, rt := range c.runtimes {
-		src := openmetrics.Source{
-			Node: fmt.Sprintf("data-%d", i), Role: "data",
-			Metrics: rt.Metrics(), Telemetry: rt.Telemetry(),
+func (c *Cluster) MetricsSources() []openmetrics.Source { return c.peers().metricsSources() }
+
+// metricsSources asks every peer for what its exposition renders: its
+// stats, telemetry, alerts, event-ring and tenant-table counts. A peer
+// that cannot be asked for its stats is left out.
+func (ps peers) metricsSources() []openmetrics.Source {
+	out := make([]openmetrics.Source, 0, len(ps))
+	for _, p := range ps {
+		var st pfs.StatsReply
+		if _, err := p.ask(pfs.KindStats, nil, &st); err != nil {
+			continue
 		}
-		if i < len(c.engines) {
-			src.SLO = c.engines[i]
+		src := openmetrics.Source{Node: p.name, Role: p.role, Stats: &st.Stats}
+		var ser pfs.SeriesReply
+		if _, err := p.ask(pfs.KindSeries, nil, &ser); err == nil && ser.TickNano > 0 {
+			src.Series = &ser
 		}
-		if i < len(c.events) {
-			src.Events = c.events[i]
+		var alerts []Alert
+		if _, err := p.ask(pfs.KindAlerts, nil, &alerts); err == nil {
+			src.Alerts = alerts
 		}
-		if i < len(c.tenantTables) {
-			src.Tenants = c.tenantTables[i]
+		var ev pfs.EventReply
+		if _, err := p.ask(pfs.KindEvents, pfs.EventParams{Limit: 1}, &ev); err == nil {
+			src.Events = &ev
+		}
+		var ten pfs.TenantReply
+		if _, err := p.ask(pfs.KindTenants, nil, &ten); err == nil && ten.Usage != nil {
+			src.Tenants = &ten
 		}
 		out = append(out, src)
 	}

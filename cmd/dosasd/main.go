@@ -36,62 +36,22 @@ func main() {
 
 	servers := flag.Int("servers", 4, "number of storage nodes")
 	basePort := flag.Int("base-port", 7700, "metadata server port; storage nodes follow")
-	policyName := flag.String("policy", "dosas", "scheduling policy: dosas, as, or ts")
-	solverName := flag.String("solver", "", "dynamic-mode scheduling algorithm: exhaustive, maxgain (default), all-active, all-normal")
 	dataDir := flag.String("data", "", "durable data directory (empty = in-memory)")
 	fsync := flag.Bool("fsync", false, "fsync stores after every write and truncate (default off: page cache absorbs bursts)")
 	linkRate := flag.Float64("link-rate", 0, "per-node link shaping in bytes/second (0 = unshaped)")
 	pace := flag.Bool("pace", false, "pace kernels at calibrated per-core rates")
 	var common daemonflags.Common
-	common.RegisterBase(flag.CommandLine)
-	common.RegisterTelemetry(flag.CommandLine)
-	common.RegisterObservability(flag.CommandLine)
-	common.RegisterQoS(flag.CommandLine)
+	common.RegisterDaemon(flag.CommandLine)
+	common.RegisterPolicy(flag.CommandLine)
 	flag.Parse()
 
-	weights, err := common.TenantWeights()
+	o, err := common.Options()
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	var policy dosas.Policy
-	switch *policyName {
-	case "dosas":
-		policy = dosas.Dynamic
-	case "as":
-		policy = dosas.AlwaysAccept
-	case "ts":
-		policy = dosas.AlwaysBounce
-	default:
-		log.Fatalf("unknown -policy %q (want dosas, as, or ts)", *policyName)
-	}
-
-	rules, err := common.Rules()
-	if err != nil {
-		log.Fatal(err)
-	}
-	cluster, err := dosas.StartCluster(dosas.Options{
-		DataServers:     *servers,
-		Policy:          policy,
-		Solver:          *solverName,
-		TCP:             true,
-		TCPBasePort:     *basePort,
-		LinkRate:        *linkRate,
-		Pace:            *pace,
-		DataDir:         *dataDir,
-		StoreSync:       *fsync,
-		TelemetryTick:   common.TelemetryTick,
-		SLORules:        rules,
-		EventCapacity:   common.EventCapacity,
-		EventMirror:     os.Stderr,
-		EventDir:        common.EventDir,
-		EventsMaxBytes:  common.EventsMaxBytes,
-		ArchiveDir:      common.ArchiveDir,
-		ArchiveMaxBytes: common.ArchiveMaxBytes,
-		TenantWeights:   weights,
-		QoSSlots:        common.QoSSlots,
-		DisableQoS:      common.NoQoS,
-	})
+	o.DataServers, o.TCP, o.TCPBasePort = *servers, true, *basePort
+	o.LinkRate, o.Pace, o.DataDir, o.StoreSync = *linkRate, *pace, *dataDir, *fsync
+	cluster, err := dosas.StartCluster(o)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,7 +65,7 @@ func main() {
 
 	fmt.Printf("metadata server: %s\n", cluster.MetaAddr())
 	for i, addr := range cluster.DataAddrs() {
-		fmt.Printf("storage node %d:  %s (policy=%s)\n", i, addr, *policyName)
+		fmt.Printf("storage node %d:  %s (policy=%s)\n", i, addr, common.Policy)
 	}
 	fmt.Printf("\nconnect with:\n  dosasctl -meta %s -data %s ls\n",
 		cluster.MetaAddr(), strings.Join(cluster.DataAddrs(), ","))

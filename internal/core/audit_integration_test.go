@@ -32,7 +32,7 @@ func TestRuntimeRecordsAcceptedDecision(t *testing.T) {
 		t.Fatalf("disposition = %d, want done", resp.Disposition)
 	}
 
-	snap := rt.Audit().Snapshot()
+	snap := rt.cfg.Audit.Snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("audit records = %d, want 1", len(snap))
 	}
@@ -96,7 +96,7 @@ func TestRuntimeRecordsBouncedDecision(t *testing.T) {
 	if resp.Disposition != wire.ActiveRejected {
 		t.Fatalf("disposition = %d, want rejected", resp.Disposition)
 	}
-	snap := rt.Audit().Snapshot()
+	snap := rt.cfg.Audit.Snapshot()
 	if len(snap) == 0 {
 		t.Fatal("bounce left no audit record")
 	}
@@ -129,7 +129,7 @@ func TestRuntimeStaticModesRecordNothing(t *testing.T) {
 		if _, err := rt.HandleActive(&wire.ActiveReadReq{RequestID: 1, Handle: 1, Length: 100, Op: "sum8"}); err != nil {
 			t.Fatal(err)
 		}
-		if n := rt.Audit().Len(); n != 0 {
+		if n := rt.cfg.Audit.Len(); n != 0 {
 			t.Errorf("%v: %d audit records, want 0", mode, n)
 		}
 	}

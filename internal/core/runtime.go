@@ -363,26 +363,10 @@ func (rt *Runtime) Close() {
 // Estimator exposes the node's Contention Estimator.
 func (rt *Runtime) Estimator() *Estimator { return rt.est }
 
-// Trace exposes the node's lifecycle-event recorder.
-func (rt *Runtime) Trace() *trace.Recorder { return rt.cfg.Trace }
-
-// Audit exposes the node's decision audit log.
-func (rt *Runtime) Audit() *audit.Log { return rt.cfg.Audit }
-
-// Mode returns the runtime's scheduling mode.
-func (rt *Runtime) Mode() Mode { return rt.cfg.Mode }
-
 // ModeName names the scheduling mode ("dosas", "as", "ts"). The pfs data
 // server discovers it through an anonymous interface assertion, so the
 // name — not the core.Mode type — is what crosses the package boundary.
 func (rt *Runtime) ModeName() string { return rt.cfg.Mode.String() }
-
-// Metrics exposes the runtime's metrics registry (shared with the pfs
-// data server when configured that way).
-func (rt *Runtime) Metrics() *metrics.Registry { return rt.reg }
-
-// Telemetry exposes the node's time-series sampler (nil when disabled).
-func (rt *Runtime) Telemetry() *telemetry.Sampler { return rt.cfg.Telemetry }
 
 // healthWindow is how far back the queue readiness check looks in the
 // sampler history: a saturation spike between two health probes still

@@ -1,30 +1,26 @@
 // Package daemonflags holds the command-line flags every DOSAS daemon
-// shares — the debug endpoint, transport mode, telemetry cadence, and
-// the observability plane (event log and SLO rules) — so the five
-// binaries register identical names with identical semantics instead of
-// five drifting copies.
+// shares — the debug endpoint, telemetry cadence, the observability
+// plane (event log, SLO rules, archive), the QoS gates and the storage
+// nodes' scheduling policy — so the binaries register identical names
+// with identical semantics, and turns them into the dosas.Options a node
+// builder takes.
 package daemonflags
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
 
-	"dosas/internal/eventlog"
+	"dosas"
 	"dosas/internal/openmetrics"
 	"dosas/internal/pprofserve"
-	"dosas/internal/slo"
-	"dosas/internal/telemetry"
-	"dosas/internal/tsdb"
 )
 
 // Common is the shared flag set. Register the groups a daemon needs,
-// call flag.Parse, then use the accessor helpers.
+// call flag.Parse, then take the Options they set.
 type Common struct {
 	// PprofAddr is -pprof-addr: the loopback debug endpoint carrying
 	// net/http/pprof and /metrics. Empty disables it.
@@ -65,6 +61,15 @@ type Common struct {
 	// HedgeAfter is -hedge-after: the client-side hedged-read fallback
 	// trigger on replicated files (0 = hedging disabled).
 	HedgeAfter time.Duration
+	// Policy is -policy: the storage nodes' scheduling behaviour, "dosas"
+	// (dynamic), "as" (always accept) or "ts" (always bounce).
+	Policy string
+	// Solver is -solver: the dynamic-mode scheduling algorithm (empty =
+	// the default, maxgain).
+	Solver string
+	// policyFlags records that RegisterPolicy ran, so Options checks
+	// -policy only on the daemons that take it.
+	policyFlags bool
 }
 
 // RegisterBase installs the flag every binary shares: the debug endpoint.
@@ -73,14 +78,14 @@ func (c *Common) RegisterBase(fs *flag.FlagSet) {
 		"serve net/http/pprof and /metrics on this loopback address (e.g. 127.0.0.1:6060; empty = disabled)")
 }
 
-// RegisterTelemetry installs -telemetry-tick.
-func (c *Common) RegisterTelemetry(fs *flag.FlagSet) {
+// RegisterDaemon installs the flags every server daemon shares: the
+// debug endpoint, -telemetry-tick, the event-log, SLO-rule and archive
+// flags, and the QoS flags (per-tenant weights and the admission-gate
+// knobs).
+func (c *Common) RegisterDaemon(fs *flag.FlagSet) {
+	c.RegisterBase(fs)
 	fs.DurationVar(&c.TelemetryTick, "telemetry-tick", 0,
 		"telemetry sampling interval (0 = 100ms default, negative = disabled)")
-}
-
-// RegisterObservability installs the event-log and SLO flags.
-func (c *Common) RegisterObservability(fs *flag.FlagSet) {
 	fs.StringVar(&c.SLORulesPath, "slo-rules", "",
 		"JSON alert-rule file overriding the built-in SLO rules")
 	fs.IntVar(&c.EventCapacity, "event-capacity", 0,
@@ -93,11 +98,6 @@ func (c *Common) RegisterObservability(fs *flag.FlagSet) {
 		"persist per-node telemetry ticks as a durable archive under this directory (empty = disabled)")
 	fs.Int64Var(&c.ArchiveMaxBytes, "archive-max-bytes", 0,
 		"per-node telemetry archive retention budget (0 = 64MiB default, negative = unbounded)")
-}
-
-// RegisterQoS installs the server-side isolation flags: the per-tenant
-// scheduling weights and the admission-gate knobs.
-func (c *Common) RegisterQoS(fs *flag.FlagSet) {
 	fs.StringVar(&c.TenantWeightsSpec, "tenant-weights", "",
 		`per-tenant weighted-fair scheduling weights, "tenant=weight,tenant=weight" (empty = equal weights)`)
 	fs.IntVar(&c.QoSSlots, "qos-slots", 0,
@@ -106,20 +106,62 @@ func (c *Common) RegisterQoS(fs *flag.FlagSet) {
 		"disable the weighted-fair admission gates (requests run in arrival order)")
 }
 
+// RegisterPolicy installs the storage nodes' scheduling flags, -policy
+// and -solver.
+func (c *Common) RegisterPolicy(fs *flag.FlagSet) {
+	c.policyFlags = true
+	fs.StringVar(&c.Policy, "policy", "dosas", "scheduling policy: dosas, as, or ts")
+	fs.StringVar(&c.Solver, "solver", "",
+		"dynamic-mode scheduling algorithm: exhaustive, maxgain (default), all-active, all-normal")
+}
+
 // RegisterHedge installs the client-side -hedge-after flag.
 func (c *Common) RegisterHedge(fs *flag.FlagSet) {
 	fs.DurationVar(&c.HedgeAfter, "hedge-after", 0,
 		"duplicate a replicated read to the next-best replica after this delay and cancel the loser (0 = disabled)")
 }
 
-// TenantWeights parses -tenant-weights into the weight map consumed by
-// the admission gates. Nil (equal weights) for the empty spec.
-func (c *Common) TenantWeights() (map[string]float64, error) {
-	return ParseTenantWeights(c.TenantWeightsSpec)
+// Options turns the registered flags into the dosas.Options fields they
+// set. Every daemon mirrors its nodes' events to its console (stderr).
+func (c *Common) Options() (dosas.Options, error) {
+	o := dosas.Options{
+		Solver:          c.Solver,
+		TelemetryTick:   c.TelemetryTick,
+		EventCapacity:   c.EventCapacity,
+		EventMirror:     os.Stderr,
+		EventDir:        c.EventDir,
+		EventsMaxBytes:  c.EventsMaxBytes,
+		ArchiveDir:      c.ArchiveDir,
+		ArchiveMaxBytes: c.ArchiveMaxBytes,
+		QoSSlots:        c.QoSSlots,
+		DisableQoS:      c.NoQoS,
+	}
+	if c.policyFlags {
+		switch c.Policy {
+		case "dosas":
+			o.Policy = dosas.Dynamic
+		case "as":
+			o.Policy = dosas.AlwaysAccept
+		case "ts":
+			o.Policy = dosas.AlwaysBounce
+		default:
+			return o, fmt.Errorf("unknown -policy %q (want dosas, as, or ts)", c.Policy)
+		}
+	}
+	var err error
+	if o.TenantWeights, err = parseTenantWeights(c.TenantWeightsSpec); err != nil {
+		return o, err
+	}
+	if c.SLORulesPath != "" {
+		if o.SLORules, err = dosas.LoadSLORules(c.SLORulesPath); err != nil {
+			return o, err
+		}
+	}
+	return o, nil
 }
 
-// ParseTenantWeights parses a "tenant=weight,tenant=weight" spec.
-func ParseTenantWeights(spec string) (map[string]float64, error) {
+// parseTenantWeights parses a "tenant=weight,tenant=weight" spec.
+func parseTenantWeights(spec string) (map[string]float64, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
@@ -144,69 +186,6 @@ func ParseTenantWeights(spec string) (map[string]float64, error) {
 		return nil, nil
 	}
 	return m, nil
-}
-
-// Sampler builds a telemetry sampler per the -telemetry-tick
-// convention: zero means the default interval, negative disables.
-func (c *Common) Sampler() *telemetry.Sampler {
-	if c.TelemetryTick < 0 {
-		return nil
-	}
-	s := telemetry.NewSampler(telemetry.Config{Interval: c.TelemetryTick})
-	// Every daemon's sampler carries the Go runtime health series
-	// (goroutines, heap in use, GC pause p99) alongside its own probes.
-	telemetry.RegisterRuntimeProbes(s)
-	return s
-}
-
-// EventLog builds one node's structured event log per the event flags:
-// ring capacity, optional JSONL sink under -events-dir with the
-// -events-max-bytes rotation budget, and a mirror writer (typically
-// os.Stderr so the daemon console keeps its commentary).
-func (c *Common) EventLog(node string, mirror io.Writer) (*eventlog.Log, error) {
-	cfg := eventlog.Config{Node: node, Capacity: c.EventCapacity, Mirror: mirror, MaxBytes: c.EventsMaxBytes}
-	if c.EventDir != "" {
-		if err := os.MkdirAll(c.EventDir, 0o755); err != nil {
-			return nil, err
-		}
-		cfg.Path = filepath.Join(c.EventDir, node+".events.jsonl")
-	}
-	return eventlog.New(cfg)
-}
-
-// Archive opens node's durable telemetry archive under -archive-dir
-// and hooks its appender to the sampler's tick, so every sample lands
-// on disk as it lands in the ring. Nil (archive disabled) when
-// -archive-dir is unset or telemetry is off. Append failures are
-// reported once to the event log rather than per tick.
-func (c *Common) Archive(node string, tele *telemetry.Sampler, ev *eventlog.Log) (*tsdb.Archive, error) {
-	if c.ArchiveDir == "" || tele == nil {
-		return nil, nil
-	}
-	a, err := tsdb.Open(tsdb.Config{
-		Dir:      filepath.Join(c.ArchiveDir, node),
-		MaxBytes: c.ArchiveMaxBytes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var failed bool
-	tele.OnSamples(func(wallNano, monoNano int64, samples []telemetry.Sample) {
-		if err := a.Append(wallNano, monoNano, samples); err != nil && !failed {
-			failed = true
-			ev.Warn("tsdb", "archive append failed", "err", err.Error())
-		}
-	})
-	return a, nil
-}
-
-// Rules resolves -slo-rules: the file's validated rules when given, the
-// built-in defaults otherwise.
-func (c *Common) Rules() ([]slo.Rule, error) {
-	if c.SLORulesPath == "" {
-		return slo.DefaultRules(), nil
-	}
-	return slo.LoadRules(c.SLORulesPath)
 }
 
 // ServeDebug starts the -pprof-addr endpoint with /metrics rendering

@@ -6,10 +6,7 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,26 +359,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Dump renders all metrics as "name value" lines in sorted order.
-func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var lines []string
-	for n, c := range r.counts {
-		lines = append(lines, fmt.Sprintf("counter %s %d", n, c.Value()))
-	}
-	for n, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge %s %d", n, g.Value()))
-	}
-	for n, m := range r.meters {
-		lines = append(lines, fmt.Sprintf("meter %s %.3f/s", n, m.Rate()))
-	}
-	for n, h := range r.hists {
-		s := h.Snapshot()
-		lines = append(lines, fmt.Sprintf("hist %s count=%d mean=%.3f p99=%.3f", n, s.Count, s.Mean(), s.Quantile(0.99)))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,11 +140,10 @@ func TestRegistry(t *testing.T) {
 	r.Gauge("depth").Set(2)
 	r.Meter("bytes").Mark(10)
 	r.Histogram("lat").Observe(5)
-	dump := r.Dump()
-	for _, want := range []string{"counter ops 3", "gauge depth 2", "meter bytes", "hist lat"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("dump missing %q:\n%s", want, dump)
-		}
+	snap := r.Snapshot()
+	_, metered := snap.Meters["bytes"]
+	if snap.Counter("ops") != 3 || snap.Gauges["depth"] != 2 || !metered || snap.Histograms["lat"].Count != 1 {
+		t.Errorf("snapshot = %+v", snap)
 	}
 }
 

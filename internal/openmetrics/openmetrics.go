@@ -1,7 +1,7 @@
-// Package openmetrics renders the repo's internal metrics registries,
-// telemetry rings, and SLO alert states as the OpenMetrics/Prometheus
-// text exposition format, served on /metrics from every daemon's
-// pprofserve mux. Rendering is byte-deterministic for a given input —
+// Package openmetrics renders what a node's introspection kinds answer —
+// its metric snapshot, telemetry rings, SLO alert states, event-ring and
+// tenant-table counts — as the OpenMetrics/Prometheus text exposition
+// format, served on /metrics from every daemon's pprofserve mux. Rendering is byte-deterministic for a given input —
 // families and samples are emitted in sorted order — so the format is
 // golden-tested and scrape diffs are meaningful.
 //
@@ -22,36 +22,36 @@ import (
 	"strconv"
 	"strings"
 
-	"dosas/internal/eventlog"
 	"dosas/internal/metrics"
+	"dosas/internal/pfs"
 	"dosas/internal/slo"
-	"dosas/internal/telemetry"
-	"dosas/internal/tenant"
 )
 
 // ContentType is the OpenMetrics media type served on /metrics.
 const ContentType = "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
-// Source is one node's exposable state. Nil fields are skipped, so a
-// daemon exposes whatever subset it has.
+// Source is one node's exposable state, as its introspection kinds
+// answer it (pfs.IntrospectLocal or pfs.Introspect). Nil fields are
+// skipped, so a node exposes whatever subset it has.
 type Source struct {
 	// Node and Role label every sample ("data-0"/"data", "meta"/"meta",
 	// "client"/"client").
 	Node string
 	Role string
-	// Metrics is the node's counter/gauge/meter/histogram registry.
-	Metrics *metrics.Registry
-	// Telemetry contributes each ring's latest sample and the rings'
-	// cumulative overwrite count.
-	Telemetry *telemetry.Sampler
-	// SLO contributes per-rule alert-state gauges.
-	SLO *slo.Engine
+	// Stats is the node's counter/gauge/meter/histogram snapshot.
+	Stats *metrics.Snapshot
+	// Series contributes each telemetry ring's latest sample and the
+	// rings' cumulative overwrite count.
+	Series *pfs.SeriesReply
+	// Alerts contributes per-rule alert-state gauges and the firing
+	// count; nil means the node runs no alert engine.
+	Alerts []slo.Alert
 	// Events contributes the event ring's overwrite count.
-	Events *eventlog.Log
+	Events *pfs.EventReply
 	// Tenants contributes the dosas_tenant{tenant,resource} usage family
 	// and the tenant-table eviction count. Label cardinality is bounded
 	// by the table itself (LRU-evicted past its limit).
-	Tenants *tenant.Table
+	Tenants *pfs.TenantReply
 }
 
 // family is one metric family: a TYPE declaration plus sorted samples.
@@ -116,8 +116,7 @@ func Render(w io.Writer, sources []Source) error {
 
 func collect(src Source, add func(name, typ, help string, s sample)) {
 	base := labels{{"node", src.Node}, {"role", src.Role}}
-	if src.Metrics != nil {
-		snap := src.Metrics.Snapshot()
+	if snap := src.Stats; snap != nil {
 		for name, v := range snap.Counters {
 			add(metricName(name), "counter", "", sample{
 				suffix: "_total", labels: base.render(), value: strconv.FormatInt(v, 10)})
@@ -145,8 +144,8 @@ func collect(src Source, add func(name, typ, help string, s sample)) {
 				labels: base.render(), value: formatFloat(h.Mean * float64(h.Count))})
 		}
 	}
-	if src.Telemetry != nil {
-		for _, ser := range src.Telemetry.Snapshot(0) {
+	if src.Series != nil {
+		for _, ser := range src.Series.Series {
 			if len(ser.Points) == 0 {
 				continue
 			}
@@ -158,26 +157,30 @@ func collect(src Source, add func(name, typ, help string, s sample)) {
 		add("dosas_telemetry_dropped", "counter",
 			"Telemetry ring samples overwritten before being fetched.", sample{
 				suffix: "_total", labels: base.render(),
-				value: strconv.FormatUint(src.Telemetry.Dropped(), 10)})
+				value: strconv.FormatUint(src.Series.Dropped, 10)})
 	}
-	if src.SLO != nil {
-		for _, a := range src.SLO.Alerts() {
+	if src.Alerts != nil {
+		firing := 0
+		for _, a := range src.Alerts {
+			if a.State == slo.StateFiring {
+				firing++
+			}
 			add("dosas_slo_alert", "gauge",
 				"Alert rule state: 0 inactive, 1 pending, 2 firing, 3 resolved.", sample{
 					labels: base.with("rule", a.Rule).with("severity", a.Severity).render(),
 					value:  strconv.Itoa(stateCode(a.State))})
 		}
 		add("dosas_slo_firing", "gauge", "Number of alert rules currently firing.", sample{
-			labels: base.render(), value: strconv.Itoa(src.SLO.Firing())})
+			labels: base.render(), value: strconv.Itoa(firing)})
 	}
 	if src.Events != nil {
 		add("dosas_events_dropped", "counter",
 			"Event-ring entries overwritten before being fetched.", sample{
 				suffix: "_total", labels: base.render(),
-				value: strconv.FormatUint(src.Events.Dropped(), 10)})
+				value: strconv.FormatUint(src.Events.Dropped, 10)})
 	}
 	if src.Tenants != nil {
-		for _, u := range src.Tenants.Snapshot() {
+		for _, u := range src.Tenants.Usage {
 			tl := base.with("tenant", u.Tenant)
 			for _, r := range []struct {
 				resource string
@@ -219,7 +222,7 @@ func collect(src Source, add func(name, typ, help string, s sample)) {
 		add("dosas_tenant_evicted", "counter",
 			"Tenants folded into the (evicted) aggregate when the table overflowed.", sample{
 				suffix: "_total", labels: base.render(),
-				value: strconv.FormatUint(src.Tenants.Evictions(), 10)})
+				value: strconv.FormatUint(src.Tenants.Evicted, 10)})
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"dosas/internal/eventlog"
 	"dosas/internal/metrics"
+	"dosas/internal/pfs"
 	"dosas/internal/slo"
 	"dosas/internal/telemetry"
 	"dosas/internal/tenant"
@@ -90,9 +91,16 @@ func buildSources(t *testing.T) []Source {
 	tab.Account("app-b", func(st *tenant.Stats) { st.WriteOps = 3; st.BytesWritten = 9000; st.Bounces = 1 })
 	tab.Account("we\"ird\\te\nnant", func(st *tenant.Stats) { st.TruncOps = 2 })
 
+	snap, metaSnap := reg.Snapshot(), metaReg.Snapshot()
 	return []Source{
-		{Node: "data-0", Role: "data", Metrics: reg, Telemetry: s, SLO: engine, Events: ev, Tenants: tab},
-		{Node: "meta", Role: "meta", Metrics: metaReg},
+		{
+			Node: "data-0", Role: "data", Stats: &snap,
+			Series:  &pfs.SeriesReply{Series: s.Snapshot(0), Dropped: s.Dropped()},
+			Alerts:  engine.Alerts(),
+			Events:  &pfs.EventReply{Dropped: ev.Dropped()},
+			Tenants: &pfs.TenantReply{Usage: tab.Snapshot(), Evicted: tab.Evictions()},
+		},
+		{Node: "meta", Role: "meta", Stats: &metaSnap},
 	}
 }
 

@@ -68,8 +68,9 @@ type DataConfig struct {
 	// with the attached active runtime. Optional: nil disables attribution.
 	Tenants *tenant.Table
 	// Archive is the node's durable telemetry archive, served as the
-	// query introspection. Owned by the daemon wiring (it hooks the
-	// sampler and closes it); nil when the node runs without -archive-dir.
+	// query introspection. Owned by the node builder (dosas.Node: it hooks
+	// the sampler and closes it); nil when the node runs without
+	// -archive-dir.
 	Archive *tsdb.Archive
 	// QoS, when non-nil, gates every read and write through a
 	// weighted-fair admission queue (see QoSGate). Nil disables
@@ -85,7 +86,7 @@ type DataServer struct {
 	planes
 	// active is the attached runtime (an ActiveHandler), behind an
 	// atomic: the telemetry sampler's qos.* probes read it from their
-	// own goroutine, and cluster wiring attaches the runtime after the
+	// own goroutine, and the node builder attaches the runtime after the
 	// sampler has already started ticking.
 	active atomic.Value
 
@@ -313,7 +314,7 @@ func (ds *DataServer) statsMode() string {
 // cache's and the gate queue's own locks; mirroring happens only when a
 // snapshot is taken, keeping the hot path free of registry lookups. The
 // stats introspection calls it automatically; in-process snapshot
-// consumers (Cluster.Stats) call it directly.
+// readers that bypass introspection call it directly.
 func (ds *DataServer) SyncWireStats() {
 	mirrorCounter(ds.reg, "wire.sendfile_bytes", ds.wireStats.SendfileBytes.Load())
 	mirrorCounter(ds.reg, "wire.writev_calls", ds.wireStats.WritevCalls.Load())

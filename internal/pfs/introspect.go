@@ -98,7 +98,9 @@ type EventReply struct {
 }
 
 // TenantReply is a storage node's tenant table. Evicted counts tenants
-// folded into the tenant.Evicted row since the node started.
+// folded into the tenant.Evicted row since the node started. Usage is nil
+// (null on the wire) on a node without a tenant table, and empty on one
+// whose table has no rows yet.
 type TenantReply struct {
 	Usage   []tenant.Usage `json:"usage"`
 	Evicted uint64         `json:"evicted,omitempty"`
@@ -224,11 +226,7 @@ var introspectKinds = map[string]introspectKind{
 		return p.slo.Alerts(), nil
 	}),
 	KindTenants: kind(true, func(p *planes, _ introspectHook, _ none) (any, error) {
-		usage := p.tenants.Snapshot()
-		if usage == nil {
-			usage = []tenant.Usage{} // a report of no tenants, as an attached empty table gives
-		}
-		return TenantReply{Usage: usage, Evicted: p.tenants.Evictions()}, nil
+		return TenantReply{Usage: p.tenants.Snapshot(), Evicted: p.tenants.Evictions()}, nil
 	}),
 	KindQuery: kind(false, func(p *planes, _ introspectHook, q QueryParams) (any, error) {
 		points, err := p.archive.Query(q.Name, q.FromNano, q.ToNano)

@@ -53,8 +53,8 @@ type MetaConfig struct {
 	// and contributing readiness checks to health. Optional.
 	SLO *slo.Engine
 	// Archive is the node's durable telemetry archive, served as the
-	// query introspection. Owned by the daemon wiring; nil when the node
-	// runs without -archive-dir.
+	// query introspection. Owned by the node builder (dosas.Node); nil
+	// when the node runs without -archive-dir.
 	Archive *tsdb.Archive
 	// QoS, when non-nil, admits namespace lookups (open/stat/list)
 	// through a weighted-fair gate on the metadata class, so one

@@ -259,16 +259,22 @@ func (r *Recorder) Len() int {
 // WriteTo dumps the retained events as one line each, with a trailer
 // noting any events the ring evicted (an incomplete timeline).
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
+	return WriteEvents(w, r.Snapshot(), r.Dropped())
+}
+
+// WriteEvents dumps events as one line each, as Recorder.WriteTo does,
+// with a trailer when dropped says the ring evicted older ones.
+func WriteEvents(w io.Writer, evs []Event, dropped uint64) (int64, error) {
 	var total int64
-	for _, e := range r.Snapshot() {
+	for _, e := range evs {
 		n, err := fmt.Fprintf(w, "%s%s\n", e.Time.Format("15:04:05.000"), FormatEvent(e))
 		total += int64(n)
 		if err != nil {
 			return total, err
 		}
 	}
-	if d := r.Dropped(); d > 0 {
-		n, err := fmt.Fprintf(w, "... %d older events dropped (ring wrapped)\n", d)
+	if dropped > 0 {
+		n, err := fmt.Fprintf(w, "... %d older events dropped (ring wrapped)\n", dropped)
 		total += int64(n)
 		if err != nil {
 			return total, err

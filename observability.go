@@ -29,26 +29,21 @@ type StatsSnapshot = metrics.Snapshot
 // TraceEvents returns storage node i's retained lifecycle events in
 // chronological order.
 func (c *Cluster) TraceEvents(node int) ([]TraceEvent, error) {
-	if node < 0 || node >= len(c.runtimes) {
-		return nil, fmt.Errorf("dosas: no storage node %d", node)
+	n, err := c.storageNode(node)
+	if err != nil {
+		return nil, err
 	}
-	return c.runtimes[node].Trace().Snapshot(), nil
+	var r pfs.TraceReply
+	_, err = n.ask(pfs.KindTrace, nil, &r)
+	return r.Events, err
 }
 
 // Stats returns every node's metric snapshot, keyed by node name
 // ("meta", "data-0", …) — the cluster-wide aggregate view of what each
 // server has counted.
 func (c *Cluster) Stats() map[string]StatsSnapshot {
-	out := make(map[string]StatsSnapshot, len(c.runtimes)+1)
-	if c.meta != nil {
-		out["meta"] = c.meta.Metrics().Snapshot()
-	}
-	for i, rt := range c.runtimes {
-		if i < len(c.dataServers) {
-			c.dataServers[i].SyncWireStats()
-		}
-		out[fmt.Sprintf("data-%d", i)] = rt.Metrics().Snapshot()
-	}
+	out := make(map[string]StatsSnapshot, len(c.nodes))
+	_ = sweep(c.peers(), pfs.KindStats, false, nil, func(name, _ string, r pfs.StatsReply) { out[name] = r.Stats })
 	return out
 }
 
@@ -57,10 +52,9 @@ func (c *Cluster) Stats() map[string]StatsSnapshot {
 // recorders are not visible to the cluster; merge FS.TraceEvents output
 // with StitchTimeline for the complete picture.
 func (c *Cluster) TraceTimeline(traceID uint64) []TraceEvent {
-	sets := make([][]TraceEvent, 0, len(c.runtimes))
-	for _, rt := range c.runtimes {
-		sets = append(sets, rt.Trace().HistoryTrace(traceID))
-	}
+	var sets [][]TraceEvent
+	_ = sweep(c.peers(), pfs.KindTrace, false, func(string) any { return pfs.TraceParams{TraceID: traceID} },
+		func(_, _ string, r pfs.TraceReply) { sets = append(sets, r.Events) })
 	return StitchTimeline(sets...)
 }
 
@@ -155,10 +149,8 @@ type DecisionMetrics struct {
 // DecisionMetrics aggregates scheduling-decision counters across all
 // storage nodes.
 func (c *Cluster) DecisionMetrics() DecisionMetrics {
-	snaps := make([]StatsSnapshot, 0, len(c.runtimes))
-	for _, rt := range c.runtimes {
-		snaps = append(snaps, rt.Metrics().Snapshot())
-	}
+	var snaps []StatsSnapshot
+	_ = sweep(c.peers(), pfs.KindStats, true, nil, func(_, _ string, r pfs.StatsReply) { snaps = append(snaps, r.Stats) })
 	return AggregateDecisions(snaps)
 }
 
@@ -192,99 +184,79 @@ func FormatSlowBundle(b SlowBundle) string { return telemetry.FormatBundle(b) }
 // another process's flight journal.
 func ReadSlowBundles(dir string) ([]SlowBundle, error) { return telemetry.ReadBundles(dir) }
 
-// unreachableReport is the synthetic not-ready report a health sweep
-// records for a node that could not be asked.
-func unreachableReport(node, role string, err error) HealthReport {
-	return HealthReport{
-		Node: node, Role: role, Ready: false,
-		Checks: []HealthCheck{{Name: "reachable", OK: false, Detail: err.Error()}},
-	}
-}
-
 // Health reports every node's liveness and per-resource readiness —
-// metadata server first, then storage nodes in layout order. It runs
-// in-process through the same handlers that serve the health
-// introspection on the wire, so the answer matches what dosasctl health
-// sees.
-func (c *Cluster) Health() []HealthReport {
-	reports := make([]HealthReport, 0, len(c.dataServers)+1)
-	if c.meta != nil {
-		reports = append(reports, handlerHealth(c.meta, "meta", "meta"))
-	}
-	for i, ds := range c.dataServers {
-		reports = append(reports, handlerHealth(ds, fmt.Sprintf("data-%d", i), "data"))
-	}
-	return reports
-}
-
-// handlerHealth asks one in-process server for its health report.
-func handlerHealth(h pfs.Handler, node, role string) HealthReport {
-	var rep HealthReport
-	if _, err := pfs.IntrospectLocal(h, pfs.KindHealth, nil, &rep); err != nil {
-		return unreachableReport(node, role, err)
-	}
-	return rep
-}
+// metadata server first, then storage nodes in layout order — answered
+// in process by the handlers that serve the health introspection on the
+// wire, so it matches what dosasctl health sees.
+func (c *Cluster) Health() []HealthReport { return c.peers().health() }
 
 // Series returns the trailing window of every node's telemetry history,
 // keyed by node name ("meta", "data-0", …). Nodes without a sampler
 // (Options.TelemetryTick < 0) are omitted. window ≤ 0 means the full
 // retained history.
 func (c *Cluster) Series(window time.Duration) map[string][]Series {
-	out := make(map[string][]Series, len(c.runtimes)+1)
-	if c.metaTele != nil {
-		out["meta"] = c.metaTele.Snapshot(window)
-	}
-	for i, rt := range c.runtimes {
-		if s := rt.Telemetry(); s != nil {
-			out[fmt.Sprintf("data-%d", i)] = s.Snapshot(window)
-		}
-	}
+	out, _ := c.peers().series(window, nil)
 	return out
 }
 
-// nodeAddrs enumerates the cluster's nodes as (name, address) pairs in
-// sweep order: metadata server first, then storage nodes.
-func (fs *FS) nodeAddrs() []struct{ name, role, addr string } {
-	out := []struct{ name, role, addr string }{{"meta", "meta", fs.pc.MetaAddr()}}
+// peer is one node a sweep asks: its layout name ("meta", "data-0", …),
+// its role, and how to ask it one introspection kind — over the wire for
+// an FS, in process for a Cluster.
+type peer struct {
+	name, role string
+	ask        func(kind string, params, reply any) (node string, err error)
+}
+
+// peers are a cluster's nodes in sweep order: metadata server first, then
+// storage nodes in layout order. Every cluster-wide read, FS and Cluster
+// alike, is one of their methods.
+type peers []peer
+
+// peers asks the connected cluster's nodes over the pool.
+func (fs *FS) peers() peers {
+	pool := fs.pc.Pool()
+	at := func(name, role, addr string) peer {
+		return peer{name, role, func(kind string, params, reply any) (string, error) {
+			return pfs.Introspect(pool, addr, kind, params, reply)
+		}}
+	}
+	out := peers{at("meta", "meta", fs.pc.MetaAddr())}
 	for i := 0; i < fs.pc.NumDataServers(); i++ {
-		addr, err := fs.pc.DataAddr(uint32(i))
-		if err != nil {
-			continue
+		if addr, err := fs.pc.DataAddr(uint32(i)); err == nil {
+			out = append(out, at(fmt.Sprintf("data-%d", i), "data", addr))
 		}
-		out = append(out, struct{ name, role, addr string }{fmt.Sprintf("data-%d", i), "data", addr})
 	}
 	return out
 }
 
-// sweep asks every node of the connected cluster — only the storage
-// nodes when dataOnly — for one introspection kind, in sweep order, and
-// hands keep each reply with the node's layout name and the name it
-// answered with (the layout name when it gave none). params gives a
-// node's params by layout name; nil asks with none. A node that cannot
-// be asked, or does not serve the kind, is skipped (it surfaces in
-// Health); a reply that does not decode ends the sweep with its error.
-func sweep[R any](fs *FS, kind string, dataOnly bool, params func(name string) any, keep func(name, node string, reply R)) error {
-	for _, n := range fs.nodeAddrs() {
-		if dataOnly && n.role != "data" {
+// sweep asks every peer — only the storage nodes when dataOnly — for one
+// introspection kind, in sweep order, and hands keep each reply with the
+// peer's layout name and the name it answered with (the layout name when
+// it gave none). params gives a peer's params by layout name; nil asks
+// with none. A peer that cannot be asked, or does not serve the kind, is
+// skipped (it surfaces in Health); a reply that does not decode ends the
+// sweep with its error.
+func sweep[R any](ps peers, kind string, dataOnly bool, params func(name string) any, keep func(name, node string, reply R)) error {
+	for _, p := range ps {
+		if dataOnly && p.role != "data" {
 			continue
 		}
-		var p any
+		var q any
 		if params != nil {
-			p = params(n.name)
+			q = params(p.name)
 		}
 		var reply R
-		node, err := pfs.Introspect(fs.pc.Pool(), n.addr, kind, p, &reply)
+		node, err := p.ask(kind, q, &reply)
 		if errors.Is(err, pfs.ErrInvalid) {
-			return fmt.Errorf("dosas: %s: %w", n.name, err)
+			return fmt.Errorf("dosas: %s: %w", p.name, err)
 		}
 		if err != nil {
 			continue
 		}
 		if node == "" {
-			node = n.name
+			node = p.name
 		}
-		keep(n.name, node, reply)
+		keep(p.name, node, reply)
 	}
 	return nil
 }
@@ -294,12 +266,14 @@ func sweep[R any](fs *FS, kind string, dataOnly bool, params func(name string) a
 // back as not-ready reports with a failing "reachable" check rather
 // than an error — a health sweep of a degraded cluster must not itself
 // fail.
-func (fs *FS) Health() []HealthReport {
-	var out []HealthReport
-	for _, n := range fs.nodeAddrs() {
+func (fs *FS) Health() []HealthReport { return fs.peers().health() }
+
+func (ps peers) health() []HealthReport {
+	out := make([]HealthReport, 0, len(ps))
+	for _, p := range ps {
 		var rep HealthReport
-		if _, err := pfs.Introspect(fs.pc.Pool(), n.addr, pfs.KindHealth, nil, &rep); err != nil {
-			rep = unreachableReport(n.name, n.role, err)
+		if _, err := p.ask(pfs.KindHealth, nil, &rep); err != nil {
+			rep = HealthReport{Node: p.name, Role: p.role, Checks: []HealthCheck{{Name: "reachable", Detail: err.Error()}}}
 		}
 		out = append(out, rep)
 	}
@@ -308,13 +282,22 @@ func (fs *FS) Health() []HealthReport {
 
 // Series fetches the trailing window of every node's telemetry history
 // over the wire, keyed by node name. names, when given, restrict the
-// fetch to those series. Unreachable nodes are skipped (they surface in
-// Health); decode failures are reported.
+// fetch to those series. Nodes without a sampler are omitted;
+// unreachable nodes are skipped (they surface in Health); decode
+// failures are reported.
 func (fs *FS) Series(window time.Duration, names ...string) (map[string][]Series, error) {
+	return fs.peers().series(window, names)
+}
+
+func (ps peers) series(window time.Duration, names []string) (map[string][]Series, error) {
 	out := make(map[string][]Series)
 	params := pfs.SeriesParams{WindowNano: int64(window), Names: names}
-	err := sweep(fs, pfs.KindSeries, false, func(string) any { return params },
-		func(_, node string, r pfs.SeriesReply) { out[node] = r.Series })
+	err := sweep(ps, pfs.KindSeries, false, func(string) any { return params },
+		func(_, node string, r pfs.SeriesReply) {
+			if r.TickNano > 0 { // a node without a sampler reports no tick
+				out[node] = r.Series
+			}
+		})
 	return out, err
 }
 
@@ -403,31 +386,15 @@ func FormatAlerts(alerts []Alert) string { return slo.FormatAlerts(alerts) }
 // retained events at or above min, interleaved by time. limit > 0 keeps
 // only the newest limit events per node before merging.
 func (c *Cluster) Events(min EventLevel, limit int) []Event {
-	sets := make([][]Event, 0, len(c.events)+1)
-	if c.metaEvents != nil {
-		sets = append(sets, c.metaEvents.Snapshot(0, min, limit))
-	}
-	for _, ev := range c.events {
-		if ev != nil {
-			sets = append(sets, ev.Snapshot(0, min, limit))
-		}
-	}
-	return MergeEvents(sets...)
+	pages, _ := c.peers().events(nil, min, limit)
+	return mergePages(pages)
 }
 
 // Alerts returns every node's current alert table, metadata server
 // first, then storage nodes in layout order. Nodes without an engine
 // (telemetry disabled) contribute nothing.
 func (c *Cluster) Alerts() []Alert {
-	var out []Alert
-	if c.metaSLO != nil {
-		out = append(out, c.metaSLO.Alerts()...)
-	}
-	for _, eng := range c.engines {
-		if eng != nil {
-			out = append(out, eng.Alerts()...)
-		}
-	}
+	out, _ := c.peers().alerts()
 	return out
 }
 
@@ -450,8 +417,12 @@ type EventsPage struct {
 // Unreachable nodes and nodes predating the event plane are skipped
 // (they surface in Health); decode failures are reported.
 func (fs *FS) Events(since map[string]uint64, min EventLevel, limit int) ([]EventsPage, error) {
+	return fs.peers().events(since, min, limit)
+}
+
+func (ps peers) events(since map[string]uint64, min EventLevel, limit int) ([]EventsPage, error) {
 	var out []EventsPage
-	err := sweep(fs, pfs.KindEvents, false, func(name string) any {
+	err := sweep(ps, pfs.KindEvents, false, func(name string) any {
 		return pfs.EventParams{SinceSeq: since[name], MinLevel: min, Limit: uint64(limit)}
 	}, func(name, _ string, r pfs.EventReply) {
 		// Key the page by the client layout name — the same key a
@@ -463,12 +434,23 @@ func (fs *FS) Events(since map[string]uint64, min EventLevel, limit int) ([]Even
 	return out, err
 }
 
+// mergePages interleaves the pages' events into one timeline.
+func mergePages(pages []EventsPage) []Event {
+	sets := make([][]Event, 0, len(pages))
+	for _, p := range pages {
+		sets = append(sets, p.Events)
+	}
+	return MergeEvents(sets...)
+}
+
 // Alerts fetches every node's current alert table over the wire, in
 // sweep order. Unreachable nodes and nodes predating the alert plane
 // are skipped (they surface in Health); decode failures are reported.
-func (fs *FS) Alerts() ([]Alert, error) {
+func (fs *FS) Alerts() ([]Alert, error) { return fs.peers().alerts() }
+
+func (ps peers) alerts() ([]Alert, error) {
 	var out []Alert
-	err := sweep(fs, pfs.KindAlerts, false, nil, func(name, _ string, alerts []Alert) {
+	err := sweep(ps, pfs.KindAlerts, false, nil, func(name, _ string, alerts []Alert) {
 		for i := range alerts {
 			if alerts[i].Node == "" {
 				alerts[i].Node = name

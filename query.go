@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"dosas/internal/pfs"
-	"dosas/internal/telemetry"
-	"dosas/internal/tsdb"
 )
 
 // RangeQuery parameterises a durable telemetry range query against the
@@ -36,30 +34,6 @@ type RangeQuery struct {
 	// the name the daemon reports ("data@host:port", as query output
 	// shows).
 	Node string
-}
-
-// stepNano resolves the effective bucket width: an explicit Step wins;
-// aggregation without one gets a one-second default; otherwise raw.
-func (q RangeQuery) stepNano() int64 {
-	if q.Step > 0 {
-		return int64(q.Step)
-	}
-	if q.Agg != "" {
-		return int64(time.Second)
-	}
-	return 0
-}
-
-// window resolves the query bounds against the current time.
-func (q RangeQuery) window(now time.Time) (fromNano, untilNano int64) {
-	if !q.From.IsZero() {
-		fromNano = q.From.UnixNano()
-	}
-	untilNano = now.UnixNano()
-	if !q.Until.IsZero() {
-		untilNano = q.Until.UnixNano()
-	}
-	return fromNano, untilNano
 }
 
 // validAggs names the cross-node aggregation functions Query accepts.
@@ -150,50 +124,33 @@ func aggregateNodes(nodes []NodeSeries, agg string) []SeriesPoint {
 }
 
 // Query answers a range query from the cluster's node archives
-// in-process — the durable counterpart of Series. It runs through the
-// same reduction the wire path uses, so the answer matches what
-// dosasctl query sees.
-func (c *Cluster) Query(q RangeQuery) (QueryResult, error) {
-	if !validAggs[q.Agg] {
-		return QueryResult{}, fmt.Errorf("dosas: unknown aggregation %q (want avg, min, max, sum or last)", q.Agg)
-	}
-	fromNano, untilNano := q.window(time.Now())
-	res := QueryResult{Name: q.Name, Agg: q.Agg}
-	type src struct {
-		node string
-		a    *tsdb.Archive
-	}
-	srcs := []src{{"meta", c.metaArchive}}
-	for i, a := range c.archives {
-		srcs = append(srcs, src{fmt.Sprintf("data-%d", i), a})
-	}
-	for _, s := range srcs {
-		if q.Node != "" && q.Node != s.node {
-			continue
-		}
-		points, err := s.a.Query(q.Name, fromNano, untilNano)
-		if err != nil {
-			return res, fmt.Errorf("dosas: %s: %w", s.node, err)
-		}
-		points = telemetry.Downsample(points, q.stepNano())
-		res.Nodes = append(res.Nodes, NodeSeries{Node: s.node, Points: points, EarliestNano: s.a.Earliest()})
-	}
-	res.Aggregated = aggregateNodes(res.Nodes, q.Agg)
-	return res, nil
-}
+// in-process — the durable counterpart of Series — through the handlers
+// that serve the query introspection on the wire, so the answer matches
+// what dosasctl query sees.
+func (c *Cluster) Query(q RangeQuery) (QueryResult, error) { return c.peers().query(q) }
 
 // Query sweeps every node's durable telemetry archive over the wire and
 // assembles the range-query answer. Unreachable nodes and nodes
 // predating the archive plane are skipped for a deterministic partial
 // result (they surface in Health); decode failures are reported.
-func (fs *FS) Query(q RangeQuery) (QueryResult, error) {
+func (fs *FS) Query(q RangeQuery) (QueryResult, error) { return fs.peers().query(q) }
+
+func (ps peers) query(q RangeQuery) (QueryResult, error) {
 	if !validAggs[q.Agg] {
 		return QueryResult{}, fmt.Errorf("dosas: unknown aggregation %q (want avg, min, max, sum or last)", q.Agg)
 	}
-	fromNano, untilNano := q.window(time.Now())
+	params := pfs.QueryParams{Name: q.Name, ToNano: time.Now().UnixNano(), StepNano: int64(q.Step)}
+	if !q.From.IsZero() {
+		params.FromNano = q.From.UnixNano()
+	}
+	if !q.Until.IsZero() {
+		params.ToNano = q.Until.UnixNano()
+	}
+	if params.StepNano <= 0 && q.Agg != "" {
+		params.StepNano = int64(time.Second) // aggregation needs a shared time base
+	}
 	res := QueryResult{Name: q.Name, Agg: q.Agg}
-	params := pfs.QueryParams{Name: q.Name, FromNano: fromNano, ToNano: untilNano, StepNano: q.stepNano()}
-	err := sweep(fs, pfs.KindQuery, false, func(string) any { return params },
+	err := sweep(ps, pfs.KindQuery, false, func(string) any { return params },
 		func(name, node string, r pfs.QueryReply) {
 			// The filter accepts either the client-side layout name or the
 			// name the node answered with — daemons report their configured

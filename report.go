@@ -186,28 +186,24 @@ func BuildIncidentReport(o ReportOptions, alerts []Alert, events []Event, query 
 
 // Report builds an incident report from this cluster's alert tables,
 // event rings, and node archives, in-process.
-func (c *Cluster) Report(o ReportOptions) (IncidentReport, error) {
-	return BuildIncidentReport(o, c.Alerts(), c.Events(EventDebug, 0), c.Query)
-}
+func (c *Cluster) Report(o ReportOptions) (IncidentReport, error) { return c.peers().report(o) }
 
 // Report builds an incident report by sweeping the connected cluster
 // over the wire: alert tables, event tails, and archived telemetry.
 // Unreachable nodes are skipped, so a report of a degraded cluster
 // still assembles from the nodes that answer.
-func (fs *FS) Report(o ReportOptions) (IncidentReport, error) {
-	alerts, err := fs.Alerts()
+func (fs *FS) Report(o ReportOptions) (IncidentReport, error) { return fs.peers().report(o) }
+
+func (ps peers) report(o ReportOptions) (IncidentReport, error) {
+	alerts, err := ps.alerts()
 	if err != nil {
 		return IncidentReport{}, err
 	}
-	pages, err := fs.Events(nil, EventDebug, 0)
+	pages, err := ps.events(nil, EventDebug, 0)
 	if err != nil {
 		return IncidentReport{}, err
 	}
-	sets := make([][]Event, 0, len(pages))
-	for _, p := range pages {
-		sets = append(sets, p.Events)
-	}
-	return BuildIncidentReport(o, alerts, MergeEvents(sets...), fs.Query)
+	return BuildIncidentReport(o, alerts, mergePages(pages), ps.query)
 }
 
 // reportTime renders a report timestamp; UTC so reports are identical

@@ -32,28 +32,22 @@ type TenantReport struct {
 // in layout order. Empty when the cluster was started with
 // Options.DisableTenants.
 func (c *Cluster) Tenants() []TenantReport {
-	var out []TenantReport
-	for i, tab := range c.tenantTables {
-		if tab == nil {
-			continue
-		}
-		out = append(out, TenantReport{
-			Node:    fmt.Sprintf("data-%d", i),
-			Evicted: tab.Evictions(),
-			Usage:   tab.Snapshot(),
-		})
-	}
+	out, _ := c.peers().tenants()
 	return out
 }
 
 // Tenants fetches every storage node's tenant attribution snapshot over
-// the wire, in sweep order. Unreachable nodes and nodes predating the
-// tenant plane are skipped (they surface in Health); decode failures
-// are reported.
-func (fs *FS) Tenants() ([]TenantReport, error) {
+// the wire, in sweep order. Nodes running without a tenant table are
+// left out; unreachable nodes and nodes predating the tenant plane are
+// skipped (they surface in Health); decode failures are reported.
+func (fs *FS) Tenants() ([]TenantReport, error) { return fs.peers().tenants() }
+
+func (ps peers) tenants() ([]TenantReport, error) {
 	var out []TenantReport
-	err := sweep(fs, pfs.KindTenants, true, nil, func(_, node string, r pfs.TenantReply) {
-		out = append(out, TenantReport{Node: node, Evicted: r.Evicted, Usage: r.Usage})
+	err := sweep(ps, pfs.KindTenants, true, nil, func(_, node string, r pfs.TenantReply) {
+		if r.Usage != nil { // nil: the node has no tenant table
+			out = append(out, TenantReport{Node: node, Evicted: r.Evicted, Usage: r.Usage})
+		}
 	})
 	return out, err
 }
