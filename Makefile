@@ -93,9 +93,12 @@ fuzz-smoke:
 # and refcounted fd cache are hit concurrently by reads, writes,
 # truncates, in-flight zero-copy payloads and kernel views pinning
 # descriptors and their mappings; the cross-validation suite and the
-# view-vs-ReadAt equivalence tests churn all of them under -race.
+# view-vs-ReadAt equivalence tests churn all of them under -race. The
+# mapped-send tests cut the extent of an in-flight 2 MiB send over TCP and
+# the in-process pipe, and cancel one mid-frame: zero-filled frames, the
+# connection still answering, pins and mappings back.
 race-store:
-	$(GO) test -race -run 'TestExtent|TestFDCache|TestFileStore|TestStore' ./internal/pfs/
+	$(GO) test -race -run 'TestExtent|TestFDCache|TestFileStore|TestStore|TestMappedSend' ./internal/pfs/
 
 # Focused race gate for the operational plane: the event-log ring is
 # written from every subsystem while dosasctl events tails it, and the
@@ -174,10 +177,13 @@ check: vet bench-vet cross race-observability race-transport race-wire race-stor
 # stays in cache, sum8 and its portable loop striding a 256 MiB buffer 1 MiB
 # at a time (the out-of-cache rate a page-cache scan sees), an
 # 8 MiB sum8 through Runtime.HandleActive over a MemStore, over an extent
-# store, and on two runtimes at once; plus the window-vs-serial matrix
-# (writes BENCH_pr2.json).
+# store, and on two runtimes at once; one ReadResp leaving over TCP
+# loopback from resident extent pages at 64 KiB, 256 KiB and 2 MiB, by
+# writev from the mapping, by sendfile and by a staged copy; plus the
+# window-vs-serial matrix (writes BENCH_pr2.json).
 bench:
 	$(GO) test ./internal/pfs/ -run '^$$' -bench 'ReadPath|WritePath' -benchtime 15x -benchmem
+	$(GO) test ./internal/pfs/ -run '^$$' -bench 'ReadRespSend' -benchtime 2000x
 	$(GO) test ./internal/kernels/ -run '^$$' -bench 'Kernel' -benchtime 200x
 	$(GO) test ./internal/core/ -run '^$$' -bench 'RuntimeExecute' -benchtime 50x
 	$(GO) run ./cmd/dosas-bench -exp readpath

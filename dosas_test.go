@@ -593,8 +593,8 @@ func TestCalibrateProducesPositiveRate(t *testing.T) {
 }
 
 // TestPublicZeroCopyReadPath reads a disk-backed file over real TCP and
-// checks the serving-path accounting: bulk reads go out by reference
-// (sendfile on Linux), not through the staged-copy path.
+// checks the serving-path accounting: bulk reads leave the server from the
+// extent files' mappings by writev (on Linux), with no user-space copy.
 func TestPublicZeroCopyReadPath(t *testing.T) {
 	t.Run("mux", func(t *testing.T) {
 		c := startCluster(t, dosas.Options{
@@ -621,9 +621,12 @@ func TestPublicZeroCopyReadPath(t *testing.T) {
 		if copied := st.Counter("data.bytes_copied"); copied != 0 {
 			t.Errorf("data.bytes_copied = %d, want 0 (bulk read should serve by reference)", copied)
 		}
+		if copied := st.Counter("wire.copied_bytes"); copied != 0 {
+			t.Errorf("wire.copied_bytes = %d, want 0 (no body staged by the frame writer)", copied)
+		}
 		if runtime.GOOS == "linux" {
-			if sf := st.Counter("wire.sendfile_bytes"); sf < int64(len(data)) {
-				t.Errorf("wire.sendfile_bytes = %d, want >= %d", sf, len(data))
+			if m := st.Counter("wire.mapped_bytes"); m < int64(len(data)) {
+				t.Errorf("wire.mapped_bytes = %d, want >= %d", m, len(data))
 			}
 		}
 	})

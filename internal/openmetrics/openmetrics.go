@@ -122,6 +122,9 @@ func collect(src Source, add func(name, typ, help string, s sample)) {
 				suffix: "_total", labels: base.render(), value: strconv.FormatInt(v, 10)})
 		}
 		for name, v := range snap.Gauges {
+			if name == "slo.firing" && src.Alerts != nil {
+				continue // rendered from the alert table below, with the rule states
+			}
 			add(metricName(name), "gauge", "", sample{
 				labels: base.render(), value: strconv.FormatInt(v, 10)})
 		}

@@ -33,7 +33,8 @@ func buildSources(t *testing.T) []Source {
 	reg.Counter("active.arrivals").Add(42)
 	reg.Counter("active.rejected").Add(3)
 	reg.Gauge("data.inflight").Set(2)
-	reg.Meter("rpc.frames") // never marked: rate 0, deterministic
+	reg.Gauge("slo.firing").Set(1) // what an engine given this registry keeps
+	reg.Meter("rpc.frames")        // never marked: rate 0, deterministic
 	h := reg.Histogram("est.kernel_error_pct")
 	for _, v := range []float64{1, 2, 4, 8} {
 		h.Observe(v)
@@ -150,6 +151,7 @@ func TestRenderIsValidOpenMetrics(t *testing.T) {
 		t.Fatal("exposition must end with a final \"# EOF\" line")
 	}
 	types := map[string]string{}
+	samples := map[string]bool{} // name{labels}: OpenMetrics forbids a repeat
 	current := ""
 	for _, line := range lines[:len(lines)-2] {
 		if line == "" {
@@ -182,6 +184,10 @@ func TestRenderIsValidOpenMetrics(t *testing.T) {
 		if brace < 0 || sp < brace {
 			t.Fatalf("unparseable sample %q", line)
 		}
+		if samples[line[:sp]] {
+			t.Fatalf("sample %s repeated", line[:sp])
+		}
+		samples[line[:sp]] = true
 		name := line[:brace]
 		base := name
 		for _, suffix := range []string{"_total", "_sum", "_count"} {

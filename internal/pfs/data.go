@@ -91,9 +91,10 @@ type DataServer struct {
 	active atomic.Value
 
 	// Zero-copy state: ranger is the store's RangeReader side (nil for
-	// MemStore), extents the store when it is an ExtentStore (write
-	// landings), wireStats is shared with every framing writer and reader
-	// of this server and mirrored into reg by SyncWireStats.
+	// MemStore), extents the store when it is an ExtentStore (mapped
+	// reads, write landings), wireStats is shared with every framing
+	// writer and reader of this server and mirrored into reg by
+	// SyncWireStats.
 	ranger    RangeReader
 	extents   *ExtentStore
 	wireStats wire.FrameStats
@@ -304,7 +305,8 @@ func (ds *DataServer) statsMode() string {
 }
 
 // SyncWireStats mirrors the frame-transport counters into the metrics
-// registry (wire.sendfile_bytes, wire.writev_calls, wire.copied_bytes, and
+// registry (wire.mapped_bytes, wire.sendfile_bytes, wire.writev_calls,
+// wire.copied_bytes, and
 // on the receive side wire.landed_bytes and wire.recv_copied_bytes), and
 // with them the store's and the gate's: an extent store's fd-cache hits
 // and misses (store.fd_hits, store.fd_misses) and its mapped extent files
@@ -316,6 +318,7 @@ func (ds *DataServer) statsMode() string {
 // stats introspection calls it automatically; in-process snapshot
 // readers that bypass introspection call it directly.
 func (ds *DataServer) SyncWireStats() {
+	mirrorCounter(ds.reg, "wire.mapped_bytes", ds.wireStats.MappedBytes.Load())
 	mirrorCounter(ds.reg, "wire.sendfile_bytes", ds.wireStats.SendfileBytes.Load())
 	mirrorCounter(ds.reg, "wire.writev_calls", ds.wireStats.WritevCalls.Load())
 	mirrorCounter(ds.reg, "wire.copied_bytes", ds.wireStats.CopiedBytes.Load())
@@ -365,8 +368,9 @@ func (ds *DataServer) PostWrite(req, resp wire.Message) {
 }
 
 // zeroCopyMin is the smallest read served by reference: below it the
-// fixed cost of building a payload (fd-cache refs, extra writes for the
-// frame head and tail) outweighs the saved copy.
+// fixed cost of building a payload (fd-cache refs, iovecs, and for
+// sendfile extra writes for the frame head and tail) outweighs the saved
+// copy.
 const zeroCopyMin = 64 << 10
 
 // cancel answers a CancelReq: normal-read registry first, then the
@@ -419,10 +423,9 @@ func (ds *DataServer) read(req *wire.ReadReq) (wire.Message, error) {
 		return nil, fmt.Errorf("%w: read of %d bytes exceeds frame budget", ErrInvalid, req.Length)
 	}
 	size := ds.store.Size(req.Handle)
-	if ds.ranger != nil && req.Length >= zeroCopyMin && req.Offset < size {
+	if req.Length >= zeroCopyMin && req.Offset < size {
 		n := min(uint64(req.Length), size-req.Offset)
-		p, err := ds.ranger.ReadRange(req.Handle, req.Offset, n)
-		if err == nil {
+		if p := ds.byRef(req.Handle, req.Offset, n); p != nil {
 			ds.m.bytesRead.Add(int64(n))
 			served = n
 			// Closed in PostWrite once the frame has left the server.
@@ -432,8 +435,6 @@ func (ds *DataServer) read(req *wire.ReadReq) (wire.Message, error) {
 			}
 			return resp, nil
 		}
-		// Any failure (a Truncate/Remove race, fd exhaustion) falls back
-		// to the copy path, which re-reads whatever is there now.
 	}
 	buf := wire.GetBuf(int(req.Length)) // returned to the pool in PostWrite
 	n, err := ds.store.ReadAt(req.Handle, buf, req.Offset)
@@ -452,6 +453,27 @@ func (ds *DataServer) read(req *wire.ReadReq) (wire.Message, error) {
 		resp.Cancelled = &cs.flag
 	}
 	return resp, nil
+}
+
+// byRef returns n bytes of handle's stream at off as a payload the frame
+// writers move by reference, or nil for the copy path. On an ExtentStore
+// whose extent files hold every byte it is their read-only mappings in
+// place, which leave in one writev per mux segment; anything else a
+// RangeReader serves goes by sendfile. A ReadRange failure (a
+// Truncate/Remove race, fd exhaustion) falls back to the copy path too,
+// which re-reads whatever is there now.
+func (ds *DataServer) byRef(handle, off, n uint64) wire.Payload {
+	if ds.extents != nil {
+		if p := ds.extents.mappedRange(handle, off, n); p != nil {
+			return p
+		}
+	}
+	if ds.ranger != nil {
+		if p, err := ds.ranger.ReadRange(handle, off, n); err == nil {
+			return p
+		}
+	}
+	return nil
 }
 
 // WriteDest lands a WriteReq's body in the page cache: the read loop of

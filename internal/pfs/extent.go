@@ -7,12 +7,12 @@ package pfs
 //	<dir>/h<%016x>/e<%08x>.ext   extent files, sparse, ≤ extent size
 //
 // The layout is chosen for the serving path, not the write path: a bulk
-// read maps to a handful of (file, offset, length) sections — exactly
-// what wire.FilePayload wants for sendfile — while keeping every
-// descriptor small enough that the capped fd cache covers a node's
-// working set. Holes are represented twice over: an extent file missing
-// entirely, or a file shorter than the data logically above it; both
-// read as zeros.
+// read maps to one or two extent files — views of their mappings for a
+// mapped send, or (file, offset, length) sections for sendfile — while
+// keeping every descriptor small enough that the capped fd cache covers a
+// node's working set. Holes are represented twice over: an extent file
+// missing entirely, or a file shorter than the data logically above it;
+// both read as zeros.
 //
 // Stream size is not stored separately. Invariant: the highest-numbered
 // extent file ends exactly where the stream does, so
@@ -41,7 +41,7 @@ import (
 
 // DefaultExtentSize is the extent size new stores are created with:
 // large enough that a windowed 4 MiB chunk read usually stays within
-// one extent (one sendfile call), small enough that sparse streams
+// one extent (one mapping), small enough that sparse streams
 // don't concentrate into jumbo files.
 const DefaultExtentSize int64 = 16 << 20
 
@@ -66,7 +66,8 @@ type ExtentConfig struct {
 }
 
 // ExtentStore implements Store and RangeReader over a directory of
-// extent files, and lends mapped extent bytes through ReadView.
+// extent files, and lends mapped extent bytes to kernels (ReadView) and to
+// the data server's sends (mappedRange).
 type ExtentStore struct {
 	dir  string
 	ext  int64
@@ -272,33 +273,66 @@ func (s *ExtentStore) readView(handle uint64, buf []byte, off uint64) (View, err
 func (s *ExtentStore) MappedExtents() int { return int(s.fds.mapped.Load()) }
 
 // landing returns the parts of handle's stream under [off, off+n) as the
-// read-write mappings of their extent files, one part per extent, each
-// pinning its file's fd-cache entry — when the range lies inside the
-// stream and inside existing extent files, and every page of it is in the
-// page cache; otherwise false. A write into the range through the parts
-// extends nothing and reads nothing from the disk first: a whole-page
-// pwrite would not either.
-func (s *ExtentStore) landing(handle, off uint64, n int) ([]landPart, bool) {
+// read-write mappings of their extent files, pinned (mapParts) — when the
+// range lies inside the stream and inside existing extent files, and every
+// page of it is in the page cache; otherwise false. A write into the range
+// through the parts extends nothing and reads nothing from the disk first:
+// a whole-page pwrite would not either.
+func (s *ExtentStore) landing(handle, off uint64, n int) ([]extentPart, bool) {
 	s.mu.Lock()
 	size, ok := s.sizes[handle]
 	s.mu.Unlock()
 	if !ok || off > uint64(size) || uint64(n) > uint64(size)-off {
 		return nil, false // an unknown stream, or a write that extends it
 	}
-	parts := make([]landPart, 0, 2)
+	return s.mapParts(handle, off, int64(n), true)
+}
+
+// mappedRange returns n bytes of handle's stream at off, which lie inside
+// the stream, as views of their extent files' read-only mappings, pinned
+// until the payload closes — when every byte lies in an extent file that
+// holds it; otherwise nil (a hole, a short extent file, a build without
+// mmap), and the caller takes the ReadRange path.
+func (s *ExtentStore) mappedRange(handle, off, n uint64) *wire.MappedPayload {
+	parts, ok := s.mapParts(handle, off, int64(n), false)
+	if !ok {
+		return nil
+	}
+	views := make([][]byte, len(parts))
+	for i, p := range parts {
+		views[i] = p.b
+	}
+	return wire.NewMappedPayload(views, func() { s.unpin(parts) })
+}
+
+// extentPart is the part of a range of a stream in one extent file.
+type extentPart struct {
+	e     *fdEntry
+	b     []byte // the part's bytes in e's mapping
+	local int64  // where b starts in the file
+}
+
+// mapParts returns handle's stream under [off, off+n) as parts of its
+// extent files' mappings — read-write with write, and then only over pages
+// in the page cache — one part per extent, each pinning its file's
+// fd-cache entry; false, with nothing pinned, when an extent file is
+// missing, shorter than its part, cannot be mapped, or (with write) holds
+// a page of its part that is not resident.
+func (s *ExtentStore) mapParts(handle, off uint64, n int64, write bool) ([]extentPart, bool) {
+	parts := make([]extentPart, 0, 2)
 	page := int64(os.Getpagesize())
-	for done := int64(0); done < int64(n); {
+	for done := int64(0); done < n; {
 		o := int64(off) + done
 		idx, local := o/s.ext, o%s.ext
-		k := min(s.ext-local, int64(n)-done)
+		k := min(s.ext-local, n-done)
 		e, err := s.extent(handle, idx, false)
 		if err != nil {
 			s.unpin(parts)
 			return nil, false // a hole: the extent file does not exist
 		}
-		parts = append(parts, landPart{e: e})
-		m := s.fds.mapping(e, s.ext, local+k, true)
-		if m == nil || !resident(m[local&^(page-1):local+k]) {
+		parts = append(parts, extentPart{e: e})
+		m := s.fds.mapping(e, s.ext, local+k, write)
+		if m == nil || write && !resident(m[local&^(page-1):local+k]) {
 			s.unpin(parts)
 			return nil, false
 		}
@@ -308,8 +342,8 @@ func (s *ExtentStore) landing(handle, off uint64, n int) ([]landPart, bool) {
 	return parts, true
 }
 
-// unpin releases the fd-cache entries a landing's parts pin.
-func (s *ExtentStore) unpin(parts []landPart) {
+// unpin releases the fd-cache entries parts pin.
+func (s *ExtentStore) unpin(parts []extentPart) {
 	for _, p := range parts {
 		s.fds.release(p.e)
 	}

@@ -35,7 +35,7 @@ type fdEntry struct {
 	next, prev *fdEntry
 
 	// m is a read-only shared mapping of the file, made on the first view
-	// (ExtentStore.readView); wm a read-write one, made on the first write
+	// or mapped send (ExtentStore.readView, mappedRange); wm a read-write one, made on the first write
 	// landing (ExtentStore.landing), so the views stay read-only. Both are
 	// unmapped only by closeEntry. valid is the file length fstat reported
 	// last: neither views nor landings reach past it, so they never touch a

@@ -100,16 +100,9 @@ var ErrWriteCut = fmt.Errorf("%w: extent cut under a landing write", ErrInvalid)
 // Abort does both if the request never arrives.
 type writeLanding struct {
 	ds    *DataServer
-	parts []landPart
-	err   error       // ErrWriteCut once a part could not land
-	over  atomic.Bool // finished or aborted
-}
-
-// landPart is the part of a write landing in one extent file.
-type landPart struct {
-	e     *fdEntry
-	b     []byte // the part's bytes in e's read-write mapping
-	local int64  // where b starts in the file
+	parts []extentPart // in the files' read-write mappings
+	err   error        // ErrWriteCut once a part could not land
+	over  atomic.Bool  // finished or aborted
 }
 
 // Land implements wire.Landing: the body's bytes go into their extent

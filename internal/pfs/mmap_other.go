@@ -8,7 +8,7 @@ import (
 )
 
 // mapFile is unavailable off Linux: ReadView copies through ReadAt instead,
-// and write bodies are never landed.
+// plain reads go by ReadRange, and write bodies are never landed.
 func mapFile(*os.File, int64, bool) ([]byte, error) { return nil, errors.ErrUnsupported }
 
 func unmapFile([]byte) error { return nil }

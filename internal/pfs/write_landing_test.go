@@ -46,11 +46,15 @@ func startLandNode(t *testing.T, tcp bool, ec ExtentConfig, qos QoSConfig) *land
 	}
 	// The tests count gate slots: let the idle dispatcher take its own first.
 	waitFor(t, "the gate's dispatcher to take its slot", func() bool { return len(ds.gate.slots) == 1 })
-	var nw transport.Network = transport.NewInproc()
-	addr := "data-0"
 	if tcp {
-		nw, addr = transport.TCP{}, "127.0.0.1:0"
+		return serveData(t, es, ds, transport.TCP{}, "127.0.0.1:0")
 	}
+	return serveData(t, es, ds, transport.NewInproc(), "data-0")
+}
+
+// serveData serves ds, over es, on nw at addr until the test ends.
+func serveData(t *testing.T, es *ExtentStore, ds *DataServer, nw transport.Network, addr string) *landNode {
+	t.Helper()
 	l, err := nw.Listen(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -128,8 +128,9 @@ func ClassOf(t MsgType) uint8 {
 // and tail in buf — buf[muxHdrRoom:muxHdrRoom+pre] precedes the body,
 // the rest follows it — and moves the body from p segment by segment:
 // each segment's header, any head/tail overlap and a body range in memory
-// (memPayload) go out as one vectored write, a store-backed range after
-// it via the payload's sendfile or staging-copy path. The frame's done
+// (memPayload) or in a file mapping on TCP (MappedPayload) go out as one
+// vectored write, any other store-backed range after it via the payload's
+// sendfile or staging-copy path. The frame's done
 // callback, not finish, owns the payload (the data server's PostWrite
 // closes it; a client stream may reuse the memory behind it).
 type muxFrame struct {
@@ -193,7 +194,7 @@ type MuxWriter struct {
 	OnError   func(error)
 
 	// Stats, if set before the first Enqueue, counts how bulk bodies
-	// moved (sendfile/writev/copied). Plain disables the by-reference
+	// moved (mapped/sendfile/writev/copied). Plain disables the by-reference
 	// payload path: payload-carrying messages are materialized into
 	// their frame buffer like any other (A/B benchmarking).
 	Stats *FrameStats
@@ -528,10 +529,11 @@ func (mw *MuxWriter) writeSegments(f *muxFrame, maxSegs int) (bool, error) {
 
 // writeRefSegment writes one n-byte segment of a by-reference frame
 // starting at logical payload offset f.off: the segment header, any
-// head/tail bytes it covers and a body range in memory as one vectored
-// write; a store-backed or withdrawn body range after the header, through
-// the payload (sendfile on TCP, pooled copy elsewhere) or as zeros. The
-// caller holds the write token, so scratch and vecs are exclusively ours.
+// head/tail bytes it covers and a body range in memory — or, on a
+// *net.TCPConn, in a file mapping (writevMapped) — as one vectored write;
+// any other body range after the header, through the payload (sendfile on
+// TCP, pooled copy elsewhere), or as zeros once withdrawn. The caller
+// holds the write token, so scratch and vecs are exclusively ours.
 func (mw *MuxWriter) writeRefSegment(f *muxFrame, n int, flags uint8, total int) error {
 	hdr := f.segHeader(mw.scratch[:], n, flags, total)
 
@@ -547,11 +549,17 @@ func (mw *MuxWriter) writeRefSegment(f *muxFrame, n int, flags uint8, total int)
 		tail = f.buf[muxHdrRoom+f.pre+ts : muxHdrRoom+f.pre+(end-bodyEnd)]
 	}
 	bs, be := int64(max(off, f.pre)-f.pre), int64(min(end, bodyEnd)-f.pre)
-	if mp, mem := f.p.(memPayload); be > bs && mem && !cancelled(f.cancel) {
+	live := be > bs && !cancelled(f.cancel)
+	if mp, ok := f.p.(*MappedPayload); live && ok {
+		if _, tcp := mw.w.(*net.TCPConn); tcp {
+			return mw.writevMapped(bufs, mp, bs, be, tail)
+		}
+	}
+	if mp, mem := f.p.(memPayload); live && mem {
 		bufs = mp.AppendRange(bufs, bs, be-bs)
 	} else if be > bs {
 		// Flush header (+ head overlap) first, then stream the body.
-		if err := mw.writev(bufs); err != nil {
+		if _, err := mw.writev(bufs); err != nil {
 			return err
 		}
 		if cancelled(f.cancel) {
@@ -574,17 +582,19 @@ func (mw *MuxWriter) writeRefSegment(f *muxFrame, n int, flags uint8, total int)
 	if len(tail) > 0 {
 		bufs = append(bufs, tail)
 	}
-	return mw.writev(bufs)
+	_, err := mw.writev(bufs)
+	return err
 }
 
 // writev writes bufs, a list built on vecs, in one vectored write (one
 // Write per element on a writer that has none): through a field, for a
-// local's address would escape. vecs keeps an array the list outgrew.
-func (mw *MuxWriter) writev(bufs net.Buffers) error {
+// local's address would escape. vecs keeps an array the list outgrew. It
+// reports how many bytes were written.
+func (mw *MuxWriter) writev(bufs net.Buffers) (int64, error) {
 	mw.vecs, mw.out = bufs[:0], bufs
-	_, err := mw.out.WriteTo(mw.w)
+	n, err := mw.out.WriteTo(mw.w)
 	mw.Stats.addWritev(1)
-	return err
+	return n, err
 }
 
 // retire releases f and tells the depth hook it left the queue.

@@ -7,9 +7,10 @@ package wire
 // instead describes where the bytes live (extent files on disk, for the
 // extent store) and lets each framing layer move them directly: the frame
 // header and trailer are encoded into a small pooled buffer, coalesced
-// with memory-backed bodies via vectored writes (net.Buffers/writev), and
-// file-backed bodies are pushed with sendfile(2) so they travel page
-// cache → socket without ever entering user space.
+// with memory-backed and file-mapped bodies (MappedPayload) via vectored
+// writes (net.Buffers/writev), and other file-backed bodies are pushed
+// with sendfile(2), so they travel page cache → socket without ever
+// entering user space.
 //
 // Ownership: the creator of a Payload (the data server's read handler)
 // closes it, via PostWrite, after the response frame has left the
@@ -49,9 +50,13 @@ type Payload interface {
 
 // FrameStats counts how a connection's frames moved their bytes. One
 // struct is typically shared by every connection of a server and mirrored
-// into its metrics registry (wire.sendfile_bytes, wire.writev_calls,
-// wire.copied_bytes).
+// into its metrics registry (wire.mapped_bytes, wire.sendfile_bytes,
+// wire.writev_calls, wire.copied_bytes).
 type FrameStats struct {
+	// MappedBytes counts payload bytes written to a socket by writev
+	// straight out of a file mapping (MappedPayload): zero user-space
+	// copies.
+	MappedBytes atomic.Int64
 	// SendfileBytes counts payload bytes moved page cache → socket by
 	// sendfile(2): zero user-space copies.
 	SendfileBytes atomic.Int64
@@ -78,6 +83,12 @@ type FrameStats struct {
 
 // The add helpers are nil-safe so framing code needs no stats plumbing
 // conditionals on its hot path.
+
+func (s *FrameStats) addMapped(n int64) {
+	if s != nil && n > 0 {
+		s.MappedBytes.Add(n)
+	}
+}
 
 func (s *FrameStats) addSendfile(n int64) {
 	if s != nil && n > 0 {

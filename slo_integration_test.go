@@ -239,10 +239,11 @@ func TestBuiltinRulesQuietAndStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Let the telemetry ring turn over once (600 points at a 2 ms tick)
-	// so warm-up transients — the estimator's first error samples — age
-	// out of the rate-of-change windows before judging steady state.
-	time.Sleep(1500 * time.Millisecond)
+	// Let the telemetry ring turn over once (600 new points) so warm-up
+	// transients — the estimator's first error samples — age out of the
+	// rate-of-change windows before judging steady state. Ticks stretch on
+	// a loaded host, so wait on the points, not on a clock.
+	awaitRingTurnover(t, c, "data-0", "est.error.pct")
 	for _, a := range c.Alerts() {
 		if a.State == "pending" || a.State == "firing" {
 			t.Fatalf("quiet cluster raised %s alert %q: %+v", a.State, a.Rule, a)
@@ -267,6 +268,69 @@ func TestBuiltinRulesQuietAndStorm(t *testing.T) {
 		a, _ := alertNamed(c.Alerts(), "data-0", "bounce-budget-burn")
 		t.Fatalf("built-in bounce-budget-burn never fired under storm: %+v (decisions %+v)",
 			a, c.DecisionMetrics())
+	}
+}
+
+// awaitRingTurnover waits, for at most a minute, until every point the
+// node's ring of series holds is newer than the newest one it held on
+// entry — the ring has turned over — and then for one more tick, so the
+// alert rules have been judged on a turned-over ring.
+func awaitRingTurnover(t *testing.T, c *dosas.Cluster, node, series string) {
+	t.Helper()
+	await := func(what string, ok func(pts []dosas.SeriesPoint) bool) {
+		deadline := time.Now().Add(time.Minute)
+		for {
+			for _, s := range c.Series(0)[node] {
+				if s.Name == series && len(s.Points) > 0 && ok(s.Points) {
+					return
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s's %s ring: no %s within a minute", node, series, what)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	var entry, turned int64
+	await("point", func(pts []dosas.SeriesPoint) bool { entry = pts[len(pts)-1].UnixNano; return true })
+	await("turnover", func(pts []dosas.SeriesPoint) bool {
+		turned = pts[len(pts)-1].UnixNano
+		return pts[0].UnixNano > entry
+	})
+	await("tick after the turnover", func(pts []dosas.SeriesPoint) bool { return pts[len(pts)-1].UnixNano > turned })
+}
+
+// TestMetricsScrapeRepeatsNoSample scrapes a cluster whose nodes run the
+// alert engine: OpenMetrics forbids a repeated sample, so no (name,
+// labels) pair may appear twice.
+func TestMetricsScrapeRepeatsNoSample(t *testing.T) {
+	c := startCluster(t, dosas.Options{DataServers: 2, TelemetryTick: 2 * time.Millisecond})
+	fs := connect(t, c, dosas.DOSAS)
+	writeTestFile(t, fs, "scrape.bin", 256<<10)
+	awaitTicks := time.Now().Add(10 * time.Second)
+	for len(c.Series(0)["data-0"]) == 0 || len(c.Series(0)["data-0"][0].Points) < 2 {
+		if time.Now().After(awaitTicks) {
+			t.Fatal("no telemetry samples within 10 s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var b strings.Builder
+	if err := openmetrics.Render(&b, c.MetricsSources()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "dosas_slo_firing{") {
+		t.Fatal("the scrape has no dosas_slo_firing sample: is the alert engine on?")
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key := line[:strings.LastIndexByte(line, ' ')] // name{labels}
+		if seen[key] {
+			t.Errorf("sample %s appears twice", key)
+		}
+		seen[key] = true
 	}
 }
 
