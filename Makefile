@@ -174,8 +174,10 @@ check: vet bench-vet cross race-observability race-transport race-wire race-stor
 
 # Data-path and kernel microbenchmarks (fixed iteration counts so runs
 # compare across commits): every registered kernel over a 1 MiB chunk that
-# stays in cache, sum8 and its portable loop striding a 256 MiB buffer 1 MiB
-# at a time (the out-of-cache rate a page-cache scan sees), an
+# stays in cache, sum8 and its portable loop striding 256 MiB 1 MiB at a
+# time, once through a read-only mapping of a resident file (the input a
+# page-cache scan reads) and once over a Go heap buffer, which may sit on
+# huge pages and then hides the stall at each 4 KiB page boundary; an
 # 8 MiB sum8 through Runtime.HandleActive over a MemStore, over an extent
 # store, and on two runtimes at once; one ReadResp leaving over TCP
 # loopback from resident extent pages at 64 KiB, 256 KiB and 2 MiB, by

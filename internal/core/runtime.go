@@ -133,6 +133,10 @@ type Runtime struct {
 	queue *ioqueue.Queue
 	reg   *metrics.Registry
 
+	// bytesProcessed is active.bytes_processed, resolved once: feed adds
+	// to it per chunk, and a lookup by name takes the registry's lock.
+	bytesProcessed *metrics.Counter
+
 	mu      sync.Mutex
 	running map[uint64]*task // internal id → running task
 	queued  map[uint64]*task
@@ -254,6 +258,8 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		running: make(map[uint64]*task),
 		queued:  make(map[uint64]*task),
 		stop:    make(chan struct{}),
+
+		bytesProcessed: cfg.Metrics.Counter("active.bytes_processed"),
 	}
 	for i := 0; i < cfg.ActiveCores; i++ {
 		rt.wg.Add(1)
@@ -290,7 +296,7 @@ func (rt *Runtime) registerProbes() {
 	bytesMoved := func() float64 {
 		return float64(rt.reg.Counter("data.bytes_read").Value() +
 			rt.reg.Counter("data.bytes_written").Value() +
-			rt.reg.Counter("active.bytes_processed").Value())
+			rt.bytesProcessed.Value())
 	}
 	s.Register("throughput.bps", telemetry.RateProbe(bytesMoved, s.Interval()))
 	bounced := func() float64 {
@@ -953,7 +959,7 @@ func (rt *Runtime) feed(t *task, k kernels.Kernel) (done uint64, interrupted boo
 		done += uint64(read)
 		t.processed.Store(done)
 		if t.xform == nil {
-			rt.reg.Counter("active.bytes_processed").Add(int64(read))
+			rt.bytesProcessed.Add(int64(read))
 		}
 		if rt.cfg.Pace {
 			rt.paceChunk(t.op, read, chunkStart)

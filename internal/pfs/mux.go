@@ -143,7 +143,7 @@ func (mp *muxPeer) call(req wire.Message) (wire.Message, error) {
 			}
 			return nil, fmt.Errorf("pfs: call %s %v: %w", mp.addr, req.Type(), err)
 		}
-		p.reg.Counter("pool.mux.calls").Inc()
+		p.calls.Inc()
 		if em, ok := res.msg.(*wire.ErrorMsg); ok {
 			re := &RemoteError{Code: em.Code, Op: em.Op, Detail: em.Detail}
 			wire.PutBuf(res.buf)

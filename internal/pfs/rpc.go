@@ -74,6 +74,9 @@ type Pool struct {
 	tenant string // stamped on windowed bulk transfers (read/write chunks)
 
 	reg *metrics.Registry
+	// calls is pool.mux.calls, resolved once: muxPeer.call adds to it per
+	// exchange, and a lookup by name takes the registry's lock.
+	calls *metrics.Counter
 
 	// lat scores per-server chunk latency for replica selection and
 	// hedge-delay derivation; reqIDs mints HedgeIDBit-tagged ids for
@@ -86,10 +89,12 @@ type Pool struct {
 
 // NewPool returns a pool dialing through n.
 func NewPool(n transport.Network) *Pool {
+	reg := metrics.NewRegistry()
 	p := &Pool{
 		Net:   n,
 		peers: make(map[string]*muxPeer),
-		reg:   metrics.NewRegistry(),
+		reg:   reg,
+		calls: reg.Counter("pool.mux.calls"),
 		lat:   NewLatencyTracker(),
 	}
 	// Seed the read-id counter so ids from distinct client pools hitting
