@@ -165,10 +165,15 @@ bench-vet:
 # package, including the off-Linux mmap and sendfile files and the tests'
 # build constraints, and a 386 run of the kernels' tests exercises sum8's
 # portable word loop as the whole kernel (amd64 runs the SSE2 block loop).
+# The 386 runs of the wire codec and of journal replay check that a length
+# prefix of 2^31 or more, from a peer's frame or a torn journal tail, is
+# refused rather than turned negative by a 32-bit int and panicking.
 cross:
 	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/kernels/
+	GOARCH=386 $(GO) test ./internal/wire/
+	GOARCH=386 $(GO) test ./internal/pfs/ -run Journal
 
 check: vet bench-vet cross race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 

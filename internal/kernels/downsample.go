@@ -14,9 +14,9 @@ func init() {
 // decimation factor (every group of factor consecutive float64 elements is
 // replaced by its mean).
 func DownsampleParams(factor uint32) []byte {
-	var e wire.Encoder
-	e.PutU32(factor)
-	return e.Bytes()
+	var c wire.Codec
+	c.U32(&factor)
+	return c.Buf()
 }
 
 // downsample reduces a float64 stream by averaging consecutive groups of
@@ -44,8 +44,9 @@ func (k *downsample) Configure(params []byte) error {
 	if len(params) == 0 {
 		return fmt.Errorf("kernels: downsample requires DownsampleParams")
 	}
+	var f uint32
 	d := wire.NewDecoder(params)
-	f := d.U32()
+	d.U32(&f)
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("kernels: downsample params: %w", err)
 	}

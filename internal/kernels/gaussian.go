@@ -18,10 +18,10 @@ func init() {
 // experiments use — active storage only pays off when h(x) ≪ x, and the
 // paper's cost model assumes a small result transfer g(h(x)).
 func GaussianParams(width uint32, emitFull bool) []byte {
-	var e wire.Encoder
-	e.PutU32(width)
-	e.PutBool(emitFull)
-	return e.Bytes()
+	var c wire.Codec
+	c.U32(&width)
+	c.Bool(&emitFull)
+	return c.Buf()
 }
 
 // GaussianParamsHalo is GaussianParams plus explicit halo rows: top is
@@ -31,12 +31,12 @@ func GaussianParams(width uint32, emitFull bool) []byte {
 // image filter — the mechanism behind exact Gaussian filtering of striped
 // images. Either halo may be nil to keep replication on that edge.
 func GaussianParamsHalo(width uint32, emitFull bool, top, bottom []byte) []byte {
-	var e wire.Encoder
-	e.PutU32(width)
-	e.PutBool(emitFull)
-	e.PutBytes(top)
-	e.PutBytes(bottom)
-	return e.Bytes()
+	var c wire.Codec
+	c.U32(&width)
+	c.Bool(&emitFull)
+	c.Bytes(&top)
+	c.Bytes(&bottom)
+	return c.Buf()
 }
 
 // gaussian2d applies the paper's 2-D Gaussian filter benchmark: a 3×3
@@ -89,9 +89,10 @@ func (k *gaussian2d) Configure(params []byte) error {
 	if len(params) == 0 {
 		return fmt.Errorf("kernels: gaussian2d requires GaussianParams")
 	}
+	var w uint32
 	d := wire.NewDecoder(params)
-	w := d.U32()
-	k.emitFull = d.Bool()
+	d.U32(&w)
+	d.Bool(&k.emitFull)
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("kernels: gaussian2d params: %w", err)
 	}
@@ -101,8 +102,9 @@ func (k *gaussian2d) Configure(params []byte) error {
 	k.width = int(w)
 	// Optional halo rows (GaussianParamsHalo).
 	if d.Remaining() > 0 {
-		top := d.Bytes()
-		bottom := d.Bytes()
+		var top, bottom []byte
+		d.Bytes(&top)
+		d.Bytes(&bottom)
 		if err := d.Err(); err != nil {
 			return fmt.Errorf("kernels: gaussian2d halo params: %w", err)
 		}

@@ -16,11 +16,11 @@ func init() {
 // count k and the initial centroid range [lo, hi] (centroids start evenly
 // spaced across it).
 func KMeansParams(k uint32, lo, hi float64) []byte {
-	var e wire.Encoder
-	e.PutU32(k)
-	e.PutF64(lo)
-	e.PutF64(hi)
-	return e.Bytes()
+	var c wire.Codec
+	c.U32(&k)
+	c.F64(&lo)
+	c.F64(&hi)
+	return c.Buf()
 }
 
 // kmeans1d clusters a float64 stream with sequential (online) k-means:
@@ -44,10 +44,12 @@ func (k *kmeans1d) Configure(params []byte) error {
 	if len(params) == 0 {
 		return fmt.Errorf("kernels: kmeans1d requires KMeansParams")
 	}
+	var kk uint32
+	var lo, hi float64
 	d := wire.NewDecoder(params)
-	kk := d.U32()
-	lo := d.F64()
-	hi := d.F64()
+	d.U32(&kk)
+	d.F64(&lo)
+	d.F64(&hi)
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("kernels: kmeans1d params: %w", err)
 	}

@@ -102,59 +102,63 @@ func (s *State) Bytes(name string) ([]byte, error) {
 // Encode serialises the state, prefixed with the owning kernel's name so a
 // mismatched Restore fails loudly instead of silently corrupting results.
 func (s *State) Encode(kernelName string) ([]byte, error) {
-	var e wire.Encoder
-	e.PutString(kernelName)
-	e.PutU32(uint32(len(s.order)))
+	var c wire.Codec
+	n := uint32(len(s.order))
+	c.String(&kernelName)
+	c.U32(&n)
 	for _, name := range s.order {
 		v := s.vars[name]
-		e.PutString(name)
-		e.PutU8(v.typ)
+		c.String(&name)
+		c.U8(&v.typ)
 		switch v.typ {
 		case stInt64:
-			e.PutI64(v.i)
+			c.I64(&v.i)
 		case stFloat64:
-			e.PutF64(v.f)
+			c.F64(&v.f)
 		case stBytes:
-			e.PutBytes(v.b)
+			c.Bytes(&v.b)
 		}
 	}
-	if err := e.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	return e.Bytes(), nil
+	return c.Buf(), nil
 }
 
 // DecodeState parses a checkpoint, verifying it belongs to kernelName.
 func DecodeState(kernelName string, raw []byte) (*State, error) {
+	var owner string
+	var n uint32
 	d := wire.NewDecoder(raw)
-	owner := d.String()
+	d.String(&owner)
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStateCorrupt, err)
 	}
 	if owner != kernelName {
 		return nil, fmt.Errorf("%w: checkpoint belongs to %q, not %q", ErrStateType, owner, kernelName)
 	}
-	n := int(d.U32())
+	d.U32(&n)
 	s := NewState()
-	for i := 0; i < n; i++ {
-		name := d.String()
-		typ := d.U8()
-		switch typ {
+	for i := uint32(0); i < n; i++ {
+		var name string
+		var v stateVar
+		d.String(&name)
+		d.U8(&v.typ)
+		switch v.typ {
 		case stInt64:
-			s.put(name, stateVar{typ: stInt64, i: d.I64()})
+			d.I64(&v.i)
 		case stFloat64:
-			s.put(name, stateVar{typ: stFloat64, f: d.F64()})
+			d.F64(&v.f)
 		case stBytes:
-			b := d.Bytes()
-			cp := make([]byte, len(b))
-			copy(cp, b)
-			s.put(name, stateVar{typ: stBytes, b: cp})
+			d.Bytes(&v.b)
+			v.b = append(make([]byte, 0, len(v.b)), v.b...)
 		default:
-			return nil, fmt.Errorf("%w: unknown variable type %d", ErrStateCorrupt, typ)
+			return nil, fmt.Errorf("%w: unknown variable type %d", ErrStateCorrupt, v.typ)
 		}
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrStateCorrupt, err)
 		}
+		s.put(name, v)
 	}
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStateCorrupt, err)

@@ -108,13 +108,12 @@ func (j *journal) close() error {
 
 // appendEntry appends one encoded entry to buf.
 func appendEntry(buf []byte, op uint8, rec *FileRec) ([]byte, error) {
-	var e wire.Encoder
-	e.PutU8(op)
-	encodeFileRec(&e, rec)
-	body := e.Bytes()
+	var c wire.Codec
+	entryFields(&c, &op, rec)
+	body := c.Buf()
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(body)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
-	return append(buf, body...), e.Err()
+	return append(buf, body...), c.Err()
 }
 
 // enqueue encodes one entry, without I/O, and returns the sequence number
@@ -195,14 +194,16 @@ func (j *journal) replay(apply func(op uint8, rec *FileRec) error) error {
 		return err
 	}
 	for rest := data; len(rest) >= 8; {
-		n := int(binary.LittleEndian.Uint32(rest))
-		if n == 0 || n > 1<<20 || n > len(rest)-8 || crc32.ChecksumIEEE(rest[8:8+n]) != binary.LittleEndian.Uint32(rest[4:]) {
+		// Compared unsigned: a torn length of 2^31 or more must not turn
+		// negative on a 32-bit int.
+		n := uint64(binary.LittleEndian.Uint32(rest))
+		if n == 0 || n > 1<<20 || n > uint64(len(rest)-8) || crc32.ChecksumIEEE(rest[8:8+n]) != binary.LittleEndian.Uint32(rest[4:]) {
 			break // a torn or corrupt entry, or zeros where none was written
 		}
-		d := wire.NewDecoder(rest[8 : 8+n])
-		op := d.U8()
-		rec, err := decodeFileRec(d)
-		if err != nil {
+		c := wire.NewDecoder(rest[8 : 8+n])
+		var op uint8
+		rec := &FileRec{}
+		if entryFields(c, &op, rec); c.Err() != nil {
 			break
 		}
 		if err := apply(op, rec); err != nil {
@@ -274,37 +275,17 @@ func (j *journal) compact(records []*FileRec, issued uint64) error {
 	return err
 }
 
-func encodeFileRec(e *wire.Encoder, rec *FileRec) {
-	e.PutU64(rec.Handle)
-	e.PutString(rec.Name)
-	e.PutU64(rec.Size)
-	e.PutI64(rec.ModTime.UnixNano())
-	e.PutU32(rec.Layout.StripeSize)
-	e.PutU8(rec.Layout.Replicas)
-	e.PutU32(uint32(len(rec.Layout.Servers)))
-	for _, s := range rec.Layout.Servers {
-		e.PutU32(s)
+// entryFields is a journal entry's op and record, after its length and
+// checksum.
+func entryFields(c *wire.Codec, op *uint8, rec *FileRec) {
+	mod := rec.ModTime.UnixNano()
+	c.U8(op)
+	c.U64(&rec.Handle)
+	c.String(&rec.Name)
+	c.U64(&rec.Size)
+	c.I64(&mod)
+	rec.Layout.Fields(c)
+	if c.Decoding() {
+		rec.ModTime = time.Unix(0, mod)
 	}
-}
-
-func decodeFileRec(d *wire.Decoder) (*FileRec, error) {
-	rec := &FileRec{}
-	rec.Handle = d.U64()
-	rec.Name = d.String()
-	rec.Size = d.U64()
-	rec.ModTime = time.Unix(0, d.I64())
-	rec.Layout.StripeSize = d.U32()
-	rec.Layout.Replicas = d.U8()
-	n := int(d.U32())
-	if n < 0 || n*4 > d.Remaining() {
-		return nil, wire.ErrShortPayload
-	}
-	rec.Layout.Servers = make([]uint32, n)
-	for i := range rec.Layout.Servers {
-		rec.Layout.Servers[i] = d.U32()
-	}
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return rec, nil
 }

@@ -72,9 +72,9 @@ func startRead(t *testing.T, n *landNode, req *wire.ReadReq, head int) *rawConn 
 			t.Fatal(err)
 		}
 	}
-	var e wire.Encoder
-	req.Encode(&e)
-	rc.send(t, appendSegment(nil, wire.MsgReadReq, 1, e.Bytes(), false, -1))
+	var e wire.Codec
+	req.Fields(&e)
+	rc.send(t, appendSegment(nil, wire.MsgReadReq, 1, e.Buf(), false, -1))
 	first := make([]byte, head)
 	if _, err := io.ReadFull(rc.Conn, first); err != nil {
 		t.Fatal(err)
@@ -162,9 +162,9 @@ func TestMappedSendCancelledZeroFills(t *testing.T) {
 			}
 			id := HedgeIDBit | 7
 			rc := startRead(t, n, &wire.ReadReq{Handle: 1, Length: size, ReqID: id}, head)
-			var e wire.Encoder
-			(&wire.CancelReq{RequestID: id}).Encode(&e)
-			rc.send(t, appendSegment(nil, wire.MsgCancelReq, 2, e.Bytes(), false, -1))
+			var e wire.Codec
+			(&wire.CancelReq{RequestID: id}).Fields(&e)
+			rc.send(t, appendSegment(nil, wire.MsgCancelReq, 2, e.Buf(), false, -1))
 			waitFor(t, "the cancel to find the read", func() bool { return n.ds.m.cancel.Value() == 1 })
 			var rr *wire.ReadResp
 			for rr == nil {

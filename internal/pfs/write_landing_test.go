@@ -148,9 +148,9 @@ func (rc *rawConn) ping(t *testing.T, stream uint32) {
 
 // writePayload encodes a WriteReq's payload.
 func writePayload(m *wire.WriteReq) []byte {
-	var e wire.Encoder
-	m.Encode(&e)
-	return e.Bytes()
+	var e wire.Codec
+	m.Fields(&e)
+	return e.Buf()
 }
 
 // landed and copied read a data server's receive counters.

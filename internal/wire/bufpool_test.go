@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -142,17 +143,23 @@ func TestOwnDetachesMessageFromFrameReader(t *testing.T) {
 	}
 }
 
-// Own must protect every aliasing field of the bulk message types the
-// data path retains across frames.
+// Own must protect every aliasing field: every []byte field of every
+// live message type is set, decoded from a pooled frame buffer, Owned,
+// and must survive the buffer being clobbered.
 func TestOwnCoversAllAliasingFields(t *testing.T) {
-	msgs := []Message{
-		&ReadResp{Data: []byte("data")},
-		&WriteReq{Handle: 1, Offset: 2, Data: []byte("payload")},
-		&ActiveReadReq{Op: "sum", Params: []byte("p"), ResumeState: []byte("s")},
-		&ActiveReadResp{Result: []byte("r"), State: []byte("st")},
-		&TransformReq{Op: "sum", Params: []byte("p")},
-		&IntrospectReq{Kind: "trace", Params: []byte(`{}`)},
-		&IntrospectResp{Node: "n", Body: []byte(`{"events":[]}`)},
+	var msgs []Message
+	for mt := MsgType(1); mt < msgSentinel; mt++ {
+		if !mt.Valid() {
+			continue
+		}
+		m := New(mt)
+		v := reflect.ValueOf(m).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Type() == reflect.TypeOf([]byte(nil)) {
+				f.SetBytes([]byte(mt.String() + "." + v.Type().Field(i).Name))
+			}
+		}
+		msgs = append(msgs, m)
 	}
 	for _, m := range msgs {
 		raw := frameBytes(t, m)

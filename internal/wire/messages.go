@@ -23,31 +23,23 @@ type ErrorMsg struct {
 
 func (*ErrorMsg) Type() MsgType { return MsgError }
 
-func (m *ErrorMsg) Encode(e *Encoder) {
-	e.PutU32(m.Code)
-	e.PutString(m.Op)
-	e.PutString(m.Detail)
-}
-
-func (m *ErrorMsg) Decode(d *Decoder) {
-	m.Code = d.U32()
-	m.Op = d.String()
-	m.Detail = d.String()
+func (m *ErrorMsg) Fields(c *Codec) {
+	c.U32(&m.Code)
+	c.String(&m.Op)
+	c.String(&m.Detail)
 }
 
 // Ping is a liveness probe; the peer answers with Pong echoing Seq.
 type Ping struct{ Seq uint64 }
 
-func (*Ping) Type() MsgType       { return MsgPing }
-func (m *Ping) Encode(e *Encoder) { e.PutU64(m.Seq) }
-func (m *Ping) Decode(d *Decoder) { m.Seq = d.U64() }
+func (*Ping) Type() MsgType     { return MsgPing }
+func (m *Ping) Fields(c *Codec) { c.U64(&m.Seq) }
 
 // Pong answers a Ping.
 type Pong struct{ Seq uint64 }
 
-func (*Pong) Type() MsgType       { return MsgPong }
-func (m *Pong) Encode(e *Encoder) { e.PutU64(m.Seq) }
-func (m *Pong) Decode(d *Decoder) { m.Seq = d.U64() }
+func (*Pong) Type() MsgType     { return MsgPong }
+func (m *Pong) Fields(c *Codec) { c.U64(&m.Seq) }
 
 // Layout describes how a file's bytes are striped across data servers:
 // round-robin stripes of StripeSize bytes over Servers, in order. With
@@ -67,27 +59,12 @@ func (l Layout) ReplicaCount() int {
 	return int(l.Replicas)
 }
 
-func (l *Layout) encode(e *Encoder) {
-	e.PutU32(l.StripeSize)
-	e.PutU8(l.Replicas)
-	e.PutU32(uint32(len(l.Servers)))
-	for _, s := range l.Servers {
-		e.PutU32(s)
-	}
-}
-
-func (l *Layout) decode(d *Decoder) {
-	l.StripeSize = d.U32()
-	l.Replicas = d.U8()
-	n := int(d.U32())
-	if n*4 > d.Remaining() {
-		d.err = ErrShortPayload
-		return
-	}
-	l.Servers = make([]uint32, n)
-	for i := range l.Servers {
-		l.Servers[i] = d.U32()
-	}
+// Fields is the layout's wire form, in messages and in the metadata
+// journal alike.
+func (l *Layout) Fields(c *Codec) {
+	c.U32(&l.StripeSize)
+	c.U8(&l.Replicas)
+	c.U32s(&l.Servers)
 }
 
 // CreateReq asks the metadata server to create a file.
@@ -106,33 +83,12 @@ type CreateReq struct {
 
 func (*CreateReq) Type() MsgType { return MsgCreateReq }
 
-func (m *CreateReq) Encode(e *Encoder) {
-	e.PutString(m.Name)
-	e.PutU32(m.StripeSize)
-	e.PutU32(m.Width)
-	e.PutU32(uint32(len(m.Placement)))
-	for _, s := range m.Placement {
-		e.PutU32(s)
-	}
-	e.PutU8(m.Replicas)
-}
-
-func (m *CreateReq) Decode(d *Decoder) {
-	m.Name = d.String()
-	m.StripeSize = d.U32()
-	m.Width = d.U32()
-	n := int(d.U32())
-	if n*4 > d.Remaining() {
-		d.err = ErrShortPayload
-		return
-	}
-	if n > 0 {
-		m.Placement = make([]uint32, n)
-		for i := range m.Placement {
-			m.Placement[i] = d.U32()
-		}
-	}
-	m.Replicas = d.U8()
+func (m *CreateReq) Fields(c *Codec) {
+	c.String(&m.Name)
+	c.U32(&m.StripeSize)
+	c.U32(&m.Width)
+	c.U32s(&m.Placement)
+	c.U8(&m.Replicas)
 }
 
 // CreateResp returns the handle and layout of a newly created file.
@@ -143,14 +99,9 @@ type CreateResp struct {
 
 func (*CreateResp) Type() MsgType { return MsgCreateResp }
 
-func (m *CreateResp) Encode(e *Encoder) {
-	e.PutU64(m.Handle)
-	m.Layout.encode(e)
-}
-
-func (m *CreateResp) Decode(d *Decoder) {
-	m.Handle = d.U64()
-	m.Layout.decode(d)
+func (m *CreateResp) Fields(c *Codec) {
+	c.U64(&m.Handle)
+	m.Layout.Fields(c)
 }
 
 // OpenReq looks a file up by name.
@@ -163,17 +114,10 @@ type OpenReq struct {
 
 func (*OpenReq) Type() MsgType { return MsgOpenReq }
 
-func (m *OpenReq) Encode(e *Encoder) {
-	e.PutString(m.Name)
-	if m.Tenant != "" {
-		e.PutString(m.Tenant)
-	}
-}
-
-func (m *OpenReq) Decode(d *Decoder) {
-	m.Name = d.String()
-	if d.Remaining() > 0 {
-		m.Tenant = d.String()
+func (m *OpenReq) Fields(c *Codec) {
+	c.String(&m.Name)
+	if c.More(m.Tenant != "") {
+		c.String(&m.Tenant)
 	}
 }
 
@@ -186,16 +130,10 @@ type OpenResp struct {
 
 func (*OpenResp) Type() MsgType { return MsgOpenResp }
 
-func (m *OpenResp) Encode(e *Encoder) {
-	e.PutU64(m.Handle)
-	e.PutU64(m.Size)
-	m.Layout.encode(e)
-}
-
-func (m *OpenResp) Decode(d *Decoder) {
-	m.Handle = d.U64()
-	m.Size = d.U64()
-	m.Layout.decode(d)
+func (m *OpenResp) Fields(c *Codec) {
+	c.U64(&m.Handle)
+	c.U64(&m.Size)
+	m.Layout.Fields(c)
 }
 
 // StatReq asks for file metadata by name.
@@ -208,17 +146,10 @@ type StatReq struct {
 
 func (*StatReq) Type() MsgType { return MsgStatReq }
 
-func (m *StatReq) Encode(e *Encoder) {
-	e.PutString(m.Name)
-	if m.Tenant != "" {
-		e.PutString(m.Tenant)
-	}
-}
-
-func (m *StatReq) Decode(d *Decoder) {
-	m.Name = d.String()
-	if d.Remaining() > 0 {
-		m.Tenant = d.String()
+func (m *StatReq) Fields(c *Codec) {
+	c.String(&m.Name)
+	if c.More(m.Tenant != "") {
+		c.String(&m.Tenant)
 	}
 }
 
@@ -232,26 +163,18 @@ type StatResp struct {
 
 func (*StatResp) Type() MsgType { return MsgStatResp }
 
-func (m *StatResp) Encode(e *Encoder) {
-	e.PutU64(m.Handle)
-	e.PutU64(m.Size)
-	e.PutI64(m.ModUnixN)
-	m.Layout.encode(e)
-}
-
-func (m *StatResp) Decode(d *Decoder) {
-	m.Handle = d.U64()
-	m.Size = d.U64()
-	m.ModUnixN = d.I64()
-	m.Layout.decode(d)
+func (m *StatResp) Fields(c *Codec) {
+	c.U64(&m.Handle)
+	c.U64(&m.Size)
+	c.I64(&m.ModUnixN)
+	m.Layout.Fields(c)
 }
 
 // RemoveReq deletes a file by name.
 type RemoveReq struct{ Name string }
 
-func (*RemoveReq) Type() MsgType       { return MsgRemoveReq }
-func (m *RemoveReq) Encode(e *Encoder) { e.PutString(m.Name) }
-func (m *RemoveReq) Decode(d *Decoder) { m.Name = d.String() }
+func (*RemoveReq) Type() MsgType     { return MsgRemoveReq }
+func (m *RemoveReq) Fields(c *Codec) { c.String(&m.Name) }
 
 // RemoveResp acknowledges a Remove, naming the stripes to drop. Layout is a
 // trailing optional field: old peers, and a layout without servers, omit it.
@@ -262,17 +185,10 @@ type RemoveResp struct {
 
 func (*RemoveResp) Type() MsgType { return MsgRemoveResp }
 
-func (m *RemoveResp) Encode(e *Encoder) {
-	e.PutU64(m.Handle)
-	if len(m.Layout.Servers) > 0 {
-		m.Layout.encode(e)
-	}
-}
-
-func (m *RemoveResp) Decode(d *Decoder) {
-	m.Handle = d.U64()
-	if d.Remaining() > 0 {
-		m.Layout.decode(d)
+func (m *RemoveResp) Fields(c *Codec) {
+	c.U64(&m.Handle)
+	if c.More(len(m.Layout.Servers) > 0) {
+		m.Layout.Fields(c)
 	}
 }
 
@@ -286,26 +202,18 @@ type ListReq struct {
 
 func (*ListReq) Type() MsgType { return MsgListReq }
 
-func (m *ListReq) Encode(e *Encoder) {
-	e.PutString(m.Prefix)
-	if m.Tenant != "" {
-		e.PutString(m.Tenant)
-	}
-}
-
-func (m *ListReq) Decode(d *Decoder) {
-	m.Prefix = d.String()
-	if d.Remaining() > 0 {
-		m.Tenant = d.String()
+func (m *ListReq) Fields(c *Codec) {
+	c.String(&m.Prefix)
+	if c.More(m.Tenant != "") {
+		c.String(&m.Tenant)
 	}
 }
 
 // ListResp carries matching names in lexical order.
 type ListResp struct{ Names []string }
 
-func (*ListResp) Type() MsgType       { return MsgListResp }
-func (m *ListResp) Encode(e *Encoder) { e.PutStrings(m.Names) }
-func (m *ListResp) Decode(d *Decoder) { m.Names = d.Strings() }
+func (*ListResp) Type() MsgType     { return MsgListResp }
+func (m *ListResp) Fields(c *Codec) { c.Strings(&m.Names) }
 
 // SetSizeReq extends a file's recorded size after a write. The metadata
 // server keeps the maximum of the current and requested sizes, so
@@ -317,22 +225,16 @@ type SetSizeReq struct {
 
 func (*SetSizeReq) Type() MsgType { return MsgSetSizeReq }
 
-func (m *SetSizeReq) Encode(e *Encoder) {
-	e.PutU64(m.Handle)
-	e.PutU64(m.Size)
-}
-
-func (m *SetSizeReq) Decode(d *Decoder) {
-	m.Handle = d.U64()
-	m.Size = d.U64()
+func (m *SetSizeReq) Fields(c *Codec) {
+	c.U64(&m.Handle)
+	c.U64(&m.Size)
 }
 
 // SetSizeResp returns the size now on record.
 type SetSizeResp struct{ Size uint64 }
 
-func (*SetSizeResp) Type() MsgType       { return MsgSetSizeResp }
-func (m *SetSizeResp) Encode(e *Encoder) { e.PutU64(m.Size) }
-func (m *SetSizeResp) Decode(d *Decoder) { m.Size = d.U64() }
+func (*SetSizeResp) Type() MsgType     { return MsgSetSizeResp }
+func (m *SetSizeResp) Fields(c *Codec) { c.U64(&m.Size) }
 
 // ReadReq reads Length bytes at Offset from a data server's local byte
 // stream for Handle. Offsets are server-local: the striping client maps
@@ -358,27 +260,15 @@ type ReadReq struct {
 
 func (*ReadReq) Type() MsgType { return MsgReadReq }
 
-func (m *ReadReq) Encode(e *Encoder) {
-	e.PutU64(m.Handle)
-	e.PutU64(m.Offset)
-	e.PutU32(m.Length)
-	if m.Tenant != "" || m.ReqID != 0 {
-		e.PutString(m.Tenant)
-	}
-	if m.ReqID != 0 {
-		e.PutU64(m.ReqID)
-	}
-}
-
-func (m *ReadReq) Decode(d *Decoder) {
-	m.Handle = d.U64()
-	m.Offset = d.U64()
-	m.Length = d.U32()
-	if d.Remaining() > 0 {
-		m.Tenant = d.String()
-	}
-	if d.Remaining() > 0 {
-		m.ReqID = d.U64()
+func (m *ReadReq) Fields(c *Codec) {
+	c.U64(&m.Handle)
+	c.U64(&m.Offset)
+	c.U32(&m.Length)
+	if c.More(m.Tenant != "" || m.ReqID != 0) {
+		c.String(&m.Tenant)
+		if c.More(m.ReqID != 0) {
+			c.U64(&m.ReqID)
+		}
 	}
 }
 
@@ -417,25 +307,10 @@ type ReadResp struct {
 
 func (*ReadResp) Type() MsgType { return MsgReadResp }
 
-func (m *ReadResp) Encode(e *Encoder) {
-	if m.Payload != nil {
-		// Inline fallback for writers without a streaming fast path:
-		// materialize the payload into the frame buffer.
-		e.PutPayload(m.Payload)
-		e.PutBool(m.EOF)
-		return
-	}
-	e.PutBytes(m.Data)
-	e.PutBool(m.EOF)
+func (m *ReadResp) Fields(c *Codec) {
+	c.Body(&m.Data, m.Payload)
+	c.Bool(&m.EOF)
 }
-
-func (m *ReadResp) Decode(d *Decoder) {
-	m.Data = d.Bytes()
-	m.EOF = d.Bool()
-}
-
-// Own implements Owner: Data may alias a pooled frame buffer.
-func (m *ReadResp) Own() { m.Data = detach(m.Data) }
 
 // encodedSizeHint sizes the frame buffer for the bulk payload.
 func (m *ReadResp) encodedSizeHint() int {
@@ -447,12 +322,6 @@ func (m *ReadResp) encodedSizeHint() int {
 
 // bulkRef implements payloadCarrier: the body is Data or Payload.
 func (m *ReadResp) bulkRef() ([]byte, Payload) { return m.Data, m.Payload }
-
-// encodePre implements payloadCarrier: the body's u32 length prefix.
-func (m *ReadResp) encodePre(e *Encoder, bodyLen int) { e.PutU32(uint32(bodyLen)) }
-
-// encodePost implements payloadCarrier: the trailing EOF flag.
-func (m *ReadResp) encodePost(e *Encoder) { e.PutBool(m.EOF) }
 
 // cancelFlag implements cancelCarrier: the frame writers poll this
 // between segments.
@@ -483,33 +352,14 @@ type WriteReq struct {
 
 func (*WriteReq) Type() MsgType { return MsgWriteReq }
 
-func (m *WriteReq) Encode(e *Encoder) {
-	e.PutU64(m.Handle)
-	e.PutU64(m.Offset)
-	if m.Payload != nil {
-		e.PutPayload(m.Payload) // inline fallback, as in ReadResp.Encode
-	} else {
-		e.PutBytes(m.Data)
-	}
-	m.encodePost(e)
-}
-
-func (m *WriteReq) Decode(d *Decoder) {
-	m.Handle = d.U64()
-	m.Offset = d.U64()
-	m.Data = d.Bytes()
-	m.decodePost(d)
-}
-
-// decodePost decodes what follows the body: the optional tenant.
-func (m *WriteReq) decodePost(d *Decoder) {
-	if d.Remaining() > 0 {
-		m.Tenant = d.String()
+func (m *WriteReq) Fields(c *Codec) {
+	c.U64(&m.Handle)
+	c.U64(&m.Offset)
+	c.Body(&m.Data, m.Payload)
+	if c.More(m.Tenant != "") {
+		c.String(&m.Tenant)
 	}
 }
-
-// Own implements Owner: Data may alias a pooled frame buffer.
-func (m *WriteReq) Own() { m.Data = detach(m.Data) }
 
 // encodedSizeHint sizes the frame buffer for the bulk payload.
 func (m *WriteReq) encodedSizeHint() int {
@@ -523,27 +373,11 @@ func (m *WriteReq) encodedSizeHint() int {
 // bulkRef implements payloadCarrier: the body is Data or Payload.
 func (m *WriteReq) bulkRef() ([]byte, Payload) { return m.Data, m.Payload }
 
-// encodePre implements payloadCarrier: the address and the body's u32
-// length prefix.
-func (m *WriteReq) encodePre(e *Encoder, bodyLen int) {
-	e.PutU64(m.Handle)
-	e.PutU64(m.Offset)
-	e.PutU32(uint32(bodyLen))
-}
-
-// encodePost implements payloadCarrier: the optional tenant.
-func (m *WriteReq) encodePost(e *Encoder) {
-	if m.Tenant != "" {
-		e.PutString(m.Tenant)
-	}
-}
-
 // WriteResp acknowledges the number of bytes durably applied.
 type WriteResp struct{ N uint32 }
 
-func (*WriteResp) Type() MsgType       { return MsgWriteResp }
-func (m *WriteResp) Encode(e *Encoder) { e.PutU32(m.N) }
-func (m *WriteResp) Decode(d *Decoder) { m.N = d.U32() }
+func (*WriteResp) Type() MsgType     { return MsgWriteResp }
+func (m *WriteResp) Fields(c *Codec) { c.U32(&m.N) }
 
 // TruncReq truncates (or removes, when Size is 0 and Remove is set) the
 // server-local stream for Handle.
@@ -558,30 +392,20 @@ type TruncReq struct {
 
 func (*TruncReq) Type() MsgType { return MsgTruncReq }
 
-func (m *TruncReq) Encode(e *Encoder) {
-	e.PutU64(m.Handle)
-	e.PutU64(m.Size)
-	e.PutBool(m.Remove)
-	if m.Tenant != "" {
-		e.PutString(m.Tenant)
-	}
-}
-
-func (m *TruncReq) Decode(d *Decoder) {
-	m.Handle = d.U64()
-	m.Size = d.U64()
-	m.Remove = d.Bool()
-	if d.Remaining() > 0 {
-		m.Tenant = d.String()
+func (m *TruncReq) Fields(c *Codec) {
+	c.U64(&m.Handle)
+	c.U64(&m.Size)
+	c.Bool(&m.Remove)
+	if c.More(m.Tenant != "") {
+		c.String(&m.Tenant)
 	}
 }
 
 // TruncResp acknowledges a TruncReq.
 type TruncResp struct{}
 
-func (*TruncResp) Type() MsgType   { return MsgTruncResp }
-func (*TruncResp) Encode(*Encoder) {}
-func (*TruncResp) Decode(*Decoder) {}
+func (*TruncResp) Type() MsgType { return MsgTruncResp }
+func (*TruncResp) Fields(*Codec) {}
 
 // ActiveReadReq asks a storage server to run kernel Op over the
 // server-local byte range [Offset, Offset+Length) of Handle and return the
@@ -609,41 +433,20 @@ type ActiveReadReq struct {
 
 func (*ActiveReadReq) Type() MsgType { return MsgActiveReadReq }
 
-func (m *ActiveReadReq) Encode(e *Encoder) {
-	e.PutU64(m.RequestID)
-	e.PutU64(m.Handle)
-	e.PutU64(m.Offset)
-	e.PutU64(m.Length)
-	e.PutString(m.Op)
-	e.PutBytes(m.Params)
-	e.PutBytes(m.ResumeState)
-	e.PutU64(m.TraceID)
-	if m.Tenant != "" {
-		e.PutString(m.Tenant)
+func (m *ActiveReadReq) Fields(c *Codec) {
+	c.U64(&m.RequestID)
+	c.U64(&m.Handle)
+	c.U64(&m.Offset)
+	c.U64(&m.Length)
+	c.String(&m.Op)
+	c.Bytes(&m.Params)
+	c.Bytes(&m.ResumeState)
+	if c.More(true) {
+		c.U64(&m.TraceID)
+		if c.More(m.Tenant != "") {
+			c.String(&m.Tenant)
+		}
 	}
-}
-
-func (m *ActiveReadReq) Decode(d *Decoder) {
-	m.RequestID = d.U64()
-	m.Handle = d.U64()
-	m.Offset = d.U64()
-	m.Length = d.U64()
-	m.Op = d.String()
-	m.Params = d.Bytes()
-	m.ResumeState = d.Bytes()
-	if d.Remaining() > 0 {
-		m.TraceID = d.U64()
-	}
-	if d.Remaining() > 0 {
-		m.Tenant = d.String()
-	}
-}
-
-// Own implements Owner: Params and ResumeState may alias a pooled frame
-// buffer.
-func (m *ActiveReadReq) Own() {
-	m.Params = detach(m.Params)
-	m.ResumeState = detach(m.ResumeState)
 }
 
 // Dispositions of an active read, carried in ActiveReadResp.Disposition.
@@ -676,30 +479,15 @@ type ActiveReadResp struct {
 
 func (*ActiveReadResp) Type() MsgType { return MsgActiveReadResp }
 
-func (m *ActiveReadResp) Encode(e *Encoder) {
-	e.PutU64(m.RequestID)
-	e.PutU8(m.Disposition)
-	e.PutBytes(m.Result)
-	e.PutBytes(m.State)
-	e.PutU64(m.Processed)
-	e.PutU64(m.TraceID)
-}
-
-func (m *ActiveReadResp) Decode(d *Decoder) {
-	m.RequestID = d.U64()
-	m.Disposition = d.U8()
-	m.Result = d.Bytes()
-	m.State = d.Bytes()
-	m.Processed = d.U64()
-	if d.Remaining() > 0 {
-		m.TraceID = d.U64()
+func (m *ActiveReadResp) Fields(c *Codec) {
+	c.U64(&m.RequestID)
+	c.U8(&m.Disposition)
+	c.Bytes(&m.Result)
+	c.Bytes(&m.State)
+	c.U64(&m.Processed)
+	if c.More(true) {
+		c.U64(&m.TraceID)
 	}
-}
-
-// Own implements Owner: Result and State may alias a pooled frame buffer.
-func (m *ActiveReadResp) Own() {
-	m.Result = detach(m.Result)
-	m.State = detach(m.State)
 }
 
 // encodedSizeHint sizes the frame buffer for the kernel output.
@@ -709,9 +497,8 @@ func (m *ActiveReadResp) encodedSizeHint() int { return len(m.Result) + len(m.St
 // Estimator's periodic probe).
 type ProbeReq struct{}
 
-func (*ProbeReq) Type() MsgType   { return MsgProbeReq }
-func (*ProbeReq) Encode(*Encoder) {}
-func (*ProbeReq) Decode(*Decoder) {}
+func (*ProbeReq) Type() MsgType { return MsgProbeReq }
+func (*ProbeReq) Fields(*Codec) {}
 
 // ProbeResp is a snapshot of a storage server's load: the inputs the paper
 // lists for the CE — I/O queue, CPU utilisation, memory utilisation.
@@ -727,24 +514,14 @@ type ProbeResp struct {
 
 func (*ProbeResp) Type() MsgType { return MsgProbeResp }
 
-func (m *ProbeResp) Encode(e *Encoder) {
-	e.PutU32(m.QueueLen)
-	e.PutU32(m.ActiveQueueLen)
-	e.PutF64(m.BusyCores)
-	e.PutU32(m.TotalCores)
-	e.PutU64(m.MemUsed)
-	e.PutU64(m.MemTotal)
-	e.PutU64(m.BytesQueued)
-}
-
-func (m *ProbeResp) Decode(d *Decoder) {
-	m.QueueLen = d.U32()
-	m.ActiveQueueLen = d.U32()
-	m.BusyCores = d.F64()
-	m.TotalCores = d.U32()
-	m.MemUsed = d.U64()
-	m.MemTotal = d.U64()
-	m.BytesQueued = d.U64()
+func (m *ProbeResp) Fields(c *Codec) {
+	c.U32(&m.QueueLen)
+	c.U32(&m.ActiveQueueLen)
+	c.F64(&m.BusyCores)
+	c.U32(&m.TotalCores)
+	c.U64(&m.MemUsed)
+	c.U64(&m.MemTotal)
+	c.U64(&m.BytesQueued)
 }
 
 // CancelReq withdraws a pending or running active read.
@@ -756,15 +533,10 @@ type CancelReq struct {
 
 func (*CancelReq) Type() MsgType { return MsgCancelReq }
 
-func (m *CancelReq) Encode(e *Encoder) {
-	e.PutU64(m.RequestID)
-	e.PutU64(m.TraceID)
-}
-
-func (m *CancelReq) Decode(d *Decoder) {
-	m.RequestID = d.U64()
-	if d.Remaining() > 0 {
-		m.TraceID = d.U64()
+func (m *CancelReq) Fields(c *Codec) {
+	c.U64(&m.RequestID)
+	if c.More(true) {
+		c.U64(&m.TraceID)
 	}
 }
 
@@ -772,9 +544,8 @@ func (m *CancelReq) Decode(d *Decoder) {
 // running) when the cancel arrived.
 type CancelResp struct{ Found bool }
 
-func (*CancelResp) Type() MsgType       { return MsgCancelResp }
-func (m *CancelResp) Encode(e *Encoder) { e.PutBool(m.Found) }
-func (m *CancelResp) Decode(d *Decoder) { m.Found = d.Bool() }
+func (*CancelResp) Type() MsgType     { return MsgCancelResp }
+func (m *CancelResp) Fields(c *Codec) { c.Bool(&m.Found) }
 
 // TransformReq asks a storage server to run kernel Op over the
 // server-local range [Offset, Offset+Length) of SrcHandle and write the
@@ -801,55 +572,35 @@ type TransformReq struct {
 
 func (*TransformReq) Type() MsgType { return MsgTransformReq }
 
-func (m *TransformReq) Encode(e *Encoder) {
-	e.PutU64(m.RequestID)
-	e.PutU64(m.SrcHandle)
-	e.PutU64(m.Offset)
-	e.PutU64(m.Length)
-	e.PutString(m.Op)
-	e.PutBytes(m.Params)
-	e.PutU64(m.DstHandle)
-	e.PutU64(m.DstOffset)
-	e.PutU64(m.TraceID)
-	if m.Tenant != "" {
-		e.PutString(m.Tenant)
+func (m *TransformReq) Fields(c *Codec) {
+	c.U64(&m.RequestID)
+	c.U64(&m.SrcHandle)
+	c.U64(&m.Offset)
+	c.U64(&m.Length)
+	c.String(&m.Op)
+	c.Bytes(&m.Params)
+	c.U64(&m.DstHandle)
+	c.U64(&m.DstOffset)
+	if c.More(true) {
+		c.U64(&m.TraceID)
+		if c.More(m.Tenant != "") {
+			c.String(&m.Tenant)
+		}
 	}
 }
-
-func (m *TransformReq) Decode(d *Decoder) {
-	m.RequestID = d.U64()
-	m.SrcHandle = d.U64()
-	m.Offset = d.U64()
-	m.Length = d.U64()
-	m.Op = d.String()
-	m.Params = d.Bytes()
-	m.DstHandle = d.U64()
-	m.DstOffset = d.U64()
-	if d.Remaining() > 0 {
-		m.TraceID = d.U64()
-	}
-	if d.Remaining() > 0 {
-		m.Tenant = d.String()
-	}
-}
-
-// Own implements Owner: Params may alias a pooled frame buffer.
-func (m *TransformReq) Own() { m.Params = detach(m.Params) }
 
 // LocalSizeReq asks a data server for the length of its local stream for
 // Handle — the inspection primitive behind fsck and replica repair.
 type LocalSizeReq struct{ Handle uint64 }
 
-func (*LocalSizeReq) Type() MsgType       { return MsgLocalSizeReq }
-func (m *LocalSizeReq) Encode(e *Encoder) { e.PutU64(m.Handle) }
-func (m *LocalSizeReq) Decode(d *Decoder) { m.Handle = d.U64() }
+func (*LocalSizeReq) Type() MsgType     { return MsgLocalSizeReq }
+func (m *LocalSizeReq) Fields(c *Codec) { c.U64(&m.Handle) }
 
 // LocalSizeResp returns the local stream length (0 when absent).
 type LocalSizeResp struct{ Size uint64 }
 
-func (*LocalSizeResp) Type() MsgType       { return MsgLocalSizeResp }
-func (m *LocalSizeResp) Encode(e *Encoder) { e.PutU64(m.Size) }
-func (m *LocalSizeResp) Decode(d *Decoder) { m.Size = d.U64() }
+func (*LocalSizeResp) Type() MsgType     { return MsgLocalSizeResp }
+func (m *LocalSizeResp) Fields(c *Codec) { c.U64(&m.Size) }
 
 // TransformResp acknowledges a TransformReq with the number of output
 // bytes written locally.
@@ -860,14 +611,9 @@ type TransformResp struct {
 
 func (*TransformResp) Type() MsgType { return MsgTransformResp }
 
-func (m *TransformResp) Encode(e *Encoder) {
-	e.PutU64(m.RequestID)
-	e.PutU64(m.Written)
-}
-
-func (m *TransformResp) Decode(d *Decoder) {
-	m.RequestID = d.U64()
-	m.Written = d.U64()
+func (m *TransformResp) Fields(c *Codec) {
+	c.U64(&m.RequestID)
+	c.U64(&m.Written)
 }
 
 // HelloReq is the first message a client sends on a fresh connection, as
@@ -882,14 +628,9 @@ type HelloReq struct {
 
 func (*HelloReq) Type() MsgType { return MsgHelloReq }
 
-func (m *HelloReq) Encode(e *Encoder) {
-	e.PutU32(m.MaxVersion)
-	e.PutU32(m.MaxSegment)
-}
-
-func (m *HelloReq) Decode(d *Decoder) {
-	m.MaxVersion = d.U32()
-	m.MaxSegment = d.U32()
+func (m *HelloReq) Fields(c *Codec) {
+	c.U32(&m.MaxVersion)
+	c.U32(&m.MaxSegment)
 }
 
 // HelloResp answers a HelloReq. Version MuxVersion commits both sides to
@@ -903,14 +644,9 @@ type HelloResp struct {
 
 func (*HelloResp) Type() MsgType { return MsgHelloResp }
 
-func (m *HelloResp) Encode(e *Encoder) {
-	e.PutU32(m.Version)
-	e.PutU32(m.MaxSegment)
-}
-
-func (m *HelloResp) Decode(d *Decoder) {
-	m.Version = d.U32()
-	m.MaxSegment = d.U32()
+func (m *HelloResp) Fields(c *Codec) {
+	c.U32(&m.Version)
+	c.U32(&m.MaxSegment)
 }
 
 // IntrospectReq asks a server for one kind of introspection: its metrics,
@@ -926,18 +662,10 @@ type IntrospectReq struct {
 
 func (*IntrospectReq) Type() MsgType { return MsgIntrospectReq }
 
-func (m *IntrospectReq) Encode(e *Encoder) {
-	e.PutString(m.Kind)
-	e.PutBytes(m.Params)
+func (m *IntrospectReq) Fields(c *Codec) {
+	c.String(&m.Kind)
+	c.Bytes(&m.Params)
 }
-
-func (m *IntrospectReq) Decode(d *Decoder) {
-	m.Kind = d.String()
-	m.Params = d.Bytes()
-}
-
-// Own implements Owner: Params may alias a pooled frame buffer.
-func (m *IntrospectReq) Own() { m.Params = detach(m.Params) }
 
 // IntrospectResp answers an IntrospectReq with the serving node's identity
 // and Body, the JSON of the kind's reply.
@@ -948,18 +676,10 @@ type IntrospectResp struct {
 
 func (*IntrospectResp) Type() MsgType { return MsgIntrospectResp }
 
-func (m *IntrospectResp) Encode(e *Encoder) {
-	e.PutString(m.Node)
-	e.PutBytes(m.Body)
+func (m *IntrospectResp) Fields(c *Codec) {
+	c.String(&m.Node)
+	c.Bytes(&m.Body)
 }
-
-func (m *IntrospectResp) Decode(d *Decoder) {
-	m.Node = d.String()
-	m.Body = d.Bytes()
-}
-
-// Own implements Owner: Body may alias a pooled frame buffer.
-func (m *IntrospectResp) Own() { m.Body = detach(m.Body) }
 
 // encodedSizeHint sizes the frame buffer for the reply body.
 func (m *IntrospectResp) encodedSizeHint() int { return len(m.Body) + len(m.Node) + 16 }

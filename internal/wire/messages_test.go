@@ -188,11 +188,11 @@ func TestReadMessageTruncatedPayload(t *testing.T) {
 
 func TestReadMessageTrailingBytes(t *testing.T) {
 	// Hand-build a Ping frame with 2 extra payload bytes.
-	var e Encoder
-	e.buf = make([]byte, 6)
-	e.PutU64(1)
-	e.PutU16(0xABCD) // trailing garbage
-	raw := e.Bytes()
+	e := Codec{buf: make([]byte, 6)}
+	seq, garbage := uint64(1), uint16(0xABCD)
+	e.U64(&seq)
+	e.U16(&garbage) // trailing garbage
+	raw := e.Buf()
 	raw[0] = byte(len(raw) - 4)
 	raw[4] = byte(MsgPing)
 	if _, err := ReadMessage(bytes.NewReader(raw)); err != ErrTrailingBytes {
@@ -362,11 +362,11 @@ func TestTenantFieldMuxFraming(t *testing.T) {
 		}
 		// Empty tenant encodes the pre-tenant payload through this
 		// framing too.
-		var withTenant, without Encoder
-		m.Encode(&withTenant)
+		var withTenant, without Codec
+		m.Fields(&withTenant)
 		tenant := reflect.ValueOf(m).Elem().FieldByName("Tenant").String()
-		clearTenant(m).Encode(&without)
-		if len(withTenant.Bytes())-len(without.Bytes()) != 4+len(tenant) {
+		clearTenant(m).Fields(&without)
+		if len(withTenant.Buf())-len(without.Buf()) != 4+len(tenant) {
 			t.Errorf("%v: empty tenant did not shrink payload to the pre-tenant format", m.Type())
 		}
 	}

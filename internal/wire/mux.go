@@ -106,18 +106,6 @@ const (
 // ErrMuxClosed is returned by Enqueue after Close.
 var ErrMuxClosed = errors.New("wire: mux writer closed")
 
-// ClassOf maps a message type to its wire priority class: stripe-transfer
-// carriers are bulk, everything else (Ping, Probe, Cancel, Introspect,
-// errors, metadata ops, ...) is control.
-func ClassOf(t MsgType) uint8 {
-	switch t {
-	case MsgReadReq, MsgReadResp, MsgWriteReq, MsgWriteResp,
-		MsgActiveReadReq, MsgActiveReadResp, MsgTransformReq, MsgTransformResp:
-		return ClassBulk
-	}
-	return ClassControl
-}
-
 // muxFrame is one fully encoded message queued for writing. The payload
 // lives at buf[muxHdrRoom:]; the header of each segment is written in
 // place immediately before that segment's payload bytes (clobbering the
@@ -251,22 +239,21 @@ func (mw *MuxWriter) Enqueue(m Message, stream uint32, done func(error)) error {
 			p = nil
 		}
 		if p != nil {
-			return mw.enqueueRef(pc, p, stream, done)
+			return mw.enqueueRef(m, p, stream, done)
 		}
 	}
 	hint := 64
 	if s, ok := m.(sizeHinter); ok {
 		hint = s.encodedSizeHint() + muxHdrRoom
 	}
-	var e Encoder
-	e.buf = GetBuf(hint)[:muxHdrRoom]
-	m.Encode(&e)
-	err := e.err
-	if err == nil && len(e.buf)-muxHdrRoom+muxOverhead > MaxFrameSize {
+	c := &Codec{buf: GetBuf(hint)[:muxHdrRoom]}
+	m.Fields(c)
+	err := c.err
+	if err == nil && len(c.buf)-muxHdrRoom+muxOverhead > MaxFrameSize {
 		err = ErrFrameTooLarge
 	}
 	if err != nil {
-		PutBuf(e.buf)
+		PutBuf(c.buf)
 		if done != nil {
 			done(err)
 		}
@@ -275,40 +262,30 @@ func (mw *MuxWriter) Enqueue(m Message, stream uint32, done func(error)) error {
 	if pc, ok := m.(payloadCarrier); ok {
 		// The bulk body was staged through the frame buffer (MemStore
 		// reads, and everything in Plain mode).
-		data, p := pc.bulkRef()
-		if p != nil {
-			mw.Stats.addCopied(p.Len())
-		} else {
-			mw.Stats.addCopied(int64(len(data)))
-		}
+		mw.Stats.addCopied(bodyLen(pc))
 	}
-	f := &muxFrame{t: m.Type(), stream: stream, class: ClassOf(m.Type()), buf: e.buf, done: done}
+	f := &muxFrame{t: m.Type(), stream: stream, class: ClassOf(m.Type()), buf: c.buf, done: done}
 	return mw.submit(f)
 }
 
 // enqueueRef queues a by-reference bulk frame: only the head and tail
 // are encoded; the body streams from p at write time.
-func (mw *MuxWriter) enqueueRef(pc payloadCarrier, p Payload, stream uint32, done func(error)) error {
+func (mw *MuxWriter) enqueueRef(m Message, p Payload, stream uint32, done func(error)) error {
 	body := p.Len()
-	var e Encoder
-	e.buf = GetBuf(64)[:muxHdrRoom]
-	pc.encodePre(&e, int(body))
-	pre := len(e.buf) - muxHdrRoom
-	pc.encodePost(&e)
-	err := e.err
-	if err == nil && int64(len(e.buf)-muxHdrRoom+muxOverhead)+body > MaxFrameSize {
+	c, err := encodeSplit(m, muxHdrRoom)
+	if err == nil && int64(len(c.buf)-muxHdrRoom+muxOverhead)+body > MaxFrameSize {
+		PutBuf(c.buf)
 		err = ErrFrameTooLarge
 	}
 	if err != nil {
-		PutBuf(e.buf)
 		if done != nil {
 			done(err)
 		}
 		return err
 	}
-	f := &muxFrame{t: pc.Type(), stream: stream, class: ClassOf(pc.Type()),
-		buf: e.buf, done: done, p: p, pre: pre, body: body,
-		cancel: cancelFlagOf(pc)}
+	f := &muxFrame{t: m.Type(), stream: stream, class: ClassOf(m.Type()),
+		buf: c.buf, done: done, p: p, pre: int(c.at) - muxHdrRoom, body: body,
+		cancel: cancelFlagOf(m)}
 	return mw.submit(f)
 }
 
@@ -665,19 +642,24 @@ type WriteLanding interface {
 	Abort()
 }
 
-// The bytes of a landed message before its body: a ReadResp's u32 body
-// length; a WriteReq's handle, offset and u32 body length. After the body
-// come its tail: a ReadResp's EOF flag, a WriteReq's optional tenant.
-const (
-	readRespHead = 4
-	writeReqHead = 20
+// The bytes of a landed message before its body, from its field list: a
+// ReadResp's u32 body length; a WriteReq's handle, offset and u32 body
+// length. After the body come its tail: a ReadResp's EOF flag, a
+// WriteReq's optional tenant.
+var readRespHead, writeReqHead = bodyAt(new(ReadResp)), bodyAt(new(WriteReq))
 
-	// maxWriteReqTail is the longest tail a WriteReq can decode: a tenant
-	// of MaxStringLen bytes behind its length prefix. A WriteReq with a
-	// longer one is not offered to WriteDest; its buffered decode refuses
-	// it.
-	maxWriteReqTail = 4 + MaxStringLen
-)
+// bodyAt is where the body of m, a message with fixed-width fields ahead
+// of its body, begins.
+func bodyAt(m Message) int {
+	c := Codec{ref: true}
+	m.Fields(&c)
+	return int(c.at)
+}
+
+// maxWriteReqTail is the longest tail a WriteReq can decode: a tenant of
+// MaxStringLen bytes behind its length prefix. A WriteReq with a longer
+// one is not offered to WriteDest; its buffered decode refuses it.
+const maxWriteReqTail = 4 + MaxStringLen
 
 // muxAsm is a stream's partially received message.
 type muxAsm struct {
@@ -687,17 +669,16 @@ type muxAsm struct {
 	total int
 	got   int // payload bytes received
 
-	// A landing message keeps its head and tail and hands its body to
-	// land. A WriteReq starts out landing whether or not it will land:
+	// A landing message keeps its head and tail, in ht, and hands its body
+	// to land. A WriteReq starts out landing whether or not it will land:
 	// once its head is in, WriteDest decides, and if it declines, the rest
 	// of the message goes to buf after the head.
 	land  Landing
 	wl    WriteLanding // land of a WriteReq, until the request is delivered
-	head  [writeReqHead]byte
-	hl    int // the head's length
-	body  int // the body's length, once the head is in
-	tail  []byte
-	small [32]byte // backs a tail that fits: an EOF flag, a short tenant
+	hl    int          // the head's length
+	body  int          // the body's length, once the head is in
+	ht    []byte       // the head, then the tail
+	small [64]byte     // backs ht when it fits: a head and an EOF flag or a short tenant
 }
 
 // MuxReader reassembles mux frames from one connection. Not safe for
@@ -777,6 +758,8 @@ func (mr *MuxReader) Read() (MuxFrame, error) {
 			}
 			if a.hl == 0 {
 				a.buf = GetBuf(total)[:0]
+			} else {
+				a.ht = a.small[:0]
 			}
 			if more {
 				mr.asm[stream] = a
@@ -848,7 +831,8 @@ func (mr *MuxReader) landPart(a *muxAsm, plen int) (int, error) {
 	switch {
 	case at < a.hl:
 		k := min(plen, a.hl-at)
-		if _, err := io.ReadFull(mr.r, a.head[at:at+k]); err != nil {
+		a.ht = a.ht[:at+k]
+		if _, err := io.ReadFull(mr.r, a.ht[at:]); err != nil {
 			return 0, err
 		}
 		if at+k == a.hl {
@@ -861,9 +845,9 @@ func (mr *MuxReader) landPart(a *muxAsm, plen int) (int, error) {
 		mr.Stats.addLanded(int64(landed))
 		return k, err
 	default: // the tail, sized by headIn to what the total leaves
-		n := len(a.tail)
-		a.tail = a.tail[:n+plen]
-		_, err := io.ReadFull(mr.r, a.tail[n:])
+		n := len(a.ht)
+		a.ht = a.ht[:n+plen]
+		_, err := io.ReadFull(mr.r, a.ht[n:])
 		return plen, err
 	}
 }
@@ -875,7 +859,7 @@ func (mr *MuxReader) landPart(a *muxAsm, plen int) (int, error) {
 // one that does not fit, or that WriteDest declines, goes on in a frame
 // buffer, whose decode treats it as if it had never been offered.
 func (mr *MuxReader) headIn(a *muxAsm) error {
-	a.body = int(binary.LittleEndian.Uint32(a.head[a.hl-4 : a.hl]))
+	a.body = int(binary.LittleEndian.Uint32(a.ht[a.hl-4:])) // Body's length prefix ends the head
 	tail := a.total - a.hl - a.body
 	if a.t == MsgReadResp {
 		if tail < 1 {
@@ -884,46 +868,42 @@ func (mr *MuxReader) headIn(a *muxAsm) error {
 			return ErrTrailingBytes
 		}
 	} else if tail >= 0 && tail <= maxWriteReqTail {
-		handle := binary.LittleEndian.Uint64(a.head[0:8])
-		off := binary.LittleEndian.Uint64(a.head[8:16])
-		if wl := mr.WriteDest(handle, off, a.body); wl != nil {
+		// The head alone decodes: what follows a WriteReq's body is optional.
+		var m WriteReq
+		if err := decode(&m, a.ht, true); err != nil {
+			return err
+		}
+		if wl := mr.WriteDest(m.Handle, m.Offset, a.body); wl != nil {
 			a.land, a.wl = wl, wl
 		}
 	}
 	switch {
 	case a.land == nil:
-		a.buf = append(GetBuf(a.total)[:0], a.head[:a.hl]...)
-	case tail <= len(a.small):
-		a.tail = a.small[:0:tail]
+		a.buf = append(GetBuf(a.total)[:0], a.ht...)
+	case a.hl+tail <= len(a.small):
+		a.ht = a.small[: a.hl : a.hl+tail]
 	default:
-		a.tail = make([]byte, 0, tail)
+		a.ht = append(make([]byte, 0, a.hl+tail), a.ht...)
 	}
 	return nil
 }
 
 // landed decodes a landing message once all of it is in: its head and tail
-// as the buffered decode would, with the body's length in Landed. A
-// delivered WriteReq hands its landing over in Lander.
+// through its field list, as the buffered decode would, with the body's
+// length in Landed. A delivered WriteReq hands its landing over in Lander.
 func (a *muxAsm) landed() (Message, error) {
 	if a.got < a.hl {
 		return nil, ErrShortPayload // the message ended inside its head
 	}
-	if a.t == MsgReadResp {
-		return &ReadResp{EOF: a.tail[0] != 0, Landed: a.body}, nil
+	m := New(a.t)
+	if err := decode(m, a.ht, true); err != nil {
+		return nil, err
 	}
-	m := &WriteReq{
-		Handle: binary.LittleEndian.Uint64(a.head[0:8]),
-		Offset: binary.LittleEndian.Uint64(a.head[8:16]),
-		Landed: a.body,
-		Lander: a.wl,
-	}
-	d := Decoder{buf: a.tail}
-	m.decodePost(&d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, ErrTrailingBytes
+	switch m := m.(type) {
+	case *ReadResp:
+		m.Landed = a.body
+	case *WriteReq:
+		m.Landed, m.Lander = a.body, a.wl
 	}
 	a.wl = nil
 	return m, nil

@@ -235,9 +235,9 @@ func TestMuxRoundTrip(t *testing.T) {
 		if !ok {
 			t.Fatalf("stream %d never arrived", stream)
 		}
-		var wantBuf, gotBuf Encoder
-		m.Encode(&wantBuf)
-		g.Encode(&gotBuf)
+		var wantBuf, gotBuf Codec
+		m.Fields(&wantBuf)
+		g.Fields(&gotBuf)
 		if !bytes.Equal(wantBuf.buf, gotBuf.buf) {
 			t.Errorf("stream %d: payload mismatch (%d vs %d bytes)", stream, len(gotBuf.buf), len(wantBuf.buf))
 		}
@@ -398,8 +398,8 @@ func TestMuxSegmentationQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := func(data []byte, seed int64) bool {
 		m := &ReadResp{Data: data, EOF: seed&1 == 0}
-		var e Encoder
-		m.Encode(&e)
+		var e Codec
+		m.Fields(&e)
 		payload := e.buf
 
 		// cut into 1..len random segments
@@ -451,9 +451,9 @@ func TestMuxSegmentationQuick(t *testing.T) {
 func TestMuxReaderInterleavedStreams(t *testing.T) {
 	a := bytes.Repeat([]byte{0xA}, 300)
 	b := bytes.Repeat([]byte{0xB}, 500)
-	var ea, eb Encoder
-	(&ReadResp{Data: a}).Encode(&ea)
-	(&ReadResp{Data: b}).Encode(&eb)
+	var ea, eb Codec
+	(&ReadResp{Data: a}).Fields(&ea)
+	(&ReadResp{Data: b}).Fields(&eb)
 
 	var wireBuf bytes.Buffer
 	wireBuf.Write(appendSeg(nil, MsgReadResp, 1, ea.buf[:100], true, len(ea.buf)))
@@ -668,8 +668,8 @@ func TestMuxReaderRejectsBadTotals(t *testing.T) {
 // prefix as soon as it arrives, but never runs out of stream before the
 // assembling reader does. Every WriteReq landing is delivered or aborted.
 func FuzzMuxReader(f *testing.F) {
-	var e Encoder
-	(&ReadResp{Data: bytes.Repeat([]byte{1}, 300), EOF: true}).Encode(&e)
+	var e Codec
+	(&ReadResp{Data: bytes.Repeat([]byte{1}, 300), EOF: true}).Fields(&e)
 	b, n := e.buf, len(e.buf)
 	const rr = MsgReadResp
 	whole := segs(segSpec{rr, 1, b[:100], true, n}, segSpec{rr, 1, b[100:], false, -1})
@@ -737,8 +737,8 @@ func FuzzMuxReader(f *testing.F) {
 
 // writeReqPayload encodes a WriteReq's payload.
 func writeReqPayload(m *WriteReq) []byte {
-	var e Encoder
-	m.Encode(&e)
+	var e Codec
+	m.Fields(&e)
 	return e.buf
 }
 
@@ -923,8 +923,8 @@ func TestMuxReaderLandsReadResp(t *testing.T) {
 // segment or several, and no byte reaches the landing.
 func TestMuxReaderLandingRefusesBadPrefix(t *testing.T) {
 	body := bytes.Repeat([]byte{3}, 300)
-	var e Encoder
-	(&ReadResp{Data: body, EOF: true}).Encode(&e)
+	var e Codec
+	(&ReadResp{Data: body, EOF: true}).Fields(&e)
 	for name, c := range map[string]struct {
 		prefix int
 		want   error

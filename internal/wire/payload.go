@@ -145,25 +145,18 @@ func cancelFlagOf(m Message) *atomic.Bool {
 // cancelled is a nil-safe flag check.
 func cancelled(f *atomic.Bool) bool { return f != nil && f.Load() }
 
-// payloadCarrier is implemented by bulk messages whose wire body is a
-// single length-prefixed byte string that the framing layers may write by
-// reference instead of materializing in the encode buffer. The split
-// encode must concatenate to exactly the bytes Encode would produce:
-// encodePre (everything before the body bytes, including the body's
-// length prefix) + body + encodePost (everything after). That keeps the
-// frame byte-identical to the classic path, so receivers — old peers
-// included — need no changes.
+// payloadCarrier is implemented by bulk messages, whose field list has a
+// Body the framing layers may write by reference instead of materializing
+// in the encode buffer. The same list encodes the head (everything before
+// the body bytes, including the body's length prefix) and the tail
+// (everything after), so the frame is byte-identical to the inline one and
+// receivers — old peers included — need no changes.
 type payloadCarrier interface {
 	Message
 	// bulkRef returns the body by reference: the raw bytes for a
 	// memory-backed message, or a Payload for a store-backed one (at
 	// most one is non-nil).
 	bulkRef() (data []byte, p Payload)
-	// encodePre appends the wire bytes preceding the body, for a body of
-	// bodyLen bytes.
-	encodePre(e *Encoder, bodyLen int)
-	// encodePost appends the wire bytes following the body.
-	encodePost(e *Encoder)
 }
 
 // vectoredMin is the smallest memory-backed body worth a vectored write;
@@ -349,40 +342,6 @@ func writeZeros(w io.Writer, n int64, st *FrameStats) error {
 		n -= k
 	}
 	return nil
-}
-
-// PutPayload appends a length-prefixed byte string whose bytes come from
-// p — the inline fallback for encode paths without a streaming fast path
-// (classic WriteMessage below the vectored threshold, client-side
-// re-encodes). The materialization is itself a copy, so callers that
-// count copies do so at their layer.
-func (e *Encoder) PutPayload(p Payload) {
-	if e.err != nil {
-		return
-	}
-	n64 := p.Len()
-	if n64 < 0 || n64 > MaxFrameSize {
-		e.err = ErrFrameTooLarge
-		return
-	}
-	e.PutU32(uint32(n64))
-	n := int(n64)
-	off := len(e.buf)
-	if cap(e.buf)-off < n {
-		nb := GetBuf(off + n)[:off]
-		copy(nb, e.buf)
-		PutBuf(e.buf)
-		e.buf = nb
-	}
-	e.buf = e.buf[:off+n]
-	sw := sliceWriter{buf: e.buf[off:off]}
-	if err := p.WriteRange(&sw, 0, n64, nil); err != nil {
-		e.err = err
-		return
-	}
-	if len(sw.buf) != n {
-		e.err = io.ErrUnexpectedEOF
-	}
 }
 
 // sliceWriter appends into a fixed-capacity slice region.

@@ -234,21 +234,22 @@ func TestWritevStats(t *testing.T) {
 	}
 }
 
-// TestPutPayloadMaterialize: Encoder.PutPayload embeds payload bytes
-// exactly like PutBytes would.
+// TestPutPayloadMaterialize: a Body encoded inline from a Payload embeds
+// its bytes exactly like a Body from Data would.
 func TestPutPayloadMaterialize(t *testing.T) {
 	data := []byte("some payload bytes for the slow path")
 	f := tempPayloadFile(t, data)
 	p := NewFilePayload([]FileSection{{F: f, Off: 0, N: int64(len(data))}}, nil)
 	defer p.Close()
 
-	var a, b Encoder
-	a.PutBytes(data)
-	b.PutPayload(p)
+	var a, b Codec
+	var none []byte
+	a.Body(&data, nil)
+	b.Body(&none, p)
 	if b.err != nil {
 		t.Fatal(b.err)
 	}
 	if !bytes.Equal(a.buf, b.buf) {
-		t.Fatalf("PutPayload bytes differ from PutBytes:\n%x\n%x", a.buf, b.buf)
+		t.Fatalf("Body bytes from a Payload differ from those from Data:\n%x\n%x", a.buf, b.buf)
 	}
 }

@@ -7,12 +7,15 @@
 //	| len u32  | type u16 | payload (len-2) B  |
 //	+----------+----------+--------------------+
 //
-// where len counts the type field plus the payload. Payloads are encoded
-// with the sticky-error Encoder/Decoder in this package: fixed-width
-// little-endian integers, length-prefixed byte strings. The format is
-// deliberately hand-rolled (no reflection, no gob) so that framing cost is
-// predictable on the I/O fast path and so the protocol is
-// language-independent, mirroring PVFS2's BMI message conventions.
+// where len counts the type field plus the payload: fixed-width
+// little-endian integers and length-prefixed byte strings, trailing
+// optional fields last. Each message describes its payload once, as the
+// list of its fields in its Fields method; run through a Codec, that list
+// encodes, decodes, splits a bulk body from the bytes around it and Owns
+// (codec.go). The format is deliberately hand-rolled (no reflection, no
+// gob, no generated code) so that framing cost is predictable on the I/O
+// fast path and so the protocol is language-independent, mirroring
+// PVFS2's BMI message conventions.
 package wire
 
 import (
@@ -110,65 +113,90 @@ const (
 	msgSentinel // keep last
 )
 
-var msgNames = map[MsgType]string{
-	MsgInvalid:        "invalid",
-	MsgError:          "error",
-	MsgPing:           "ping",
-	MsgPong:           "pong",
-	MsgCreateReq:      "create.req",
-	MsgCreateResp:     "create.resp",
-	MsgOpenReq:        "open.req",
-	MsgOpenResp:       "open.resp",
-	MsgStatReq:        "stat.req",
-	MsgStatResp:       "stat.resp",
-	MsgRemoveReq:      "remove.req",
-	MsgRemoveResp:     "remove.resp",
-	MsgListReq:        "list.req",
-	MsgListResp:       "list.resp",
-	MsgSetSizeReq:     "setsize.req",
-	MsgSetSizeResp:    "setsize.resp",
-	MsgReadReq:        "read.req",
-	MsgReadResp:       "read.resp",
-	MsgWriteReq:       "write.req",
-	MsgWriteResp:      "write.resp",
-	MsgTruncReq:       "trunc.req",
-	MsgTruncResp:      "trunc.resp",
-	MsgActiveReadReq:  "activeread.req",
-	MsgActiveReadResp: "activeread.resp",
-	MsgProbeReq:       "probe.req",
-	MsgProbeResp:      "probe.resp",
-	MsgCancelReq:      "cancel.req",
-	MsgCancelResp:     "cancel.resp",
-	MsgTransformReq:   "transform.req",
-	MsgTransformResp:  "transform.resp",
-	MsgLocalSizeReq:   "localsize.req",
-	MsgLocalSizeResp:  "localsize.resp",
-	MsgHelloReq:       "hello.req",
-	MsgHelloResp:      "hello.resp",
-	MsgIntrospectReq:  "introspect.req",
-	MsgIntrospectResp: "introspect.resp",
+// msgTable describes every code below msgSentinel: its name, the mux
+// priority class of its frames and, for a live message, its constructor.
+// Stripe-transfer carriers are bulk; everything else (Ping, Probe, Cancel,
+// Introspect, errors, metadata ops, ...) is control. Retired codes have no
+// entry.
+var msgTable = [msgSentinel]struct {
+	name  string
+	class uint8
+	new   func() Message
+}{
+	MsgInvalid:        {name: "invalid"},
+	MsgError:          {"error", ClassControl, func() Message { return new(ErrorMsg) }},
+	MsgPing:           {"ping", ClassControl, func() Message { return new(Ping) }},
+	MsgPong:           {"pong", ClassControl, func() Message { return new(Pong) }},
+	MsgCreateReq:      {"create.req", ClassControl, func() Message { return new(CreateReq) }},
+	MsgCreateResp:     {"create.resp", ClassControl, func() Message { return new(CreateResp) }},
+	MsgOpenReq:        {"open.req", ClassControl, func() Message { return new(OpenReq) }},
+	MsgOpenResp:       {"open.resp", ClassControl, func() Message { return new(OpenResp) }},
+	MsgStatReq:        {"stat.req", ClassControl, func() Message { return new(StatReq) }},
+	MsgStatResp:       {"stat.resp", ClassControl, func() Message { return new(StatResp) }},
+	MsgRemoveReq:      {"remove.req", ClassControl, func() Message { return new(RemoveReq) }},
+	MsgRemoveResp:     {"remove.resp", ClassControl, func() Message { return new(RemoveResp) }},
+	MsgListReq:        {"list.req", ClassControl, func() Message { return new(ListReq) }},
+	MsgListResp:       {"list.resp", ClassControl, func() Message { return new(ListResp) }},
+	MsgSetSizeReq:     {"setsize.req", ClassControl, func() Message { return new(SetSizeReq) }},
+	MsgSetSizeResp:    {"setsize.resp", ClassControl, func() Message { return new(SetSizeResp) }},
+	MsgReadReq:        {"read.req", ClassBulk, func() Message { return new(ReadReq) }},
+	MsgReadResp:       {"read.resp", ClassBulk, func() Message { return new(ReadResp) }},
+	MsgWriteReq:       {"write.req", ClassBulk, func() Message { return new(WriteReq) }},
+	MsgWriteResp:      {"write.resp", ClassBulk, func() Message { return new(WriteResp) }},
+	MsgTruncReq:       {"trunc.req", ClassControl, func() Message { return new(TruncReq) }},
+	MsgTruncResp:      {"trunc.resp", ClassControl, func() Message { return new(TruncResp) }},
+	MsgActiveReadReq:  {"activeread.req", ClassBulk, func() Message { return new(ActiveReadReq) }},
+	MsgActiveReadResp: {"activeread.resp", ClassBulk, func() Message { return new(ActiveReadResp) }},
+	MsgProbeReq:       {"probe.req", ClassControl, func() Message { return new(ProbeReq) }},
+	MsgProbeResp:      {"probe.resp", ClassControl, func() Message { return new(ProbeResp) }},
+	MsgCancelReq:      {"cancel.req", ClassControl, func() Message { return new(CancelReq) }},
+	MsgCancelResp:     {"cancel.resp", ClassControl, func() Message { return new(CancelResp) }},
+	MsgTransformReq:   {"transform.req", ClassBulk, func() Message { return new(TransformReq) }},
+	MsgTransformResp:  {"transform.resp", ClassBulk, func() Message { return new(TransformResp) }},
+	MsgLocalSizeReq:   {"localsize.req", ClassControl, func() Message { return new(LocalSizeReq) }},
+	MsgLocalSizeResp:  {"localsize.resp", ClassControl, func() Message { return new(LocalSizeResp) }},
+	MsgHelloReq:       {"hello.req", ClassControl, func() Message { return new(HelloReq) }},
+	MsgHelloResp:      {"hello.resp", ClassControl, func() Message { return new(HelloResp) }},
+	MsgIntrospectReq:  {"introspect.req", ClassControl, func() Message { return new(IntrospectReq) }},
+	MsgIntrospectResp: {"introspect.resp", ClassControl, func() Message { return new(IntrospectResp) }},
 }
 
 // String returns a human-readable name for the message type.
 func (t MsgType) String() string {
-	if s, ok := msgNames[t]; ok {
-		return s
+	if t < msgSentinel && msgTable[t].name != "" {
+		return msgTable[t].name
 	}
 	return fmt.Sprintf("msgtype(%d)", uint16(t))
 }
 
 // Valid reports whether t is a live message type: not MsgInvalid, and
 // neither past the table nor a retired code.
-func (t MsgType) Valid() bool { _, ok := msgNames[t]; return ok && t != MsgInvalid }
+func (t MsgType) Valid() bool { return t < msgSentinel && msgTable[t].new != nil }
+
+// New returns a zero message of the given type, or nil if t is unknown.
+func New(t MsgType) Message {
+	if !t.Valid() {
+		return nil
+	}
+	return msgTable[t].new()
+}
+
+// ClassOf maps a message type to its wire priority class (msgTable).
+func ClassOf(t MsgType) uint8 {
+	if t < msgSentinel {
+		return msgTable[t].class
+	}
+	return ClassControl
+}
 
 // Message is implemented by every protocol message.
 type Message interface {
 	// Type returns the wire code for this message.
 	Type() MsgType
-	// Encode appends the message payload to the encoder.
-	Encode(e *Encoder)
-	// Decode reads the message payload from the decoder.
-	Decode(d *Decoder)
+	// Fields runs the message's fields through c in wire order: the one
+	// description of its payload, which encodes, decodes, splits a bulk
+	// body from its head and tail, and Owns (Codec).
+	Fields(c *Codec)
 }
 
 // MaxFrameSize bounds a single frame. Stripe transfers are chunked below
@@ -183,13 +211,6 @@ var (
 	ErrTrailingBytes = errors.New("wire: trailing bytes after payload")
 	ErrUnknownType   = errors.New("wire: unknown message type")
 )
-
-// sizeHinter lets bulk messages announce an upper bound on their encoded
-// size, so WriteMessage can draw a correctly sized pooled buffer instead
-// of growing by repeated append.
-type sizeHinter interface {
-	encodedSizeHint() int
-}
 
 // WriteOptions selects how WriteMessageOpts moves a bulk body.
 type WriteOptions struct {
@@ -222,73 +243,89 @@ func WriteMessage(w io.Writer, m Message) error {
 // connection mid-frame and must be treated as fatal by the caller (they
 // already are: both framings drop the connection on write errors).
 func WriteMessageOpts(w io.Writer, m Message, o WriteOptions) error {
-	var carrier payloadCarrier
-	if pc, ok := m.(payloadCarrier); ok {
+	pc, bulk := m.(payloadCarrier)
+	if bulk && !o.Plain {
 		data, p := pc.bulkRef()
-		if p == nil && !o.Plain && len(data) >= vectoredMin {
+		if p == nil && len(data) >= vectoredMin {
 			p = memBytes(data)
 		}
-		if !o.Plain && worthRef(p) {
-			return writeCarrierFrame(w, pc, p, o.Stats)
+		if worthRef(p) {
+			return writeCarrierFrame(w, m, p, o.Stats)
 		}
-		carrier = pc
 	}
 	hint := 64
 	if s, ok := m.(sizeHinter); ok {
 		hint = s.encodedSizeHint() + 6
 	}
-	var e Encoder
-	e.buf = GetBuf(hint)[:6] // room for len+type header
-	m.Encode(&e)
-	if e.err != nil {
-		PutBuf(e.buf)
-		return e.err
+	c := &Codec{buf: GetBuf(hint)[:6]} // room for len+type header
+	m.Fields(c)
+	if c.err != nil {
+		PutBuf(c.buf)
+		return c.err
 	}
-	if carrier != nil {
+	if bulk {
 		// The bulk body was staged through the encode buffer.
-		data, p := carrier.bulkRef()
-		if p != nil {
-			o.Stats.addCopied(p.Len())
-		} else {
-			o.Stats.addCopied(int64(len(data)))
-		}
+		o.Stats.addCopied(bodyLen(pc))
 	}
-	n := len(e.buf) - 4 // frame length excludes the length field itself
+	n := len(c.buf) - 4 // frame length excludes the length field itself
 	if n > MaxFrameSize {
-		PutBuf(e.buf)
+		PutBuf(c.buf)
 		return ErrFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(n))
-	binary.LittleEndian.PutUint16(e.buf[4:6], uint16(m.Type()))
-	_, err := w.Write(e.buf)
-	PutBuf(e.buf)
+	binary.LittleEndian.PutUint32(c.buf[0:4], uint32(n))
+	binary.LittleEndian.PutUint16(c.buf[4:6], uint16(m.Type()))
+	_, err := w.Write(c.buf)
+	PutBuf(c.buf)
 	return err
+}
+
+// bodyLen is the length of a bulk message's body.
+func bodyLen(pc payloadCarrier) int64 {
+	data, p := pc.bulkRef()
+	if p != nil {
+		return p.Len()
+	}
+	return int64(len(data))
+}
+
+// sizeHinter lets bulk messages announce an upper bound on their encoded
+// size, so WriteMessage can draw a correctly sized pooled buffer instead
+// of growing by repeated append.
+type sizeHinter interface {
+	encodedSizeHint() int
+}
+
+// encodeSplit runs m's fields, its bulk body left out, into a pooled
+// buffer behind room bytes left for the frame header: the head is
+// c.buf[:c.at], the tail the rest. The caller recycles c.buf.
+func encodeSplit(m Message, room int) (*Codec, error) {
+	c := &Codec{buf: GetBuf(64)[:room], ref: true}
+	m.Fields(c)
+	if c.err != nil {
+		PutBuf(c.buf)
+		return nil, c.err
+	}
+	return c, nil
 }
 
 // writeCarrierFrame writes one frame whose bulk body p travels by
 // reference. The head (frame header + everything before the body) and
 // tail (everything after) are encoded into one small pooled buffer.
-func writeCarrierFrame(w io.Writer, pc payloadCarrier, p Payload, st *FrameStats) error {
+func writeCarrierFrame(w io.Writer, m Message, p Payload, st *FrameStats) error {
 	body := p.Len()
-	var e Encoder
-	e.buf = GetBuf(64)[:6]
-	pc.encodePre(&e, int(body))
-	pre := len(e.buf)
-	pc.encodePost(&e)
-	if e.err != nil {
-		PutBuf(e.buf)
-		return e.err
+	c, err := encodeSplit(m, 6)
+	if err != nil {
+		return err
 	}
-	n := int64(len(e.buf)-4) + body
+	n := int64(len(c.buf)-4) + body
 	if n > MaxFrameSize {
-		PutBuf(e.buf)
+		PutBuf(c.buf)
 		return ErrFrameTooLarge
 	}
-	binary.LittleEndian.PutUint32(e.buf[0:4], uint32(n))
-	binary.LittleEndian.PutUint16(e.buf[4:6], uint16(pc.Type()))
-	head, tail := e.buf[:pre], e.buf[pre:]
-	flag := cancelFlagOf(pc)
-	var err error
+	binary.LittleEndian.PutUint32(c.buf[0:4], uint32(n))
+	binary.LittleEndian.PutUint16(c.buf[4:6], uint16(m.Type()))
+	head, tail := c.buf[:c.at], c.buf[c.at:]
+	flag := cancelFlagOf(m)
 	if mp, mem := p.(memPayload); mem && !cancelled(flag) {
 		// In memory: head, the body's pieces and tail in one vectored write.
 		bufs := mp.AppendRange(net.Buffers{head}, 0, body)
@@ -317,7 +354,7 @@ func writeCarrierFrame(w io.Writer, pc payloadCarrier, p Payload, st *FrameStats
 			_, err = w.Write(tail)
 		}
 	}
-	PutBuf(e.buf)
+	PutBuf(c.buf)
 	return err
 }
 
@@ -354,15 +391,24 @@ func decodeFrame(t MsgType, payload []byte) (Message, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownType, t)
 	}
-	d := Decoder{buf: payload}
-	m.Decode(&d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.buf) {
-		return nil, ErrTrailingBytes
+	if err := decode(m, payload, false); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// decode runs m's fields over payload, which they must consume exactly.
+// With ref the payload holds no bulk body: only its length prefix.
+func decode(m Message, payload []byte, ref bool) error {
+	c := Codec{mode: decoding, buf: payload, ref: ref}
+	m.Fields(&c)
+	if c.err != nil {
+		return c.err
+	}
+	if len(c.buf) != 0 {
+		return ErrTrailingBytes
+	}
+	return nil
 }
 
 // FrameReader decodes frames from one connection, reusing a single pooled
@@ -420,105 +466,9 @@ func (fr *FrameReader) Close() {
 	}
 }
 
-// Owner is implemented by messages whose decoded byte-slice fields may
-// alias a pooled frame buffer. Own copies those fields into private
-// memory so the message survives the buffer's reuse.
-type Owner interface {
-	Own()
-}
-
-// Own detaches m from any shared decode buffer and returns it. Messages
-// without aliasing fields pass through untouched.
+// Own detaches m's byte fields from any shared decode buffer and returns
+// m.
 func Own(m Message) Message {
-	if o, ok := m.(Owner); ok {
-		o.Own()
-	}
+	m.Fields(&owner)
 	return m
-}
-
-// detach copies b out of whatever buffer it aliases. Empty slices pass
-// through: they carry no bytes to protect.
-func detach(b []byte) []byte {
-	if len(b) == 0 {
-		return b
-	}
-	return append([]byte(nil), b...)
-}
-
-// New returns a zero message of the given type, or nil if t is unknown.
-func New(t MsgType) Message {
-	switch t {
-	case MsgError:
-		return new(ErrorMsg)
-	case MsgPing:
-		return new(Ping)
-	case MsgPong:
-		return new(Pong)
-	case MsgCreateReq:
-		return new(CreateReq)
-	case MsgCreateResp:
-		return new(CreateResp)
-	case MsgOpenReq:
-		return new(OpenReq)
-	case MsgOpenResp:
-		return new(OpenResp)
-	case MsgStatReq:
-		return new(StatReq)
-	case MsgStatResp:
-		return new(StatResp)
-	case MsgRemoveReq:
-		return new(RemoveReq)
-	case MsgRemoveResp:
-		return new(RemoveResp)
-	case MsgListReq:
-		return new(ListReq)
-	case MsgListResp:
-		return new(ListResp)
-	case MsgSetSizeReq:
-		return new(SetSizeReq)
-	case MsgSetSizeResp:
-		return new(SetSizeResp)
-	case MsgReadReq:
-		return new(ReadReq)
-	case MsgReadResp:
-		return new(ReadResp)
-	case MsgWriteReq:
-		return new(WriteReq)
-	case MsgWriteResp:
-		return new(WriteResp)
-	case MsgTruncReq:
-		return new(TruncReq)
-	case MsgTruncResp:
-		return new(TruncResp)
-	case MsgActiveReadReq:
-		return new(ActiveReadReq)
-	case MsgActiveReadResp:
-		return new(ActiveReadResp)
-	case MsgProbeReq:
-		return new(ProbeReq)
-	case MsgProbeResp:
-		return new(ProbeResp)
-	case MsgCancelReq:
-		return new(CancelReq)
-	case MsgCancelResp:
-		return new(CancelResp)
-	case MsgTransformReq:
-		return new(TransformReq)
-	case MsgTransformResp:
-		return new(TransformResp)
-	case MsgLocalSizeReq:
-		return new(LocalSizeReq)
-	case MsgLocalSizeResp:
-		return new(LocalSizeResp)
-	case MsgHelloReq:
-		return new(HelloReq)
-	case MsgHelloResp:
-		return new(HelloResp)
-	case MsgIntrospectReq:
-		return new(IntrospectReq)
-	case MsgIntrospectResp:
-		return new(IntrospectResp)
-	default:
-		return nil
-	}
 }
