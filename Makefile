@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper loc clean
+.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-test bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper loc clean
 
 all: check
 
@@ -161,6 +161,13 @@ replay-determinism:
 bench-vet:
 	GOWORK=off GOFLAGS=-buildvcs=false $(GO) -C bench vet ./...
 
+# bench/'s own tests, in the same environment: they build runtimes and
+# clusters through the program's APIs (TestSmoke, TestProbes,
+# TestStoreShimKeepsRangeReader), so a change to those APIs that breaks the
+# benchmark fails here rather than in the benchmark run.
+bench-test:
+	GOWORK=off GOFLAGS=-buildvcs=false $(GO) -C bench test ./...
+
 # Builds the tree never runs here: darwin/arm64 and linux/arm64 vet every
 # package, including the off-Linux mmap and sendfile files and the tests'
 # build constraints, and a 386 run of the kernels' tests exercises sum8's
@@ -175,7 +182,7 @@ cross:
 	GOARCH=386 $(GO) test ./internal/wire/
 	GOARCH=386 $(GO) test ./internal/pfs/ -run Journal
 
-check: vet bench-vet cross race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
+check: vet bench-vet bench-test cross race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 
 # Data-path and kernel microbenchmarks (fixed iteration counts so runs
 # compare across commits): every registered kernel over a 1 MiB chunk that

@@ -104,10 +104,6 @@ type Options struct {
 	// Pace throttles kernel execution to the calibrated per-core rates,
 	// emulating the paper's hardware timing in live runs.
 	Pace bool
-	// TotalCores and IOReservedCores size each storage node (defaults:
-	// 2 and 1, the paper's simulated storage nodes).
-	TotalCores      int
-	IOReservedCores int
 	// EstimatorPeriod is how often each storage node's Contention
 	// Estimator re-probes and re-evaluates its policy (default 50 ms).
 	EstimatorPeriod time.Duration
@@ -144,8 +140,6 @@ type Options struct {
 	// its telemetry tick. Nil takes DefaultSLORules; engines are only
 	// built when node telemetry is enabled (TelemetryTick >= 0).
 	SLORules []SLORule
-	// DisableSLO turns alert evaluation off even when telemetry runs.
-	DisableSLO bool
 	// EventCapacity bounds each node's in-memory event ring (default
 	// 1024).
 	EventCapacity int
@@ -270,18 +264,13 @@ func (c *Cluster) ConnectPaced(scheme Scheme) (*FS, error) {
 // ConnectClient is Connect with full client options — slow-request
 // detection, flight capture, client telemetry — bound to this cluster's
 // transport and addresses (o.MetaAddr and o.DataAddrs are ignored).
-// Unset window, chunk, and telemetry options inherit the cluster's.
+// Bulk transfers use the cluster's WindowDepth and TransferChunk; an unset
+// TelemetryTick inherits the cluster's.
 func (c *Cluster) ConnectClient(o ClientOptions) (*FS, error) {
-	if o.WindowDepth == 0 {
-		o.WindowDepth = c.o.WindowDepth
-	}
-	if o.TransferChunk == 0 {
-		o.TransferChunk = c.o.TransferChunk
-	}
 	if o.TelemetryTick == 0 {
 		o.TelemetryTick = c.o.TelemetryTick
 	}
-	return connect(c.net, c.MetaAddr(), c.DataAddrs(), o)
+	return connect(c.net, c.MetaAddr(), c.DataAddrs(), c.o.WindowDepth, c.o.TransferChunk, o)
 }
 
 // TraceDump renders storage node i's request-lifecycle trace: one line
@@ -384,12 +373,6 @@ type ClientOptions struct {
 	Tenant string
 	// Pace throttles client-side kernel execution to calibrated rates.
 	Pace bool
-	// WindowDepth is how many chunk requests bulk transfers keep in
-	// flight per server connection (default pfs.DefaultWindowDepth).
-	WindowDepth int
-	// TransferChunk is the per-request chunk size for bulk transfers
-	// (default pfs.DefaultTransferChunk).
-	TransferChunk int
 	// TelemetryTick is how often the client samples its own probes
 	// (pending requests, shipped-bytes rate, bounce rate). Zero takes
 	// telemetry.DefaultInterval (100 ms); negative disables client
@@ -406,12 +389,6 @@ type ClientOptions struct {
 	// SlowDir, when set, persists captured bundles as JSON under this
 	// directory for dosasctl slow to read from another process.
 	SlowDir string
-	// SlowDirBytes caps the total bytes of persisted bundles in SlowDir;
-	// oldest are pruned past it. Zero takes the package default;
-	// negative disables the cap.
-	SlowDirBytes int64
-	// FlightCapacity bounds the slow-request journal (default 16).
-	FlightCapacity int
 	// HedgeAfter enables hedged reads on replicated files: one server's
 	// share of a read still unanswered after this delay is duplicated to
 	// the next-best replica and the loser is cancelled. Used as the fallback trigger
@@ -422,26 +399,26 @@ type ClientOptions struct {
 
 // Connect dials an externally managed cluster over TCP.
 func Connect(o ClientOptions) (*FS, error) {
-	return connect(transport.TCP{}, o.MetaAddr, o.DataAddrs, o)
+	return connect(transport.TCP{}, o.MetaAddr, o.DataAddrs, 0, 0, o)
 }
 
-func connect(net transport.Network, metaAddr string, dataAddrs []string, o ClientOptions) (*FS, error) {
+// connect builds a client over net. window and chunk size its bulk
+// transfers; zero takes the pfs defaults.
+func connect(net transport.Network, metaAddr string, dataAddrs []string, window, chunk int, o ClientOptions) (*FS, error) {
 	pc, err := pfs.NewClient(pfs.ClientConfig{
-		Net: net, MetaAddr: metaAddr, DataAddrs: dataAddrs, WindowDepth: o.WindowDepth, TransferChunk: o.TransferChunk,
+		Net: net, MetaAddr: metaAddr, DataAddrs: dataAddrs, WindowDepth: window, TransferChunk: chunk,
 		Tenant: o.Tenant, HedgeAfter: o.HedgeAfter,
 	})
 	if err != nil {
 		return nil, err
 	}
 	asc, err := core.NewClient(core.ClientConfig{
-		FS: pc, Scheme: o.Scheme.core(), Pace: o.Pace, WindowDepth: o.WindowDepth,
-		Tenant:         o.Tenant,
-		Telemetry:      newSampler(o.TelemetryTick),
-		SlowThreshold:  o.SlowThreshold,
-		SlowFactor:     o.SlowFactor,
-		SlowDir:        o.SlowDir,
-		SlowDirBytes:   o.SlowDirBytes,
-		FlightCapacity: o.FlightCapacity,
+		FS: pc, Scheme: o.Scheme.core(), Pace: o.Pace, WindowDepth: window,
+		Tenant:        o.Tenant,
+		Telemetry:     newSampler(o.TelemetryTick),
+		SlowThreshold: o.SlowThreshold,
+		SlowFactor:    o.SlowFactor,
+		SlowDir:       o.SlowDir,
 	})
 	if err != nil {
 		pc.Close()

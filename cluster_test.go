@@ -114,15 +114,15 @@ func TestTraceDumpMentionsOps(t *testing.T) {
 }
 
 // A StartCluster that fails inside a storage node — here the runtime
-// refuses a negative core count, after the node's data server has
+// refuses a negative network bandwidth, after the node's data server has
 // started its admission-gate dispatcher — closes everything it built.
 func TestStartClusterFailureLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		c, err := dosas.StartCluster(dosas.Options{DataServers: 2, TotalCores: -1, TelemetryTick: -1})
+		c, err := dosas.StartCluster(dosas.Options{DataServers: 2, NetworkBandwidth: -1, TelemetryTick: -1})
 		if err == nil {
 			c.Close()
-			t.Fatal("StartCluster accepted TotalCores = -1")
+			t.Fatal("StartCluster accepted NetworkBandwidth = -1")
 		}
 	}
 	after := runtime.NumGoroutine()

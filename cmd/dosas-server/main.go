@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dosas-server -addr :7710 [-store /var/dosas/objs] [-policy dosas|as|ts]
-//	             [-bw 118e6] [-cores 2] [-reserved 1] [-pace] [-node data-0]
+//	             [-bw 118e6] [-pace] [-node data-0]
 //
 // With -store empty, stripes live in memory. The -policy flag selects the
 // scheduling behaviour: "dosas" (dynamic), "as" (always run kernels here),
@@ -40,8 +40,6 @@ func main() {
 	fsync := flag.Bool("fsync", false, "fsync the store after every write and truncate (default off: page cache absorbs bursts)")
 	fdCache := flag.Int("fd-cache", pfs.DefaultFDCacheSize, "max open descriptors cached by the store")
 	bw := flag.Float64("bw", 118e6, "network bandwidth the estimator assumes, bytes/second")
-	cores := flag.Int("cores", 2, "storage node core count")
-	reserved := flag.Int("reserved", 1, "cores reserved for normal I/O service")
 	pace := flag.Bool("pace", false, "pace kernels at calibrated per-core rates")
 	node := flag.String("node", "", "node name stamped on stats and trace exports (default data@ADDR)")
 	tenantLimit := flag.Int("tenant-limit", tenant.DefaultLimit, "max tenants tracked for resource attribution; 0 disables the tenant plane")
@@ -55,7 +53,7 @@ func main() {
 		log.Fatal(err)
 	}
 	o.StoreBackend, o.StoreSync, o.FDCacheSize = *backend, *fsync, *fdCache
-	o.NetworkBandwidth, o.TotalCores, o.IOReservedCores, o.Pace = *bw, *cores, *reserved, *pace
+	o.NetworkBandwidth, o.Pace = *bw, *pace
 	o.TenantLimit, o.DisableTenants = *tenantLimit, *tenantLimit <= 0
 	if *node == "" {
 		*node = "data@" + *addr

@@ -76,17 +76,17 @@ func TestRuntimeRecordsAcceptedDecision(t *testing.T) {
 // TestRuntimeRecordsBouncedDecision: a rejected arrival must leave an
 // admit record whose newcomer is marked bounced, resolved immediately.
 func TestRuntimeRecordsBouncedDecision(t *testing.T) {
-	rt, _ := newTestRuntime(t, RuntimeConfig{
+	rt, reg := newTestRuntime(t, RuntimeConfig{
 		Mode: ModeDynamic,
 		Estimator: EstimatorConfig{
-			// Slow storage kernel against many compute cores: shipping the
-			// raw bytes is clearly cheaper, so the solver bounces even a
-			// lone arrival.
-			BW:           118e6,
-			RateFor:      func(string) float64 { return 1e6 },
-			ComputeCores: 8,
+			BW:      118e6,
+			RateFor: func(string) float64 { return 1e6 },
 		},
 	}, 100_000)
+	// Heavy normal I/O divides the storage rate by 1 + 20/2 while the
+	// compute node keeps its full rate: shipping the raw bytes is clearly
+	// cheaper, so the solver bounces even a lone arrival.
+	reg.Gauge("data.inflight").Set(20)
 	resp, err := rt.HandleActive(&wire.ActiveReadReq{
 		RequestID: 9, TraceID: 0xbee, Handle: 1, Length: 100_000, Op: "sum8",
 	})
@@ -174,11 +174,6 @@ func TestEstimatorConfigValidate(t *testing.T) {
 		{BW: -1},
 		{BW: math.NaN()},
 		{BW: math.Inf(1)},
-		{BW: 1, TotalCores: -2},
-		{BW: 1, IOReservedCores: -2},
-		{BW: 1, ComputeCores: -1},
-		{BW: 1, LoadAlpha: -0.5},
-		{BW: 1, LoadAlpha: math.NaN()},
 		{BW: 1, Period: -time.Second},
 	}
 	for i, cfg := range bad {

@@ -72,15 +72,6 @@ type ClientConfig struct {
 	// Pace throttles client-side kernel execution to the calibrated
 	// per-core rate, emulating the paper's compute nodes on fast hosts.
 	Pace bool
-	// RateFor overrides the kernel rate lookup used for pacing; defaults
-	// to kernels.RateFor.
-	RateFor func(op string) float64
-	// Metrics receives client counters; optional.
-	Metrics *metrics.Registry
-	// Trace receives client-side lifecycle events (issue, response,
-	// transfer, local execution); a default 1024-event ring stamped with
-	// node "client" is created when nil.
-	Trace *trace.Recorder
 	// Telemetry is the client's time-series sampler. The client registers
 	// its probes (pending requests, shipped-bytes rate, bounce rate) on
 	// it, starts it, and owns it: Close stops it. Nil disables client
@@ -97,12 +88,6 @@ type ClientConfig struct {
 	// under this directory so dosasctl slow can read them from another
 	// process.
 	SlowDir string
-	// SlowDirBytes caps the total size of persisted flight bundles in
-	// SlowDir; oldest bundles are pruned past it. Zero takes
-	// telemetry.DefaultDirMaxBytes; negative disables the cap.
-	SlowDirBytes int64
-	// FlightCapacity bounds the slow-request journal (default 16).
-	FlightCapacity int
 }
 
 // Client is the Active Storage Client (ASC): it runs on compute nodes,
@@ -112,6 +97,7 @@ type ClientConfig struct {
 type Client struct {
 	cfg       ClientConfig
 	reg       *metrics.Registry
+	trace     *trace.Recorder // client-side lifecycle events, node "client"
 	nextID    atomic.Uint64
 	traceSeed uint64 // random high bits distinguishing this client process
 	nextTrace atomic.Uint64
@@ -139,32 +125,20 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 1 << 20
 	}
-	if cfg.RateFor == nil {
-		cfg.RateFor = kernels.RateFor
-	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = metrics.NewRegistry()
-	}
-	if cfg.Trace == nil {
-		cfg.Trace = trace.NewRecorder(1024)
-	}
-	if cfg.Trace.Node() == "" {
-		cfg.Trace.SetNode("client")
-	}
+	tr := trace.NewRecorder(1024)
+	tr.SetNode("client")
 	var seed [4]byte
 	_, _ = crand.Read(seed[:]) // on failure the counter alone keeps IDs nonzero
 	c := &Client{
 		cfg:       cfg,
-		reg:       cfg.Metrics,
+		reg:       metrics.NewRegistry(),
+		trace:     tr,
 		traceSeed: uint64(binary.LittleEndian.Uint32(seed[:])) << 32,
 		pending:   make(map[uint64]pendingReq),
 	}
 	if cfg.SlowThreshold > 0 || cfg.SlowFactor > 0 {
 		c.slow = telemetry.NewSlowDetector(cfg.SlowThreshold, cfg.SlowFactor, 0)
-		fr, err := telemetry.NewFlightRecorder(telemetry.FlightConfig{
-			Capacity: cfg.FlightCapacity, Dir: cfg.SlowDir,
-			DirMaxBytes: cfg.SlowDirBytes,
-		})
+		fr, err := telemetry.NewFlightRecorder(telemetry.FlightConfig{Dir: cfg.SlowDir})
 		if err != nil {
 			return nil, err
 		}
@@ -191,7 +165,7 @@ func (c *Client) mintTraceID() uint64 {
 }
 
 // Trace exposes the client-side lifecycle-event recorder.
-func (c *Client) Trace() *trace.Recorder { return c.cfg.Trace }
+func (c *Client) Trace() *trace.Recorder { return c.trace }
 
 // Scheme returns the client's configured scheme.
 func (c *Client) Scheme() Scheme { return c.cfg.Scheme }
@@ -430,7 +404,7 @@ func (c *Client) processRangeReplica(f *pfs.File, lr localRange, server uint32, 
 	c.register(reqID, op, lr.length, handle)
 	defer c.unregister(reqID)
 
-	c.cfg.Trace.RecordEvent(trace.Event{
+	c.trace.RecordEvent(trace.Event{
 		Kind: trace.KindIssue, TraceID: traceID,
 		ReqID: reqID, Op: op, Bytes: lr.length, Tenant: c.cfg.Tenant,
 		Note: fmt.Sprintf("server %d", server),
@@ -462,7 +436,7 @@ func (c *Client) processRangeReplica(f *pfs.File, lr localRange, server uint32, 
 	if !ok {
 		return info, nil, fmt.Errorf("core: active read: unexpected response %v", resp.Type())
 	}
-	c.cfg.Trace.RecordEvent(trace.Event{
+	c.trace.RecordEvent(trace.Event{
 		Kind: trace.KindRespond, TraceID: traceID,
 		ReqID: reqID, Op: op, Bytes: lr.length,
 		Dur:  info.ServerElapsed,
@@ -533,7 +507,7 @@ func (c *Client) computeLocally(addr string, handle, offset, length uint64, op s
 	if err != nil {
 		return nil, done, fmt.Errorf("core: local compute read: %w", err)
 	}
-	c.cfg.Trace.RecordEvent(trace.Event{
+	c.trace.RecordEvent(trace.Event{
 		Kind: trace.KindTransfer, TraceID: traceID,
 		ReqID: reqID, Op: op, Bytes: done,
 		Phase: trace.PhaseTransfer, Dur: time.Since(xferStart),
@@ -563,7 +537,7 @@ func (c *Client) computeLocally(addr string, handle, offset, length uint64, op s
 	if len(resumeState) > 0 {
 		note = "resumed from checkpoint on client"
 	}
-	c.cfg.Trace.RecordEvent(trace.Event{
+	c.trace.RecordEvent(trace.Event{
 		Kind: trace.KindComplete, TraceID: traceID,
 		ReqID: reqID, Op: op, Bytes: length,
 		Phase: trace.PhaseKernel, Dur: time.Since(start),
@@ -574,7 +548,7 @@ func (c *Client) computeLocally(addr string, handle, offset, length uint64, op s
 
 // pace mirrors the runtime's pacing for client-side kernel execution.
 func (c *Client) pace(op string, done uint64, start time.Time) {
-	rate := c.cfg.RateFor(op)
+	rate := kernels.RateFor(op)
 	if rate <= 0 {
 		return
 	}

@@ -12,27 +12,21 @@ import (
 	"dosas/internal/wire"
 )
 
+// The storage node the model prices, the paper's: a 2-core Discfarm
+// machine that keeps one core for normal I/O service, so one core's worth
+// of calibrated kernel rate serves active I/O. The estimator,
+// the runtime's worker pool and the simulator all read these; kernelSlots
+// alone sizes the kernel concurrency the host really grants.
+const (
+	NodeCores   = 2
+	ActiveCores = NodeCores - 1
+)
+
 // EstimatorConfig tunes the Contention Estimator.
 type EstimatorConfig struct {
 	// BW is the measured storage→compute network bandwidth in
 	// bytes/second (the paper's bw; 118 MB/s on Discfarm).
 	BW float64
-	// TotalCores is the storage node's core count (2 in the paper's
-	// simulated storage nodes).
-	TotalCores int
-	// IOReservedCores are cores kept for normal I/O service and never
-	// counted toward kernel capacity. Defaults to 1, which reproduces
-	// the paper's observed behaviour: of the 2-core storage node,
-	// effectively one core's worth of throughput serves active I/O.
-	// Set to -1 to reserve no cores.
-	IOReservedCores int
-	// ComputeCores is how many cores one compute node dedicates to a
-	// bounced request (1 per requesting process in the paper).
-	ComputeCores int
-	// LoadAlpha scales how strongly normal-I/O pressure discounts the
-	// storage rate: S = maxS / (1 + LoadAlpha · normalLoad). Defaults
-	// to 1.
-	LoadAlpha float64
 	// Period is how often the CE re-probes and refreshes its cached
 	// environment (and how often the runtime re-evaluates its policy).
 	// Defaults to 50 ms.
@@ -41,7 +35,7 @@ type EstimatorConfig struct {
 	// kernels.RateFor. Tests inject synthetic rates here.
 	RateFor func(op string) float64
 	// MemBudget bounds the kernel working memory the runtime may hold at
-	// once; above MemHighWater of it, dynamic scheduling bounces new
+	// once; above memHighWater of it, dynamic scheduling bounces new
 	// active requests. Defaults to 1 GiB.
 	MemBudget uint64
 }
@@ -49,24 +43,12 @@ type EstimatorConfig struct {
 // Validate rejects configurations that would make the estimator silently
 // misbehave: a zero or negative bandwidth turns every cost formula into
 // nonsense (Env.Valid() only catches it after the fact, per decision),
-// and negative core counts or thresholds are always caller bugs. Zero
-// values for the other fields mean "use the default" and stay legal.
-// Validate is called on the raw config, before defaults are applied.
+// and a negative period is always a caller bug. Zero values for the other
+// fields mean "use the default" and stay legal. Validate is called on the
+// raw config, before defaults are applied.
 func (c EstimatorConfig) Validate() error {
 	if c.BW <= 0 || math.IsNaN(c.BW) || math.IsInf(c.BW, 0) {
 		return fmt.Errorf("core: estimator BW must be a positive bandwidth in bytes/s, got %v", c.BW)
-	}
-	if c.TotalCores < 0 {
-		return fmt.Errorf("core: estimator TotalCores must not be negative, got %d", c.TotalCores)
-	}
-	if c.IOReservedCores < -1 {
-		return fmt.Errorf("core: estimator IOReservedCores must be >= -1, got %d", c.IOReservedCores)
-	}
-	if c.ComputeCores < 0 {
-		return fmt.Errorf("core: estimator ComputeCores must not be negative, got %d", c.ComputeCores)
-	}
-	if c.LoadAlpha < 0 || math.IsNaN(c.LoadAlpha) {
-		return fmt.Errorf("core: estimator LoadAlpha must not be negative, got %v", c.LoadAlpha)
 	}
 	if c.Period < 0 {
 		return fmt.Errorf("core: estimator Period must not be negative, got %v", c.Period)
@@ -75,24 +57,6 @@ func (c EstimatorConfig) Validate() error {
 }
 
 func (c *EstimatorConfig) applyDefaults() {
-	if c.TotalCores <= 0 {
-		c.TotalCores = 2
-	}
-	switch {
-	case c.IOReservedCores < 0:
-		c.IOReservedCores = 0
-	case c.IOReservedCores == 0:
-		c.IOReservedCores = 1
-	}
-	if c.IOReservedCores >= c.TotalCores {
-		c.IOReservedCores = c.TotalCores - 1
-	}
-	if c.ComputeCores <= 0 {
-		c.ComputeCores = 1
-	}
-	if c.LoadAlpha == 0 {
-		c.LoadAlpha = 1
-	}
 	if c.Period <= 0 {
 		c.Period = 50 * time.Millisecond
 	}
@@ -115,15 +79,14 @@ type Estimator struct {
 	reg   *metrics.Registry
 
 	mu        sync.Mutex
-	busyCores float64 // cores currently running kernels
-	memUsed   uint64  // kernel working-set bytes in use
+	memUsed   uint64 // kernel working-set bytes in use
 	memBudget uint64
 }
 
 // NewEstimator builds a CE over the node's queue and metrics registry.
 // The registry's "data.inflight" gauge (maintained by the pfs data server)
 // supplies normal-I/O pressure. The configuration is validated first; a
-// nonsensical config (zero bandwidth, negative cores) is an error here
+// nonsensical config (zero bandwidth, negative period) is an error here
 // rather than silent mis-scheduling later.
 func NewEstimator(cfg EstimatorConfig, q *ioqueue.Queue, reg *metrics.Registry) (*Estimator, error) {
 	if err := cfg.Validate(); err != nil {
@@ -138,22 +101,6 @@ func NewEstimator(cfg EstimatorConfig, q *ioqueue.Queue, reg *metrics.Registry) 
 
 // Config returns the estimator's effective (defaulted) configuration.
 func (e *Estimator) Config() EstimatorConfig { return e.cfg }
-
-// KernelStarted accounts a kernel occupying one core.
-func (e *Estimator) KernelStarted() {
-	e.mu.Lock()
-	e.busyCores++
-	e.mu.Unlock()
-}
-
-// KernelFinished releases the core accounting of KernelStarted.
-func (e *Estimator) KernelFinished() {
-	e.mu.Lock()
-	if e.busyCores > 0 {
-		e.busyCores--
-	}
-	e.mu.Unlock()
-}
 
 // MemReserve accounts kernel working memory.
 func (e *Estimator) MemReserve(n uint64) {
@@ -184,51 +131,44 @@ func (e *Estimator) MemPressure() float64 {
 	return float64(e.memUsed) / float64(e.memBudget)
 }
 
-// normalLoad is the normal-I/O pressure signal: in-flight normal requests
-// per storage-node core.
-func (e *Estimator) normalLoad() float64 {
-	inflight := float64(e.reg.Gauge("data.inflight").Value())
-	if inflight < 0 {
-		inflight = 0
-	}
-	return inflight / float64(e.cfg.TotalCores)
-}
-
 // Env produces the scheduling environment for one operation, applying the
 // paper's estimation rule: S_{C,op} starts from the kernel's calibrated
-// maximum (activeCores × per-core rate) and is discounted by current
-// normal-I/O pressure.
+// maximum (ActiveCores × per-core rate) and is discounted by current
+// normal-I/O pressure. A bounced request computes on one core of its own
+// compute node, so C_{C,op} is the per-core rate.
 func (e *Estimator) Env(op string) Env {
 	maxRate := e.cfg.RateFor(op)
-	activeCores := e.cfg.TotalCores - e.cfg.IOReservedCores
-	if activeCores < 1 {
-		activeCores = 1
-	}
-	s := maxRate * float64(activeCores)
-	if load := e.normalLoad(); load > 0 {
-		s /= 1 + e.cfg.LoadAlpha*load
-	}
 	return Env{
 		BW:          e.cfg.BW,
-		StorageRate: s,
-		ComputeRate: maxRate * float64(e.cfg.ComputeCores),
+		StorageRate: e.discount(maxRate * ActiveCores),
+		ComputeRate: maxRate,
 	}
+}
+
+// discount applies current normal-I/O pressure to a storage-side rate:
+// rate / (1 + load), where load is the in-flight normal requests (the pfs
+// data server's "data.inflight" gauge) per storage-node core.
+func (e *Estimator) discount(rate float64) float64 {
+	inflight := float64(e.reg.Gauge("data.inflight").Value())
+	if inflight <= 0 {
+		return rate
+	}
+	return rate / (1 + inflight/NodeCores)
 }
 
 // Probe snapshots the node state in the wire format served to remote
-// probes (and recorded by the benchmarks).
+// probes (and recorded by the benchmarks). BusyCores is the runtime's to
+// fill: it knows which tasks are running.
 func (e *Estimator) Probe() *wire.ProbeResp {
 	st := e.queue.Stats()
 	e.mu.Lock()
-	busy := e.busyCores
 	mem := e.memUsed
 	budget := e.memBudget
 	e.mu.Unlock()
 	return &wire.ProbeResp{
 		QueueLen:       uint32(st.NormalLen),
 		ActiveQueueLen: uint32(st.ActiveLen),
-		BusyCores:      busy,
-		TotalCores:     uint32(e.cfg.TotalCores),
+		TotalCores:     NodeCores,
 		MemUsed:        mem,
 		MemTotal:       budget,
 		BytesQueued:    st.NormalBytes + st.ActiveBytes,

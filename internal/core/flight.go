@@ -103,7 +103,7 @@ func summarizeParts(parts []PartInfo) string {
 // rather than failing the capture: a partial timeline from a degraded
 // cluster is exactly when the operator wants the bundle most.
 func (c *Client) stitchTimeline(traceID uint64) []trace.Event {
-	evs := c.cfg.Trace.HistoryTrace(traceID)
+	evs := c.trace.HistoryTrace(traceID)
 	for i := 0; i < c.cfg.FS.NumDataServers(); i++ {
 		addr, err := c.cfg.FS.DataAddr(uint32(i))
 		if err != nil {

@@ -61,9 +61,6 @@ type RuntimeConfig struct {
 	// Solver picks the scheduling algorithm for ModeDynamic; defaults to
 	// MaxGain.
 	Solver Solver
-	// ActiveCores is the kernel worker-pool size; defaults to
-	// TotalCores − IOReservedCores.
-	ActiveCores int
 	// ChunkSize is the granularity at which kernels consume stripe data
 	// and at which interruption is detected. Defaults to 1 MiB.
 	ChunkSize int
@@ -71,15 +68,6 @@ type RuntimeConfig struct {
 	// (kernels.RateFor × ActiveCores sharing), so a fast development host
 	// reproduces the Discfarm cluster's timing in live experiments.
 	Pace bool
-	// InterruptMargin is the minimum relative improvement (e.g. 1.15 =
-	// 15 %) the policy must predict before a *running* kernel is
-	// interrupted and migrated; prevents thrash near the break-even
-	// point. Defaults to 1.15.
-	InterruptMargin float64
-	// MemHighWater is the fraction of the estimator's memory budget
-	// above which dynamic scheduling bounces new active requests
-	// (memory is one of the paper's three CE inputs). Defaults to 0.9.
-	MemHighWater float64
 	// Metrics receives runtime counters; shared with the pfs data server
 	// so the estimator sees normal-I/O pressure. Optional.
 	Metrics *metrics.Registry
@@ -99,9 +87,6 @@ type RuntimeConfig struct {
 	// on: Close stops it. Usually shared with the pfs data server, which
 	// serves its history over the wire. Optional — nil disables sampling.
 	Telemetry *telemetry.Sampler
-	// QueueSat is the queue depth at or above which the node's health
-	// report marks the "queue" check degraded. Defaults to 8.
-	QueueSat int
 	// Events, when set, receives the runtime's structured lifecycle
 	// events (start, shutdown). Usually shared with the pfs data server,
 	// which serves the ring over the wire. Optional.
@@ -118,10 +103,21 @@ type RuntimeConfig struct {
 	// fast as a weight-1 tenant's. Absent tenants weigh 1; nil means
 	// equal weights.
 	TenantWeights map[string]float64
-	// QueueQuantum overrides the active queue's per-round WDRR credit in
-	// bytes (0 = ioqueue.DefaultQuantum).
-	QueueQuantum int
 }
+
+const (
+	// interruptMargin is the minimum relative improvement (1.15 = 15 %)
+	// the policy must predict before a running kernel is interrupted and
+	// migrated; it prevents thrash near the break-even point.
+	interruptMargin = 1.15
+	// memHighWater is the fraction of the estimator's memory budget above
+	// which dynamic scheduling bounces new active requests (memory is one
+	// of the paper's three CE inputs).
+	memHighWater = 0.9
+	// queueSat is the queue depth at or above which the node's health
+	// report marks the "queue" check degraded.
+	queueSat = 8
+)
 
 // Runtime is the Active I/O Runtime (R): it queues active requests,
 // executes kernels over local stripe data with a bounded worker pool, and
@@ -180,6 +176,14 @@ func (t *task) source() (handle, offset uint64) {
 	return t.req.Handle, t.req.Offset
 }
 
+// params returns the kernel parameters the task's request carries.
+func (t *task) params() []byte {
+	if t.xform != nil {
+		return t.xform.Params
+	}
+	return t.req.Params
+}
+
 // clientReqID returns the task's client-visible request id.
 func (t *task) clientReqID() uint64 {
 	if t.xform != nil {
@@ -204,17 +208,8 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 1 << 20
 	}
-	if cfg.InterruptMargin <= 1 {
-		cfg.InterruptMargin = 1.15
-	}
-	if cfg.MemHighWater <= 0 || cfg.MemHighWater > 1 {
-		cfg.MemHighWater = 0.9
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
-	}
-	if cfg.QueueSat <= 0 {
-		cfg.QueueSat = 8
 	}
 	if cfg.Trace == nil {
 		cfg.Trace = trace.NewRecorder(1024)
@@ -236,19 +231,9 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	q := ioqueue.New()
 	q.SetTenants(cfg.Tenants)
 	q.SetWeights(cfg.TenantWeights)
-	if cfg.QueueQuantum > 0 {
-		q.SetQuantum(cfg.QueueQuantum)
-	}
 	est, err := NewEstimator(cfg.Estimator, q, cfg.Metrics)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.ActiveCores <= 0 {
-		c := est.Config()
-		cfg.ActiveCores = c.TotalCores - c.IOReservedCores
-		if cfg.ActiveCores < 1 {
-			cfg.ActiveCores = 1
-		}
 	}
 	rt := &Runtime{
 		cfg:     cfg,
@@ -261,7 +246,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 
 		bytesProcessed: cfg.Metrics.Counter("active.bytes_processed"),
 	}
-	for i := 0; i < cfg.ActiveCores; i++ {
+	for i := 0; i < ActiveCores; i++ {
 		rt.wg.Add(1)
 		go rt.worker()
 	}
@@ -273,7 +258,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	cfg.Telemetry.Start()
 	cfg.Events.Info("runtime", "active runtime started",
 		"mode", cfg.Mode.String(),
-		"cores", fmt.Sprint(cfg.ActiveCores),
+		"cores", fmt.Sprint(ActiveCores),
 		"solver", cfg.Solver.Name())
 	return rt, nil
 }
@@ -395,14 +380,14 @@ func (rt *Runtime) HealthChecks() []telemetry.Check {
 		depth = m
 	}
 	qc := telemetry.Check{
-		Name: "queue", OK: depth < float64(rt.cfg.QueueSat),
-		Detail: fmt.Sprintf("depth %.0f (saturation %d)", depth, rt.cfg.QueueSat),
+		Name: "queue", OK: depth < queueSat,
+		Detail: fmt.Sprintf("depth %.0f (saturation %d)", depth, queueSat),
 	}
 	checks = append(checks, qc)
 	p := rt.est.MemPressure()
 	checks = append(checks, telemetry.Check{
-		Name: "memory", OK: p < rt.cfg.MemHighWater,
-		Detail: fmt.Sprintf("pressure %.0f%% (high water %.0f%%)", p*100, rt.cfg.MemHighWater*100),
+		Name: "memory", OK: p < memHighWater,
+		Detail: fmt.Sprintf("pressure %.0f%% (high water %.0f%%)", p*100, memHighWater*100),
 	})
 	return checks
 }
@@ -440,7 +425,7 @@ func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, 
 	case ModeAlwaysAccept:
 		admitNote = "static as policy"
 	case ModeDynamic:
-		if p := rt.est.MemPressure(); p >= rt.cfg.MemHighWater {
+		if p := rt.est.MemPressure(); p >= memHighWater {
 			return reject("active.rejected_memory",
 				fmt.Sprintf("memory pressure %.0f%%", p*100), time.Since(decisionStart)), nil
 		}
@@ -552,8 +537,6 @@ func (rt *Runtime) HandleTransform(req *wire.TransformReq) (*wire.TransformResp,
 // writes the output back to the local destination stream.
 func (rt *Runtime) executeTransform(t *task) (wire.Message, error) {
 	req := t.xform
-	rt.est.KernelStarted()
-	defer rt.est.KernelFinished()
 	rt.est.MemReserve(req.Length) // output is buffered until Result
 	defer rt.est.MemRelease(req.Length)
 
@@ -711,24 +694,26 @@ func (rt *Runtime) schedulerView(newcomer *wire.ActiveReadReq) (uint64, []Reques
 		if remaining == 0 || t.interrupt.Load() {
 			continue
 		}
-		reqs = append(reqs, rt.requestFor(t.id, t.op, remaining))
+		reqs = append(reqs, rt.requestFor(t.id, t.op, t.params(), remaining))
 	}
 	for _, t := range rt.queued {
-		reqs = append(reqs, rt.requestFor(t.id, t.op, t.length()))
+		reqs = append(reqs, rt.requestFor(t.id, t.op, t.params(), t.length()))
 	}
 	rt.mu.Unlock()
 	var newID uint64
 	if newcomer != nil {
 		newID = rt.nextID.Add(1) + 1<<62 // ephemeral id, distinct from tasks
-		reqs = append(reqs, rt.requestFor(newID, newcomer.Op, newcomer.Length))
+		reqs = append(reqs, rt.requestFor(newID, newcomer.Op, newcomer.Params, newcomer.Length))
 	}
 	return newID, reqs
 }
 
-// requestFor builds one scheduler Request with per-op rates.
-func (rt *Runtime) requestFor(id uint64, op string, bytes uint64) Request {
+// requestFor builds one scheduler Request with per-op rates. h(d) comes
+// from the kernel configured with the request's own params: a full-image
+// gaussian2d returns its input, a downsample by f a f-th of it.
+func (rt *Runtime) requestFor(id uint64, op string, params []byte, bytes uint64) Request {
 	env := rt.est.Env(op)
-	k, err := kernels.New(op)
+	k, err := kernels.Start(op, params, nil)
 	var result uint64
 	if err == nil {
 		result = k.ResultSize(bytes)
@@ -763,7 +748,7 @@ func (rt *Runtime) policyLoop() {
 
 // reevaluate applies the current policy to in-flight work. Queued requests
 // assigned "bounce" are rejected immediately; running requests are
-// interrupted only when the predicted improvement clears InterruptMargin.
+// interrupted only when the predicted improvement clears interruptMargin.
 func (rt *Runtime) reevaluate() {
 	_, reqs := rt.schedulerView(nil)
 	if len(reqs) == 0 {
@@ -815,7 +800,7 @@ func (rt *Runtime) reevaluate() {
 			// Interrupt running work only when the policy's win is
 			// decisive (paper: "record and interrupt current active I/O
 			// being serviced"). Transforms are never migrated.
-			if t.xform == nil && allActive > chosen*rt.cfg.InterruptMargin {
+			if t.xform == nil && allActive > chosen*interruptMargin {
 				if t.interrupt.CompareAndSwap(false, true) {
 					rt.reg.Counter("active.interrupted").Inc()
 					rt.cfg.Trace.RecordEvent(trace.Event{
@@ -896,8 +881,8 @@ var ErrInputTruncated = fmt.Errorf("%w: active input truncated under the kernel"
 
 // kernelSlots bounds how many kernels are inside Process at once, across
 // every Runtime in the process, at GOMAXPROCS−1 (at least one): the model's
-// reserved I/O core (EstimatorConfig.IOReservedCores), enforced on the CPUs
-// the process has. A dosas-server holds it per node; dosasd and in-process
+// reserved I/O core (NodeCores − ActiveCores), enforced on the CPUs the
+// process has. A dosas-server holds it per node; dosasd and in-process
 // clusters share it across their nodes. A kernel holds a slot only while it
 // computes a chunk — never across pacing sleeps, checkpoints, output
 // writes or queue waits — so normal I/O always finds a P free.
@@ -983,8 +968,6 @@ func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
 		Phase: trace.PhaseQueueWait, Dur: queueWait, Predicted: t.predicted,
 	})
 	rt.reg.Histogram("active.queue_wait_us").Observe(float64(queueWait.Microseconds()))
-	rt.est.KernelStarted()
-	defer rt.est.KernelFinished()
 	rt.est.MemReserve(uint64(rt.cfg.ChunkSize))
 	defer rt.est.MemRelease(uint64(rt.cfg.ChunkSize))
 
@@ -1065,17 +1048,13 @@ func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
 // paceChunk sleeps so the chunk just processed took at least bytes/rate
 // seconds of wall time, emulating the calibrated per-core kernel rate of
 // the paper's hardware on faster hosts. The rate is discounted by current
-// normal-I/O pressure with the same law the Contention Estimator assumes
-// (S = maxS/(1 + α·load)), so in live experiments normal I/O storms
-// really do slow storage-side kernels — the physical contention the paper
-// measures.
+// normal-I/O pressure with the same law the Contention Estimator assumes,
+// so in live experiments normal I/O storms really do slow storage-side
+// kernels — the physical contention the paper measures.
 func (rt *Runtime) paceChunk(op string, bytes int, start time.Time) {
-	rate := rt.est.cfg.RateFor(op)
+	rate := rt.est.discount(rt.est.cfg.RateFor(op))
 	if rate <= 0 {
 		return
-	}
-	if load := rt.est.normalLoad(); load > 0 {
-		rate /= 1 + rt.est.cfg.LoadAlpha*load
 	}
 	want := time.Duration(float64(bytes) / rate * float64(time.Second))
 	if elapsed := time.Since(start); want > elapsed {
@@ -1083,9 +1062,14 @@ func (rt *Runtime) paceChunk(op string, bytes int, start time.Time) {
 	}
 }
 
-// HandleProbe implements pfs.ActiveHandler.
+// HandleProbe implements pfs.ActiveHandler. Every running task holds one
+// of the node's worker cores.
 func (rt *Runtime) HandleProbe() (*wire.ProbeResp, error) {
-	return rt.est.Probe(), nil
+	p := rt.est.Probe()
+	rt.mu.Lock()
+	p.BusyCores = float64(len(rt.running))
+	rt.mu.Unlock()
+	return p, nil
 }
 
 // HandleCancel implements pfs.ActiveHandler: it withdraws a queued request

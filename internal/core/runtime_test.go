@@ -226,11 +226,10 @@ func TestEstimatorMemPressure(t *testing.T) {
 
 func TestRuntimeCloseBouncesQueued(t *testing.T) {
 	rt, _ := newTestRuntime(t, RuntimeConfig{
-		Mode:        ModeAlwaysAccept,
-		ActiveCores: 1,
-		Estimator:   EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 1e6 }},
-		ChunkSize:   16 << 10,
-		Pace:        true,
+		Mode:      ModeAlwaysAccept,
+		Estimator: EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 1e6 }},
+		ChunkSize: 16 << 10,
+		Pace:      true,
 	}, 256<<10)
 	// Occupy the single core, then queue another request.
 	results := make(chan *wire.ActiveReadResp, 2)
@@ -259,11 +258,10 @@ func TestRuntimeCloseBouncesQueued(t *testing.T) {
 
 func TestRuntimeCancelQueuedRequest(t *testing.T) {
 	rt, _ := newTestRuntime(t, RuntimeConfig{
-		Mode:        ModeAlwaysAccept,
-		ActiveCores: 1,
-		Estimator:   EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 1e6 }},
-		ChunkSize:   16 << 10,
-		Pace:        true,
+		Mode:      ModeAlwaysAccept,
+		Estimator: EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 1e6 }},
+		ChunkSize: 16 << 10,
+		Pace:      true,
 	}, 256<<10)
 	// Fill the core with request 1, queue request 2, cancel request 2.
 	done := make(chan uint8, 2)
@@ -298,6 +296,9 @@ func TestRuntimeCancelQueuedRequest(t *testing.T) {
 	}
 }
 
+// TestRuntimeProbeCountsBusyCores: a probe taken while a paced kernel runs
+// reports one busy core of the node's two, and none once the kernel has
+// returned.
 func TestRuntimeProbeCountsBusyCores(t *testing.T) {
 	rt, _ := newTestRuntime(t, RuntimeConfig{
 		Mode:      ModeAlwaysAccept,
@@ -305,14 +306,66 @@ func TestRuntimeProbeCountsBusyCores(t *testing.T) {
 		ChunkSize: 16 << 10,
 		Pace:      true,
 	}, 128<<10)
-	go rt.HandleActive(&wire.ActiveReadReq{RequestID: 1, Handle: 1, Length: 128 << 10, Op: "sum8"}) //nolint:errcheck
-	time.Sleep(50 * time.Millisecond)
-	p, err := rt.HandleProbe()
-	if err != nil {
+	done := make(chan error, 1)
+	go func() {
+		_, err := rt.HandleActive(&wire.ActiveReadReq{RequestID: 1, Handle: 1, Length: 128 << 10, Op: "sum8"})
+		done <- err
+	}()
+	probe := func() *wire.ProbeResp {
+		t.Helper()
+		p, err := rt.HandleProbe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p := probe()
+	for deadline := time.Now().Add(5 * time.Second); p.BusyCores == 0 && time.Now().Before(deadline); p = probe() {
+		time.Sleep(time.Millisecond)
+	}
+	if p.BusyCores != 1 || p.TotalCores != NodeCores {
+		t.Errorf("cores during execution = %v / %d, want 1 / %d", p.BusyCores, p.TotalCores, NodeCores)
+	}
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if p.BusyCores < 1 {
-		t.Errorf("busy cores = %v during execution", p.BusyCores)
+	if p = probe(); p.BusyCores != 0 {
+		t.Errorf("busy cores = %v after the kernel returned", p.BusyCores)
+	}
+}
+
+// TestRuntimeResultSizeFollowsParams: the scheduler prices h(d) with the
+// kernel configured by the request's own params, so a full-image
+// gaussian2d ships its input back and a downsample by 16 a sixteenth of it.
+func TestRuntimeResultSizeFollowsParams(t *testing.T) {
+	const size = 10_000
+	for _, tc := range []struct {
+		name, op string
+		params   []byte
+		want     uint64
+	}{
+		{"gaussian2d full", "gaussian2d", kernels.GaussianParams(100, true), size},
+		{"gaussian2d digest", "gaussian2d", kernels.GaussianParams(100, false), 29},
+		{"downsample 16", "downsample", kernels.DownsampleParams(16), size / 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, _ := newTestRuntime(t, RuntimeConfig{
+				Mode:      ModeDynamic,
+				Estimator: EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 860e6 }},
+			}, size)
+			if _, err := rt.HandleActive(&wire.ActiveReadReq{
+				RequestID: 1, Handle: 1, Length: size, Op: tc.op, Params: tc.params,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			snap := rt.cfg.Audit.Snapshot()
+			if len(snap) == 0 || snap[0].Newcomer() == nil {
+				t.Fatalf("no admit record: %+v", snap)
+			}
+			if got := snap[0].Newcomer().ResultBytes; got != tc.want {
+				t.Errorf("newcomer h(d) = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -132,24 +132,27 @@ func TestRuntimeInputTruncatedUnderKernel(t *testing.T) {
 	}
 }
 
-// TestKernelSlotsBoundProcess: two runtimes in one process, eight requests
-// each at once, never have more than max(1, GOMAXPROCS−1) kernels inside
-// Process — and do reach that many.
+// TestKernelSlotsBoundProcess: one more runtime than there are slots, each
+// with its one worker (ActiveCores) and two requests at once, never have
+// more than max(1, GOMAXPROCS−1) kernels inside Process — and do reach that
+// many.
 func TestKernelSlotsBoundProcess(t *testing.T) {
 	if want := max(1, runtime.GOMAXPROCS(0)-1); cap(kernelSlots) != want {
 		t.Fatalf("%d kernel slots at GOMAXPROCS=%d, want %d", cap(kernelSlots), runtime.GOMAXPROCS(0), want)
 	}
 	const size = 64 << 10
-	cfg := RuntimeConfig{Mode: ModeAlwaysAccept, ActiveCores: 8, ChunkSize: 8 << 10}
-	a, _ := newTestRuntime(t, cfg, size)
-	b, _ := newTestRuntime(t, cfg, size)
+	cfg := RuntimeConfig{Mode: ModeAlwaysAccept, ChunkSize: 8 << 10}
+	rts := make([]*Runtime, cap(kernelSlots)+1)
+	for i := range rts {
+		rts[i], _ = newTestRuntime(t, cfg, size)
+	}
 	maxInProcess.Store(0)
 	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
+	for i := 0; i < 2*len(rts); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rt := []*Runtime{a, b}[i%2]
+			rt := rts[i%len(rts)]
 			resp, err := rt.HandleActive(&wire.ActiveReadReq{RequestID: uint64(i + 1), Handle: 1, Length: size, Op: "test.recording"})
 			if err != nil || resp.Disposition != wire.ActiveDone || kernels.Sum8Result(resp.Result) != sumOf(size) {
 				t.Errorf("request %d: %+v, %v", i, resp, err)

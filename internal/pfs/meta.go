@@ -12,7 +12,6 @@ import (
 	"dosas/internal/metrics"
 	"dosas/internal/slo"
 	"dosas/internal/telemetry"
-	"dosas/internal/tenant"
 	"dosas/internal/tsdb"
 	"dosas/internal/wire"
 )
@@ -61,8 +60,6 @@ type MetaConfig struct {
 	// tenant's stat storm queues against its own credit instead of
 	// starving everyone's path resolution.
 	QoS *QoSConfig
-	// Tenants receives gate queue-wait accounting; optional.
-	Tenants *tenant.Table
 }
 
 // DefaultStripeSize is the stripe size used when callers pass zero.
@@ -109,7 +106,6 @@ func NewMetaServer(cfg MetaConfig) (*MetaServer, error) {
 	}
 	if cfg.QoS != nil {
 		m.gate = NewQoSGate(*cfg.QoS)
-		m.gate.SetTenants(cfg.Tenants)
 	}
 	if cfg.JournalPath != "" {
 		j, err := openJournal(cfg.JournalPath, m.reg, cfg.Events)

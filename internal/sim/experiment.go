@@ -71,15 +71,11 @@ func decide(op string, n int, bytes uint64) (string, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return "", err
 	}
-	activeCores := cfg.StorageCores - cfg.IOReservedCores
-	env := core.Env{
-		BW:          cfg.BW,
-		StorageRate: cfg.StorageRatePerCore * float64(activeCores),
-		ComputeRate: cfg.ComputeRatePerCore,
-	}
+	env := cfg.env()
+	result := resultSize(op, bytes)
 	reqs := make([]core.Request, n)
 	for i := range reqs {
-		reqs[i] = core.Request{ID: uint64(i + 1), Bytes: bytes, ResultBytes: cfg.ResultBytes}
+		reqs[i] = core.Request{ID: uint64(i + 1), Bytes: bytes, ResultBytes: result}
 	}
 	if env.TimeAllActive(reqs) <= env.TimeAllNormal(reqs) {
 		return "Active", nil

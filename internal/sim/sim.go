@@ -5,15 +5,16 @@
 //
 //   - the storage node's NIC is a serial resource (transfers to different
 //     compute nodes share the 1 GbE link — 118 MB/s measured);
-//   - the storage node's kernel capacity is a small pool of cores
-//     (2 per simulated storage node, one reserved for I/O service);
+//   - the storage node's kernel capacity is its core.ActiveCores: the
+//     model's node has core.NodeCores = 2 cores, one reserved for I/O
+//     service, as in the Contention Estimator;
 //   - each request comes from its own compute-node process, so bounced
 //     requests compute in parallel on the client side.
 //
 // Calibrated with the paper's Table III rates, the simulator reproduces
 // every figure of the evaluation at full paper scale (up to 64 concurrent
 // requests × 1 GB each), which no single host could materialise with real
-// bytes. The same core scheduling code (core.Solver, core.Env) drives the
+// bytes. The same core scheduling code (core.MaxGain, core.Env) drives the
 // simulated DOSAS scheme, so the simulation exercises the production
 // decision logic, not a reimplementation.
 package sim
@@ -72,8 +73,8 @@ type Config struct {
 	Skew float64
 	// BytesPerRequest is d_i (the paper sweeps 128 MB–1 GB).
 	BytesPerRequest uint64
-	// Op names the kernel; its calibrated rate and result size are taken
-	// from the kernels registry unless overridden below.
+	// Op names the kernel. Its result size comes from the kernels
+	// registry, and so do its calibrated rates unless overridden below.
 	Op string
 	// StorageRatePerCore overrides the kernel's per-core rate on storage
 	// nodes (bytes/s). Zero uses kernels.RateFor(Op).
@@ -81,19 +82,11 @@ type Config struct {
 	// ComputeRatePerCore overrides the compute-node per-core rate.
 	// Zero uses kernels.RateFor(Op).
 	ComputeRatePerCore float64
-	// ResultBytes overrides h(d). Zero asks the kernel.
-	ResultBytes uint64
 	// BW is the nominal network bandwidth (default 118 MB/s).
 	BW float64
-	// StorageCores is the storage node's core count (default 2).
-	StorageCores int
-	// IOReservedCores are cores excluded from kernel work (default 1).
-	IOReservedCores int
 	// ArrivalStagger separates request arrivals (default 1 ms), matching
 	// near-simultaneous benchmark launch.
 	ArrivalStagger float64
-	// Solver drives DOSAS admission (default core.MaxGain).
-	Solver core.Solver
 	// Migration enables DOSAS's interrupt-and-migrate: on each arrival
 	// the whole active set is re-solved and requests flagged "bounce"
 	// move to the normal path (default true — the paper's behaviour).
@@ -129,39 +122,37 @@ func (c *Config) applyDefaults() error {
 	if c.StorageRatePerCore <= 0 || c.ComputeRatePerCore <= 0 {
 		return fmt.Errorf("sim: no calibrated rate for op %q", c.Op)
 	}
-	if c.ResultBytes == 0 {
-		if k, err := kernels.New(c.Op); err == nil {
-			if err := k.Configure(defaultSimParams(c.Op)); err == nil {
-				c.ResultBytes = k.ResultSize(c.BytesPerRequest)
-			}
-		}
-		if c.ResultBytes == 0 {
-			c.ResultBytes = 8
-		}
-	}
 	if c.BW == 0 {
-		c.BW = 118e6
-	}
-	if c.StorageCores <= 0 {
-		c.StorageCores = 2
-	}
-	if c.IOReservedCores <= 0 {
-		c.IOReservedCores = 1
-	}
-	if c.IOReservedCores >= c.StorageCores {
-		c.IOReservedCores = c.StorageCores - 1
+		c.BW = discfarmBW
 	}
 	if c.ArrivalStagger == 0 {
 		c.ArrivalStagger = 1e-3
-	}
-	if c.Solver == nil {
-		c.Solver = core.MaxGain{}
 	}
 	if c.Migration == nil {
 		on := true
 		c.Migration = &on
 	}
 	return nil
+}
+
+// discfarmBW is the paper's measured network bandwidth, 118 MB/s.
+const discfarmBW = 118e6
+
+// env is the environment the simulated Contention Estimator prices with:
+// the calibrated (not the jittered) rates, the node's ActiveCores serving
+// kernels, one compute core per bounced request.
+func (c Config) env() core.Env {
+	return core.Env{BW: c.BW, StorageRate: c.StorageRatePerCore * core.ActiveCores, ComputeRate: c.ComputeRatePerCore}
+}
+
+// resultSize is h(d) for a bytes-long request of op, from the kernel
+// configured with defaultSimParams; 8 bytes when op cannot say.
+func resultSize(op string, bytes uint64) uint64 {
+	k, err := kernels.Start(op, defaultSimParams(op), nil)
+	if err != nil {
+		return 8
+	}
+	return k.ResultSize(bytes)
 }
 
 // defaultSimParams supplies kernel parameters good enough for result-size
@@ -225,12 +216,13 @@ func Run(cfg Config) (Metrics, error) {
 	// node: balanced round-robin, biased toward node 0 by Skew.
 	reqs := make([]*request, cfg.Requests)
 	perNode := make([][]*request, cfg.StorageNodes)
+	result := resultSize(cfg.Op, cfg.BytesPerRequest)
 	for i := range reqs {
 		reqs[i] = &request{
 			id:      i,
 			arrival: float64(i) * cfg.ArrivalStagger,
 			bytes:   cfg.BytesPerRequest,
-			result:  cfg.ResultBytes,
+			result:  result,
 		}
 		node := i % cfg.StorageNodes
 		if cfg.StorageNodes > 1 && cfg.Skew > 0 && rng.Float64() < cfg.Skew {
@@ -289,8 +281,6 @@ func runNode(cfg Config, reqs []*request, rng *rand.Rand) (Metrics, error) {
 		return cfg.Noise.OverheadLow + rng.Float64()*(cfg.Noise.OverheadHigh-cfg.Noise.OverheadLow)
 	}
 
-	activeCores := cfg.StorageCores - cfg.IOReservedCores
-
 	// Phase 1: dispositions.
 	var migrated int
 	switch cfg.Scheme {
@@ -307,11 +297,11 @@ func runNode(cfg Config, reqs []*request, rng *rand.Rand) (Metrics, error) {
 		// bandwidth — it cannot observe this run's jitter. The mismatch
 		// between estimate and reality is what produces the paper's
 		// Table IV misjudgments at the break-even boundary.
-		migrated = decideDOSAS(cfg, reqs, cfg.StorageRatePerCore*float64(activeCores), cfg.ComputeRatePerCore)
+		migrated = decideDOSAS(cfg, reqs)
 	}
 
 	// Phase 2: timing against the resource model.
-	cores := newPool(activeCores)
+	cores := newPool(core.ActiveCores)
 	nic := newPool(1)
 
 	// Active requests occupy storage cores FCFS in arrival order, then
@@ -372,8 +362,8 @@ func runNode(cfg Config, reqs []*request, rng *rand.Rand) (Metrics, error) {
 // admitted requests flagged "bounce" by the re-solve move to the normal
 // path (arrivals are near-simultaneous, so their progress is negligible —
 // the migrated remainder is their full size). Returns the migration count.
-func decideDOSAS(cfg Config, reqs []*request, storageRate, computeRate float64) int {
-	env := core.Env{BW: cfg.BW, StorageRate: storageRate, ComputeRate: computeRate}
+func decideDOSAS(cfg Config, reqs []*request) int {
+	env := cfg.env()
 	migrated := 0
 	var activeSet []*request
 	for _, r := range reqs {
@@ -382,7 +372,7 @@ func decideDOSAS(cfg Config, reqs []*request, storageRate, computeRate float64) 
 			view = append(view, core.Request{ID: uint64(a.id + 1), Bytes: a.bytes, ResultBytes: a.result})
 		}
 		view = append(view, core.Request{ID: uint64(r.id + 1), Bytes: r.bytes, ResultBytes: r.result})
-		assignment := cfg.Solver.Solve(view, env)
+		assignment := core.MaxGain{}.Solve(view, env)
 		if assignment[len(view)-1] {
 			r.active = true
 			activeSet = append(activeSet, r)

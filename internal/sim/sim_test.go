@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"dosas/internal/core"
+	"dosas/internal/ioqueue"
 )
 
 // runPoint is a test shorthand for the noise-free simulator.
@@ -16,6 +17,25 @@ func runPoint(t *testing.T, scheme core.Scheme, n int, bytes uint64, op string) 
 		t.Fatal(err)
 	}
 	return m
+}
+
+// The simulated DOSAS scheme prices the node exactly as a live storage
+// node's Contention Estimator does at zero load, so the two descriptions
+// of the node cannot drift apart.
+func TestEnvMatchesEstimator(t *testing.T) {
+	est, err := core.NewEstimator(core.EstimatorConfig{BW: discfarmBW}, ioqueue.New(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []string{"sum8", "gaussian2d"} {
+		cfg := Config{Scheme: core.SchemeDOSAS, Requests: 1, BytesPerRequest: MB, Op: op}
+		if err := cfg.applyDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cfg.env(), est.Env(op); got != want {
+			t.Errorf("%s: simulator env %+v, estimator env %+v", op, got, want)
+		}
+	}
 }
 
 // Figure 2/4: the Gaussian filter under AS beats TS below 4 requests per

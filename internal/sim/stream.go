@@ -18,13 +18,6 @@ type StreamConfig struct {
 	// Scheme selects TS, AS, or DOSAS handling of the stream's active
 	// requests. Normal requests always transfer raw data.
 	Scheme core.Scheme
-	// BW is the network bandwidth (default 118 MB/s).
-	BW float64
-	// StorageCores and IOReservedCores size the node (defaults 2 and 1).
-	StorageCores    int
-	IOReservedCores int
-	// Solver drives DOSAS admission (default core.MaxGain).
-	Solver core.Solver
 	// Noise adds run-to-run variation; Seed makes it reproducible.
 	Noise Noise
 	Seed  int64
@@ -64,26 +57,11 @@ func RunStream(cfg StreamConfig, reqs []workload.Request) (StreamMetrics, error)
 	if len(reqs) == 0 {
 		return StreamMetrics{}, fmt.Errorf("sim: empty request stream")
 	}
-	if cfg.BW == 0 {
-		cfg.BW = 118e6
-	}
-	if cfg.StorageCores <= 0 {
-		cfg.StorageCores = 2
-	}
-	if cfg.IOReservedCores <= 0 {
-		cfg.IOReservedCores = 1
-	}
-	if cfg.IOReservedCores >= cfg.StorageCores {
-		cfg.IOReservedCores = cfg.StorageCores - 1
-	}
-	if cfg.Solver == nil {
-		cfg.Solver = core.MaxGain{}
-	}
 	if cfg.Scheme != core.SchemeAS && cfg.Scheme != core.SchemeTS && cfg.Scheme != core.SchemeDOSAS {
 		return StreamMetrics{}, fmt.Errorf("sim: unknown scheme %v", cfg.Scheme)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	bw := cfg.BW
+	bw := discfarmBW
 	if cfg.Noise.BWHigh > cfg.Noise.BWLow && cfg.Noise.BWLow > 0 {
 		bw = cfg.Noise.BWLow + rng.Float64()*(cfg.Noise.BWHigh-cfg.Noise.BWLow)
 	}
@@ -98,22 +76,11 @@ func RunStream(cfg StreamConfig, reqs []workload.Request) (StreamMetrics, error)
 		return cfg.Noise.OverheadLow + rng.Float64()*(cfg.Noise.OverheadHigh-cfg.Noise.OverheadLow)
 	}
 
-	activeCores := cfg.StorageCores - cfg.IOReservedCores
 	storageRate := func(op string) float64 {
-		return kernels.RateFor(op) * float64(activeCores) * jitter
+		return kernels.RateFor(op) * core.ActiveCores * jitter
 	}
 	computeRate := func(op string) float64 {
 		return kernels.RateFor(op) * jitter
-	}
-	resultSize := func(op string, bytes uint64) uint64 {
-		k, err := kernels.New(op)
-		if err != nil {
-			return 8
-		}
-		if err := k.Configure(defaultSimParams(op)); err != nil {
-			return 8
-		}
-		return k.ResultSize(bytes)
 	}
 
 	ordered := make([]*streamReq, len(reqs))
@@ -124,7 +91,7 @@ func RunStream(cfg StreamConfig, reqs []workload.Request) (StreamMetrics, error)
 		return ordered[i].r.ArrivalOffset < ordered[j].r.ArrivalOffset
 	})
 
-	cores := newPool(activeCores)
+	cores := newPool(core.ActiveCores)
 	nic := newPool(1)
 	type nicJob struct {
 		ready   float64
@@ -153,7 +120,7 @@ func RunStream(cfg StreamConfig, reqs []workload.Request) (StreamMetrics, error)
 		case core.SchemeTS:
 			runActive = false
 		case core.SchemeDOSAS:
-			runActive = streamAdmit(cfg, accepted, sr, t, resultSize)
+			runActive = streamAdmit(accepted, sr, t)
 		}
 		if runActive {
 			start, end := cores.schedule(t, float64(r.Bytes)/storageRate(r.Op)+overhead())
@@ -206,10 +173,8 @@ func RunStream(cfg StreamConfig, reqs []workload.Request) (StreamMetrics, error)
 
 // streamAdmit replays DOSAS admission at arrival time t: solve over the
 // unfinished accepted actives (by remaining bytes) plus the newcomer.
-func streamAdmit(cfg StreamConfig, accepted []*streamReq, sr *streamReq, t float64,
-	resultSize func(string, uint64) uint64) bool {
-	activeCores := cfg.StorageCores - cfg.IOReservedCores
-	env := core.Env{BW: cfg.BW}
+func streamAdmit(accepted []*streamReq, sr *streamReq, t float64) bool {
+	env := core.Env{BW: discfarmBW}
 	var view []core.Request
 	for i, a := range accepted {
 		if a.end <= t {
@@ -227,7 +192,7 @@ func streamAdmit(cfg StreamConfig, accepted []*streamReq, sr *streamReq, t float
 			ID:          uint64(i + 1),
 			Bytes:       remaining,
 			ResultBytes: resultSize(a.r.Op, remaining),
-			StorageRate: kernels.RateFor(a.r.Op) * float64(activeCores),
+			StorageRate: kernels.RateFor(a.r.Op) * core.ActiveCores,
 			ComputeRate: kernels.RateFor(a.r.Op),
 		})
 	}
@@ -236,9 +201,9 @@ func streamAdmit(cfg StreamConfig, accepted []*streamReq, sr *streamReq, t float
 		ID:          newID,
 		Bytes:       sr.r.Bytes,
 		ResultBytes: resultSize(sr.r.Op, sr.r.Bytes),
-		StorageRate: kernels.RateFor(sr.r.Op) * float64(activeCores),
+		StorageRate: kernels.RateFor(sr.r.Op) * core.ActiveCores,
 		ComputeRate: kernels.RateFor(sr.r.Op),
 	})
-	assignment := cfg.Solver.Solve(view, env)
+	assignment := core.MaxGain{}.Solve(view, env)
 	return assignment[len(view)-1]
 }

@@ -150,10 +150,8 @@ func startStorage(o Options, net transport.Network, name, addr, dir string) (_ *
 		Solver: solver,
 		Audit:  alog,
 		Estimator: core.EstimatorConfig{
-			BW:              o.NetworkBandwidth,
-			TotalCores:      o.TotalCores,
-			IOReservedCores: o.IOReservedCores,
-			Period:          o.EstimatorPeriod,
+			BW:     o.NetworkBandwidth,
+			Period: o.EstimatorPeriod,
 		},
 		Pace:          o.Pace,
 		Metrics:       reg,
@@ -176,7 +174,6 @@ func startStorage(o Options, net transport.Network, name, addr, dir string) (_ *
 	n.srv.Start()
 	n.events.Info("server", "serving stripes",
 		"addr", n.srv.Addr(), "policy", o.Policy.mode().String(),
-		"cores", fmt.Sprint(o.TotalCores), "reserved", fmt.Sprint(o.IOReservedCores),
 		"bw_mbps", fmt.Sprintf("%.0f", o.NetworkBandwidth/1e6), "pace", fmt.Sprint(o.Pace), "store", dir)
 	return n, nil
 }
@@ -358,11 +355,11 @@ func (o Options) newArchive(node string, tele *telemetry.Sampler, ev *eventlog.L
 
 // newEngine builds one node's SLO engine over its sampler and hooks
 // evaluation to the sampler's tick, so alert rules are re-judged exactly
-// once per fresh sample. Nil when telemetry or alerting is disabled. A
+// once per fresh sample. Nil when telemetry is disabled. A
 // non-nil tenant table names the dominant waiter on noisy-neighbor
 // transitions in the event log.
 func (o Options) newEngine(node string, tele *telemetry.Sampler, ev *eventlog.Log, reg *metrics.Registry, tab *tenant.Table) (*slo.Engine, error) {
-	if tele == nil || o.DisableSLO {
+	if tele == nil {
 		return nil, nil
 	}
 	rules := o.SLORules
