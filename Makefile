@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-test bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper loc clean
+.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-runtime race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-test bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper loc clean
 
 all: check
 
@@ -89,6 +89,15 @@ fuzz-smoke:
 	$(GO) test ./internal/pfs/ -run '^$$' -fuzz FuzzIntrospect -fuzztime 10s
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz FuzzKernelChunking -fuzztime 10s
 
+# Focused race gate for the active runtime's task table: the admission
+# path, the workers, the policy loop, cancels and probes all read and
+# change it from their own goroutines. The decision pin, the arrival-order
+# view, the cancel of a queued or taken request, and the probes (in
+# process and over the wire, with a read held at the gate) run ten rounds
+# each: the windows between a queue pop and a kernel start are narrow.
+race-runtime:
+	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire' ./internal/core/
+
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,
 # truncates, in-flight zero-copy payloads and kernel views pinning
@@ -96,9 +105,10 @@ fuzz-smoke:
 # view-vs-ReadAt equivalence tests churn all of them under -race. The
 # mapped-send tests cut the extent of an in-flight 2 MiB send over TCP and
 # the in-process pipe, and cancel one mid-frame: zero-filled frames, the
-# connection still answering, pins and mappings back.
+# connection still answering, pins and mappings back. The sendfile goldens
+# send over a hole, a short extent file and an extent cut mid-send.
 race-store:
-	$(GO) test -race -run 'TestExtent|TestFDCache|TestFileStore|TestStore|TestMappedSend' ./internal/pfs/
+	$(GO) test -race -run 'TestExtent|TestFDCache|TestFileStore|TestStore|TestMappedSend|TestSendfile' ./internal/pfs/
 
 # Focused race gate for the operational plane: the event-log ring is
 # written from every subsystem while dosasctl events tails it, and the
@@ -182,7 +192,7 @@ cross:
 	GOARCH=386 $(GO) test ./internal/wire/
 	GOARCH=386 $(GO) test ./internal/pfs/ -run Journal
 
-check: vet bench-vet bench-test cross race-observability race-transport race-wire race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
+check: vet bench-vet bench-test cross race-observability race-transport race-wire race-runtime race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 
 # Data-path and kernel microbenchmarks (fixed iteration counts so runs
 # compare across commits): every registered kernel over a 1 MiB chunk that

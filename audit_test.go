@@ -12,7 +12,7 @@ import (
 // wire, renders as a human-readable rationale, and replays under
 // alternative policies with per-request regret.
 func TestDecisionLogEndToEnd(t *testing.T) {
-	c := startCluster(t, dosas.Options{DataServers: 2, Policy: dosas.Dynamic, Solver: "exhaustive"})
+	c := startCluster(t, dosas.Options{DataServers: 2, Policy: dosas.Dynamic})
 	fs := connect(t, c, dosas.DOSAS)
 	f := writeTestFile(t, fs, "audit/data", 300_000)
 
@@ -30,8 +30,8 @@ func TestDecisionLogEndToEnd(t *testing.T) {
 		t.Fatal("dynamic cluster recorded no decisions")
 	}
 	for _, r := range local {
-		if r.Solver != "exhaustive" {
-			t.Fatalf("Options.Solver not plumbed: record solver %q", r.Solver)
+		if r.Solver != "maxgain" {
+			t.Fatalf("record solver %q, want the runtime's maxgain", r.Solver)
 		}
 	}
 
@@ -67,7 +67,7 @@ func TestDecisionLogEndToEnd(t *testing.T) {
 
 	// Rendering: the rationale names the op, the verdict and the costs.
 	text := dosas.FormatDecisions(records)
-	for _, want := range []string{"sum8", "solver=exhaustive", "RUN-ACTIVE", "x=", "margin="} {
+	for _, want := range []string{"sum8", "solver=maxgain", "RUN-ACTIVE", "x=", "margin="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("explain output lacks %q:\n%s", want, text)
 		}
@@ -96,14 +96,5 @@ func TestDecisionLogEndToEnd(t *testing.T) {
 	}
 	if _, err := c.DecisionLog(99); err == nil {
 		t.Error("out-of-range node accepted")
-	}
-}
-
-// TestClusterRejectsUnknownSolver: Options.Solver failures surface at
-// startup, not as silent fallback.
-func TestClusterRejectsUnknownSolver(t *testing.T) {
-	if _, err := dosas.StartCluster(dosas.Options{Solver: "nope"}); err == nil ||
-		!strings.Contains(err.Error(), "unknown solver") {
-		t.Fatalf("err = %v, want unknown-solver", err)
 	}
 }

@@ -76,10 +76,6 @@ type Options struct {
 	// Policy is the storage nodes' scheduling behaviour (default
 	// Dynamic).
 	Policy Policy
-	// Solver names the scheduling algorithm dynamic-mode nodes run:
-	// "exhaustive", "maxgain" (default), "all-active" or "all-normal".
-	// Ignored by the static policies.
-	Solver string
 	// StripeSize is the default stripe size for new files (default
 	// 64 KiB).
 	StripeSize uint32
@@ -140,9 +136,6 @@ type Options struct {
 	// its telemetry tick. Nil takes DefaultSLORules; engines are only
 	// built when node telemetry is enabled (TelemetryTick >= 0).
 	SLORules []SLORule
-	// EventCapacity bounds each node's in-memory event ring (default
-	// 1024).
-	EventCapacity int
 	// EventMirror, when set, additionally receives every node's events
 	// as human-readable lines (e.g. os.Stderr for daemon consoles).
 	EventMirror io.Writer
@@ -181,10 +174,6 @@ type Options struct {
 	// QoSSlots bounds concurrently admitted requests per storage node's
 	// gate (0 = pfs.DefaultQoSSlots).
 	QoSSlots int
-	// DisableQoS turns the weighted-fair admission gates off on every
-	// node: requests run in arrival order bounded only by the transport,
-	// as before the gates existed (isolation A/B benchmarks).
-	DisableQoS bool
 }
 
 // Cluster is a running DOSAS deployment: one metadata server plus

@@ -630,14 +630,14 @@ func liveRun(scheme dosas.Scheme, n, reqBytes int) (time.Duration, dosas.Decisio
 	return time.Since(start), cluster.DecisionMetrics(), nil
 }
 
-// whatif records a live contention run under the Exhaustive solver and
-// then replays the resulting decision log under every replay policy,
+// whatif records a live contention run under the runtime's MaxGain solver
+// and then replays the resulting decision log under every replay policy,
 // scoring each counterfactual against the recorded measured costs. The
-// "recorded" and "exhaustive" rows should agree with the log exactly
-// (zero regret beyond the oracle's); the static policies show what
+// "recorded" and "maxgain" rows should agree with the log exactly, and
+// "exhaustive", the oracle, with them; the static policies show what
 // always-accept and always-bounce would have cost on the same arrivals.
 func whatif() {
-	header("What-if: counterfactual replay of a live Exhaustive-solver decision log")
+	header("What-if: counterfactual replay of a live MaxGain decision log")
 	const d = 4 << 20
 	scales := []int{1, 2, 4, 8}
 	kernels.SetRate("sum8", 20e6)
@@ -646,7 +646,6 @@ func whatif() {
 	cluster, err := dosas.StartCluster(dosas.Options{
 		DataServers: 1,
 		Policy:      dosas.Dynamic,
-		Solver:      "exhaustive",
 		LinkRate:    30e6,
 		Pace:        true,
 	})
@@ -729,7 +728,7 @@ func whatif() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nwrote %d counterfactual reports to %s\n", len(reports), out)
-	fmt.Println("(expect recorded ≡ exhaustive with zero mutual disagreement, and the")
+	fmt.Println("(expect recorded ≡ maxgain ≡ exhaustive with zero mutual disagreement, and the")
 	fmt.Println(" static policies to pay regret on whichever side the sweep stressed)")
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"dosas"
 	"dosas/internal/core"
+	"dosas/internal/pfs"
 )
 
 // keptFields are the guarded config fields no program outside their
@@ -25,10 +26,14 @@ var keptFields = map[string]string{
 	"core.EstimatorConfig.RateFor":      "tests substitute synthetic kernel rates",
 	"core.EstimatorConfig.MemBudget":    "tests shrink the budget to reach memory pressure",
 	"core.ClientConfig.ChunkSize":       "tests shrink the client chunk",
+	"pfs.QoSConfig.Quantum":             "a gate test sets the WDRR quantum to one write's size",
+	"pfs.ExtentConfig.ExtentSize":       "tests shrink extents to reach their boundaries",
 }
 
 // TestConfigFieldsHaveCallers is the knob audit: every field of the
-// node's and the client's config structs is set by some program outside
+// node's, the client's and the pfs layer's (data and metadata servers,
+// admission gate, RPC client, extent store) config structs is set by some
+// program outside
 // the struct's own package — a daemon, a command, an example, the
 // benchmark, or the package that wires the node — either as a key in a
 // literal of that type or as .Field on the left of an assignment. A field
@@ -41,6 +46,11 @@ func TestConfigFieldsHaveCallers(t *testing.T) {
 		reflect.TypeOf(core.RuntimeConfig{}),
 		reflect.TypeOf(core.EstimatorConfig{}),
 		reflect.TypeOf(core.ClientConfig{}),
+		reflect.TypeOf(pfs.DataConfig{}),
+		reflect.TypeOf(pfs.MetaConfig{}),
+		reflect.TypeOf(pfs.QoSConfig{}),
+		reflect.TypeOf(pfs.ClientConfig{}),
+		reflect.TypeOf(pfs.ExtentConfig{}),
 	}
 	set := settersOutsidePackage(t, guarded)
 	fields := make(map[string]bool)

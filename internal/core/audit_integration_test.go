@@ -135,7 +135,8 @@ func TestRuntimeStaticModesRecordNothing(t *testing.T) {
 	}
 }
 
-// TestSolverAndPolicyByName pins the CLI-facing name lookups.
+// TestSolverAndPolicyByName pins the CLI-facing names of the replay
+// policies: the four solvers and the recorded decisions.
 func TestSolverAndPolicyByName(t *testing.T) {
 	for name, want := range map[string]string{
 		"exhaustive": "exhaustive",
@@ -143,24 +144,18 @@ func TestSolverAndPolicyByName(t *testing.T) {
 		"max-gain":   "maxgain",
 		"All-Active": "all-active",
 		"allnormal":  "all-normal",
+		"recorded":   "recorded",
 	} {
-		s, err := SolverByName(name)
+		p, err := PolicyByName(name)
 		if err != nil {
-			t.Fatalf("SolverByName(%q): %v", name, err)
+			t.Fatalf("PolicyByName(%q): %v", name, err)
 		}
-		if s.Name() != want {
-			t.Errorf("SolverByName(%q) = %q", name, s.Name())
+		if p.Name() != want {
+			t.Errorf("PolicyByName(%q) = %q", name, p.Name())
 		}
 	}
-	if _, err := SolverByName("nope"); err == nil || !strings.Contains(err.Error(), "exhaustive") {
-		t.Errorf("unknown solver error should list valid names, got %v", err)
-	}
-	p, err := PolicyByName("recorded")
-	if err != nil || p.Name() != "recorded" {
-		t.Errorf("PolicyByName(recorded) = %v, %v", p, err)
-	}
-	if _, err := PolicyByName("bogus"); err == nil {
-		t.Error("unknown policy accepted")
+	if _, err := PolicyByName("nope"); err == nil || !strings.Contains(err.Error(), "exhaustive") {
+		t.Errorf("unknown policy error should list valid names, got %v", err)
 	}
 }
 
@@ -180,7 +175,7 @@ func TestEstimatorConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("bad config %d accepted: %+v", i, cfg)
 		}
-		if _, err := NewEstimator(cfg, nil, nil); err == nil {
+		if _, err := NewEstimator(cfg, nil); err == nil {
 			t.Errorf("NewEstimator accepted bad config %d", i)
 		}
 	}

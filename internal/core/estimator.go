@@ -6,10 +6,8 @@ import (
 	"sync"
 	"time"
 
-	"dosas/internal/ioqueue"
 	"dosas/internal/kernels"
 	"dosas/internal/metrics"
-	"dosas/internal/wire"
 )
 
 // The storage node the model prices, the paper's: a 2-core Discfarm
@@ -69,26 +67,24 @@ func (c *EstimatorConfig) applyDefaults() {
 }
 
 // Estimator is the Contention Estimator (CE): it monitors the storage
-// node's I/O queue, core occupancy and memory use, and converts them into
+// node's normal-I/O pressure and kernel memory use, and converts them into
 // the Env the scheduling algorithm consumes. The value of S_{C,op} is
 // derived from the kernel's calibrated maximum rate discounted by the
 // current system environment, as in paper Section III-D.
 type Estimator struct {
-	cfg   EstimatorConfig
-	queue *ioqueue.Queue
-	reg   *metrics.Registry
+	cfg EstimatorConfig
+	reg *metrics.Registry
 
-	mu        sync.Mutex
-	memUsed   uint64 // kernel working-set bytes in use
-	memBudget uint64
+	mu   sync.Mutex
+	used uint64 // kernel working-set bytes in use
 }
 
-// NewEstimator builds a CE over the node's queue and metrics registry.
-// The registry's "data.inflight" gauge (maintained by the pfs data server)
-// supplies normal-I/O pressure. The configuration is validated first; a
+// NewEstimator builds a CE over the node's metrics registry, whose
+// "data.inflight" gauge (maintained by the pfs data server) supplies
+// normal-I/O pressure. The configuration is validated first; a
 // nonsensical config (zero bandwidth, negative period) is an error here
 // rather than silent mis-scheduling later.
-func NewEstimator(cfg EstimatorConfig, q *ioqueue.Queue, reg *metrics.Registry) (*Estimator, error) {
+func NewEstimator(cfg EstimatorConfig, reg *metrics.Registry) (*Estimator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,7 +92,7 @@ func NewEstimator(cfg EstimatorConfig, q *ioqueue.Queue, reg *metrics.Registry) 
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Estimator{cfg: cfg, queue: q, reg: reg, memBudget: cfg.MemBudget}, nil
+	return &Estimator{cfg: cfg, reg: reg}, nil
 }
 
 // Config returns the estimator's effective (defaulted) configuration.
@@ -105,30 +101,28 @@ func (e *Estimator) Config() EstimatorConfig { return e.cfg }
 // MemReserve accounts kernel working memory.
 func (e *Estimator) MemReserve(n uint64) {
 	e.mu.Lock()
-	e.memUsed += n
+	e.used += n
 	e.mu.Unlock()
 }
 
 // MemRelease undoes MemReserve.
 func (e *Estimator) MemRelease(n uint64) {
 	e.mu.Lock()
-	if e.memUsed >= n {
-		e.memUsed -= n
-	} else {
-		e.memUsed = 0
-	}
+	e.used -= min(n, e.used)
 	e.mu.Unlock()
+}
+
+// memUsed is the kernel working memory in use.
+func (e *Estimator) memUsed() uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.used
 }
 
 // MemPressure reports the fraction of the kernel memory budget in use
 // (may exceed 1 when a transform's output buffer overshoots the budget).
 func (e *Estimator) MemPressure() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.memBudget == 0 {
-		return 0
-	}
-	return float64(e.memUsed) / float64(e.memBudget)
+	return float64(e.memUsed()) / float64(e.cfg.MemBudget)
 }
 
 // Env produces the scheduling environment for one operation, applying the
@@ -154,23 +148,4 @@ func (e *Estimator) discount(rate float64) float64 {
 		return rate
 	}
 	return rate / (1 + inflight/NodeCores)
-}
-
-// Probe snapshots the node state in the wire format served to remote
-// probes (and recorded by the benchmarks). BusyCores is the runtime's to
-// fill: it knows which tasks are running.
-func (e *Estimator) Probe() *wire.ProbeResp {
-	st := e.queue.Stats()
-	e.mu.Lock()
-	mem := e.memUsed
-	budget := e.memBudget
-	e.mu.Unlock()
-	return &wire.ProbeResp{
-		QueueLen:       uint32(st.NormalLen),
-		ActiveQueueLen: uint32(st.ActiveLen),
-		TotalCores:     NodeCores,
-		MemUsed:        mem,
-		MemTotal:       budget,
-		BytesQueued:    st.NormalBytes + st.ActiveBytes,
-	}
 }

@@ -1,24 +1,26 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
-	"dosas/internal/ioqueue"
 	"dosas/internal/metrics"
+	"dosas/internal/wire"
 )
 
-func testEstimator(cfg EstimatorConfig) (*Estimator, *ioqueue.Queue, *metrics.Registry) {
-	q := ioqueue.New()
+func testEstimator(cfg EstimatorConfig) (*Estimator, *metrics.Registry) {
 	reg := metrics.NewRegistry()
-	e, err := NewEstimator(cfg, q, reg)
+	e, err := NewEstimator(cfg, reg)
 	if err != nil {
 		panic(err)
 	}
-	return e, q, reg
+	return e, reg
 }
 
 func TestEstimatorDefaults(t *testing.T) {
-	e, _, _ := testEstimator(EstimatorConfig{BW: 118e6})
+	e, _ := testEstimator(EstimatorConfig{BW: 118e6})
 	cfg := e.Config()
 	if cfg.Period <= 0 || cfg.RateFor == nil || cfg.MemBudget == 0 {
 		t.Fatalf("defaults = %+v", cfg)
@@ -26,7 +28,7 @@ func TestEstimatorDefaults(t *testing.T) {
 }
 
 func TestEstimatorEnvUsesCalibratedRate(t *testing.T) {
-	e, _, _ := testEstimator(EstimatorConfig{
+	e, _ := testEstimator(EstimatorConfig{
 		BW:      118e6,
 		RateFor: func(string) float64 { return 80e6 },
 	})
@@ -44,7 +46,7 @@ func TestEstimatorEnvUsesCalibratedRate(t *testing.T) {
 }
 
 func TestEstimatorDiscountsForNormalIOPressure(t *testing.T) {
-	e, _, reg := testEstimator(EstimatorConfig{
+	e, reg := testEstimator(EstimatorConfig{
 		BW:      118e6,
 		RateFor: func(string) float64 { return 80e6 },
 	})
@@ -64,34 +66,55 @@ func TestEstimatorDiscountsForNormalIOPressure(t *testing.T) {
 	}
 }
 
+// TestEstimatorProbeReflectsState: the runtime answers a probe from its
+// task table — a kernel held at its first read is one busy core with its
+// chunk of memory reserved, the two requests behind it are queued with
+// their bytes — and once everything has run, the probe is idle again. The
+// normal-I/O half is the data server's to fill.
 func TestEstimatorProbeReflectsState(t *testing.T) {
-	e, q, _ := testEstimator(EstimatorConfig{BW: 118e6})
-	q.Push(ioqueue.Item{ID: 1, Class: ioqueue.Active, Bytes: 100})
-	q.Push(ioqueue.Item{ID: 2, Class: ioqueue.Normal, Bytes: 50})
-	e.MemReserve(4096)
-	p := e.Probe()
-	if p.ActiveQueueLen != 1 || p.QueueLen != 1 {
-		t.Errorf("queue lens = %d, %d", p.ActiveQueueLen, p.QueueLen)
+	rt, store := newGatedRuntime(t, ModeAlwaysAccept, 1000)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer store.open()
+	// probeUntil polls until the probe reads want, and reports the last
+	// one read otherwise.
+	probeUntil := func(what string, want wire.ProbeResp) {
+		t.Helper()
+		var p *wire.ProbeResp
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if p, _ = rt.HandleProbe(); *p == want {
+				return
+			}
+		}
+		t.Fatalf("probe %s = %+v, want %+v", what, *p, want)
 	}
-	if p.TotalCores != NodeCores {
-		t.Errorf("total cores = %d", p.TotalCores)
+	idle := wire.ProbeResp{TotalCores: NodeCores, MemTotal: 1 << 30}
+	held := idle
+	held.BusyCores, held.MemUsed = 1, 1<<20 // one kernel chunk reserved
+	for i, n := range []uint64{1000, 300, 200} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := rt.HandleActive(&wire.ActiveReadReq{RequestID: uint64(i + 1), Handle: 1, Length: n, Op: "sum8"}); err != nil {
+				t.Error(err)
+			}
+		}()
+		if i > 0 {
+			held.ActiveQueueLen++
+			held.BytesQueued += n
+		}
+		probeUntil(fmt.Sprintf("after request %d", i+1), held)
 	}
-	if p.MemUsed != 4096 || p.BytesQueued != 150 {
-		t.Errorf("mem = %d, queued = %d", p.MemUsed, p.BytesQueued)
-	}
-	e.MemRelease(4096)
-	if p = e.Probe(); p.MemUsed != 0 {
-		t.Errorf("after release: %+v", p)
-	}
+	store.open()
+	wg.Wait()
+	probeUntil("once every request has run", idle)
 	// Releases never go negative.
-	e.MemRelease(10)
-	if p = e.Probe(); p.MemUsed != 0 {
-		t.Errorf("floor violated: %+v", p)
-	}
+	rt.est.MemRelease(10)
+	probeUntil("after an excess release", idle)
 }
 
 func TestEstimatorUnknownOpInvalidEnv(t *testing.T) {
-	e, _, _ := testEstimator(EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 0 }})
+	e, _ := testEstimator(EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 0 }})
 	if e.Env("mystery").Valid() {
 		t.Fatal("uncalibrated op should produce an invalid env")
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dosas/internal/ioqueue"
 	"dosas/internal/kernels"
 	"dosas/internal/metrics"
 	"dosas/internal/pfs"
@@ -23,6 +24,7 @@ type activeCluster struct {
 	fs       *pfs.Client
 	asc      *Client
 	runtimes []*Runtime
+	data     []*pfs.DataServer
 	servers  []*pfs.Server
 	stores   []pfs.Store
 }
@@ -35,7 +37,8 @@ type clusterOpts struct {
 	pace   bool
 	bw     float64
 	period time.Duration
-	extent bool // extent stores on disk instead of MemStores
+	extent bool           // extent stores on disk instead of MemStores
+	qos    *pfs.QoSConfig // the data servers' admission gate (nil: none)
 }
 
 func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
@@ -63,6 +66,7 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 
 	var dataAddrs []string
 	var runtimes []*Runtime
+	var data []*pfs.DataServer
 	var servers []*pfs.Server
 	var stores []pfs.Store
 	for i := 0; i < o.nData; i++ {
@@ -77,7 +81,7 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 			store = es
 		}
 		stores = append(stores, store)
-		ds, err := pfs.NewDataServer(pfs.DataConfig{Store: store, Metrics: reg})
+		ds, err := pfs.NewDataServer(pfs.DataConfig{Store: store, Metrics: reg, QoS: o.qos})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,6 +109,7 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 		t.Cleanup(srv.Close)
 		dataAddrs = append(dataAddrs, addr)
 		runtimes = append(runtimes, rt)
+		data = append(data, ds)
 		servers = append(servers, srv)
 	}
 
@@ -117,7 +122,7 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &activeCluster{fs: fs, asc: asc, runtimes: runtimes, servers: servers, stores: stores}
+	return &activeCluster{fs: fs, asc: asc, runtimes: runtimes, data: data, servers: servers, stores: stores}
 }
 
 // writeFile creates a striped file with deterministic pseudo-random bytes.
@@ -373,19 +378,51 @@ func TestCancelMigratesRunningKernel(t *testing.T) {
 	}
 }
 
+// TestProbeOverWire: a remote probe carries the runtime's cores and the
+// data server's normal-I/O half — a read held at the admission gate is in
+// QueueLen, its bytes in BytesQueued.
 func TestProbeOverWire(t *testing.T) {
-	c := startActiveCluster(t, clusterOpts{nData: 1, mode: ModeDynamic, scheme: SchemeDOSAS})
+	c := startActiveCluster(t, clusterOpts{nData: 1, mode: ModeDynamic, scheme: SchemeDOSAS, qos: &pfs.QoSConfig{Slots: 1}})
+	f, _ := writeFile(t, c.fs, "probe/x", 100_000, 1)
 	addr, _ := c.fs.DataAddr(0)
-	resp, err := c.fs.Pool().Call(addr, &wire.ProbeReq{})
-	if err != nil {
-		t.Fatal(err)
+	probe := func() *wire.ProbeResp {
+		t.Helper()
+		resp, err := c.fs.Pool().Call(addr, &wire.ProbeReq{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := resp.(*wire.ProbeResp)
+		if !ok {
+			t.Fatalf("resp = %T", resp)
+		}
+		return p
 	}
-	p, ok := resp.(*wire.ProbeResp)
-	if !ok {
-		t.Fatalf("resp = %T", resp)
-	}
+	p := probe()
 	if p.TotalCores != 2 {
 		t.Errorf("cores = %d", p.TotalCores)
+	}
+	if p.QueueLen != 0 || p.BytesQueued != 0 {
+		t.Errorf("idle probe = %+v", p)
+	}
+	// Take the gate's one slot, so a normal read queues behind it.
+	slot := c.data[0].Gate().Enqueue(ioqueue.Normal, "", 0)
+	if !slot.Wait() {
+		t.Fatal("gate refused the slot")
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := f.ReadAt(make([]byte, 4096), 0)
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); p.QueueLen == 0 && time.Now().Before(deadline); p = probe() {
+		time.Sleep(time.Millisecond)
+	}
+	if p.QueueLen < 1 || p.BytesQueued < 4096 {
+		t.Errorf("probe with a read held at the gate = %+v, want QueueLen ≥ 1 and BytesQueued ≥ 4096", p)
+	}
+	slot.Release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

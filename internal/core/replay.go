@@ -35,34 +35,24 @@ func (p replayPolicy) Decide(reqs []audit.Feature, env audit.Env) []bool {
 	return p.s.Solve(creqs, Env{BW: env.BW, StorageRate: env.StorageRate, ComputeRate: env.ComputeRate})
 }
 
-// SolverByName maps a policy name to a solver: "exhaustive", "maxgain",
-// "all-active", "all-normal". The names double as the -policy vocabulary
-// of dosasctl whatif and the -solver vocabulary of the daemons.
-func SolverByName(name string) (Solver, error) {
-	switch strings.ToLower(name) {
-	case "exhaustive":
-		return Exhaustive{}, nil
-	case "maxgain", "max-gain":
-		return MaxGain{}, nil
-	case "all-active", "allactive":
-		return AllActive{}, nil
-	case "all-normal", "allnormal":
-		return AllNormal{}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown solver %q (want exhaustive, maxgain, all-active or all-normal)", name)
-	}
-}
-
-// PolicyByName maps a replay policy name to an audit Policy: any solver
-// name accepted by SolverByName, plus "recorded" (replay the log's own
-// decisions).
+// PolicyByName maps a replay policy name — the -policy vocabulary of
+// dosasctl whatif — to an audit Policy: a solver ("exhaustive", "maxgain",
+// "all-active", "all-normal") or "recorded" (the log's own decisions).
 func PolicyByName(name string) (audit.Policy, error) {
-	if strings.EqualFold(name, "recorded") {
+	var s Solver
+	switch strings.ToLower(name) {
+	case "recorded":
 		return audit.Recorded{}, nil
-	}
-	s, err := SolverByName(name)
-	if err != nil {
-		return nil, err
+	case "exhaustive":
+		s = Exhaustive{}
+	case "maxgain", "max-gain":
+		s = MaxGain{}
+	case "all-active", "allactive":
+		s = AllActive{}
+	case "all-normal", "allnormal":
+		s = AllNormal{}
+	default:
+		return nil, fmt.Errorf("core: unknown policy %q (want recorded, exhaustive, maxgain, all-active or all-normal)", name)
 	}
 	return ReplayPolicy(s), nil
 }

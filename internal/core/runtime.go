@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,11 +57,9 @@ type RuntimeConfig struct {
 	Store pfs.Store
 	// Estimator parameterises the node's Contention Estimator.
 	Estimator EstimatorConfig
-	// Mode selects dynamic scheduling or a static baseline.
+	// Mode selects dynamic scheduling or a static baseline. ModeDynamic
+	// decides with MaxGain.
 	Mode Mode
-	// Solver picks the scheduling algorithm for ModeDynamic; defaults to
-	// MaxGain.
-	Solver Solver
 	// ChunkSize is the granularity at which kernels consume stripe data
 	// and at which interruption is detected. Defaults to 1 MiB.
 	ChunkSize int
@@ -126,16 +125,15 @@ const (
 type Runtime struct {
 	cfg   RuntimeConfig
 	est   *Estimator
-	queue *ioqueue.Queue
+	queue *ioqueue.Queue // the order waiting tasks start in
 	reg   *metrics.Registry
 
 	// bytesProcessed is active.bytes_processed, resolved once: feed adds
 	// to it per chunk, and a lookup by name takes the registry's lock.
 	bytesProcessed *metrics.Counter
 
-	mu      sync.Mutex
-	running map[uint64]*task // internal id → running task
-	queued  map[uint64]*task
+	mu    sync.Mutex
+	tasks []*task // every accepted task not yet answered, in arrival order
 
 	nextID    atomic.Uint64
 	stop      chan struct{}
@@ -143,53 +141,42 @@ type Runtime struct {
 	wg        sync.WaitGroup
 }
 
-// task is one accepted active request moving through the runtime:
-// either an active read (req set) or an active transform (xform set).
+// taskState is where a task stands in the runtime's table.
+type taskState uint8
+
+const (
+	// taskQueued: waiting in the queue, or taken by a worker that has
+	// not started it yet.
+	taskQueued taskState = iota
+	taskRunning
+	// taskDone: out of the table — answered, bounced or withdrawn.
+	taskDone
+)
+
+// task is one accepted active request moving through the runtime: an
+// active read, or an active transform when transform is set.
 type task struct {
-	id        uint64
-	req       *wire.ActiveReadReq
-	xform     *wire.TransformReq
+	id      uint64
+	op      string
+	params  []byte
+	handle  uint64 // the local stream the kernel reads
+	offset  uint64
+	length  uint64
+	reqID   uint64 // the client's request id
+	traceID uint64
+	tenant  string
+	resume  []byte // an active read's checkpoint to resume from
+
+	transform            bool
+	dstHandle, dstOffset uint64 // where a transform writes its output
+
+	state     taskState       // guarded by Runtime.mu
 	resp      chan taskResult // buffered, capacity 1
 	interrupt atomic.Bool
 	processed atomic.Uint64 // bytes consumed so far
-	op        string
-	tenant    string
-	traceID   uint64
 	arrived   time.Time     // when the task entered the queue
 	predicted time.Duration // estimator's forecast kernel time
 	auditSeq  uint64        // decision record awaiting this task's outcome (0 = none)
-}
-
-// length returns the task's input size in bytes.
-func (t *task) length() uint64 {
-	if t.xform != nil {
-		return t.xform.Length
-	}
-	return t.req.Length
-}
-
-// source returns the local stream and offset the task's kernel reads from.
-func (t *task) source() (handle, offset uint64) {
-	if t.xform != nil {
-		return t.xform.SrcHandle, t.xform.Offset
-	}
-	return t.req.Handle, t.req.Offset
-}
-
-// params returns the kernel parameters the task's request carries.
-func (t *task) params() []byte {
-	if t.xform != nil {
-		return t.xform.Params
-	}
-	return t.req.Params
-}
-
-// clientReqID returns the task's client-visible request id.
-func (t *task) clientReqID() uint64 {
-	if t.xform != nil {
-		return t.xform.RequestID
-	}
-	return t.req.RequestID
 }
 
 type taskResult struct {
@@ -201,9 +188,6 @@ type taskResult struct {
 func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("core: runtime needs a store")
-	}
-	if cfg.Solver == nil {
-		cfg.Solver = MaxGain{}
 	}
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = 1 << 20
@@ -231,18 +215,16 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	q := ioqueue.New()
 	q.SetTenants(cfg.Tenants)
 	q.SetWeights(cfg.TenantWeights)
-	est, err := NewEstimator(cfg.Estimator, q, cfg.Metrics)
+	est, err := NewEstimator(cfg.Estimator, cfg.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	rt := &Runtime{
-		cfg:     cfg,
-		est:     est,
-		queue:   q,
-		reg:     cfg.Metrics,
-		running: make(map[uint64]*task),
-		queued:  make(map[uint64]*task),
-		stop:    make(chan struct{}),
+		cfg:   cfg,
+		est:   est,
+		queue: q,
+		reg:   cfg.Metrics,
+		stop:  make(chan struct{}),
 
 		bytesProcessed: cfg.Metrics.Counter("active.bytes_processed"),
 	}
@@ -259,7 +241,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 	cfg.Events.Info("runtime", "active runtime started",
 		"mode", cfg.Mode.String(),
 		"cores", fmt.Sprint(ActiveCores),
-		"solver", cfg.Solver.Name())
+		"solver", MaxGain{}.Name())
 	return rt, nil
 }
 
@@ -271,10 +253,7 @@ func (rt *Runtime) registerProbes() {
 	if s == nil {
 		return
 	}
-	s.Register("queue.depth", func() float64 {
-		st := rt.queue.Stats()
-		return float64(st.NormalLen + st.ActiveLen)
-	})
+	s.Register("queue.depth", func() float64 { return float64(rt.queue.Stats().ActiveLen) })
 	s.Register("inflight", func() float64 {
 		return float64(rt.reg.Gauge("data.inflight").Value())
 	})
@@ -337,18 +316,52 @@ func (rt *Runtime) Close() {
 	rt.wg.Wait()
 	// Anything still queued bounces so clients are not stranded.
 	for _, it := range rt.queue.DrainActive() {
-		t := it.Payload.(*task)
-		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispShutdown})
-		if t.xform != nil {
-			rt.respond(t, nil, fmt.Errorf("%w: runtime shutting down", pfs.ErrUnsupported))
-			continue
-		}
-		rt.respond(t, &wire.ActiveReadResp{
-			RequestID:   t.req.RequestID,
-			Disposition: wire.ActiveRejected,
-			TraceID:     t.traceID,
-		}, nil)
+		rt.shutDown(it.Payload.(*task))
 	}
+}
+
+// shutDown answers a task the closing runtime will not run: a read
+// bounces, a transform fails.
+func (rt *Runtime) shutDown(t *task) {
+	rt.mu.Lock()
+	rt.dropLocked(t)
+	rt.mu.Unlock()
+	rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispShutdown})
+	if t.transform {
+		rt.respond(t, nil, fmt.Errorf("%w: runtime shutting down", pfs.ErrUnsupported))
+		return
+	}
+	rt.respond(t, rejection(t), nil)
+}
+
+// rejection is the answer that bounces an active read back to its client.
+func rejection(t *task) *wire.ActiveReadResp {
+	return &wire.ActiveReadResp{RequestID: t.reqID, Disposition: wire.ActiveRejected, TraceID: t.traceID}
+}
+
+// dropLocked takes t out of the task table. The caller holds rt.mu.
+func (rt *Runtime) dropLocked(t *task) {
+	t.state = taskDone
+	rt.tasks = slices.DeleteFunc(rt.tasks, func(o *task) bool { return o == t })
+}
+
+// submit enters an accepted task in the table and the queue, and waits
+// for its answer. A closed queue answers it as Close does.
+func (rt *Runtime) submit(t *task) (wire.Message, error) {
+	t.id = rt.nextID.Add(1)
+	t.resp = make(chan taskResult, 1)
+	t.arrived = time.Now()
+	rt.mu.Lock()
+	rt.tasks = append(rt.tasks, t)
+	rt.mu.Unlock()
+	err := rt.queue.Push(ioqueue.Item{
+		ID: t.id, Class: ioqueue.Active, Op: t.op, Bytes: t.length, Tenant: t.tenant, Payload: t,
+	})
+	if err != nil {
+		rt.shutDown(t)
+	}
+	res := <-t.resp
+	return res.resp, res.err
 }
 
 // Estimator exposes the node's Contention Estimator.
@@ -372,8 +385,7 @@ func (rt *Runtime) HealthChecks() []telemetry.Check {
 	checks := []telemetry.Check{
 		{Name: "estimator", OK: true, Detail: fmt.Sprintf("mode %s", rt.cfg.Mode)},
 	}
-	st := rt.queue.Stats()
-	depth := float64(st.NormalLen + st.ActiveLen)
+	depth := float64(rt.queue.Stats().ActiveLen)
 	// Prefer the recent-window maximum so a burst the queue has already
 	// drained is still visible to an operator probing after the fact.
 	if m, ok := rt.cfg.Telemetry.WindowMax("queue.depth", healthWindow); ok && m > depth {
@@ -444,46 +456,15 @@ func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, 
 		Phase: trace.PhaseDecision, Dur: time.Since(decisionStart),
 		Predicted: predicted, Note: admitNote,
 	})
-	t := &task{
-		id:        rt.nextID.Add(1),
-		req:       req,
-		resp:      make(chan taskResult, 1),
-		op:        req.Op,
-		tenant:    req.Tenant,
-		traceID:   req.TraceID,
-		arrived:   time.Now(),
-		predicted: predicted,
-		auditSeq:  auditSeq,
-	}
-	rt.mu.Lock()
-	rt.queued[t.id] = t
-	rt.mu.Unlock()
-	err := rt.queue.Push(ioqueue.Item{
-		ID:      t.id,
-		Class:   ioqueue.Active,
-		Op:      req.Op,
-		Bytes:   req.Length,
-		Tenant:  req.Tenant,
-		Payload: t,
+	resp, err := rt.submit(&task{
+		op: req.Op, params: req.Params, handle: req.Handle, offset: req.Offset, length: req.Length,
+		reqID: req.RequestID, traceID: req.TraceID, tenant: req.Tenant, resume: req.ResumeState,
+		predicted: predicted, auditSeq: auditSeq,
 	})
 	if err != nil {
-		rt.mu.Lock()
-		delete(rt.queued, t.id)
-		rt.mu.Unlock()
-		rt.cfg.Audit.Resolve(auditSeq, audit.Outcome{Disposition: audit.DispShutdown})
-		return &wire.ActiveReadResp{
-			RequestID: req.RequestID, Disposition: wire.ActiveRejected, TraceID: req.TraceID,
-		}, nil
+		return nil, err
 	}
-	res := <-t.resp
-	if res.err != nil {
-		return nil, res.err
-	}
-	ar, ok := res.resp.(*wire.ActiveReadResp)
-	if !ok {
-		return nil, fmt.Errorf("core: internal: %T answered an active read", res.resp)
-	}
-	return ar, nil
+	return resp.(*wire.ActiveReadResp), nil
 }
 
 // HandleTransform implements pfs.ActiveHandler: active write-back. The
@@ -496,51 +477,24 @@ func (rt *Runtime) HandleTransform(req *wire.TransformReq) (*wire.TransformResp,
 	if !kernels.Registered(req.Op) {
 		return nil, fmt.Errorf("%w: %v: %q", pfs.ErrInvalid, kernels.ErrUnknown, req.Op)
 	}
-	t := &task{
-		id:      rt.nextID.Add(1),
-		xform:   req,
-		resp:    make(chan taskResult, 1),
-		op:      req.Op,
-		tenant:  req.Tenant,
-		traceID: req.TraceID,
-		arrived: time.Now(),
-	}
-	rt.mu.Lock()
-	rt.queued[t.id] = t
-	rt.mu.Unlock()
-	err := rt.queue.Push(ioqueue.Item{
-		ID:      t.id,
-		Class:   ioqueue.Active,
-		Op:      req.Op,
-		Bytes:   req.Length,
-		Tenant:  req.Tenant,
-		Payload: t,
+	resp, err := rt.submit(&task{
+		op: req.Op, params: req.Params, handle: req.SrcHandle, offset: req.Offset, length: req.Length,
+		reqID: req.RequestID, traceID: req.TraceID, tenant: req.Tenant,
+		transform: true, dstHandle: req.DstHandle, dstOffset: req.DstOffset,
 	})
 	if err != nil {
-		rt.mu.Lock()
-		delete(rt.queued, t.id)
-		rt.mu.Unlock()
-		return nil, fmt.Errorf("%w: runtime shutting down", pfs.ErrUnsupported)
+		return nil, err
 	}
-	res := <-t.resp
-	if res.err != nil {
-		return nil, res.err
-	}
-	tr, ok := res.resp.(*wire.TransformResp)
-	if !ok {
-		return nil, fmt.Errorf("core: internal: %T answered a transform", res.resp)
-	}
-	return tr, nil
+	return resp.(*wire.TransformResp), nil
 }
 
 // executeTransform streams the local source range through the kernel and
 // writes the output back to the local destination stream.
 func (rt *Runtime) executeTransform(t *task) (wire.Message, error) {
-	req := t.xform
-	rt.est.MemReserve(req.Length) // output is buffered until Result
-	defer rt.est.MemRelease(req.Length)
+	rt.est.MemReserve(t.length) // output is buffered until Result
+	defer rt.est.MemRelease(t.length)
 
-	k, err := kernels.Start(req.Op, req.Params, nil)
+	k, err := kernels.Start(t.op, t.params, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
 	}
@@ -553,45 +507,39 @@ func (rt *Runtime) executeTransform(t *task) (wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := rt.cfg.Store.WriteAt(req.DstHandle, out, req.DstOffset); err != nil {
+	if _, err := rt.cfg.Store.WriteAt(t.dstHandle, out, t.dstOffset); err != nil {
 		return nil, err
 	}
 	rt.reg.Counter("transform.completed").Inc()
 	rt.reg.Counter("transform.bytes_written").Add(int64(len(out)))
 	rt.cfg.Trace.RecordEvent(trace.Event{
 		Kind: trace.KindTransform, TraceID: t.traceID,
-		ReqID: req.RequestID, Op: req.Op, Bytes: req.Length,
+		ReqID: t.reqID, Op: t.op, Bytes: t.length,
 		Phase: trace.PhaseKernel, Dur: time.Since(t.arrived),
 		Note: fmt.Sprintf("wrote %d bytes locally", len(out)),
 	})
-	return &wire.TransformResp{RequestID: req.RequestID, Written: uint64(len(out))}, nil
+	return &wire.TransformResp{RequestID: t.reqID, Written: uint64(len(out))}, nil
 }
 
-// admit runs the scheduling algorithm over the node's current active set
-// plus the newcomer and reports whether the newcomer should run here,
-// along with the estimator's reasoning for the trace and the sequence
-// number of the decision's audit record (0 when no solver ran).
+// admit runs MaxGain over the node's current active set plus the newcomer
+// and reports whether the newcomer should run here, along with the
+// estimator's reasoning for the trace and the sequence number of the
+// decision's audit record (0 when no solver ran).
 func (rt *Runtime) admit(req *wire.ActiveReadReq) (bool, string, uint64) {
-	newReq, reqs := rt.schedulerView(req)
-	if len(reqs) == 0 {
-		return true, "empty active set", 0
-	}
+	v := rt.schedulerView(req)
 	env := rt.est.Env(req.Op)
 	if !env.Valid() {
 		return true, "no calibration", 0 // behave like plain active storage
 	}
-	assignment := rt.cfg.Solver.Solve(reqs, env)
-	seq := rt.recordDecision(audit.TriggerAdmit, env, reqs, assignment, newReq, req)
-	for i, r := range reqs {
-		if r.ID == newReq {
-			// The estimator's reasoning: serve actively here (x) vs
-			// ship raw and compute on the client (y), over k requests.
-			note := fmt.Sprintf("x=%.3fs y=%.3fs gain=%.3fs k=%d",
-				env.XCost(r), env.YCost(r), env.Gain(r), len(reqs))
-			return assignment[i], note, seq
-		}
-	}
-	return true, "newcomer not in scheduler view", seq
+	assignment := MaxGain{}.Solve(v.reqs, env)
+	seq := rt.recordDecision(audit.TriggerAdmit, env, v, assignment, req)
+	// The estimator's reasoning: serve actively here (x) vs ship raw and
+	// compute on the client (y), over k requests.
+	last := len(v.reqs) - 1
+	r := v.reqs[last]
+	note := fmt.Sprintf("x=%.3fs y=%.3fs gain=%.3fs k=%d",
+		env.XCost(r), env.YCost(r), env.Gain(r), len(v.reqs))
+	return assignment[last], note, seq
 }
 
 // flipDeltaMax bounds the batch size for which per-request decision
@@ -602,32 +550,12 @@ const flipDeltaMax = 64
 // recordDecision appends one solver invocation to the audit log: the env
 // snapshot, every request's feature vector with predicted costs and its
 // margin to the decision boundary, and the three objective values the
-// policy weighed. newcomer/newReq identify the arriving request on admit
-// decisions (0/nil on reevaluation sweeps). Returns the record's seq.
-func (rt *Runtime) recordDecision(trigger string, env Env, reqs []Request, assignment []bool, newcomer uint64, newReq *wire.ActiveReadReq) uint64 {
-	if rt.cfg.Audit == nil {
-		return 0
-	}
-	// Map scheduler ids back to client-visible identities, and capture
-	// the queue depths the decision was made against.
-	type ident struct {
-		reqID, traceID uint64
-		tenant         string
-	}
-	rt.mu.Lock()
-	ids := make(map[uint64]ident, len(rt.queued)+len(rt.running))
-	for id, t := range rt.queued {
-		ids[id] = ident{reqID: t.clientReqID(), traceID: t.traceID, tenant: t.tenant}
-	}
-	for id, t := range rt.running {
-		ids[id] = ident{reqID: t.clientReqID(), traceID: t.traceID, tenant: t.tenant}
-	}
-	queued, running := len(rt.queued), len(rt.running)
-	rt.mu.Unlock()
-
-	chosen := env.TotalTime(reqs, assignment)
-	feats := make([]audit.Feature, len(reqs))
-	for i, r := range reqs {
+// policy weighed. newReq is the arriving request on admit decisions (nil
+// on reevaluation sweeps). Returns the record's seq.
+func (rt *Runtime) recordDecision(trigger string, env Env, v view, assignment []bool, newReq *wire.ActiveReadReq) uint64 {
+	chosen := env.TotalTime(v.reqs, assignment)
+	feats := make([]audit.Feature, len(v.reqs))
+	for i, r := range v.reqs {
 		f := audit.Feature{
 			SchedID:     r.ID,
 			Op:          r.Op,
@@ -641,33 +569,29 @@ func (rt *Runtime) recordDecision(trigger string, env Env, reqs []Request, assig
 			Gain:        env.Gain(r),
 			Accept:      assignment[i],
 		}
-		if len(reqs) <= flipDeltaMax {
+		if len(v.reqs) <= flipDeltaMax {
 			assignment[i] = !assignment[i]
-			f.FlipDelta = env.TotalTime(reqs, assignment) - chosen
+			f.FlipDelta = env.TotalTime(v.reqs, assignment) - chosen
 			assignment[i] = !assignment[i]
 		}
-		if newcomer != 0 && r.ID == newcomer && newReq != nil {
+		if t := v.tasks[i]; t != nil {
+			f.ReqID, f.TraceID, f.Tenant = t.reqID, t.traceID, t.tenant
+		} else {
 			f.Newcomer = true
-			f.ReqID = newReq.RequestID
-			f.TraceID = newReq.TraceID
-			f.Tenant = newReq.Tenant
-		} else if id, ok := ids[r.ID]; ok {
-			f.ReqID = id.reqID
-			f.TraceID = id.traceID
-			f.Tenant = id.tenant
+			f.ReqID, f.TraceID, f.Tenant = newReq.RequestID, newReq.TraceID, newReq.Tenant
 		}
 		feats[i] = f
 	}
 	return rt.cfg.Audit.Append(audit.Record{
-		Solver:        rt.cfg.Solver.Name(),
+		Solver:        MaxGain{}.Name(),
 		Trigger:       trigger,
 		Env:           audit.Env{BW: env.BW, StorageRate: env.StorageRate, ComputeRate: env.ComputeRate},
-		Queued:        queued,
-		Running:       running,
+		Queued:        v.queued,
+		Running:       v.running,
 		Reqs:          feats,
 		PredChosen:    chosen,
-		PredAllActive: env.TimeAllActive(reqs),
-		PredAllNormal: env.TimeAllNormal(reqs),
+		PredAllActive: env.TimeAllActive(v.reqs),
+		PredAllNormal: env.TimeAllNormal(v.reqs),
 	})
 }
 
@@ -682,30 +606,46 @@ func (rt *Runtime) predictKernel(op string, bytes uint64) time.Duration {
 	return time.Duration(float64(bytes) / env.StorageRate * float64(time.Second))
 }
 
-// schedulerView snapshots the runtime's active set as scheduler Requests:
-// running tasks by remaining bytes, queued tasks in full, plus (when
-// newcomer != nil) the arriving request. It returns the newcomer's
-// scheduler ID and the request list.
-func (rt *Runtime) schedulerView(newcomer *wire.ActiveReadReq) (uint64, []Request) {
-	var reqs []Request
+// view is the runtime's active set as the solver sees it, in arrival
+// order: reqs[i] prices tasks[i], which is nil for an arriving request.
+// queued and running count the table's tasks in each state.
+type view struct {
+	reqs            []Request
+	tasks           []*task
+	queued, running int
+}
+
+// schedulerView snapshots the task table as scheduler Requests: running
+// tasks by remaining bytes, queued tasks in full, plus (when newcomer !=
+// nil) the arriving request last. A task already told to stop, or with
+// nothing left to process, is left out.
+func (rt *Runtime) schedulerView(newcomer *wire.ActiveReadReq) view {
+	var v view
 	rt.mu.Lock()
-	for _, t := range rt.running {
-		remaining := t.length() - t.processed.Load()
-		if remaining == 0 || t.interrupt.Load() {
+	for _, t := range rt.tasks {
+		bytes := t.length
+		if t.state == taskRunning {
+			v.running++
+			bytes -= t.processed.Load()
+			if bytes == 0 {
+				continue
+			}
+		} else {
+			v.queued++
+		}
+		if t.interrupt.Load() {
 			continue
 		}
-		reqs = append(reqs, rt.requestFor(t.id, t.op, t.params(), remaining))
-	}
-	for _, t := range rt.queued {
-		reqs = append(reqs, rt.requestFor(t.id, t.op, t.params(), t.length()))
+		v.reqs = append(v.reqs, rt.requestFor(t.id, t.op, t.params, bytes))
+		v.tasks = append(v.tasks, t)
 	}
 	rt.mu.Unlock()
-	var newID uint64
 	if newcomer != nil {
-		newID = rt.nextID.Add(1) + 1<<62 // ephemeral id, distinct from tasks
-		reqs = append(reqs, rt.requestFor(newID, newcomer.Op, newcomer.Params, newcomer.Length))
+		id := rt.nextID.Add(1) + 1<<62 // ephemeral id, distinct from tasks
+		v.reqs = append(v.reqs, rt.requestFor(id, newcomer.Op, newcomer.Params, newcomer.Length))
+		v.tasks = append(v.tasks, nil)
 	}
-	return newID, reqs
+	return v
 }
 
 // requestFor builds one scheduler Request with per-op rates. h(d) comes
@@ -749,85 +689,60 @@ func (rt *Runtime) policyLoop() {
 // reevaluate applies the current policy to in-flight work. Queued requests
 // assigned "bounce" are rejected immediately; running requests are
 // interrupted only when the predicted improvement clears interruptMargin.
+// Transforms neither bounce nor migrate: their whole point is that
+// neither input nor output crosses the network.
 func (rt *Runtime) reevaluate() {
-	_, reqs := rt.schedulerView(nil)
-	if len(reqs) == 0 {
+	v := rt.schedulerView(nil)
+	if len(v.reqs) == 0 {
 		return
 	}
-	env := rt.est.Env(reqs0Op(rt))
+	// Each request carries its own rates; the base env supplies bw.
+	env := rt.est.Env(v.reqs[0].Op)
 	if !env.Valid() {
 		return
 	}
-	assignment := rt.cfg.Solver.Solve(reqs, env)
-	rt.recordDecision(audit.TriggerReevaluate, env, reqs, assignment, 0, nil)
-	allActive := env.TimeAllActive(reqs)
-	chosen := env.TotalTime(reqs, assignment)
-	for i, r := range reqs {
-		if assignment[i] {
+	assignment := MaxGain{}.Solve(v.reqs, env)
+	rt.recordDecision(audit.TriggerReevaluate, env, v, assignment, nil)
+	allActive := env.TimeAllActive(v.reqs)
+	chosen := env.TotalTime(v.reqs, assignment)
+	for i, t := range v.tasks {
+		if assignment[i] || t.transform {
 			continue
 		}
 		rt.mu.Lock()
-		if t, ok := rt.queued[r.ID]; ok {
-			if t.xform != nil {
-				// Transforms cannot bounce: their whole point is that
-				// neither input nor output crosses the network.
-				rt.mu.Unlock()
-				continue
-			}
+		switch t.state {
+		case taskQueued:
 			if _, found := rt.queue.Remove(t.id); found {
-				delete(rt.queued, t.id)
+				rt.dropLocked(t)
 				rt.mu.Unlock()
 				rt.reg.Counter("active.bounced_queued").Inc()
 				rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) { s.Bounces++ })
 				rt.cfg.Trace.RecordEvent(trace.Event{
 					Kind: trace.KindReject, TraceID: t.traceID,
-					ReqID: t.req.RequestID, Op: t.op, Bytes: r.Bytes, Tenant: t.tenant,
+					ReqID: t.reqID, Op: t.op, Bytes: v.reqs[i].Bytes, Tenant: t.tenant,
 					Phase: trace.PhaseDecision,
 					Note:  fmt.Sprintf("bounced from queue at re-evaluation, gain %.2fx", allActive/chosen),
 				})
 				rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispBouncedQueued})
-				rt.respond(t, &wire.ActiveReadResp{
-					RequestID:   t.req.RequestID,
-					Disposition: wire.ActiveRejected,
-					TraceID:     t.traceID,
-				}, nil)
+				rt.respond(t, rejection(t), nil)
 				continue
 			}
-			rt.mu.Unlock()
-			continue
-		}
-		if t, ok := rt.running[r.ID]; ok {
+		case taskRunning:
 			// Interrupt running work only when the policy's win is
 			// decisive (paper: "record and interrupt current active I/O
-			// being serviced"). Transforms are never migrated.
-			if t.xform == nil && allActive > chosen*interruptMargin {
-				if t.interrupt.CompareAndSwap(false, true) {
-					rt.reg.Counter("active.interrupted").Inc()
-					rt.cfg.Trace.RecordEvent(trace.Event{
-						Kind: trace.KindInterrupt, TraceID: t.traceID,
-						ReqID: t.req.RequestID, Op: t.op, Bytes: r.Bytes,
-						Phase: trace.PhaseDecision,
-						Note:  fmt.Sprintf("policy gain %.2fx", allActive/chosen),
-					})
-				}
+			// being serviced").
+			if allActive > chosen*interruptMargin && t.interrupt.CompareAndSwap(false, true) {
+				rt.reg.Counter("active.interrupted").Inc()
+				rt.cfg.Trace.RecordEvent(trace.Event{
+					Kind: trace.KindInterrupt, TraceID: t.traceID,
+					ReqID: t.reqID, Op: t.op, Bytes: v.reqs[i].Bytes,
+					Phase: trace.PhaseDecision,
+					Note:  fmt.Sprintf("policy gain %.2fx", allActive/chosen),
+				})
 			}
 		}
 		rt.mu.Unlock()
 	}
-}
-
-// reqs0Op returns the op of any current task, for the base Env (each
-// request carries its own rates; the base just supplies BW).
-func reqs0Op(rt *Runtime) string {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	for _, t := range rt.queued {
-		return t.op
-	}
-	for _, t := range rt.running {
-		return t.op
-	}
-	return "sum8"
 }
 
 // worker executes queued active requests, one kernel per core.
@@ -838,33 +753,34 @@ func (rt *Runtime) worker() {
 		if err != nil {
 			return
 		}
-		t := item.Payload.(*task)
-		rt.mu.Lock()
-		delete(rt.queued, t.id)
-		rt.running[t.id] = t
-		rt.mu.Unlock()
-		rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) { s.Inflight++ })
-		kernelStart := time.Now()
-		var resp wire.Message
-		var rerr error
-		if t.xform != nil {
-			resp, rerr = rt.executeTransform(t)
-		} else {
-			resp, rerr = rt.execute(t)
-		}
-		kernelElapsed := time.Since(kernelStart)
-		rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) {
-			s.Inflight--
-			s.KernelNanos += uint64(kernelElapsed)
-		})
-		rt.mu.Lock()
-		delete(rt.running, t.id)
-		rt.mu.Unlock()
-		if rerr != nil {
-			rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispError})
-		}
-		rt.respond(t, resp, rerr)
+		rt.run(item.Payload.(*task))
 	}
+}
+
+// run executes a task a worker has taken from the queue and answers it.
+func (rt *Runtime) run(t *task) {
+	rt.mu.Lock()
+	t.state = taskRunning
+	rt.mu.Unlock()
+	rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) { s.Inflight++ })
+	kernelStart := time.Now()
+	execute := rt.execute
+	if t.transform {
+		execute = rt.executeTransform
+	}
+	resp, err := execute(t)
+	kernelElapsed := time.Since(kernelStart)
+	rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) {
+		s.Inflight--
+		s.KernelNanos += uint64(kernelElapsed)
+	})
+	rt.mu.Lock()
+	rt.dropLocked(t)
+	rt.mu.Unlock()
+	if err != nil {
+		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispError})
+	}
+	rt.respond(t, resp, err)
 }
 
 func (rt *Runtime) respond(t *task, resp wire.Message, err error) {
@@ -914,27 +830,25 @@ func process(k kernels.Kernel, chunk []byte) (err error) {
 // interrupt means — checkpoint and migrate, or fail — is the caller's. done
 // is the number of bytes k has consumed.
 func (rt *Runtime) feed(t *task, k kernels.Kernel) (done uint64, interrupted bool, err error) {
-	handle, offset := t.source()
-	length := t.length()
 	buf := wire.GetBuf(rt.cfg.ChunkSize) // pooled; kernels must not retain chunk slices
 	defer wire.PutBuf(buf)
 	// A mapped chunk faults instead of reading short if its file is cut
 	// under the kernel; process turns that fault into an error.
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
-	for done < length {
+	for done < t.length {
 		chunkStart := time.Now()
 		if t.interrupt.Load() {
 			return done, true, nil
 		}
-		n := min(uint64(len(buf)), length-done)
-		v, err := pfs.ReadView(rt.cfg.Store, handle, buf[:n], offset+done)
+		n := min(uint64(len(buf)), t.length-done)
+		v, err := pfs.ReadView(rt.cfg.Store, t.handle, buf[:n], t.offset+done)
 		if err != nil {
 			return done, false, err
 		}
 		read := len(v.Bytes())
 		if read == 0 {
 			return done, false, fmt.Errorf("%w: active input beyond local data (handle %d offset %d)",
-				pfs.ErrInvalid, handle, offset+done)
+				pfs.ErrInvalid, t.handle, t.offset+done)
 		}
 		err = process(k, v.Bytes())
 		v.Release()
@@ -943,7 +857,7 @@ func (rt *Runtime) feed(t *task, k kernels.Kernel) (done uint64, interrupted boo
 		}
 		done += uint64(read)
 		t.processed.Store(done)
-		if t.xform == nil {
+		if !t.transform {
 			rt.bytesProcessed.Add(int64(read))
 		}
 		if rt.cfg.Pace {
@@ -955,8 +869,7 @@ func (rt *Runtime) feed(t *task, k kernels.Kernel) (done uint64, interrupted boo
 
 // execute streams local stripe data through the request's kernel,
 // checkpointing out if the interrupt flag is raised between chunks.
-func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
-	req := t.req
+func (rt *Runtime) execute(t *task) (wire.Message, error) {
 	var queueWait time.Duration
 	if !t.arrived.IsZero() {
 		queueWait = time.Since(t.arrived)
@@ -964,14 +877,14 @@ func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
 	execStart := time.Now()
 	rt.cfg.Trace.RecordEvent(trace.Event{
 		Kind: trace.KindStart, TraceID: t.traceID,
-		ReqID: req.RequestID, Op: req.Op, Bytes: req.Length, Tenant: t.tenant,
+		ReqID: t.reqID, Op: t.op, Bytes: t.length, Tenant: t.tenant,
 		Phase: trace.PhaseQueueWait, Dur: queueWait, Predicted: t.predicted,
 	})
 	rt.reg.Histogram("active.queue_wait_us").Observe(float64(queueWait.Microseconds()))
 	rt.est.MemReserve(uint64(rt.cfg.ChunkSize))
 	defer rt.est.MemRelease(uint64(rt.cfg.ChunkSize))
 
-	k, err := kernels.Start(req.Op, req.Params, req.ResumeState)
+	k, err := kernels.Start(t.op, t.params, t.resume)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", pfs.ErrInvalid, err)
 	}
@@ -988,7 +901,7 @@ func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
 		rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) { s.Interrupts++ })
 		rt.cfg.Trace.RecordEvent(trace.Event{
 			Kind: trace.KindMigrate, TraceID: t.traceID,
-			ReqID: req.RequestID, Op: req.Op, Bytes: req.Length - done, Tenant: t.tenant,
+			ReqID: t.reqID, Op: t.op, Bytes: t.length - done, Tenant: t.tenant,
 			Phase: trace.PhaseKernel, Dur: time.Since(execStart), Predicted: t.predicted,
 			Note: fmt.Sprintf("checkpointed after %d bytes", done),
 		})
@@ -1001,7 +914,7 @@ func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
 			Processed:   done,
 		})
 		return &wire.ActiveReadResp{
-			RequestID:   req.RequestID,
+			RequestID:   t.reqID,
 			Disposition: wire.ActiveInterrupted,
 			State:       state,
 			Processed:   done,
@@ -1024,7 +937,7 @@ func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
 	}
 	rt.cfg.Trace.RecordEvent(trace.Event{
 		Kind: trace.KindComplete, TraceID: t.traceID,
-		ReqID: req.RequestID, Op: req.Op, Bytes: req.Length, Tenant: t.tenant,
+		ReqID: t.reqID, Op: t.op, Bytes: t.length, Tenant: t.tenant,
 		Phase: trace.PhaseKernel, Dur: elapsed, Predicted: t.predicted,
 		Note: note,
 	})
@@ -1037,7 +950,7 @@ func (rt *Runtime) execute(t *task) (*wire.ActiveReadResp, error) {
 		Processed:   done,
 	})
 	return &wire.ActiveReadResp{
-		RequestID:   req.RequestID,
+		RequestID:   t.reqID,
 		Disposition: wire.ActiveDone,
 		Result:      out,
 		Processed:   done,
@@ -1062,54 +975,55 @@ func (rt *Runtime) paceChunk(op string, bytes int, start time.Time) {
 	}
 }
 
-// HandleProbe implements pfs.ActiveHandler. Every running task holds one
-// of the node's worker cores.
+// HandleProbe implements pfs.ActiveHandler from the task table: a
+// running task holds one of the node's cores, a queued one waits with its
+// bytes. The pfs data server adds the normal-I/O half.
 func (rt *Runtime) HandleProbe() (*wire.ProbeResp, error) {
-	p := rt.est.Probe()
+	p := &wire.ProbeResp{TotalCores: NodeCores, MemUsed: rt.est.memUsed(), MemTotal: rt.est.cfg.MemBudget}
 	rt.mu.Lock()
-	p.BusyCores = float64(len(rt.running))
+	for _, t := range rt.tasks {
+		if t.state == taskRunning {
+			p.BusyCores++
+			continue
+		}
+		p.ActiveQueueLen++
+		p.BytesQueued += t.length
+	}
 	rt.mu.Unlock()
 	return p, nil
 }
 
 // HandleCancel implements pfs.ActiveHandler: it withdraws a queued request
-// or interrupts a running one, matching on the client's RequestID.
+// or interrupts one a worker has taken, matching on the client's
+// RequestID. Transforms are not cancellable: their caller has nothing to
+// fall back to.
 func (rt *Runtime) HandleCancel(req *wire.CancelReq) (*wire.CancelResp, error) {
 	rt.mu.Lock()
-	for id, t := range rt.queued {
-		// Transforms (t.req == nil) are not cancellable: their caller
-		// has nothing to fall back to.
-		if t.req != nil && t.req.RequestID == req.RequestID {
-			if _, found := rt.queue.Remove(id); found {
-				delete(rt.queued, id)
-				rt.mu.Unlock()
-				rt.cfg.Trace.RecordEvent(trace.Event{
-					Kind: trace.KindCancel, TraceID: t.traceID,
-					ReqID: req.RequestID, Op: t.op, Note: "withdrawn from queue",
-				})
-				rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispCancelled})
-				rt.respond(t, &wire.ActiveReadResp{
-					RequestID:   req.RequestID,
-					Disposition: wire.ActiveRejected,
-					TraceID:     t.traceID,
-				}, nil)
-				return &wire.CancelResp{Found: true}, nil
-			}
-		}
+	i := slices.IndexFunc(rt.tasks, func(t *task) bool { return !t.transform && t.reqID == req.RequestID })
+	if i < 0 {
+		rt.mu.Unlock()
+		return &wire.CancelResp{Found: false}, nil
 	}
-	for _, t := range rt.running {
-		if t.req != nil && t.req.RequestID == req.RequestID {
-			t.interrupt.Store(true)
-			rt.mu.Unlock()
-			rt.cfg.Trace.RecordEvent(trace.Event{
-				Kind: trace.KindCancel, TraceID: t.traceID,
-				ReqID: req.RequestID, Op: t.op, Note: "running kernel flagged",
-			})
-			return &wire.CancelResp{Found: true}, nil
-		}
+	t := rt.tasks[i]
+	if _, found := rt.queue.Remove(t.id); found {
+		rt.dropLocked(t)
+		rt.mu.Unlock()
+		rt.cfg.Trace.RecordEvent(trace.Event{
+			Kind: trace.KindCancel, TraceID: t.traceID,
+			ReqID: req.RequestID, Op: t.op, Note: "withdrawn from queue",
+		})
+		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispCancelled})
+		rt.respond(t, rejection(t), nil)
+		return &wire.CancelResp{Found: true}, nil
 	}
+	// Running, or about to: the kernel stops before its next chunk.
+	t.interrupt.Store(true)
 	rt.mu.Unlock()
-	return &wire.CancelResp{Found: false}, nil
+	rt.cfg.Trace.RecordEvent(trace.Event{
+		Kind: trace.KindCancel, TraceID: t.traceID,
+		ReqID: req.RequestID, Op: t.op, Note: "running kernel flagged",
+	})
+	return &wire.CancelResp{Found: true}, nil
 }
 
 var _ pfs.ActiveHandler = (*Runtime)(nil)

@@ -210,7 +210,7 @@ func TestRuntimeBouncesUnderMemoryPressure(t *testing.T) {
 }
 
 func TestEstimatorMemPressure(t *testing.T) {
-	e, _, _ := testEstimator(EstimatorConfig{BW: 1, MemBudget: 1000})
+	e, _ := testEstimator(EstimatorConfig{BW: 1, MemBudget: 1000})
 	if e.MemPressure() != 0 {
 		t.Fatal("fresh estimator under pressure")
 	}

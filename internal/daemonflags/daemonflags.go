@@ -31,9 +31,6 @@ type Common struct {
 	// SLORulesPath is -slo-rules: a JSON rule file overriding the
 	// built-in alert rules. Empty keeps the defaults.
 	SLORulesPath string
-	// EventCapacity is -event-capacity: each node's in-memory event
-	// ring size (0 = the 1024 default).
-	EventCapacity int
 	// EventDir is -events-dir: where nodes persist events as JSON
 	// lines (empty = in-memory only).
 	EventDir string
@@ -56,17 +53,12 @@ type Common struct {
 	// QoSSlots is -qos-slots: concurrently admitted requests per node
 	// gate (0 = the built-in default).
 	QoSSlots int
-	// NoQoS is -no-qos: disable the weighted-fair admission gates.
-	NoQoS bool
 	// HedgeAfter is -hedge-after: the client-side hedged-read fallback
 	// trigger on replicated files (0 = hedging disabled).
 	HedgeAfter time.Duration
 	// Policy is -policy: the storage nodes' scheduling behaviour, "dosas"
 	// (dynamic), "as" (always accept) or "ts" (always bounce).
 	Policy string
-	// Solver is -solver: the dynamic-mode scheduling algorithm (empty =
-	// the default, maxgain).
-	Solver string
 	// policyFlags records that RegisterPolicy ran, so Options checks
 	// -policy only on the daemons that take it.
 	policyFlags bool
@@ -88,8 +80,6 @@ func (c *Common) RegisterDaemon(fs *flag.FlagSet) {
 		"telemetry sampling interval (0 = 100ms default, negative = disabled)")
 	fs.StringVar(&c.SLORulesPath, "slo-rules", "",
 		"JSON alert-rule file overriding the built-in SLO rules")
-	fs.IntVar(&c.EventCapacity, "event-capacity", 0,
-		"per-node in-memory event ring size (0 = 1024 default)")
 	fs.StringVar(&c.EventDir, "events-dir", "",
 		"persist per-node events as JSON lines under this directory (empty = in-memory only)")
 	fs.Int64Var(&c.EventsMaxBytes, "events-max-bytes", 0,
@@ -102,17 +92,12 @@ func (c *Common) RegisterDaemon(fs *flag.FlagSet) {
 		`per-tenant weighted-fair scheduling weights, "tenant=weight,tenant=weight" (empty = equal weights)`)
 	fs.IntVar(&c.QoSSlots, "qos-slots", 0,
 		"concurrently admitted requests per node admission gate (0 = built-in default)")
-	fs.BoolVar(&c.NoQoS, "no-qos", false,
-		"disable the weighted-fair admission gates (requests run in arrival order)")
 }
 
-// RegisterPolicy installs the storage nodes' scheduling flags, -policy
-// and -solver.
+// RegisterPolicy installs the storage nodes' scheduling flag, -policy.
 func (c *Common) RegisterPolicy(fs *flag.FlagSet) {
 	c.policyFlags = true
 	fs.StringVar(&c.Policy, "policy", "dosas", "scheduling policy: dosas, as, or ts")
-	fs.StringVar(&c.Solver, "solver", "",
-		"dynamic-mode scheduling algorithm: exhaustive, maxgain (default), all-active, all-normal")
 }
 
 // RegisterHedge installs the client-side -hedge-after flag.
@@ -125,16 +110,13 @@ func (c *Common) RegisterHedge(fs *flag.FlagSet) {
 // set. Every daemon mirrors its nodes' events to its console (stderr).
 func (c *Common) Options() (dosas.Options, error) {
 	o := dosas.Options{
-		Solver:          c.Solver,
 		TelemetryTick:   c.TelemetryTick,
-		EventCapacity:   c.EventCapacity,
 		EventMirror:     os.Stderr,
 		EventDir:        c.EventDir,
 		EventsMaxBytes:  c.EventsMaxBytes,
 		ArchiveDir:      c.ArchiveDir,
 		ArchiveMaxBytes: c.ArchiveMaxBytes,
 		QoSSlots:        c.QoSSlots,
-		DisableQoS:      c.NoQoS,
 	}
 	if c.policyFlags {
 		switch c.Policy {

@@ -165,10 +165,7 @@ func NewDataServer(cfg DataConfig) (*DataServer, error) {
 		s.Register("qos.deficit", func() float64 {
 			return float64(ds.qosStats().DeficitBytes)
 		})
-		s.Register("qos.queued", func() float64 {
-			st := ds.gate.Stats()
-			return float64(st.NormalLen + st.MetaLen + st.ActiveLen)
-		})
+		s.Register("qos.queued", func() float64 { return float64(ds.gate.Stats().NormalLen) })
 	}
 	if s := cfg.Telemetry; s != nil && ds.ranger != nil {
 		// How a disk-backed node's read bytes leave it: kernel-moved
@@ -183,6 +180,25 @@ func NewDataServer(cfg DataConfig) (*DataServer, error) {
 		}, s.Interval()))
 	}
 	return ds, nil
+}
+
+// probe answers a ProbeReq: the attached runtime's active half, and the
+// normal-I/O half from this server — the reads and writes in flight
+// (data.inflight, the count the estimator discounts S by) and the bytes
+// queued at the admission gate.
+func (ds *DataServer) probe() (*wire.ProbeResp, error) {
+	p := &wire.ProbeResp{}
+	if h := ds.activeHandler(); h != nil {
+		var err error
+		if p, err = h.HandleProbe(); err != nil {
+			return nil, err
+		}
+	}
+	p.QueueLen = uint32(max(0, ds.m.inflight.Value()))
+	if ds.gate != nil {
+		p.BytesQueued += ds.gate.Stats().NormalBytes
+	}
+	return p, nil
 }
 
 // qosStats sums the admission gate's queue counters with an attached
@@ -243,10 +259,7 @@ func (ds *DataServer) Handle(msg wire.Message) (wire.Message, error) {
 		}
 		return nil, fmt.Errorf("%w: no active runtime attached", ErrUnsupported)
 	case *wire.ProbeReq:
-		if h := ds.activeHandler(); h != nil {
-			return h.HandleProbe()
-		}
-		return &wire.ProbeResp{}, nil
+		return ds.probe()
 	case *wire.CancelReq:
 		return ds.cancel(req)
 	case *wire.TransformReq:

@@ -48,6 +48,10 @@ func (p *Pool) peer(addr string) (*muxPeer, error) {
 	mp := p.peers[addr]
 	if mp == nil {
 		mp = &muxPeer{p: p, addr: addr}
+		for i := range mp.slots {
+			mp.slots[i] = make(chan *muxConn, 1)
+			mp.slots[i] <- nil
+		}
 		p.peers[addr] = mp
 	}
 	return mp, nil
@@ -97,26 +101,30 @@ func (p *Pool) handshake(addr string) (*muxConn, error) {
 type muxPeer struct {
 	p    *Pool
 	addr string
-	rr   uint32 // round-robin cursor over conns
+	rr   uint32 // round-robin cursor over slots
 
-	mu    sync.Mutex
-	conns [MuxConnsPerAddr]*muxConn
+	// slots holds each shared connection in a one-element channel (nil
+	// until its first dial). A caller takes a slot's connection to check
+	// or replace it and puts one back, so a dial that stalls holds up the
+	// callers of its own slot and no others.
+	slots [MuxConnsPerAddr]chan *muxConn
 }
 
 // conn returns a live shared connection for the peer, dialing (and
 // handshaking) lazily. fresh reports that the connection was established
 // by this very call — a transport failure on it is real, not staleness.
 func (mp *muxPeer) conn() (mc *muxConn, fresh bool, err error) {
-	slot := int(atomic.AddUint32(&mp.rr, 1)) % MuxConnsPerAddr
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	if mc = mp.conns[slot]; mc != nil && !mc.dead() {
-		return mc, false, nil
+	slot := mp.slots[int(atomic.AddUint32(&mp.rr, 1))%MuxConnsPerAddr]
+	old := <-slot
+	if old != nil && !old.dead() {
+		slot <- old
+		return old, false, nil
 	}
 	if mc, err = mp.p.handshake(mp.addr); err != nil {
+		slot <- old
 		return nil, false, err
 	}
-	mp.conns[slot] = mc
+	slot <- mc
 	return mc, true, nil
 }
 
@@ -155,15 +163,15 @@ func (mp *muxPeer) call(req wire.Message) (wire.Message, error) {
 	}
 }
 
-// closeAll tears down the peer's shared connections (Pool.Close).
+// closeAll tears down the peer's shared connections (Pool.Close). It
+// waits out a dial in progress on a slot and closes what it produced;
+// a later dial finds the pool closed (handshake).
 func (mp *muxPeer) closeAll() {
-	mp.mu.Lock()
-	defer mp.mu.Unlock()
-	for i, mc := range mp.conns {
-		if mc != nil {
+	for _, slot := range mp.slots {
+		if mc := <-slot; mc != nil {
 			mc.c.Close() // read loop notices and fails in-flight calls
-			mp.conns[i] = nil
 		}
+		slot <- nil
 	}
 }
 

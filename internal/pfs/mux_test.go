@@ -369,3 +369,50 @@ func TestMuxSurvivesServerRestart(t *testing.T) {
 		t.Errorf("pool.mux.handshakes = %d, want >= 2 (re-handshake after restart)", c)
 	}
 }
+
+// stallNet passes dials through, except that dial number stallAt waits
+// until release is closed.
+type stallNet struct {
+	transport.Network
+	stallAt int32
+	dials   atomic.Int32
+	stalled chan struct{} // closed once the stalled dial has begun
+	release chan struct{}
+}
+
+func (s *stallNet) Dial(addr string) (net.Conn, error) {
+	if s.dials.Add(1) == s.stallAt {
+		close(s.stalled)
+		<-s.release
+	}
+	return s.Network.Dial(addr)
+}
+
+// A dial that stalls on one shared-connection slot must not hold up calls
+// that land on the other, live slot.
+func TestMuxStalledDialBlocksOnlyItsSlot(t *testing.T) {
+	n, addr, _ := startPongServer(t, &pongHandler{})
+	sn := &stallNet{Network: n, stallAt: 2, stalled: make(chan struct{}), release: make(chan struct{})}
+	p := NewPool(sn)
+	defer p.Close()
+	defer close(sn.release)
+
+	if _, err := p.Call(addr, &wire.Ping{Seq: 1}); err != nil { // dials the first slot
+		t.Fatal(err)
+	}
+	go p.Call(addr, &wire.Ping{Seq: 2}) //nolint:errcheck // stalls dialing the second slot
+	<-sn.stalled
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Call(addr, &wire.Ping{Seq: 3}) // round robin: the live slot
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a call on the live slot waited behind another slot's stalled dial")
+	}
+}

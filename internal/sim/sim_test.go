@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"dosas/internal/core"
-	"dosas/internal/ioqueue"
 )
 
 // runPoint is a test shorthand for the noise-free simulator.
@@ -23,7 +22,7 @@ func runPoint(t *testing.T, scheme core.Scheme, n int, bytes uint64, op string) 
 // node's Contention Estimator does at zero load, so the two descriptions
 // of the node cannot drift apart.
 func TestEnvMatchesEstimator(t *testing.T) {
-	est, err := core.NewEstimator(core.EstimatorConfig{BW: discfarmBW}, ioqueue.New(), nil)
+	est, err := core.NewEstimator(core.EstimatorConfig{BW: discfarmBW}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,12 +95,6 @@ func (o Options) network() transport.Network {
 // startStorage builds a storage node on net. On error everything built so
 // far is closed.
 func startStorage(o Options, net transport.Network, name, addr, dir string) (_ *Node, err error) {
-	var solver core.Solver
-	if o.Solver != "" {
-		if solver, err = core.SolverByName(o.Solver); err != nil {
-			return nil, err
-		}
-	}
 	n := &Node{name: name, role: "data"}
 	defer func() {
 		if err != nil {
@@ -145,10 +139,9 @@ func startStorage(o Options, net transport.Network, name, addr, dir string) (_ *
 	}
 	n.handler = n.ds
 	if n.rt, err = core.NewRuntime(core.RuntimeConfig{
-		Store:  n.store,
-		Mode:   o.Policy.mode(),
-		Solver: solver,
-		Audit:  alog,
+		Store: n.store,
+		Mode:  o.Policy.mode(),
+		Audit: alog,
 		Estimator: core.EstimatorConfig{
 			BW:     o.NetworkBandwidth,
 			Period: o.EstimatorPeriod,
@@ -295,12 +288,8 @@ func (o Options) openStore(dir string) (pfs.Store, error) {
 	return nil, fmt.Errorf("dosas: unknown store backend %q (want extent or file)", o.StoreBackend)
 }
 
-// qosConfig builds the per-node admission gate config, or nil when QoS
-// is disabled.
+// qosConfig builds the per-node admission gate config.
 func (o Options) qosConfig() *pfs.QoSConfig {
-	if o.DisableQoS {
-		return nil
-	}
 	return &pfs.QoSConfig{Slots: o.QoSSlots, Weights: o.TenantWeights}
 }
 
@@ -320,7 +309,7 @@ func newSampler(tick time.Duration) *telemetry.Sampler {
 // newEventLog builds one node's structured event log per the event
 // options.
 func (o Options) newEventLog(node string) (*eventlog.Log, error) {
-	cfg := eventlog.Config{Node: node, Capacity: o.EventCapacity, Mirror: o.EventMirror, MaxBytes: o.EventsMaxBytes}
+	cfg := eventlog.Config{Node: node, Mirror: o.EventMirror, MaxBytes: o.EventsMaxBytes}
 	if o.EventDir != "" {
 		if err := os.MkdirAll(o.EventDir, 0o755); err != nil {
 			return nil, err
