@@ -359,10 +359,19 @@ func TestCancelMigratesRunningKernel(t *testing.T) {
 		res, err := c.asc.ActiveRead(f, 0, size, "sum8", nil)
 		done <- out{res, err}
 	}()
-	// Let the kernel get partway, then cancel server-side.
+	// Let the kernel get partway, then cancel server-side: a cancel names
+	// its request by request id and trace id.
 	time.Sleep(150 * time.Millisecond)
+	rt := c.runtimes[0]
+	rt.mu.Lock()
+	if len(rt.tasks) != 1 {
+		rt.mu.Unlock()
+		t.Fatal("the kernel is not running")
+	}
+	traceID := rt.tasks[0].traceID
+	rt.mu.Unlock()
 	addr, _ := c.fs.DataAddr(0)
-	resp, err := c.fs.Pool().Call(addr, &wire.CancelReq{RequestID: 1})
+	resp, err := c.fs.Pool().Call(addr, &wire.CancelReq{RequestID: 1, TraceID: traceID})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,30 +72,29 @@ func TestRuntimeViewInArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestRuntimeCancelTakenTask: a request a worker has taken from the queue
-// but not started still counts as queued, and a cancel finds it and
-// interrupts it before its first chunk: the client gets a checkpoint at
-// 0 bytes to finish from.
+// TestRuntimeCancelTakenTask: a request the gate has granted a kernel core
+// but that has not started still counts as queued, and a cancel finds it
+// and interrupts it before its first chunk: the client gets a checkpoint
+// at 0 bytes to finish from.
 func TestRuntimeCancelTakenTask(t *testing.T) {
 	rt, _ := newGatedRuntime(t, ModeAlwaysAccept, 1000)
 	go rt.HandleActive(&wire.ActiveReadReq{RequestID: 1, Handle: 1, Length: 1000, Op: "sum8"}) //nolint:errcheck // answered at cleanup
-	waitUntil(t, "the first kernel to hold the worker", func() bool {
+	waitUntil(t, "the first kernel to hold the core", func() bool {
 		p, _ := rt.HandleProbe()
 		return p.BusyCores == 1
 	})
-	done := make(chan *wire.ActiveReadResp, 1)
-	go func() {
-		resp, err := rt.HandleActive(&wire.ActiveReadReq{RequestID: 2, Handle: 1, Length: 500, Op: "sum8"})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- resp
-	}()
-	waitUntil(t, "request 2 to queue", func() bool { return rt.QoSStats().ActiveLen == 1 })
-	item, ok := rt.queue.TryPop() // as a worker takes it
-	if !ok {
-		t.Fatal("request 2 is not in the queue")
+	// Request 2 queues behind the held kernel. Handing the held kernel's
+	// core back lets the gate grant it to request 2, which — entered by
+	// hand, with nothing waiting on its ticket — does not start.
+	taken := &task{op: "sum8", handle: 1, length: 500, reqID: 2}
+	if !rt.enqueue(taken) {
+		t.Fatal("runtime refused request 2")
 	}
+	rt.mu.Lock()
+	held := rt.tasks[0].ticket
+	rt.mu.Unlock()
+	held.Release()
+	waitUntil(t, "the gate to grant request 2 a core", func() bool { return rt.queueStats().ActiveLen == 0 })
 	if p, _ := rt.HandleProbe(); p.ActiveQueueLen != 1 || p.BytesQueued != 500 {
 		t.Errorf("probe = %+v, want the taken request still queued", p)
 	}
@@ -103,7 +102,16 @@ func TestRuntimeCancelTakenTask(t *testing.T) {
 	if err != nil || !cr.Found {
 		t.Fatalf("cancel of a taken request = %+v, %v", cr, err)
 	}
-	go rt.run(item.Payload.(*task))
+	done := make(chan *wire.ActiveReadResp, 1)
+	go func() {
+		defer rt.wg.Done()
+		resp, err := rt.await(taken)
+		if err != nil {
+			t.Error(err)
+		}
+		r, _ := resp.(*wire.ActiveReadResp)
+		done <- r
+	}()
 	select {
 	case resp := <-done:
 		if resp == nil || resp.Disposition != wire.ActiveInterrupted || resp.Processed != 0 || len(resp.State) == 0 {
@@ -111,5 +119,51 @@ func TestRuntimeCancelTakenTask(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled request never answered")
+	}
+}
+
+// TestRuntimeCancelMatchesTraceID: request ids are per client, so a cancel
+// names its request by id and trace id. Client A's request 1 runs, client
+// B's request 1 queues behind it, and B's cancel withdraws B's request
+// alone: A's kernel is not interrupted.
+func TestRuntimeCancelMatchesTraceID(t *testing.T) {
+	rt, store := newGatedRuntime(t, ModeAlwaysAccept, 1000)
+	answers := make(chan *wire.ActiveReadResp, 2)
+	send := func(traceID uint64) {
+		resp, err := rt.HandleActive(&wire.ActiveReadReq{RequestID: 1, TraceID: traceID, Handle: 1, Length: 1000, Op: "sum8"})
+		if err != nil {
+			t.Error(err)
+		}
+		answers <- resp
+	}
+	go send(0xA)
+	waitUntil(t, "client A's kernel to hold the core", func() bool {
+		p, _ := rt.HandleProbe()
+		return p.BusyCores == 1
+	})
+	go send(0xB)
+	waitUntil(t, "client B's request to queue", func() bool { return rt.queueStats().ActiveLen == 1 })
+	cr, err := rt.HandleCancel(&wire.CancelReq{RequestID: 1, TraceID: 0xB})
+	if err != nil || !cr.Found {
+		t.Fatalf("B's cancel = %+v, %v", cr, err)
+	}
+	answer := func(whose string) *wire.ActiveReadResp {
+		t.Helper()
+		select {
+		case r := <-answers:
+			return r
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s request never answered", whose)
+			return nil
+		}
+	}
+	b := answer("B's")
+	if b == nil || b.TraceID != 0xB || b.Disposition != wire.ActiveRejected {
+		t.Fatalf("B's withdrawn request answered %+v, want a bounce of trace 0xb", b)
+	}
+	store.open()
+	a := answer("A's")
+	if a == nil || a.TraceID != 0xA || a.Disposition != wire.ActiveDone || a.Processed != 1000 {
+		t.Errorf("A's request answered %+v, want done over 1000 bytes", a)
 	}
 }

@@ -20,7 +20,7 @@ package ioqueue
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -71,13 +71,9 @@ type Item struct {
 	// Tenant attributes the item's queue time to a tenant ("" = default)
 	// and selects the deficit-round-robin bucket it drains from.
 	Tenant string
-	// Payload carries the scheduler-opaque request context (the runtime
-	// stores its task struct here).
+	// Payload carries the scheduler-opaque request context (the admission
+	// gate stores its ticket here).
 	Payload any
-
-	// seq is the queue-global arrival stamp; it reconstructs arrival
-	// order across per-tenant buckets for snapshots and drains.
-	seq uint64
 }
 
 // ErrClosed is returned by Pop after Close.
@@ -107,7 +103,6 @@ type Queue struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	classes [NumClasses]classQueue
-	nextSeq uint64
 	closed  bool
 	now     func() time.Time
 	tenants *tenant.Table
@@ -170,8 +165,8 @@ func (q *Queue) grantFor(name string) uint64 {
 }
 
 // SetTenants attaches the node's tenant table: every push raises the
-// item's per-tenant queued gauge, and every dequeue (pop, remove, or
-// drain) lowers it and accrues the item's queue wait. Nil (the default)
+// item's per-tenant queued gauge, and every dequeue (pop or remove)
+// lowers it and accrues the item's queue wait. Nil (the default)
 // disables attribution.
 func (q *Queue) SetTenants(t *tenant.Table) {
 	q.mu.Lock()
@@ -210,26 +205,26 @@ func (q *Queue) Push(item Item) error {
 	if item.Enqueue.IsZero() {
 		item.Enqueue = q.now()
 	}
-	q.nextSeq++
-	item.seq = q.nextSeq
 	q.classes[item.class()].push(item)
 	q.accountPush(item)
-	q.cond.Signal()
+	// Poppers may wait on different classes (PopClass): wake them all, so
+	// the one this item is for is among them.
+	q.cond.Broadcast()
 	return nil
 }
 
 // Bypass admits a request of tenantID without queueing it: when nothing is
-// queued and acquire — the caller's non-blocking grab of whatever queued
-// items are popped for — succeeds, tried with the queue locked so no Push
-// slips in between. The tenant is charged a pass with zero wait, which
-// keeps its row and recency in the table as a queued pass would. On
-// false (something queued, nothing acquired, or closed) the caller Pushes
-// as usual, so a queued item is never overtaken and election order is
-// untouched.
-func (q *Queue) Bypass(tenantID string, acquire func() bool) bool {
+// queued in classes and acquire — the caller's non-blocking grab of
+// whatever items of those classes are popped for — succeeds, tried with
+// the queue locked so no Push slips in between. The tenant is charged a
+// pass with zero wait, which keeps its row and recency in the table as a
+// queued pass would. On false (something queued, nothing acquired, or
+// closed) the caller Pushes as usual, so a queued item is never overtaken
+// and election order is untouched.
+func (q *Queue) Bypass(classes []Class, tenantID string, acquire func() bool) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || q.lenLocked() > 0 || !acquire() {
+	if q.closed || q.lenLocked(classes...) > 0 || !acquire() {
 		return false
 	}
 	q.tenants.Account(tenantID, func(*tenant.Stats) {})
@@ -247,11 +242,15 @@ func (it Item) class() Class {
 
 // Pop blocks until an item is available (normal first, then metadata,
 // then active) or the queue is closed and drained.
-func (q *Queue) Pop() (Item, error) {
+func (q *Queue) Pop() (Item, error) { return q.PopClass(drainOrder[:]...) }
+
+// PopClass is Pop restricted to classes, still in drain order: a pool that
+// serves only some classes waits for those and leaves the others queued.
+func (q *Queue) PopClass(classes ...Class) (Item, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if it, ok := q.popLocked(); ok {
+		if it, ok := q.popLocked(classes); ok {
 			return it, nil
 		}
 		if q.closed {
@@ -265,11 +264,14 @@ func (q *Queue) Pop() (Item, error) {
 func (q *Queue) TryPop() (Item, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.popLocked()
+	return q.popLocked(drainOrder[:])
 }
 
-func (q *Queue) popLocked() (Item, bool) {
+func (q *Queue) popLocked(classes []Class) (Item, bool) {
 	for _, c := range drainOrder {
+		if !slices.Contains(classes, c) {
+			continue
+		}
 		if it, ok := q.classes[c].pop(q); ok {
 			q.accountPop(it)
 			return it, true
@@ -290,18 +292,6 @@ func (q *Queue) Remove(id uint64) (Item, bool) {
 		}
 	}
 	return Item{}, false
-}
-
-// DrainActive removes and returns all queued active items, oldest first.
-// The runtime uses it when the policy flips to bounce-everything.
-func (q *Queue) DrainActive() []Item {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	items := q.classes[Active].drain()
-	for _, it := range items {
-		q.accountPop(it)
-	}
-	return items
 }
 
 // Stats is a snapshot of queue occupancy and QoS activity.
@@ -345,23 +335,23 @@ func (q *Queue) Stats() Stats {
 	return st
 }
 
-// PendingActive returns copies of all queued active items in arrival
-// order, without removing them — the scheduler's view of the active queue.
-func (q *Queue) PendingActive() []Item {
+// Len returns the number of items queued in classes, or in all classes
+// when none is named.
+func (q *Queue) Len(classes ...Class) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.classes[Active].snapshot()
+	if len(classes) == 0 {
+		classes = drainOrder[:]
+	}
+	return q.lenLocked(classes...)
 }
 
-// Len returns the total number of queued items.
-func (q *Queue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.lenLocked()
-}
-
-func (q *Queue) lenLocked() int {
-	return q.classes[Normal].len + q.classes[Meta].len + q.classes[Active].len
+func (q *Queue) lenLocked(classes ...Class) int {
+	n := 0
+	for _, c := range classes {
+		n += q.classes[c].len
+	}
+	return n
 }
 
 // Close wakes all blocked Pops; queued items can still be drained.
@@ -491,33 +481,8 @@ func (cq *classQueue) remove(id uint64) (Item, bool) {
 	return Item{}, false
 }
 
-// drain empties the class, returning items in arrival order.
-func (cq *classQueue) drain() []Item {
-	items := cq.snapshot()
-	for _, tq := range cq.ring {
-		tq.deficit = 0
-		tq.fresh = true
-	}
-	cq.byTenant = nil
-	cq.ring = nil
-	cq.cursor = 0
-	cq.len = 0
-	cq.bytes = 0
-	return items
-}
-
-// snapshot copies all queued items in arrival order.
-func (cq *classQueue) snapshot() []Item {
-	out := make([]Item, 0, cq.len)
-	for _, tq := range cq.ring {
-		out = append(out, tq.q.snapshot()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
-}
-
 // deque is a slice-backed FIFO with O(1) amortised push/pop and O(n)
-// removal by id (rare: cancellations and policy flips only).
+// removal by id (rare: cancellations and policy bounces only).
 type deque struct {
 	items []Item
 	head  int
@@ -558,9 +523,3 @@ func (d *deque) remove(id uint64) (Item, bool) {
 }
 
 func (d *deque) len() int { return len(d.items) - d.head }
-
-func (d *deque) snapshot() []Item {
-	out := make([]Item, d.len())
-	copy(out, d.items[d.head:])
-	return out
-}

@@ -1,6 +1,7 @@
 package ioqueue
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -86,31 +87,45 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestDrainActive(t *testing.T) {
+// PopClass serves only the classes it names, in drain order, and leaves
+// the rest queued; Len counts per class.
+func TestPopClassServesItsClasses(t *testing.T) {
 	q := New()
 	q.Push(Item{ID: 1, Class: Active})
-	q.Push(Item{ID: 2, Class: Normal})
-	q.Push(Item{ID: 3, Class: Active})
-	items := q.DrainActive()
-	if len(items) != 2 || items[0].ID != 1 || items[1].ID != 3 {
-		t.Fatalf("drained = %+v", items)
+	q.Push(Item{ID: 2, Class: Meta})
+	q.Push(Item{ID: 3, Class: Normal})
+	if it, err := q.PopClass(Active); err != nil || it.ID != 1 {
+		t.Fatalf("PopClass(Active) = %+v, %v", it, err)
 	}
-	if st := q.Stats(); st.ActiveLen != 0 || st.NormalLen != 1 {
-		t.Fatalf("stats = %+v", st)
+	if it, err := q.PopClass(Meta, Normal); err != nil || it.ID != 3 {
+		t.Fatalf("PopClass(Meta, Normal) = %+v, %v; want the normal item first", it, err)
 	}
-}
-
-func TestPendingActiveSnapshot(t *testing.T) {
-	q := New()
-	q.Push(Item{ID: 5, Class: Active, Op: "sum8"})
-	q.Push(Item{ID: 6, Class: Active, Op: "gaussian2d"})
-	snap := q.PendingActive()
-	if len(snap) != 2 || snap[0].ID != 5 || snap[1].Op != "gaussian2d" {
-		t.Fatalf("snapshot = %+v", snap)
+	if q.Len(Active) != 0 || q.Len(Normal) != 0 || q.Len(Meta) != 1 || q.Len() != 1 {
+		t.Fatalf("lens: active %d normal %d meta %d all %d", q.Len(Active), q.Len(Normal), q.Len(Meta), q.Len())
 	}
-	// Snapshot must not consume.
-	if q.Len() != 2 {
-		t.Fatalf("len = %d after snapshot", q.Len())
+	// A popper of one class sleeps through another class's push and wakes
+	// for its own.
+	done := make(chan Item, 1)
+	go func() {
+		it, err := q.PopClass(Active)
+		if err == nil {
+			done <- it
+		}
+	}()
+	q.Push(Item{ID: 4, Class: Normal})
+	select {
+	case it := <-done:
+		t.Fatalf("an active popper took %+v", it)
+	case <-time.After(20 * time.Millisecond):
+	}
+	q.Push(Item{ID: 5, Class: Active})
+	select {
+	case it := <-done:
+		if it.ID != 5 {
+			t.Fatalf("active popper took %+v", it)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("active popper did not wake for an active push")
 	}
 }
 
@@ -248,17 +263,16 @@ func TestTenantAccounting(t *testing.T) {
 		t.Fatalf("default row after pop: %+v", rows[1])
 	}
 
-	// Remove and DrainActive also settle the gauge and accrue wait.
+	// Remove also settles the gauge and accrues wait.
 	now = now.Add(5 * time.Millisecond)
-	if _, ok := q.Remove(1); !ok {
-		t.Fatal("remove failed")
-	}
-	if drained := q.DrainActive(); len(drained) != 1 || drained[0].ID != 2 {
-		t.Fatalf("drained = %+v", drained)
+	for id := uint64(1); id <= 2; id++ {
+		if _, ok := q.Remove(id); !ok {
+			t.Fatalf("remove %d failed", id)
+		}
 	}
 	rows = tab.Snapshot()
 	if rows[0].Queued != 0 || rows[0].QueueWaitNanos != uint64(20*time.Millisecond) {
-		t.Fatalf("tenant a after remove+drain: %+v", rows[0])
+		t.Fatalf("tenant a after removes: %+v", rows[0])
 	}
 	if q.Len() != 0 {
 		t.Fatalf("queue not empty: %d", q.Len())
@@ -438,18 +452,6 @@ func TestNoCreditBanking(t *testing.T) {
 	}
 }
 
-// PendingActive keeps global arrival order across tenant buckets.
-func TestSnapshotArrivalOrder(t *testing.T) {
-	q := New()
-	q.Push(Item{ID: 1, Class: Active, Tenant: "b"})
-	q.Push(Item{ID: 2, Class: Active, Tenant: "a"})
-	q.Push(Item{ID: 3, Class: Active, Tenant: "b"})
-	snap := q.PendingActive()
-	if len(snap) != 3 || snap[0].ID != 1 || snap[1].ID != 2 || snap[2].ID != 3 {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-}
-
 // Remove out of a multi-tenant ring keeps counters consistent.
 func TestRemoveMultiTenant(t *testing.T) {
 	q := New()
@@ -472,18 +474,21 @@ func TestRemoveMultiTenant(t *testing.T) {
 	}
 }
 
-// Bypass admits only past an empty, open queue and only when acquire says
-// so; with anything queued acquire is not even asked.
+// Bypass admits only past an open queue with nothing queued in its
+// classes, and only when acquire says so; with anything of those classes
+// queued acquire is not even asked, while another class's items do not
+// stand in its way.
 func TestBypass(t *testing.T) {
 	q := New()
 	tab := tenant.NewTable(0)
 	q.SetTenants(tab)
-	if q.Bypass("a", func() bool { return false }) {
+	all := []Class{Normal, Active, Meta}
+	if q.Bypass(all, "a", func() bool { return false }) {
 		t.Error("bypassed with nothing acquired")
 	}
 	held := 0
 	acquire := func() bool { held++; return true }
-	if !q.Bypass("a", acquire) || held != 1 {
+	if !q.Bypass(all, "a", acquire) || held != 1 {
 		t.Error("empty queue with a slot free did not bypass into it")
 	}
 	if us := tab.Snapshot(); len(us) != 1 || us[0].Tenant != "a" || us[0].Queued != 0 || us[0].QueueWaitNanos != 0 {
@@ -493,13 +498,18 @@ func TestBypass(t *testing.T) {
 		if err := q.Push(Item{ID: 1, Class: c}); err != nil {
 			t.Fatal(err)
 		}
-		if q.Bypass("a", acquire) || held != 1 {
+		if q.Bypass(all, "a", acquire) || q.Bypass([]Class{c}, "a", acquire) || held != 1 {
 			t.Errorf("bypassed a queued %v item", c)
 		}
+		others := slices.DeleteFunc(slices.Clone(all), func(o Class) bool { return o == c })
+		if !q.Bypass(others, "a", acquire) || held != 2 {
+			t.Errorf("a queued %v item held up a bypass of %v", c, others)
+		}
+		held = 1
 		q.TryPop()
 	}
 	q.Close()
-	if q.Bypass("a", acquire) || held != 1 {
+	if q.Bypass(all, "a", acquire) || held != 1 {
 		t.Error("closed queue bypassed")
 	}
 }

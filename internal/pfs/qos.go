@@ -9,8 +9,15 @@ package pfs
 // of shoving a victim's requests arbitrarily deep into a FIFO. The gate
 // is work-conserving — with one tenant queued it only bounds
 // concurrency, exactly like the semaphore it replaces.
+//
+// The gate's queue is the storage node's only one. It feeds two pools:
+// I/O slots serve the Normal and Meta classes, and kernel cores, which the
+// active runtime asks for when it attaches (ServeActive), serve the Active
+// class. Each pool pops only its own classes, so a pool that is full never
+// holds up the other.
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"dosas/internal/ioqueue"
@@ -35,29 +42,60 @@ type QoSConfig struct {
 	Weights map[string]float64
 }
 
-// QoSGate admits requests through a weighted-fair queue into a bounded
-// slot pool. All methods are nil-receiver safe: a nil gate admits
-// everything immediately (QoS disabled).
+// QoSGate admits requests through a weighted-fair queue into bounded
+// pools. All methods are nil-receiver safe: a nil gate admits everything
+// immediately (QoS disabled).
 type QoSGate struct {
 	q     *ioqueue.Queue
-	slots chan struct{}
+	io    pool // I/O slots, for Normal and Meta
+	cores pool // kernel cores, for Active; set by ServeActive
+	once  sync.Once
 	ids   atomic.Uint64
 }
 
-// NewQoSGate starts a gate and its dispatcher. Close it to release the
-// dispatcher goroutine.
+// pool is a bounded set of slots and the classes it serves.
+type pool struct {
+	slots   chan struct{}
+	classes []ioqueue.Class
+}
+
+// trySlot takes a slot if one is free.
+func (p *pool) trySlot() bool {
+	select {
+	case p.slots <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// NewQoSGate starts a gate and its I/O pool's dispatcher. Close it to
+// release the dispatchers.
 func NewQoSGate(cfg QoSConfig) *QoSGate {
 	slots := cfg.Slots
 	if slots <= 0 {
 		slots = DefaultQoSSlots
 	}
-	g := &QoSGate{q: ioqueue.New(), slots: make(chan struct{}, slots)}
+	g := &QoSGate{
+		q:  ioqueue.New(),
+		io: pool{slots: make(chan struct{}, slots), classes: []ioqueue.Class{ioqueue.Normal, ioqueue.Meta}},
+	}
 	if cfg.Quantum > 0 {
 		g.q.SetQuantum(cfg.Quantum)
 	}
 	g.q.SetWeights(cfg.Weights)
-	go g.dispatch()
+	go g.dispatch(&g.io)
 	return g
+}
+
+// ServeActive opens the kernel-core pool: Active tickets are admitted onto
+// one of cores kernel cores. It must come before the first Active ticket;
+// later calls change nothing.
+func (g *QoSGate) ServeActive(cores int) {
+	g.once.Do(func() {
+		g.cores = pool{slots: make(chan struct{}, max(1, cores)), classes: []ioqueue.Class{ioqueue.Active}}
+		go g.dispatch(&g.cores)
+	})
 }
 
 // SetTenants attaches the node's tenant table so gate queue time lands
@@ -85,19 +123,19 @@ func (g *QoSGate) Close() {
 	}
 }
 
-// dispatch is the gate's single scheduler: it binds one free slot to the
-// next item the weighted-fair queue elects, forever. Grant order is
-// therefore exactly WDRR order even when many requests race.
-func (g *QoSGate) dispatch() {
+// dispatch is a pool's scheduler: it binds one free slot to the next item
+// of the pool's classes the weighted-fair queue elects, forever. Grant
+// order is therefore exactly WDRR order even when many requests race.
+func (g *QoSGate) dispatch(p *pool) {
 	for {
-		g.slots <- struct{}{}
-		it, err := g.q.Pop()
+		p.slots <- struct{}{}
+		it, err := g.q.PopClass(p.classes...)
 		if err != nil {
-			<-g.slots
+			<-p.slots
 			return
 		}
 		t := it.Payload.(*Ticket)
-		t.slot = true
+		t.slots = p.slots
 		t.ch <- true
 	}
 }
@@ -106,26 +144,30 @@ func (g *QoSGate) dispatch() {
 // admission and — when Wait returned true — Release the slot when the
 // request finishes serving.
 type Ticket struct {
-	id   uint64
-	g    *QoSGate
-	ch   chan bool
-	slot bool // holds a gate slot; set by the dispatcher before granting
-	done atomic.Bool
+	id    uint64
+	ch    chan bool
+	slots chan struct{} // the pool whose slot it holds; set before granting
+	done  atomic.Bool
 }
 
 // Enqueue files a request with the gate and returns its ticket
 // immediately, so the caller can register cancellation before blocking
 // in Wait. A nil gate (or a closed one) returns an already-admitted
-// ticket that holds no slot. With nothing queued and a slot free (the idle
-// dispatcher holds one) the ticket is admitted here, without a hand-off.
+// ticket that holds no slot. With nothing of its pool's classes queued
+// and a slot of the pool free (the idle dispatcher holds one) the ticket
+// is admitted here, without a hand-off.
 func (g *QoSGate) Enqueue(class ioqueue.Class, tenantID string, bytes uint64) *Ticket {
-	t := &Ticket{g: g, ch: make(chan bool, 1)}
+	t := &Ticket{ch: make(chan bool, 1)}
 	if g == nil {
 		t.ch <- true
 		return t
 	}
-	if g.q.Bypass(tenantID, g.trySlot) {
-		t.slot = true
+	p := &g.io
+	if class == ioqueue.Active {
+		p = &g.cores
+	}
+	if g.q.Bypass(p.classes, tenantID, p.trySlot) {
+		t.slots = p.slots
 		t.ch <- true
 		return t
 	}
@@ -139,21 +181,11 @@ func (g *QoSGate) Enqueue(class ioqueue.Class, tenantID string, bytes uint64) *T
 	return t
 }
 
-// Idle reports whether Enqueue would admit a request at once — nothing
-// queued, a slot free — without admitting one or taking a slot. A nil gate
-// is always idle.
+// Idle reports whether Enqueue would admit a normal request at once —
+// nothing of the normal class queued, an I/O slot free — without admitting
+// one or taking a slot. A nil gate is always idle.
 func (g *QoSGate) Idle() bool {
-	return g == nil || (g.q.Len() == 0 && len(g.slots) < cap(g.slots))
-}
-
-// trySlot takes a slot if one is free.
-func (g *QoSGate) trySlot() bool {
-	select {
-	case g.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
+	return g == nil || (g.q.Len(ioqueue.Normal) == 0 && len(g.io.slots) < cap(g.io.slots))
 }
 
 // Cancel withdraws a still-queued ticket: its Wait returns false and no
@@ -175,13 +207,13 @@ func (g *QoSGate) Cancel(t *Ticket) bool {
 // ticket.
 func (t *Ticket) Wait() bool { return <-t.ch }
 
-// Release returns the ticket's slot to the gate. Idempotent; a no-op
-// for tickets that never held a slot (cancelled, nil gate, fail-open).
+// Release returns the ticket's slot to its pool. Idempotent; a no-op for
+// tickets that never held a slot (cancelled, nil gate, fail-open).
 func (t *Ticket) Release() {
 	if t == nil || !t.done.CompareAndSwap(false, true) {
 		return
 	}
-	if t.slot {
-		<-t.g.slots
+	if t.slots != nil {
+		<-t.slots
 	}
 }

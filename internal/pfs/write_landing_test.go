@@ -45,7 +45,7 @@ func startLandNode(t *testing.T, tcp bool, ec ExtentConfig, qos QoSConfig) *land
 		t.Fatal(err)
 	}
 	// The tests count gate slots: let the idle dispatcher take its own first.
-	waitFor(t, "the gate's dispatcher to take its slot", func() bool { return len(ds.gate.slots) == 1 })
+	waitFor(t, "the gate's dispatcher to take its slot", func() bool { return len(ds.gate.io.slots) == 1 })
 	if tcp {
 		return serveData(t, es, ds, transport.TCP{}, "127.0.0.1:0")
 	}
@@ -86,7 +86,7 @@ func fdRefs(c *fdCache) (n int) {
 func quiescent(t *testing.T, ds *DataServer) {
 	t.Helper()
 	waitFor(t, "data.inflight, gate slots and fd-cache references back to zero", func() bool {
-		return ds.m.inflight.Value() == 0 && (ds.gate == nil || len(ds.gate.slots) <= 1) && fdRefs(ds.extents.fds) == 0
+		return ds.m.inflight.Value() == 0 && (ds.gate == nil || len(ds.gate.io.slots) <= 1) && fdRefs(ds.extents.fds) == 0
 	})
 }
 
@@ -255,9 +255,9 @@ func TestWriteLandingAbortedMidBody(t *testing.T) {
 			if v := n.ds.m.inflight.Value(); v != 1 {
 				t.Fatalf("data.inflight = %d while the body lands, want 1", v)
 			}
-			if len(n.ds.gate.slots) != 1 || fdRefs(n.es.fds) != 1 {
+			if len(n.ds.gate.io.slots) != 1 || fdRefs(n.es.fds) != 1 {
 				t.Fatalf("landing holds %d gate slots and %d fd-cache references, want 0 and 1",
-					len(n.ds.gate.slots)-1, fdRefs(n.es.fds))
+					len(n.ds.gate.io.slots)-1, fdRefs(n.es.fds))
 			}
 			tc.end(rc)
 			quiescent(t, n.ds)
@@ -601,8 +601,8 @@ func TestWriteDestDeclines(t *testing.T) {
 	if wl == nil {
 		t.Fatal("resident in-stream overwrite declined")
 	}
-	if v := n.ds.m.inflight.Value(); v != 1 || len(n.ds.gate.slots) != 1 {
-		t.Fatalf("a grant left data.inflight %d and %d gate slots taken, want 1 and 0", v, len(n.ds.gate.slots)-1)
+	if v := n.ds.m.inflight.Value(); v != 1 || len(n.ds.gate.io.slots) != 1 {
+		t.Fatalf("a grant left data.inflight %d and %d gate slots taken, want 1 and 0", v, len(n.ds.gate.io.slots)-1)
 	}
 	wl.Abort()
 	wl.Abort()

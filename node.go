@@ -146,14 +146,13 @@ func startStorage(o Options, net transport.Network, name, addr, dir string) (_ *
 			BW:     o.NetworkBandwidth,
 			Period: o.EstimatorPeriod,
 		},
-		Pace:          o.Pace,
-		Metrics:       reg,
-		Trace:         tr,
-		Node:          name,
-		Telemetry:     n.tele,
-		Events:        n.events,
-		Tenants:       tab,
-		TenantWeights: o.TenantWeights,
+		Pace:      o.Pace,
+		Metrics:   reg,
+		Trace:     tr,
+		Node:      name,
+		Telemetry: n.tele,
+		Events:    n.events,
+		Tenants:   tab,
 	}); err != nil {
 		return nil, err
 	}
