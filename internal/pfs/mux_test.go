@@ -389,18 +389,25 @@ func (s *stallNet) Dial(addr string) (net.Conn, error) {
 }
 
 // A dial that stalls on one shared-connection slot must not hold up calls
-// that land on the other, live slot.
+// that land on the other, live slot, nor the pool's Close: the dial, once
+// it finishes, closes the connection it produced.
 func TestMuxStalledDialBlocksOnlyItsSlot(t *testing.T) {
 	n, addr, _ := startPongServer(t, &pongHandler{})
 	sn := &stallNet{Network: n, stallAt: 2, stalled: make(chan struct{}), release: make(chan struct{})}
 	p := NewPool(sn)
 	defer p.Close()
-	defer close(sn.release)
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(sn.release) }) }
+	defer release()
 
 	if _, err := p.Call(addr, &wire.Ping{Seq: 1}); err != nil { // dials the first slot
 		t.Fatal(err)
 	}
-	go p.Call(addr, &wire.Ping{Seq: 2}) //nolint:errcheck // stalls dialing the second slot
+	stalled := make(chan error, 1)
+	go func() {
+		_, err := p.Call(addr, &wire.Ping{Seq: 2}) // stalls dialing the second slot
+		stalled <- err
+	}()
 	<-sn.stalled
 	done := make(chan error, 1)
 	go func() {
@@ -414,5 +421,29 @@ func TestMuxStalledDialBlocksOnlyItsSlot(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("a call on the live slot waited behind another slot's stalled dial")
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		p.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close waited behind a stalled dial")
+	}
+	dialsAtClose := counter(t, p, "pool.mux.handshakes")
+	release()
+	select {
+	case err := <-stalled:
+		if err == nil {
+			t.Error("the call whose dial finished after Close succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the stalled call never returned after Close")
+	}
+	if c := counter(t, p, "pool.mux.handshakes"); c != dialsAtClose+1 {
+		t.Errorf("handshakes = %d, want the stalled dial's one more than %d", c, dialsAtClose)
 	}
 }
