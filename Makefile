@@ -90,13 +90,16 @@ fuzz-smoke:
 	$(GO) test ./internal/kernels/ -run '^$$' -fuzz FuzzKernelChunking -fuzztime 10s
 
 # Focused race gate for the active runtime's task table: the admission
-# path, the workers, the policy loop, cancels and probes all read and
-# change it from their own goroutines. The decision pin, the arrival-order
-# view, the cancel of a queued or taken request, and the probes (in
-# process and over the wire, with a read held at the gate) run ten rounds
-# each: the windows between a queue pop and a kernel start are narrow.
+# path, the tasks' own goroutines, the policy loop, cancels and probes all
+# read and change it from their own goroutines. The decision pins (the
+# runtime's and the whole node's), the attach of a wrapped runtime to the
+# data server's gate, the arrival-order view, the cancel of a queued or
+# taken request (and of another client's same request id), and the probes
+# (in process and over the wire, with a read held at the gate) run ten
+# rounds each: the windows between a core's grant and a kernel start are
+# narrow.
 race-runtime:
-	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestNodeDecisionsPinned|TestAttachedWrapperSharesNodeQueue|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire' ./internal/core/
 
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,
@@ -136,8 +139,9 @@ race-tsdb:
 	$(GO) test -race -run 'TestQuery|TestFSQuery|TestIncidentReport|TestClusterReport|TestAggregateNodes' .
 
 # Focused race gate for the tail-latency isolation plane: the QoS gate's
-# dispatcher binds WDRR elections to slots while cancels withdraw queued
-# tickets, the cancel registry races CancelReqs against registration and
+# two dispatchers (I/O slots, kernel cores) bind WDRR elections of their
+# own classes to slots from one queue while cancels withdraw queued
+# tickets — the two-pool tests ten rounds each — the cancel registry races CancelReqs against registration and
 # the mid-frame zero-fill, and hedged reads race two replica
 # streams (plus server death) over one destination buffer — a server's
 # strided run of it, with the hedge's winner scattered out of scratch
@@ -145,6 +149,7 @@ race-tsdb:
 # latency tracker's EWMA/decay state rides along.
 race-qos:
 	$(GO) test -race -run 'TestQoS|TestCancel|TestServerCancel|TestHedge|TestPrimary|TestReplicaOrder|TestReplicatedRead|TestReadRunHole|TestShortReplica|TestRandomOps|TestLatency|TestHedgeDelay|TestSizeClass|TestWDRR|TestMetaStorm|TestNoCredit' ./internal/pfs/ ./internal/ioqueue/
+	$(GO) test -race -count=10 -run 'TestQoSGatePoolsIndependent|TestQoSGateIdleIgnoresActive|TestPopClassServesItsClasses|TestBypass' ./internal/pfs/ ./internal/ioqueue/
 	$(GO) test -race -run 'TestWaitShare|TestReadReqReqID|TestNamespaceTenant' ./internal/tenant/ ./internal/wire/
 
 # Focused race gate for the metadata mutation path: mutations enqueue
