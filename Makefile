@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-observability race-transport race-wire race-alerts race-runtime race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-test bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper loc clean
+.PHONY: all build test vet run-patterns race race-observability race-transport race-wire race-alerts race-runtime race-store race-tenant race-tsdb race-qos race-meta replay-determinism fuzz-smoke cross check bench bench-vet bench-test bench-suite bench-compare bench-telemetry bench-tenant bench-archive bench-qos bench-paper loc clean
 
 all: check
 
@@ -18,6 +18,16 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Every alternative of every quoted -run pattern in this Makefile must
+# match a test, fuzz target or example that `go test -list` reports: a
+# test deleted or renamed would otherwise leave its gate running nothing,
+# and passing. The fuzz runs' '^$$' (run no tests) is exempt.
+run-patterns:
+	@names=$$($(GO) test -list '.*' ./... | grep -E '^(Test|Fuzz|Example)'); \
+	stale=$$(sed -n "s/.*[-]run '\([^']*\)'.*/\1/p" Makefile | tr '|' '\n' | grep -vx '\^\$$\$$' | sort -u | \
+		while read -r alt; do echo "$$names" | grep -Eq -- "$$alt" || echo "$$alt"; done); \
+	if [ -n "$$stale" ]; then echo "run-patterns: no test matches" $$stale; exit 1; fi
 
 # Focused race gate for the observability stack: the telemetry sampler,
 # trace recorder, metrics registry and decision-audit ring are the
@@ -139,26 +149,30 @@ race-tsdb:
 	$(GO) test -race -run 'TestQuery|TestFSQuery|TestIncidentReport|TestClusterReport|TestAggregateNodes' .
 
 # Focused race gate for the tail-latency isolation plane: the QoS gate's
-# two dispatchers (I/O slots, kernel cores) bind WDRR elections of their
-# own classes to slots from one queue while cancels withdraw queued
-# tickets — the two-pool tests ten rounds each — the cancel registry races CancelReqs against registration and
-# the mid-frame zero-fill, and hedged reads race two replica
+# two pools (I/O slots, kernel cores) admit inline on callers' goroutines
+# and hand their slots over on release, in the WDRR order of their own
+# classes in one queue, while cancels withdraw queued tickets — the
+# two-pool tests, the inline path, the idle one-slot gate, the free kernel
+# core, the empty pools at rest and a landing on a one-slot gate ten
+# rounds each — the cancel registry races CancelReqs against registration
+# and the mid-frame zero-fill, and hedged reads race two replica
 # streams (plus server death) over one destination buffer — a server's
 # strided run of it, with the hedge's winner scattered out of scratch
 # (TestHedgeWinnerScattersIntoRun) and holes zero-filled per run. The
 # latency tracker's EWMA/decay state rides along.
 race-qos:
 	$(GO) test -race -run 'TestQoS|TestCancel|TestServerCancel|TestHedge|TestPrimary|TestReplicaOrder|TestReplicatedRead|TestReadRunHole|TestShortReplica|TestRandomOps|TestLatency|TestHedgeDelay|TestSizeClass|TestWDRR|TestMetaStorm|TestNoCredit' ./internal/pfs/ ./internal/ioqueue/
-	$(GO) test -race -count=10 -run 'TestQoSGatePoolsIndependent|TestQoSGateIdleIgnoresActive|TestPopClassServesItsClasses|TestBypass' ./internal/pfs/ ./internal/ioqueue/
+	$(GO) test -race -count=10 -run 'TestQoSGatePoolsIndependent|TestQoSGateIdleIgnoresActive|TestQoSGateInlineAdmission|TestQoSGateOneSlotIdle|TestQoSGateActiveInlineOnFreeCore|TestQoSGateRace|TestWriteDestOneSlotGate|TestPopClassServesItsClasses' ./internal/pfs/ ./internal/ioqueue/
 	$(GO) test -race -run 'TestWaitShare|TestReadReqReqID|TestNamespaceTenant' ./internal/tenant/ ./internal/wire/
 
 # Focused race gate for the metadata mutation path: mutations enqueue
 # journal entries under the namespace lock and wait for a group commit
 # outside it, CompactJournal swaps the file under writers, the crash-hook
 # property test kills the device at every write and sync, and the
-# admission gate's inline path races its dispatcher for slots.
+# admission gate's inline admissions race its hand-offs on release for
+# slots.
 race-meta:
-	$(GO) test -race -run 'TestJournal|FuzzJournalReplay|TestRemoveIsOneMetadataRPC|TestConcurrentCreates|TestQoSGate|TestBypass' ./internal/pfs/ ./internal/ioqueue/
+	$(GO) test -race -run 'TestJournal|FuzzJournalReplay|TestRemoveIsOneMetadataRPC|TestConcurrentCreates|TestQoSGate' ./internal/pfs/
 
 # Counterfactual replay must be byte-deterministic: the same decision log
 # and policy set produce the same report JSON on every run (no map
@@ -197,7 +211,7 @@ cross:
 	GOARCH=386 $(GO) test ./internal/wire/
 	GOARCH=386 $(GO) test ./internal/pfs/ -run Journal
 
-check: vet bench-vet bench-test cross race-observability race-transport race-wire race-runtime race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
+check: vet run-patterns bench-vet bench-test cross race-observability race-transport race-wire race-runtime race-store race-alerts race-tenant race-tsdb race-qos race-meta replay-determinism race
 
 # Data-path and kernel microbenchmarks (fixed iteration counts so runs
 # compare across commits): every registered kernel over a 1 MiB chunk that

@@ -114,8 +114,8 @@ func TestTraceDumpMentionsOps(t *testing.T) {
 }
 
 // A StartCluster that fails inside a storage node — here the runtime
-// refuses a negative network bandwidth, after the node's data server has
-// started its admission-gate dispatcher — closes everything it built.
+// refuses a negative network bandwidth, after the node's data server and
+// its admission gate are built — closes everything it built.
 func TestStartClusterFailureLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {

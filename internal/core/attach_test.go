@@ -105,7 +105,7 @@ func TestAttachedWrapperSharesNodeQueue(t *testing.T) {
 		return q
 	}
 	qn, qa := replay(ioqueue.Normal, normal), replay(ioqueue.Active, active)
-	qn.TryPop()
+	qn.Pop()
 	tele.Tick()
 	deficit, _ := tele.Get("qos.deficit", time.Hour)
 	if want := qn.Stats().DeficitBytes + qa.Stats().DeficitBytes; want == 0 || deficit.Last().Value != float64(want) {
@@ -126,7 +126,7 @@ func TestAttachedWrapperSharesNodeQueue(t *testing.T) {
 	}
 	waited := time.Since(queuedAt)
 	for _, q := range []*ioqueue.Queue{qn, qa} {
-		for _, ok := q.TryPop(); ok; _, ok = q.TryPop() {
+		for _, err := q.Pop(); err == nil; _, err = q.Pop() {
 		}
 	}
 	ds.SyncWireStats()

@@ -130,10 +130,9 @@ type Runtime struct {
 	tasks []*task // every accepted task not yet answered, in arrival order
 	// gate is where tasks wait for a kernel core: the data server's (see
 	// UseGate), or, without one, the runtime's own, made for the first
-	// task. ownGate says Close closes it.
-	gate    *pfs.QoSGate
-	ownGate bool
-	closed  bool // Close has begun: submit refuses new tasks
+	// task.
+	gate   *pfs.QoSGate
+	closed bool // Close has begun: submit refuses new tasks
 
 	nextID    atomic.Uint64
 	stop      chan struct{}
@@ -300,8 +299,7 @@ func (rt *Runtime) queueStats() ioqueue.Stats {
 
 // Close withdraws the queued tasks, refuses new ones and waits for the
 // running ones; a withdrawn read bounces and a withdrawn transform fails.
-// It closes the gate only if the gate is the runtime's own. Safe to call
-// more than once.
+// Safe to call more than once.
 func (rt *Runtime) Close() {
 	rt.closeOnce.Do(func() {
 		rt.cfg.Events.Info("runtime", "active runtime stopping",
@@ -316,9 +314,6 @@ func (rt *Runtime) Close() {
 			rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispShutdown})
 			return true
 		})
-		if rt.ownGate {
-			rt.gate.Close() // running tasks still release their cores into it
-		}
 		rt.mu.Unlock()
 		rt.cfg.Telemetry.Close()
 	})
@@ -364,7 +359,7 @@ func (rt *Runtime) enqueue(t *task) bool {
 		return false
 	}
 	if rt.gate == nil {
-		rt.gate, rt.ownGate = pfs.NewQoSGate(pfs.QoSConfig{}), true
+		rt.gate = pfs.NewQoSGate(pfs.QoSConfig{})
 		rt.gate.SetTenants(rt.cfg.Tenants)
 		rt.gate.ServeActive(ActiveCores)
 	}

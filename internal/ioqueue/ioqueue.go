@@ -16,12 +16,15 @@
 // one round-robin pass away from credit. The scheduler is work-conserving
 // — credit shapes the order requests drain, never the rate when only one
 // tenant is queued.
+//
+// A Queue neither locks nor blocks: it is a plain data structure that its
+// owner guards (the storage node's admission gate, under its one mutex),
+// and a pop of an empty class returns at once.
 package ioqueue
 
 import (
 	"errors"
 	"slices"
-	"sync"
 	"time"
 
 	"dosas/internal/tenant"
@@ -76,8 +79,11 @@ type Item struct {
 	Payload any
 }
 
-// ErrClosed is returned by Pop after Close.
+// ErrClosed is returned by Push after Close.
 var ErrClosed = errors.New("ioqueue: closed")
+
+// errEmpty is returned by Pop when nothing is queued.
+var errEmpty = errors.New("ioqueue: empty")
 
 // DefaultQuantum is the per-round credit grant in bytes for a tenant of
 // weight 1. A bulk chunk larger than the quantum simply takes several
@@ -97,11 +103,10 @@ func itemCost(it Item) uint64 {
 	return it.Bytes
 }
 
-// Queue is a blocking multi-class queue: strict priority across classes,
-// weighted deficit round robin across tenants within a class.
+// Queue is a multi-class queue: strict priority across classes, weighted
+// deficit round robin across tenants within a class. It is not safe for
+// concurrent use; its owner serialises every call.
 type Queue struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
 	classes [NumClasses]classQueue
 	closed  bool
 	now     func() time.Time
@@ -115,9 +120,7 @@ type Queue struct {
 
 // New returns an empty queue with equal tenant weights.
 func New() *Queue {
-	q := &Queue{now: time.Now, quantum: DefaultQuantum}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &Queue{now: time.Now, quantum: DefaultQuantum}
 }
 
 // SetWeights installs per-tenant scheduling weights. A tenant absent from
@@ -125,8 +128,6 @@ func New() *Queue {
 // tenant with weight w receives w× the per-round credit of a weight-1
 // tenant. Non-positive weights are treated as 1. The map is copied.
 func (q *Queue) SetWeights(w map[string]float64) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if len(w) == 0 {
 		q.weights = nil
 		return
@@ -140,8 +141,6 @@ func (q *Queue) SetWeights(w map[string]float64) {
 // SetQuantum overrides the per-round credit grant (bytes per weight-1
 // tenant per round-robin pass). Non-positive restores the default.
 func (q *Queue) SetQuantum(n int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if n <= 0 {
 		q.quantum = DefaultQuantum
 	} else {
@@ -168,19 +167,9 @@ func (q *Queue) grantFor(name string) uint64 {
 // item's per-tenant queued gauge, and every dequeue (pop or remove)
 // lowers it and accrues the item's queue wait. Nil (the default)
 // disables attribution.
-func (q *Queue) SetTenants(t *tenant.Table) {
-	q.mu.Lock()
-	q.tenants = t
-	q.mu.Unlock()
-}
+func (q *Queue) SetTenants(t *tenant.Table) { q.tenants = t }
 
-// accountPush is called with q.mu held after item.Enqueue is stamped.
-func (q *Queue) accountPush(item Item) {
-	q.tenants.Account(item.Tenant, func(s *tenant.Stats) { s.Queued++ })
-}
-
-// accountPop is called with q.mu held when an item leaves the queue for
-// any reason.
+// accountPop is called when an item leaves the queue for any reason.
 func (q *Queue) accountPop(item Item) {
 	if q.tenants == nil {
 		return
@@ -197,8 +186,6 @@ func (q *Queue) accountPop(item Item) {
 
 // Push enqueues item. It returns ErrClosed after Close.
 func (q *Queue) Push(item Item) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	if q.closed {
 		return ErrClosed
 	}
@@ -206,29 +193,8 @@ func (q *Queue) Push(item Item) error {
 		item.Enqueue = q.now()
 	}
 	q.classes[item.class()].push(item)
-	q.accountPush(item)
-	// Poppers may wait on different classes (PopClass): wake them all, so
-	// the one this item is for is among them.
-	q.cond.Broadcast()
+	q.tenants.Account(item.Tenant, func(s *tenant.Stats) { s.Queued++ })
 	return nil
-}
-
-// Bypass admits a request of tenantID without queueing it: when nothing is
-// queued in classes and acquire — the caller's non-blocking grab of
-// whatever items of those classes are popped for — succeeds, tried with
-// the queue locked so no Push slips in between. The tenant is charged a
-// pass with zero wait, which keeps its row and recency in the table as a
-// queued pass would. On false (something queued, nothing acquired, or
-// closed) the caller Pushes as usual, so a queued item is never overtaken
-// and election order is untouched.
-func (q *Queue) Bypass(classes []Class, tenantID string, acquire func() bool) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed || q.lenLocked(classes...) > 0 || !acquire() {
-		return false
-	}
-	q.tenants.Account(tenantID, func(*tenant.Stats) {})
-	return true
 }
 
 // class clamps out-of-range class values to Normal, matching the old
@@ -240,34 +206,19 @@ func (it Item) class() Class {
 	return it.Class
 }
 
-// Pop blocks until an item is available (normal first, then metadata,
-// then active) or the queue is closed and drained.
-func (q *Queue) Pop() (Item, error) { return q.PopClass(drainOrder[:]...) }
+// Pop serves the next item of any class (normal first, then metadata,
+// then active), or returns an error at once when nothing is queued.
+func (q *Queue) Pop() (Item, error) {
+	if it, ok := q.PopClass(drainOrder[:]...); ok {
+		return it, nil
+	}
+	return Item{}, errEmpty
+}
 
 // PopClass is Pop restricted to classes, still in drain order: a pool that
-// serves only some classes waits for those and leaves the others queued.
-func (q *Queue) PopClass(classes ...Class) (Item, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if it, ok := q.popLocked(classes); ok {
-			return it, nil
-		}
-		if q.closed {
-			return Item{}, ErrClosed
-		}
-		q.cond.Wait()
-	}
-}
-
-// TryPop returns immediately with ok=false when the queue is empty.
-func (q *Queue) TryPop() (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popLocked(drainOrder[:])
-}
-
-func (q *Queue) popLocked(classes []Class) (Item, bool) {
+// serves only some classes takes those and leaves the others queued. It
+// reports false when none of them has an item.
+func (q *Queue) PopClass(classes ...Class) (Item, bool) {
 	for _, c := range drainOrder {
 		if !slices.Contains(classes, c) {
 			continue
@@ -283,8 +234,6 @@ func (q *Queue) popLocked(classes []Class) (Item, bool) {
 // Remove withdraws the queued item with the given id (any class). It
 // reports whether the item was found.
 func (q *Queue) Remove(id uint64) (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	for c := range q.classes {
 		if it, ok := q.classes[c].remove(id); ok {
 			q.accountPop(it)
@@ -315,8 +264,6 @@ type Stats struct {
 
 // Stats returns current occupancy.
 func (q *Queue) Stats() Stats {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	st := Stats{
 		NormalLen:   q.classes[Normal].len,
 		ActiveLen:   q.classes[Active].len,
@@ -335,32 +282,8 @@ func (q *Queue) Stats() Stats {
 	return st
 }
 
-// Len returns the number of items queued in classes, or in all classes
-// when none is named.
-func (q *Queue) Len(classes ...Class) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(classes) == 0 {
-		classes = drainOrder[:]
-	}
-	return q.lenLocked(classes...)
-}
-
-func (q *Queue) lenLocked(classes ...Class) int {
-	n := 0
-	for _, c := range classes {
-		n += q.classes[c].len
-	}
-	return n
-}
-
-// Close wakes all blocked Pops; queued items can still be drained.
-func (q *Queue) Close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
+// Close refuses later Pushes; queued items can still be popped.
+func (q *Queue) Close() { q.closed = true }
 
 // tenantQueue is one tenant's FIFO within a class, plus its token bucket.
 type tenantQueue struct {
@@ -400,7 +323,7 @@ func (cq *classQueue) push(it Item) {
 	cq.bytes += it.Bytes
 }
 
-// pop serves the next item under WDRR. Called with the queue lock held.
+// pop serves the next item under WDRR.
 func (cq *classQueue) pop(q *Queue) (Item, bool) {
 	if cq.len == 0 {
 		return Item{}, false

@@ -1,8 +1,6 @@
 package ioqueue
 
 import (
-	"slices"
-	"sync"
 	"testing"
 	"time"
 
@@ -88,152 +86,47 @@ func TestRemove(t *testing.T) {
 }
 
 // PopClass serves only the classes it names, in drain order, and leaves
-// the rest queued; Len counts per class.
+// the rest queued; with none of them queued it returns at once.
 func TestPopClassServesItsClasses(t *testing.T) {
 	q := New()
 	q.Push(Item{ID: 1, Class: Active})
 	q.Push(Item{ID: 2, Class: Meta})
 	q.Push(Item{ID: 3, Class: Normal})
-	if it, err := q.PopClass(Active); err != nil || it.ID != 1 {
-		t.Fatalf("PopClass(Active) = %+v, %v", it, err)
+	if it, ok := q.PopClass(Active); !ok || it.ID != 1 {
+		t.Fatalf("PopClass(Active) = %+v, %v", it, ok)
 	}
-	if it, err := q.PopClass(Meta, Normal); err != nil || it.ID != 3 {
-		t.Fatalf("PopClass(Meta, Normal) = %+v, %v; want the normal item first", it, err)
+	if it, ok := q.PopClass(Meta, Normal); !ok || it.ID != 3 {
+		t.Fatalf("PopClass(Meta, Normal) = %+v, %v; want the normal item first", it, ok)
 	}
-	if q.Len(Active) != 0 || q.Len(Normal) != 0 || q.Len(Meta) != 1 || q.Len() != 1 {
-		t.Fatalf("lens: active %d normal %d meta %d all %d", q.Len(Active), q.Len(Normal), q.Len(Meta), q.Len())
+	if st := q.Stats(); st.ActiveLen != 0 || st.NormalLen != 0 || st.MetaLen != 1 {
+		t.Fatalf("stats = %+v, want one meta item left", st)
 	}
-	// A popper of one class sleeps through another class's push and wakes
-	// for its own.
-	done := make(chan Item, 1)
-	go func() {
-		it, err := q.PopClass(Active)
-		if err == nil {
-			done <- it
-		}
-	}()
-	q.Push(Item{ID: 4, Class: Normal})
-	select {
-	case it := <-done:
-		t.Fatalf("an active popper took %+v", it)
-	case <-time.After(20 * time.Millisecond):
+	if it, ok := q.PopClass(Active, Normal); ok {
+		t.Fatalf("PopClass(Active, Normal) took %+v past their empty classes", it)
 	}
-	q.Push(Item{ID: 5, Class: Active})
-	select {
-	case it := <-done:
-		if it.ID != 5 {
-			t.Fatalf("active popper took %+v", it)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("active popper did not wake for an active push")
+	q.Push(Item{ID: 4, Class: Active})
+	if it, ok := q.PopClass(Active); !ok || it.ID != 4 {
+		t.Fatalf("PopClass(Active) = %+v, %v after an active push", it, ok)
 	}
 }
 
-func TestPopBlocksUntilPush(t *testing.T) {
+// Pop never blocks: an empty queue answers with an error at once. A
+// closed queue refuses pushes and still gives up what it holds.
+func TestPopNeverBlocks(t *testing.T) {
 	q := New()
-	done := make(chan Item, 1)
-	go func() {
-		it, err := q.Pop()
-		if err == nil {
-			done <- it
-		}
-	}()
-	select {
-	case <-done:
-		t.Fatal("Pop returned before Push")
-	case <-time.After(20 * time.Millisecond):
-	}
-	q.Push(Item{ID: 9, Class: Active})
-	select {
-	case it := <-done:
-		if it.ID != 9 {
-			t.Fatalf("got id %d", it.ID)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("Pop never woke")
-	}
-}
-
-func TestCloseWakesPoppers(t *testing.T) {
-	q := New()
-	var wg sync.WaitGroup
-	errs := make(chan error, 3)
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := q.Pop()
-			errs <- err
-		}()
-	}
-	time.Sleep(10 * time.Millisecond)
-	q.Close()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != ErrClosed {
-			t.Errorf("err = %v, want ErrClosed", err)
-		}
-	}
-	if err := q.Push(Item{ID: 1}); err != ErrClosed {
-		t.Errorf("push after close = %v", err)
-	}
-}
-
-func TestTryPop(t *testing.T) {
-	q := New()
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue succeeded")
+	if it, err := q.Pop(); err == nil {
+		t.Fatalf("Pop on an empty queue = %+v", it)
 	}
 	q.Push(Item{ID: 1, Class: Active})
-	it, ok := q.TryPop()
-	if !ok || it.ID != 1 {
-		t.Fatalf("TryPop = %+v, %v", it, ok)
-	}
-}
-
-func TestConcurrentProducersConsumers(t *testing.T) {
-	q := New()
-	const producers, perProducer = 8, 200
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				cls := Normal
-				if i%2 == 0 {
-					cls = Active
-				}
-				q.Push(Item{ID: uint64(p*perProducer + i), Class: cls, Bytes: 1})
-			}
-		}(p)
-	}
-	var consumed sync.WaitGroup
-	total := producers * perProducer
-	seen := make(chan uint64, total)
-	for c := 0; c < 4; c++ {
-		consumed.Add(1)
-		go func() {
-			defer consumed.Done()
-			for {
-				it, err := q.Pop()
-				if err != nil {
-					return
-				}
-				seen <- it.ID
-			}
-		}()
-	}
-	wg.Wait()
-	got := make(map[uint64]bool, total)
-	for i := 0; i < total; i++ {
-		got[<-seen] = true
-	}
 	q.Close()
-	consumed.Wait()
-	if len(got) != total {
-		t.Fatalf("consumed %d unique items, want %d", len(got), total)
+	if err := q.Push(Item{ID: 2}); err != ErrClosed {
+		t.Errorf("push after close = %v, want ErrClosed", err)
+	}
+	if it, err := q.Pop(); err != nil || it.ID != 1 {
+		t.Fatalf("Pop after close = %+v, %v; want the queued item", it, err)
+	}
+	if _, err := q.Pop(); err == nil {
+		t.Fatal("Pop on a drained queue succeeded")
 	}
 }
 
@@ -254,7 +147,7 @@ func TestTenantAccounting(t *testing.T) {
 
 	// Pop after 5ms: queued gauge drops, wait accrues to the right tenant.
 	now = now.Add(5 * time.Millisecond)
-	it, _ := q.TryPop() // normal first → default tenant
+	it, _ := q.Pop() // normal first → default tenant
 	if it.ID != 3 {
 		t.Fatalf("popped %d, want 3", it.ID)
 	}
@@ -274,8 +167,8 @@ func TestTenantAccounting(t *testing.T) {
 	if rows[0].Queued != 0 || rows[0].QueueWaitNanos != uint64(20*time.Millisecond) {
 		t.Fatalf("tenant a after removes: %+v", rows[0])
 	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not empty: %d", q.Len())
+	if st := q.Stats(); st.ActiveLen+st.NormalLen+st.MetaLen != 0 {
+		t.Fatalf("queue not empty: %+v", st)
 	}
 }
 
@@ -283,8 +176,8 @@ func TestTenantAccountingDisabled(t *testing.T) {
 	// With no table attached, the queue must behave exactly as before.
 	q := New()
 	q.Push(Item{ID: 1, Class: Active, Tenant: "a"})
-	if it, ok := q.TryPop(); !ok || it.ID != 1 {
-		t.Fatalf("pop = %+v, %v", it, ok)
+	if it, err := q.Pop(); err != nil || it.ID != 1 {
+		t.Fatalf("pop = %+v, %v", it, err)
 	}
 }
 
@@ -326,8 +219,8 @@ func TestWDRRInterleavesTenants(t *testing.T) {
 	}
 	var tenants []string
 	for i := 0; i < 8; i++ {
-		it, ok := q.TryPop()
-		if !ok {
+		it, err := q.Pop()
+		if err != nil {
 			t.Fatalf("pop %d failed", i)
 		}
 		tenants = append(tenants, it.Tenant)
@@ -360,8 +253,8 @@ func TestWDRRWeights(t *testing.T) {
 	// Drain the first half of the backlog and count by tenant.
 	counts := map[string]int{}
 	for i := 0; i < 64; i++ {
-		it, ok := q.TryPop()
-		if !ok {
+		it, err := q.Pop()
+		if err != nil {
 			t.Fatalf("pop %d failed", i)
 		}
 		counts[it.Tenant]++
@@ -379,7 +272,7 @@ func TestMetaClassOrdering(t *testing.T) {
 	q.Push(Item{ID: 3, Class: Normal})
 	var order []uint64
 	for i := 0; i < 3; i++ {
-		it, _ := q.TryPop()
+		it, _ := q.Pop()
 		order = append(order, it.ID)
 	}
 	if order[0] != 3 || order[1] != 2 || order[2] != 1 {
@@ -403,8 +296,8 @@ func TestMetaStormFairness(t *testing.T) {
 	// credit (quantum/minCost items), not behind all 100 storm ops.
 	limit := int(2*DefaultQuantum/minCost) + 2
 	for i := 0; i < limit; i++ {
-		it, ok := q.TryPop()
-		if !ok {
+		it, err := q.Pop()
+		if err != nil {
 			t.Fatal("queue empty early")
 		}
 		if it.ID == 999 {
@@ -421,7 +314,7 @@ func TestQoSStats(t *testing.T) {
 	q.Push(Item{ID: 1, Class: Active, Tenant: "a", Bytes: 100 << 10})
 	q.Push(Item{ID: 2, Class: Active, Tenant: "b", Bytes: 100 << 10})
 	for i := 0; i < 2; i++ {
-		if _, ok := q.TryPop(); !ok {
+		if _, err := q.Pop(); err != nil {
 			t.Fatalf("pop %d failed", i)
 		}
 	}
@@ -444,7 +337,7 @@ func TestNoCreditBanking(t *testing.T) {
 	q := New()
 	q.SetQuantum(100)
 	q.Push(Item{ID: 1, Class: Active, Tenant: "a", Bytes: 100})
-	if it, _ := q.TryPop(); it.ID != 1 {
+	if it, _ := q.Pop(); it.ID != 1 {
 		t.Fatal("pop failed")
 	}
 	if st := q.Stats(); st.DeficitBytes != 0 {
@@ -466,50 +359,10 @@ func TestRemoveMultiTenant(t *testing.T) {
 	}
 	ids := map[uint64]bool{}
 	for i := 0; i < 2; i++ {
-		it, _ := q.TryPop()
+		it, _ := q.Pop()
 		ids[it.ID] = true
 	}
 	if !ids[1] || !ids[3] {
 		t.Fatalf("ids = %v", ids)
-	}
-}
-
-// Bypass admits only past an open queue with nothing queued in its
-// classes, and only when acquire says so; with anything of those classes
-// queued acquire is not even asked, while another class's items do not
-// stand in its way.
-func TestBypass(t *testing.T) {
-	q := New()
-	tab := tenant.NewTable(0)
-	q.SetTenants(tab)
-	all := []Class{Normal, Active, Meta}
-	if q.Bypass(all, "a", func() bool { return false }) {
-		t.Error("bypassed with nothing acquired")
-	}
-	held := 0
-	acquire := func() bool { held++; return true }
-	if !q.Bypass(all, "a", acquire) || held != 1 {
-		t.Error("empty queue with a slot free did not bypass into it")
-	}
-	if us := tab.Snapshot(); len(us) != 1 || us[0].Tenant != "a" || us[0].Queued != 0 || us[0].QueueWaitNanos != 0 {
-		t.Errorf("bypass charged %+v, want a's row with no wait", us)
-	}
-	for c := Class(0); c < NumClasses; c++ {
-		if err := q.Push(Item{ID: 1, Class: c}); err != nil {
-			t.Fatal(err)
-		}
-		if q.Bypass(all, "a", acquire) || q.Bypass([]Class{c}, "a", acquire) || held != 1 {
-			t.Errorf("bypassed a queued %v item", c)
-		}
-		others := slices.DeleteFunc(slices.Clone(all), func(o Class) bool { return o == c })
-		if !q.Bypass(others, "a", acquire) || held != 2 {
-			t.Errorf("a queued %v item held up a bypass of %v", c, others)
-		}
-		held = 1
-		q.TryPop()
-	}
-	q.Close()
-	if q.Bypass(all, "a", acquire) || held != 1 {
-		t.Error("closed queue bypassed")
 	}
 }

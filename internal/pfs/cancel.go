@@ -30,7 +30,6 @@ const tombstoneTTL = 5 * time.Second
 type cancelState struct {
 	flag   atomic.Bool
 	ticket *Ticket
-	gate   *QoSGate
 	tomb   bool // cancel arrived before the ReadReq registered
 	at     time.Time
 }
@@ -63,13 +62,13 @@ func (r *cancelRegistry) register(id uint64) *cancelState {
 // attach binds the read's QoS ticket to its state. If the read was
 // cancelled in the register→attach window, the ticket is withdrawn
 // immediately so Wait returns false instead of ever holding a slot.
-func (r *cancelRegistry) attach(cs *cancelState, tk *Ticket, g *QoSGate) {
+func (r *cancelRegistry) attach(cs *cancelState, tk *Ticket) {
 	r.mu.Lock()
-	cs.ticket, cs.gate = tk, g
+	cs.ticket = tk
 	cancelled := cs.flag.Load()
 	r.mu.Unlock()
 	if cancelled {
-		g.Cancel(tk)
+		tk.g.Cancel(tk)
 	}
 }
 
@@ -107,10 +106,10 @@ func (r *cancelRegistry) cancel(id uint64) bool {
 		return false
 	}
 	cs.flag.Store(true)
-	tk, g := cs.ticket, cs.gate
+	tk := cs.ticket
 	r.mu.Unlock()
 	if tk != nil {
-		g.Cancel(tk)
+		tk.g.Cancel(tk)
 	}
 	return true
 }

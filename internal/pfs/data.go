@@ -199,8 +199,8 @@ func (ds *DataServer) probe() (*wire.ProbeResp, error) {
 // and the bench harness inspect its stats.
 func (ds *DataServer) Gate() *QoSGate { return ds.gate }
 
-// Close releases the admission gate's dispatcher. The server remains
-// usable — subsequent requests are admitted immediately (fail open).
+// Close closes the admission gate. The server remains usable — later
+// requests that find no gate slot free are admitted at once (fail open).
 func (ds *DataServer) Close() { ds.gate.Close() }
 
 // WireStats exposes the server's frame-transport counters; the RPC
@@ -408,7 +408,7 @@ func (ds *DataServer) read(req *wire.ReadReq) (wire.Message, error) {
 	if ds.gate != nil {
 		tk := ds.gate.Enqueue(ioqueue.Normal, req.Tenant, uint64(req.Length))
 		if cs != nil {
-			ds.cancels.attach(cs, tk, ds.gate)
+			ds.cancels.attach(cs, tk)
 		}
 		if !tk.Wait() {
 			ds.m.readCancelled.Inc()

@@ -176,7 +176,8 @@ func (m *MetaServer) admit(tenantID string) (*Ticket, error) {
 // Metrics returns the server's metric registry.
 func (m *MetaServer) Metrics() *metrics.Registry { return m.reg }
 
-// Close stops the sampler, the QoS gate, and releases the journal.
+// Close stops the sampler, closes the QoS gate (later lookups fail open)
+// and releases the journal.
 func (m *MetaServer) Close() error {
 	m.cfg.Telemetry.Close()
 	m.gate.Close()

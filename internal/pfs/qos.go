@@ -15,10 +15,17 @@ package pfs
 // active runtime asks for when it attaches (ServeActive), serve the Active
 // class. Each pool pops only its own classes, so a pool that is full never
 // holds up the other.
+//
+// The gate runs no goroutine. A request is admitted on its caller's
+// goroutine when its pool has a slot free, and queues otherwise; a request
+// that finishes hands its slot straight to the next one its pool's classes
+// elect, in WDRR order, or frees it when none is queued. So a request
+// queues only while every slot of its pool is taken, and a free slot means
+// nothing of its pool's classes is queued: no inline admission overtakes a
+// queued one. One mutex guards the queue and both pools.
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"dosas/internal/ioqueue"
 	"dosas/internal/tenant"
@@ -46,56 +53,52 @@ type QoSConfig struct {
 // pools. All methods are nil-receiver safe: a nil gate admits everything
 // immediately (QoS disabled).
 type QoSGate struct {
-	q     *ioqueue.Queue
-	io    pool // I/O slots, for Normal and Meta
-	cores pool // kernel cores, for Active; set by ServeActive
-	once  sync.Once
-	ids   atomic.Uint64
+	mu      sync.Mutex
+	q       *ioqueue.Queue
+	io      pool // I/O slots, for Normal and Meta
+	cores   pool // kernel cores, for Active; sized by ServeActive
+	tenants *tenant.Table
+	ids     uint64
 }
 
 // pool is a bounded set of slots and the classes it serves.
 type pool struct {
-	slots   chan struct{}
-	classes []ioqueue.Class
+	used, cap int
+	classes   []ioqueue.Class
 }
 
-// trySlot takes a slot if one is free.
-func (p *pool) trySlot() bool {
-	select {
-	case p.slots <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-// NewQoSGate starts a gate and its I/O pool's dispatcher. Close it to
-// release the dispatchers.
+// NewQoSGate returns a gate with its I/O pool open. It starts nothing;
+// Close only makes later tickets fail open.
 func NewQoSGate(cfg QoSConfig) *QoSGate {
 	slots := cfg.Slots
 	if slots <= 0 {
 		slots = DefaultQoSSlots
 	}
 	g := &QoSGate{
-		q:  ioqueue.New(),
-		io: pool{slots: make(chan struct{}, slots), classes: []ioqueue.Class{ioqueue.Normal, ioqueue.Meta}},
+		q:     ioqueue.New(),
+		io:    pool{cap: slots, classes: []ioqueue.Class{ioqueue.Normal, ioqueue.Meta}},
+		cores: pool{classes: []ioqueue.Class{ioqueue.Active}},
 	}
 	if cfg.Quantum > 0 {
 		g.q.SetQuantum(cfg.Quantum)
 	}
 	g.q.SetWeights(cfg.Weights)
-	go g.dispatch(&g.io)
 	return g
 }
 
 // ServeActive opens the kernel-core pool: Active tickets are admitted onto
-// one of cores kernel cores. It must come before the first Active ticket;
-// later calls change nothing.
+// one of cores kernel cores. The first call sizes the pool and grants what
+// queued before it; later calls change nothing.
 func (g *QoSGate) ServeActive(cores int) {
-	g.once.Do(func() {
-		g.cores = pool{slots: make(chan struct{}, max(1, cores)), classes: []ioqueue.Class{ioqueue.Active}}
-		go g.dispatch(&g.cores)
-	})
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.cores.cap > 0 {
+		return
+	}
+	g.cores.cap = max(1, cores)
+	for g.cores.used < g.cores.cap && g.handOff(&g.cores) {
+		g.cores.used++
+	}
 }
 
 // SetTenants attaches the node's tenant table so gate queue time lands
@@ -103,7 +106,10 @@ func (g *QoSGate) ServeActive(cores int) {
 // tenant.wait.share probe and the noisy-neighbor alert.
 func (g *QoSGate) SetTenants(t *tenant.Table) {
 	if g != nil {
+		g.mu.Lock()
+		g.tenants = t
 		g.q.SetTenants(t)
+		g.mu.Unlock()
 	}
 }
 
@@ -112,52 +118,52 @@ func (g *QoSGate) Stats() ioqueue.Stats {
 	if g == nil {
 		return ioqueue.Stats{}
 	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return g.q.Stats()
 }
 
-// Close shuts the gate down. Queued tickets are still dispatched in
-// order; new Enqueues are admitted immediately (fail open).
+// Close shuts the gate down. Queued tickets are still granted in order as
+// slots come free; later tickets that find no slot free are admitted
+// without one (fail open).
 func (g *QoSGate) Close() {
 	if g != nil {
+		g.mu.Lock()
 		g.q.Close()
+		g.mu.Unlock()
 	}
 }
 
-// dispatch is a pool's scheduler: it binds one free slot to the next item
-// of the pool's classes the weighted-fair queue elects, forever. Grant
-// order is therefore exactly WDRR order even when many requests race.
-func (g *QoSGate) dispatch(p *pool) {
-	for {
-		p.slots <- struct{}{}
-		it, err := g.q.PopClass(p.classes...)
-		if err != nil {
-			<-p.slots
-			return
-		}
-		t := it.Payload.(*Ticket)
-		t.slots = p.slots
-		t.ch <- true
+// handOff grants p's slot to the next ticket of p's classes in WDRR order,
+// and reports false when none is queued. The caller holds g.mu.
+func (g *QoSGate) handOff(p *pool) bool {
+	it, ok := g.q.PopClass(p.classes...)
+	if !ok {
+		return false
 	}
+	t := it.Payload.(*Ticket)
+	t.p = p
+	t.ch <- true
+	return true
 }
 
 // Ticket is one request's place in the gate. The caller must Wait for
 // admission and — when Wait returned true — Release the slot when the
 // request finishes serving.
 type Ticket struct {
-	id    uint64
-	ch    chan bool
-	slots chan struct{} // the pool whose slot it holds; set before granting
-	done  atomic.Bool
+	g  *QoSGate
+	id uint64    // nonzero while it may be queued
+	ch chan bool // buffered: its one grant or withdrawal never blocks g.mu
+	p  *pool     // the pool whose slot it holds; guarded by g.mu
 }
 
 // Enqueue files a request with the gate and returns its ticket
 // immediately, so the caller can register cancellation before blocking
-// in Wait. A nil gate (or a closed one) returns an already-admitted
-// ticket that holds no slot. With nothing of its pool's classes queued
-// and a slot of the pool free (the idle dispatcher holds one) the ticket
-// is admitted here, without a hand-off.
+// in Wait. A nil gate returns an already-admitted ticket that holds no
+// slot. With a slot of its pool free the ticket is admitted here, and its
+// tenant charged a pass with zero wait; otherwise it queues.
 func (g *QoSGate) Enqueue(class ioqueue.Class, tenantID string, bytes uint64) *Ticket {
-	t := &Ticket{ch: make(chan bool, 1)}
+	t := &Ticket{g: g, ch: make(chan bool, 1)}
 	if g == nil {
 		t.ch <- true
 		return t
@@ -166,12 +172,19 @@ func (g *QoSGate) Enqueue(class ioqueue.Class, tenantID string, bytes uint64) *T
 	if class == ioqueue.Active {
 		p = &g.cores
 	}
-	if g.q.Bypass(p.classes, tenantID, p.trySlot) {
-		t.slots = p.slots
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if p.used < p.cap {
+		p.used++
+		t.p = p
+		// A pass with zero wait keeps the tenant's row and recency in the
+		// table, as a queued pass would.
+		g.tenants.Account(tenantID, func(*tenant.Stats) {})
 		t.ch <- true
 		return t
 	}
-	t.id = g.ids.Add(1)
+	g.ids++
+	t.id = g.ids
 	if err := g.q.Push(ioqueue.Item{
 		ID: t.id, Class: class, Tenant: tenantID, Bytes: bytes, Payload: t,
 	}); err != nil {
@@ -181,11 +194,16 @@ func (g *QoSGate) Enqueue(class ioqueue.Class, tenantID string, bytes uint64) *T
 	return t
 }
 
-// Idle reports whether Enqueue would admit a normal request at once —
-// nothing of the normal class queued, an I/O slot free — without admitting
+// Idle reports whether Enqueue would admit a normal request at once — an
+// I/O slot free, so nothing of the normal class queued — without admitting
 // one or taking a slot. A nil gate is always idle.
 func (g *QoSGate) Idle() bool {
-	return g == nil || (g.q.Len(ioqueue.Normal) == 0 && len(g.io.slots) < cap(g.io.slots))
+	if g == nil {
+		return true
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.io.used < g.io.cap
 }
 
 // Cancel withdraws a still-queued ticket: its Wait returns false and no
@@ -196,24 +214,33 @@ func (g *QoSGate) Cancel(t *Ticket) bool {
 	if g == nil || t == nil || t.id == 0 {
 		return false
 	}
-	if _, ok := g.q.Remove(t.id); ok {
-		t.ch <- false
-		return true
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if _, ok := g.q.Remove(t.id); !ok {
+		return false
 	}
-	return false
+	t.ch <- false
+	return true
 }
 
 // Wait blocks until the gate admits (true) or cancels (false) the
 // ticket.
 func (t *Ticket) Wait() bool { return <-t.ch }
 
-// Release returns the ticket's slot to its pool. Idempotent; a no-op for
-// tickets that never held a slot (cancelled, nil gate, fail-open).
+// Release hands the ticket's slot to the next ticket its pool's classes
+// elect, or frees it when none is queued. Idempotent; a no-op for tickets
+// that never held a slot (cancelled, nil gate, fail-open).
 func (t *Ticket) Release() {
-	if t == nil || !t.done.CompareAndSwap(false, true) {
+	if t == nil || t.g == nil {
 		return
 	}
-	if t.slots != nil {
-		<-t.slots
+	g := t.g
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if p := t.p; p != nil {
+		t.p = nil
+		if !g.handOff(p) {
+			p.used--
+		}
 	}
 }

@@ -112,72 +112,108 @@ func TestQoSGateCancelWhileQueued(t *testing.T) {
 	next.Release()
 }
 
-// TestQoSGateInlineAdmission pins the fast path's edges: with nothing
-// queued and a slot free a ticket is admitted inside Enqueue (Cancel finds
-// nothing to withdraw), anything else queues, and a closed gate still
-// fails open.
+// TestQoSGateInlineAdmission pins the fast path's edges: with a slot of
+// its pool free a ticket is admitted inside Enqueue (it has no queue id),
+// anything else queues and is handed the next slot released, in drain
+// order, a full pool holds up only its own classes, and a closed gate
+// still fails open.
 func TestQoSGateInlineAdmission(t *testing.T) {
 	g := NewQoSGate(QoSConfig{Slots: 3})
-	a, b := g.Enqueue(ioqueue.Normal, "t", 4096), g.Enqueue(ioqueue.Normal, "t", 4096)
-	for _, tk := range []*Ticket{a, b} {
-		select {
-		case ok := <-tk.ch:
-			tk.ch <- ok
-			if !ok || g.Cancel(tk) {
-				t.Fatal("ticket with a slot free was not admitted by Enqueue")
+	g.ServeActive(1)
+	fill := func() []*Ticket {
+		var held []*Ticket
+		for i := 0; i < 3; i++ {
+			tk := g.Enqueue(ioqueue.Normal, "t", 4096)
+			if tk.id != 0 || !admitted(tk) {
+				t.Fatalf("ticket %d with a slot free was not admitted by Enqueue", i)
 			}
-		default:
-			t.Fatal("ticket with a slot free had to wait")
+			held = append(held, tk)
 		}
+		return held
 	}
-	// The idle dispatcher holds the third slot for whoever queues next.
-	c := g.Enqueue(ioqueue.Normal, "t", 4096)
-	if !c.Wait() {
-		t.Fatal("third ticket not admitted")
+	held := fill()
+	// All I/O slots taken: normal and metadata tickets queue, however the
+	// kernel core stands, and an active ticket still takes the free core.
+	m, d := g.Enqueue(ioqueue.Meta, "t", 1), g.Enqueue(ioqueue.Normal, "t", 4096)
+	a1 := g.Enqueue(ioqueue.Active, "t", 1<<20)
+	if admitted(m) || admitted(d) {
+		t.Fatal("a ticket was admitted past a full I/O pool")
 	}
-	// All slots taken: the next one queues, and so does everything behind
-	// it, however many slots come free.
-	d := g.Enqueue(ioqueue.Normal, "t", 4096)
-	waitFor(t, "the dispatcher to block on a slot", func() bool { return len(g.io.slots) == 3 })
-	a.Release()
-	b.Release()
-	if !d.Wait() {
-		t.Fatal("queued ticket not admitted")
+	if a1.id != 0 || !admitted(a1) {
+		t.Fatal("a full I/O pool held up an active ticket")
 	}
-	for _, tk := range []*Ticket{c, d} {
+	// With the core taken and an active ticket queued, the I/O pool's
+	// classes are admitted inline again as soon as a slot is free.
+	a2 := g.Enqueue(ioqueue.Active, "t", 1<<20)
+	held[0].Release()
+	if !admitted(d) || admitted(m) {
+		t.Fatal("the released slot did not go to the queued normal ticket first")
+	}
+	held[1].Release()
+	if !admitted(m) {
+		t.Fatal("the released slot did not go to the queued metadata ticket")
+	}
+	if io, cores := taken(g); io != 3 || cores != 1 || admitted(a2) {
+		t.Fatalf("%d I/O slots and %d cores taken, want both pools' slots handed over, not freed", io, cores)
+	}
+	held[2].Release()
+	n := g.Enqueue(ioqueue.Normal, "t", 4096)
+	if n.id != 0 || !admitted(n) {
+		t.Fatal("a queued active ticket held up a normal one")
+	}
+	a1.Release()
+	if !admitted(a2) {
+		t.Fatal("the released core did not go to the queued active ticket")
+	}
+	for _, tk := range []*Ticket{d, m, n, a2} {
 		tk.Release()
 	}
-	waitFor(t, "slots to drain", func() bool { return len(g.io.slots) <= 1 })
+	if io, cores := taken(g); io != 0 || cores != 0 {
+		t.Fatalf("%d I/O slots and %d cores taken at rest, want 0", io, cores)
+	}
 
 	g.Close()
+	held = fill()
 	e := g.Enqueue(ioqueue.Normal, "t", 4096)
-	if !e.Wait() || e.slots != nil {
+	if !admitted(e) || e.p != nil {
 		t.Error("closed gate did not fail open")
 	}
 	e.Release()
+	for _, tk := range held {
+		tk.Release()
+	}
+	if io, _ := taken(g); io != 0 {
+		t.Errorf("%d I/O slots taken at rest after Close, want 0", io)
+	}
 }
 
-// TestQoSGateRace runs 64 goroutines through a 4-slot gate: never more
-// than 4 admitted at once, a ticket admitted inline never overtook one
-// still queued, every ticket is admitted exactly once, and the tenants'
-// queued gauges return to zero.
+// TestQoSGateRace runs 64 goroutines, one in four of them active, through
+// a gate of 4 I/O slots and 2 kernel cores: never more admitted at once
+// than a pool holds, a ticket admitted inline never overtook one still
+// queued, every ticket is admitted exactly once, and at rest the tenants'
+// queued gauges and both pools' taken slots are back to zero.
 func TestQoSGateRace(t *testing.T) {
-	const slots, workers, each = 4, 64, 50
+	const slots, cores, workers, each = 4, 2, 64, 50
 	g := NewQoSGate(QoSConfig{Slots: slots})
 	defer g.Close()
+	g.ServeActive(cores)
 	tab := tenant.NewTable(0)
 	g.SetTenants(tab)
-	var inflight, admitted, inline atomic.Int64
+	var ioInflight, coreInflight, admitted, inline atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			class, inflight, limit := ioqueue.Normal, &ioInflight, int64(slots)
+			if w%4 == 0 {
+				class, inflight, limit = ioqueue.Active, &coreInflight, cores
+			}
 			var prev *Ticket
 			for i := 0; i < each; i++ {
 				// One class and one tenant per worker keep a worker's tickets
 				// in order, so waiting for the older one first cannot wedge.
-				tk := g.Enqueue(ioqueue.Normal, fmt.Sprintf("t%d", w%5), 4096)
+				tk := g.Enqueue(class, fmt.Sprintf("t%d", w%5), 4096)
 				if tk.id == 0 {
 					inline.Add(1)
 					// Inline means the queue was empty, so this worker's
@@ -187,11 +223,11 @@ func TestQoSGateRace(t *testing.T) {
 					}
 				}
 				if prev != nil {
-					finish(t, prev, &inflight, &admitted, slots)
+					finish(t, prev, inflight, &admitted, limit)
 				}
 				prev = tk
 			}
-			finish(t, prev, &inflight, &admitted, slots)
+			finish(t, prev, inflight, &admitted, limit)
 		}(w)
 	}
 	wg.Wait()
@@ -206,7 +242,9 @@ func TestQoSGateRace(t *testing.T) {
 			t.Errorf("tenant %s left with queued = %d", u.Tenant, u.Queued)
 		}
 	}
-	waitFor(t, "slots to drain", func() bool { return len(g.io.slots) <= 1 })
+	if io, cores := taken(g); io != 0 || cores != 0 {
+		t.Errorf("%d I/O slots and %d kernel cores taken at rest, want 0", io, cores)
+	}
 }
 
 // finish waits for tk's admission, checks the slot bound while holding
@@ -225,16 +263,24 @@ func finish(t *testing.T, tk *Ticket, inflight, admitted *atomic.Int64, slots in
 	tk.Release()
 }
 
-// admitted reports whether tk was granted within a short wait, keeping
-// the grant for a later Wait.
+// admitted reports whether tk has been granted, keeping the grant for a
+// later Wait. A grant is complete when the Enqueue, Release or Cancel that
+// made it returns, so there is nothing to wait for.
 func admitted(tk *Ticket) bool {
 	select {
 	case ok := <-tk.ch:
 		tk.ch <- ok
 		return ok
-	case <-time.After(50 * time.Millisecond):
+	default:
 		return false
 	}
+}
+
+// taken reads how many I/O slots and kernel cores g has given out.
+func taken(g *QoSGate) (io, cores int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.io.used, g.cores.used
 }
 
 // TestQoSGatePoolsIndependent: the gate's one queue feeds two pools that
@@ -285,36 +331,97 @@ func TestQoSGatePoolsIndependent(t *testing.T) {
 }
 
 // TestQoSGateIdleIgnoresActive: Idle — what grants a write landing — looks
-// at the normal class and the I/O pool only, so active work queued for a
-// busy kernel core leaves the gate idle, and taken I/O slots do not.
+// at the I/O pool only, so active work queued for a busy kernel core
+// leaves the gate idle, and taken I/O slots do not.
 func TestQoSGateIdleIgnoresActive(t *testing.T) {
 	g := NewQoSGate(QoSConfig{Slots: 3})
 	defer g.Close()
-	waitFor(t, "the idle dispatcher to take its slot", func() bool { return len(g.io.slots) == 1 })
 	g.ServeActive(1)
 	core := g.Enqueue(ioqueue.Active, "a", 1<<20)
 	if !core.Wait() {
 		t.Fatal("active ticket not admitted")
 	}
 	queued := g.Enqueue(ioqueue.Active, "a", 1<<20)
-	waitFor(t, "the active ticket to queue", func() bool { return g.Stats().ActiveLen == 1 })
+	if g.Stats().ActiveLen != 1 {
+		t.Fatal("the second active ticket did not queue behind the held core")
+	}
 	if !g.Idle() {
 		t.Error("queued active work made the gate busy for normal I/O")
 	}
-	a, b := g.Enqueue(ioqueue.Normal, "n", 4096), g.Enqueue(ioqueue.Normal, "n", 4096)
-	if !a.Wait() || !b.Wait() {
-		t.Fatal("normal tickets not admitted")
+	var normal []*Ticket
+	for i := 0; i < 3; i++ {
+		if !g.Idle() {
+			t.Errorf("a gate with %d of 3 I/O slots taken is not idle", i)
+		}
+		tk := g.Enqueue(ioqueue.Normal, "n", 4096)
+		if !tk.Wait() {
+			t.Fatal("normal ticket not admitted")
+		}
+		normal = append(normal, tk)
 	}
 	if g.Idle() {
 		t.Error("a gate with every I/O slot taken is idle")
 	}
-	a.Release()
-	b.Release()
+	for _, tk := range normal {
+		tk.Release()
+	}
 	core.Release()
 	if !queued.Wait() {
 		t.Fatal("queued active ticket not admitted")
 	}
 	queued.Release()
+}
+
+// TestQoSGateOneSlotIdle: a one-slot gate with nothing admitted is idle —
+// before its first ticket, and after a ticket that queued and was handed
+// the slot releases it — and busy while its slot is taken.
+func TestQoSGateOneSlotIdle(t *testing.T) {
+	g := NewQoSGate(QoSConfig{Slots: 1})
+	defer g.Close()
+	for i := 0; i < 100; i++ {
+		if !g.Idle() {
+			t.Fatalf("a one-slot gate with nothing admitted is busy (round %d)", i)
+		}
+		hold := g.Enqueue(ioqueue.Normal, "n", 4096)
+		next := g.Enqueue(ioqueue.Normal, "n", 4096)
+		if !hold.Wait() || g.Idle() {
+			t.Fatal("a one-slot gate with its slot taken is idle")
+		}
+		hold.Release()
+		if !next.Wait() {
+			t.Fatal("the queued ticket was not handed the slot")
+		}
+		next.Release()
+	}
+}
+
+// TestQoSGateActiveInlineOnFreeCore: on a node with one kernel core, an
+// active ticket that finds the core free is admitted inside Enqueue — no
+// queue id, no hand-off — and its tenant is charged no queue wait, also
+// after a ticket that queued for the core was handed it and released it.
+func TestQoSGateActiveInlineOnFreeCore(t *testing.T) {
+	g := NewQoSGate(QoSConfig{})
+	defer g.Close()
+	tab := tenant.NewTable(0)
+	g.SetTenants(tab)
+	g.ServeActive(1)
+	for i := 0; i < 100; i++ {
+		tk := g.Enqueue(ioqueue.Active, "a", 1<<20)
+		if tk.id != 0 || !admitted(tk) {
+			t.Fatalf("active ticket %d on a free core was not admitted by Enqueue", i)
+		}
+		next := g.Enqueue(ioqueue.Active, "b", 1<<20)
+		tk.Release()
+		if !next.Wait() {
+			t.Fatal("the queued active ticket was not handed the core")
+		}
+		next.Release()
+	}
+	for _, u := range tab.Snapshot() {
+		if u.Tenant == "a" && (u.Queued != 0 || u.QueueWaitNanos != 0) {
+			t.Errorf("inline admissions charged %+v, want no wait", u)
+		}
+	}
 }
 
 // A nil gate (QoS disabled) admits everything immediately and never

@@ -44,8 +44,6 @@ func startLandNode(t *testing.T, tcp bool, ec ExtentConfig, qos QoSConfig) *land
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The tests count gate slots: let the idle dispatcher take its own first.
-	waitFor(t, "the gate's dispatcher to take its slot", func() bool { return len(ds.gate.io.slots) == 1 })
 	if tcp {
 		return serveData(t, es, ds, transport.TCP{}, "127.0.0.1:0")
 	}
@@ -81,13 +79,18 @@ func fdRefs(c *fdCache) (n int) {
 }
 
 // quiescent waits until ds holds nothing for any request: data.inflight is
-// 0, every gate slot is free but the one the idle dispatcher holds, and no
-// fd-cache reference is taken.
+// 0, every gate slot is free, and no fd-cache reference is taken.
 func quiescent(t *testing.T, ds *DataServer) {
 	t.Helper()
 	waitFor(t, "data.inflight, gate slots and fd-cache references back to zero", func() bool {
-		return ds.m.inflight.Value() == 0 && (ds.gate == nil || len(ds.gate.io.slots) <= 1) && fdRefs(ds.extents.fds) == 0
+		return ds.m.inflight.Value() == 0 && (ds.gate == nil || ioTaken(ds.gate) == 0) && fdRefs(ds.extents.fds) == 0
 	})
+}
+
+// ioTaken reads how many of g's I/O slots are taken.
+func ioTaken(g *QoSGate) int {
+	io, _ := taken(g)
+	return io
 }
 
 // rawConn is a connection past its handshake on which a test sends
@@ -255,9 +258,9 @@ func TestWriteLandingAbortedMidBody(t *testing.T) {
 			if v := n.ds.m.inflight.Value(); v != 1 {
 				t.Fatalf("data.inflight = %d while the body lands, want 1", v)
 			}
-			if len(n.ds.gate.io.slots) != 1 || fdRefs(n.es.fds) != 1 {
+			if ioTaken(n.ds.gate) != 0 || fdRefs(n.es.fds) != 1 {
 				t.Fatalf("landing holds %d gate slots and %d fd-cache references, want 0 and 1",
-					len(n.ds.gate.io.slots)-1, fdRefs(n.es.fds))
+					ioTaken(n.ds.gate), fdRefs(n.es.fds))
 			}
 			tc.end(rc)
 			quiescent(t, n.ds)
@@ -281,8 +284,8 @@ func TestWriteLandingDeliveredBehindQueuedWrites(t *testing.T) {
 	rc := dialRaw(t, n.nw, n.addr)
 	rc.send(t, appendSegment(nil, wire.MsgWriteReq, 1, p[:200<<10], true, len(p)))
 	waitFor(t, "the first segment to land", func() bool { return landed(n.ds) > 0 })
-	// The gate's free slot; the idle dispatcher holds the other, and from
-	// here on admits queued writes one at a time.
+	// One of the gate's two slots; queued writes pass through the other
+	// one at a time, each handing it to the next.
 	hold := n.ds.gate.Enqueue(ioqueue.Normal, "warm", 1)
 	if !hold.Wait() {
 		t.Fatal("warm ticket not admitted")
@@ -348,8 +351,8 @@ func TestWriteLandingBusyGateQueues(t *testing.T) {
 	}
 	p := NewPool(n.nw)
 	defer p.Close()
-	// Both slots taken: one inline, the idle dispatcher's by the second
-	// ticket. Releasing the second lets queued writes through one at a time.
+	// Both slots taken. Releasing the second lets queued writes through one
+	// at a time, each handing the slot to the next.
 	hold, serial := n.ds.gate.Enqueue(ioqueue.Normal, "warm", 1), n.ds.gate.Enqueue(ioqueue.Normal, "warm", 1)
 	if !hold.Wait() || !serial.Wait() {
 		t.Fatal("warm tickets not admitted")
@@ -601,18 +604,44 @@ func TestWriteDestDeclines(t *testing.T) {
 	if wl == nil {
 		t.Fatal("resident in-stream overwrite declined")
 	}
-	if v := n.ds.m.inflight.Value(); v != 1 || len(n.ds.gate.io.slots) != 1 {
-		t.Fatalf("a grant left data.inflight %d and %d gate slots taken, want 1 and 0", v, len(n.ds.gate.io.slots)-1)
+	if v := n.ds.m.inflight.Value(); v != 1 || ioTaken(n.ds.gate) != 0 {
+		t.Fatalf("a grant left data.inflight %d and %d gate slots taken, want 1 and 0", v, ioTaken(n.ds.gate))
 	}
 	wl.Abort()
 	wl.Abort()
 	quiescent(t, n.ds)
-	hold := n.ds.gate.Enqueue(ioqueue.Normal, "warm", 1) // the gate's free slot
+	// Both of the gate's slots taken.
+	hold, hold2 := n.ds.gate.Enqueue(ioqueue.Normal, "warm", 1), n.ds.gate.Enqueue(ioqueue.Normal, "warm", 1)
+	if !hold.Wait() || !hold2.Wait() {
+		t.Fatal("warm tickets not admitted")
+	}
+	if wl := n.ds.WriteDest(1, 4096, zeroCopyMin); wl != nil {
+		t.Error("WriteDest granted a landing behind a busy gate")
+		wl.Abort()
+	}
+	hold.Release()
+	hold2.Release()
+	quiescent(t, n.ds)
+}
+
+// A node whose gate has one I/O slot grants a landing while nothing is
+// admitted, and declines one while the slot is taken.
+func TestWriteDestOneSlotGate(t *testing.T) {
+	n := startLandNode(t, false, ExtentConfig{}, QoSConfig{Slots: 1})
+	if _, err := n.es.WriteAt(1, seeded(1<<20, 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	wl := n.ds.WriteDest(1, 4096, zeroCopyMin)
+	if wl == nil {
+		t.Fatal("a one-slot gate with nothing admitted declined a landing")
+	}
+	wl.Abort()
+	hold := n.ds.gate.Enqueue(ioqueue.Normal, "warm", 1)
 	if !hold.Wait() {
 		t.Fatal("warm ticket not admitted")
 	}
 	if wl := n.ds.WriteDest(1, 4096, zeroCopyMin); wl != nil {
-		t.Error("WriteDest granted a landing behind a busy gate")
+		t.Error("WriteDest granted a landing behind a taken slot")
 		wl.Abort()
 	}
 	hold.Release()
