@@ -82,6 +82,26 @@ func TestLogRingWrapAndDropped(t *testing.T) {
 	if !l.Resolve(seqs[9], Outcome{Disposition: DispDone}) {
 		t.Error("failed to resolve a retained record")
 	}
+	// The oldest retained record, the last one a scan from the newest
+	// reaches, still resolves; the one just before it does not.
+	if !l.Resolve(seqs[6], Outcome{Disposition: DispBounced}) {
+		t.Error("failed to resolve the oldest retained record")
+	}
+	if l.Resolve(seqs[5], Outcome{Disposition: DispDone}) {
+		t.Error("resolved the newest overwritten record")
+	}
+	snap = l.Snapshot()
+	if o := snap[0].Outcome; o == nil || o.Disposition != DispBounced {
+		t.Errorf("oldest retained outcome = %+v, want %s", o, DispBounced)
+	}
+	for i := 1; i < 3; i++ {
+		if snap[i].Outcome != nil {
+			t.Errorf("snap[%d] (seq %d) resolved, want untouched", i, snap[i].Seq)
+		}
+	}
+	if o := snap[3].Outcome; o == nil || o.Disposition != DispDone {
+		t.Errorf("newest outcome = %+v, want %s", o, DispDone)
+	}
 }
 
 func TestNilLogIsSafe(t *testing.T) {

@@ -59,6 +59,27 @@ func TestRingBoundAndDropped(t *testing.T) {
 	if l.NextSeq() != 11 {
 		t.Errorf("NextSeq = %d, want 11", l.NextSeq())
 	}
+	// Cursors and limits over the wrapped ring, whose oldest event sits
+	// mid-buffer: the cursor skips by Seq, the limit keeps the newest.
+	for _, tc := range []struct {
+		since uint64
+		limit int
+		want  []uint64
+	}{
+		{since: 3, want: []uint64{7, 8, 9, 10}},
+		{since: 8, want: []uint64{9, 10}},
+		{since: 8, limit: 1, want: []uint64{10}},
+		{since: 0, limit: 3, want: []uint64{8, 9, 10}},
+		{since: 10, want: nil},
+	} {
+		var seqs []uint64
+		for _, ev := range l.Snapshot(tc.since, Debug, tc.limit) {
+			seqs = append(seqs, ev.Seq)
+		}
+		if fmt.Sprint(seqs) != fmt.Sprint(tc.want) {
+			t.Errorf("Snapshot(%d, Debug, %d) seqs %v, want %v", tc.since, tc.limit, seqs, tc.want)
+		}
+	}
 }
 
 func TestLevelFilterAndCursor(t *testing.T) {

@@ -230,6 +230,16 @@ func TestSlowDetector(t *testing.T) {
 	if !slow || reason != "factor" || median != time.Millisecond {
 		t.Fatalf("slow=%v median=%v reason=%q, want true/1ms/factor", slow, median, reason)
 	}
+	// After the 8-slot history wraps, the median is of the last 8
+	// latencies only: 5..12 ms after observing 1..12 ms.
+	d = NewSlowDetector(0, 3, 8)
+	for i := 1; i <= 12; i++ {
+		d.Observe(time.Duration(i) * time.Millisecond)
+	}
+	slow, median, reason = d.Observe(100 * time.Millisecond)
+	if !slow || reason != "factor" || median != 9*time.Millisecond {
+		t.Fatalf("after the wrap: slow=%v median=%v reason=%q, want true/9ms/factor", slow, median, reason)
+	}
 	if !d.Enabled() {
 		t.Fatal("detector with factor not Enabled")
 	}
@@ -276,6 +286,24 @@ func TestFlightRecorderBoundsAndDisk(t *testing.T) {
 	}
 	if len(disk[0].Timeline) != 1 || disk[0].Timeline[0].Kind != trace.KindIssue {
 		t.Fatalf("timeline did not survive disk round trip: %+v", disk[0].Timeline)
+	}
+
+	// Far past capacity the journal holds the newest bundles, oldest first.
+	mem, err := NewFlightRecorder(FlightConfig{Capacity: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 7; i++ {
+		if err := mem.Capture(Bundle{TraceID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ids []uint64
+	for _, b := range mem.Bundles() {
+		ids = append(ids, b.TraceID)
+	}
+	if len(ids) != 3 || ids[0] != 5 || ids[1] != 6 || ids[2] != 7 || mem.Len() != 3 {
+		t.Fatalf("after 7 captures into 3 slots: traces %v (Len %d), want [5 6 7]", ids, mem.Len())
 	}
 
 	// Missing directory reads as empty.
