@@ -5,8 +5,8 @@
 // writer. It replaces ad-hoc log.Printf calls so that "what happened on
 // node 3" has one queryable answer.
 //
-// The ring is a fixed-capacity overwrite buffer like the trace and
-// telemetry rings: appends never block and never allocate beyond the
+// The ring is an internal/ring overwrite buffer, as the trace and
+// telemetry rings are: appends never block and never allocate beyond the
 // ring, and a cumulative Dropped counter records how many events were
 // overwritten before anyone fetched them. Every event carries a
 // node-local sequence number so remote tails can resume from a cursor
@@ -22,6 +22,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"dosas/internal/ring"
 )
 
 // Level orders event severities. The zero value is Debug, so a zero
@@ -124,9 +126,7 @@ const DefaultSinkMaxBytes = 64 << 20
 type Log struct {
 	mu      sync.Mutex
 	cfg     Config
-	ring    []Event
-	next    int
-	full    bool
+	events  *ring.Ring[Event]
 	seq     uint64
 	dropped uint64
 	now     func() time.Time
@@ -149,7 +149,7 @@ func New(cfg Config) (*Log, error) {
 	if now == nil {
 		now = time.Now
 	}
-	l := &Log{cfg: cfg, ring: make([]Event, cfg.Capacity), now: now}
+	l := &Log{cfg: cfg, events: ring.New[Event](cfg.Capacity), now: now}
 	switch {
 	case cfg.MaxBytes == 0:
 		l.maxBytes = DefaultSinkMaxBytes
@@ -222,14 +222,8 @@ func (l *Log) emit(level Level, sub, msg string, kv []string) {
 		Msg:      msg,
 		Fields:   fields,
 	}
-	if l.full {
+	if l.events.Add(ev) {
 		l.dropped++
-	}
-	l.ring[l.next] = ev
-	l.next++
-	if l.next == len(l.ring) {
-		l.next = 0
-		l.full = true
 	}
 	mirror := l.cfg.Mirror
 	l.mu.Unlock()
@@ -286,17 +280,9 @@ func (l *Log) Snapshot(sinceSeq uint64, min Level, limit int) []Event {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.next
-	if l.full {
-		n = len(l.ring)
-	}
-	out := make([]Event, 0, n)
-	start := 0
-	if l.full {
-		start = l.next
-	}
-	for i := 0; i < n; i++ {
-		ev := l.ring[(start+i)%len(l.ring)]
+	out := make([]Event, 0, l.events.Len())
+	for i := 0; i < l.events.Len(); i++ {
+		ev := *l.events.At(i)
 		if ev.Seq <= sinceSeq {
 			continue
 		}

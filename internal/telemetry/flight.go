@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"dosas/internal/ring"
 	"dosas/internal/trace"
 )
 
@@ -66,7 +67,7 @@ type FlightRecorder struct {
 	now      func() time.Time
 
 	mu      sync.Mutex
-	bundles []Bundle
+	bundles *ring.Ring[Bundle]
 }
 
 // NewFlightRecorder returns a recorder journaling at most cfg.Capacity
@@ -89,7 +90,8 @@ func NewFlightRecorder(cfg FlightConfig) (*FlightRecorder, error) {
 			return nil, fmt.Errorf("telemetry: flight dir: %w", err)
 		}
 	}
-	return &FlightRecorder{capacity: cfg.Capacity, dir: cfg.Dir, maxBytes: cfg.DirMaxBytes, now: cfg.Now}, nil
+	return &FlightRecorder{capacity: cfg.Capacity, dir: cfg.Dir, maxBytes: cfg.DirMaxBytes, now: cfg.Now,
+		bundles: ring.New[Bundle](cfg.Capacity)}, nil
 }
 
 // Capture journals one bundle, evicting the oldest past capacity. Disk
@@ -103,10 +105,7 @@ func (fr *FlightRecorder) Capture(b Bundle) error {
 		b.Captured = fr.now()
 	}
 	fr.mu.Lock()
-	fr.bundles = append(fr.bundles, b)
-	if len(fr.bundles) > fr.capacity {
-		fr.bundles = fr.bundles[len(fr.bundles)-fr.capacity:]
-	}
+	fr.bundles.Add(b)
 	fr.mu.Unlock()
 	if fr.dir == "" {
 		return nil
@@ -168,7 +167,7 @@ func (fr *FlightRecorder) Bundles() []Bundle {
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	return append([]Bundle(nil), fr.bundles...)
+	return fr.bundles.Append(nil)
 }
 
 // Len reports how many bundles are journaled in memory.
@@ -178,7 +177,7 @@ func (fr *FlightRecorder) Len() int {
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	return len(fr.bundles)
+	return fr.bundles.Len()
 }
 
 // ReadBundles loads the slow-*.json bundles persisted under dir, oldest
@@ -249,9 +248,7 @@ type SlowDetector struct {
 	factor    float64
 
 	mu      sync.Mutex
-	history []time.Duration // ring of recent latencies for the median
-	next    int
-	full    bool
+	history *ring.Ring[time.Duration] // recent latencies, for the median
 }
 
 // NewSlowDetector builds a detector; historySize bounds the median
@@ -260,7 +257,7 @@ func NewSlowDetector(threshold time.Duration, factor float64, historySize int) *
 	if historySize <= 0 {
 		historySize = 64
 	}
-	return &SlowDetector{threshold: threshold, factor: factor, history: make([]time.Duration, historySize)}
+	return &SlowDetector{threshold: threshold, factor: factor, history: ring.New[time.Duration](historySize)}
 }
 
 // Enabled reports whether any criterion is active.
@@ -278,12 +275,7 @@ func (d *SlowDetector) Observe(elapsed time.Duration) (slow bool, median time.Du
 	}
 	d.mu.Lock()
 	median = d.medianLocked()
-	d.history[d.next] = elapsed
-	d.next++
-	if d.next == len(d.history) {
-		d.next = 0
-		d.full = true
-	}
+	d.history.Add(elapsed)
 	d.mu.Unlock()
 
 	if d.threshold > 0 && elapsed > d.threshold {
@@ -298,15 +290,10 @@ func (d *SlowDetector) Observe(elapsed time.Duration) (slow bool, median time.Du
 // medianLocked computes the median of the recorded history (0 when
 // empty). Called with d.mu held.
 func (d *SlowDetector) medianLocked() time.Duration {
-	n := d.next
-	if d.full {
-		n = len(d.history)
-	}
-	if n == 0 {
+	if d.history.Len() == 0 {
 		return 0
 	}
-	sorted := make([]time.Duration, n)
-	copy(sorted, d.history[:n])
+	sorted := d.history.Append(nil)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted[n/2]
+	return sorted[len(sorted)/2]
 }

@@ -14,6 +14,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"dosas/internal/ring"
 )
 
 // Defaults for Sampler configuration.
@@ -134,7 +136,7 @@ type Sampler struct {
 
 	mu              sync.Mutex
 	probes          []probeEntry
-	rings           map[string]*ring
+	rings           map[string]*ring.Ring[Point]
 	ticks           uint64
 	dropped         uint64
 	listeners       []func()
@@ -151,37 +153,13 @@ type probeEntry struct {
 	probe Probe
 }
 
-// ring is a fixed-capacity point buffer.
-type ring struct {
-	pts  []Point
-	next int
-	full bool
-}
-
-func (r *ring) add(p Point) {
-	r.pts[r.next] = p
-	r.next++
-	if r.next == len(r.pts) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// snapshot returns retained points oldest-first, filtered to t >= since.
-func (r *ring) snapshot(since int64) []Point {
+// pointsSince returns r's points oldest-first, filtered to t >= since.
+func pointsSince(r *ring.Ring[Point], since int64) []Point {
 	var out []Point
-	emit := func(p Point) {
-		if p.UnixNano >= since {
-			out = append(out, p)
+	for i := 0; i < r.Len(); i++ {
+		if p := r.At(i); p.UnixNano >= since {
+			out = append(out, *p)
 		}
-	}
-	if r.full {
-		for _, p := range r.pts[r.next:] {
-			emit(p)
-		}
-	}
-	for _, p := range r.pts[:r.next] {
-		emit(p)
 	}
 	return out
 }
@@ -202,7 +180,7 @@ func NewSampler(cfg Config) *Sampler {
 		capacity: cfg.Capacity,
 		now:      cfg.Now,
 		epoch:    cfg.Now(),
-		rings:    make(map[string]*ring),
+		rings:    make(map[string]*ring.Ring[Point]),
 		stop:     make(chan struct{}),
 	}
 }
@@ -231,7 +209,7 @@ func (s *Sampler) Register(name string, p Probe) {
 	}
 	s.probes = append(s.probes, probeEntry{name: name, probe: p})
 	if _, ok := s.rings[name]; !ok {
-		s.rings[name] = &ring{pts: make([]Point, s.capacity)}
+		s.rings[name] = ring.New[Point](s.capacity)
 	}
 }
 
@@ -308,11 +286,8 @@ func (s *Sampler) Tick() {
 	s.mu.Lock()
 	s.ticks++
 	for i, pe := range probes {
-		if r, ok := s.rings[pe.name]; ok {
-			if r.full {
-				s.dropped++
-			}
-			r.add(Point{UnixNano: now, Value: vals[i], Mono: mono})
+		if r, ok := s.rings[pe.name]; ok && r.Add(Point{UnixNano: now, Value: vals[i], Mono: mono}) {
+			s.dropped++
 		}
 	}
 	listeners := s.listeners
@@ -403,7 +378,7 @@ func (s *Sampler) Snapshot(window time.Duration) []Series {
 	defer s.mu.Unlock()
 	out := make([]Series, 0, len(s.rings))
 	for name, r := range s.rings {
-		out = append(out, Series{Name: name, Points: r.snapshot(since)})
+		out = append(out, Series{Name: name, Points: pointsSince(r, since)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -424,7 +399,7 @@ func (s *Sampler) Get(name string, window time.Duration) (Series, bool) {
 	if !ok {
 		return Series{}, false
 	}
-	return Series{Name: name, Points: r.snapshot(since)}, true
+	return Series{Name: name, Points: pointsSince(r, since)}, true
 }
 
 // WindowMax returns the largest value of a named series over the trailing

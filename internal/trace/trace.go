@@ -14,6 +14,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"dosas/internal/ring"
 )
 
 // Kind classifies a lifecycle event.
@@ -136,9 +138,7 @@ type Event struct {
 // and records nothing, so callers need no nil checks at call sites.
 type Recorder struct {
 	mu      sync.Mutex
-	ring    []Event
-	next    int
-	full    bool
+	events  *ring.Ring[Event]
 	seq     uint64
 	dropped uint64 // events overwritten after the ring wrapped
 	node    string
@@ -151,7 +151,7 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity < 16 {
 		capacity = 16
 	}
-	return &Recorder{ring: make([]Event, capacity), now: time.Now}
+	return &Recorder{events: ring.New[Event](capacity), now: time.Now}
 }
 
 // SetNode stamps all subsequently recorded events with the node identity
@@ -196,16 +196,8 @@ func (r *Recorder) RecordEvent(ev Event) {
 	if ev.Node == "" {
 		ev.Node = r.node
 	}
-	if r.full {
-		// The slot being written still holds the oldest retained event;
-		// overwriting it loses history.
+	if r.events.Add(ev) {
 		r.dropped++
-	}
-	r.ring[r.next] = ev
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.full = true
 	}
 	r.mu.Unlock()
 }
@@ -228,19 +220,7 @@ func (r *Recorder) Snapshot() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Event
-	if r.full {
-		out = append(out, r.ring[r.next:]...)
-	}
-	out = append(out, r.ring[:r.next]...)
-	// Trim zero entries (not yet written when !full).
-	trimmed := out[:0]
-	for _, e := range out {
-		if e.Seq != 0 {
-			trimmed = append(trimmed, e)
-		}
-	}
-	return trimmed
+	return r.events.Append(nil)
 }
 
 // Len reports how many events are retained.
@@ -250,10 +230,7 @@ func (r *Recorder) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.full {
-		return len(r.ring)
-	}
-	return r.next
+	return r.events.Len()
 }
 
 // WriteTo dumps the retained events as one line each, with a trailer
