@@ -538,9 +538,6 @@ func printSnapshot(s dosas.StatsSnapshot) {
 	for n, v := range s.Gauges {
 		lines = append(lines, fmt.Sprintf("  gauge   %-28s %d", n, v))
 	}
-	for n, v := range s.Meters {
-		lines = append(lines, fmt.Sprintf("  meter   %-28s %.3f/s", n, v))
-	}
 	for n, h := range s.Histograms {
 		lines = append(lines, fmt.Sprintf("  hist    %-28s count=%d mean=%.2f p50=%.2f p99=%.2f",
 			n, h.Count, h.Mean, h.P50, h.P99))

@@ -1,15 +1,14 @@
 // Package metrics provides the lightweight instrumentation DOSAS servers
-// use to account for their own load: atomic counters and gauges, windowed
-// rate meters, and log-bucketed latency histograms. The Contention
-// Estimator reads these instead of OS counters, which keeps scheduling
-// decisions deterministic and testable.
+// use to account for their own load: atomic counters and gauges and
+// log-bucketed latency histograms. The Contention Estimator reads these
+// instead of OS counters, which keeps scheduling decisions deterministic
+// and testable.
 package metrics
 
 import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -35,102 +34,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatGauge is an atomic float64 gauge (stored as bits).
-type FloatGauge struct{ bits atomic.Uint64 }
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add moves the gauge by delta using a CAS loop.
-func (g *FloatGauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		if g.bits.CompareAndSwap(old, math.Float64bits(cur+delta)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
-// Meter measures an event rate (e.g. bytes/second) over a sliding window
-// of fixed-width slots. It is cheap enough for the per-read fast path.
-type Meter struct {
-	mu        sync.Mutex
-	slotWidth time.Duration
-	slots     []float64
-	head      int       // slot index for 'headTime'
-	headTime  time.Time // start of the head slot
-	now       func() time.Time
-}
-
-// NewMeter returns a meter averaging over window, divided into 16 slots.
-func NewMeter(window time.Duration) *Meter {
-	if window <= 0 {
-		window = time.Second
-	}
-	slotWidth := window / 16
-	if slotWidth <= 0 {
-		// Windows shorter than 16 ns would make slotWidth zero and
-		// advanceLocked divide by it; clamp to the finest resolution.
-		slotWidth = 1
-	}
-	return &Meter{
-		slotWidth: slotWidth,
-		slots:     make([]float64, 16),
-		now:       time.Now,
-	}
-}
-
-// Mark records n units of the measured quantity at the current time.
-func (m *Meter) Mark(n float64) {
-	m.mu.Lock()
-	m.advanceLocked(m.now())
-	m.slots[m.head] += n
-	m.mu.Unlock()
-}
-
-// Rate returns the average rate in units/second over the window.
-func (m *Meter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.advanceLocked(m.now())
-	var sum float64
-	for _, s := range m.slots {
-		sum += s
-	}
-	window := m.slotWidth * time.Duration(len(m.slots))
-	return sum / window.Seconds()
-}
-
-// advanceLocked rotates the slot ring forward to cover 'now', zeroing any
-// slots that have fallen out of the window.
-func (m *Meter) advanceLocked(now time.Time) {
-	if m.headTime.IsZero() {
-		m.headTime = now
-		return
-	}
-	steps := int(now.Sub(m.headTime) / m.slotWidth)
-	if steps <= 0 {
-		return
-	}
-	if steps >= len(m.slots) {
-		for i := range m.slots {
-			m.slots[i] = 0
-		}
-		m.head = 0
-		m.headTime = now
-		return
-	}
-	for i := 0; i < steps; i++ {
-		m.head = (m.head + 1) % len(m.slots)
-		m.slots[m.head] = 0
-	}
-	m.headTime = m.headTime.Add(time.Duration(steps) * m.slotWidth)
-}
 
 // Histogram accumulates observations into exponentially sized buckets
 // (powers of two in microseconds when used for latencies). It keeps exact
@@ -229,7 +132,6 @@ type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter
 	gauges map[string]*Gauge
-	meters map[string]*Meter
 	hists  map[string]*Histogram
 }
 
@@ -238,7 +140,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counts: make(map[string]*Counter),
 		gauges: make(map[string]*Gauge),
-		meters: make(map[string]*Meter),
 		hists:  make(map[string]*Histogram),
 	}
 }
@@ -265,18 +166,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Meter returns the named meter (1 s window), creating it on first use.
-func (r *Registry) Meter(name string) *Meter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.meters[name]
-	if !ok {
-		m = NewMeter(time.Second)
-		r.meters[name] = m
-	}
-	return m
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -312,7 +201,6 @@ type HistogramStats struct {
 type Snapshot struct {
 	Counters   map[string]int64          `json:"counters,omitempty"`
 	Gauges     map[string]int64          `json:"gauges,omitempty"`
-	Meters     map[string]float64        `json:"meters,omitempty"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
@@ -335,12 +223,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges = make(map[string]int64, len(r.gauges))
 		for n, g := range r.gauges {
 			s.Gauges[n] = g.Value()
-		}
-	}
-	if len(r.meters) > 0 {
-		s.Meters = make(map[string]float64, len(r.meters))
-		for n, m := range r.meters {
-			s.Meters[n] = m.Rate()
 		}
 	}
 	if len(r.hists) > 0 {

@@ -2,10 +2,8 @@ package metrics
 
 import (
 	"encoding/json"
-	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -41,59 +39,6 @@ func TestGauge(t *testing.T) {
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Fatalf("value = %d", g.Value())
-	}
-}
-
-func TestFloatGauge(t *testing.T) {
-	var g FloatGauge
-	g.Set(1.5)
-	g.Add(0.25)
-	if g.Value() != 1.75 {
-		t.Fatalf("value = %v", g.Value())
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				g.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if g.Value() != 801.75 {
-		t.Fatalf("concurrent adds = %v", g.Value())
-	}
-}
-
-func TestMeterRate(t *testing.T) {
-	m := NewMeter(time.Second)
-	now := time.Unix(1000, 0)
-	m.now = func() time.Time { return now }
-	m.Mark(500)
-	now = now.Add(100 * time.Millisecond)
-	m.Mark(500)
-	// 1000 units in a 1 s window → 1000/s.
-	if r := m.Rate(); r < 900 || r > 1100 {
-		t.Fatalf("rate = %v", r)
-	}
-	// After the window fully rotates, the rate decays to zero.
-	now = now.Add(2 * time.Second)
-	if r := m.Rate(); r != 0 {
-		t.Fatalf("decayed rate = %v", r)
-	}
-}
-
-func TestMeterPartialDecay(t *testing.T) {
-	m := NewMeter(time.Second)
-	now := time.Unix(2000, 0)
-	m.now = func() time.Time { return now }
-	m.Mark(1600)
-	// Half a window later, the marks are still inside the window.
-	now = now.Add(500 * time.Millisecond)
-	if r := m.Rate(); r < 1500 {
-		t.Fatalf("rate after half-window = %v", r)
 	}
 }
 
@@ -138,11 +83,9 @@ func TestRegistry(t *testing.T) {
 		t.Fatal("counter identity lost")
 	}
 	r.Gauge("depth").Set(2)
-	r.Meter("bytes").Mark(10)
 	r.Histogram("lat").Observe(5)
 	snap := r.Snapshot()
-	_, metered := snap.Meters["bytes"]
-	if snap.Counter("ops") != 3 || snap.Gauges["depth"] != 2 || !metered || snap.Histograms["lat"].Count != 1 {
+	if snap.Counter("ops") != 3 || snap.Gauges["depth"] != 2 || snap.Histograms["lat"].Count != 1 {
 		t.Errorf("snapshot = %+v", snap)
 	}
 }
@@ -157,7 +100,6 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			for j := 0; j < 100; j++ {
 				r.Counter("c").Inc()
 				r.Gauge("g").Add(1)
-				r.Meter("m").Mark(1)
 				r.Histogram("h").Observe(1)
 			}
 		}()
@@ -165,44 +107,6 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if r.Counter("c").Value() != 800 {
 		t.Fatalf("counter = %d", r.Counter("c").Value())
-	}
-}
-
-func TestMeterTinyWindowDoesNotPanic(t *testing.T) {
-	// Windows under 16 ns used to make the slot width zero and crash
-	// advance with a divide-by-zero; they must clamp to 1 ns instead.
-	for _, w := range []time.Duration{1, 15, 16} {
-		m := NewMeter(w)
-		m.Mark(10)
-		if r := m.Rate(); math.IsNaN(r) || math.IsInf(r, 0) {
-			t.Fatalf("window %d: rate = %v", w, r)
-		}
-	}
-}
-
-func TestMeterIdleGapRotation(t *testing.T) {
-	m := NewMeter(time.Second)
-	now := time.Unix(3000, 0)
-	m.now = func() time.Time { return now }
-	m.Mark(1000)
-
-	// An idle gap longer than the whole window must zero every slot and
-	// reset the ring, not walk it slot by slot.
-	now = now.Add(5 * time.Second)
-	if r := m.Rate(); r != 0 {
-		t.Fatalf("rate after idle gap = %v, want 0", r)
-	}
-
-	// The meter must keep working after the reset.
-	m.Mark(800)
-	if r := m.Rate(); r < 700 {
-		t.Fatalf("rate after restart = %v", r)
-	}
-
-	// A partial rotation (less than a full window) keeps in-window marks.
-	now = now.Add(500 * time.Millisecond)
-	if r := m.Rate(); r < 700 {
-		t.Fatalf("rate after partial rotation = %v", r)
 	}
 }
 
@@ -253,7 +157,6 @@ func TestRegistrySnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("active.arrivals").Add(7)
 	r.Gauge("depth").Set(3)
-	r.Meter("bytes").Mark(100)
 	r.Histogram("lat").Observe(50)
 
 	s := r.Snapshot()

@@ -7,10 +7,9 @@
 //
 // Naming: every family is prefixed dosas_ and internal dotted names map
 // to underscores (active.arrivals → dosas_active_arrivals_total).
-// Counters get the _total suffix, meters export their 1s-window rate as
-// a gauge with a _rate suffix, histograms export as summaries (quantile
-// samples plus _sum and _count). Every sample carries node and role
-// labels; the latest telemetry-ring samples are one dosas_telemetry
+// Counters get the _total suffix and histograms export as summaries
+// (quantile samples plus _sum and _count). Every sample carries node and
+// role labels; the latest telemetry-ring samples are one dosas_telemetry
 // family keyed by a series label.
 package openmetrics
 
@@ -38,7 +37,7 @@ type Source struct {
 	// "client"/"client").
 	Node string
 	Role string
-	// Stats is the node's counter/gauge/meter/histogram snapshot.
+	// Stats is the node's counter/gauge/histogram snapshot.
 	Stats *metrics.Snapshot
 	// Series contributes each telemetry ring's latest sample and the
 	// rings' cumulative overwrite count.
@@ -127,10 +126,6 @@ func collect(src Source, add func(name, typ, help string, s sample)) {
 			}
 			add(metricName(name), "gauge", "", sample{
 				labels: base.render(), value: strconv.FormatInt(v, 10)})
-		}
-		for name, v := range snap.Meters {
-			add(metricName(name)+"_rate", "gauge", "", sample{
-				labels: base.render(), value: formatFloat(v)})
 		}
 		for name, h := range snap.Histograms {
 			fam := metricName(name)

@@ -34,7 +34,6 @@ func buildSources(t *testing.T) []Source {
 	reg.Counter("active.rejected").Add(3)
 	reg.Gauge("data.inflight").Set(2)
 	reg.Gauge("slo.firing").Set(1) // what an engine given this registry keeps
-	reg.Meter("rpc.frames")        // never marked: rate 0, deterministic
 	h := reg.Histogram("est.kernel_error_pct")
 	for _, v := range []float64{1, 2, 4, 8} {
 		h.Observe(v)
