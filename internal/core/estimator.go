@@ -12,8 +12,8 @@ import (
 
 // The storage node the model prices, the paper's: a 2-core Discfarm
 // machine that keeps one core for normal I/O service, so one core's worth
-// of calibrated kernel rate serves active I/O. The estimator,
-// the runtime's worker pool and the simulator all read these; kernelSlots
+// of calibrated kernel rate serves active I/O. The estimator, the QoS
+// gate's kernel-core pool and the simulator all read these; kernelSlots
 // alone sizes the kernel concurrency the host really grants.
 const (
 	NodeCores   = 2
@@ -25,9 +25,9 @@ type EstimatorConfig struct {
 	// BW is the measured storage→compute network bandwidth in
 	// bytes/second (the paper's bw; 118 MB/s on Discfarm).
 	BW float64
-	// Period is how often the CE re-probes and refreshes its cached
-	// environment (and how often the runtime re-evaluates its policy).
-	// Defaults to 50 ms.
+	// Period is how often the runtime's policy loop re-evaluates queued
+	// and running work against the CE's current environment. Defaults to
+	// 50 ms.
 	Period time.Duration
 	// RateFor overrides the per-core kernel rate lookup; defaults to
 	// kernels.RateFor. Tests inject synthetic rates here.
@@ -72,8 +72,8 @@ func (c *EstimatorConfig) applyDefaults() {
 // derived from the kernel's calibrated maximum rate discounted by the
 // current system environment, as in paper Section III-D.
 type Estimator struct {
-	cfg EstimatorConfig
-	reg *metrics.Registry
+	cfg      EstimatorConfig
+	inflight *metrics.Gauge // the data server's "data.inflight"
 
 	mu   sync.Mutex
 	used uint64 // kernel working-set bytes in use
@@ -92,7 +92,7 @@ func NewEstimator(cfg EstimatorConfig, reg *metrics.Registry) (*Estimator, error
 	if reg == nil {
 		reg = metrics.NewRegistry()
 	}
-	return &Estimator{cfg: cfg, reg: reg}, nil
+	return &Estimator{cfg: cfg, inflight: reg.Gauge("data.inflight")}, nil
 }
 
 // Config returns the estimator's effective (defaulted) configuration.
@@ -143,7 +143,7 @@ func (e *Estimator) Env(op string) Env {
 // rate / (1 + load), where load is the in-flight normal requests (the pfs
 // data server's "data.inflight" gauge) per storage-node core.
 func (e *Estimator) discount(rate float64) float64 {
-	inflight := float64(e.reg.Gauge("data.inflight").Value())
+	inflight := float64(e.inflight.Value())
 	if inflight <= 0 {
 		return rate
 	}
