@@ -412,7 +412,9 @@ func (s *ExtentStore) Truncate(handle uint64, size uint64) error {
 		lastIdx = int64(size-1) / s.ext
 		local = int64(size) - lastIdx*s.ext
 	}
-	// Drop extents past the new boundary.
+	// Drop extents past the new boundary. Each is cut to length 0 before
+	// it is unlinked, so a payload or mapped view still holding it reads
+	// EOF or faults, and zero-fills, as past the boundary extent's cut.
 	ents, err := os.ReadDir(s.handleDir(handle))
 	if err != nil {
 		return err
@@ -423,8 +425,12 @@ func (s *ExtentStore) Truncate(handle uint64, size uint64) error {
 			continue // foreign file, or an extent that survives
 		}
 		s.fds.invalidate(fdKey{handle: handle, ext: uint32(idx)})
-		if rerr := os.Remove(filepath.Join(s.handleDir(handle), ent.Name())); rerr != nil && !os.IsNotExist(rerr) {
-			return rerr
+		path := filepath.Join(s.handleDir(handle), ent.Name())
+		if err := os.Truncate(path, 0); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return err
 		}
 	}
 	if size > 0 {

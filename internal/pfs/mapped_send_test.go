@@ -43,11 +43,12 @@ func (l smallBufListener) Accept() (net.Conn, error) {
 	return c, err
 }
 
-// startSendNode starts a data server over an extent store, without a
-// gate, on TCP (small socket buffers) or the in-process pipe.
-func startSendNode(t *testing.T, tcp bool) *landNode {
+// startSendNode starts a data server over an extent store of ext-byte
+// extents (0: the default), without a gate, on TCP (small socket buffers)
+// or the in-process pipe.
+func startSendNode(t *testing.T, tcp bool, ext int64) *landNode {
 	t.Helper()
-	es, err := NewExtentStore(ExtentConfig{Dir: t.TempDir()})
+	es, err := NewExtentStore(ExtentConfig{Dir: t.TempDir(), ExtentSize: ext})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,27 +90,36 @@ func sendStats(ds *DataServer) (mapped, copied, cancelled int64) {
 	return st.MappedBytes.Load(), st.CopiedBytes.Load(), st.CancelledBytes.Load()
 }
 
-// A 2 MiB read whose extent is cut by the store's Truncate after its frame
+// A read whose extents are cut by the store's Truncate after its frame
 // began to leave: the client gets the whole frame, with zeros past the cut
 // and the file's bytes (or zeros, where a writev stopped short of the cut)
 // before it; the same connection then answers a Ping, and the payload's
-// pins and mappings come back.
+// pins and mappings come back. A 2 MiB read in one extent is cut inside
+// it; a 3 MiB read over three 1 MiB extents is cut in the second, so the
+// third is removed while its mapping is still lent to the frame.
 func TestMappedSendTruncatedUnder(t *testing.T) {
-	const size, head = 2 << 20, 64 << 10
-	const cut = 1<<20 + 100<<10 + 100
+	const head = 64 << 10
 	for _, tc := range []struct {
-		name string
-		tcp  bool
-	}{{"TCP", true}, {"in-process pipe", false}} {
+		name      string
+		tcp       bool
+		ext       int64
+		size, cut int
+	}{
+		{"TCP", true, 0, 2 << 20, 1<<20 + 100<<10 + 100},
+		{"in-process pipe", false, 0, 2 << 20, 1<<20 + 100<<10 + 100},
+		{"TCP, an extent removed", true, 1 << 20, 3 << 20, 1<<20 + 1000},
+		{"in-process pipe, an extent removed", false, 1 << 20, 3 << 20, 1<<20 + 1000},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := startSendNode(t, tc.tcp)
+			size, cut := tc.size, tc.cut
+			n := startSendNode(t, tc.tcp, tc.ext)
 			base := n.es.MappedExtents()
 			data := seeded(size, 1)
 			if _, err := n.es.WriteAt(1, data, 0); err != nil {
 				t.Fatal(err)
 			}
-			rc := startRead(t, n, &wire.ReadReq{Handle: 1, Length: size}, head)
-			if err := n.es.Truncate(1, cut); err != nil {
+			rc := startRead(t, n, &wire.ReadReq{Handle: 1, Length: uint32(size)}, head)
+			if err := n.es.Truncate(1, uint64(cut)); err != nil {
 				t.Fatal(err)
 			}
 			rr, ok := rc.recv(t, 1).(*wire.ReadResp)
@@ -128,10 +138,10 @@ func TestMappedSendTruncatedUnder(t *testing.T) {
 			}
 			rc.ping(t, 3)
 			mapped, copied, _ := sendStats(n.ds)
-			if tc.tcp && (mapped == 0 || mapped >= cut) {
+			if tc.tcp && (mapped == 0 || mapped >= int64(cut)) {
 				t.Errorf("wire.mapped_bytes = %d, want some, and fewer than the %d bytes before the cut", mapped, cut)
 			}
-			if !tc.tcp && (mapped != 0 || copied != size) {
+			if !tc.tcp && (mapped != 0 || copied != int64(size)) {
 				t.Errorf("in-process: mapped_bytes %d, copied_bytes %d; want 0 and %d (staged)", mapped, copied, size)
 			}
 			quiescent(t, n.ds)
@@ -155,7 +165,7 @@ func TestMappedSendCancelledZeroFills(t *testing.T) {
 		tcp  bool
 	}{{"TCP", true}, {"in-process pipe", false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			n := startSendNode(t, tc.tcp)
+			n := startSendNode(t, tc.tcp, 0)
 			data := seeded(size, 2)
 			if _, err := n.es.WriteAt(1, data, 0); err != nil {
 				t.Fatal(err)

@@ -102,6 +102,25 @@ func TestSendfileReadGolden(t *testing.T) {
 			sendfile: cut - ext,
 			golden:   "16743696d45ec390efc52422269b1e0c4a906c6eb3717ea8ea54d37b68411102",
 		},
+		{
+			// A 1 MiB hole, then two extents of 1 MiB, cut to 1 MiB +
+			// 1000 while the hole's zeros leave: the second extent is cut
+			// to 1000 bytes and the third removed, and every byte past
+			// the cut is zero, the removed extent's included.
+			name: "extent removed during the send",
+			write: func(t *testing.T, es *ExtentStore) []byte {
+				a, b := seeded(ext, 15), seeded(ext, 16)
+				mustWrite(t, es, a, ext)
+				mustWrite(t, es, b, 2*ext)
+				want := make([]byte, 3*ext)
+				copy(want[ext:ext+1000], a)
+				return want
+			},
+			off: 0, n: 3 * ext,
+			truncate: ext + 1000,
+			sendfile: 1000,
+			golden:   "25ebd501c9ddd90abeca50299516ee0fc68ce870883df65c4e7fd7f09cd9cca5",
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			es, err := NewExtentStore(ExtentConfig{Dir: t.TempDir(), ExtentSize: ext})
