@@ -32,10 +32,12 @@ run-patterns:
 # Focused race gate for the observability stack: the telemetry sampler,
 # trace recorder, metrics registry and decision-audit ring are the
 # packages mutated from every goroutine, so they fail first and fastest
-# under -race. The wire package rides along for the decode fuzz
-# (testing/quick) suite.
+# under -race. They and the event log keep their histories in
+# internal/ring, which has no lock of its own: each owner's mutex guards
+# it. The wire package rides along for the decode fuzz (testing/quick)
+# suite.
 race-observability:
-	$(GO) test -race ./internal/telemetry/ ./internal/trace/ ./internal/metrics/ ./internal/wire/ ./internal/audit/
+	$(GO) test -race ./internal/telemetry/ ./internal/trace/ ./internal/metrics/ ./internal/wire/ ./internal/audit/ ./internal/ring/
 
 # Focused race gate for the transport stack: the mux writer's write
 # token, the per-connection demux read loops, and the pool's shared-
@@ -274,14 +276,16 @@ bench-paper:
 
 # Non-test Go line counts, the figures ROADMAP and CHANGES.md quote: the
 # program outside bench/ and examples/, the RPC stack (internal/pfs and
-# internal/wire), the scheduler (internal/core) and the binaries (cmd/).
-# Not part of check: it measures, it does not gate.
+# internal/wire), the scheduler (internal/core), the binaries (cmd/) and
+# the observability packages (histories, metrics, exports, SLOs, archive,
+# tenant table). Not part of check: it measures, it does not gate.
 LOC = find $(1) -name '*.go' ! -name '*_test.go' $(2) | xargs cat | wc -l
 loc:
 	@echo "outside bench/ examples/: $$($(call LOC,.,! -path './bench/*' ! -path './examples/*' ! -path './.bench_build/*'))"
 	@echo "internal/pfs+wire:        $$($(call LOC,internal/pfs internal/wire))"
 	@echo "internal/core:            $$($(call LOC,internal/core))"
 	@echo "cmd/:                     $$($(call LOC,cmd))"
+	@echo "observability:            $$($(call LOC,internal/trace internal/audit internal/eventlog internal/telemetry internal/metrics internal/openmetrics internal/slo internal/tsdb internal/tenant))"
 
 clean:
 	$(GO) clean ./...
