@@ -109,9 +109,16 @@ fuzz-smoke:
 # taken request (and of another client's same request id), and the probes
 # (in process and over the wire, with a read held at the gate) run ten
 # rounds each: the windows between a core's grant and a kernel start are
-# narrow.
+# narrow. So do the three tests that drive normal-I/O pressure through
+# the gate the estimator reads, Normal tickets held on it
+# (TestEstimatorDiscountsForNormalIOPressure,
+# TestRuntimeInterruptsUnderNormalIOPressure,
+# TestRuntimeRecordsBouncedDecision). TestPacedBatchKeepsItsKernels, a
+# paced n = 8 batch on a one-node cluster that must keep its kernels on
+# the node, runs three rounds: each takes about three seconds.
 race-runtime:
-	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestNodeDecisionsPinned|TestAttachedWrapperSharesNodeQueue|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestNodeDecisionsPinned|TestAttachedWrapperSharesNodeQueue|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire|TestEstimatorDiscountsForNormalIOPressure|TestRuntimeInterruptsUnderNormalIOPressure|TestRuntimeRecordsBouncedDecision' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestPacedBatchKeepsItsKernels' .
 
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,

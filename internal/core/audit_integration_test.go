@@ -76,7 +76,7 @@ func TestRuntimeRecordsAcceptedDecision(t *testing.T) {
 // TestRuntimeRecordsBouncedDecision: a rejected arrival must leave an
 // admit record whose newcomer is marked bounced, resolved immediately.
 func TestRuntimeRecordsBouncedDecision(t *testing.T) {
-	rt, reg := newTestRuntime(t, RuntimeConfig{
+	rt, _ := newTestRuntime(t, RuntimeConfig{
 		Mode: ModeDynamic,
 		Estimator: EstimatorConfig{
 			BW:      118e6,
@@ -86,7 +86,7 @@ func TestRuntimeRecordsBouncedDecision(t *testing.T) {
 	// Heavy normal I/O divides the storage rate by 1 + 20/2 while the
 	// compute node keeps its full rate: shipping the raw bytes is clearly
 	// cheaper, so the solver bounces even a lone arrival.
-	reg.Gauge("data.inflight").Set(20)
+	holdNormal(t, rt, 20)
 	resp, err := rt.HandleActive(&wire.ActiveReadReq{
 		RequestID: 9, TraceID: 0xbee, Handle: 1, Length: 100_000, Op: "sum8",
 	})

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"dosas/internal/kernels"
-	"dosas/internal/metrics"
 )
 
 // The storage node the model prices, the paper's: a 2-core Discfarm
@@ -67,32 +66,29 @@ func (c *EstimatorConfig) applyDefaults() {
 }
 
 // Estimator is the Contention Estimator (CE): it monitors the storage
-// node's normal-I/O pressure and kernel memory use, and converts them into
+// node's normal-I/O load and kernel memory use, and converts them into
 // the Env the scheduling algorithm consumes. The value of S_{C,op} is
 // derived from the kernel's calibrated maximum rate discounted by the
 // current system environment, as in paper Section III-D.
 type Estimator struct {
-	cfg      EstimatorConfig
-	inflight *metrics.Gauge // the data server's "data.inflight"
+	cfg  EstimatorConfig
+	load func() int // the node's normal-I/O load, in requests; nil reads 0
 
 	mu   sync.Mutex
 	used uint64 // kernel working-set bytes in use
 }
 
-// NewEstimator builds a CE over the node's metrics registry, whose
-// "data.inflight" gauge (maintained by the pfs data server) supplies
-// normal-I/O pressure. The configuration is validated first; a
-// nonsensical config (zero bandwidth, negative period) is an error here
-// rather than silent mis-scheduling later.
-func NewEstimator(cfg EstimatorConfig, reg *metrics.Registry) (*Estimator, error) {
+// NewEstimator builds a CE whose normal-I/O load is read from load: the
+// runtime hands over a reader of the gate its tasks wait at
+// (pfs.QoSGate.NormalLoad), and nil means an idle node. The configuration
+// is validated first; a nonsensical config (zero bandwidth, negative
+// period) is an error here rather than silent mis-scheduling later.
+func NewEstimator(cfg EstimatorConfig, load func() int) (*Estimator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg.applyDefaults()
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	return &Estimator{cfg: cfg, inflight: reg.Gauge("data.inflight")}, nil
+	return &Estimator{cfg: cfg, load: load}, nil
 }
 
 // Config returns the estimator's effective (defaulted) configuration.
@@ -125,27 +121,37 @@ func (e *Estimator) MemPressure() float64 {
 	return float64(e.memUsed()) / float64(e.cfg.MemBudget)
 }
 
-// Env produces the scheduling environment for one operation, applying the
-// paper's estimation rule: S_{C,op} starts from the kernel's calibrated
-// maximum (ActiveCores × per-core rate) and is discounted by current
-// normal-I/O pressure. A bounced request computes on one core of its own
-// compute node, so C_{C,op} is the per-core rate.
+// Env produces the scheduling environment for one operation at the node's
+// current normal-I/O load (see envAt).
 func (e *Estimator) Env(op string) Env {
+	load := 0
+	if e.load != nil {
+		load = e.load()
+	}
+	return e.envAt(op, load)
+}
+
+// envAt produces the scheduling environment for one operation at normal-I/O
+// load load, applying the paper's estimation rule: S_{C,op} starts from the
+// kernel's calibrated maximum (ActiveCores × per-core rate) and is
+// discounted by the load. A bounced request computes on one core of its
+// own compute node, so C_{C,op} is the per-core rate. A decision reads the
+// load once and prices every request in its view at it.
+func (e *Estimator) envAt(op string, load int) Env {
 	maxRate := e.cfg.RateFor(op)
 	return Env{
 		BW:          e.cfg.BW,
-		StorageRate: e.discount(maxRate * ActiveCores),
+		StorageRate: discount(maxRate*ActiveCores, load),
 		ComputeRate: maxRate,
 	}
 }
 
-// discount applies current normal-I/O pressure to a storage-side rate:
-// rate / (1 + load), where load is the in-flight normal requests (the pfs
-// data server's "data.inflight" gauge) per storage-node core.
-func (e *Estimator) discount(rate float64) float64 {
-	inflight := float64(e.inflight.Value())
-	if inflight <= 0 {
+// discount applies normal-I/O load to a storage-side rate:
+// rate / (1 + load/NodeCores), where load is the node's I/O slots taken
+// plus the normal requests queued for one (pfs.QoSGate.NormalLoad).
+func discount(rate float64, load int) float64 {
+	if load <= 0 {
 		return rate
 	}
-	return rate / (1 + inflight/NodeCores)
+	return rate / (1 + float64(load)/NodeCores)
 }

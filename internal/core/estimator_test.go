@@ -6,21 +6,47 @@ import (
 	"testing"
 	"time"
 
-	"dosas/internal/metrics"
+	"dosas/internal/ioqueue"
+	"dosas/internal/pfs"
 	"dosas/internal/wire"
 )
 
-func testEstimator(cfg EstimatorConfig) (*Estimator, *metrics.Registry) {
-	reg := metrics.NewRegistry()
-	e, err := NewEstimator(cfg, reg)
+func testEstimator(cfg EstimatorConfig) *Estimator {
+	e, err := NewEstimator(cfg, nil)
 	if err != nil {
 		panic(err)
 	}
-	return e, reg
+	return e
+}
+
+// holdNormal holds n admitted Normal tickets on rt's gate, as n plain
+// reads or writes in service would, and returns their release, which also
+// runs when the test ends. A runtime not yet handed a gate is handed one
+// with room for all n.
+func holdNormal(t *testing.T, rt *Runtime, n int) (release func()) {
+	t.Helper()
+	rt.UseGate(pfs.NewQoSGate(pfs.QoSConfig{Slots: max(n, pfs.DefaultQoSSlots)}))
+	rt.mu.Lock()
+	g := rt.gate
+	rt.mu.Unlock()
+	tickets := make([]*pfs.Ticket, n)
+	for i := range tickets {
+		tickets[i] = g.Enqueue(ioqueue.Normal, "", 0)
+		if !tickets[i].Wait() {
+			t.Fatal("gate withdrew a normal ticket")
+		}
+	}
+	release = func() {
+		for _, tk := range tickets {
+			tk.Release()
+		}
+	}
+	t.Cleanup(release)
+	return release
 }
 
 func TestEstimatorDefaults(t *testing.T) {
-	e, _ := testEstimator(EstimatorConfig{BW: 118e6})
+	e := testEstimator(EstimatorConfig{BW: 118e6})
 	cfg := e.Config()
 	if cfg.Period <= 0 || cfg.RateFor == nil || cfg.MemBudget == 0 {
 		t.Fatalf("defaults = %+v", cfg)
@@ -28,7 +54,7 @@ func TestEstimatorDefaults(t *testing.T) {
 }
 
 func TestEstimatorEnvUsesCalibratedRate(t *testing.T) {
-	e, _ := testEstimator(EstimatorConfig{
+	e := testEstimator(EstimatorConfig{
 		BW:      118e6,
 		RateFor: func(string) float64 { return 80e6 },
 	})
@@ -46,12 +72,15 @@ func TestEstimatorEnvUsesCalibratedRate(t *testing.T) {
 }
 
 func TestEstimatorDiscountsForNormalIOPressure(t *testing.T) {
-	e, reg := testEstimator(EstimatorConfig{
-		BW:      118e6,
-		RateFor: func(string) float64 { return 80e6 },
-	})
+	rt, reg := newTestRuntime(t, RuntimeConfig{
+		Estimator: EstimatorConfig{
+			BW:      118e6,
+			RateFor: func(string) float64 { return 80e6 },
+		},
+	}, 0)
+	e := rt.Estimator()
 	base := e.Env("gaussian2d").StorageRate
-	reg.Gauge("data.inflight").Set(4) // heavy normal I/O on a 2-core node
+	release := holdNormal(t, rt, 4) // heavy normal I/O on a 2-core node
 	loaded := e.Env("gaussian2d").StorageRate
 	if loaded >= base {
 		t.Fatalf("S under load (%v) must drop below idle S (%v)", loaded, base)
@@ -60,9 +89,15 @@ func TestEstimatorDiscountsForNormalIOPressure(t *testing.T) {
 	if want := base / 3; loaded != want {
 		t.Errorf("S = %v, want %v", loaded, want)
 	}
-	reg.Gauge("data.inflight").Set(0)
+	release()
 	if got := e.Env("gaussian2d").StorageRate; got != base {
 		t.Errorf("S after pressure clears = %v, want %v", got, base)
+	}
+	// The CE reads the gate, not the data server's in-flight gauge: a
+	// response still on the wire holds no I/O slot.
+	reg.Gauge("data.inflight").Set(4)
+	if got := e.Env("gaussian2d").StorageRate; got != base {
+		t.Errorf("S with data.inflight raised and the gate empty = %v, want %v", got, base)
 	}
 }
 
@@ -114,7 +149,7 @@ func TestEstimatorProbeReflectsState(t *testing.T) {
 }
 
 func TestEstimatorUnknownOpInvalidEnv(t *testing.T) {
-	e, _ := testEstimator(EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 0 }})
+	e := testEstimator(EstimatorConfig{BW: 118e6, RateFor: func(string) float64 { return 0 }})
 	if e.Env("mystery").Valid() {
 		t.Fatal("uncalibrated op should produce an invalid env")
 	}

@@ -126,6 +126,10 @@ type Runtime struct {
 	// to it per chunk, and a lookup by name takes the registry's lock.
 	bytesProcessed *metrics.Counter
 
+	// admitMu serialises arrivals from their decision until their task
+	// is filed (HandleActive).
+	admitMu sync.Mutex
+
 	mu    sync.Mutex
 	tasks []*task // every accepted task not yet answered, in arrival order
 	// gate is where tasks wait for a kernel core: the data server's (see
@@ -196,18 +200,18 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		// Discfarm default" here, while NewEstimator rejects it outright.
 		cfg.Estimator.BW = 118e6
 	}
-	est, err := NewEstimator(cfg.Estimator, cfg.Metrics)
-	if err != nil {
-		return nil, err
-	}
 	rt := &Runtime{
 		cfg:  cfg,
-		est:  est,
 		reg:  cfg.Metrics,
 		stop: make(chan struct{}),
 
 		bytesProcessed: cfg.Metrics.Counter("active.bytes_processed"),
 	}
+	est, err := NewEstimator(cfg.Estimator, rt.normalLoad)
+	if err != nil {
+		return nil, err
+	}
+	rt.est = est
 	if cfg.Mode == ModeDynamic {
 		rt.wg.Add(1)
 		go rt.policyLoop()
@@ -229,37 +233,35 @@ func (rt *Runtime) registerProbes() {
 	if s == nil {
 		return
 	}
+	// Every input is resolved here, once: a lookup by name takes the
+	// registry's one lock on every tick.
+	inflight := rt.reg.Gauge("data.inflight") // the pfs data server's; the estimator reads the gate
+	bytesRead, bytesWritten := rt.reg.Counter("data.bytes_read"), rt.reg.Counter("data.bytes_written")
+	rejected, rejectedMemory := rt.reg.Counter("active.rejected"), rt.reg.Counter("active.rejected_memory")
+	bouncedQueued := rt.reg.Counter("active.bounced_queued")
+	arrived, interruptedC := rt.reg.Counter("active.arrivals"), rt.reg.Counter("active.interrupted")
+	estErr := rt.reg.Histogram("est.kernel_error_pct")
+
 	s.Register("queue.depth", func() float64 { return float64(rt.queueStats().ActiveLen) })
-	s.Register("inflight", func() float64 {
-		return float64(rt.reg.Gauge("data.inflight").Value())
-	})
+	s.Register("inflight", func() float64 { return float64(inflight.Value()) })
 	bytesMoved := func() float64 {
-		return float64(rt.reg.Counter("data.bytes_read").Value() +
-			rt.reg.Counter("data.bytes_written").Value() +
-			rt.bytesProcessed.Value())
+		return float64(bytesRead.Value() + bytesWritten.Value() + rt.bytesProcessed.Value())
 	}
 	s.Register("throughput.bps", telemetry.RateProbe(bytesMoved, s.Interval()))
 	bounced := func() float64 {
-		return float64(rt.reg.Counter("active.rejected").Value() +
-			rt.reg.Counter("active.rejected_memory").Value() +
-			rt.reg.Counter("active.bounced_queued").Value())
+		return float64(rejected.Value() + rejectedMemory.Value() + bouncedQueued.Value())
 	}
-	arrivals := func() float64 { return float64(rt.reg.Counter("active.arrivals").Value()) }
+	arrivals := func() float64 { return float64(arrived.Value()) }
+	interrupted := func() float64 { return float64(interruptedC.Value()) }
 	s.Register("bounce.rate", telemetry.RatioProbe(bounced, arrivals))
-	s.Register("interrupt.rate", telemetry.RatioProbe(func() float64 {
-		return float64(rt.reg.Counter("active.interrupted").Value())
-	}, arrivals))
+	s.Register("interrupt.rate", telemetry.RatioProbe(interrupted, arrivals))
 	// Per-tick deltas feed the SLO engine's burn-rate windows: unlike the
 	// cumulative ratios above, a window sum over deltas goes back to zero
 	// once a storm passes, so alerts can resolve.
 	s.Register("bounce.delta", telemetry.DeltaProbe(bounced))
 	s.Register("arrivals.delta", telemetry.DeltaProbe(arrivals))
-	s.Register("interrupt.delta", telemetry.DeltaProbe(func() float64 {
-		return float64(rt.reg.Counter("active.interrupted").Value())
-	}))
-	s.Register("est.error.pct", func() float64 {
-		return rt.reg.Histogram("est.kernel_error_pct").Snapshot().Mean()
-	})
+	s.Register("interrupt.delta", telemetry.DeltaProbe(interrupted))
+	s.Register("est.error.pct", func() float64 { return estErr.Snapshot().Mean() })
 	s.Register("mem.pressure", func() float64 { return rt.est.MemPressure() })
 	if tab := rt.cfg.Tenants; tab != nil {
 		// The dominant tenant's share of this tick's queue-wait delta:
@@ -295,6 +297,16 @@ func (rt *Runtime) queueStats() ioqueue.Stats {
 	g := rt.gate
 	rt.mu.Unlock()
 	return g.Stats()
+}
+
+// normalLoad is the estimator's input: the normal-I/O load at the gate
+// the runtime's tasks wait at (pfs.QoSGate.NormalLoad); 0 before the
+// first task of a runtime that was handed no gate.
+func (rt *Runtime) normalLoad() int {
+	rt.mu.Lock()
+	g := rt.gate
+	rt.mu.Unlock()
+	return g.NormalLoad()
 }
 
 // Close withdraws the queued tasks, refuses new ones and waits for the
@@ -335,11 +347,12 @@ func (rt *Runtime) dropLocked(t *task) {
 	rt.tasks = slices.DeleteFunc(rt.tasks, func(o *task) bool { return o == t })
 }
 
-// submit enters an accepted task in the table and at the gate, waits for a
-// kernel core and runs the task on it. A closed runtime answers it as
-// Close does.
-func (rt *Runtime) submit(t *task) (wire.Message, error) {
-	if !rt.enqueue(t) {
+// submit answers an accepted task once enqueue has reported whether it
+// filed t in the table and at the gate: it waits for t's kernel core and
+// runs t on it, or, when the runtime was closed first, answers t as Close
+// does.
+func (rt *Runtime) submit(t *task, filed bool) (wire.Message, error) {
+	if !filed {
 		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispShutdown})
 		return withdrawn(t)
 	}
@@ -445,42 +458,53 @@ func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, 
 		}
 	}
 	decisionStart := time.Now()
-	var admitNote string
-	var auditSeq uint64
-	switch rt.cfg.Mode {
-	case ModeAlwaysBounce:
-		return reject("active.rejected", "static ts policy", time.Since(decisionStart)), nil
-	case ModeAlwaysAccept:
-		admitNote = "static as policy"
-	case ModeDynamic:
-		if p := rt.est.MemPressure(); p >= memHighWater {
-			return reject("active.rejected_memory",
-				fmt.Sprintf("memory pressure %.0f%%", p*100), time.Since(decisionStart)), nil
-		}
-		ok, note, seq := rt.admit(req)
-		admitNote = note
-		auditSeq = seq
-		if !ok {
-			rt.cfg.Audit.Resolve(seq, audit.Outcome{Disposition: audit.DispBounced})
-			return reject("active.rejected", note, time.Since(decisionStart)), nil
-		}
+	// Arrivals decide one at a time, and an admitted one is in the table
+	// before the next decides: two arrivals that come together never both
+	// count on the capacity only one of them gets.
+	rt.admitMu.Lock()
+	admitted, note, counter, auditSeq, env := rt.decide(req)
+	if !admitted {
+		rt.admitMu.Unlock()
+		rt.cfg.Audit.Resolve(auditSeq, audit.Outcome{Disposition: audit.DispBounced})
+		return reject(counter, note, time.Since(decisionStart)), nil
 	}
-	predicted := rt.predictKernel(req.Op, req.Length)
+	predicted := predictKernel(env, req.Length)
 	rt.cfg.Trace.RecordEvent(trace.Event{
 		Kind: trace.KindAdmit, TraceID: req.TraceID,
 		ReqID: req.RequestID, Op: req.Op, Bytes: req.Length, Tenant: req.Tenant,
 		Phase: trace.PhaseDecision, Dur: time.Since(decisionStart),
-		Predicted: predicted, Note: admitNote,
+		Predicted: predicted, Note: note,
 	})
-	resp, err := rt.submit(&task{
+	t := &task{
 		op: req.Op, params: req.Params, handle: req.Handle, offset: req.Offset, length: req.Length,
 		reqID: req.RequestID, traceID: req.TraceID, tenant: req.Tenant, resume: req.ResumeState,
 		predicted: predicted, auditSeq: auditSeq,
-	})
+	}
+	filed := rt.enqueue(t)
+	rt.admitMu.Unlock()
+	resp, err := rt.submit(t, filed)
 	if err != nil {
 		return nil, err
 	}
 	return resp.(*wire.ActiveReadResp), nil
+}
+
+// decide makes an arrival's admission decision under the runtime's mode.
+// It returns the note that explains it, the counter a bounce adds to, the
+// decision's audit record (0 when no solver ran) and the environment an
+// admitted request's kernel time is predicted in.
+func (rt *Runtime) decide(req *wire.ActiveReadReq) (admit bool, note, counter string, seq uint64, env Env) {
+	switch rt.cfg.Mode {
+	case ModeAlwaysBounce:
+		return false, "static ts policy", "active.rejected", 0, env
+	case ModeAlwaysAccept:
+		return true, "static as policy", "", 0, rt.est.Env(req.Op)
+	}
+	if p := rt.est.MemPressure(); p >= memHighWater {
+		return false, fmt.Sprintf("memory pressure %.0f%%", p*100), "active.rejected_memory", 0, env
+	}
+	admit, note, seq, env = rt.admit(req)
+	return admit, note, "active.rejected", seq, env
 }
 
 // HandleTransform implements pfs.ActiveHandler: active write-back. The
@@ -493,11 +517,12 @@ func (rt *Runtime) HandleTransform(req *wire.TransformReq) (*wire.TransformResp,
 	if !kernels.Registered(req.Op) {
 		return nil, fmt.Errorf("%w: %v: %q", pfs.ErrInvalid, kernels.ErrUnknown, req.Op)
 	}
-	resp, err := rt.submit(&task{
+	t := &task{
 		op: req.Op, params: req.Params, handle: req.SrcHandle, offset: req.Offset, length: req.Length,
 		reqID: req.RequestID, traceID: req.TraceID, tenant: req.Tenant,
 		transform: true, dstHandle: req.DstHandle, dstOffset: req.DstOffset,
-	})
+	}
+	resp, err := rt.submit(t, rt.enqueue(t))
 	if err != nil {
 		return nil, err
 	}
@@ -539,13 +564,14 @@ func (rt *Runtime) executeTransform(t *task) (wire.Message, error) {
 
 // admit runs MaxGain over the node's current active set plus the newcomer
 // and reports whether the newcomer should run here, along with the
-// estimator's reasoning for the trace and the sequence number of the
-// decision's audit record (0 when no solver ran).
-func (rt *Runtime) admit(req *wire.ActiveReadReq) (bool, string, uint64) {
+// estimator's reasoning for the trace, the sequence number of the
+// decision's audit record (0 when no solver ran) and the newcomer's
+// environment.
+func (rt *Runtime) admit(req *wire.ActiveReadReq) (bool, string, uint64, Env) {
 	v := rt.schedulerView(req)
-	env := rt.est.Env(req.Op)
+	env := rt.est.envAt(req.Op, v.load)
 	if !env.Valid() {
-		return true, "no calibration", 0 // behave like plain active storage
+		return true, "no calibration", 0, env // behave like plain active storage
 	}
 	assignment := MaxGain{}.Solve(v.reqs, env)
 	seq := rt.recordDecision(audit.TriggerAdmit, env, v, assignment, req)
@@ -555,7 +581,7 @@ func (rt *Runtime) admit(req *wire.ActiveReadReq) (bool, string, uint64) {
 	r := v.reqs[last]
 	note := fmt.Sprintf("x=%.3fs y=%.3fs gain=%.3fs k=%d",
 		env.XCost(r), env.YCost(r), env.Gain(r), len(v.reqs))
-	return assignment[last], note, seq
+	return assignment[last], note, seq, env
 }
 
 // flipDeltaMax bounds the batch size for which per-request decision
@@ -612,10 +638,10 @@ func (rt *Runtime) recordDecision(trigger string, env Env, v view, assignment []
 }
 
 // predictKernel is the estimator's forecast of storage-side kernel time
-// for one request: bytes over the currently discounted storage rate
-// (S_{C,op}). Zero when the node has no calibration for op.
-func (rt *Runtime) predictKernel(op string, bytes uint64) time.Duration {
-	env := rt.est.Env(op)
+// for one request: bytes over the discounted storage rate (S_{C,op}) of
+// env, the request's environment. Zero when the node has no calibration
+// for its op.
+func predictKernel(env Env, bytes uint64) time.Duration {
 	if env.StorageRate <= 0 {
 		return 0
 	}
@@ -624,20 +650,24 @@ func (rt *Runtime) predictKernel(op string, bytes uint64) time.Duration {
 
 // view is the runtime's active set as the solver sees it, in arrival
 // order: reqs[i] prices tasks[i], which is nil for an arriving request.
-// queued and running count the table's tasks in each state.
+// queued and running count the table's tasks in each state; load is the
+// node's normal-I/O load every request is priced at.
 type view struct {
 	reqs            []Request
 	tasks           []*task
 	queued, running int
+	load            int
 }
 
 // schedulerView snapshots the task table as scheduler Requests: running
 // tasks by remaining bytes, queued tasks in full, plus (when newcomer !=
 // nil) the arriving request last. A task already told to stop, or with
-// nothing left to process, is left out.
+// nothing left to process, is left out. The gate's normal-I/O load is
+// read once, with the table.
 func (rt *Runtime) schedulerView(newcomer *wire.ActiveReadReq) view {
 	var v view
 	rt.mu.Lock()
+	v.load = rt.gate.NormalLoad()
 	for _, t := range rt.tasks {
 		bytes := t.length
 		if t.running {
@@ -652,23 +682,24 @@ func (rt *Runtime) schedulerView(newcomer *wire.ActiveReadReq) view {
 		if t.interrupt.Load() {
 			continue
 		}
-		v.reqs = append(v.reqs, rt.requestFor(t.id, t.op, t.params, bytes))
+		v.reqs = append(v.reqs, rt.requestFor(t.id, t.op, t.params, bytes, v.load))
 		v.tasks = append(v.tasks, t)
 	}
 	rt.mu.Unlock()
 	if newcomer != nil {
 		id := rt.nextID.Add(1) + 1<<62 // ephemeral id, distinct from tasks
-		v.reqs = append(v.reqs, rt.requestFor(id, newcomer.Op, newcomer.Params, newcomer.Length))
+		v.reqs = append(v.reqs, rt.requestFor(id, newcomer.Op, newcomer.Params, newcomer.Length, v.load))
 		v.tasks = append(v.tasks, nil)
 	}
 	return v
 }
 
-// requestFor builds one scheduler Request with per-op rates. h(d) comes
-// from the kernel configured with the request's own params: a full-image
-// gaussian2d returns its input, a downsample by f a f-th of it.
-func (rt *Runtime) requestFor(id uint64, op string, params []byte, bytes uint64) Request {
-	env := rt.est.Env(op)
+// requestFor builds one scheduler Request with per-op rates at normal-I/O
+// load load. h(d) comes from the kernel configured with the request's own
+// params: a full-image gaussian2d returns its input, a downsample by f a
+// f-th of it.
+func (rt *Runtime) requestFor(id uint64, op string, params []byte, bytes uint64, load int) Request {
+	env := rt.est.envAt(op, load)
 	k, err := kernels.Start(op, params, nil)
 	var result uint64
 	if err == nil {
@@ -713,7 +744,7 @@ func (rt *Runtime) reevaluate() {
 		return
 	}
 	// Each request carries its own rates; the base env supplies bw.
-	env := rt.est.Env(v.reqs[0].Op)
+	env := rt.est.envAt(v.reqs[0].Op, v.load)
 	if !env.Valid() {
 		return
 	}
@@ -954,12 +985,12 @@ func (rt *Runtime) execute(t *task) (wire.Message, error) {
 
 // paceChunk sleeps so the chunk just processed took at least bytes/rate
 // seconds of wall time, emulating the calibrated per-core kernel rate of
-// the paper's hardware on faster hosts. The rate is discounted by current
-// normal-I/O pressure with the same law the Contention Estimator assumes,
-// so in live experiments normal I/O storms really do slow storage-side
-// kernels — the physical contention the paper measures.
+// the paper's hardware on faster hosts. The rate is discounted by the
+// gate's current normal-I/O load with the same law the Contention
+// Estimator assumes, so in live experiments normal I/O storms really do
+// slow storage-side kernels — the physical contention the paper measures.
 func (rt *Runtime) paceChunk(op string, bytes int, start time.Time) {
-	rate := rt.est.discount(rt.est.cfg.RateFor(op))
+	rate := discount(rt.est.cfg.RateFor(op), rt.normalLoad())
 	if rate <= 0 {
 		return
 	}

@@ -154,8 +154,8 @@ func TestRuntimeInterruptsUnderNormalIOPressure(t *testing.T) {
 		done <- out{resp, err}
 	}()
 	time.Sleep(100 * time.Millisecond) // let the kernel start and make progress
-	// Normal-I/O storm: 16 in-flight reads on a 2-core node.
-	reg.Gauge("data.inflight").Set(16)
+	// Normal-I/O storm: 16 reads in service on a 2-core node.
+	holdNormal(t, rt, 16)
 
 	select {
 	case o := <-done:
@@ -210,7 +210,7 @@ func TestRuntimeBouncesUnderMemoryPressure(t *testing.T) {
 }
 
 func TestEstimatorMemPressure(t *testing.T) {
-	e, _ := testEstimator(EstimatorConfig{BW: 1, MemBudget: 1000})
+	e := testEstimator(EstimatorConfig{BW: 1, MemBudget: 1000})
 	if e.MemPressure() != 0 {
 		t.Fatal("fresh estimator under pressure")
 	}

@@ -177,9 +177,9 @@ func NewDataServer(cfg DataConfig) (*DataServer, error) {
 }
 
 // probe answers a ProbeReq: the attached runtime's active half, and the
-// normal-I/O half from this server — the reads and writes in flight
-// (data.inflight, the count the estimator discounts S by) and the bytes
-// queued at the admission gate.
+// normal-I/O half from this server — the reads and writes in flight until
+// their responses have left it (data.inflight) and the bytes queued at the
+// admission gate.
 func (ds *DataServer) probe() (*wire.ProbeResp, error) {
 	p := &wire.ProbeResp{}
 	if h := ds.activeHandler(); h != nil {
@@ -338,13 +338,15 @@ func (ds *DataServer) SyncWireStats() {
 }
 
 // PostWrite implements the pfs.PostWriter hook: a read or write stays
-// counted as in flight until its response has left the server, so the
-// "data.inflight" pressure gauge covers the transfer time on slow links.
-// It fires once per handled request, error responses included, keeping
-// the gauge balanced with the increments in read and write — or, for a
-// landed write, in WriteDest, which raised it while the body landed. It is
-// also where the read path's pooled buffer is recycled: the response frame
-// is a copy of it, so once the frame has been written the buffer is free.
+// counted in data.inflight until its response has left the server, so the
+// probe's QueueLen covers the transfer time on slow links. The Contention
+// Estimator reads the gate instead (QoSGate.NormalLoad), where a request
+// counts only while it holds or waits for an I/O slot. It fires once per
+// handled request, error responses included, keeping the gauge balanced
+// with the increments in read and write — or, for a landed write, in
+// WriteDest, which raised it while the body landed. It is also where the
+// read path's pooled buffer is recycled: the response frame is a copy of
+// it, so once the frame has been written the buffer is free.
 func (ds *DataServer) PostWrite(req, resp wire.Message) {
 	switch r := req.(type) {
 	case *wire.ReadReq:
@@ -494,8 +496,9 @@ func (ds *DataServer) byRef(handle, off, n uint64) wire.Payload {
 //
 // A landing takes no gate slot: the read loop that fills it must never
 // wait on the gate, or on the handlers queued there. The write passes the
-// gate in write, as a buffered one does, once its body is in. A grant
-// raises data.inflight, so the estimator sees the write while it lands.
+// gate in write, as a buffered one does, once its body is in; only then
+// does the Contention Estimator, which reads the gate, count it. A grant
+// raises data.inflight, so the probe shows the write while it lands.
 func (ds *DataServer) WriteDest(handle, off uint64, n int) wire.WriteLanding {
 	if n < zeroCopyMin || ds.extents == nil {
 		return nil

@@ -95,9 +95,10 @@ var ErrWriteCut = fmt.Errorf("%w: extent cut under a landing write", ErrInvalid)
 
 // writeLanding is where a WriteReq's body lands (DataServer.WriteDest): the
 // read-write mappings of the extent files under its range, one part each.
-// The grant pinned the files and raised data.inflight for the write; write
-// unpins them when it finishes the landing (PostWrite lowers the gauge),
-// Abort does both if the request never arrives.
+// The grant pinned the files and raised data.inflight (the probe's
+// QueueLen, not the estimator's input) for the write; write unpins them
+// when it finishes the landing (PostWrite lowers the gauge), Abort does
+// both if the request never arrives.
 type writeLanding struct {
 	ds    *DataServer
 	parts []extentPart // in the files' read-write mappings

@@ -194,6 +194,19 @@ func (g *QoSGate) Enqueue(class ioqueue.Class, tenantID string, bytes uint64) *T
 	return t
 }
 
+// NormalLoad is the node's normal-I/O load in requests: the I/O slots
+// taken plus the Normal tickets queued for one. It is what the Contention
+// Estimator discounts the storage-side kernel rate by. A response still
+// on the wire holds no slot, so it does not count. A nil gate reads 0.
+func (g *QoSGate) NormalLoad() int {
+	if g == nil {
+		return 0
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.io.used + g.q.Stats().NormalLen
+}
+
 // Idle reports whether Enqueue would admit a normal request at once — an
 // I/O slot free, so nothing of the normal class queued — without admitting
 // one or taking a slot. A nil gate is always idle.

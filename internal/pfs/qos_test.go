@@ -424,6 +424,40 @@ func TestQoSGateActiveInlineOnFreeCore(t *testing.T) {
 	}
 }
 
+// TestQoSGateNormalLoad: the estimator's input counts the I/O slots taken
+// and the Normal tickets queued for one — not active work, queued or on a
+// core — and falls as slots are released; a nil gate reads 0.
+func TestQoSGateNormalLoad(t *testing.T) {
+	if n := (*QoSGate)(nil).NormalLoad(); n != 0 {
+		t.Errorf("nil gate load = %d, want 0", n)
+	}
+	g := NewQoSGate(QoSConfig{Slots: 2})
+	defer g.Close()
+	g.ServeActive(1)
+	core, queued := g.Enqueue(ioqueue.Active, "a", 1<<20), g.Enqueue(ioqueue.Active, "a", 1<<20)
+	var normal []*Ticket
+	for i, want := range []int{1, 2, 3, 4} {
+		normal = append(normal, g.Enqueue(ioqueue.Normal, "n", 4096))
+		if got := g.NormalLoad(); got != want {
+			t.Errorf("after %d normal tickets (2 slots): load = %d, want %d", i+1, got, want)
+		}
+	}
+	for i, tk := range normal {
+		if !tk.Wait() {
+			t.Fatal("normal ticket not admitted")
+		}
+		tk.Release()
+		if got, want := g.NormalLoad(), len(normal)-i-1; got != want {
+			t.Errorf("after %d releases: load = %d, want %d", i+1, got, want)
+		}
+	}
+	core.Release()
+	if !queued.Wait() {
+		t.Fatal("queued active ticket not admitted")
+	}
+	queued.Release()
+}
+
 // A nil gate (QoS disabled) admits everything immediately and never
 // panics — the serving path calls it unconditionally.
 func TestQoSGateNilFailOpen(t *testing.T) {

@@ -307,9 +307,9 @@ func (f HandlerFunc) Handle(m wire.Message) (wire.Message, error) { return f(m) 
 
 // PostWriter is implemented by handlers that need a callback after the
 // response has been written to the connection. The data server uses it to
-// keep a request counted as in flight for the full service time — handler
-// plus response transfer — which is what the Contention Estimator's
-// normal-I/O pressure signal must reflect on slow (shaped) links.
+// recycle a response's buffer or payload once the frame has left, and to
+// keep a request counted in data.inflight (the probe's QueueLen) until
+// then: handler plus response transfer.
 type PostWriter interface {
 	PostWrite(req, resp wire.Message)
 }
