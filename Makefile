@@ -113,12 +113,20 @@ fuzz-smoke:
 # the gate the estimator reads, Normal tickets held on it
 # (TestEstimatorDiscountsForNormalIOPressure,
 # TestRuntimeInterruptsUnderNormalIOPressure,
-# TestRuntimeRecordsBouncedDecision). TestPacedBatchKeepsItsKernels, a
-# paced n = 8 batch on a one-node cluster that must keep its kernels on
-# the node, runs three rounds: each takes about three seconds.
+# TestRuntimeRecordsBouncedDecision). So does TestCancelMigratesRunningKernel:
+# its cancel flags a kernel between two chunks, and the migration must be
+# recorded once. Every runtime fact is written by one goroutine and read by
+# others — a withdrawn task settles on its own goroutine what its
+# withdrawer decided, an interrupt is recorded under the table's lock — so
+# the root tests that check the node's four decision sinks agree
+# (assertDecisionsConserved) run three rounds: TestPacedBatchKeepsItsKernels,
+# a paced n = 8 batch on a one-node cluster that must keep its kernels on
+# the node (about three seconds each), the cross-validation sweep
+# TestSimulatorMatchesLiveSystem and the bouncing storm of
+# TestTelemetryContendedRun.
 race-runtime:
-	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestNodeDecisionsPinned|TestAttachedWrapperSharesNodeQueue|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire|TestEstimatorDiscountsForNormalIOPressure|TestRuntimeInterruptsUnderNormalIOPressure|TestRuntimeRecordsBouncedDecision' ./internal/core/
-	$(GO) test -race -count=3 -run 'TestPacedBatchKeepsItsKernels' .
+	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestNodeDecisionsPinned|TestAttachedWrapperSharesNodeQueue|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire|TestEstimatorDiscountsForNormalIOPressure|TestRuntimeInterruptsUnderNormalIOPressure|TestRuntimeRecordsBouncedDecision|TestCancelMigratesRunningKernel' ./internal/core/
+	$(GO) test -race -count=3 -run 'TestPacedBatchKeepsItsKernels|TestSimulatorMatchesLiveSystem|TestTelemetryContendedRun' .
 
 # Focused race gate for the storage layer: the extent store's size cache
 # and refcounted fd cache are hit concurrently by reads, writes,

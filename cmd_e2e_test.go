@@ -5,6 +5,7 @@ package dosas_test
 // loopback, and drives it through the CLI.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,34 +15,95 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// freePort reserves a TCP port and releases it for the child process.
-func freePort(t *testing.T) int {
+// freeAddrs reserves n loopback TCP addresses and releases them for child
+// processes. It holds every listener until all n are picked, so no two of
+// the addresses share a port.
+func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		addrs[i] = l.Addr().String()
 	}
-	defer l.Close()
-	return l.Addr().(*net.TCPAddr).Port
+	return addrs
 }
 
-// waitDialable polls until addr accepts connections.
-func waitDialable(t *testing.T, addr string) {
+// lockedBuffer is a bytes.Buffer that a child's output copier writes while
+// the test may read it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// daemon is a child process a test started, with its combined output.
+type daemon struct {
+	name   string
+	cmd    *exec.Cmd
+	out    lockedBuffer
+	exited chan struct{} // closed once the process has exited
+}
+
+// startDaemon starts the binary name from bin with args. It is killed when
+// the test ends.
+func startDaemon(t *testing.T, bin, name string, args ...string) *daemon {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+	d := &daemon{name: name, cmd: exec.Command(filepath.Join(bin, name), args...), exited: make(chan struct{})}
+	d.cmd.Stdout, d.cmd.Stderr = &d.out, &d.out
+	if err := d.cmd.Start(); err != nil {
+		t.Fatalf("start %s: %v", name, err)
+	}
+	go func() {
+		d.cmd.Wait() //nolint:errcheck // the exit status is in ProcessState
+		close(d.exited)
+	}()
+	t.Cleanup(d.kill)
+	return d
+}
+
+// kill stops the daemon and waits until it has exited.
+func (d *daemon) kill() {
+	d.cmd.Process.Kill() //nolint:errcheck // it may have exited already
+	<-d.exited
+}
+
+// waitDialable polls until d accepts connections at addr. A daemon that
+// exits first fails the test at once, with its output.
+func waitDialable(t *testing.T, d *daemon, addr string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
 		c, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
 		if err == nil {
 			c.Close()
 			return
 		}
-		time.Sleep(50 * time.Millisecond)
+		select {
+		case <-d.exited:
+			t.Fatalf("%s exited (%v) before %s accepted connections:\n%s", d.name, d.cmd.ProcessState, addr, d.out.String())
+		case <-time.After(50 * time.Millisecond):
+		}
 	}
-	t.Fatalf("server at %s never came up", addr)
+	t.Fatalf("%s at %s never came up:\n%s", d.name, addr, d.out.String())
 }
 
 func TestBinariesEndToEnd(t *testing.T) {
@@ -56,30 +118,18 @@ func TestBinariesEndToEnd(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 
-	metaAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	dataAddr0 := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	dataAddr1 := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	addrs := freeAddrs(t, 4)
+	metaAddr, dataAddr0, dataAddr1, pprofAddr := addrs[0], addrs[1], addrs[2], addrs[3]
 	dataList := dataAddr0 + "," + dataAddr1
 
-	startDaemon := func(name string, args ...string) {
-		cmd := exec.Command(filepath.Join(bin, name), args...)
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %s: %v", name, err)
-		}
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
-	}
-	pprofAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	startDaemon("dosas-meta", "-addr", metaAddr, "-data-servers", "2",
+	meta := startDaemon(t, bin, "dosas-meta", "-addr", metaAddr, "-data-servers", "2",
 		"-journal", filepath.Join(t.TempDir(), "meta.wal"))
-	startDaemon("dosas-server", "-addr", dataAddr0, "-store", t.TempDir(),
+	data0 := startDaemon(t, bin, "dosas-server", "-addr", dataAddr0, "-store", t.TempDir(),
 		"-pprof-addr", pprofAddr)
-	startDaemon("dosas-server", "-addr", dataAddr1, "-store", t.TempDir())
-	waitDialable(t, metaAddr)
-	waitDialable(t, dataAddr0)
-	waitDialable(t, dataAddr1)
+	data1 := startDaemon(t, bin, "dosas-server", "-addr", dataAddr1, "-store", t.TempDir())
+	waitDialable(t, meta, metaAddr)
+	waitDialable(t, data0, dataAddr0)
+	waitDialable(t, data1, dataAddr1)
 
 	ctl := func(args ...string) string {
 		t.Helper()
@@ -236,7 +286,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	// family lists only series that hold a sample, so the scrape waits for
 	// the sampler's first tick (100 ms after start by default); the CLI
 	// steps above can finish sooner than that.
-	waitDialable(t, pprofAddr)
+	waitDialable(t, data0, pprofAddr)
 	var om string
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		resp, err := http.Get("http://" + pprofAddr + "/metrics")
@@ -332,29 +382,18 @@ func TestArchiveQueryE2E(t *testing.T) {
 		t.Fatalf("build: %v\n%s", err, out)
 	}
 
-	metaAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
-	dataAddr := fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	addrs := freeAddrs(t, 2)
+	metaAddr, dataAddr := addrs[0], addrs[1]
 	archiveDir := t.TempDir()
 	storeDir := t.TempDir()
 
-	startDaemon := func(name string, args ...string) *exec.Cmd {
-		cmd := exec.Command(filepath.Join(bin, name), args...)
-		if err := cmd.Start(); err != nil {
-			t.Fatalf("start %s: %v", name, err)
-		}
-		t.Cleanup(func() {
-			cmd.Process.Kill()
-			cmd.Wait()
-		})
-		return cmd
-	}
 	serverArgs := []string{"-addr", dataAddr, "-store", storeDir,
 		"-archive-dir", archiveDir, "-telemetry-tick", "10ms"}
-	startDaemon("dosas-meta", "-addr", metaAddr, "-data-servers", "1",
+	meta := startDaemon(t, bin, "dosas-meta", "-addr", metaAddr, "-data-servers", "1",
 		"-journal", filepath.Join(t.TempDir(), "meta.wal"))
-	srv := startDaemon("dosas-server", serverArgs...)
-	waitDialable(t, metaAddr)
-	waitDialable(t, dataAddr)
+	srv := startDaemon(t, bin, "dosas-server", serverArgs...)
+	waitDialable(t, meta, metaAddr)
+	waitDialable(t, srv, dataAddr)
 
 	ctl := func(args ...string) string {
 		t.Helper()
@@ -378,11 +417,9 @@ func TestArchiveQueryE2E(t *testing.T) {
 
 	// Crash the storage node mid-run and bring it back on the same
 	// archive and store directories.
-	srv.Process.Kill()
-	srv.Wait()
+	srv.kill()
 	restartNano := time.Now().UnixNano()
-	startDaemon("dosas-server", serverArgs...)
-	waitDialable(t, dataAddr)
+	waitDialable(t, startDaemon(t, bin, "dosas-server", serverArgs...), dataAddr)
 	time.Sleep(500 * time.Millisecond)
 
 	out := ctl("query", "queue.depth", "-since", "1h", "-json")

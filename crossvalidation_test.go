@@ -70,7 +70,9 @@ func liveMakespan(t *testing.T, scheme dosas.Scheme, n int) float64 {
 		}(r)
 	}
 	wg.Wait()
-	return time.Since(start).Seconds()
+	span := time.Since(start).Seconds()
+	assertDecisionsConserved(t, cluster, policy)
+	return span
 }
 
 // simMakespan runs the same point through the simulator.

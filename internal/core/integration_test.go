@@ -14,6 +14,8 @@ import (
 	"dosas/internal/kernels"
 	"dosas/internal/metrics"
 	"dosas/internal/pfs"
+	"dosas/internal/tenant"
+	"dosas/internal/trace"
 	"dosas/internal/transport"
 	"dosas/internal/wire"
 )
@@ -86,8 +88,9 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 			t.Fatal(err)
 		}
 		rt, err := NewRuntime(RuntimeConfig{
-			Store: store,
-			Mode:  o.mode,
+			Store:   store,
+			Mode:    o.mode,
+			Tenants: tenant.NewTable(0),
 			Estimator: EstimatorConfig{
 				BW:      o.bw,
 				RateFor: rateFor,
@@ -342,7 +345,8 @@ func TestDynamicBouncesUnderContention(t *testing.T) {
 
 func TestCancelMigratesRunningKernel(t *testing.T) {
 	// A slow paced kernel is cancelled mid-flight; the ASC must finish it
-	// locally from the checkpoint with a correct result.
+	// locally from the checkpoint with a correct result, and the node
+	// records the migration once in each of its sinks.
 	c := startActiveCluster(t, clusterOpts{
 		nData: 1, mode: ModeAlwaysAccept, scheme: SchemeDOSAS,
 		rate: 1e6, pace: true, period: time.Hour, // no policy interference
@@ -359,24 +363,26 @@ func TestCancelMigratesRunningKernel(t *testing.T) {
 		res, err := c.asc.ActiveRead(f, 0, size, "sum8", nil)
 		done <- out{res, err}
 	}()
-	// Let the kernel get partway, then cancel server-side: a cancel names
-	// its request by request id and trace id.
-	time.Sleep(150 * time.Millisecond)
+	// Once the kernel has consumed its first chunk, cancel it server-side:
+	// a cancel names its request by request id and trace id.
 	rt := c.runtimes[0]
-	rt.mu.Lock()
-	if len(rt.tasks) != 1 {
-		rt.mu.Unlock()
-		t.Fatal("the kernel is not running")
-	}
-	traceID := rt.tasks[0].traceID
-	rt.mu.Unlock()
+	var traceID uint64
+	waitUntil(t, "the kernel to consume its first chunk", func() bool {
+		rt.mu.Lock()
+		defer rt.mu.Unlock()
+		if len(rt.tasks) != 1 || rt.tasks[0].processed.Load() == 0 {
+			return false
+		}
+		traceID = rt.tasks[0].traceID
+		return true
+	})
 	addr, _ := c.fs.DataAddr(0)
 	resp, err := c.fs.Pool().Call(addr, &wire.CancelReq{RequestID: 1, TraceID: traceID})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resp.(*wire.CancelResp).Found {
-		t.Log("cancel raced completion; treating as flaky-tolerant")
+		t.Fatal("the cancel did not find the running kernel")
 	}
 	o := <-done
 	if o.err != nil {
@@ -384,6 +390,25 @@ func TestCancelMigratesRunningKernel(t *testing.T) {
 	}
 	if got := kernels.Sum8Result(o.res.Output); got != byteSum(data) {
 		t.Errorf("migrated sum = %d, want %d", got, byteSum(data))
+	}
+	if n := rt.reg.Counter("active.migrated").Value(); n != 1 {
+		t.Errorf("active.migrated = %d, want 1", n)
+	}
+	var migrates int
+	for _, ev := range rt.cfg.Trace.Snapshot() {
+		if ev.Kind == trace.KindMigrate {
+			migrates++
+		}
+	}
+	if migrates != 1 {
+		t.Errorf("%d migrate events, want 1", migrates)
+	}
+	var interrupts uint64
+	for _, u := range rt.cfg.Tenants.Snapshot() {
+		interrupts += u.Interrupts
+	}
+	if interrupts != 1 {
+		t.Errorf("tenant interrupts = %d, want 1", interrupts)
 	}
 }
 

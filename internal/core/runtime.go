@@ -122,9 +122,11 @@ type Runtime struct {
 	est *Estimator
 	reg *metrics.Registry
 
-	// bytesProcessed is active.bytes_processed, resolved once: feed adds
-	// to it per chunk, and a lookup by name takes the registry's lock.
+	// bytesProcessed (active.bytes_processed, fed per chunk) and each
+	// disposition's counter (nil: none) are resolved once: a lookup by
+	// name takes the registry's lock.
 	bytesProcessed *metrics.Counter
+	counters       [len(records)]*metrics.Counter
 
 	// admitMu serialises arrivals from their decision until their task
 	// is filed (HandleActive).
@@ -170,6 +172,99 @@ type task struct {
 	arrived   time.Time     // when the task reached the gate
 	predicted time.Duration // estimator's forecast kernel time
 	auditSeq  uint64        // decision record awaiting this task's outcome (0 = none)
+	// exit and exitFact are how a task withdrawn without running settles
+	// (withdrawLocked).
+	exit     disposition
+	exitFact fact
+}
+
+// disposition is one scheduling fact about a task. settle records each in
+// the sinks its row of records names.
+type disposition int
+
+const (
+	dispArrive          disposition = iota // an active read reached the node
+	dispTransformArrive                    // an active transform reached the node
+	dispAdmit                              // the policy accepted it here
+	dispBounce                             // the solver or the TS baseline bounced it at arrival
+	dispBounceMemory                       // memory pressure bounced it at arrival
+	dispBounceQueued                       // re-evaluation bounced it from the queue
+	dispStart                              // its kernel began on a granted core
+	dispInterrupt                          // re-evaluation flagged its running kernel
+	dispCancelQueued                       // its client withdrew it from the queue
+	dispCancelRunning                      // its client flagged its running kernel
+	dispMigrate                            // its kernel checkpointed and left
+	dispComplete                           // its kernel finished here
+	dispTransform                          // its transform wrote its output here
+	dispError                              // its kernel failed
+	dispShutdown                           // Close withdrew it before it ran
+)
+
+// bounce charges a bounce to the tenant.
+func bounce(s *tenant.Stats) { s.Bounces++ }
+
+// records names what settling each disposition writes: the counter it
+// adds one to, the tenant field it charges, the trace event's kind and
+// phase, and the outcome it resolves the task's decision record with. An
+// empty entry writes nothing; a task no solver run decided (a static mode,
+// memory pressure, a transform) has no decision record.
+var records = [...]struct {
+	counter string
+	charge  func(*tenant.Stats)
+	kind    trace.Kind
+	phase   string
+	outcome string
+}{
+	dispArrive:          {"active.arrivals", func(s *tenant.Stats) { s.ActiveOps++ }, trace.KindArrive, "", ""},
+	dispTransformArrive: {"transform.arrivals", func(s *tenant.Stats) { s.TransformOps++ }, 0, "", ""},
+	dispAdmit:           {"", nil, trace.KindAdmit, trace.PhaseDecision, ""},
+	dispBounce:          {"active.rejected", bounce, trace.KindReject, trace.PhaseDecision, audit.DispBounced},
+	dispBounceMemory:    {"active.rejected_memory", bounce, trace.KindReject, trace.PhaseDecision, audit.DispBounced},
+	dispBounceQueued:    {"active.bounced_queued", bounce, trace.KindReject, trace.PhaseDecision, audit.DispBouncedQueued},
+	dispStart:           {"", nil, trace.KindStart, trace.PhaseQueueWait, ""},
+	dispInterrupt:       {"active.interrupted", nil, trace.KindInterrupt, trace.PhaseDecision, ""},
+	dispCancelQueued:    {"", nil, trace.KindCancel, "", audit.DispCancelled},
+	dispCancelRunning:   {"", nil, trace.KindCancel, "", ""},
+	dispMigrate:         {"active.migrated", func(s *tenant.Stats) { s.Interrupts++ }, trace.KindMigrate, trace.PhaseKernel, audit.DispInterrupted},
+	dispComplete:        {"active.completed", nil, trace.KindComplete, trace.PhaseKernel, audit.DispDone},
+	dispTransform:       {"transform.completed", nil, trace.KindTransform, trace.PhaseKernel, ""},
+	dispError:           {"", nil, 0, "", audit.DispError},
+	dispShutdown:        {"", nil, 0, "", audit.DispShutdown},
+}
+
+// fact is what one settle call measured: its trace event's bytes, span,
+// forecast and note, and its audit outcome's kernel time, queue wait and
+// bytes processed.
+type fact struct {
+	bytes          uint64
+	dur, predicted time.Duration
+	note           string
+	kernel, wait   time.Duration
+	processed      uint64
+}
+
+// settle records that d happened to t, in every sink records names for d.
+// It is the runtime's one writer of scheduling facts.
+func (rt *Runtime) settle(t *task, d disposition, f fact) {
+	r := &records[d]
+	if c := rt.counters[d]; c != nil {
+		c.Inc()
+	}
+	if r.charge != nil {
+		rt.cfg.Tenants.Account(t.tenant, r.charge)
+	}
+	if r.kind != 0 {
+		rt.cfg.Trace.RecordEvent(trace.Event{
+			Kind: r.kind, TraceID: t.traceID, ReqID: t.reqID, Op: t.op, Bytes: f.bytes, Tenant: t.tenant,
+			Phase: r.phase, Dur: f.dur, Predicted: f.predicted, Note: f.note,
+		})
+	}
+	if r.outcome != "" {
+		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{
+			Disposition: r.outcome, KernelNS: f.kernel.Nanoseconds(),
+			QueueWaitNS: f.wait.Nanoseconds(), Processed: f.processed,
+		})
+	}
 }
 
 // NewRuntime builds and starts a runtime. Call Close to stop it.
@@ -207,6 +302,11 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 
 		bytesProcessed: cfg.Metrics.Counter("active.bytes_processed"),
 	}
+	for d, r := range records {
+		if r.counter != "" {
+			rt.counters[d] = cfg.Metrics.Counter(r.counter)
+		}
+	}
 	est, err := NewEstimator(cfg.Estimator, rt.normalLoad)
 	if err != nil {
 		return nil, err
@@ -237,9 +337,7 @@ func (rt *Runtime) registerProbes() {
 	// registry's one lock on every tick.
 	inflight := rt.reg.Gauge("data.inflight") // the pfs data server's; the estimator reads the gate
 	bytesRead, bytesWritten := rt.reg.Counter("data.bytes_read"), rt.reg.Counter("data.bytes_written")
-	rejected, rejectedMemory := rt.reg.Counter("active.rejected"), rt.reg.Counter("active.rejected_memory")
-	bouncedQueued := rt.reg.Counter("active.bounced_queued")
-	arrived, interruptedC := rt.reg.Counter("active.arrivals"), rt.reg.Counter("active.interrupted")
+	c := &rt.counters
 	estErr := rt.reg.Histogram("est.kernel_error_pct")
 
 	s.Register("queue.depth", func() float64 { return float64(rt.queueStats().ActiveLen) })
@@ -249,10 +347,10 @@ func (rt *Runtime) registerProbes() {
 	}
 	s.Register("throughput.bps", telemetry.RateProbe(bytesMoved, s.Interval()))
 	bounced := func() float64 {
-		return float64(rejected.Value() + rejectedMemory.Value() + bouncedQueued.Value())
+		return float64(c[dispBounce].Value() + c[dispBounceMemory].Value() + c[dispBounceQueued].Value())
 	}
-	arrivals := func() float64 { return float64(arrived.Value()) }
-	interrupted := func() float64 { return float64(interruptedC.Value()) }
+	arrivals := func() float64 { return float64(c[dispArrive].Value()) }
+	interrupted := func() float64 { return float64(c[dispInterrupt].Value()) }
 	s.Register("bounce.rate", telemetry.RatioProbe(bounced, arrivals))
 	s.Register("interrupt.rate", telemetry.RatioProbe(interrupted, arrivals))
 	// Per-tick deltas feed the SLO engine's burn-rate windows: unlike the
@@ -319,13 +417,9 @@ func (rt *Runtime) Close() {
 		close(rt.stop)
 		rt.mu.Lock()
 		rt.closed = true
-		rt.tasks = slices.DeleteFunc(rt.tasks, func(t *task) bool {
-			if !rt.gate.Cancel(t.ticket) {
-				return false
-			}
-			rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispShutdown})
-			return true
-		})
+		for _, t := range slices.Clone(rt.tasks) {
+			rt.withdrawLocked(t, dispShutdown, fact{})
+		}
 		rt.mu.Unlock()
 		rt.cfg.Telemetry.Close()
 	})
@@ -347,28 +441,45 @@ func (rt *Runtime) dropLocked(t *task) {
 	rt.tasks = slices.DeleteFunc(rt.tasks, func(o *task) bool { return o == t })
 }
 
+// withdrawLocked takes t out of the gate and the table if it still waits
+// for a core, and reports whether it did; t's own goroutine then settles
+// it as d, with f, before it answers. The caller holds rt.mu.
+func (rt *Runtime) withdrawLocked(t *task, d disposition, f fact) bool {
+	t.exit, t.exitFact = d, f // set before Cancel wakes the goroutine that reads them
+	if !rt.gate.Cancel(t.ticket) {
+		return false
+	}
+	rt.dropLocked(t)
+	return true
+}
+
 // submit answers an accepted task once enqueue has reported whether it
 // filed t in the table and at the gate: it waits for t's kernel core and
-// runs t on it, or, when the runtime was closed first, answers t as Close
-// does.
+// runs t on it. A task withdrawn while it queued — bounced, cancelled or
+// shut down, and already out of the table — or refused because Close came
+// first is settled as its withdrawer said and answered without running.
 func (rt *Runtime) submit(t *task, filed bool) (wire.Message, error) {
-	if !filed {
-		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispShutdown})
-		return withdrawn(t)
+	if filed {
+		defer rt.wg.Done()
+		if t.ticket.Wait() {
+			defer t.ticket.Release()
+			return rt.run(t)
+		}
 	}
-	defer rt.wg.Done()
-	return rt.await(t)
+	rt.settle(t, t.exit, t.exitFact)
+	return withdrawn(t)
 }
 
 // enqueue files t in the table and its ticket at the gate, both under
 // rt.mu, so a task in the table always has a ticket to withdraw. Once
-// Close has begun it does neither and reports false.
+// Close has begun it does neither, marks t shut down and reports false.
 func (rt *Runtime) enqueue(t *task) bool {
 	t.id = rt.nextID.Add(1)
 	t.arrived = time.Now()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.closed {
+		t.exit = dispShutdown
 		return false
 	}
 	if rt.gate == nil {
@@ -380,17 +491,6 @@ func (rt *Runtime) enqueue(t *task) bool {
 	rt.tasks = append(rt.tasks, t)
 	rt.wg.Add(1)
 	return true
-}
-
-// await waits for t's kernel core and runs t on it. A task withdrawn while
-// it queued — bounced, cancelled or shut down, and already out of the
-// table — is answered without running.
-func (rt *Runtime) await(t *task) (wire.Message, error) {
-	if !t.ticket.Wait() {
-		return withdrawn(t)
-	}
-	defer t.ticket.Release()
-	return rt.run(t)
 }
 
 // Estimator exposes the node's Contention Estimator.
@@ -434,52 +534,30 @@ func (rt *Runtime) HealthChecks() []telemetry.Check {
 }
 
 // HandleActive implements pfs.ActiveHandler: the arrival path of an active
-// I/O request.
+// I/O request. An unknown kernel is refused before it counts as an arrival.
 func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, error) {
-	rt.reg.Counter("active.arrivals").Inc()
-	rt.cfg.Tenants.Account(req.Tenant, func(s *tenant.Stats) { s.ActiveOps++ })
-	rt.cfg.Trace.RecordEvent(trace.Event{
-		Kind: trace.KindArrive, TraceID: req.TraceID,
-		ReqID: req.RequestID, Op: req.Op, Bytes: req.Length, Tenant: req.Tenant,
-	})
 	if !kernels.Registered(req.Op) {
 		return nil, fmt.Errorf("%w: %v: %q", pfs.ErrInvalid, kernels.ErrUnknown, req.Op)
 	}
-	reject := func(counter, note string, decided time.Duration) *wire.ActiveReadResp {
-		rt.reg.Counter(counter).Inc()
-		rt.cfg.Tenants.Account(req.Tenant, func(s *tenant.Stats) { s.Bounces++ })
-		rt.cfg.Trace.RecordEvent(trace.Event{
-			Kind: trace.KindReject, TraceID: req.TraceID,
-			ReqID: req.RequestID, Op: req.Op, Bytes: req.Length, Tenant: req.Tenant,
-			Phase: trace.PhaseDecision, Dur: decided, Note: note,
-		})
-		return &wire.ActiveReadResp{
-			RequestID: req.RequestID, Disposition: wire.ActiveRejected, TraceID: req.TraceID,
-		}
+	t := &task{
+		op: req.Op, params: req.Params, handle: req.Handle, offset: req.Offset, length: req.Length,
+		reqID: req.RequestID, traceID: req.TraceID, tenant: req.Tenant, resume: req.ResumeState,
 	}
+	rt.settle(t, dispArrive, fact{bytes: t.length})
 	decisionStart := time.Now()
 	// Arrivals decide one at a time, and an admitted one is in the table
 	// before the next decides: two arrivals that come together never both
 	// count on the capacity only one of them gets.
 	rt.admitMu.Lock()
-	admitted, note, counter, auditSeq, env := rt.decide(req)
-	if !admitted {
+	d, note, env := rt.decide(t)
+	if d != dispAdmit {
 		rt.admitMu.Unlock()
-		rt.cfg.Audit.Resolve(auditSeq, audit.Outcome{Disposition: audit.DispBounced})
-		return reject(counter, note, time.Since(decisionStart)), nil
+		rt.settle(t, d, fact{bytes: t.length, dur: time.Since(decisionStart), note: note})
+		resp, _ := withdrawn(t)
+		return resp.(*wire.ActiveReadResp), nil
 	}
-	predicted := predictKernel(env, req.Length)
-	rt.cfg.Trace.RecordEvent(trace.Event{
-		Kind: trace.KindAdmit, TraceID: req.TraceID,
-		ReqID: req.RequestID, Op: req.Op, Bytes: req.Length, Tenant: req.Tenant,
-		Phase: trace.PhaseDecision, Dur: time.Since(decisionStart),
-		Predicted: predicted, Note: note,
-	})
-	t := &task{
-		op: req.Op, params: req.Params, handle: req.Handle, offset: req.Offset, length: req.Length,
-		reqID: req.RequestID, traceID: req.TraceID, tenant: req.Tenant, resume: req.ResumeState,
-		predicted: predicted, auditSeq: auditSeq,
-	}
+	t.predicted = predictKernel(env, t.length)
+	rt.settle(t, dispAdmit, fact{bytes: t.length, dur: time.Since(decisionStart), predicted: t.predicted, note: note})
 	filed := rt.enqueue(t)
 	rt.admitMu.Unlock()
 	resp, err := rt.submit(t, filed)
@@ -489,22 +567,38 @@ func (rt *Runtime) HandleActive(req *wire.ActiveReadReq) (*wire.ActiveReadResp, 
 	return resp.(*wire.ActiveReadResp), nil
 }
 
-// decide makes an arrival's admission decision under the runtime's mode.
-// It returns the note that explains it, the counter a bounce adds to, the
-// decision's audit record (0 when no solver ran) and the environment an
-// admitted request's kernel time is predicted in.
-func (rt *Runtime) decide(req *wire.ActiveReadReq) (admit bool, note, counter string, seq uint64, env Env) {
+// decide makes an arrival's admission decision under the runtime's mode:
+// dispAdmit, or the bounce t settles as. In dynamic mode it runs MaxGain
+// over the node's current active set plus t and files the decision's
+// audit record in t.auditSeq. It returns the note that explains the
+// decision and the environment t's kernel time is predicted in.
+func (rt *Runtime) decide(t *task) (d disposition, note string, env Env) {
 	switch rt.cfg.Mode {
 	case ModeAlwaysBounce:
-		return false, "static ts policy", "active.rejected", 0, env
+		return dispBounce, "static ts policy", env
 	case ModeAlwaysAccept:
-		return true, "static as policy", "", 0, rt.est.Env(req.Op)
+		return dispAdmit, "static as policy", rt.est.Env(t.op)
 	}
 	if p := rt.est.MemPressure(); p >= memHighWater {
-		return false, fmt.Sprintf("memory pressure %.0f%%", p*100), "active.rejected_memory", 0, env
+		return dispBounceMemory, fmt.Sprintf("memory pressure %.0f%%", p*100), env
 	}
-	admit, note, seq, env = rt.admit(req)
-	return admit, note, "active.rejected", seq, env
+	v := rt.schedulerView(t)
+	env = rt.est.envAt(t.op, v.load)
+	if !env.Valid() {
+		return dispAdmit, "no calibration", env // behave like plain active storage
+	}
+	assignment := MaxGain{}.Solve(v.reqs, env)
+	t.auditSeq = rt.recordDecision(audit.TriggerAdmit, env, v, assignment, t)
+	// The estimator's reasoning: serve actively here (x) vs ship raw and
+	// compute on the client (y), over k requests.
+	last := len(v.reqs) - 1
+	r := v.reqs[last]
+	note = fmt.Sprintf("x=%.3fs y=%.3fs gain=%.3fs k=%d",
+		env.XCost(r), env.YCost(r), env.Gain(r), len(v.reqs))
+	if !assignment[last] {
+		return dispBounce, note, env
+	}
+	return dispAdmit, note, env
 }
 
 // HandleTransform implements pfs.ActiveHandler: active write-back. The
@@ -512,8 +606,6 @@ func (rt *Runtime) decide(req *wire.ActiveReadReq) (admit bool, note, counter st
 // but is never bounced — its entire purpose is that neither its input nor
 // its output crosses the network.
 func (rt *Runtime) HandleTransform(req *wire.TransformReq) (*wire.TransformResp, error) {
-	rt.reg.Counter("transform.arrivals").Inc()
-	rt.cfg.Tenants.Account(req.Tenant, func(s *tenant.Stats) { s.TransformOps++ })
 	if !kernels.Registered(req.Op) {
 		return nil, fmt.Errorf("%w: %v: %q", pfs.ErrInvalid, kernels.ErrUnknown, req.Op)
 	}
@@ -522,6 +614,7 @@ func (rt *Runtime) HandleTransform(req *wire.TransformReq) (*wire.TransformResp,
 		reqID: req.RequestID, traceID: req.TraceID, tenant: req.Tenant,
 		transform: true, dstHandle: req.DstHandle, dstOffset: req.DstOffset,
 	}
+	rt.settle(t, dispTransformArrive, fact{})
 	resp, err := rt.submit(t, rt.enqueue(t))
 	if err != nil {
 		return nil, err
@@ -551,37 +644,11 @@ func (rt *Runtime) executeTransform(t *task) (wire.Message, error) {
 	if _, err := rt.cfg.Store.WriteAt(t.dstHandle, out, t.dstOffset); err != nil {
 		return nil, err
 	}
-	rt.reg.Counter("transform.completed").Inc()
 	rt.reg.Counter("transform.bytes_written").Add(int64(len(out)))
-	rt.cfg.Trace.RecordEvent(trace.Event{
-		Kind: trace.KindTransform, TraceID: t.traceID,
-		ReqID: t.reqID, Op: t.op, Bytes: t.length,
-		Phase: trace.PhaseKernel, Dur: time.Since(t.arrived),
-		Note: fmt.Sprintf("wrote %d bytes locally", len(out)),
+	rt.settle(t, dispTransform, fact{
+		bytes: t.length, dur: time.Since(t.arrived), note: fmt.Sprintf("wrote %d bytes locally", len(out)),
 	})
 	return &wire.TransformResp{RequestID: t.reqID, Written: uint64(len(out))}, nil
-}
-
-// admit runs MaxGain over the node's current active set plus the newcomer
-// and reports whether the newcomer should run here, along with the
-// estimator's reasoning for the trace, the sequence number of the
-// decision's audit record (0 when no solver ran) and the newcomer's
-// environment.
-func (rt *Runtime) admit(req *wire.ActiveReadReq) (bool, string, uint64, Env) {
-	v := rt.schedulerView(req)
-	env := rt.est.envAt(req.Op, v.load)
-	if !env.Valid() {
-		return true, "no calibration", 0, env // behave like plain active storage
-	}
-	assignment := MaxGain{}.Solve(v.reqs, env)
-	seq := rt.recordDecision(audit.TriggerAdmit, env, v, assignment, req)
-	// The estimator's reasoning: serve actively here (x) vs ship raw and
-	// compute on the client (y), over k requests.
-	last := len(v.reqs) - 1
-	r := v.reqs[last]
-	note := fmt.Sprintf("x=%.3fs y=%.3fs gain=%.3fs k=%d",
-		env.XCost(r), env.YCost(r), env.Gain(r), len(v.reqs))
-	return assignment[last], note, seq, env
 }
 
 // flipDeltaMax bounds the batch size for which per-request decision
@@ -592,9 +659,9 @@ const flipDeltaMax = 64
 // recordDecision appends one solver invocation to the audit log: the env
 // snapshot, every request's feature vector with predicted costs and its
 // margin to the decision boundary, and the three objective values the
-// policy weighed. newReq is the arriving request on admit decisions (nil
+// policy weighed. newcomer is the arriving task on admit decisions (nil
 // on reevaluation sweeps). Returns the record's seq.
-func (rt *Runtime) recordDecision(trigger string, env Env, v view, assignment []bool, newReq *wire.ActiveReadReq) uint64 {
+func (rt *Runtime) recordDecision(trigger string, env Env, v view, assignment []bool, newcomer *task) uint64 {
 	chosen := env.TotalTime(v.reqs, assignment)
 	feats := make([]audit.Feature, len(v.reqs))
 	for i, r := range v.reqs {
@@ -616,12 +683,9 @@ func (rt *Runtime) recordDecision(trigger string, env Env, v view, assignment []
 			f.FlipDelta = env.TotalTime(v.reqs, assignment) - chosen
 			assignment[i] = !assignment[i]
 		}
-		if t := v.tasks[i]; t != nil {
-			f.ReqID, f.TraceID, f.Tenant = t.reqID, t.traceID, t.tenant
-		} else {
-			f.Newcomer = true
-			f.ReqID, f.TraceID, f.Tenant = newReq.RequestID, newReq.TraceID, newReq.Tenant
-		}
+		t := v.tasks[i]
+		f.Newcomer = t == newcomer
+		f.ReqID, f.TraceID, f.Tenant = t.reqID, t.traceID, t.tenant
 		feats[i] = f
 	}
 	return rt.cfg.Audit.Append(audit.Record{
@@ -649,7 +713,7 @@ func predictKernel(env Env, bytes uint64) time.Duration {
 }
 
 // view is the runtime's active set as the solver sees it, in arrival
-// order: reqs[i] prices tasks[i], which is nil for an arriving request.
+// order: reqs[i] prices tasks[i].
 // queued and running count the table's tasks in each state; load is the
 // node's normal-I/O load every request is priced at.
 type view struct {
@@ -661,10 +725,10 @@ type view struct {
 
 // schedulerView snapshots the task table as scheduler Requests: running
 // tasks by remaining bytes, queued tasks in full, plus (when newcomer !=
-// nil) the arriving request last. A task already told to stop, or with
+// nil) the arriving task last. A task already told to stop, or with
 // nothing left to process, is left out. The gate's normal-I/O load is
 // read once, with the table.
-func (rt *Runtime) schedulerView(newcomer *wire.ActiveReadReq) view {
+func (rt *Runtime) schedulerView(newcomer *task) view {
 	var v view
 	rt.mu.Lock()
 	v.load = rt.gate.NormalLoad()
@@ -688,8 +752,8 @@ func (rt *Runtime) schedulerView(newcomer *wire.ActiveReadReq) view {
 	rt.mu.Unlock()
 	if newcomer != nil {
 		id := rt.nextID.Add(1) + 1<<62 // ephemeral id, distinct from tasks
-		v.reqs = append(v.reqs, rt.requestFor(id, newcomer.Op, newcomer.Params, newcomer.Length, v.load))
-		v.tasks = append(v.tasks, nil)
+		v.reqs = append(v.reqs, rt.requestFor(id, newcomer.op, newcomer.params, newcomer.length, v.load))
+		v.tasks = append(v.tasks, newcomer)
 	}
 	return v
 }
@@ -759,31 +823,15 @@ func (rt *Runtime) reevaluate() {
 		rt.mu.Lock()
 		switch {
 		case !t.running:
-			if rt.gate.Cancel(t.ticket) {
-				rt.dropLocked(t)
-				rt.mu.Unlock()
-				rt.reg.Counter("active.bounced_queued").Inc()
-				rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) { s.Bounces++ })
-				rt.cfg.Trace.RecordEvent(trace.Event{
-					Kind: trace.KindReject, TraceID: t.traceID,
-					ReqID: t.reqID, Op: t.op, Bytes: v.reqs[i].Bytes, Tenant: t.tenant,
-					Phase: trace.PhaseDecision,
-					Note:  fmt.Sprintf("bounced from queue at re-evaluation, gain %.2fx", allActive/chosen),
-				})
-				rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispBouncedQueued})
-				continue
-			}
+			rt.withdrawLocked(t, dispBounceQueued, fact{
+				bytes: v.reqs[i].Bytes, note: fmt.Sprintf("bounced from queue at re-evaluation, gain %.2fx", allActive/chosen),
+			})
 		// Interrupt running work only when the policy's win is decisive
 		// (paper: "record and interrupt current active I/O being
-		// serviced").
+		// serviced"). It is recorded under rt.mu, which the kernel's run
+		// takes before it answers, so no answer leaves before it.
 		case allActive > chosen*interruptMargin && t.interrupt.CompareAndSwap(false, true):
-			rt.reg.Counter("active.interrupted").Inc()
-			rt.cfg.Trace.RecordEvent(trace.Event{
-				Kind: trace.KindInterrupt, TraceID: t.traceID,
-				ReqID: t.reqID, Op: t.op, Bytes: v.reqs[i].Bytes,
-				Phase: trace.PhaseDecision,
-				Note:  fmt.Sprintf("policy gain %.2fx", allActive/chosen),
-			})
+			rt.settle(t, dispInterrupt, fact{bytes: v.reqs[i].Bytes, note: fmt.Sprintf("policy gain %.2fx", allActive/chosen)})
 		}
 		rt.mu.Unlock()
 	}
@@ -810,7 +858,7 @@ func (rt *Runtime) run(t *task) (wire.Message, error) {
 	rt.dropLocked(t)
 	rt.mu.Unlock()
 	if err != nil {
-		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispError})
+		rt.settle(t, dispError, fact{})
 	}
 	return resp, err
 }
@@ -895,16 +943,9 @@ func (rt *Runtime) feed(t *task, k kernels.Kernel) (done uint64, interrupted boo
 // execute streams local stripe data through the request's kernel,
 // checkpointing out if the interrupt flag is raised between chunks.
 func (rt *Runtime) execute(t *task) (wire.Message, error) {
-	var queueWait time.Duration
-	if !t.arrived.IsZero() {
-		queueWait = time.Since(t.arrived)
-	}
+	queueWait := time.Since(t.arrived)
 	execStart := time.Now()
-	rt.cfg.Trace.RecordEvent(trace.Event{
-		Kind: trace.KindStart, TraceID: t.traceID,
-		ReqID: t.reqID, Op: t.op, Bytes: t.length, Tenant: t.tenant,
-		Phase: trace.PhaseQueueWait, Dur: queueWait, Predicted: t.predicted,
-	})
+	rt.settle(t, dispStart, fact{bytes: t.length, dur: queueWait, predicted: t.predicted})
 	rt.reg.Histogram("active.queue_wait_us").Observe(float64(queueWait.Microseconds()))
 	rt.est.MemReserve(uint64(rt.cfg.ChunkSize))
 	defer rt.est.MemRelease(uint64(rt.cfg.ChunkSize))
@@ -917,70 +958,33 @@ func (rt *Runtime) execute(t *task) (wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A kernel that ran to its end answers with its result. An interrupted
+	// one answers with its checkpoint: it bounced after partial work here.
+	d, f := dispComplete, fact{bytes: t.length, predicted: t.predicted, wait: queueWait, processed: done}
+	resp := &wire.ActiveReadResp{RequestID: t.reqID, Disposition: wire.ActiveDone, Processed: done, TraceID: t.traceID}
 	if interrupted {
-		state, cerr := k.Checkpoint()
-		if cerr != nil {
-			return nil, cerr
-		}
-		rt.reg.Counter("active.migrated").Inc()
-		rt.cfg.Tenants.Account(t.tenant, func(s *tenant.Stats) { s.Interrupts++ })
-		rt.cfg.Trace.RecordEvent(trace.Event{
-			Kind: trace.KindMigrate, TraceID: t.traceID,
-			ReqID: t.reqID, Op: t.op, Bytes: t.length - done, Tenant: t.tenant,
-			Phase: trace.PhaseKernel, Dur: time.Since(execStart), Predicted: t.predicted,
-			Note: fmt.Sprintf("checkpointed after %d bytes", done),
-		})
-		// The realized disposition of an accepted-then-interrupted
-		// request: it bounced after partial kernel work here.
-		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{
-			Disposition: audit.DispInterrupted,
-			KernelNS:    time.Since(execStart).Nanoseconds(),
-			QueueWaitNS: queueWait.Nanoseconds(),
-			Processed:   done,
-		})
-		return &wire.ActiveReadResp{
-			RequestID:   t.reqID,
-			Disposition: wire.ActiveInterrupted,
-			State:       state,
-			Processed:   done,
-			TraceID:     t.traceID,
-		}, nil
+		d, resp.Disposition = dispMigrate, wire.ActiveInterrupted
+		f.bytes, f.note = t.length-done, fmt.Sprintf("checkpointed after %d bytes", done)
+		resp.State, err = k.Checkpoint()
+	} else {
+		resp.Result, err = k.Result()
 	}
-	out, err := k.Result()
 	if err != nil {
 		return nil, err
 	}
-	rt.reg.Counter("active.completed").Inc()
-	elapsed := time.Since(execStart)
-	var note string
-	if t.predicted > 0 {
+	f.dur = time.Since(execStart)
+	f.kernel = f.dur
+	if !interrupted && t.predicted > 0 {
 		// Predicted-vs-actual kernel cost is a first-class metric: the
 		// estimator's whole job is making this forecast accurate.
-		errPct := 100 * (elapsed - t.predicted).Abs().Seconds() / t.predicted.Seconds()
+		errPct := 100 * (f.dur - t.predicted).Abs().Seconds() / t.predicted.Seconds()
 		rt.reg.Histogram("est.kernel_error_pct").Observe(errPct)
-		note = fmt.Sprintf("estimator error %.0f%%", errPct)
+		f.note = fmt.Sprintf("estimator error %.0f%%", errPct)
 	}
-	rt.cfg.Trace.RecordEvent(trace.Event{
-		Kind: trace.KindComplete, TraceID: t.traceID,
-		ReqID: t.reqID, Op: t.op, Bytes: t.length, Tenant: t.tenant,
-		Phase: trace.PhaseKernel, Dur: elapsed, Predicted: t.predicted,
-		Note: note,
-	})
 	// Close the audit loop: the decision record now carries the measured
 	// kernel cost next to the prediction it was made on.
-	rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{
-		Disposition: audit.DispDone,
-		KernelNS:    elapsed.Nanoseconds(),
-		QueueWaitNS: queueWait.Nanoseconds(),
-		Processed:   done,
-	})
-	return &wire.ActiveReadResp{
-		RequestID:   t.reqID,
-		Disposition: wire.ActiveDone,
-		Result:      out,
-		Processed:   done,
-		TraceID:     t.traceID,
-	}, nil
+	rt.settle(t, d, f)
+	return resp, nil
 }
 
 // paceChunk sleeps so the chunk just processed took at least bytes/rate
@@ -1033,23 +1037,15 @@ func (rt *Runtime) HandleCancel(req *wire.CancelReq) (*wire.CancelResp, error) {
 		return &wire.CancelResp{Found: false}, nil
 	}
 	t := rt.tasks[i]
-	if rt.gate.Cancel(t.ticket) {
-		rt.dropLocked(t)
-		rt.mu.Unlock()
-		rt.cfg.Trace.RecordEvent(trace.Event{
-			Kind: trace.KindCancel, TraceID: t.traceID,
-			ReqID: req.RequestID, Op: t.op, Note: "withdrawn from queue",
-		})
-		rt.cfg.Audit.Resolve(t.auditSeq, audit.Outcome{Disposition: audit.DispCancelled})
-		return &wire.CancelResp{Found: true}, nil
+	queued := rt.withdrawLocked(t, dispCancelQueued, fact{note: "withdrawn from queue"})
+	if !queued {
+		// Running, or about to: the kernel stops before its next chunk.
+		t.interrupt.Store(true)
 	}
-	// Running, or about to: the kernel stops before its next chunk.
-	t.interrupt.Store(true)
 	rt.mu.Unlock()
-	rt.cfg.Trace.RecordEvent(trace.Event{
-		Kind: trace.KindCancel, TraceID: t.traceID,
-		ReqID: req.RequestID, Op: t.op, Note: "running kernel flagged",
-	})
+	if !queued {
+		rt.settle(t, dispCancelRunning, fact{note: "running kernel flagged"})
+	}
 	return &wire.CancelResp{Found: true}, nil
 }
 

@@ -7,6 +7,8 @@ import (
 	"dosas/internal/kernels"
 	"dosas/internal/metrics"
 	"dosas/internal/pfs"
+	"dosas/internal/tenant"
+	"dosas/internal/trace"
 	"dosas/internal/wire"
 )
 
@@ -79,10 +81,31 @@ func TestRuntimeAlwaysBounceRejects(t *testing.T) {
 	}
 }
 
+// TestRuntimeRejectsUnknownOp: a request for a kernel the node does not
+// have is refused before it counts as an arrival, so it is not in the
+// arrival count, the tenant's ops or the trace.
 func TestRuntimeRejectsUnknownOp(t *testing.T) {
-	rt, _ := newTestRuntime(t, RuntimeConfig{Mode: ModeAlwaysAccept}, 100)
-	if _, err := rt.HandleActive(&wire.ActiveReadReq{RequestID: 1, Handle: 1, Length: 100, Op: "nope"}); err == nil {
+	tenants := tenant.NewTable(0)
+	rt, reg := newTestRuntime(t, RuntimeConfig{Mode: ModeAlwaysAccept, Tenants: tenants}, 100)
+	if _, err := rt.HandleActive(&wire.ActiveReadReq{RequestID: 1, Handle: 1, Length: 100, Op: "nope", Tenant: "a"}); err == nil {
 		t.Fatal("unknown op accepted")
+	}
+	if _, err := rt.HandleTransform(&wire.TransformReq{RequestID: 2, SrcHandle: 1, DstHandle: 2, Length: 100, Op: "nope", Tenant: "a"}); err == nil {
+		t.Fatal("unknown transform op accepted")
+	}
+	if n := reg.Counter("active.arrivals").Value(); n != 0 {
+		t.Errorf("active.arrivals = %d, want 0", n)
+	}
+	if n := reg.Counter("transform.arrivals").Value(); n != 0 {
+		t.Errorf("transform.arrivals = %d, want 0", n)
+	}
+	if u := tenants.Snapshot(); len(u) != 0 {
+		t.Errorf("tenant usage %+v, want none", u)
+	}
+	for _, ev := range rt.cfg.Trace.Snapshot() {
+		if ev.Kind == trace.KindArrive {
+			t.Errorf("unknown op recorded %+v", ev)
+		}
 	}
 }
 

@@ -104,8 +104,7 @@ func TestRuntimeCancelTakenTask(t *testing.T) {
 	}
 	done := make(chan *wire.ActiveReadResp, 1)
 	go func() {
-		defer rt.wg.Done()
-		resp, err := rt.await(taken)
+		resp, err := rt.submit(taken, true)
 		if err != nil {
 			t.Error(err)
 		}

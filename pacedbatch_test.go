@@ -56,7 +56,9 @@ func pacedBatch(t *testing.T, scheme dosas.Scheme, policy dosas.Policy, data []b
 		}()
 	}
 	wg.Wait()
-	return time.Since(start).Seconds(), c
+	span := time.Since(start).Seconds()
+	assertDecisionsConserved(t, c, policy)
+	return span, c
 }
 
 // TestPacedBatchKeepsItsKernels: on the cross-validation point at n = 8

@@ -10,7 +10,6 @@ package dosas_test
 // skipped — deterministically — by the series/events/alerts sweeps.
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -338,7 +337,7 @@ func TestMetricsScrapeRepeatsNoSample(t *testing.T) {
 // address that refuses connections immediately.
 func deadAddr(t *testing.T) string {
 	t.Helper()
-	return fmt.Sprintf("127.0.0.1:%d", freePort(t))
+	return freeAddrs(t, 1)[0]
 }
 
 // TestSweepsSkipUnreachableNodes connects a client whose data-server

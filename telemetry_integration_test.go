@@ -92,6 +92,7 @@ func TestTelemetryContendedRun(t *testing.T) {
 	if last <= 0 {
 		t.Fatalf("bounce.rate never rose: first=%v last=%v max=%v", first, last, bounceRate.Max())
 	}
+	assertDecisionsConserved(t, c, dosas.Dynamic)
 }
 
 // TestHealthDegradesUnderSaturation saturates an AlwaysAccept node's
