@@ -113,7 +113,9 @@ fuzz-smoke:
 # the gate the estimator reads, Normal tickets held on it
 # (TestEstimatorDiscountsForNormalIOPressure,
 # TestRuntimeInterruptsUnderNormalIOPressure,
-# TestRuntimeRecordsBouncedDecision). So does TestCancelMigratesRunningKernel:
+# TestRuntimeRecordsBouncedDecision), and TestReevaluationPricesLoadThatLasts,
+# whose queued bounce is counted by the request's own goroutine after the
+# re-evaluation that withdrew it. So does TestCancelMigratesRunningKernel:
 # its cancel flags a kernel between two chunks, and the migration must be
 # recorded once. Every runtime fact is written by one goroutine and read by
 # others — a withdrawn task settles on its own goroutine what its
@@ -125,7 +127,7 @@ fuzz-smoke:
 # TestSimulatorMatchesLiveSystem and the bouncing storm of
 # TestTelemetryContendedRun.
 race-runtime:
-	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestNodeDecisionsPinned|TestAttachedWrapperSharesNodeQueue|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire|TestEstimatorDiscountsForNormalIOPressure|TestRuntimeInterruptsUnderNormalIOPressure|TestRuntimeRecordsBouncedDecision|TestCancelMigratesRunningKernel' ./internal/core/
+	$(GO) test -race -count=10 -run 'TestRuntimeDecisionsPinned|TestNodeDecisionsPinned|TestAttachedWrapperSharesNodeQueue|TestRuntimeViewInArrivalOrder|TestRuntimeCancel|TestEstimatorProbeReflectsState|TestRuntimeProbeCountsBusyCores|TestProbeOverWire|TestEstimatorDiscountsForNormalIOPressure|TestRuntimeInterruptsUnderNormalIOPressure|TestRuntimeRecordsBouncedDecision|TestCancelMigratesRunningKernel|TestReevaluationPricesLoadThatLasts' ./internal/core/
 	$(GO) test -race -count=3 -run 'TestPacedBatchKeepsItsKernels|TestSimulatorMatchesLiveSystem|TestTelemetryContendedRun' .
 
 # Focused race gate for the storage layer: the extent store's size cache
@@ -187,9 +189,12 @@ race-qos:
 # outside it, CompactJournal swaps the file under writers, the crash-hook
 # property test kills the device at every write and sync, and the
 # admission gate's inline admissions race its hand-offs on release for
-# slots.
+# slots. Remove sweeps only the stripes below the size the metadata
+# server recorded, in parallel, and a failed transform sweeps the
+# destination stripes its parts wrote.
 race-meta:
-	$(GO) test -race -run 'TestJournal|FuzzJournalReplay|TestRemoveIsOneMetadataRPC|TestConcurrentCreates|TestQoSGate' ./internal/pfs/
+	$(GO) test -race -run 'TestJournal|FuzzJournalReplay|TestRemoveIsOneMetadataRPC|TestConcurrentCreates|TestQoSGate|TestRemoveNeverWrittenIsOneRPC|TestRemoveSweepsOnlyServersItsSizeReaches|TestReplicatedRemoveSweepsStripesBelowSize' ./internal/pfs/
+	$(GO) test -race -run 'TestFailedTransformLeavesNoStripes' ./internal/core/
 
 # Counterfactual replay must be byte-deterministic: the same decision log
 # and policy set produce the same report JSON on every run (no map

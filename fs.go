@@ -119,7 +119,11 @@ func (fs *FS) Stat(name string) (FileInfo, error) {
 	}, nil
 }
 
-// Remove deletes a file and its stripes.
+// Remove deletes a file and its stripes: one round trip to the metadata
+// server, then one to each data server holding a stripe below the file's
+// recorded size (none for a file never written). Every byte a WriteAt
+// acknowledged is gone when Remove returns; bytes of a write that was
+// never acknowledged, and stripes on a data server that is down, may stay.
 func (fs *FS) Remove(name string) error { return mapErr(fs.pc.Remove(name)) }
 
 // Issue is one inconsistency found by Verify.

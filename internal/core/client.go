@@ -577,6 +577,24 @@ func (c *Client) Pending() int {
 	return len(c.pending)
 }
 
+// dropParts removes stream handle from the server of every range, in
+// parallel, ignoring errors.
+func (c *Client) dropParts(handle uint64, ranges []localRange) {
+	var wg sync.WaitGroup
+	for _, lr := range ranges {
+		addr, err := c.cfg.FS.DataAddr(lr.server)
+		if err != nil {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.cfg.FS.Pool().Call(addr, &wire.TruncReq{Handle: handle, Remove: true, Tenant: c.cfg.Tenant}) //nolint:errcheck // best effort
+		}()
+	}
+	wg.Wait()
+}
+
 // TransformResult reports one completed active transform.
 type TransformResult struct {
 	// BytesWritten is the total output written across storage nodes.
@@ -591,6 +609,10 @@ type TransformResult struct {
 // with the same stripe layout — active write-back: neither the input nor
 // the output ever crosses the network. Only operations with
 // h(x) = x (e.g. full-image gaussian2d) qualify; others return an error.
+// A transform that fails after its parts went out first removes the
+// destination's stripes from every server it sent a part to (best
+// effort): the destination's recorded size is still 0, so a later Remove
+// of it sweeps nothing.
 func (c *Client) Transform(src *pfs.File, dstName, op string, params []byte) (*pfs.File, *TransformResult, error) {
 	k, err := kernels.Start(op, params, nil)
 	if err != nil {
@@ -672,11 +694,12 @@ func (c *Client) Transform(src *pfs.File, dstName, op string, params []byte) (*p
 		res.Parts[po.idx] = po.info
 		res.BytesWritten += po.written
 	}
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if firstErr == nil {
+		firstErr = dst.SetSize(size)
 	}
-	if err := dst.SetSize(size); err != nil {
-		return nil, nil, err
+	if firstErr != nil {
+		c.dropParts(dst.Handle(), ranges)
+		return nil, nil, firstErr
 	}
 	res.Elapsed = time.Since(start)
 	c.reg.Counter("asc.transforms").Inc()

@@ -139,6 +139,9 @@ type Runtime struct {
 	// task.
 	gate   *pfs.QoSGate
 	closed bool // Close has begun: submit refuses new tasks
+	// lastLoad is the normal-I/O load the previous re-evaluation read: 0
+	// before the first and after one that found the table empty.
+	lastLoad int
 
 	nextID    atomic.Uint64
 	stop      chan struct{}
@@ -727,11 +730,20 @@ type view struct {
 // tasks by remaining bytes, queued tasks in full, plus (when newcomer !=
 // nil) the arriving task last. A task already told to stop, or with
 // nothing left to process, is left out. The gate's normal-I/O load is
-// read once, with the table.
+// read once, with the table. A re-evaluation (newcomer == nil) prices at
+// the lower of that read and the previous re-evaluation's, so a normal
+// request caught holding an I/O slot at one instant moves no running or
+// queued work; load that lasts across two re-evaluations does.
 func (rt *Runtime) schedulerView(newcomer *task) view {
 	var v view
 	rt.mu.Lock()
 	v.load = rt.gate.NormalLoad()
+	if newcomer == nil {
+		v.load, rt.lastLoad = min(v.load, rt.lastLoad), v.load
+		if len(rt.tasks) == 0 {
+			rt.lastLoad = 0
+		}
+	}
 	for _, t := range rt.tasks {
 		bytes := t.length
 		if t.running {

@@ -403,3 +403,63 @@ func TestModeStrings(t *testing.T) {
 		t.Error("where names wrong")
 	}
 }
+
+// TestReevaluationPricesLoadThatLasts: a re-evaluation prices at the lower
+// of the normal-I/O load it reads and the load the previous one read. One
+// Normal ticket caught at a single re-evaluation neither interrupts the
+// running kernel nor bounces the queued request; held across two
+// consecutive re-evaluations it does both.
+func TestReevaluationPricesLoadThatLasts(t *testing.T) {
+	store := &gatedStore{MemStore: pfs.NewMemStore(), gate: make(chan struct{})}
+	if _, err := store.WriteAt(1, make([]byte, 1<<20), 0); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	rt, err := NewRuntime(RuntimeConfig{
+		Store:   store,
+		Mode:    ModeDynamic,
+		Metrics: reg,
+		// With S = C = 1 MB/s and a 1.5 MB/s link, two 1 MiB requests are
+		// best kept on the node at load 0 and both best bounced at load 1,
+		// where S falls to 2/3 MB/s.
+		Estimator: EstimatorConfig{
+			BW:      1.5e6,
+			Period:  time.Hour, // re-evaluations happen only when called
+			RateFor: func(string) float64 { return 1e6 },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	t.Cleanup(store.open) // runs first: lets the held kernel finish
+
+	for i, want := range []struct{ busy, queued uint32 }{{1, 0}, {1, 1}} {
+		go rt.HandleActive(&wire.ActiveReadReq{RequestID: uint64(i + 1), Handle: 1, Length: 1 << 20, Op: "sum8"}) //nolint:errcheck // answered at cleanup
+		waitUntil(t, "the request to enter the table", func() bool {
+			p, _ := rt.HandleProbe()
+			return uint32(p.BusyCores) == want.busy && p.ActiveQueueLen == want.queued
+		})
+	}
+	// An interrupt is counted by the re-evaluation itself; a queued
+	// bounce leaves the table at once and is counted by the request's
+	// own goroutine when it answers.
+	interrupted := reg.Counter("active.interrupted")
+	bounced := reg.Counter("active.bounced_queued")
+
+	release := holdNormal(t, rt, 1)
+	rt.reevaluate()
+	release()
+	rt.reevaluate()
+	holdNormal(t, rt, 1)
+	rt.reevaluate()
+	if p, _ := rt.HandleProbe(); interrupted.Value() != 0 || p.ActiveQueueLen != 1 {
+		t.Fatalf("load seen at one re-evaluation at a time: %d interrupted, %d queued, want 0 and 1",
+			interrupted.Value(), p.ActiveQueueLen)
+	}
+	rt.reevaluate()
+	waitUntil(t, "the queued request to bounce", func() bool { return bounced.Value() == 1 })
+	if interrupted.Value() != 1 {
+		t.Errorf("load held across two re-evaluations: %d interrupted, want 1", interrupted.Value())
+	}
+}

@@ -108,6 +108,29 @@ func TestTransformRejectsUnknownOpAndEmptyFile(t *testing.T) {
 	}
 }
 
+// TestFailedTransformLeavesNoStripes: when one part's server refuses (its
+// runtime is closed), the other parts have already written the
+// destination's stripes under a recorded size of 0, which no Remove would
+// sweep; Transform removes them before it returns its error.
+func TestFailedTransformLeavesNoStripes(t *testing.T) {
+	c := startActiveCluster(t, clusterOpts{nData: 3, mode: ModeAlwaysAccept, scheme: SchemeAS})
+	const w = 256
+	f, _ := writeFile(t, c.fs, "xf/src-fail", w*768, 3) // one 64 KiB stripe per server
+	c.runtimes[1].Close()
+	if _, _, err := c.asc.Transform(f, "xf/dst-fail", "gaussian2d", kernels.GaussianParams(w, true)); err == nil {
+		t.Fatal("transform succeeded with one server refusing its part")
+	}
+	st, err := c.fs.Stat("xf/dst-fail")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, store := range c.stores {
+		if n := store.Size(st.Handle); n != 0 {
+			t.Errorf("server %d still holds %d bytes of the failed transform's destination", i, n)
+		}
+	}
+}
+
 func TestTransformQueuesBehindActiveWork(t *testing.T) {
 	// A transform and active reads share the kernel core pool; both must
 	// complete under concurrency.

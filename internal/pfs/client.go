@@ -174,8 +174,14 @@ func (c *Client) Stat(name string) (*wire.StatResp, error) {
 	return sr, nil
 }
 
-// Remove deletes a file: the name at the metadata server and the stripes
-// at every data server in its layout.
+// Remove deletes a file: the name at the metadata server, then the
+// stripes below the size that server recorded, on every replica. Only the
+// (server, replica) pairs whose slots hold a byte below that size are
+// swept, so a never-written file costs the one metadata round trip. Every
+// byte a WriteAt acknowledged lies below the recorded size, since WriteAt
+// records the size before it returns; bytes of a write that was never
+// acknowledged (a writer that died before its size update) may stay
+// behind, as stripes on a data server that is down during Remove do.
 func (c *Client) Remove(name string) error {
 	resp, err := c.pool.Call(c.cfg.MetaAddr, &wire.RemoveReq{Name: name})
 	if err != nil {
@@ -185,32 +191,17 @@ func (c *Client) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("pfs: remove: unexpected response %v", resp.Type())
 	}
-	lay := rr.Layout
-	if len(lay.Servers) == 0 {
-		// An old metadata server: sweep every server, every replica tag.
-		for i := range c.cfg.DataAddrs {
-			lay.Servers = append(lay.Servers, uint32(i))
+	// Best-effort stripe cleanup; the namespace entry is already gone.
+	lay, runs := rr.Layout, Runs(rr.Layout, 0, rr.Size)
+	reps := lay.ReplicaCount()
+	fanOut(len(runs)*reps, func(i int) error { //nolint:errcheck // best effort
+		run, r := runs[i/reps], i%reps
+		addr, err := c.DataAddr(ReplicaServer(lay, run.Slot, r))
+		if err == nil {
+			_, err = c.pool.Call(addr, &wire.TruncReq{Handle: ReplicaHandle(rr.Handle, r), Remove: true, Tenant: c.cfg.Tenant})
 		}
-		lay.Replicas = uint8(min(len(lay.Servers), 255))
-	}
-	// Best-effort stripe cleanup (all replicas); the namespace entry is
-	// already gone. Removing an absent stream is a no-op, so every
-	// (server, replica) pair is simply swept.
-	var wg sync.WaitGroup
-	for _, idx := range lay.Servers {
-		addr, aerr := c.DataAddr(idx)
-		if aerr != nil {
-			continue
-		}
-		for r := 0; r < lay.ReplicaCount(); r++ {
-			wg.Add(1)
-			go func(addr string, handle uint64) {
-				defer wg.Done()
-				c.pool.Call(addr, &wire.TruncReq{Handle: handle, Remove: true, Tenant: c.cfg.Tenant}) //nolint:errcheck
-			}(addr, ReplicaHandle(rr.Handle, r))
-		}
-	}
-	wg.Wait()
+		return err
+	})
 	return nil
 }
 
@@ -512,24 +503,16 @@ func (f *File) WriteAt(p []byte, off uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	// The local size grows only once the metadata server has recorded the
+	// new end, so a write after a failed size update records it again:
+	// every byte WriteAt acknowledges lies below the recorded size.
 	end := off + uint64(len(p))
 	f.mu.Lock()
 	grew := end > f.size
-	if grew {
-		f.size = end
-	}
 	f.mu.Unlock()
 	if grew {
-		resp, err := f.c.pool.Call(f.c.cfg.MetaAddr, &wire.SetSizeReq{Handle: f.handle, Size: end})
-		if err != nil {
+		if err := f.SetSize(end); err != nil {
 			return len(p), err
-		}
-		if sr, ok := resp.(*wire.SetSizeResp); ok {
-			f.mu.Lock()
-			if sr.Size > f.size {
-				f.size = sr.Size
-			}
-			f.mu.Unlock()
 		}
 	}
 	return len(p), nil

@@ -49,8 +49,10 @@ type journalFile interface {
 type journal struct {
 	path   string
 	f      journalFile
-	reg    *metrics.Registry // meta.journal.{records,syncs,sync_us}
-	events *eventlog.Log     // told the first failure
+	events *eventlog.Log // told the first failure
+	// meta.journal.{records,syncs,sync_us}; nil for a journal that only
+	// replays
+	records, syncs, syncUS *metrics.Counter
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -71,7 +73,11 @@ func openJournal(path string, reg *metrics.Registry, events *eventlog.Log) (*jou
 		f.Close()
 		return nil, fmt.Errorf("pfs: journal open: %w", err)
 	}
-	j := &journal{path: path, f: f, reg: reg, events: events}
+	j := &journal{
+		path: path, f: f, events: events,
+		records: reg.Counter("meta.journal.records"), syncs: reg.Counter("meta.journal.syncs"),
+		syncUS: reg.Counter("meta.journal.sync_us"),
+	}
 	j.cond = sync.NewCond(&j.mu)
 	return j, nil
 }
@@ -162,12 +168,12 @@ func (j *journal) commit(seq uint64) error {
 		j.mu.Unlock()
 		start := time.Now()
 		err := flush(j.f, buf, off)
-		j.reg.Counter("meta.journal.syncs").Inc()
-		j.reg.Counter("meta.journal.sync_us").Add(time.Since(start).Microseconds())
+		j.syncs.Inc()
+		j.syncUS.Add(time.Since(start).Microseconds())
 		j.mu.Lock()
 		j.leading = false
 		if err == nil {
-			j.reg.Counter("meta.journal.records").Add(int64(upto - j.durable))
+			j.records.Add(int64(upto - j.durable))
 			j.durable, j.tail = upto, off+int64(len(buf))
 		}
 		j.fail(err)

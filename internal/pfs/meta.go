@@ -72,6 +72,7 @@ type MetaServer struct {
 	cfg  MetaConfig
 	gate *QoSGate // nil when QoS is disabled
 	planes
+	m metaMetrics
 
 	journal    *journal // nil when volatile; see mutate
 	mu         sync.Mutex
@@ -79,6 +80,19 @@ type MetaServer struct {
 	byHandle   map[uint64]*FileRec
 	nextHandle uint64
 	now        func() time.Time
+}
+
+// metaMetrics are the namespace server's per-verb counters, resolved once
+// at construction.
+type metaMetrics struct {
+	create, open, stat, remove, list, setSize *metrics.Counter
+}
+
+func newMetaMetrics(reg *metrics.Registry) metaMetrics {
+	return metaMetrics{
+		create: reg.Counter("meta.create"), open: reg.Counter("meta.open"), stat: reg.Counter("meta.stat"),
+		remove: reg.Counter("meta.remove"), list: reg.Counter("meta.list"), setSize: reg.Counter("meta.setsize"),
+	}
 }
 
 // NewMetaServer builds a metadata server, replaying the journal when one is
@@ -99,6 +113,7 @@ func NewMetaServer(cfg MetaConfig) (*MetaServer, error) {
 		byHandle:   make(map[uint64]*FileRec),
 		nextHandle: 1,
 		now:        time.Now,
+		m:          newMetaMetrics(cfg.Metrics),
 		planes: planes{
 			node: "meta", role: "meta", started: time.Now(), reg: cfg.Metrics,
 			tele: cfg.Telemetry, events: cfg.Events, slo: cfg.SLO, archive: cfg.Archive,
@@ -135,8 +150,8 @@ func (m *MetaServer) registerProbes() {
 	}
 	ops := func() float64 {
 		var total int64
-		for _, n := range []string{"meta.create", "meta.open", "meta.stat", "meta.remove", "meta.list", "meta.setsize"} {
-			total += m.reg.Counter(n).Value()
+		for _, c := range []*metrics.Counter{m.m.create, m.m.open, m.m.stat, m.m.remove, m.m.list, m.m.setSize} {
+			total += c.Value()
 		}
 		return float64(total)
 	}
@@ -241,7 +256,7 @@ func (m *MetaServer) healthChecks() []telemetry.Check {
 func (m *MetaServer) statsMode() string { return "" }
 
 func (m *MetaServer) create(req *wire.CreateReq) (wire.Message, error) {
-	m.reg.Counter("meta.create").Inc()
+	m.m.create.Inc()
 	if req.Name == "" {
 		return nil, fmt.Errorf("%w: empty file name", ErrInvalid)
 	}
@@ -299,7 +314,7 @@ func (m *MetaServer) create(req *wire.CreateReq) (wire.Message, error) {
 }
 
 func (m *MetaServer) open(req *wire.OpenReq) (wire.Message, error) {
-	m.reg.Counter("meta.open").Inc()
+	m.m.open.Inc()
 	tk, err := m.admit(req.Tenant)
 	if err != nil {
 		return nil, err
@@ -315,7 +330,7 @@ func (m *MetaServer) open(req *wire.OpenReq) (wire.Message, error) {
 }
 
 func (m *MetaServer) stat(req *wire.StatReq) (wire.Message, error) {
-	m.reg.Counter("meta.stat").Inc()
+	m.m.stat.Inc()
 	tk, err := m.admit(req.Tenant)
 	if err != nil {
 		return nil, err
@@ -336,7 +351,7 @@ func (m *MetaServer) stat(req *wire.StatReq) (wire.Message, error) {
 }
 
 func (m *MetaServer) remove(req *wire.RemoveReq) (wire.Message, error) {
-	m.reg.Counter("meta.remove").Inc()
+	m.m.remove.Inc()
 	return m.mutate(func() (wire.Message, uint64, error) {
 		rec, ok := m.byName[req.Name]
 		if !ok {
@@ -347,12 +362,12 @@ func (m *MetaServer) remove(req *wire.RemoveReq) (wire.Message, error) {
 			delete(m.byName, rec.Name)
 			delete(m.byHandle, rec.Handle)
 		}
-		return &wire.RemoveResp{Handle: rec.Handle, Layout: rec.Layout}, seq, err
+		return &wire.RemoveResp{Handle: rec.Handle, Layout: rec.Layout, Size: rec.Size}, seq, err
 	})
 }
 
 func (m *MetaServer) list(req *wire.ListReq) (wire.Message, error) {
-	m.reg.Counter("meta.list").Inc()
+	m.m.list.Inc()
 	tk, err := m.admit(req.Tenant)
 	if err != nil {
 		return nil, err
@@ -371,7 +386,7 @@ func (m *MetaServer) list(req *wire.ListReq) (wire.Message, error) {
 }
 
 func (m *MetaServer) setSize(req *wire.SetSizeReq) (wire.Message, error) {
-	m.reg.Counter("meta.setsize").Inc()
+	m.m.setSize.Inc()
 	return m.mutate(func() (_ wire.Message, seq uint64, err error) {
 		rec, ok := m.byHandle[req.Handle]
 		if !ok {

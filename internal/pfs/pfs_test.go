@@ -29,6 +29,7 @@ type clusterOpts struct {
 	net    func(transport.Network) transport.Network // wraps the transport (fault injection)
 	store  func(i int) Store                         // data server i's store; default MemStore
 	meta   func(Handler) Handler                     // wraps the metadata server on the wire
+	wal    string                                    // the metadata journal's path; default none
 	client func(cc *ClientConfig)                    // last word on the client's configuration
 }
 
@@ -36,7 +37,7 @@ func startCluster(t *testing.T, nData int) *testCluster {
 	return startClusterWith(t, clusterOpts{nData: nData})
 }
 
-func startClusterWith(t *testing.T, o clusterOpts) *testCluster {
+func startClusterWith(t testing.TB, o clusterOpts) *testCluster {
 	t.Helper()
 	var net transport.Network = transport.NewInproc()
 	listenAddr := func(name string) string { return name }
@@ -47,9 +48,12 @@ func startClusterWith(t *testing.T, o clusterOpts) *testCluster {
 	if o.net != nil {
 		net = o.net(net)
 	}
-	meta, err := NewMetaServer(MetaConfig{NumDataServers: o.nData})
+	meta, err := NewMetaServer(MetaConfig{NumDataServers: o.nData, JournalPath: o.wal})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o.wal != "" {
+		t.Cleanup(func() { meta.Close() })
 	}
 	ml, err := net.Listen(listenAddr("meta"))
 	if err != nil {
@@ -203,41 +207,34 @@ func TestStatRemoveList(t *testing.T) {
 }
 
 // TestRemoveIsOneMetadataRPC: the remove response names the stripes'
-// servers, so the client asks the metadata server nothing else — and when
-// a metadata server predating that field names none, every data server is
-// swept for every replica, which still leaves no stripe behind.
+// servers and the file's size, so the client asks the metadata server
+// nothing else, and no stripe is left behind.
 func TestRemoveIsOneMetadataRPC(t *testing.T) {
-	for _, oldMeta := range []bool{false, true} {
-		var metaCalls atomic.Int64
-		tc := startClusterWith(t, clusterOpts{nData: 3, meta: func(h Handler) Handler {
-			return HandlerFunc(func(m wire.Message) (wire.Message, error) {
-				metaCalls.Add(1)
-				resp, err := h.Handle(m)
-				if rr, ok := resp.(*wire.RemoveResp); ok && oldMeta {
-					resp = &wire.RemoveResp{Handle: rr.Handle}
-				}
-				return resp, err
-			})
-		}})
-		f, err := tc.client.CreateReplicated("doomed", 1024, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.WriteAt(bytes.Repeat([]byte("x"), 8192), 0); err != nil {
-			t.Fatal(err)
-		}
-		before := metaCalls.Load()
-		if err := tc.client.Remove("doomed"); err != nil {
-			t.Fatal(err)
-		}
-		if n := metaCalls.Load() - before; n != 1 {
-			t.Errorf("old meta %v: Remove made %d metadata calls, want 1", oldMeta, n)
-		}
-		for i, ds := range tc.datas {
-			for r := 0; r < 2; r++ {
-				if got := ds.Store().Size(ReplicaHandle(f.Handle(), r)); got != 0 {
-					t.Errorf("old meta %v: server %d still holds %d bytes of replica %d", oldMeta, i, got, r)
-				}
+	var metaCalls atomic.Int64
+	tc := startClusterWith(t, clusterOpts{nData: 3, meta: func(h Handler) Handler {
+		return HandlerFunc(func(m wire.Message) (wire.Message, error) {
+			metaCalls.Add(1)
+			return h.Handle(m)
+		})
+	}})
+	f, err := tc.client.CreateReplicated("doomed", 1024, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte("x"), 8192), 0); err != nil {
+		t.Fatal(err)
+	}
+	before := metaCalls.Load()
+	if err := tc.client.Remove("doomed"); err != nil {
+		t.Fatal(err)
+	}
+	if n := metaCalls.Load() - before; n != 1 {
+		t.Errorf("Remove made %d metadata calls, want 1", n)
+	}
+	for i, ds := range tc.datas {
+		for r := 0; r < 2; r++ {
+			if got := ds.Store().Size(ReplicaHandle(f.Handle(), r)); got != 0 {
+				t.Errorf("server %d still holds %d bytes of replica %d", i, got, r)
 			}
 		}
 	}

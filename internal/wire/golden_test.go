@@ -45,6 +45,7 @@ func goldenCases() []struct {
 		{"remove.req", &RemoveReq{Name: "x"}},
 		{"remove.resp", &RemoveResp{Handle: 3}},
 		{"remove.resp/layout", &RemoveResp{Handle: 3, Layout: layout}},
+		{"remove.resp/layout+size", &RemoveResp{Handle: 3, Layout: layout, Size: 4096}},
 		{"list.req", &ListReq{Prefix: "data/"}},
 		{"list.req/tenant", &ListReq{Prefix: "data/", Tenant: "app-a"}},
 		{"list.resp", &ListResp{Names: []string{"data/a", "", "data/b"}}},

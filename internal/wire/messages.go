@@ -176,11 +176,14 @@ type RemoveReq struct{ Name string }
 func (*RemoveReq) Type() MsgType     { return MsgRemoveReq }
 func (m *RemoveReq) Fields(c *Codec) { c.String(&m.Name) }
 
-// RemoveResp acknowledges a Remove, naming the stripes to drop. Layout is a
-// trailing optional field: old peers, and a layout without servers, omit it.
+// RemoveResp acknowledges a Remove, naming the stripes to drop: Layout
+// and the file's recorded Size, whose bytes are all the stripes can hold
+// that a reader could see. Both are trailing optional fields: a layout
+// without servers omits both, and a size of 0 omits Size.
 type RemoveResp struct {
 	Handle uint64
 	Layout Layout
+	Size   uint64
 }
 
 func (*RemoveResp) Type() MsgType { return MsgRemoveResp }
@@ -189,6 +192,9 @@ func (m *RemoveResp) Fields(c *Codec) {
 	c.U64(&m.Handle)
 	if c.More(len(m.Layout.Servers) > 0) {
 		m.Layout.Fields(c)
+		if c.More(m.Size > 0) {
+			c.U64(&m.Size)
+		}
 	}
 }
 

@@ -39,6 +39,7 @@ func TestAllMessagesRoundTrip(t *testing.T) {
 		&StatResp{Handle: 9, Size: 12345, ModUnixN: -99, Layout: layout},
 		&RemoveReq{Name: "x"},
 		&RemoveResp{Handle: 3},
+		&RemoveResp{Handle: 3, Layout: layout, Size: 1 << 40},
 		&ListReq{Prefix: "data/"},
 		&ListResp{Names: []string{"data/a", "data/b"}},
 		&SetSizeReq{Handle: 4, Size: 77},
