@@ -19,13 +19,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Every alternative of every quoted -run pattern in this Makefile must
-# match a test, fuzz target or example that `go test -list` reports: a
-# test deleted or renamed would otherwise leave its gate running nothing,
-# and passing. The fuzz runs' '^$$' (run no tests) is exempt.
+# Every alternative of every quoted -run or -bench pattern in this
+# Makefile must match a test, benchmark, fuzz target or example that `go
+# test -list` reports: one deleted or renamed would otherwise leave its
+# gate or benchmark target running nothing, and passing. '^$$' (run no
+# tests) is exempt.
 run-patterns:
-	@names=$$($(GO) test -list '.*' ./... | grep -E '^(Test|Fuzz|Example)'); \
-	stale=$$(sed -n "s/.*[-]run '\([^']*\)'.*/\1/p" Makefile | tr '|' '\n' | grep -vx '\^\$$\$$' | sort -u | \
+	@names=$$($(GO) test -list '.*' ./... | grep -E '^(Test|Benchmark|Fuzz|Example)'); \
+	stale=$$(grep -oE -- "-(run|bench) '[^']*'" Makefile | sed "s/^-[a-z]* '\(.*\)'$$/\1/" | tr '|' '\n' | grep -vx '\^\$$\$$' | sort -u | \
 		while read -r alt; do echo "$$names" | grep -Eq -- "$$alt" || echo "$$alt"; done); \
 	if [ -n "$$stale" ]; then echo "run-patterns: no test matches" $$stale; exit 1; fi
 
@@ -190,11 +191,12 @@ race-qos:
 # property test kills the device at every write and sync, and the
 # admission gate's inline admissions race its hand-offs on release for
 # slots. Remove sweeps only the stripes below the size the metadata
-# server recorded, in parallel, and a failed transform sweeps the
-# destination stripes its parts wrote.
+# server recorded, in parallel; a failed transform sweeps the destination
+# stripes its parts wrote, then its name, and one whose only loss was the
+# size update's reply keeps them.
 race-meta:
 	$(GO) test -race -run 'TestJournal|FuzzJournalReplay|TestRemoveIsOneMetadataRPC|TestConcurrentCreates|TestQoSGate|TestRemoveNeverWrittenIsOneRPC|TestRemoveSweepsOnlyServersItsSizeReaches|TestReplicatedRemoveSweepsStripesBelowSize' ./internal/pfs/
-	$(GO) test -race -run 'TestFailedTransformLeavesNoStripes' ./internal/core/
+	$(GO) test -race -run 'TestFailedTransformLeavesNoStripes|TestTransformLostSetSizeReply' ./internal/core/
 
 # Counterfactual replay must be byte-deterministic: the same decision log
 # and policy set produce the same report JSON on every run (no map
@@ -244,15 +246,14 @@ check: vet run-patterns bench-vet bench-test cross race-observability race-trans
 # 8 MiB sum8 through Runtime.HandleActive over a MemStore, over an extent
 # store, and on two runtimes at once; one ReadResp leaving over TCP
 # loopback from resident extent pages at 64 KiB, 256 KiB and 2 MiB, by
-# writev from the mapping, by sendfile and by a staged copy; plus the
-# window-vs-serial matrix (writes BENCH_pr2.json).
+# writev from the mapping, by sendfile and by a staged copy. The first
+# line includes the window-vs-serial read matrix (ReadPathLatency: 250 µs
+# one way, 256 KiB chunks, window depth 1 against 2, 4 and 8).
 bench:
 	$(GO) test ./internal/pfs/ -run '^$$' -bench 'ReadPath|WritePath' -benchtime 15x -benchmem
 	$(GO) test ./internal/pfs/ -run '^$$' -bench 'ReadRespSend' -benchtime 2000x
 	$(GO) test ./internal/kernels/ -run '^$$' -bench 'Kernel' -benchtime 200x
 	$(GO) test ./internal/core/ -run '^$$' -bench 'RuntimeExecute' -benchtime 50x
-	$(GO) run ./cmd/dosas-bench -exp readpath
-	$(GO) run ./cmd/dosas-bench -exp noisy-neighbor
 
 # The repository's benchmark (bench/README.md): five workloads over real
 # TCP daemons, end-to-end and per-layer metrics, ~4 min; writes
@@ -268,7 +269,7 @@ bench-compare:
 # 100ms tick, and at a pathological 1ms tick. The acceptance bar is <1%
 # delta between Off and On.
 bench-telemetry:
-	$(GO) test . -run '^$$' -bench ReadPathTelemetry -benchtime 50x
+	$(GO) test . -run '^$$' -bench 'ReadPathTelemetry' -benchtime 50x
 
 # Tenant attribution under contention: aggressor/victim queue-wait
 # split, the noisy-neighbor alert, and the attribution plane's A/B
@@ -289,10 +290,12 @@ bench-qos:
 	$(GO) run ./cmd/dosas-bench -exp qos-isolation
 	$(GO) run ./cmd/dosas-bench -exp straggler
 
-# Regenerate the paper's tables/figures (simulated experiments) and the
-# live per-scheme decision metrics (BENCH_live.json).
+# Regenerate the paper's tables and figures (Table III's kernel rates on
+# this host, the rest from the simulator) and the ablations beside them:
+# solvers, interrupt-and-migrate, mixed queues, load skew and the
+# trace-driven stream. One iteration each; sim-sec/run is the y-axis.
 bench-paper:
-	$(GO) run ./cmd/dosas-bench
+	$(GO) test -run '^$$' -bench 'Table|Fig|Solvers|Migration|MixedSizes|Skew|TraceStream' -benchtime 1x .
 
 # Non-test Go line counts, the figures ROADMAP and CHANGES.md quote: the
 # program outside bench/ and examples/, the RPC stack (internal/pfs and

@@ -1,10 +1,11 @@
 package dosas_test
 
 // One benchmark per table and figure of the paper's evaluation, plus
-// ablation and substrate micro-benchmarks. Simulated experiments report
-// the modelled execution time as "sim-sec/run" (the y-axis of the paper's
-// figures); live benchmarks measure wall-clock time on an in-process
-// cluster. cmd/dosas-bench prints the same data as labelled rows.
+// ablation and substrate micro-benchmarks; these are the only harness
+// that regenerates them (`make bench-paper`). Simulated experiments
+// report the modelled execution time as "sim-sec/run" (the y-axis of the
+// paper's figures); live benchmarks measure wall-clock time on an
+// in-process cluster.
 
 import (
 	"fmt"
@@ -211,17 +212,19 @@ func BenchmarkMigrationAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkMixedSizes is the heterogeneous ablation: request sizes spread
-// over an order of magnitude, where mixed (non-all-or-nothing) schedules
-// win.
+// BenchmarkMixedSizes is the heterogeneous ablation, where a mixed
+// (non-all-or-nothing) schedule wins: two fast SUM requests, whose kernels
+// outrun the network so bouncing never pays, queued behind six large
+// Gaussian requests whose summed bounce gains exceed the parallel compute
+// tail.
 func BenchmarkMixedSizes(b *testing.B) {
 	env := core.Env{BW: 118e6, StorageRate: 80e6, ComputeRate: 80e6}
 	reqs := []core.Request{
-		{ID: 1, Bytes: 32 * sim.MB, ResultBytes: 29, StorageRate: 860e6, ComputeRate: 860e6},
-		{ID: 2, Bytes: 128 * sim.MB, ResultBytes: 29},
-		{ID: 3, Bytes: 512 * sim.MB, ResultBytes: 29},
-		{ID: 4, Bytes: 1024 * sim.MB, ResultBytes: 29},
-		{ID: 5, Bytes: 1024 * sim.MB, ResultBytes: 29},
+		{ID: 1, Bytes: 128 * sim.MB, ResultBytes: 8, StorageRate: 860e6, ComputeRate: 860e6},
+		{ID: 2, Bytes: 128 * sim.MB, ResultBytes: 8, StorageRate: 860e6, ComputeRate: 860e6},
+	}
+	for id := uint64(3); id <= 8; id++ {
+		reqs = append(reqs, core.Request{ID: id, Bytes: 1024 * sim.MB, ResultBytes: 29})
 	}
 	var t float64
 	for i := 0; i < b.N; i++ {
@@ -255,6 +258,38 @@ func BenchmarkSkewAblation(b *testing.B) {
 				b.ReportMetric(m.Makespan, "sim-sec/run")
 			})
 		}
+	}
+}
+
+// BenchmarkTraceStream is the trace-driven ablation (the paper's Figure 1
+// scenario): four applications' mixed normal and active I/O, 70 % of it
+// active over three operations, converging on one storage node, played
+// through the stream simulator under each scheme.
+func BenchmarkTraceStream(b *testing.B) {
+	reqs := workload.Stream(workload.StreamConfig{
+		Apps:             4,
+		RequestsPerApp:   16,
+		ActiveFraction:   0.7,
+		Ops:              []string{"gaussian2d", "sum8", "histogram"},
+		MeanInterarrival: 0.5,
+		MinBytes:         32 * sim.MB,
+		MaxBytes:         512 * sim.MB,
+		Seed:             42,
+	})
+	for _, scheme := range sim.PaperSchemes {
+		b.Run(scheme.String(), func(b *testing.B) {
+			var m sim.StreamMetrics
+			var err error
+			for i := 0; i < b.N; i++ {
+				m, err = sim.RunStream(sim.StreamConfig{Scheme: scheme, Seed: 42, Noise: sim.DiscfarmNoise()}, reqs)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(m.Makespan, "sim-sec/run")
+			b.ReportMetric(m.MeanLatency, "sim-sec-mean-lat")
+			b.ReportMetric(float64(m.RawBytesMoved)/(1<<30), "sim-GiB-moved")
+		})
 	}
 }
 

@@ -90,19 +90,12 @@ type Options struct {
 	// bytes/second — set 118e6 to emulate the paper's measured Gigabit
 	// Ethernet on a fast host.
 	LinkRate float64
-	// LinkDelay, when positive, adds this one-way propagation delay to
-	// every connection in each direction — cross-rack or datacenter-hop
-	// latency emulation. Composes with LinkRate.
-	LinkDelay time.Duration
 	// NetworkBandwidth is what the Contention Estimator assumes for bw;
 	// defaults to LinkRate when shaped, else 118 MB/s.
 	NetworkBandwidth float64
 	// Pace throttles kernel execution to the calibrated per-core rates,
 	// emulating the paper's hardware timing in live runs.
 	Pace bool
-	// EstimatorPeriod is how often each storage node's Contention
-	// Estimator re-probes and re-evaluates its policy (default 50 ms).
-	EstimatorPeriod time.Duration
 	// DataDir, when set, backs stripe stores with files under this
 	// directory (one subdirectory per storage node) and journals
 	// metadata, making the cluster durable across restarts.
@@ -119,14 +112,6 @@ type Options struct {
 	// FDCacheSize caps each disk-backed store's open descriptors
 	// (default pfs.DefaultFDCacheSize).
 	FDCacheSize int
-	// WindowDepth is how many chunk requests clients connected through
-	// this Cluster keep in flight per server connection during bulk
-	// transfers (default pfs.DefaultWindowDepth; 1 disables pipelining).
-	WindowDepth int
-	// TransferChunk is the per-request chunk size for those bulk
-	// transfers (default pfs.DefaultTransferChunk). Smaller chunks make
-	// the window matter more on high-latency links.
-	TransferChunk int
 	// TelemetryTick is how often each node samples its telemetry probes
 	// into the time-series rings served by Health/Series and dosasctl
 	// top. Zero takes telemetry.DefaultInterval (100 ms); negative
@@ -252,14 +237,13 @@ func (c *Cluster) ConnectPaced(scheme Scheme) (*FS, error) {
 
 // ConnectClient is Connect with full client options — slow-request
 // detection, flight capture, client telemetry — bound to this cluster's
-// transport and addresses (o.MetaAddr and o.DataAddrs are ignored).
-// Bulk transfers use the cluster's WindowDepth and TransferChunk; an unset
-// TelemetryTick inherits the cluster's.
+// transport and addresses (o.MetaAddr and o.DataAddrs are ignored). An
+// unset TelemetryTick inherits the cluster's.
 func (c *Cluster) ConnectClient(o ClientOptions) (*FS, error) {
 	if o.TelemetryTick == 0 {
 		o.TelemetryTick = c.o.TelemetryTick
 	}
-	return connect(c.net, c.MetaAddr(), c.DataAddrs(), c.o.WindowDepth, c.o.TransferChunk, o)
+	return connect(c.net, c.MetaAddr(), c.DataAddrs(), o)
 }
 
 // TraceDump renders storage node i's request-lifecycle trace: one line
@@ -388,21 +372,20 @@ type ClientOptions struct {
 
 // Connect dials an externally managed cluster over TCP.
 func Connect(o ClientOptions) (*FS, error) {
-	return connect(transport.TCP{}, o.MetaAddr, o.DataAddrs, 0, 0, o)
+	return connect(transport.TCP{}, o.MetaAddr, o.DataAddrs, o)
 }
 
-// connect builds a client over net. window and chunk size its bulk
-// transfers; zero takes the pfs defaults.
-func connect(net transport.Network, metaAddr string, dataAddrs []string, window, chunk int, o ClientOptions) (*FS, error) {
+// connect builds a client over net.
+func connect(net transport.Network, metaAddr string, dataAddrs []string, o ClientOptions) (*FS, error) {
 	pc, err := pfs.NewClient(pfs.ClientConfig{
-		Net: net, MetaAddr: metaAddr, DataAddrs: dataAddrs, WindowDepth: window, TransferChunk: chunk,
+		Net: net, MetaAddr: metaAddr, DataAddrs: dataAddrs,
 		Tenant: o.Tenant, HedgeAfter: o.HedgeAfter,
 	})
 	if err != nil {
 		return nil, err
 	}
 	asc, err := core.NewClient(core.ClientConfig{
-		FS: pc, Scheme: o.Scheme.core(), Pace: o.Pace, WindowDepth: window,
+		FS: pc, Scheme: o.Scheme.core(), Pace: o.Pace,
 		Tenant:        o.Tenant,
 		Telemetry:     newSampler(o.TelemetryTick),
 		SlowThreshold: o.SlowThreshold,

@@ -74,27 +74,6 @@ func TestClusterShapedAndPaced(t *testing.T) {
 	}
 }
 
-func TestClusterEstimatorPeriodOption(t *testing.T) {
-	// Just a wiring smoke test: a cluster with a non-default period
-	// serves requests normally.
-	c := startCluster(t, dosas.Options{DataServers: 1, EstimatorPeriod: 5 * time.Millisecond})
-	fs := connect(t, c, dosas.DOSAS)
-	f, err := fs.Create("period/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte("abc"), 0); err != nil {
-		t.Fatal(err)
-	}
-	res, err := f.ReadEx("sum8", nil, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dosas.SumResult(res.Output) != uint64('a'+'b'+'c') {
-		t.Fatal("wrong sum")
-	}
-}
-
 func TestSchemeAndPolicyStrings(t *testing.T) {
 	if dosas.DOSAS.String() != "DOSAS" || dosas.AS.String() != "AS" || dosas.TS.String() != "TS" {
 		t.Error("scheme names wrong")

@@ -24,6 +24,7 @@ var keptFields = map[string]string{
 	"dosas.ClientOptions.TelemetryTick": "make bench-telemetry sets the client tick",
 	"core.RuntimeConfig.ChunkSize":      "tests shrink the kernel chunk to reach interrupts and slots",
 	"core.EstimatorConfig.RateFor":      "tests substitute synthetic kernel rates",
+	"core.EstimatorConfig.Period":       "tests hold re-evaluation off for an hour, or run it every few milliseconds",
 	"core.EstimatorConfig.MemBudget":    "tests shrink the budget to reach memory pressure",
 	"core.ClientConfig.ChunkSize":       "tests shrink the client chunk",
 	"pfs.QoSConfig.Quantum":             "a gate test sets the WDRR quantum to one write's size",

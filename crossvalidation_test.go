@@ -118,6 +118,7 @@ func TestSimulatorMatchesLiveSystem(t *testing.T) {
 				// still cleanly separates the schemes' orderings, whose
 				// gaps at these points exceed that.
 				ratio := measured / predicted
+				t.Logf("live %.3fs, simulated %.3fs", measured, predicted)
 				if ratio < 0.55 || ratio > 1.45 {
 					t.Errorf("live %.3fs vs simulated %.3fs (ratio %.2f)",
 						measured, predicted, ratio)

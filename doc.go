@@ -33,5 +33,5 @@
 // transparently falls back to reading the data and summing locally,
 // exactly as the application-visible semantics of the paper's
 // MPI_File_read_ex. See the examples directory for full programs and
-// cmd/dosas-bench for the paper's experiments.
+// bench_test.go's benchmarks for the paper's experiments.
 package dosas

@@ -27,8 +27,10 @@ func TestExamplesRun(t *testing.T) {
 			[]string{"whole-ensemble reductions shipped"}},
 		{"./examples/textmine", 120 * time.Second,
 			[]string{"all counts verified against ground truth"}},
-		// examples/contention runs paced multi-second phases; exercised
-		// by `dosas-bench -exp live` instead of every test run.
+		// examples/contention runs paced multi-second phases, so no test
+		// runs it. Its scenario, paced sum8 against a shaped link on one
+		// node under TS, AS and DOSAS, is TestSimulatorMatchesLiveSystem's,
+		// and its 8-request storm is TestPacedBatchKeepsItsKernels's.
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -63,12 +63,6 @@ type ClientConfig struct {
 	// ChunkSize is the read granularity for client-side kernel
 	// execution. Defaults to 1 MiB.
 	ChunkSize int
-	// WindowDepth is how many chunk reads the transfer phase of local
-	// (bounced/migrated) computation keeps in flight per server. 0 takes
-	// pfs.DefaultWindowDepth. The pipelining stays strictly inside the
-	// transfer phase: transfer and computation remain serial, as the
-	// Contention Estimator's workload model requires.
-	WindowDepth int
 	// Pace throttles client-side kernel execution to the calibrated
 	// per-core rate, emulating the paper's compute nodes on fast hosts.
 	Pace bool
@@ -496,12 +490,14 @@ func (c *Client) computeLocally(addr string, handle, offset, length uint64, op s
 		return nil, 0, err
 	}
 	// Phase 1: data movement, pipelined inside the phase: up to
-	// WindowDepth chunk reads ride the wire concurrently, but the kernel
-	// does not start until the last byte lands.
+	// pfs.DefaultWindowDepth chunk reads ride the wire concurrently, but
+	// the kernel does not start until the last byte lands: transfer and
+	// computation stay serial, as the Contention Estimator's workload
+	// model requires.
 	xferStart := time.Now()
 	buf := wire.GetBuf(int(length))
 	defer wire.PutBuf(buf)
-	n, err := c.cfg.FS.Pool().ReadWindowed(addr, handle, buf, offset, c.cfg.WindowDepth, c.cfg.ChunkSize)
+	n, err := c.cfg.FS.Pool().ReadWindowed(addr, handle, buf, offset, 0, c.cfg.ChunkSize)
 	done := uint64(n)
 	c.reg.Counter("asc.bytes_shipped").Add(int64(n))
 	if err != nil {
@@ -609,10 +605,12 @@ type TransformResult struct {
 // with the same stripe layout — active write-back: neither the input nor
 // the output ever crosses the network. Only operations with
 // h(x) = x (e.g. full-image gaussian2d) qualify; others return an error.
-// A transform that fails after its parts went out first removes the
-// destination's stripes from every server it sent a part to (best
-// effort): the destination's recorded size is still 0, so a later Remove
-// of it sweeps nothing.
+// A transform that fails after its parts went out removes the
+// destination's stripes from every server it sent a part to, then its
+// name (best effort): the recorded size is still 0, so Remove alone
+// would sweep nothing. When only the final size update fails, the
+// metadata server is asked what it recorded first; if it cannot answer,
+// the destination is left as it is.
 func (c *Client) Transform(src *pfs.File, dstName, op string, params []byte) (*pfs.File, *TransformResult, error) {
 	k, err := kernels.Start(op, params, nil)
 	if err != nil {
@@ -695,10 +693,24 @@ func (c *Client) Transform(src *pfs.File, dstName, op string, params []byte) (*p
 		res.BytesWritten += po.written
 	}
 	if firstErr == nil {
-		firstErr = dst.SetSize(size)
+		if err := dst.SetSize(size); err != nil {
+			// Only the reply may have been lost. Ask the metadata server
+			// what it recorded: the size, and the transform is done; no
+			// answer, and the stripes may be a whole file's, so keep them.
+			rec, oerr := c.cfg.FS.Open(dstName)
+			if oerr != nil {
+				return nil, nil, err
+			}
+			if rec.Handle() == dst.Handle() && rec.Size() == size {
+				dst = rec
+			} else {
+				firstErr = err
+			}
+		}
 	}
 	if firstErr != nil {
 		c.dropParts(dst.Handle(), ranges)
+		c.cfg.FS.Remove(dstName) //nolint:errcheck // best effort: its recorded size is 0, so it sweeps nothing
 		return nil, nil, firstErr
 	}
 	res.Elapsed = time.Since(start)

@@ -41,6 +41,10 @@ type clusterOpts struct {
 	period time.Duration
 	extent bool           // extent stores on disk instead of MemStores
 	qos    *pfs.QoSConfig // the data servers' admission gate (nil: none)
+	// meta wraps the metadata server's handler; active wraps data server
+	// i's runtime before it is attached. Either nil: unwrapped.
+	meta   func(pfs.Handler) pfs.Handler
+	active func(i int, rt *Runtime) pfs.ActiveHandler
 }
 
 func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
@@ -57,7 +61,11 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 		t.Fatal(err)
 	}
 	ml, _ := net.Listen("meta")
-	ms := pfs.NewServer(ml, meta)
+	var mh pfs.Handler = meta
+	if o.meta != nil {
+		mh = o.meta(mh)
+	}
+	ms := pfs.NewServer(ml, mh)
 	ms.Start()
 	t.Cleanup(ms.Close)
 
@@ -104,7 +112,11 @@ func startActiveCluster(t *testing.T, o clusterOpts) *activeCluster {
 			t.Fatal(err)
 		}
 		t.Cleanup(rt.Close)
-		ds.SetActiveHandler(rt)
+		var ah pfs.ActiveHandler = rt
+		if o.active != nil {
+			ah = o.active(i, rt)
+		}
+		ds.SetActiveHandler(ah)
 		addr := fmt.Sprintf("data-%d", i)
 		dl, _ := net.Listen(addr)
 		srv := pfs.NewServer(dl, ds)

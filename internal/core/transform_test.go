@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"dosas/internal/kernels"
+	"dosas/internal/pfs"
+	"dosas/internal/wire"
 )
 
 func TestTransformSingleServerExactGaussian(t *testing.T) {
@@ -108,26 +112,118 @@ func TestTransformRejectsUnknownOpAndEmptyFile(t *testing.T) {
 	}
 }
 
-// TestFailedTransformLeavesNoStripes: when one part's server refuses (its
-// runtime is closed), the other parts have already written the
-// destination's stripes under a recorded size of 0, which no Remove would
-// sweep; Transform removes them before it returns its error.
+// refusingRuntime is a runtime whose transforms fail while refuse is set.
+type refusingRuntime struct {
+	*Runtime
+	refuse atomic.Bool
+}
+
+func (r *refusingRuntime) HandleTransform(req *wire.TransformReq) (*wire.TransformResp, error) {
+	if r.refuse.Load() {
+		return nil, errors.New("transform refused")
+	}
+	return r.Runtime.HandleTransform(req)
+}
+
+// TestFailedTransformLeavesNoStripes: when one part's server refuses, the
+// other parts have already written the destination's stripes under a
+// recorded size of 0, which no Remove would sweep; Transform removes them
+// and then the name before it returns its error, so a retry under the
+// same name succeeds.
 func TestFailedTransformLeavesNoStripes(t *testing.T) {
-	c := startActiveCluster(t, clusterOpts{nData: 3, mode: ModeAlwaysAccept, scheme: SchemeAS})
+	var dstHandle atomic.Uint64 // found here: the failed name is gone
+	refuser := &refusingRuntime{}
+	refuser.refuse.Store(true)
+	c := startActiveCluster(t, clusterOpts{nData: 3, mode: ModeAlwaysAccept, scheme: SchemeAS,
+		meta: func(h pfs.Handler) pfs.Handler {
+			return pfs.HandlerFunc(func(m wire.Message) (wire.Message, error) {
+				resp, err := h.Handle(m)
+				if req, ok := m.(*wire.CreateReq); ok && err == nil && req.Name == "xf/dst-fail" {
+					dstHandle.Store(resp.(*wire.CreateResp).Handle)
+				}
+				return resp, err
+			})
+		},
+		active: func(i int, rt *Runtime) pfs.ActiveHandler {
+			if i != 1 {
+				return rt
+			}
+			refuser.Runtime = rt
+			return refuser
+		}})
 	const w = 256
-	f, _ := writeFile(t, c.fs, "xf/src-fail", w*768, 3) // one 64 KiB stripe per server
-	c.runtimes[1].Close()
-	if _, _, err := c.asc.Transform(f, "xf/dst-fail", "gaussian2d", kernels.GaussianParams(w, true)); err == nil {
+	f, data := writeFile(t, c.fs, "xf/src-fail", w*768, 3) // one 64 KiB stripe per server
+	params := kernels.GaussianParams(w, true)
+	if _, _, err := c.asc.Transform(f, "xf/dst-fail", "gaussian2d", params); err == nil {
 		t.Fatal("transform succeeded with one server refusing its part")
 	}
-	st, err := c.fs.Stat("xf/dst-fail")
+	h := dstHandle.Load()
+	if h == 0 {
+		t.Fatal("the destination was never created")
+	}
+	for i, store := range c.stores {
+		if n := store.Size(h); n != 0 {
+			t.Errorf("server %d still holds %d bytes of the failed transform's destination", i, n)
+		}
+	}
+	if _, err := c.fs.Stat("xf/dst-fail"); !pfs.IsNotFound(err) {
+		t.Errorf("stat of the failed destination: %v, want not found", err)
+	}
+
+	refuser.refuse.Store(false)
+	dst, _, err := c.asc.Transform(f, "xf/dst-fail", "gaussian2d", params)
+	if err != nil {
+		t.Fatalf("retry under the same name: %v", err)
+	}
+	got, err := dst.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, store := range c.stores {
-		if n := store.Size(st.Handle); n != 0 {
-			t.Errorf("server %d still holds %d bytes of the failed transform's destination", i, n)
-		}
+	if len(got) != len(data) {
+		t.Errorf("retried destination holds %d bytes, want %d", len(got), len(data))
+	}
+}
+
+// TestTransformLostSetSizeReply: the metadata server records the
+// destination's size but the reply never reaches the client. The
+// transform did complete, so Transform must return the destination with
+// its stripes intact, not sweep them under a recorded size that says they
+// exist.
+func TestTransformLostSetSizeReply(t *testing.T) {
+	var lose atomic.Bool
+	c := startActiveCluster(t, clusterOpts{nData: 3, mode: ModeAlwaysAccept, scheme: SchemeAS,
+		meta: func(h pfs.Handler) pfs.Handler {
+			return pfs.HandlerFunc(func(m wire.Message) (wire.Message, error) {
+				resp, err := h.Handle(m)
+				if _, ok := m.(*wire.SetSizeReq); ok && err == nil && lose.Load() {
+					return nil, errors.New("reply lost")
+				}
+				return resp, err
+			})
+		}})
+	const w = 256
+	f, _ := writeFile(t, c.fs, "xf/src-lost", w*768, 3)
+	lose.Store(true)
+	params := kernels.GaussianParams(w, true)
+	dst, _, err := c.asc.Transform(f, "xf/dst-lost", "gaussian2d", params)
+	if err != nil {
+		t.Fatalf("transform whose size was recorded: %v", err)
+	}
+	lose.Store(false)
+	ref, _, err := c.asc.Transform(f, "xf/dst-ref", "gaussian2d", params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := dst.ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("destination of %d bytes disagrees with a clean transform's %d", len(got), len(want))
 	}
 }
 

@@ -77,7 +77,7 @@ func (o Options) withDefaults() Options {
 }
 
 // network is the transport the options ask for: in-process or TCP
-// loopback, shaped and delayed when LinkRate and LinkDelay are set.
+// loopback, shaped when LinkRate is set.
 func (o Options) network() transport.Network {
 	var net transport.Network = transport.NewInproc()
 	if o.TCP {
@@ -85,9 +85,6 @@ func (o Options) network() transport.Network {
 	}
 	if o.LinkRate > 0 {
 		net = transport.NewShaped(net, o.LinkRate)
-	}
-	if o.LinkDelay > 0 {
-		net = transport.NewDelayed(net, o.LinkDelay)
 	}
 	return net
 }
@@ -143,8 +140,7 @@ func startStorage(o Options, net transport.Network, name, addr, dir string) (_ *
 		Mode:  o.Policy.mode(),
 		Audit: alog,
 		Estimator: core.EstimatorConfig{
-			BW:     o.NetworkBandwidth,
-			Period: o.EstimatorPeriod,
+			BW: o.NetworkBandwidth,
 		},
 		Pace:      o.Pace,
 		Metrics:   reg,
